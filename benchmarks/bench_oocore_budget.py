@@ -3,9 +3,15 @@
 The headline claims of ``repro.storage.sharded``, measured end-to-end:
 
 * **Budget adherence** — saturating a workload whose working set is a
-  multiple of the configured budget keeps the resident shard estimate
-  at or below the budget (within the documented one-shard slack: the
-  enforcement loop never evicts the shard it is currently touching).
+  multiple of the configured budget keeps the store's own *resident
+  shard estimate* (``stats["resident_estimate"]``: rows held in memory
+  × an estimated per-row cost — not process memory) at or below the
+  budget, within the documented one-shard slack: the enforcement loop
+  never evicts the shard it is currently touching.  The run is
+  asserted to execute as compiled kernels, which join those same
+  shards in place and hold no copy the estimate cannot see; that the
+  process's traced peak follows the budget under kernels is pinned by
+  ``tests/unit/test_sharded.py::TestBudgetUnderKernels``.
 * **Exactness across the spill boundary** — the budgeted, constantly
   evicting/reloading store answers digest-equal to a fully resident
   :class:`~repro.storage.ColumnarStore` ground truth, both through the
@@ -217,6 +223,9 @@ def test_oocore_budget_and_warm_start(benchmark, report):
         f"working set only {pressure:.1f}x the budget — raise the scale "
         "or lower the budget"
     )
+    # The budget claim is about the kernel path: it must not pass by
+    # silently interpreting.
+    assert budgeted.exec_mode == "kernel"
     # Budget adherence (one-shard slack is the documented overshoot).
     assert resident <= BUDGET + shard_slack, (
         f"resident estimate {resident} exceeds budget {BUDGET} "

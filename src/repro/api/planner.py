@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Optional, Tuple
 
 from ..core.query import ConjunctiveQuery
-from ..datalog.seminaive import EXEC_MODES
-from ..kernels import kernel_capable
+from ..datalog.seminaive import EXEC_MODES, resolve_exec
 from ..rewriting.magic import MagicRewriting, magic_rewrite, query_constants
 from ..storage import BACKENDS, FactStore
 from .program import CompiledProgram, compile_program
@@ -29,14 +28,6 @@ ENGINES = ("datalog", "pwl", "ward", "chase", "network")
 #: magic-set demand transformation exactly when it pays: a full
 #: program, the datalog engine, and ≥1 bound argument in the query).
 REWRITES = ("auto", "magic", "none")
-
-#: Store names whose instantiated backends expose the interned
-#: id-array surface (``rows_interned``/``extend_interned``) the
-#: compiled kernels run over.  Factories are classified by their
-#: ``__name__`` (:func:`repro.storage.sharded.sharded_store_factory`
-#: sets it); live :class:`~repro.storage.base.FactStore` instances are
-#: probed directly with :func:`repro.kernels.kernel_capable`.
-KERNEL_STORES = frozenset({"columnar", "sharded"})
 
 _ENGINE_LABELS = {
     "datalog": "semi-naive least fixpoint (exact for full programs)",
@@ -233,7 +224,7 @@ class Planner:
         ``"none"`` disables it.  ``exec_mode`` selects the exec
         dimension (:data:`EXEC_MODES`): ``"auto"`` compiles the
         datalog engine's rounds to columnar batch kernels exactly when
-        the store exposes interned id arrays (:data:`KERNEL_STORES`);
+        the store declares :attr:`~repro.storage.base.FactStore.kernel_capable`;
         ``"kernel"`` forces it (an error off the datalog engine or on
         an incapable store); ``"interpret"`` keeps the per-tuple
         interpreter.  ``magic_provider``, if given, builds
@@ -279,29 +270,14 @@ class Planner:
             exec_resolved = "interpret"
             exec_note = "interpret (forced by the caller)"
         else:
-            capable = (
-                kernel_capable(store)
-                if isinstance(store, FactStore)
-                else store_name in KERNEL_STORES
+            # Raises for a forced kernel on an incapable store.
+            exec_resolved = resolve_exec(exec_mode, store, store_name)
+            exec_note = (
+                f"kernel (store '{store_name}' exposes interned id arrays)"
+                if exec_resolved == "kernel"
+                else f"interpret (store '{store_name}' has no interned "
+                "id-array surface)"
             )
-            if capable:
-                exec_resolved = "kernel"
-                exec_note = (
-                    f"kernel (store '{store_name}' exposes interned "
-                    "id arrays)"
-                )
-            elif exec_mode == "kernel":
-                raise ValueError(
-                    "exec_mode='kernel' needs a store with an interned "
-                    "id-array surface (rows_interned/extend_interned); "
-                    f"{store_name!r} has none"
-                )
-            else:
-                exec_resolved = "interpret"
-                exec_note = (
-                    f"interpret (store '{store_name}' has no interned "
-                    "id-array surface)"
-                )
         rewriting = None
         bound = len(query_constants(query))
         if rewrite == "none":

@@ -53,7 +53,13 @@ from .planner import Planner, QueryPlan, validate_store
 from .program import CompiledProgram, compile_program
 from .stream import AnswerStream
 
-__all__ = ["Session", "fixpoint_cacheable", "fixpoint_cache_key"]
+__all__ = [
+    "Session",
+    "fixpoint_cacheable",
+    "fixpoint_cache_key",
+    "install_fixpoint",
+    "MAGIC_FIXPOINT_LIMIT",
+]
 
 QueryLike = Union[str, ConjunctiveQuery]
 ProgramLike = Union[None, str, Program, CompiledProgram]
@@ -112,6 +118,39 @@ def fixpoint_cache_key(plan: QueryPlan) -> tuple:
         plan.rewrite,
         token,
     )
+
+
+#: Cap on *demand-specific* (magic) fixpoint entries per cache: their
+#: key includes the query's seed constants, so answering many distinct
+#: point queries would otherwise grow one materialization per constant
+#: without bound.  Unrewritten entries stay unbounded — their key space
+#: is the small (program, method, store, kwargs) product.
+MAGIC_FIXPOINT_LIMIT = 32
+
+
+def install_fixpoint(fixpoints: dict, plan: QueryPlan, make_entry,
+                     suffix: str = "") -> None:
+    """Insert *plan*'s materialization into a fixpoint cache dict.
+
+    The one insertion path of the session's cache and the server's
+    per-version caches (the caller holds its own lock): builds the
+    entry's label, stores ``make_entry(label)`` under
+    :func:`fixpoint_cache_key`, and evicts magic entries oldest-first
+    beyond :data:`MAGIC_FIXPOINT_LIMIT` (entries expose ``rewrite``).
+    """
+    tag = "×magic" if plan.rewrite == "magic" else ""
+    label = (
+        f"{plan.method}×{plan.store_name}{tag} fixpoint "
+        f"[{plan.program.name}]{suffix}"
+    )
+    fixpoints[fixpoint_cache_key(plan)] = make_entry(label)
+    if plan.rewrite == "magic":
+        magic_keys = [
+            key for key, entry in fixpoints.items()
+            if entry.rewrite == "magic"
+        ]
+        for key in magic_keys[:-MAGIC_FIXPOINT_LIMIT]:
+            del fixpoints[key]
 
 
 class _FixpointEntry:
@@ -503,24 +542,6 @@ class Session:
                 self._abstractions[key] = abstraction
             return abstraction
 
-    #: Backwards-compatible aliases of the module-level helpers (shared
-    #: with the server's per-version caches).
-    _CACHEABLE_KWARGS = CACHEABLE_KWARGS
-
-    def _fixpoint_cacheable(self, plan: QueryPlan) -> bool:
-        return fixpoint_cacheable(plan)
-
-    def _fixpoint_key(self, plan: QueryPlan) -> tuple:
-        return fixpoint_cache_key(plan)
-
-    #: Cap on *demand-specific* (magic) fixpoint entries: their cache
-    #: key includes the query's seed constants, so a read-heavy session
-    #: answering many distinct point queries would otherwise grow one
-    #: materialization per constant without bound.  Unrewritten entries
-    #: stay unbounded — their key space is the small (program, method,
-    #: store, kwargs) product.
-    _MAGIC_FIXPOINT_LIMIT = 32
-
     def get_fixpoint(self, plan: QueryPlan) -> Optional[FactStore]:
         """A cached saturated materialization for this plan, if any.
 
@@ -529,10 +550,10 @@ class Session:
         ``session.edb`` writes recorded by a later batch) is caught up
         through the maintainer on the way out, or dropped.
         """
-        if not self._fixpoint_cacheable(plan):
+        if not fixpoint_cacheable(plan):
             return None
         with self._lock:
-            key = self._fixpoint_key(plan)
+            key = fixpoint_cache_key(plan)
             entry = self._fixpoints.get(key)
             if entry is None:
                 return None
@@ -544,35 +565,26 @@ class Session:
                 report = MaintenanceReport(
                     version=self._edb_version, inserted=(), retracted=()
                 )
-                self._upgrade_entry(self._fixpoint_key(plan), report)
+                self._upgrade_entry(key, report)
                 # Keep the decision discoverable — especially a
                 # fallback's reason — rather than silently recomputing.
                 self.catchup_reports.append(report)
                 del self.catchup_reports[:-32]
-                entry = self._fixpoints.get(self._fixpoint_key(plan))
+                entry = self._fixpoints.get(key)
                 if entry is None:
                     return None
             return entry.store
 
     def set_fixpoint(self, plan: QueryPlan, instance: FactStore) -> None:
         """Register a saturated materialization for reuse."""
-        if not self._fixpoint_cacheable(plan):
+        if not fixpoint_cacheable(plan):
             return
-        tag = "×magic" if plan.rewrite == "magic" else ""
-        label = (
-            f"{plan.method}×{plan.store_name}{tag} fixpoint "
-            f"[{plan.program.name}]"
-        )
         with self._lock:
-            self._fixpoints[self._fixpoint_key(plan)] = _FixpointEntry(
-                instance, self._edb_version, plan.program, label,
-                rewrite=plan.rewrite,
+            install_fixpoint(
+                self._fixpoints,
+                plan,
+                lambda label: _FixpointEntry(
+                    instance, self._edb_version, plan.program, label,
+                    rewrite=plan.rewrite,
+                ),
             )
-            if plan.rewrite == "magic":
-                magic_keys = [
-                    key
-                    for key, entry in self._fixpoints.items()
-                    if entry.rewrite == "magic"
-                ]
-                for key in magic_keys[: -self._MAGIC_FIXPOINT_LIMIT]:
-                    del self._fixpoints[key]

@@ -15,7 +15,6 @@ from .seminaive import (
     SemiNaiveRound,
     datalog_answers,
     seminaive,
-    seminaive_delta_rounds,
     seminaive_rounds,
     stream_datalog_answers,
 )
@@ -29,7 +28,6 @@ from .strata import (
 __all__ = [
     "seminaive",
     "seminaive_rounds",
-    "seminaive_delta_rounds",
     "SemiNaiveResult",
     "SemiNaiveRound",
     "datalog_answers",

@@ -28,8 +28,15 @@ from ..core.query import ConjunctiveQuery, stream_new_answers
 from ..core.substitution import Substitution
 from ..core.terms import Constant, Term, Variable
 from ..core.tgd import TGD
-from ..kernels import KernelEvaluator, kernel_capable
-from ..storage import ColumnarStore, DeltaOverlay, FactStore, StoreChoice, make_store
+from ..kernels import KernelEvaluator
+from ..storage import (
+    ColumnarStore,
+    DeltaOverlay,
+    FactStore,
+    StoreChoice,
+    kernel_capable,
+    make_store,
+)
 
 __all__ = [
     "SemiNaiveResult",
@@ -37,34 +44,35 @@ __all__ = [
     "EXEC_MODES",
     "seminaive",
     "seminaive_rounds",
-    "seminaive_delta_rounds",
+    "resolve_exec",
     "datalog_answers",
     "stream_datalog_answers",
 ]
 
 #: Execution modes of the semi-naive core: ``"kernel"`` runs compiled
-#: batch kernels over interned id rows (stores exposing
-#: ``rows_interned``/``extend_interned``), ``"interpret"`` the classic
-#: per-tuple substitution loop, ``"auto"`` kernels whenever the store
-#: is capable.  Both modes produce identical rounds, staged facts, and
-#: ``considered`` counts — the interpreter is the kernel's oracle.
+#: batch kernels over the store's interned id rows (stores declaring
+#: :attr:`~repro.storage.base.FactStore.kernel_capable`),
+#: ``"interpret"`` the classic per-tuple substitution loop, ``"auto"``
+#: kernels whenever the store is capable.  Both modes produce identical
+#: rounds, staged facts, and ``considered`` counts — the interpreter is
+#: the kernel's oracle.
 EXEC_MODES = ("auto", "kernel", "interpret")
 
 
-def _resolve_exec(exec_mode: str, instance: Optional[FactStore],
-                  store_label: str) -> str:
-    """The mode actually run for this store, validating forced kernels."""
+def resolve_exec(exec_mode: str, store: StoreChoice,
+                 store_label: str) -> str:
+    """The mode actually run on *store* (a live store, backend name or
+    factory), validating forced kernels — shared with the planner."""
     if exec_mode not in EXEC_MODES:
         raise ValueError(
             f"unknown exec_mode {exec_mode!r}; choose one of "
             f"{', '.join(EXEC_MODES)}"
         )
-    capable = instance is not None and kernel_capable(instance)
+    capable = kernel_capable(store)
     if exec_mode == "kernel" and not capable:
         raise ValueError(
             "exec_mode='kernel' needs a store with an interned "
-            "id-array surface (rows_interned/extend_interned); "
-            f"{store_label!r} has none"
+            f"id-array surface; {store_label!r} has none"
         )
     if exec_mode == "interpret" or not capable:
         return "interpret"
@@ -164,23 +172,6 @@ class SemiNaiveRound:
     exec_mode: str = "interpret"
 
 
-def _kernel_loop(
-    evaluator: KernelEvaluator,
-    max_rounds: Optional[int],
-) -> Iterable[SemiNaiveRound]:
-    """Wrap the kernel runtime's rounds as :class:`SemiNaiveRound`
-    events (post-merge instance view, same as the interpreter loop)."""
-    for index, staged, considered, batches in evaluator.rounds(max_rounds):
-        yield SemiNaiveRound(
-            index=index,
-            staged=staged,
-            considered=considered,
-            instance=evaluator.store,
-            batches=batches,
-            exec_mode="kernel",
-        )
-
-
 def seminaive_rounds(
     database: Database,
     program: Program,
@@ -212,7 +203,7 @@ def seminaive_rounds(
         # round's delta, promoted into the (columnar) base at each
         # round boundary.  The overlay has no id-array surface, so it
         # always interprets.
-        _resolve_exec(exec_mode, None, "delta")
+        resolve_exec(exec_mode, "delta", "delta")
         overlay: Optional[DeltaOverlay] = DeltaOverlay(ColumnarStore())
         overlay.add_all(database)
         instance: FactStore = overlay
@@ -226,14 +217,23 @@ def seminaive_rounds(
         return
     instance = make_store(store, database)
     label = store if isinstance(store, str) else type(instance).__name__
-    if _resolve_exec(exec_mode, instance, label) == "kernel":
-        evaluator = KernelEvaluator(instance, program)
-        evaluator.mark_all_delta()
+    if resolve_exec(exec_mode, instance, label) == "kernel":
         yield SemiNaiveRound(
             index=0, staged=tuple(database), considered=0,
             instance=instance, exec_mode="kernel",
         )
-        yield from _kernel_loop(evaluator, max_rounds)
+        # Post-merge instance view per event, same as the interpreter.
+        for index, staged, considered, batches in KernelEvaluator(
+            instance, program
+        ).rounds(max_rounds):
+            yield SemiNaiveRound(
+                index=index,
+                staged=staged,
+                considered=considered,
+                instance=instance,
+                batches=batches,
+                exec_mode="kernel",
+            )
         return
     delta = instance.fresh()
     delta.add_all(database)
@@ -293,65 +293,6 @@ def _delta_loop(
             considered=round_considered,
             instance=instance,
         )
-
-
-def seminaive_delta_rounds(
-    instance: FactStore,
-    program: Program,
-    delta_atoms: Iterable[Atom],
-    max_rounds: Optional[int] = None,
-    *,
-    exec_mode: str = "auto",
-) -> Iterable[SemiNaiveRound]:
-    """Resume a saturated semi-naive fixpoint after new facts arrive.
-
-    *instance* is a least fixpoint of *program* over some earlier
-    database; *delta_atoms* are facts new since it was computed (they
-    are inserted if absent).  The rounds are seeded from **just the new
-    facts** rather than the whole database — the insertion fast path of
-    the incremental-maintenance layer (:mod:`repro.incremental`).
-    *instance* is upgraded in place; the union of all staged facts is
-    exactly what a from-scratch fixpoint over the extended database
-    would have added.
-
-    Round 0 carries the seed delta.  Like :func:`seminaive_rounds`,
-    atoms already processed may appear in the seed (the maintainer
-    passes every fact added since the last fixpoint): re-deriving from
-    them is wasted work but never changes the result.
-
-    ``exec_mode`` follows :func:`seminaive_rounds`: on a kernel-capable
-    *instance* the resumption itself runs as batch kernels (the
-    incremental-maintenance insertion fast path inherits the speedup).
-    """
-    _check_datalog(program)
-    label = type(instance).__name__
-    if _resolve_exec(exec_mode, instance, label) == "kernel":
-        evaluator = KernelEvaluator(instance, program)
-        # The evaluator seeds store and mirror together: a seed atom
-        # the instance already holds is delta without being a new row.
-        seed = evaluator.seed_delta(delta_atoms)
-        yield SemiNaiveRound(
-            index=0, staged=tuple(seed), considered=0,
-            instance=instance, exec_mode="kernel",
-        )
-        yield from _kernel_loop(evaluator, max_rounds)
-        return
-    seed: List[Atom] = []
-    seen: set[Atom] = set()
-    for atom in delta_atoms:
-        if atom in seen:
-            continue
-        seen.add(atom)
-        instance.add(atom)
-        seed.append(atom)
-    delta = instance.fresh()
-    delta.add_all(seed)
-    yield SemiNaiveRound(
-        index=0, staged=tuple(seed), considered=0, instance=instance
-    )
-    yield from _delta_loop(
-        instance, delta, program, max_rounds=max_rounds
-    )
 
 
 def seminaive(

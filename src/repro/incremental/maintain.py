@@ -5,9 +5,10 @@ upgrades it in place when the EDB changes, instead of letting the
 session throw the materialization away:
 
 * **insertions** ride the semi-naive fast path — deltas seeded from
-  just the new facts (:func:`repro.datalog.seminaive.seminaive_delta_rounds`
-  is the same loop; here the rounds run stratum by stratum so they
-  interleave correctly with deletions);
+  just the new facts and propagated with the interpreter's
+  :func:`repro.datalog.seminaive._delta_matches`, stratum by stratum
+  so the rounds interleave correctly with deletions (the compiled
+  kernels are not involved: they saturate from scratch only);
 * **retractions** run delete–rederive (DRed) on recursive strata and
   pure counting (:mod:`repro.incremental.support`) on non-recursive
   ones, using the stratification the

@@ -7,7 +7,8 @@ rule once into batch join plans over interned id rows
 (:mod:`~repro.kernels.compiler`) and executes them set-at-a-time
 (:mod:`~repro.kernels.runtime`), reproducing the interpreter's round
 structure, staged facts, and match counts exactly — the interpreter
-remains the fallback for stores without an id-array surface, and the
+remains the fallback for stores that do not declare
+:attr:`~repro.storage.base.FactStore.kernel_capable`, and the
 ground-truth oracle the property suite compares against.
 
 Selection is the planner's ``exec`` dimension
@@ -15,6 +16,7 @@ Selection is the planner's ``exec`` dimension
 :func:`repro.datalog.seminaive.seminaive_rounds`.
 """
 
+from ..storage import kernel_capable
 from .compiler import (
     JoinStep,
     KernelProgram,
@@ -23,7 +25,7 @@ from .compiler import (
     compile_kernels,
     compile_rule,
 )
-from .runtime import KernelEvaluator, kernel_capable
+from .runtime import KernelEvaluator
 
 __all__ = [
     "JoinStep",

@@ -1,41 +1,45 @@
-"""Batch execution of compiled rule kernels over interned id rows.
+"""Batch execution of compiled rule kernels over the store's own rows.
 
-A :class:`KernelEvaluator` mirrors a kernel-capable store (one that
-exposes ``rows_interned``/``extend_interned`` and a shared ``table``)
-as dense per-relation row lists with
+A :class:`KernelEvaluator` holds no relation of its own: it joins the
+:class:`~repro.storage.relation.Relation` objects of a kernel-capable
+store (:attr:`~repro.storage.base.FactStore.kernel_capable`) in place.
+The store hands a relation out as a sequence of resident *parts*, one
+at a time (``store.parts`` — the single relation of a columnar store,
+each non-empty shard of a sharded one, paged in through its LRU/budget
+path), and the evaluator
 
-* a ``row → row-number`` dedup map,
-* lazily built hash indexes per probed key-position set, appended
-  incrementally at each round boundary,
-* the current delta as a row-number list + set (rows staged by the
-  previous round — or an arbitrary subset for incremental resumption,
-  where a re-asserted fact is delta without being new).
+* probes each part through the part's own lazily built hash indexes
+  (built on first probe, kept coherent by the relation's appends, and
+  dropped with a shard when it is evicted);
+* keeps the semi-naive delta as one append watermark per part: rows
+  are numbered in append order, so the rows staged by the previous
+  round are exactly ``[lo, hi)`` and "old" means ``number < lo``
+  (round 1: ``lo = 0``, every stored row is delta);
+* appends each pin's head rows through ``store.extend_rows``, which
+  deduplicates once and reports the rows that were new and where they
+  start.  Rows appended during a round sit at or above the part's
+  ``hi`` and stay invisible to that round's joins, so the round still
+  evaluates against its start-of-round snapshot.
 
 Each semi-naive round runs every rule's pin plans as batch operations:
 filter/project the delta rows of the pinned atom into a binding
 frontier, then extend the frontier through each join step with one
-hash probe per step (``kernel_batches`` counts these batch ops).  The
-old/full row discipline per step reproduces the interpreter's
-first-pin exact-once match counting — see
-:mod:`repro.kernels.compiler` — so ``considered``, staged facts, and
-round structure agree with the interpreter exactly.
-
-The mirror is engine *scratch*: while an evaluation is live it is
-registered on the store (``register_scratch``) and surfaces in
-``memory_report()`` under the ``kernel_scratch`` component; shared row
-tuples are charged to the store's own columns, the mirror pays only
-for its containers and indexes.
+hash probe per step (``kernel_batches`` counts these batch ops — per
+step, however many parts the step walks).  The old/full row discipline
+per step reproduces the interpreter's first-pin exact-once match
+counting — see :mod:`repro.kernels.compiler` — so ``considered``,
+staged facts, and round structure agree with the interpreter exactly.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from ..core.atoms import Atom
 from ..core.program import Program
 from ..core.terms import Term
-from ..storage.memory import deep_sizeof
+from ..storage.relation import Row
 from .compiler import (
     CONST,
     SLOT,
@@ -45,112 +49,50 @@ from .compiler import (
     compile_kernels,
 )
 
-__all__ = ["KernelEvaluator", "kernel_capable"]
+__all__ = ["KernelEvaluator"]
 
-Row = Tuple[int, ...]
 RelKey = Tuple[str, int]
 
+#: relation → part id → a row number in that part: where the rows a
+#: round appended start.
+Watermarks = Dict[RelKey, Dict[int, int]]
 
-def kernel_capable(store) -> bool:
-    """Whether *store* exposes the interned id-array surface kernels
-    compile against (``rows_interned``/``extend_interned``/``table``)."""
-    return (
-        hasattr(store, "rows_interned")
-        and hasattr(store, "extend_interned")
-        and getattr(store, "table", None) is not None
-    )
-
-
-class _KRelation:
-    """One (predicate, arity) mirrored as dense interned rows."""
-
-    __slots__ = ("arity", "rows", "row_pos", "delta_rownums", "delta_set",
-                 "indexes")
-
-    def __init__(self, arity: int):
-        self.arity = arity
-        self.rows: List[Row] = []
-        self.row_pos: Dict[Row, int] = {}
-        #: The current delta as row numbers (ascending) + membership set.
-        self.delta_rownums: List[int] = []
-        self.delta_set: Set[int] = set()
-        #: key-position tuple → key-id tuple → row numbers (ascending).
-        self.indexes: Dict[Tuple[int, ...], Dict[Tuple[int, ...], List[int]]] = {}
-
-    def append(self, row: Row) -> int:
-        number = len(self.rows)
-        self.rows.append(row)
-        self.row_pos[row] = number
-        for positions, index in self.indexes.items():
-            # Single-column indexes key on the bare id (no tuple
-            # allocation on the hot path); composite ones on id tuples.
-            if len(positions) == 1:
-                key = row[positions[0]]
-            else:
-                key = tuple(row[p] for p in positions)
-            bucket = index.get(key)
-            if bucket is None:
-                index[key] = [number]
-            else:
-                bucket.append(number)
-        return number
-
-    def index_for(self, positions: Tuple[int, ...]) -> Dict:
-        index = self.indexes.get(positions)
-        if index is None:
-            index = {}
-            if len(positions) == 1:
-                position = positions[0]
-                for number, row in enumerate(self.rows):
-                    key = row[position]
-                    bucket = index.get(key)
-                    if bucket is None:
-                        index[key] = [number]
-                    else:
-                        bucket.append(number)
-            else:
-                for number, row in enumerate(self.rows):
-                    key = tuple(row[p] for p in positions)
-                    bucket = index.get(key)
-                    if bucket is None:
-                        index[key] = [number]
-                    else:
-                        bucket.append(number)
-            self.indexes[positions] = index
-        return index
+_NO_PARTS: Mapping[int, int] = {}
 
 
 class KernelEvaluator:
     """Semi-naive evaluation of one program as compiled batch kernels.
 
-    The evaluator owns the mirror for one run; the *store* stays the
-    source of truth for atoms (every staged row is bulk-appended there
-    at the round boundary, so observers of the store — round events,
-    fixpoint caches, IVM — see exactly what the interpreter would have
-    written).  The store must not be mutated externally while an
-    evaluation is live.
+    The evaluator keeps binding frontiers and per-part watermarks, no
+    rows: relations are read from, and head rows appended to, the
+    *store*, which is therefore exactly what the interpreter would have
+    written at every round boundary (round events, fixpoint caches and
+    IVM observe it there).  The store must not be mutated externally
+    while an evaluation is live.
     """
 
     def __init__(self, store, program: Program,
                  kernels: Optional[KernelProgram] = None):
-        if not kernel_capable(store):
+        if not store.kernel_capable:
             raise ValueError(
                 f"{type(store).__name__} has no interned id-array "
-                "surface (rows_interned/extend_interned); use the "
-                "interpreter"
+                "surface; use the interpreter"
             )
         self.store = store
         self.table = store.table
         self.kernels = (
             kernels if kernels is not None else compile_kernels(program)
         )
-        self.relations: Dict[RelKey, _KRelation] = {}
-        for predicate, arity, rows in store.rows_interned():
-            relation = self._relation(predicate, arity)
-            relation.rows = list(rows)
-            relation.row_pos = {row: n for n, row in enumerate(rows)}
         #: Cumulative batch operations (pin filters + hash probes).
         self.batches = 0
+        #: Where the previous round's appends start, per part — the
+        #: ``lo`` of this round's delta; None in round 1, when every
+        #: stored row is delta.
+        self._delta: Optional[Watermarks] = None
+        #: Where this round's own appends start, per part — the ``hi``
+        #: this round's joins must stay below (a part absent here has
+        #: not grown: its ``hi`` is its length).
+        self._grown: Watermarks = {}
         #: Rule-constant ids, cached once resolved (an id is permanent;
         #: an unresolved constant is retried — a head fire may intern it
         #: between rounds).
@@ -161,85 +103,47 @@ class KernelEvaluator:
         #: which the interpreter never does.
         self._head_layouts: Dict[RuleKernel, tuple] = {}
 
-    # -- delta seeding -----------------------------------------------------
-
-    def mark_all_delta(self) -> None:
-        """Treat every mirrored row as delta (a from-scratch round 1)."""
-        for relation in self.relations.values():
-            relation.delta_rownums = list(range(len(relation.rows)))
-            relation.delta_set = set(relation.delta_rownums)
-
-    def seed_delta(self, atoms: Iterable[Atom]) -> List[Atom]:
-        """Seed an incremental resumption from *atoms*.
-
-        Mirrors :func:`~repro.datalog.seminaive.seminaive_delta_rounds`'
-        interpreter seeding exactly: atoms are deduplicated (first
-        occurrence kept), inserted into the store if absent, and every
-        seed atom is delta — including atoms the instance already held,
-        which are delta *without* being new rows.  Returns the seed.
-        """
-        seed: List[Atom] = []
-        seen: Set[Atom] = set()
-        for atom in atoms:
-            if atom in seen:
-                continue
-            seen.add(atom)
-            self.store.add(atom)
-            row = tuple(self.table.id_of(term) for term in atom.args)
-            relation = self._relation(atom.predicate, atom.arity)
-            number = relation.row_pos.get(row)
-            if number is None:
-                number = relation.append(row)
-            if number not in relation.delta_set:
-                relation.delta_set.add(number)
-                relation.delta_rownums.append(number)
-            seed.append(atom)
-        for relation in self.relations.values():
-            relation.delta_rownums.sort()
-        return seed
-
     # -- the round loop ----------------------------------------------------
 
     def rounds(
-        self, max_rounds: Optional[int] = None, start_index: int = 0
+        self, max_rounds: Optional[int] = None
     ) -> Iterator[Tuple[int, Tuple[Atom, ...], int, int]]:
-        """Run semi-naive rounds to fixpoint, yielding
-        ``(index, staged_atoms, considered, batches)`` per round.
-
-        Staged atoms are merged into the mirror *and* the store before
-        the yield (the event's instance view is post-merge, as in the
-        interpreter).  The mirror is registered as engine scratch on
-        the store for the lifetime of the generator.
+        """Run semi-naive rounds to fixpoint from the stored rows,
+        yielding ``(index, staged_atoms, considered, batches)`` per
+        round.  Staged atoms are in the store before the yield (the
+        event's instance view is post-merge, as in the interpreter).
+        The join indexes built on the store's parts along the way are
+        released when the generator exits.
         """
-        self.store.register_scratch("kernel", self.scratch_bytes)
+        self._delta = None
+        pending = len(self.store) > 0
+        index = 0
         try:
-            index = start_index
-            while any(r.delta_rownums for r in self.relations.values()):
-                if max_rounds is not None and index - start_index >= max_rounds:
-                    break
+            while pending and (max_rounds is None or index < max_rounds):
                 index += 1
                 before = self.batches
-                staged, considered = self._run_round()
-                self._merge(staged)
-                atoms = tuple(
-                    self._decode(predicate, row)
-                    for predicate, _, row in staged
-                )
-                yield index, atoms, considered, self.batches - before
+                self._grown = {}
+                atoms, considered = self._run_round()
+                self._delta = self._grown
+                pending = bool(atoms)
+                # Yield without keeping a reference: the consumer alone
+                # decides how long a round's atoms live.
+                event = (index, atoms, considered, self.batches - before)
+                del atoms
+                yield event
+                del event
         finally:
-            self.store.unregister_scratch("kernel")
+            self.store.release_indexes()
 
-    def _run_round(self) -> Tuple[List[Tuple[str, int, Row]], int]:
-        staged: List[Tuple[str, int, Row]] = []
-        staged_sets: Dict[RelKey, Set[Row]] = {}
+    def _run_round(self) -> Tuple[Tuple[Atom, ...], int]:
+        """One round over every rule: the atoms staged, and the body
+        matches considered."""
+        staged: List[Tuple[str, List[Row]]] = []
         considered = 0
         for kernel in self.kernels.kernels:
             head_slots, head_consts, head_getter = self._head_layout(kernel)
             for pin in kernel.pins:
-                relation = self.relations.get((pin.predicate, pin.arity))
-                if relation is None or not relation.delta_rownums:
-                    continue
-                frontier = self._pin_frontier(kernel, pin, relation)
+                frontier = self._pin_frontier(kernel, pin)
                 for step in pin.steps:
                     if not frontier:
                         break
@@ -255,78 +159,93 @@ class KernelEvaluator:
                     self._head_layouts[kernel] = (
                         head_slots, head_consts, head_getter
                     )
-                head_key = (kernel.head_predicate, kernel.head_arity)
-                head_rel = self._relation(*head_key)
-                row_pos = head_rel.row_pos
-                staged_set = staged_sets.setdefault(head_key, set())
                 if head_getter is not None:
-                    for binding in frontier:
-                        row = head_getter(binding)
-                        if row in row_pos or row in staged_set:
-                            continue
-                        staged_set.add(row)
-                        staged.append((*head_key, row))
+                    heads = map(head_getter, frontier)
                 else:
                     span = range(kernel.head_arity)
-                    for binding in frontier:
-                        row = tuple(
+                    heads = (
+                        tuple(
                             head_consts[i] if head_slots[i] < 0
                             else binding[head_slots[i]]
                             for i in span
                         )
-                        if row in row_pos or row in staged_set:
-                            continue
-                        staged_set.add(row)
-                        staged.append((*head_key, row))
-        return staged, considered
+                        for binding in frontier
+                    )
+                head_key = (kernel.head_predicate, kernel.head_arity)
+                for part_id, start, new in self.store.extend_rows(
+                    *head_key, heads
+                ):
+                    # The first append of the round marks where the
+                    # part's start-of-round rows end.
+                    self._grown.setdefault(head_key, {}).setdefault(
+                        part_id, start
+                    )
+                    staged.append((kernel.head_predicate, new))
+        atoms = tuple(
+            self._decode(predicate, row)
+            for predicate, rows in staged
+            for row in rows
+        )
+        return atoms, considered
 
     def _pin_frontier(
-        self, kernel: RuleKernel, pin: PinPlan, relation: _KRelation
-    ) -> List[List[int]]:
-        """Filter/project the pinned atom's delta rows into bindings."""
-        self.batches += 1
-        consts = []
-        for position, term in pin.consts:
-            cid = self._const_id(term)
-            if cid is None:
-                # The constant was never interned, so no stored row can
-                # carry it: the pin matches nothing this round.
-                return []
-            consts.append((position, cid))
-        rows = relation.rows
+        self, kernel: RuleKernel, pin: PinPlan
+    ) -> Optional[List[List[int]]]:
+        """Filter/project the pinned atom's delta rows into bindings
+        (None, and no batch counted, when the relation has no delta)."""
+        key = (pin.predicate, pin.arity)
+        # Only parts the previous round appended to carry delta rows;
+        # in round 1 every part does, from row 0.
+        starts = None
+        if self._delta is not None:
+            starts = self._delta.get(key)
+            if not starts:
+                return None
+        grown = self._grown.get(key, _NO_PARTS)
+        consts = [
+            (position, self._const_id(term)) for position, term in pin.consts
+        ]
+        # A constant never interned is carried by no stored row: the
+        # pin matches nothing this round.
+        unmatchable = any(cid is None for _, cid in consts)
         num_slots = kernel.num_slots
-        frontier: List[List[int]] = []
-        for number in relation.delta_rownums:
-            row = rows[number]
-            if consts and not all(row[p] == cid for p, cid in consts):
-                continue
-            if pin.repeats and not all(
-                row[p] == row[q] for p, q in pin.repeats
-            ):
-                continue
-            binding = [0] * num_slots
-            for position, slot in pin.binds:
-                binding[slot] = row[position]
-            frontier.append(binding)
+        frontier: Optional[List[List[int]]] = None
+        for part_id, part in self.store.parts(*key, starts):
+            rows = part.rows
+            lo = 0 if starts is None else starts[part_id]
+            hi = grown.get(part_id, len(rows))
+            if lo == hi:
+                continue  # an empty part this round's appends created
+            if frontier is None:
+                self.batches += 1
+                frontier = []
+            if unmatchable:
+                break
+            for row in rows[lo:hi]:
+                if consts and not all(row[p] == cid for p, cid in consts):
+                    continue
+                if pin.repeats and not all(
+                    row[p] == row[q] for p, q in pin.repeats
+                ):
+                    continue
+                binding = [0] * num_slots
+                for position, slot in pin.binds:
+                    binding[slot] = row[position]
+                frontier.append(binding)
         return frontier
 
     def _probe(
         self, step, frontier: List[List[int]]
     ) -> List[List[int]]:
-        """Extend the frontier through one body atom (one batch op)."""
+        """Extend the frontier through one body atom (one batch op),
+        part by part."""
         self.batches += 1
-        relation = self.relations.get((step.predicate, step.arity))
-        if relation is None or not relation.rows:
-            return []
-        rows = relation.rows
-        delta_set = relation.delta_set
         old_only = step.old_only
-        repeats = step.repeats
-        binds = step.binds
-        out: List[List[int]] = []
+        if old_only and self._delta is None:
+            return []  # round 1: every stored row is delta, none is old
+        key_of = None
         if step.key:
             positions = tuple(p for p, _ in step.key)
-            index = relation.index_for(positions)
             sources = []
             for _, (kind, payload) in step.key:
                 if kind == CONST:
@@ -354,68 +273,56 @@ class KernelEvaluator:
                         payload if is_const else binding[payload]
                         for is_const, payload in _sources
                     )
-            for binding in frontier:
-                bucket = index.get(key_of(binding))
-                if not bucket:
-                    continue
-                for number in bucket:
-                    if old_only and number in delta_set:
+        key = (step.predicate, step.arity)
+        grown = self._grown.get(key, _NO_PARTS)
+        starts = self._delta.get(key, _NO_PARTS) if old_only else _NO_PARTS
+        repeats = step.repeats
+        binds = step.binds
+        out: List[List[int]] = []
+        for part_id, part in self.store.parts(*key):
+            rows = part.rows
+            # Visible rows end where this round's appends start; old
+            # rows end where the previous round's did.
+            limit = grown.get(part_id, len(rows))
+            if old_only:
+                limit = starts.get(part_id, limit)
+            if key_of is not None:
+                index = part.index_for(positions)
+                bounded = limit < len(rows)
+                for binding in frontier:
+                    bucket = index.get(key_of(binding))
+                    if not bucket:
                         continue
-                    row = rows[number]
-                    if repeats and not all(
-                        row[p] == row[q] for p, q in repeats
-                    ):
-                        continue
-                    extended = binding.copy()
-                    for position, slot in binds:
-                        extended[slot] = row[position]
-                    out.append(extended)
-        else:
-            # No determined position: a scan step (cartesian extension).
-            numbers = [
-                number
-                for number in range(len(rows))
-                if not (old_only and number in delta_set)
-            ]
-            matching = []
-            for number in numbers:
-                row = rows[number]
-                if repeats and not all(row[p] == row[q] for p, q in repeats):
-                    continue
-                matching.append(row)
-            for binding in frontier:
-                for row in matching:
-                    extended = binding.copy()
-                    for position, slot in binds:
-                        extended[slot] = row[position]
-                    out.append(extended)
+                    for number in bucket:
+                        if bounded and number >= limit:
+                            continue
+                        row = rows[number]
+                        if repeats and not all(
+                            row[p] == row[q] for p, q in repeats
+                        ):
+                            continue
+                        extended = binding.copy()
+                        for position, slot in binds:
+                            extended[slot] = row[position]
+                        out.append(extended)
+            else:
+                # No determined position: a scan step (cartesian
+                # extension).
+                matching = [
+                    row
+                    for row in rows[:limit]
+                    if not repeats
+                    or all(row[p] == row[q] for p, q in repeats)
+                ]
+                for binding in frontier:
+                    for row in matching:
+                        extended = binding.copy()
+                        for position, slot in binds:
+                            extended[slot] = row[position]
+                        out.append(extended)
         return out
 
-    def _merge(self, staged: List[Tuple[str, int, Row]]) -> None:
-        """Round boundary: expire the old delta, append staged rows to
-        the mirror, and bulk-append them to the store."""
-        for relation in self.relations.values():
-            if relation.delta_rownums:
-                relation.delta_rownums = []
-                relation.delta_set = set()
-        grouped: Dict[RelKey, List[Row]] = {}
-        for predicate, arity, row in staged:
-            grouped.setdefault((predicate, arity), []).append(row)
-        for (predicate, arity), rows in grouped.items():
-            relation = self._relation(predicate, arity)
-            numbers = [relation.append(row) for row in rows]
-            relation.delta_rownums = numbers
-            relation.delta_set = set(numbers)
-            self.store.extend_interned(predicate, arity, rows)
-
     # -- helpers -----------------------------------------------------------
-
-    def _relation(self, predicate: str, arity: int) -> _KRelation:
-        key = (predicate, arity)
-        relation = self.relations.get(key)
-        if relation is None:
-            relation = self.relations[key] = _KRelation(arity)
-        return relation
 
     def _const_id(self, term: Term) -> Optional[int]:
         cid = self._const_ids.get(term)
@@ -448,20 +355,3 @@ class KernelEvaluator:
 
     def _decode(self, predicate: str, row: Row) -> Atom:
         return Atom(predicate, tuple(map(self.table.term, row)))
-
-    # -- accounting --------------------------------------------------------
-
-    def scratch_bytes(self, seen: Optional[set] = None) -> int:
-        """Deeply measured bytes of the mirror (rows shared with the
-        store are charged wherever *seen* met them first)."""
-        if seen is None:
-            seen = set()
-        total = 0
-        for relation in self.relations.values():
-            total += deep_sizeof(relation.rows, seen)
-            total += deep_sizeof(relation.row_pos, seen)
-            total += deep_sizeof(relation.indexes, seen)
-            total += deep_sizeof(relation.delta_rownums, seen)
-            total += deep_sizeof(relation.delta_set, seen)
-        total += deep_sizeof(self._const_ids, seen)
-        return total

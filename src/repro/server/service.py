@@ -35,7 +35,12 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from ..api.execution import execute_plan
 from ..api.planner import QueryPlan
-from ..api.session import Session, fixpoint_cache_key, fixpoint_cacheable
+from ..api.session import (
+    Session,
+    fixpoint_cache_key,
+    fixpoint_cacheable,
+    install_fixpoint,
+)
 from ..api.stream import AnswerStream
 from ..incremental import ChangeSet, FixpointMaintainer, unmaintainable_reason
 from ..storage import FactStore, make_store
@@ -74,10 +79,6 @@ class VersionCaches:
     difference for snapshot isolation.
     """
 
-    #: Cap on demand-specific (magic) entries per version, mirroring
-    #: the session's bound.
-    MAGIC_LIMIT = 32
-
     def __init__(self, version: SnapshotVersion):
         self._version = version
         self._lock = threading.Lock()
@@ -100,24 +101,16 @@ class VersionCaches:
     def set_fixpoint(self, plan: QueryPlan, instance: FactStore) -> None:
         if not fixpoint_cacheable(plan):
             return
-        tag = "×magic" if plan.rewrite == "magic" else ""
-        label = (
-            f"{plan.method}×{plan.store_name}{tag} fixpoint "
-            f"[{plan.program.name}] @v{self._version.number}"
-        )
-        entry = _CacheEntry(
-            instance, plan.program, plan.maintainable, plan.rewrite, label
-        )
         with self._lock:
-            self._fixpoints[fixpoint_cache_key(plan)] = entry
-            if plan.rewrite == "magic":
-                magic_keys = [
-                    key
-                    for key, cached in self._fixpoints.items()
-                    if cached.rewrite == "magic"
-                ]
-                for key in magic_keys[: -self.MAGIC_LIMIT]:
-                    del self._fixpoints[key]
+            install_fixpoint(
+                self._fixpoints,
+                plan,
+                lambda label: _CacheEntry(
+                    instance, plan.program, plan.maintainable,
+                    plan.rewrite, label,
+                ),
+                suffix=f" @v{self._version.number}",
+            )
 
     def abstraction_for(self, compiled):
         """The star abstraction of (this version's EDB, Σ) — computed at

@@ -29,6 +29,7 @@ from .columnar import ColumnarStore
 from .delta import DeltaOverlay
 from .interning import TermTable
 from .memory import deep_sizeof, traced_peak
+from .relation import Relation
 from .sharded import (
     ShardedStore,
     SpillPager,
@@ -40,6 +41,7 @@ __all__ = [
     "FactStore",
     "FrozenStoreError",
     "MemoryReport",
+    "Relation",
     "ColumnarStore",
     "DeltaOverlay",
     "ShardedStore",
@@ -52,6 +54,7 @@ __all__ = [
     "BACKENDS",
     "StoreChoice",
     "make_store",
+    "kernel_capable",
 ]
 
 #: Backend names accepted by ``make_store`` and every ``store=``
@@ -60,6 +63,24 @@ __all__ = [
 BACKENDS = ("instance", "columnar", "delta", "sharded")
 
 StoreChoice = Union[str, FactStore, Callable[[], FactStore]]
+
+
+def _backend_class(name: str) -> type:
+    """The :class:`FactStore` class behind a :data:`BACKENDS` name."""
+    if name == "instance":
+        from ..core.instance import Instance  # imports storage.base
+
+        return Instance
+    classes = {
+        "columnar": ColumnarStore,
+        "delta": DeltaOverlay,
+        "sharded": ShardedStore,
+    }
+    if name not in classes:
+        raise ValueError(
+            f"unknown storage backend {name!r}; expected one of {BACKENDS}"
+        )
+    return classes[name]
 
 
 def make_store(store: StoreChoice = "instance", atoms: Iterable[Atom] = ()) -> FactStore:
@@ -77,16 +98,20 @@ def make_store(store: StoreChoice = "instance", atoms: Iterable[Atom] = ()) -> F
         built = store()
         built.add_all(atoms)
         return built
-    if store == "instance":
-        from ..core.instance import Instance
-
-        return Instance(atoms)
-    if store == "columnar":
-        return ColumnarStore(atoms)
     if store == "delta":
         return DeltaOverlay(ColumnarStore(atoms))
-    if store == "sharded":
-        return ShardedStore(atoms)
-    raise ValueError(
-        f"unknown storage backend {store!r}; expected one of {BACKENDS}"
-    )
+    return _backend_class(store)(atoms)
+
+
+def kernel_capable(store: StoreChoice) -> bool:
+    """Whether compiled kernels can join *store*'s relations in place.
+
+    Reads the one declaration, :attr:`FactStore.kernel_capable`, off
+    whatever the choice is: a live store, the class behind a backend
+    name, or a factory that carries the attribute of the class it
+    builds (:func:`sharded_store_factory` does; an unmarked callable
+    is not assumed capable before it has built anything).
+    """
+    if isinstance(store, str):
+        store = _backend_class(store)
+    return getattr(store, "kernel_capable", False)

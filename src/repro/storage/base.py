@@ -140,46 +140,14 @@ class FactStore(ABC):
     #: :meth:`freeze` shadows it with an instance attribute.
     _frozen: bool = False
 
-    #: Engine scratch accounting hooks (name → ``provider(seen) -> int``);
-    #: class-level ``None`` until :meth:`register_scratch` creates the
-    #: instance dict, so backends need no ``__init__`` cooperation.
-    _scratch_providers: Optional[Dict[str, object]] = None
-
-    # -- engine scratch accounting ----------------------------------------
-
-    def register_scratch(self, name: str, provider) -> None:
-        """Attach an engine working-memory accountant to this store.
-
-        *provider* is called as ``provider(seen)`` with the report's
-        shared visited-set and returns the scratch bytes the engine
-        currently holds against this store (kernel hash-table builds,
-        delta id buffers, ...).  Backends fold the sum into their
-        ``memory_report()`` under a ``kernel_scratch`` component, so a
-        budget probe taken mid-fixpoint sees engine state instead of
-        silently under-counting.  Re-registering a name replaces it.
-        """
-        if self._scratch_providers is None:
-            self._scratch_providers = {}
-        self._scratch_providers[name] = provider
-
-    def unregister_scratch(self, name: str) -> None:
-        """Detach a scratch accountant; unknown names are a no-op."""
-        if self._scratch_providers is not None:
-            self._scratch_providers.pop(name, None)
-
-    @property
-    def has_scratch(self) -> bool:
-        """True while at least one scratch provider is attached."""
-        return bool(self._scratch_providers)
-
-    def scratch_bytes(self, seen: Optional[set] = None) -> int:
-        """Engine scratch currently registered against this store."""
-        providers = self._scratch_providers
-        if not providers:
-            return 0
-        if seen is None:
-            seen = set()
-        return sum(provider(seen) for provider in list(providers.values()))
+    #: True on backends that keep each relation as one or more
+    #: :class:`~repro.storage.relation.Relation` *parts* over a shared
+    #: interning ``table`` and hand them out through
+    #: ``parts(predicate, arity, ids=None)`` /
+    #: ``extend_rows(predicate, arity, rows)`` / ``release_indexes()``
+    #: — the surface compiled kernels join in place.  The single declaration every dispatcher
+    #: (:func:`repro.storage.kernel_capable`) reads.
+    kernel_capable: bool = False
 
     # -- immutability ------------------------------------------------------
 

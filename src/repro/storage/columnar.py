@@ -29,72 +29,9 @@ from ..core.terms import Term
 from .base import FactStore, MemoryReport
 from .interning import TermTable
 from .memory import deep_sizeof
+from .relation import Relation, Row
 
 __all__ = ["ColumnarStore"]
-
-Row = Tuple[int, ...]
-
-
-class _Relation:
-    """One predicate's facts at one arity: rows of term-ids plus indexes."""
-
-    __slots__ = ("predicate", "arity", "rows", "row_pos", "indexes", "version")
-
-    def __init__(self, predicate: str, arity: int):
-        self.predicate = predicate
-        self.arity = arity
-        self.rows: List[Row] = []
-        # row → its row number; doubles as the dedup set and makes
-        # swap-remove deletion O(arity + built indexes).
-        self.row_pos: Dict[Row, int] = {}
-        # 0-based position → term-id → row numbers; built lazily.
-        self.indexes: Dict[int, Dict[int, List[int]]] = {}
-        self.version = 0
-
-    def add(self, row: Row) -> bool:
-        if row in self.row_pos:
-            return False
-        row_number = len(self.rows)
-        self.rows.append(row)
-        self.row_pos[row] = row_number
-        for position, index in self.indexes.items():
-            index.setdefault(row[position], []).append(row_number)
-        self.version += 1
-        return True
-
-    def discard(self, row: Row) -> bool:
-        """Swap-remove *row*, keeping rows dense and indexes coherent."""
-        number = self.row_pos.pop(row, None)
-        if number is None:
-            return False
-        last = len(self.rows) - 1
-        moved = self.rows[last]
-        self.rows.pop()
-        if number != last:
-            self.rows[number] = moved
-            self.row_pos[moved] = number
-        for position, index in self.indexes.items():
-            bucket = index.get(row[position])
-            if bucket is not None:
-                bucket.remove(number)
-                if not bucket:
-                    del index[row[position]]
-            if number != last:
-                moved_bucket = index.get(moved[position])
-                if moved_bucket is not None:
-                    moved_bucket[moved_bucket.index(last)] = number
-        self.version += 1
-        return True
-
-    def index_for(self, position: int) -> Dict[int, List[int]]:
-        """The term-id index at 0-based *position*, built on first use."""
-        index = self.indexes.get(position)
-        if index is None:
-            index = {}
-            for row_number, row in enumerate(self.rows):
-                index.setdefault(row[position], []).append(row_number)
-            self.indexes[position] = index
-        return index
 
 
 class ColumnarStore(FactStore):
@@ -105,6 +42,7 @@ class ColumnarStore(FactStore):
     """
 
     backend_name = "columnar"
+    kernel_capable = True
 
     def __init__(
         self,
@@ -121,7 +59,7 @@ class ColumnarStore(FactStore):
         self._table = table if table is not None else TermTable()
         # predicate → arity → relation (mixed arities are legal, as in
         # Instance, though schema_of() rejects them downstream).
-        self._relations: Dict[str, Dict[int, _Relation]] = {}
+        self._relations: Dict[str, Dict[int, Relation]] = {}
         self._size = 0
         self._probe_cache_size = probe_cache_size
         # probe key → [matching rows, decoded atoms or None]: rows are
@@ -136,81 +74,60 @@ class ColumnarStore(FactStore):
         self._probe_lock = threading.Lock()
         self.add_all(atoms)
 
-    # -- interned bulk surface ---------------------------------------------
+    # -- relations, as the kernels see them --------------------------------
 
     @property
     def table(self) -> TermTable:
         """The interning table (shared across one base/delta family)."""
         return self._table
 
-    def rows_interned(
-        self, predicate: Optional[str] = None
-    ) -> List[Tuple[str, int, List[Row]]]:
-        """Snapshots of every relation as interned id rows.
-
-        Returns ``(predicate, arity, rows)`` batches — the bulk read
-        half of the kernel surface: engines mirror relations from here
-        without decoding a single :class:`Atom`.  Row tuples are the
-        stored objects (immutable); the containing lists are snapshots.
-        """
-        if predicate is None:
-            items = list(self._relations.items())
-        else:
-            items = [(predicate, self._relations.get(predicate, {}))]
-        return [
-            (pred, arity, list(relation.rows))
-            for pred, by_arity in items
-            for arity, relation in by_arity.items()
-            if relation.rows
-        ]
-
-    def extend_interned(
-        self, predicate: str, arity: int, rows: Iterable[Row]
-    ) -> int:
-        """Bulk-append interned id rows to one relation.
-
-        The write half of the kernel surface: equivalent to adding the
-        decoded atoms one by one (same dedup, same indexes, same final
-        content) but with one version bump per batch and no per-atom
-        ``Atom``/``intern`` round-trip.  Every id must already be
-        interned in :attr:`table`; rows are validated against *arity*.
-        Returns how many rows were new.
-        """
-        self._check_mutable()
-        limit = len(self._table)
+    def _relation(self, predicate: str, arity: int) -> Relation:
+        """The relation for (predicate, arity), created on first use."""
         by_arity = self._relations.setdefault(predicate, {})
         relation = by_arity.get(arity)
         if relation is None:
-            relation = by_arity[arity] = _Relation(predicate, arity)
-        row_pos = relation.row_pos
-        stored = relation.rows
-        indexes = relation.indexes
-        added = 0
-        for row in rows:
-            row = tuple(row)
-            if len(row) != arity:
-                raise ValueError(
-                    f"extend_interned({predicate!r}, arity={arity}): row "
-                    f"{row!r} has {len(row)} column(s)"
-                )
-            if row in row_pos:
-                continue
-            for tid in row:
-                if not isinstance(tid, int) or not 0 <= tid < limit:
-                    raise ValueError(
-                        f"extend_interned({predicate!r}): id {tid!r} is "
-                        f"not interned (table holds {limit} terms)"
-                    )
-            number = len(stored)
-            stored.append(row)
-            row_pos[row] = number
-            for position, index in indexes.items():
-                index.setdefault(row[position], []).append(number)
-            added += 1
-        if added:
-            relation.version += 1
-            self._size += added
-        return added
+            relation = by_arity[arity] = Relation()
+        return relation
+
+    def parts(
+        self, predicate: str, arity: int, ids: Optional[Iterable[int]] = None
+    ) -> Iterator[Tuple[int, Relation]]:
+        """The resident parts of one relation as ``(part id, Relation)``.
+
+        A columnar relation is a single part (id 0), yielded when it
+        holds rows; *ids* restricts the walk to the named parts.  The
+        yielded object is the stored relation itself, not a copy.
+        """
+        relation = self._relations.get(predicate, {}).get(arity)
+        if relation is not None and relation.rows:
+            yield 0, relation
+
+    def extend_rows(
+        self, predicate: str, arity: int, rows: Iterable[Row]
+    ) -> List[Tuple[int, int, List[Row]]]:
+        """Append interned id rows to one relation, deduplicating.
+
+        Returns ``(part id, first new row number, new rows)`` for each
+        part that grew — the new rows sit at consecutive numbers from
+        there, which is all a caller needs to treat them as a delta.
+        Rows must be *arity*-long tuples of ids from :attr:`table`
+        (the kernels build them from rows they read here).
+        """
+        self._check_mutable()
+        relation = self._relation(predicate, arity)
+        start = len(relation.rows)
+        new = relation.extend(rows)
+        self._size += len(new)
+        return [(0, start, new)] if new else []
+
+    def release_indexes(self) -> None:
+        """Drop every lazily built hash index (each is rebuilt on its
+        next probe) — how an engine returns its join indexes when it is
+        done, so a saturated store costs its rows, not its last joins."""
+        with self._probe_lock:
+            for by_arity in self._relations.values():
+                for relation in by_arity.values():
+                    relation.indexes.clear()
 
     # -- encoding ----------------------------------------------------------
 
@@ -236,11 +153,8 @@ class ColumnarStore(FactStore):
         if not atom.is_ground():
             raise ValueError(f"stores contain ground atoms only, got {atom}")
         self._check_mutable()
-        by_arity = self._relations.setdefault(atom.predicate, {})
-        relation = by_arity.get(atom.arity)
-        if relation is None:
-            relation = by_arity[atom.arity] = _Relation(atom.predicate, atom.arity)
-        if relation.add(self._encode(atom)):
+        relation = self._relation(atom.predicate, atom.arity)
+        if relation.append(self._encode(atom)):
             self._size += 1
             return True
         return False
@@ -313,16 +227,16 @@ class ColumnarStore(FactStore):
         if not by_arity:
             return
         relations = (
-            [by_arity[arity]] if arity is not None and arity in by_arity
+            [(arity, by_arity[arity])] if arity is not None and arity in by_arity
             else [] if arity is not None
-            else list(by_arity.values())
+            else list(by_arity.items())
         )
-        for relation in relations:
+        for rel_arity, relation in relations:
             if not bound:
                 for row in list(relation.rows):
                     yield self._decode(predicate, row)
                 continue
-            if any(position > relation.arity for position in bound):
+            if any(position > rel_arity for position in bound):
                 continue
             encoded: Dict[int, int] = {}
             unknown = False
@@ -334,9 +248,12 @@ class ColumnarStore(FactStore):
                 encoded[position - 1] = tid
             if unknown:
                 continue
-            yield from self._probe(relation, encoded)
+            yield from self._probe(predicate, rel_arity, relation, encoded)
 
-    def _probe(self, relation: _Relation, encoded: Dict[int, int]) -> Iterator[Atom]:
+    def _probe(
+        self, predicate: str, arity: int, relation: Relation,
+        encoded: Dict[int, int],
+    ) -> Iterator[Atom]:
         """Probe through the best index, LRU-cached per relation version.
 
         The matching *rows* are materialized up front, before the first
@@ -365,8 +282,8 @@ class ColumnarStore(FactStore):
         drains decode the same frozen rows).
         """
         key = (
-            relation.predicate,
-            relation.arity,
+            predicate,
+            arity,
             relation.version,
             tuple(sorted(encoded.items())),
         )
@@ -377,28 +294,7 @@ class ColumnarStore(FactStore):
                 self._probe_cache.move_to_end(key)
             else:
                 self.cache_misses += 1
-                # Probe through the position with the smallest bucket
-                # among the already-built indexes; build one for the
-                # first bound position when none exists yet.
-                built = [p for p in encoded if p in relation.indexes]
-                probe_position = (
-                    min(built, key=lambda p: len(relation.indexes[p].get(encoded[p], ())))
-                    if built
-                    else min(encoded)
-                )
-                bucket = relation.index_for(probe_position).get(
-                    encoded[probe_position], ()
-                )
-                entry = [
-                    tuple(
-                        row
-                        for row in (
-                            relation.rows[number] for number in tuple(bucket)
-                        )
-                        if all(row[p] == tid for p, tid in encoded.items())
-                    ),
-                    None,
-                ]
+                entry = [relation.matching(encoded), None]
                 if self._probe_cache_size > 0:
                     self._probe_cache[key] = entry
                     while len(self._probe_cache) > self._probe_cache_size:
@@ -409,7 +305,7 @@ class ColumnarStore(FactStore):
             return
         collected: List[Atom] = []
         for row in rows:
-            atom = self._decode(relation.predicate, row)
+            atom = self._decode(predicate, row)
             collected.append(atom)
             yield atom
         # Full drain: memoize the decoded atoms so repeated hits on
@@ -470,11 +366,6 @@ class ColumnarStore(FactStore):
             "terms": terms,
             "probe_cache": cache,
         }
-        if self.has_scratch:
-            # Measured last: row tuples an attached kernel shares with
-            # the store are charged to "columns", scratch gets only the
-            # engine's own structures (indexes, delta buffers, mirrors).
-            components["kernel_scratch"] = self.scratch_bytes(seen)
         return MemoryReport(
             backend=self.backend_name,
             atom_count=self._size,

@@ -70,4 +70,5 @@ def sharded_store_factory(
     # configuration must not change the identity, or a warm restart
     # with a different budget could not find its own checkpoints.
     sharded.__name__ = "sharded"
+    sharded.kernel_capable = ShardedStore.kernel_capable
     return sharded

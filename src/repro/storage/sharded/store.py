@@ -3,7 +3,8 @@
 :class:`ShardedStore` implements the full :class:`~repro.storage.base.
 FactStore` surface over *shards*: each (predicate, arity) relation is
 hash-partitioned on a key position into a fixed number of shards, each
-shard a small set of interned term-id rows.  Shards are the unit of
+resident shard a small :class:`~repro.storage.relation.Relation` of
+interned term-id rows.  Shards are the unit of
 
 * **locality** — a probe bound on the partition key touches exactly one
   shard;
@@ -54,11 +55,10 @@ from ...core.terms import Term
 from ..base import FactStore, MemoryReport
 from ..interning import TermTable
 from ..memory import deep_sizeof
+from ..relation import Relation, Row
 from .spill import SpillPager
 
 __all__ = ["ShardedStore", "DEFAULT_SHARDS"]
-
-Row = Tuple[int, ...]
 
 #: Default shard count per relation — small enough that empty shards
 #: cost nothing, large enough for useful probe parallelism.
@@ -83,18 +83,21 @@ def _row_cost(arity: int) -> int:
 
 
 class _Shard:
-    """One hash partition of a relation: resident rows or a spill page.
+    """One hash partition of a relation: a resident
+    :class:`~repro.storage.relation.Relation` or a spill page.
 
-    ``rows is None`` means evicted — the rows live in the pager and
-    ``count`` (always valid) remembers the cardinality.  ``dirty``
-    tracks whether the resident rows differ from the persisted page, so
+    ``relation is None`` means evicted — the rows live in the pager, in
+    row-number order, and ``count`` (always valid) remembers the
+    cardinality; a reload rebuilds the relation with the same
+    numbering (its indexes are rebuilt lazily).  ``dirty`` tracks
+    whether the resident rows differ from the persisted page, so
     evicting an unchanged reloaded shard skips the rewrite.
     """
 
-    __slots__ = ("rows", "count", "estimate", "dirty", "paged")
+    __slots__ = ("relation", "count", "estimate", "dirty", "paged")
 
     def __init__(self) -> None:
-        self.rows: Optional[set] = set()
+        self.relation: Optional[Relation] = Relation()
         self.count = 0
         self.estimate = 0
         self.dirty = False
@@ -102,7 +105,7 @@ class _Shard:
 
     @property
     def resident(self) -> bool:
-        return self.rows is not None
+        return self.relation is not None
 
 
 class _ShardedRelation:
@@ -147,6 +150,7 @@ class ShardedStore(FactStore):
     """
 
     backend_name = "sharded"
+    kernel_capable = True
 
     def __init__(
         self,
@@ -247,7 +251,7 @@ class ShardedStore(FactStore):
         if shard.resident:
             return
         rows = self._pager.read(relation.predicate, relation.arity, index)
-        shard.rows = set(rows) if rows is not None else set()
+        shard.relation = Relation(rows if rows is not None else ())
         shard.estimate = shard.count * _row_cost(relation.arity)
         shard.dirty = False
         self._resident_estimate += shard.estimate
@@ -258,12 +262,14 @@ class ShardedStore(FactStore):
         predicate, arity, index = key
         if shard.dirty or not shard.paged:
             if shard.count:
-                self._pager.write(predicate, arity, index, shard.rows)
+                self._pager.write(
+                    predicate, arity, index, shard.relation.rows
+                )
                 shard.paged = True
             elif shard.paged:
                 self._pager.delete(predicate, arity, index)
                 shard.paged = False
-        shard.rows = None
+        shard.relation = None
         self._resident_estimate -= shard.estimate
         shard.estimate = 0
         shard.dirty = False
@@ -283,14 +289,14 @@ class ShardedStore(FactStore):
                     break
             self._evict(key, self._lru.pop(key))
 
-    def _resident_rows(self, relation: _ShardedRelation, index: int,
-                       shard: _Shard) -> set:
-        """The shard's row set, paging it in and touching LRU (lock
+    def _resident(self, relation: _ShardedRelation, index: int,
+                  shard: _Shard) -> Relation:
+        """The shard's relation, paging it in and touching LRU (lock
         held)."""
         self._load(relation, index, shard)
         self._touch(relation, index, shard)
         self._enforce_budget((relation.predicate, relation.arity, index))
-        return shard.rows
+        return shard.relation
 
     def _peek_rows(self, relation: _ShardedRelation, index: int,
                    shard: _Shard) -> List[Row]:
@@ -301,103 +307,103 @@ class ShardedStore(FactStore):
         of a store bigger than its budget must not evict the hot set.
         """
         if shard.resident:
-            return list(shard.rows)
+            return list(shard.relation.rows)
         if not shard.count:
             return []
         rows = self._pager.read(relation.predicate, relation.arity, index)
         return rows if rows is not None else []
 
-    # -- interned bulk surface ---------------------------------------------
+    # -- relations, as the kernels see them --------------------------------
 
-    def rows_interned(
-        self, predicate: Optional[str] = None
-    ) -> List[Tuple[str, int, List[Row]]]:
-        """Snapshots of every relation as interned id rows.
+    def _relation(self, predicate: str, arity: int) -> _ShardedRelation:
+        """The relation for (predicate, arity), created on first use
+        (lock held)."""
+        by_arity = self._relations.setdefault(predicate, {})
+        relation = by_arity.get(arity)
+        if relation is None:
+            relation = by_arity[arity] = _ShardedRelation(
+                predicate, arity, self._key_position, self._num_shards
+            )
+        return relation
 
-        Same contract as :meth:`ColumnarStore.rows_interned`; evicted
-        shards are read through page peeks, so a bulk read of a store
-        bigger than its budget does not thrash the resident set.
+    def _grew(self, relation: _ShardedRelation, index: int, shard: _Shard,
+              added: int) -> None:
+        """Account *added* new rows in a resident shard (lock held)."""
+        cost = _row_cost(relation.arity) * added
+        shard.count += added
+        shard.dirty = True
+        shard.estimate += cost
+        self._resident_estimate += cost
+        self._size += added
+        self._enforce_budget((relation.predicate, relation.arity, index))
+
+    def parts(
+        self, predicate: str, arity: int, ids: Optional[Iterable[int]] = None
+    ) -> Iterator[Tuple[int, Relation]]:
+        """The non-empty shards of one relation as ``(shard index,
+        Relation)``, each paged in (LRU-touched, budget enforced) just
+        before it is yielded — so a consumer that finishes with one
+        part before pulling the next holds at most one shard beyond
+        what the budget keeps resident.  *ids* restricts the walk to
+        the named shards.  The yielded object is the stored shard
+        itself; it may be evicted once the next part is pulled, and a
+        reload preserves its row numbering.
         """
-        with self._lock:
-            if predicate is None:
-                relations = [
-                    relation
-                    for by_arity in self._relations.values()
-                    for relation in by_arity.values()
-                ]
-            else:
-                relations = list(self._relations.get(predicate, {}).values())
-            return [
-                (
-                    relation.predicate,
-                    relation.arity,
-                    [
-                        row
-                        for index, shard in enumerate(relation.shards)
-                        if shard.count
-                        for row in self._peek_rows(relation, index, shard)
-                    ],
-                )
-                for relation in relations
-                if relation.count
-            ]
+        relation = self._relations.get(predicate, {}).get(arity)
+        if relation is None:
+            return
+        for index in (range(self._num_shards) if ids is None else ids):
+            shard = relation.shards[index]
+            if shard.count:
+                with self._lock:
+                    part = self._resident(relation, index, shard)
+                yield index, part
 
-    def extend_interned(
+    def extend_rows(
         self, predicate: str, arity: int, rows: Iterable[Row]
-    ) -> int:
-        """Bulk-append interned id rows to one relation.
+    ) -> List[Tuple[int, int, List[Row]]]:
+        """Append interned id rows to one relation, deduplicating.
 
-        Rows are grouped by target shard so each shard is paged in at
-        most once per batch; the byte budget is enforced after each
-        shard's group, the same discipline as per-atom ``add``.  One
-        version bump per batch.  Returns how many rows were new.
+        Same contract as :meth:`ColumnarStore.extend_rows`, except that
+        a part may be reported more than once.  Rows are grouped by
+        target shard so each shard is paged in once per pass, and the
+        byte budget is enforced after each shard's group, the same
+        discipline as per-atom ``add``.  The grouping buffer is charged
+        to the budget as well: a pass takes at most a budget's worth of
+        rows from *rows* (all of them when unbudgeted), so a lazily
+        produced batch is never materialized whole.
         """
         self._check_mutable()
-        limit = len(self._table)
-        added = 0
+        rows = iter(rows)
+        per_pass = (
+            None if self._budget is None
+            else max(1, self._budget // _row_cost(arity))
+        )
+        grew: List[Tuple[int, int, List[Row]]] = []
         with self._lock:
-            by_arity = self._relations.setdefault(predicate, {})
-            relation = by_arity.get(arity)
-            if relation is None:
-                relation = by_arity[arity] = _ShardedRelation(
-                    predicate, arity, self._key_position, self._num_shards
-                )
-            cost = _row_cost(arity)
-            grouped: Dict[int, List[Row]] = {}
-            for row in rows:
-                row = tuple(row)
-                if len(row) != arity:
-                    raise ValueError(
-                        f"extend_interned({predicate!r}, arity={arity}): "
-                        f"row {row!r} has {len(row)} column(s)"
-                    )
-                for tid in row:
-                    if not isinstance(tid, int) or not 0 <= tid < limit:
-                        raise ValueError(
-                            f"extend_interned({predicate!r}): id {tid!r} "
-                            f"is not interned (table holds {limit} terms)"
-                        )
-                grouped.setdefault(relation.shard_of(row), []).append(row)
-            for index, batch in grouped.items():
-                shard = relation.shards[index]
-                resident = self._resident_rows(relation, index, shard)
-                shard_added = 0
-                for row in batch:
-                    if row in resident:
-                        continue
-                    resident.add(row)
-                    shard_added += 1
-                if shard_added:
-                    shard.count += shard_added
-                    shard.dirty = True
-                    shard.estimate += cost * shard_added
-                    self._resident_estimate += cost * shard_added
-                    added += shard_added
-                self._enforce_budget((predicate, arity, index))
-            if added:
+            relation = self._relation(predicate, arity)
+            while True:
+                grouped: Dict[int, List[Row]] = {}
+                for row in itertools.islice(rows, per_pass):
+                    grouped.setdefault(relation.shard_of(row), []).append(row)
+                if not grouped:
+                    break
+                for index, batch in grouped.items():
+                    shard = relation.shards[index]
+                    new = self._resident(relation, index, shard).extend(batch)
+                    if new:
+                        grew.append((index, shard.count, new))
+                        self._grew(relation, index, shard, len(new))
+            if grew:
                 relation.version += 1
-                self._size += added
-        return added
+        return grew
+
+    def release_indexes(self) -> None:
+        """Drop the hash indexes of every resident shard (an evicted
+        shard's went with it); each is rebuilt on its next probe."""
+        with self._lock:
+            for shard in self._lru.values():
+                shard.relation.indexes.clear()
 
     # -- mutation ----------------------------------------------------------
 
@@ -407,27 +413,13 @@ class ShardedStore(FactStore):
         self._check_mutable()
         row = self._encode(atom)
         with self._lock:
-            by_arity = self._relations.setdefault(atom.predicate, {})
-            relation = by_arity.get(atom.arity)
-            if relation is None:
-                relation = by_arity[atom.arity] = _ShardedRelation(
-                    atom.predicate, atom.arity,
-                    self._key_position, self._num_shards,
-                )
+            relation = self._relation(atom.predicate, atom.arity)
             index = relation.shard_of(row)
             shard = relation.shards[index]
-            rows = self._resident_rows(relation, index, shard)
-            if row in rows:
+            if not self._resident(relation, index, shard).append(row):
                 return False
-            rows.add(row)
-            shard.count += 1
-            shard.dirty = True
-            cost = _row_cost(relation.arity)
-            shard.estimate += cost
-            self._resident_estimate += cost
+            self._grew(relation, index, shard, 1)
             relation.version += 1
-            self._size += 1
-            self._enforce_budget((atom.predicate, atom.arity, index))
             return True
 
     def discard(self, atom: Atom) -> bool:
@@ -443,10 +435,8 @@ class ShardedStore(FactStore):
                 return False
             index = relation.shard_of(row)
             shard = relation.shards[index]
-            rows = self._resident_rows(relation, index, shard)
-            if row not in rows:
+            if not self._resident(relation, index, shard).discard(row):
                 return False
-            rows.remove(row)
             shard.count -= 1
             shard.dirty = True
             cost = _row_cost(relation.arity)
@@ -474,7 +464,7 @@ class ShardedStore(FactStore):
                 return False
             if shard.resident:
                 self._touch(relation, index, shard)
-                return row in shard.rows
+                return row in shard.relation
             # Membership on an evicted shard peeks at the page without
             # paying a full reload — one containment check must not
             # disturb the resident working set.
@@ -553,8 +543,9 @@ class ShardedStore(FactStore):
         """All rows agreeing with the bound positions (lock held).
 
         A probe bound on the partition key touches exactly one shard —
-        paged in and LRU-touched, probes define the hot set; any other
-        probe scans every shard through page peeks.  Matches are
+        paged in and LRU-touched (probes define the hot set) and
+        answered through that shard's own hash index; any other probe
+        scans every shard through page peeks.  Matches are
         materialized before the first yield, so a consumer suspended
         across ``discard`` calls still sees the probe-time snapshot
         (the interleaving that corrupted the columnar probe in PR 5).
@@ -565,12 +556,7 @@ class ShardedStore(FactStore):
             shard = relation.shards[index]
             if not shard.count:
                 return []
-            rows = self._resident_rows(relation, index, shard)
-            return [
-                row
-                for row in rows
-                if all(row[p] == t for p, t in encoded.items())
-            ]
+            return self._resident(relation, index, shard).matching(encoded)
         matched: List[Row] = []
         for index, shard in enumerate(relation.shards):
             if not shard.count:
@@ -717,7 +703,7 @@ class ShardedStore(FactStore):
                 for relation in by_arity.values():
                     for shard in relation.shards:
                         if shard.resident:
-                            shards_bytes += deep_sizeof(shard.rows, seen)
+                            shards_bytes += deep_sizeof(shard.relation, seen)
                         map_bytes += (
                             sys.getsizeof(shard)
                             + sys.getsizeof(shard.count)
@@ -731,11 +717,6 @@ class ShardedStore(FactStore):
                 "shard_map": map_bytes,
                 "terms": terms,
             }
-            if self.has_scratch:
-                # Last, so rows shared with an attached kernel are
-                # charged to "shards" and scratch reports only the
-                # engine's own structures.
-                components["kernel_scratch"] = self.scratch_bytes(seen)
             return MemoryReport(
                 backend=self.backend_name,
                 atom_count=self._size,

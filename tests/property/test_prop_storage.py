@@ -22,7 +22,13 @@ from repro.core.terms import Constant, Null, Variable
 from repro.core.tgd import TGD
 from repro.datalog.seminaive import seminaive
 from repro.lang.parser import parse_query
-from repro.storage import BACKENDS, ColumnarStore, DeltaOverlay, FactStore
+from repro.storage import (
+    BACKENDS,
+    ColumnarStore,
+    DeltaOverlay,
+    FactStore,
+    Relation,
+)
 
 from .strategies import atoms
 
@@ -165,3 +171,46 @@ def test_matching_agrees_with_instance(stored, pattern):
                                          arity=pattern.arity))
     )
     assert got_bound == expected_bound
+
+
+_ids = st.integers(0, 3)
+_rows = st.tuples(_ids, _ids, _ids)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(("add", "discard", "probe")), _rows),
+        max_size=60,
+    )
+)
+def test_relation_agrees_with_set_model(operations):
+    """Random add/discard/probe interleavings on a relation whose
+    single-column *and* composite indexes are already built: membership,
+    density and every index probe agree with a plain ``set``."""
+    relation = Relation()
+    relation.index_for((0,))
+    relation.index_for((1, 2))
+    model: set = set()
+    for operation, row in operations:
+        if operation == "add":
+            assert relation.append(row) == (row not in model)
+            model.add(row)
+        elif operation == "discard":
+            assert relation.discard(row) == (row in model)
+            model.discard(row)
+        else:
+            rows = relation.rows
+            by_first = relation.index_for((0,)).get(row[0], ())
+            assert {rows[n] for n in by_first} == {
+                r for r in model if r[0] == row[0]
+            }
+            by_rest = relation.index_for((1, 2)).get(row[1:], ())
+            assert {rows[n] for n in by_rest} == {
+                r for r in model if r[1:] == row[1:]
+            }
+            assert set(relation.matching({0: row[0], 2: row[2]})) == {
+                r for r in model if (r[0], r[2]) == (row[0], row[2])
+            }
+        assert set(relation.rows) == model == set(relation.row_pos)
+        assert len(relation.rows) == len(model)

@@ -4,10 +4,11 @@ import pytest
 
 from repro.api import Session
 from repro.api.program import compile_program
+from repro.api.session import fixpoint_cache_key
 from repro.core.atoms import Atom
 from repro.core.instance import Database
 from repro.core.terms import Constant, Variable
-from repro.datalog.seminaive import seminaive, seminaive_delta_rounds
+from repro.datalog.seminaive import seminaive
 from repro.incremental import (
     ChangeSet,
     FixpointMaintainer,
@@ -107,28 +108,6 @@ class TestMutationLog:
         log.record(2, (f("e", "b", "c"),), ())  # evicts version 1
         assert log.since(0, 2) is None
         assert log.since(1, 2) is not None
-
-
-class TestSeminaiveDeltaRounds:
-    def test_resume_equals_from_scratch(self):
-        program, database = parse_program(TC_SOURCE)
-        fixpoint = seminaive(database, program).instance
-        new = [f("e", "c", "d")]
-        for _ in seminaive_delta_rounds(fixpoint, program, new):
-            pass
-        database.add_all(new)
-        assert set(fixpoint) == set(seminaive(database, program).instance)
-
-    def test_rounds_carry_only_new_work(self):
-        program, database = parse_program(TC_SOURCE)
-        fixpoint = seminaive(database, program).instance
-        events = list(
-            seminaive_delta_rounds(fixpoint, program, [f("e", "c", "d")])
-        )
-        assert events[0].staged == (f("e", "c", "d"),)
-        staged = {atom for event in events[1:] for atom in event.staged}
-        # every staged fact mentions d — nothing old is re-derived
-        assert staged and all(d in atom.args for atom in staged)
 
 
 class TestSupportIndex:
@@ -345,7 +324,7 @@ class TestLazyCatchupReporting:
         session.apply(inserts=[f("e", "c", "d")])
         # Simulate a direct-EDB mutation recorded late: rewind the
         # entry's watermark past the retained log window.
-        entry = session._fixpoints[session._fixpoint_key(plan)]
+        entry = session._fixpoints[fixpoint_cache_key(plan)]
         entry.version -= 1
         session.mutations.entries.clear()
         assert session.get_fixpoint(plan) is None  # dropped: log gap

@@ -6,22 +6,17 @@ first-pin old/full discipline), the runtime
 (``repro.kernels.runtime`` — batch execution over interned id rows,
 parity with the per-tuple interpreter), and the dispatch surfaces
 (``exec_mode`` through ``seminaive``, the planner's exec dimension,
-and ``StreamStats``/server observability), plus the bulk storage
-surface the kernels compile against (``intern_many`` /
-``extend_interned``).
+and ``StreamStats``/server observability), plus ``intern_many``.  The
+relation primitive the kernels join in place is covered by
+``test_relation.py``.
 """
 
 import pytest
 
 from repro.api import EXEC_MODES, Session
-from repro.core.atoms import Atom
 from repro.core.instance import Instance
 from repro.core.terms import Constant, Variable
-from repro.datalog.seminaive import (
-    seminaive,
-    seminaive_delta_rounds,
-    seminaive_rounds,
-)
+from repro.datalog.seminaive import seminaive, seminaive_rounds
 from repro.kernels import (
     KernelEvaluator,
     compile_kernels,
@@ -31,7 +26,13 @@ from repro.kernels import (
 from repro.kernels.compiler import CONST, SLOT
 from repro.lang.parser import parse_program
 from repro.server.service import ReasoningService
-from repro.storage import ColumnarStore, ShardedStore, TermTable
+from repro.storage import (
+    ColumnarStore,
+    DeltaOverlay,
+    ShardedStore,
+    TermTable,
+    sharded_store_factory,
+)
 
 X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
 a, b, c, d = Constant("a"), Constant("b"), Constant("c"), Constant("d")
@@ -142,64 +143,6 @@ class TestBulkInterning:
         table = TermTable()
         assert table.intern_many([]) == []
         assert len(table) == 0
-
-
-def _edge_atoms(n):
-    return [
-        Atom("edge", (Constant(f"n{i}"), Constant(f"n{i + 1}")))
-        for i in range(n)
-    ]
-
-
-class TestExtendInterned:
-    """Satellite: ``extend_interned`` ≡ adding the decoded atoms."""
-
-    @pytest.mark.parametrize("factory", [ColumnarStore, ShardedStore])
-    def test_bulk_append_matches_per_atom_add(self, factory):
-        atoms = _edge_atoms(6)
-        reference = factory()
-        reference.add_all(atoms)
-        bulk = factory()
-        rows = [
-            tuple(bulk.table.intern_many(atom.args)) for atom in atoms
-        ]
-        added = bulk.extend_interned("edge", 2, rows)
-        assert added == len(atoms)
-        assert bulk.atoms() == reference.atoms()
-        assert len(bulk) == len(reference)
-
-    @pytest.mark.parametrize("factory", [ColumnarStore, ShardedStore])
-    def test_bulk_append_dedups(self, factory):
-        atoms = _edge_atoms(4)
-        store = factory()
-        store.add_all(atoms[:2])
-        rows = [
-            tuple(store.table.intern_many(atom.args)) for atom in atoms
-        ]
-        # Two rows already stored, two new, one duplicated in-batch.
-        assert store.extend_interned("edge", 2, rows + [rows[-1]]) == 2
-        assert store.extend_interned("edge", 2, rows) == 0
-        assert len(store) == 4
-
-    @pytest.mark.parametrize("factory", [ColumnarStore, ShardedStore])
-    def test_arity_mismatch_rejected(self, factory):
-        store = factory()
-        tid = store.table.intern(a)
-        with pytest.raises(ValueError, match="column"):
-            store.extend_interned("edge", 2, [(tid,)])
-
-    @pytest.mark.parametrize("factory", [ColumnarStore, ShardedStore])
-    def test_uninterned_id_rejected(self, factory):
-        store = factory()
-        tid = store.table.intern(a)
-        with pytest.raises(ValueError, match="not interned"):
-            store.extend_interned("edge", 2, [(tid, tid + 99)])
-
-    def test_extended_rows_visible_to_matching(self):
-        store = ColumnarStore()
-        rows = [tuple(store.table.intern_many((a, b)))]
-        store.extend_interned("e", 2, rows)
-        assert set(store.matching(Atom("e", (X, Y)))) == {Atom("e", (a, b))}
 
 
 def _parity(source, store):
@@ -318,45 +261,6 @@ class TestRuntimeParity:
         assert all(e.batches > 0 for e in kernel_events[1:])
 
 
-class TestDeltaResumption:
-    def test_seed_delta_matches_from_scratch(self):
-        program, database = parse_program(TC_SOURCE)
-        saturated = seminaive(
-            database, program, store="columnar", exec_mode="kernel"
-        ).instance
-        delta = [Atom("e", (d, Constant("f"))), Atom("e", (a, b))]
-        events = list(
-            seminaive_delta_rounds(
-                saturated, program, delta, exec_mode="kernel"
-            )
-        )
-        # Round 0 carries the deduplicated seed — including the
-        # re-asserted e(a,b), delta without being a new row.
-        assert set(events[0].staged) == set(delta)
-        assert events[0].exec_mode == "kernel"
-        scratch_program, scratch_db = parse_program(
-            TC_SOURCE + "\ne(d,f)."
-        )
-        scratch = seminaive(
-            scratch_db, scratch_program, store="instance",
-            exec_mode="interpret",
-        )
-        assert saturated.atoms() == scratch.instance.atoms()
-
-    def test_duplicate_seed_atoms_collapse(self):
-        program, database = parse_program(TC_SOURCE)
-        saturated = seminaive(
-            database, program, store="columnar", exec_mode="kernel"
-        ).instance
-        fresh = Atom("e", (d, Constant("f")))
-        events = list(
-            seminaive_delta_rounds(
-                saturated, program, [fresh, fresh], exec_mode="kernel"
-            )
-        )
-        assert events[0].staged == (fresh,)
-
-
 class TestExecResolution:
     def test_exec_modes_tuple(self):
         assert EXEC_MODES == ("auto", "kernel", "interpret")
@@ -388,53 +292,24 @@ class TestExecResolution:
         )
 
     def test_kernel_capable_probe(self):
-        assert kernel_capable(ColumnarStore())
-        assert kernel_capable(ShardedStore())
-        assert not kernel_capable(Instance())
+        # One declaration — the backend class attribute — read through
+        # every form a ``store=`` argument takes.
+        assert ColumnarStore.kernel_capable and ShardedStore.kernel_capable
+        assert not Instance.kernel_capable
+        assert not DeltaOverlay.kernel_capable
+        for capable in ("columnar", "sharded", ColumnarStore(),
+                        ShardedStore(), sharded_store_factory(1 << 16)):
+            assert kernel_capable(capable)
+        for incapable in ("instance", "delta", Instance(),
+                          DeltaOverlay(ColumnarStore())):
+            assert not kernel_capable(incapable)
+        with pytest.raises(ValueError, match="unknown storage backend"):
+            kernel_capable("parquet")
 
     def test_evaluator_rejects_incapable_store(self):
         program, _ = parse_program(TC_SOURCE)
         with pytest.raises(ValueError, match="interned"):
             KernelEvaluator(Instance(), program)
-
-
-class TestScratchAccounting:
-    """Satellite: the mirror surfaces as ``kernel_scratch``."""
-
-    def test_scratch_registered_for_generator_lifetime(self):
-        program, database = parse_program(TC_SOURCE)
-        store = ColumnarStore(database)
-        evaluator = KernelEvaluator(store, program)
-        evaluator.mark_all_delta()
-        assert not store.has_scratch
-        rounds = evaluator.rounds()
-        next(rounds)
-        assert store.has_scratch
-        report = store.memory_report()
-        assert report.components["kernel_scratch"] > 0
-        # Shared row tuples are charged to the store's own columns;
-        # the mirror pays only for its containers and indexes.
-        assert "columns" in report.components
-        for _ in rounds:
-            pass
-        assert not store.has_scratch
-        assert "kernel_scratch" not in store.memory_report().components
-
-    def test_scratch_unregistered_on_early_close(self):
-        program, database = parse_program(TC_SOURCE)
-        store = ColumnarStore(database)
-        evaluator = KernelEvaluator(store, program)
-        evaluator.mark_all_delta()
-        rounds = evaluator.rounds()
-        next(rounds)
-        rounds.close()
-        assert not store.has_scratch
-
-    def test_scratch_bytes_positive_after_mirroring(self):
-        program, database = parse_program(TC_SOURCE)
-        store = ColumnarStore(database)
-        evaluator = KernelEvaluator(store, program)
-        assert evaluator.scratch_bytes() > 0
 
 
 class TestPlannerExecDimension:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.api import REWRITES, Planner, Session, compile_program
+from repro.api.session import MAGIC_FIXPOINT_LIMIT
 from repro.core.terms import Constant
 from repro.datalog.seminaive import datalog_answers, seminaive
 from repro.lang.parser import parse_program, parse_query
@@ -372,7 +373,7 @@ class TestSessionIntegration:
             for entry in session._fixpoints.values()
             if entry.rewrite == "magic"
         ]
-        assert len(magic_entries) == Session._MAGIC_FIXPOINT_LIMIT
+        assert len(magic_entries) == MAGIC_FIXPOINT_LIMIT
         # The most recent point query is still served from cache.
         stream = session.query("q(Y) :- t(n39,Y).")
         stream.to_set()

@@ -1,6 +1,7 @@
 """Unit tests for the out-of-core sharded storage subsystem."""
 
 import pickle
+import random
 import threading
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from repro.core.atoms import Atom
 from repro.core.instance import Instance
 from repro.core.terms import Constant, Variable
+from repro.datalog.seminaive import seminaive, seminaive_rounds
 from repro.lang.parser import parse_program
 from repro.parallel import ShardScanReport, shard_parallel_evaluate
 from repro.lang.parser import parse_query
@@ -21,6 +23,7 @@ from repro.storage import (
     StateDirectory,
     make_store,
     sharded_store_factory,
+    traced_peak,
 )
 from repro.storage.sharded.spill import pack_rows, unpack_rows
 from repro.storage.sharded.state import (
@@ -267,6 +270,65 @@ class TestShardedStore:
             t.join()
         assert not errors
         assert len(store) == 300
+
+
+class TestBudgetUnderKernels:
+    """The byte budget bounds what a *kernel* evaluation keeps in
+    memory: the compiled kernels join the store's own shards, paged in
+    one at a time, instead of a whole-store copy the budget never saw.
+    """
+
+    VERTICES, EDGES, BUDGET, SHARDS = 96, 192, 64 * 1024, 16
+
+    def _closure(self):
+        rng = random.Random(2019)
+        edges = {
+            (rng.randrange(self.VERTICES), rng.randrange(self.VERTICES))
+            for _ in range(self.EDGES)
+        }
+        edges.update((i, i + 1) for i in range(0, self.VERTICES - 1, 2))
+        facts = "\n".join(f"edge(v{x}, v{y})." for x, y in sorted(edges))
+        return parse_program(
+            facts
+            + "\npath(X, Y) :- edge(X, Y)."
+            + "\npath(X, Z) :- path(X, Y), edge(Y, Z)."
+        )
+
+    def test_traced_peak_follows_the_budget(self, tmp_path):
+        program, database = self._closure()
+
+        def saturate(budget):
+            factory = sharded_store_factory(
+                budget, tmp_path, num_shards=self.SHARDS
+            )
+            return traced_peak(
+                lambda: seminaive(
+                    database, program, store=factory, exec_mode="kernel"
+                )
+            )
+
+        free, free_peak = saturate(None)
+        tight, tight_peak = saturate(self.BUDGET)
+        assert free.exec_mode == tight.exec_mode == "kernel"
+        assert tight.instance.atoms() == free.instance.atoms()
+        working_set = free.instance.stats["resident_estimate"]
+        assert working_set >= 8 * self.BUDGET  # really out-of-core
+        assert tight.instance.stats["evictions"] > 0
+        assert tight_peak <= 0.6 * free_peak, (tight_peak, free_peak)
+
+    def test_mid_fixpoint_report_is_the_store_alone(self, tmp_path):
+        program, database = self._closure()
+        factory = sharded_store_factory(
+            self.BUDGET, tmp_path, num_shards=self.SHARDS
+        )
+        events = seminaive_rounds(
+            database, program, 3, store=factory, exec_mode="kernel"
+        )
+        for event in events:
+            assert event.exec_mode == "kernel"
+            report = event.instance.memory_report()
+            assert set(report.components) == {"shards", "shard_map", "terms"}
+        assert event.index == 3
 
 
 class TestSharedInterningAccounting:
