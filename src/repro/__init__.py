@@ -58,7 +58,6 @@ __all__ = [
     "AnswerStream",
     "compile_program",
     "ChangeSet",
-    "MutationLog",
     "MaintenanceReport",
     "api",
     "incremental",
@@ -76,7 +75,7 @@ _API_EXPORTS = (
 )
 
 #: Names resolved through :mod:`repro.incremental` on first access.
-_INCREMENTAL_EXPORTS = ("ChangeSet", "MutationLog", "MaintenanceReport")
+_INCREMENTAL_EXPORTS = ("ChangeSet", "MaintenanceReport")
 
 
 def __getattr__(name):

@@ -1,0 +1,299 @@
+"""The fixpoint cache: what has been computed for *one* EDB state.
+
+A :class:`FixpointCache` holds the saturated materializations (fixpoint
+engines) and star abstractions (proof-tree engines) valid for exactly
+one EDB state.  The object *is* the version: there is no watermark to
+compare, so a result computed against one state can never be filed
+under another — a stream that outlives an update registers into the
+object it was handed, which by then nobody else reads.
+
+An update does not edit a cache; :meth:`FixpointCache.advance` builds
+the cache of the next state from the cache of this one, carrying each
+materialization across the change batch with a
+:class:`~repro.incremental.FixpointMaintainer` or dropping it with a
+recorded reason.  The two callers differ in one thing only: a
+:class:`~repro.api.Session` has no reader on the old state and hands
+its stores over in place (``copy=False``); the server's snapshot
+versions keep serving in-flight readers and maintain a copy
+(``copy=True``).
+"""
+
+from __future__ import annotations
+
+import threading
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+
+from ..incremental import (
+    FixpointMaintainer,
+    MaintenanceStats,
+    unmaintainable_reason,
+)
+from ..storage import FactStore, make_store
+from ..storage.sharded import FixpointRecord
+from .planner import QueryPlan, _store_label
+from .program import CompiledProgram
+
+__all__ = ["FixpointCache", "MAGIC_FIXPOINT_LIMIT"]
+
+
+#: engine kwargs whose values are plain data — a plan whose kwargs
+#: stay inside this set has cacheable, key-comparable semantics.
+_CACHEABLE_KWARGS = frozenset(
+    {
+        "variant",
+        "max_atoms",
+        "max_steps",
+        "max_events",
+        "max_rounds",
+        "strict",
+        "probe_depth",
+        "probe_atoms",
+    }
+)
+
+#: Cap on *demand-specific* (magic) fixpoints per cache: their key
+#: includes the query's seed constants, so answering many distinct
+#: point queries would otherwise grow one materialization per constant
+#: without bound.  Unrewritten entries stay unbounded — their key space
+#: is the small (program, method, store, kwargs) product.
+MAGIC_FIXPOINT_LIMIT = 32
+
+_MAGIC_FALLBACK = (
+    "magic-rewritten fixpoint is demand-specific (seeded from the "
+    "query's constants); recomputing on next query"
+)
+
+
+def _cacheable(plan: QueryPlan) -> bool:
+    """Whether *plan*'s saturated materialization may be cached/reused.
+
+    Live collaborators (termination policies, guides, custom null
+    factories, oracles) can suppress or alter derivations without
+    marking the run unsaturated — such runs must never be served to,
+    or taken from, a shared cache.
+    """
+    return all(key in _CACHEABLE_KWARGS for key in plan.engine_kwargs)
+
+
+class _Key(NamedTuple):
+    """The identity of one cached materialization within one EDB state.
+
+    ``token`` is the magic rewriting's identity (binding pattern + seed
+    constants), ``None`` for an unrewritten plan: a demand fixpoint
+    must never be served to another query, or to the unrewritten plan.
+    ``program`` is ``id(compiled)`` — process-local, so a checkpoint
+    persists the other fields and :meth:`FixpointCache.restore`
+    rebuilds this one.
+    """
+
+    program: int
+    method: str
+    store_name: str
+    kwargs: tuple
+    token: Optional[tuple]
+
+    @classmethod
+    def of(cls, plan: QueryPlan) -> "_Key":
+        rewriting = plan.rewriting
+        return cls(
+            id(plan.program),
+            plan.method,
+            plan.store_name,
+            tuple(sorted((k, repr(v)) for k, v in plan.engine_kwargs.items())),
+            rewriting.cache_token if rewriting is not None else None,
+        )
+
+    def label(self, compiled: CompiledProgram) -> str:
+        tag = "×magic" if self.token is not None else ""
+        return (
+            f"{self.method}×{self.store_name}{tag} fixpoint "
+            f"[{compiled.name}]"
+        )
+
+
+class _Entry:
+    """One saturated store, the program that produced it (kept alive:
+    the key holds its ``id``), and — once an in-place :meth:`advance`
+    has built one — the maintainer whose support indexes stay coherent
+    with the store."""
+
+    __slots__ = ("store", "compiled", "maintainer")
+
+    def __init__(self, store: FactStore, compiled: CompiledProgram):
+        self.store = store
+        self.compiled = compiled
+        self.maintainer: Optional[FixpointMaintainer] = None
+
+
+class FixpointCache:
+    """Fixpoints and star abstractions of (*edb*, Σ) for one EDB state.
+
+    The ``cache=`` collaborator of :func:`repro.api.execution.execute_plan`.
+    Safe to share between threads.
+    """
+
+    def __init__(self, edb):
+        #: The fact base this cache is valid for (read by
+        #: :meth:`abstraction_for`; never written here).
+        self.edb = edb
+        self._lock = threading.Lock()
+        self._fixpoints: Dict[_Key, _Entry] = {}
+        self._abstractions: Dict[int, object] = {}
+        self.hits = 0
+        self.misses = 0
+
+    def get_fixpoint(self, plan: QueryPlan) -> Optional[FactStore]:
+        """The cached saturated materialization for *plan*, if any."""
+        if not _cacheable(plan):
+            return None
+        key = _Key.of(plan)
+        with self._lock:
+            entry = self._fixpoints.get(key)
+            if entry is None:
+                self.misses += 1
+                return None
+            self.hits += 1
+            if key.token is not None:
+                # LRU refresh: magic entries are evicted oldest-first.
+                self._fixpoints[key] = self._fixpoints.pop(key)
+            return entry.store
+
+    def set_fixpoint(self, plan: QueryPlan, store: FactStore) -> None:
+        """Register *plan*'s saturated materialization for reuse."""
+        if not _cacheable(plan):
+            return
+        key = _Key.of(plan)
+        with self._lock:
+            self._fixpoints.pop(key, None)
+            self._fixpoints[key] = _Entry(store, plan.program)
+            if key.token is not None:
+                magic = [k for k in self._fixpoints if k.token is not None]
+                for stale in magic[:-MAGIC_FIXPOINT_LIMIT]:
+                    del self._fixpoints[stale]
+
+    def abstraction_for(self, compiled: CompiledProgram):
+        """The star abstraction of (EDB, Σ), computed at most once.
+
+        It both bounds the candidate answer pools and serves as the
+        pruning oracle of the proof-tree engines, and depends only on
+        the facts and the program — never on the query.
+        """
+        from ..reasoning.abstraction import star_abstraction
+
+        key = id(compiled)
+        with self._lock:
+            abstraction = self._abstractions.get(key)
+        if abstraction is not None:
+            return abstraction
+        computed = star_abstraction(self.edb, compiled.analysis.normalized)
+        with self._lock:
+            # First publisher wins; a racing duplicate is equal anyway.
+            return self._abstractions.setdefault(key, computed)
+
+    def stats(self) -> dict:
+        with self._lock:
+            return {
+                "fixpoints": len(self._fixpoints),
+                "abstractions": len(self._abstractions),
+                "hits": self.hits,
+                "misses": self.misses,
+            }
+
+    # -- carrying the cache to the next EDB state --------------------------
+
+    def advance(
+        self, inserted, retracted, edb, *, copy: bool
+    ) -> Tuple[
+        "FixpointCache",
+        List[Tuple[str, MaintenanceStats]],
+        List[Tuple[str, str]],
+    ]:
+        """The cache of the state after one *effective* change batch.
+
+        *edb* is the fact base **after** the batch.  Returns the new
+        cache, ``(label, stats)`` for every materialization carried
+        across by incremental maintenance, and ``(label, reason)`` for
+        every one dropped to recomputation.  Star abstractions depend
+        on the whole EDB and are cheap next to saturation: they are
+        recomputed on demand, not carried.
+
+        With ``copy=True`` this cache is left untouched — its stores
+        stay exact for readers still on the old state — and the copies
+        are maintained; with ``copy=False`` the stores (and their kept
+        maintainers) are handed over and upgraded in place, leaving
+        this cache empty.
+        """
+        with self._lock:
+            entries = list(self._fixpoints.items())
+            if not copy:
+                self._fixpoints.clear()
+        successor = FixpointCache(edb)
+        maintained: List[Tuple[str, MaintenanceStats]] = []
+        fallbacks: List[Tuple[str, str]] = []
+        for key, entry in entries:
+            label = key.label(entry.compiled)
+            # A magic materialization is the fixpoint of the *demand*
+            # program seeded from one query's constants; maintaining it
+            # against the unrewritten program would silently corrupt it.
+            reason = (
+                _MAGIC_FALLBACK
+                if key.token is not None
+                else unmaintainable_reason(entry.compiled.analysis)
+            )
+            if reason is not None:
+                fallbacks.append((label, reason))
+                continue
+            if copy:
+                # A maintainer is bound to one store; the copy's is not
+                # kept, the next batch copies again.
+                entry = _Entry(entry.store.copy(), entry.compiled)
+                maintainer = FixpointMaintainer(entry.compiled, entry.store)
+            else:
+                if entry.maintainer is None:
+                    entry.maintainer = FixpointMaintainer(
+                        entry.compiled, entry.store
+                    )
+                maintainer = entry.maintainer
+            stats = maintainer.apply(inserted, retracted, edb=edb)
+            successor._fixpoints[key] = entry
+            maintained.append((label, stats))
+        return successor, maintained, fallbacks
+
+    # -- warm-start checkpoint ---------------------------------------------
+
+    def records(self) -> List[FixpointRecord]:
+        """The persistable materializations: unrewritten ones only —
+        a demand fixpoint is tied to one query's seed constants, the
+        same rule as :meth:`advance`."""
+        with self._lock:
+            entries = list(self._fixpoints.items())
+        return [
+            FixpointRecord(
+                method=key.method,
+                store_name=key.store_name,
+                kwargs=key.kwargs,
+                atoms=tuple(entry.store),
+            )
+            for key, entry in entries
+            if key.token is None
+        ]
+
+    def restore(
+        self, records: Iterable[FixpointRecord], compiled: CompiledProgram,
+        store,
+    ) -> None:
+        """Re-seed this cache from checkpointed :meth:`records`.
+
+        *store* is the serving ``store=`` choice the materializations
+        are rebuilt in.  Records written under a different choice are
+        skipped: their keys could never be looked up.
+        """
+        name = _store_label(store)
+        restored = {
+            _Key(id(compiled), record.method, name, record.kwargs, None):
+                _Entry(make_store(store, record.atoms), compiled)
+            for record in records
+            if record.store_name == name
+        }
+        with self._lock:
+            self._fixpoints.update(restored)

@@ -6,12 +6,15 @@ Every engine is driven through its streaming core
 :func:`~repro.chase.runner.stream_chase_answers`,
 :func:`~repro.reasoning.answers.stream_proof_tree_answers`,
 :meth:`~repro.engine.operators.OperatorNetwork.stream`), so answers
-surface as they are derived.  When a :class:`~repro.api.session.Session`
-is attached, saturated materializations and star abstractions are
-reused across queries instead of recomputed.
+surface as they are derived.  When a
+:class:`~repro.api.cache.FixpointCache` is attached, saturated
+materializations and star abstractions are reused across queries
+instead of recomputed.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from ..chase.runner import ChaseRun, stream_chase_answers
 from ..core.instance import Database
@@ -78,15 +81,16 @@ def _stream_network_answers(query, database, network, *, store, run,
 
 
 def execute_plan(
-    plan: QueryPlan, database: Database, *, session=None
+    plan: QueryPlan, database: Database, *, cache=None
 ) -> AnswerStream:
     """Execute *plan* against *database*, returning a lazy stream.
 
     Construction does no work; the engine runs only as the stream is
-    pulled.  With a *session*, the materializing engines first consult
-    its fixpoint cache (a hit skips the engine entirely) and register
-    their saturated result on completion, and the proof-tree engines
-    reuse the session's star abstraction.
+    pulled.  With a *cache* (the :class:`~repro.api.cache.FixpointCache`
+    of *database*'s state), the materializing engines first consult it
+    (a hit skips the engine entirely) and register their saturated
+    result on completion, and the proof-tree engines reuse its star
+    abstraction.
     """
     stats = StreamStats(
         method=plan.method,
@@ -96,6 +100,19 @@ def execute_plan(
     query = plan.query
     program = plan.program.program
     kwargs = dict(plan.engine_kwargs)
+
+    def cached_answers(run_query):
+        """``run_query`` over the cached fixpoint; None on a miss."""
+        fixpoint = cache.get_fixpoint(plan) if cache is not None else None
+        if fixpoint is None:
+            return None
+        stats.from_cache = True
+        stats.saturated = True
+        return sorted(_evaluate_fixpoint(run_query, fixpoint), key=str)
+
+    on_fixpoint = (
+        partial(cache.set_fixpoint, plan) if cache is not None else None
+    )
 
     if plan.method == "datalog":
         # With a magic rewriting attached, the engine runs the demand
@@ -110,14 +127,10 @@ def execute_plan(
         )
 
         def factory():
-            cached = session.get_fixpoint(plan) if session else None
-            if cached is not None:
-                stats.from_cache = True
-                stats.saturated = True
+            answers = cached_answers(run_query)
+            if answers is not None:
                 stats.exec_mode = ""  # no engine ran at all
-                yield from sorted(
-                    _evaluate_fixpoint(run_query, cached), key=str
-                )
+                yield from answers
                 return
             facts = database
             if rewriting is not None:
@@ -127,11 +140,6 @@ def execute_plan(
                 # view must be re-iterable.  The copy is atom refs only.
                 facts = list(database)
                 facts.extend(rewriting.seed)
-            on_fixpoint = (
-                (lambda instance: session.set_fixpoint(plan, instance))
-                if session
-                else None
-            )
             yield from stream_datalog_answers(
                 run_query,
                 facts,
@@ -146,13 +154,9 @@ def execute_plan(
     elif plan.method == "chase":
 
         def factory():
-            cached = session.get_fixpoint(plan) if session else None
-            if cached is not None:
-                stats.from_cache = True
-                stats.saturated = True
-                yield from sorted(
-                    _evaluate_fixpoint(query, cached), key=str
-                )
+            answers = cached_answers(query)
+            if answers is not None:
+                yield from answers
                 return
             chase_kwargs = dict(kwargs)
             chase_kwargs.pop("probe_depth", None)
@@ -163,11 +167,6 @@ def execute_plan(
                 chase_kwargs.setdefault("max_steps", STRICT_CHASE_MAX_STEPS)
             chase_kwargs.setdefault("variant", "restricted")
             run = ChaseRun()
-            on_fixpoint = (
-                (lambda instance: session.set_fixpoint(plan, instance))
-                if session
-                else None
-            )
             yield from stream_chase_answers(
                 query,
                 database,
@@ -190,7 +189,9 @@ def execute_plan(
             probe_depth = tree_kwargs.pop("probe_depth", 3)
             probe_atoms = tree_kwargs.pop("probe_atoms", 20000)
             abstraction = (
-                session.abstraction_for(plan.program) if session else None
+                cache.abstraction_for(plan.program)
+                if cache is not None
+                else None
             )
             yield from stream_proof_tree_answers(
                 query,
@@ -207,13 +208,9 @@ def execute_plan(
     elif plan.method == "network":
 
         def factory():
-            cached = session.get_fixpoint(plan) if session else None
-            if cached is not None:
-                stats.from_cache = True
-                stats.saturated = True
-                yield from sorted(
-                    _evaluate_fixpoint(query, cached), key=str
-                )
+            answers = cached_answers(query)
+            if answers is not None:
+                yield from answers
                 return
             net_kwargs = dict(kwargs)
             net_kwargs.pop("probe_depth", None)
@@ -240,8 +237,8 @@ def execute_plan(
             )
             stats.saturated = run.saturated
             stats.events = run.events
-            if run.saturated and session is not None:
-                session.set_fixpoint(plan, run.instance)
+            if run.saturated and on_fixpoint is not None:
+                on_fixpoint(run.instance)
             if strict and not run.saturated:
                 raise UnsupportedProgramError(_NOT_SATURATED)
 

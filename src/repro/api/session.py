@@ -8,14 +8,14 @@ A :class:`Session` owns
   engine uses (see :data:`repro.storage.BACKENDS`);
 * a **compiled-program cache** — each :class:`Program` is classified,
   stratified, and join-planned exactly once;
-* cross-query caches — star abstractions (proof-tree engines) and
-  saturated materializations (fixpoint engines), each stamped with the
-  EDB version watermark it is valid for;
-* a **mutation log** — :meth:`Session.apply` records every effective
-  insert/retract batch and routes each cached materialization through
-  :mod:`repro.incremental`, *upgrading it in place* (DRed + counting +
-  the semi-naive insertion fast path) instead of recomputing, with a
-  recorded fallback for plans outside the maintainable fragment.
+* one :class:`~repro.api.cache.FixpointCache` — the star abstractions
+  (proof-tree engines) and saturated materializations (fixpoint
+  engines) valid for the EDB as it stands.  :meth:`Session.apply`
+  replaces it with the cache of the next state: each materialization
+  is routed through :mod:`repro.incremental` and *upgraded in place*
+  (DRed + counting + the semi-naive insertion fast path) instead of
+  recomputed, with a recorded fallback for plans outside the
+  maintainable fragment.
 
 ``Session.query`` returns a lazy :class:`AnswerStream`; nothing runs
 until the caller pulls.
@@ -28,17 +28,10 @@ from pathlib import Path
 from typing import Dict, Iterable, Optional, Tuple, Union
 
 from ..core.atoms import Atom
-from ..core.instance import Database, Instance
+from ..core.instance import Database
 from ..core.program import Program
 from ..core.query import ConjunctiveQuery
-from ..incremental import (
-    ChangeSet,
-    FixpointMaintainer,
-    MaintenanceReport,
-    MutationLog,
-    compose_changes,
-    unmaintainable_reason,
-)
+from ..incremental import ChangeSet, MaintenanceReport
 from ..lang.parser import parse_program, parse_query
 from ..lint import LintError
 from ..rewriting.magic import (
@@ -48,132 +41,17 @@ from ..rewriting.magic import (
     binding_pattern,
 )
 from ..storage import FactStore
+from .cache import FixpointCache
 from .execution import execute_plan
 from .planner import Planner, QueryPlan, validate_store
 from .program import CompiledProgram, compile_program
 from .stream import AnswerStream
 
-__all__ = [
-    "Session",
-    "fixpoint_cacheable",
-    "fixpoint_cache_key",
-    "install_fixpoint",
-    "MAGIC_FIXPOINT_LIMIT",
-]
+__all__ = ["Session"]
 
 QueryLike = Union[str, ConjunctiveQuery]
 ProgramLike = Union[None, str, Program, CompiledProgram]
 ChangeLike = Union[ChangeSet, Iterable[Atom]]
-
-
-#: engine kwargs whose values are plain data — a plan whose kwargs
-#: stay inside this set has cacheable, key-comparable semantics.
-CACHEABLE_KWARGS = frozenset(
-    {
-        "variant",
-        "max_atoms",
-        "max_steps",
-        "max_events",
-        "max_rounds",
-        "strict",
-        "probe_depth",
-        "probe_atoms",
-    }
-)
-
-
-def fixpoint_cacheable(plan: QueryPlan) -> bool:
-    """Whether *plan*'s saturated materialization may be cached/reused.
-
-    Live collaborators (termination policies, guides, custom null
-    factories, oracles) can suppress or alter derivations without
-    marking the run unsaturated — such runs must never be served to,
-    or taken from, a shared fixpoint cache.  Used by both the session's
-    cache and the server's per-snapshot-version caches.
-    """
-    return all(key in CACHEABLE_KWARGS for key in plan.engine_kwargs)
-
-
-def fixpoint_cache_key(plan: QueryPlan) -> tuple:
-    """The cache identity of *plan*'s saturated materialization.
-
-    No EDB version in the key: entries carry their own watermark and
-    are moved forward by the maintainer instead of being orphaned per
-    version.  Magic plans additionally key on the rewriting identity
-    (binding pattern + seed constants): their materialization is
-    demand-specific and must never be served to another query, or to
-    the unrewritten plan.
-    """
-    relevant = tuple(
-        sorted((k, repr(v)) for k, v in plan.engine_kwargs.items())
-    )
-    token = (
-        plan.rewriting.cache_token if plan.rewriting is not None else None
-    )
-    return (
-        id(plan.program),
-        plan.method,
-        plan.store_name,
-        relevant,
-        plan.rewrite,
-        token,
-    )
-
-
-#: Cap on *demand-specific* (magic) fixpoint entries per cache: their
-#: key includes the query's seed constants, so answering many distinct
-#: point queries would otherwise grow one materialization per constant
-#: without bound.  Unrewritten entries stay unbounded — their key space
-#: is the small (program, method, store, kwargs) product.
-MAGIC_FIXPOINT_LIMIT = 32
-
-
-def install_fixpoint(fixpoints: dict, plan: QueryPlan, make_entry,
-                     suffix: str = "") -> None:
-    """Insert *plan*'s materialization into a fixpoint cache dict.
-
-    The one insertion path of the session's cache and the server's
-    per-version caches (the caller holds its own lock): builds the
-    entry's label, stores ``make_entry(label)`` under
-    :func:`fixpoint_cache_key`, and evicts magic entries oldest-first
-    beyond :data:`MAGIC_FIXPOINT_LIMIT` (entries expose ``rewrite``).
-    """
-    tag = "×magic" if plan.rewrite == "magic" else ""
-    label = (
-        f"{plan.method}×{plan.store_name}{tag} fixpoint "
-        f"[{plan.program.name}]{suffix}"
-    )
-    fixpoints[fixpoint_cache_key(plan)] = make_entry(label)
-    if plan.rewrite == "magic":
-        magic_keys = [
-            key for key, entry in fixpoints.items()
-            if entry.rewrite == "magic"
-        ]
-        for key in magic_keys[:-MAGIC_FIXPOINT_LIMIT]:
-            del fixpoints[key]
-
-
-class _FixpointEntry:
-    """One cached saturated materialization plus its upgrade machinery.
-
-    ``version`` is the EDB watermark the store is saturated for;
-    :meth:`Session.apply` moves it forward through the ``maintainer``
-    (built lazily on the first change) instead of dropping the store.
-    """
-
-    __slots__ = (
-        "store", "version", "compiled", "maintainer", "label", "rewrite"
-    )
-
-    def __init__(self, store: FactStore, version: int,
-                 compiled: CompiledProgram, label: str,
-                 rewrite: str = "none"):
-        self.store = store
-        self.version = version
-        self.compiled = compiled
-        self.maintainer: Optional[FixpointMaintainer] = None
-        self.label = label
-        self.rewrite = rewrite
 
 
 class Session:
@@ -192,18 +70,20 @@ class Session:
             )
         self.store = store
         self.planner = planner if planner is not None else Planner()
-        #: Guards the EDB, the mutation log, and every cross-query
-        #: cache: a session may be shared across threads (the serving
-        #: layer plans queries and applies change batches concurrently).
-        #: Reentrant because ``load`` → ``add_facts`` → ``apply`` nest.
+        #: Guards the EDB, the compiled-program caches, and the swap of
+        #: :attr:`cache`: a session may be shared across threads (the
+        #: serving layer plans queries and applies change batches
+        #: concurrently).  Reentrant because ``load`` → ``add_facts`` →
+        #: ``apply`` nest.
         self._lock = threading.RLock()
         self.edb = Database()
         self._edb_version = 0
-        self.mutations = MutationLog()
+        #: What has been computed for the EDB as it stands; replaced —
+        #: never edited — by :meth:`apply`.
+        self.cache = FixpointCache(self.edb)
         self._compiled: Dict[Program, CompiledProgram] = {}
         self._external: list = []  # externally compiled, kept alive
         self._last: Optional[CompiledProgram] = None
-        self._abstractions: Dict[Tuple[int, int], Instance] = {}
         #: Adorned demand programs, cached per (compiled program,
         #: binding pattern): two point queries differing only in their
         #: constants share one rewriting and differ only in seed facts.
@@ -211,11 +91,6 @@ class Session:
         #: are structural, but programmatically generated query shapes
         #: would otherwise grow it without limit.
         self._adorned: Dict[tuple, AdornedProgram] = {}
-        self._fixpoints: Dict[tuple, _FixpointEntry] = {}
-        #: Reports from *lazy* catch-ups (a lagging entry healed — or
-        #: dropped, with the reason — on the read path); :meth:`apply`
-        #: returns its report directly instead.  Bounded, newest last.
-        self.catchup_reports: list[MaintenanceReport] = []
 
     def __repr__(self) -> str:
         return (
@@ -227,10 +102,8 @@ class Session:
 
     @property
     def edb_version(self) -> int:
-        """The EDB change-log watermark: bumped once per effective
-        :meth:`apply` batch.  Derived caches are stamped with the
-        watermark they are valid for and *upgraded* across bumps when
-        the program is maintainable (recomputed otherwise)."""
+        """Counts the effective :meth:`apply` batches: each one bumps
+        it and replaces :attr:`cache` with the next state's."""
         return self._edb_version
 
     def add_facts(self, atoms: Iterable[Atom]) -> int:
@@ -269,8 +142,8 @@ class Session:
         with the reason recorded in the returned
         :class:`~repro.incremental.MaintenanceReport`.
 
-        No-op batches (nothing effectively changed) do not bump the
-        watermark.
+        No-op batches (nothing effectively changed) leave
+        :attr:`edb_version` and :attr:`cache` as they are.
         """
         if changes is None:
             changes = ChangeSet()
@@ -292,69 +165,18 @@ class Session:
             self.edb.discard_all(retracted)
             self.edb.add_all(inserted)
             self._edb_version += 1
-            self.mutations.record(self._edb_version, inserted, retracted)
-            # Star abstractions depend on the whole EDB and are cheap
-            # next to saturation: recompute on demand, don't maintain.
-            self._abstractions.clear()
-            report = MaintenanceReport(
+            # In place: nobody reads the old state, so the stores and
+            # their maintainers move to the next cache as they are.
+            self.cache, maintained, fallbacks = self.cache.advance(
+                inserted, retracted, self.edb, copy=False
+            )
+            return MaintenanceReport(
                 version=self._edb_version,
                 inserted=inserted,
                 retracted=retracted,
+                maintained=maintained,
+                fallbacks=fallbacks,
             )
-            for key in list(self._fixpoints):
-                self._upgrade_entry(key, report)
-            return report
-
-    def _upgrade_entry(self, key: tuple, report: MaintenanceReport) -> None:
-        """Bring one cached fixpoint to the current watermark, or drop it.
-
-        The entry may be several versions behind (defensive — e.g. a
-        caller that mutated ``session.edb`` directly bumped nothing);
-        the mutation log composes the missed batches into one effective
-        batch, which stays exact for both DRed and counting.
-        """
-        entry = self._fixpoints[key]
-        if entry.rewrite == "magic":
-            # A magic materialization is the fixpoint of the *demand*
-            # program seeded from one query's constants; maintaining it
-            # against the unrewritten program would silently corrupt
-            # it, so the fallback is recompute-on-next-query, recorded.
-            del self._fixpoints[key]
-            report.fallbacks.append(
-                (
-                    entry.label,
-                    "magic-rewritten fixpoint is demand-specific "
-                    "(seeded from the query's constants); recomputing "
-                    "on next query",
-                )
-            )
-            return
-        reason = unmaintainable_reason(entry.compiled.analysis)
-        if reason is not None:
-            del self._fixpoints[key]
-            report.fallbacks.append((entry.label, reason))
-            return
-        pending = self.mutations.since(entry.version, self._edb_version)
-        if pending is None:
-            del self._fixpoints[key]
-            report.fallbacks.append(
-                (
-                    entry.label,
-                    "mutation log no longer covers this cache's "
-                    "watermark; recomputing",
-                )
-            )
-            return
-        inserted, retracted = compose_changes(
-            (record.inserted, record.retracted) for record in pending
-        )
-        if entry.maintainer is None:
-            entry.maintainer = FixpointMaintainer(
-                entry.compiled, entry.store
-            )
-        stats = entry.maintainer.apply(inserted, retracted, edb=self.edb)
-        entry.version = self._edb_version
-        report.maintained.append((entry.label, stats))
 
     # -- program management ------------------------------------------------
 
@@ -379,9 +201,9 @@ class Session:
         """Compile *program* once; later calls return the cached artifact."""
         with self._lock:
             if isinstance(program, CompiledProgram):
-                # Retain a strong reference: the abstraction/fixpoint
-                # caches key by id(compiled), which must not be reused
-                # by a new object while this session holds entries.
+                # Retain a strong reference: the fixpoint cache keys by
+                # id(compiled), which must not be reused by a new
+                # object while this session holds entries.
                 self._compiled.setdefault(program.program, program)
                 if self._compiled[program.program] is not program:
                     self._external.append(program)
@@ -515,7 +337,7 @@ class Session:
             exec_mode=exec_mode,
             **engine_kwargs,
         )
-        return execute_plan(plan, self.edb, session=self)
+        return execute_plan(plan, self.edb, cache=self.cache)
 
     def answers(self, query: QueryLike, **query_kwargs) -> set:
         """Eager convenience: ``set(self.query(...))``."""
@@ -523,68 +345,10 @@ class Session:
 
     # -- cross-query caches ------------------------------------------------
 
-    def abstraction_for(self, compiled: CompiledProgram) -> Instance:
-        """The star abstraction of (EDB, Σ), computed once per EDB version.
-
-        It both bounds the candidate answer pools and serves as the
-        pruning oracle of the proof-tree engines, and depends only on
-        the facts and the program — never on the query.
-        """
-        from ..reasoning.abstraction import star_abstraction
-
-        with self._lock:
-            key = (id(compiled), self._edb_version)
-            abstraction = self._abstractions.get(key)
-            if abstraction is None:
-                abstraction = star_abstraction(
-                    self.edb, compiled.analysis.normalized
-                )
-                self._abstractions[key] = abstraction
-            return abstraction
+    def abstraction_for(self, compiled: CompiledProgram):
+        """The star abstraction of (EDB, Σ) for the current EDB state."""
+        return self.cache.abstraction_for(compiled)
 
     def get_fixpoint(self, plan: QueryPlan) -> Optional[FactStore]:
-        """A cached saturated materialization for this plan, if any.
-
-        An entry whose watermark lags the EDB (possible only when the
-        EDB was mutated without :meth:`apply` noticing, e.g. direct
-        ``session.edb`` writes recorded by a later batch) is caught up
-        through the maintainer on the way out, or dropped.
-        """
-        if not fixpoint_cacheable(plan):
-            return None
-        with self._lock:
-            key = fixpoint_cache_key(plan)
-            entry = self._fixpoints.get(key)
-            if entry is None:
-                return None
-            if entry.rewrite == "magic":
-                # LRU refresh: magic entries are evicted oldest-first
-                # when the demand cache exceeds its cap.
-                self._fixpoints[key] = self._fixpoints.pop(key)
-            if entry.version != self._edb_version:
-                report = MaintenanceReport(
-                    version=self._edb_version, inserted=(), retracted=()
-                )
-                self._upgrade_entry(key, report)
-                # Keep the decision discoverable — especially a
-                # fallback's reason — rather than silently recomputing.
-                self.catchup_reports.append(report)
-                del self.catchup_reports[:-32]
-                entry = self._fixpoints.get(key)
-                if entry is None:
-                    return None
-            return entry.store
-
-    def set_fixpoint(self, plan: QueryPlan, instance: FactStore) -> None:
-        """Register a saturated materialization for reuse."""
-        if not fixpoint_cacheable(plan):
-            return
-        with self._lock:
-            install_fixpoint(
-                self._fixpoints,
-                plan,
-                lambda label: _FixpointEntry(
-                    instance, self._edb_version, plan.program, label,
-                    rewrite=plan.rewrite,
-                ),
-            )
+        """A cached saturated materialization for this plan, if any."""
+        return self.cache.get_fixpoint(plan)

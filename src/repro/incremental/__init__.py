@@ -19,7 +19,7 @@ Entry points:
   ``+atom`` / ``-atom`` delta lines.
 """
 
-from .changes import ChangeSet, MutationLog, compose_changes
+from .changes import ChangeSet
 from .maintain import (
     FixpointMaintainer,
     MaintenanceReport,
@@ -30,8 +30,6 @@ from .support import SupportIndex
 
 __all__ = [
     "ChangeSet",
-    "MutationLog",
-    "compose_changes",
     "FixpointMaintainer",
     "MaintenanceReport",
     "MaintenanceStats",

@@ -1,22 +1,17 @@
-"""Change models for incremental view maintenance.
+"""The change model for incremental view maintenance.
 
 A :class:`ChangeSet` is one batch of EDB mutations — fact insertions
-*and retractions* — in the order the caller issued them.  A
-:class:`MutationLog` is the session's history of applied change sets,
-keyed by the EDB version each one produced: the version number becomes
-a *watermark*, and a cached materialization stamped with an older
-watermark can be caught up by replaying (the composition of) the
-change sets it missed instead of being recomputed from scratch.
+*and retractions* — in the order the caller issued them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Iterable, List, Tuple
 
 from ..core.atoms import Atom
 
-__all__ = ["ChangeSet", "MutationLog", "compose_changes"]
+__all__ = ["ChangeSet"]
 
 #: Operation tags used in the textual delta format (``+atom`` inserts,
 #: ``-atom`` retracts) and in :attr:`ChangeSet.ops`.
@@ -115,89 +110,3 @@ class ChangeSet:
     def describe(self) -> str:
         inserts, retracts = self.net()
         return f"ChangeSet(+{len(inserts)}, -{len(retracts)})"
-
-
-def compose_changes(
-    batches: Iterable[Tuple[Tuple[Atom, ...], Tuple[Atom, ...]]],
-) -> Tuple[Tuple[Atom, ...], Tuple[Atom, ...]]:
-    """Compose a sequence of *effective* (inserted, retracted) batches.
-
-    Each batch must be effective relative to the state the previous one
-    produced (inserted facts were absent, retracted facts present) —
-    which is exactly what :class:`MutationLog` records.  The result is
-    the single effective batch relative to the state before the first:
-    retract-then-insert and insert-then-retract both cancel.
-    """
-    inserted: dict[Atom, None] = {}
-    retracted: dict[Atom, None] = {}
-    for batch_inserted, batch_retracted in batches:
-        for atom in batch_retracted:
-            if atom in inserted:
-                del inserted[atom]
-            else:
-                retracted[atom] = None
-        for atom in batch_inserted:
-            if atom in retracted:
-                del retracted[atom]
-            else:
-                inserted[atom] = None
-    return tuple(inserted), tuple(retracted)
-
-
-@dataclass(frozen=True)
-class MutationRecord:
-    """One applied change set: the EDB version it produced plus the
-    *effective* insertions/retractions (no-ops already filtered)."""
-
-    version: int
-    inserted: Tuple[Atom, ...]
-    retracted: Tuple[Atom, ...]
-
-
-@dataclass
-class MutationLog:
-    """The session's EDB change history, indexed by version watermark.
-
-    ``max_entries`` bounds the log (oldest entries are dropped); a
-    consumer whose watermark predates the retained window cannot be
-    caught up and must recompute.
-    """
-
-    max_entries: Optional[int] = 1024
-    entries: List[MutationRecord] = field(default_factory=list)
-
-    def record(
-        self,
-        version: int,
-        inserted: Iterable[Atom],
-        retracted: Iterable[Atom],
-    ) -> MutationRecord:
-        record = MutationRecord(version, tuple(inserted), tuple(retracted))
-        self.entries.append(record)
-        if self.max_entries is not None:
-            del self.entries[: max(0, len(self.entries) - self.max_entries)]
-        return record
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    @property
-    def watermark(self) -> Optional[int]:
-        """The version the latest recorded change set produced."""
-        return self.entries[-1].version if self.entries else None
-
-    def since(
-        self, version: int, current: int
-    ) -> Optional[List[MutationRecord]]:
-        """Records moving a consumer at watermark *version* to *current*.
-
-        Returns None when the log does not cover the full contiguous
-        span ``version+1 .. current`` (entries were dropped, or a
-        mutation bypassed the log) — the caller must recompute.
-        """
-        if version == current:
-            return []
-        pending = [r for r in self.entries if version < r.version <= current]
-        if [r.version for r in pending] != list(range(version + 1, current + 1)):
-            return None
-        return pending

@@ -19,7 +19,7 @@ CLI: ``python -m repro serve PROGRAM`` / ``python -m repro client ...``.
 
 from .client import ReasoningClient, RemoteAnswers, ServerError
 from .daemon import ReasoningServer
-from .service import QueryResult, ReasoningService, UpdateResult, VersionCaches
+from .service import QueryResult, ReasoningService, UpdateResult
 from .snapshot import SnapshotLease, SnapshotManager, SnapshotVersion
 
 __all__ = [
@@ -33,5 +33,4 @@ __all__ = [
     "SnapshotManager",
     "SnapshotVersion",
     "UpdateResult",
-    "VersionCaches",
 ]

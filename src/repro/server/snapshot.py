@@ -26,29 +26,23 @@ newer version's base chain, or an older lease, still needs it).
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Tuple
 
+from ..api.cache import FixpointCache
+from ..api.planner import _store_label
 from ..core.atoms import Atom
 from ..storage import DeltaOverlay, FactStore, make_store
 
 __all__ = ["SnapshotLease", "SnapshotManager", "SnapshotVersion"]
 
 
-def _store_label(store) -> str:
-    """The display/cache name of a ``store=`` choice (factories carry
-    their name in ``__name__`` — e.g. ``sharded_store_factory``)."""
-    if isinstance(store, str):
-        return store
-    return getattr(store, "__name__", type(store).__name__)
-
-
 class SnapshotVersion:
     """One immutable EDB version: a frozen store plus its bookkeeping.
 
-    ``caches`` is scratch space owned by the serving layer (per-version
-    fixpoint materializations and star abstractions); the manager only
-    carries it so that version GC drops the caches together with the
-    store.
+    ``caches`` is what has been computed for exactly this EDB; it lives
+    on the version so that version GC drops it together with the store.
+    The serving layer replaces a new version's (empty) cache with the
+    one carried forward from its predecessor.
     """
 
     __slots__ = ("number", "store", "depth", "refs", "caches")
@@ -58,7 +52,7 @@ class SnapshotVersion:
         self.store = store
         self.depth = depth
         self.refs = 0
-        self.caches: Optional[object] = None
+        self.caches: FixpointCache = FixpointCache(store)
 
     def __repr__(self) -> str:
         return (

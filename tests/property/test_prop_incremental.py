@@ -145,3 +145,55 @@ def test_maintained_cache_is_actually_hit(data):
     stream.to_set()
     if applied:
         assert stream.stats.from_cache
+
+
+@st.composite
+def straddling_streams(draw):
+    """An :func:`op_streams` draw with "open a stream and pull k" /
+    "drain an open stream" ops planted between the applies."""
+    database, ops = draw(op_streams())
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    woven = []
+    for op in ops[:-1]:
+        if rng.random() < 0.5:
+            woven.append(
+                ("open", (rng.randrange(len(QUERIES)), rng.randrange(3)))
+            )
+        woven.append(op)
+        if rng.random() < 0.4:
+            woven.append(("drain", None))
+    woven.append(("drain", None))
+    woven.append(ops[-1])
+    return database, woven
+
+
+@settings(max_examples=25, deadline=None)
+@given(straddling_streams())
+def test_streams_straddling_applies_never_poison_the_cache(data):
+    """A stream opened on one EDB state and drained after later applies
+    saturates for a state that no longer exists; whatever it registers
+    must never be served to a query of the current state."""
+    database, ops = data
+    for store in BACKENDS:
+        session = Session(store=store)
+        session.compile(PROGRAM)
+        session.add_facts(database)
+        open_streams = []
+        for kind, payload in ops:
+            if kind == "apply":
+                session.apply(payload)
+            elif kind == "open":
+                index, pulled = payload
+                stream = session.query(QUERIES[index], rewrite="none")
+                stream.first(pulled)
+                open_streams.append(stream)
+            elif kind == "drain":
+                if open_streams:
+                    open_streams.pop(0).to_set()
+            else:
+                query = QUERIES[payload]
+                got = set(session.query(query, rewrite="none").to_set())
+                expected = certain_answers(
+                    query, Database(session.edb), PROGRAM, method="datalog"
+                )
+                assert got == expected, (store, query)

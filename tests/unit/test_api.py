@@ -422,10 +422,9 @@ class TestTopLevelExports:
 
     def test_incremental_layer_surfaces_at_root(self):
         import repro
-        from repro.incremental import ChangeSet, MutationLog
+        from repro.incremental import ChangeSet
 
         assert repro.ChangeSet is ChangeSet
-        assert repro.MutationLog is MutationLog
 
     def test_dir_lists_lazy_names(self):
         import repro

@@ -1,0 +1,194 @@
+"""Unit tests for :class:`repro.api.cache.FixpointCache` — the one
+fixpoint cache `Session` and the server's snapshot versions share."""
+
+from repro.api import Session
+from repro.api.cache import MAGIC_FIXPOINT_LIMIT, FixpointCache
+from repro.api.execution import execute_plan
+from repro.core.atoms import Atom
+from repro.core.instance import Database
+from repro.core.terms import Constant
+
+TC_SOURCE = """
+    e(a,b). e(b,c).
+    t(X,Y) :- e(X,Y).
+    t(X,Z) :- e(X,Y), t(Y,Z).
+"""
+FULL = "q(X,Y) :- t(X,Y)."
+
+
+def f(predicate, *names):
+    return Atom(predicate, tuple(Constant(n) for n in names))
+
+
+def answers(plan, edb, cache):
+    """Run *plan* over *edb* with *cache*; (answer strings, from_cache)."""
+    stream = execute_plan(plan, edb, cache=cache)
+    rows = {tuple(map(str, row)) for row in stream.to_set()}
+    return rows, stream.stats.from_cache
+
+
+def warm(source=TC_SOURCE, query=FULL, **plan_kwargs):
+    """A planning session, a plan, and a standalone cache holding the
+    plan's fixpoint over a private copy of the EDB."""
+    session = Session()
+    session.load(source)
+    plan = session.plan(query, **plan_kwargs)
+    edb = Database(session.edb)
+    cache = FixpointCache(edb)
+    rows, from_cache = answers(plan, edb, cache)
+    assert not from_cache
+    return session, plan, edb, cache, rows
+
+
+class TestMagicBound:
+    def _point_plans(self, count):
+        session = Session()
+        facts = " ".join(f"e(n{i},m{i})." for i in range(count))
+        session.load(facts + "\nt(X,Y) :- e(X,Y).")
+        plans = [
+            session.plan(f"q(Y) :- t(n{i},Y).") for i in range(count)
+        ]
+        assert all(plan.rewrite == "magic" for plan in plans)
+        return session, plans
+
+    def test_reread_entry_survives_a_full_turnover(self):
+        session, plans = self._point_plans(MAGIC_FIXPOINT_LIMIT + 2)
+        cache = session.cache
+        kept, dropped, *newer = plans
+        for plan in (kept, dropped):
+            answers(plan, session.edb, cache)
+        for plan in newer:  # exactly MAGIC_FIXPOINT_LIMIT newer entries
+            assert cache.get_fixpoint(kept) is not None  # refresh on hit
+            answers(plan, session.edb, cache)
+        assert cache.stats()["fixpoints"] == MAGIC_FIXPOINT_LIMIT
+        assert cache.get_fixpoint(kept) is not None
+        assert cache.get_fixpoint(dropped) is None
+
+    def test_unrewritten_entries_do_not_count_against_the_bound(self):
+        session, plans = self._point_plans(MAGIC_FIXPOINT_LIMIT + 1)
+        full = session.plan("q(X,Y) :- t(X,Y).", rewrite="none")
+        answers(full, session.edb, session.cache)
+        for plan in plans:
+            answers(plan, session.edb, session.cache)
+        assert session.cache.get_fixpoint(full) is not None
+        assert session.cache.stats()["fixpoints"] == MAGIC_FIXPOINT_LIMIT + 1
+
+    def test_hits_and_misses_are_counted(self):
+        _, plan, _, cache, _ = warm()
+        assert cache.stats() == {
+            "fixpoints": 1, "abstractions": 0, "hits": 0, "misses": 1,
+        }
+        cache.get_fixpoint(plan)
+        assert cache.stats()["hits"] == 1
+
+
+class TestAdvance:
+    def test_copy_leaves_the_old_state_exact(self):
+        _, plan, edb, cache, before = warm()
+        old_store = cache.get_fixpoint(plan)
+        old_atoms = set(old_store)
+        new_edb = Database(edb)
+        new_edb.add(f("e", "c", "d"))
+        successor, maintained, fallbacks = cache.advance(
+            (f("e", "c", "d"),), (), new_edb, copy=True
+        )
+        assert len(maintained) == 1 and not fallbacks
+        # The old object still answers the old state, from cache.
+        assert cache.get_fixpoint(plan) is old_store
+        assert set(old_store) == old_atoms
+        assert answers(plan, edb, cache) == (before, True)
+        # The new object answers the new state, from its own store.
+        assert successor is not cache and successor.edb is new_edb
+        assert successor.get_fixpoint(plan) is not old_store
+        after, from_cache = answers(plan, new_edb, successor)
+        assert from_cache
+        assert after == before | {("a", "d"), ("b", "d"), ("c", "d")}
+
+    def test_in_place_hands_over_store_and_maintainer(self):
+        _, plan, edb, cache, before = warm()
+        store = cache.get_fixpoint(plan)
+        edb.add(f("e", "c", "d"))
+        second, maintained, _ = cache.advance(
+            (f("e", "c", "d"),), (), edb, copy=False
+        )
+        assert len(maintained) == 1
+        assert second.get_fixpoint(plan) is store
+        assert f("t", "a", "d") in store
+        assert cache.stats()["fixpoints"] == 0  # handed over, not shared
+        (entry,) = second._fixpoints.values()
+        maintainer = entry.maintainer
+        assert maintainer is not None and maintainer.store is store
+        edb.discard(f("e", "a", "b"))
+        third, maintained, _ = second.advance(
+            (), (f("e", "a", "b"),), edb, copy=False
+        )
+        assert len(maintained) == 1
+        (entry,) = third._fixpoints.values()
+        assert entry.store is store and entry.maintainer is maintainer
+        rows, from_cache = answers(plan, edb, third)
+        assert from_cache
+        assert rows == {("b", "c"), ("c", "d"), ("b", "d")}
+
+    def test_magic_fixpoint_is_dropped_with_the_one_wording(self):
+        _, plan, edb, cache, _ = warm(query="q(Y) :- t(a,Y).")
+        assert plan.rewrite == "magic"
+        edb.add(f("e", "c", "d"))
+        successor, maintained, fallbacks = cache.advance(
+            (f("e", "c", "d"),), (), edb, copy=True
+        )
+        assert not maintained
+        ((label, reason),) = fallbacks
+        assert "×magic fixpoint" in label
+        assert "demand-specific" in reason
+        assert successor.get_fixpoint(plan) is None
+
+    def test_unmaintainable_fixpoint_carries_the_analysis_reason(self):
+        from repro.incremental import unmaintainable_reason
+
+        session, plan, edb, cache, _ = warm(
+            source="p(a). r(X,Z) :- p(X).",
+            query="q(X) :- r(X,Y).",
+            method="chase",
+        )
+        edb.add(f("p", "b"))
+        successor, maintained, fallbacks = cache.advance(
+            (f("p", "b"),), (), edb, copy=False
+        )
+        assert not maintained
+        ((label, reason),) = fallbacks
+        assert label.startswith("chase×instance fixpoint")
+        assert reason == unmaintainable_reason(plan.program.analysis)
+        assert successor.get_fixpoint(plan) is None
+
+    def test_abstractions_are_not_carried(self):
+        session, plan, edb, cache, _ = warm()
+        first = cache.abstraction_for(plan.program)
+        assert cache.abstraction_for(plan.program) is first
+        successor, _, _ = cache.advance((), (), edb, copy=True)
+        assert successor.stats()["abstractions"] == 0
+
+
+class TestCheckpointRoundTrip:
+    def test_restored_cache_answers_its_first_query_from_cache(self):
+        _, plan, edb, cache, before = warm()
+        records = cache.records()
+        assert [r.method for r in records] == ["datalog"]
+        assert set(records[0].atoms) == set(cache.get_fixpoint(plan))
+
+        restarted = Session()
+        restarted.load(TC_SOURCE)
+        fresh_plan = restarted.plan(FULL)
+        fresh = FixpointCache(restarted.edb)
+        fresh.restore(records, fresh_plan.program, "instance")
+        assert answers(fresh_plan, restarted.edb, fresh) == (before, True)
+
+    def test_magic_entries_are_not_persisted(self):
+        _, _, _, cache, _ = warm(query="q(Y) :- t(a,Y).")
+        assert cache.stats()["fixpoints"] == 1
+        assert cache.records() == []
+
+    def test_other_store_choice_is_skipped(self):
+        _, plan, _, cache, _ = warm()
+        fresh = FixpointCache(Database())
+        fresh.restore(cache.records(), plan.program, "columnar")
+        assert fresh.stats()["fixpoints"] == 0

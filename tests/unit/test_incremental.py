@@ -4,7 +4,6 @@ import pytest
 
 from repro.api import Session
 from repro.api.program import compile_program
-from repro.api.session import fixpoint_cache_key
 from repro.core.atoms import Atom
 from repro.core.instance import Database
 from repro.core.terms import Constant, Variable
@@ -12,9 +11,7 @@ from repro.datalog.seminaive import seminaive
 from repro.incremental import (
     ChangeSet,
     FixpointMaintainer,
-    MutationLog,
     SupportIndex,
-    compose_changes,
     unmaintainable_reason,
 )
 from repro.lang.parser import parse_program
@@ -70,44 +67,6 @@ class TestChangeSet:
         )
         assert changes and len(changes) == 2
         assert changes.describe() == "ChangeSet(+1, -1)"
-
-
-class TestComposeChanges:
-    def test_insert_then_retract_cancels(self):
-        merged = compose_changes(
-            [((f("e", "a", "b"),), ()), ((), (f("e", "a", "b"),))]
-        )
-        assert merged == ((), ())
-
-    def test_retract_then_insert_cancels(self):
-        merged = compose_changes(
-            [((), (f("e", "a", "b"),)), ((f("e", "a", "b"),), ())]
-        )
-        assert merged == ((), ())
-
-    def test_independent_batches_union(self):
-        merged = compose_changes(
-            [((f("e", "a", "b"),), ()), ((), (f("e", "b", "c"),))]
-        )
-        assert merged == ((f("e", "a", "b"),), (f("e", "b", "c"),))
-
-
-class TestMutationLog:
-    def test_watermark_and_since(self):
-        log = MutationLog()
-        log.record(1, (f("e", "a", "b"),), ())
-        log.record(2, (), (f("e", "a", "b"),))
-        assert log.watermark == 2
-        assert log.since(2, 2) == []
-        pending = log.since(0, 2)
-        assert [r.version for r in pending] == [1, 2]
-
-    def test_since_detects_gaps(self):
-        log = MutationLog(max_entries=1)
-        log.record(1, (f("e", "a", "b"),), ())
-        log.record(2, (f("e", "b", "c"),), ())  # evicts version 1
-        assert log.since(0, 2) is None
-        assert log.since(1, 2) is not None
 
 
 class TestSupportIndex:
@@ -236,7 +195,6 @@ class TestSessionApply:
         )
         assert session.edb_version == version + 1
         assert report.version == session.edb_version
-        assert session.mutations.watermark == session.edb_version
 
     def test_noop_batch_does_not_bump(self):
         session = Session()
@@ -263,9 +221,9 @@ class TestSessionApply:
         assert session.retract_facts([f("e", "b", "c")]) == 1
         assert session.answers("q(X,Y) :- t(X,Y).") == {(a, b)}
 
-    def test_lagging_entry_caught_up_through_log(self):
-        """Direct EDB writes (recorded late by a subsequent apply) are
-        healed: the entry replays the composed missed batches."""
+    def test_consecutive_batches_keep_maintaining(self):
+        """An entry carried across one batch is carried across the
+        next one too (insert then retract), and still serves reads."""
         session = Session()
         session.load(TC_SOURCE)
         session.query("q(X,Y) :- t(X,Y).").to_set()
@@ -278,6 +236,36 @@ class TestSessionApply:
             {(b, c), (c, d), (b, d)}
         )
         assert stream.stats.from_cache
+
+    @pytest.mark.parametrize(
+        "change, expected",
+        [
+            ({"inserts": [f("e", "d", "z")]}, 10),
+            ({"retracts": [f("e", "c", "d")]}, 3),
+        ],
+    )
+    def test_stream_straddling_apply_cannot_poison_cache(
+        self, change, expected
+    ):
+        """A stream opened before an update and drained after it holds
+        a fixpoint of the *old* EDB; it must not be filed under the new
+        one and served to later queries."""
+        session = Session()
+        session.load(TC_SOURCE + "e(c,d).")
+        query = "q(X,Y) :- t(X,Y)."
+        stream = session.query(query, rewrite="none")
+        stream.first(1)
+        session.apply(**change)
+        stream.to_set()  # saturates for the pre-update EDB
+        fresh = session.query(query, rewrite="none")
+        scratch = Session()
+        scratch.compile(session.programs[0].program)
+        scratch.add_facts(session.edb)
+        assert fresh.to_set() == scratch.query(query).to_set()
+        assert fresh.count() == expected
+        again = session.query(query, rewrite="none")
+        assert again.to_set() == fresh.to_set()
+        assert again.stats.from_cache
 
     def test_per_store_and_method_entries_all_maintained(self):
         session = Session()
@@ -311,22 +299,3 @@ class TestSessionApply:
         text = report.describe()
         assert "maintained datalog×instance fixpoint" in text
         assert "DRed" in text and "counting" in text
-
-
-class TestLazyCatchupReporting:
-    def test_lazy_fallback_reason_is_recorded(self):
-        """A lagging cache healed (or dropped) on the read path leaves
-        its report in session.catchup_reports instead of vanishing."""
-        session = Session()
-        session.load(TC_SOURCE)
-        plan = session.plan("q(X,Y) :- t(X,Y).")
-        session.query("q(X,Y) :- t(X,Y).").to_set()
-        session.apply(inserts=[f("e", "c", "d")])
-        # Simulate a direct-EDB mutation recorded late: rewind the
-        # entry's watermark past the retained log window.
-        entry = session._fixpoints[fixpoint_cache_key(plan)]
-        entry.version -= 1
-        session.mutations.entries.clear()
-        assert session.get_fixpoint(plan) is None  # dropped: log gap
-        assert session.catchup_reports
-        assert "mutation log" in session.catchup_reports[-1].fallbacks[0][1]

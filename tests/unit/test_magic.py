@@ -3,7 +3,7 @@
 import pytest
 
 from repro.api import REWRITES, Planner, Session, compile_program
-from repro.api.session import MAGIC_FIXPOINT_LIMIT
+from repro.api.cache import MAGIC_FIXPOINT_LIMIT
 from repro.core.terms import Constant
 from repro.datalog.seminaive import datalog_answers, seminaive
 from repro.lang.parser import parse_program, parse_query
@@ -368,12 +368,8 @@ class TestSessionIntegration:
         session.load(facts + "\nt(X,Y) :- e(X,Y).")
         for i in range(40):
             session.query(f"q(Y) :- t(n{i},Y).").to_set()
-        magic_entries = [
-            entry
-            for entry in session._fixpoints.values()
-            if entry.rewrite == "magic"
-        ]
-        assert len(magic_entries) == MAGIC_FIXPOINT_LIMIT
+        # Every cached fixpoint here is a demand-specific (magic) one.
+        assert session.cache.stats()["fixpoints"] == MAGIC_FIXPOINT_LIMIT
         # The most recent point query is still served from cache.
         stream = session.query("q(Y) :- t(n39,Y).")
         stream.to_set()

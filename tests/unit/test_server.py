@@ -210,7 +210,8 @@ class TestReasoningService:
         service = ReasoningService(PROGRAM)
         warm = service.query(FULL_QUERY)  # populates v0's cache
         update = service.apply("+edge(d, e).")
-        assert update.migrated == 1 and not update.fallbacks
+        assert update.maintained == update.migrated == 1
+        assert not update.fallbacks
         after = service.query(FULL_QUERY)
         # Served from the migrated materialization: no engine rerun.
         assert after.stats["from_cache"]
