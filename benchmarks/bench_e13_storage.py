@@ -92,7 +92,8 @@ def test_e13_storage_backends(benchmark, report):
         notes=(
             "resident = memory_report().total_bytes of the final store; "
             "columnar interns terms into id-tuples with lazy indexes, "
-            "delta layers a writable overlay over a columnar base.",
+            "sharded hash-partitions them into budgeted, spillable "
+            "shards.",
         ),
     )
 

@@ -1,20 +1,28 @@
 """Compiled columnar batch kernels vs the per-tuple interpreter.
 
-The headline claims of ``repro.kernels``, measured end-to-end through
-the session layer:
+Nobody chooses how a rule runs: the datalog engine compiles kernels on
+a kernel-capable store (columnar, sharded) and interprets on the rest
+(instance).  So the comparison is between *stores*, measured
+end-to-end through the session layer:
 
-* **Speedup** — the E2-style transitive-closure saturation runs at
-  least ``SPEEDUP_FLOOR``× faster under ``exec_mode="kernel"`` than
-  under ``exec_mode="interpret"`` on the same columnar store (the
-  design target is ≥10× at scale; the asserted floor is conservative
-  so CI noise cannot flake the job).
+* **Speedup** — the E2-style transitive-closure saturation on the
+  ``columnar`` store (kernels) runs at least ``SPEEDUP_FLOOR``× faster
+  than the same saturation on the ``instance`` store (interpreter):
+  the two cells compared are ``columnar`` and ``instance`` of
+  ``saturation_cells``, recorded as ``speedup_vs_instance_interpret``.
+  The design target is ≥10× at scale; at this smoke scale the measured
+  ratio is ~3×, so the asserted floor is 2× — low enough that CI noise
+  cannot flake the job.
 * **Exactness** — kernel cells answer digest-equal to the interpreter
   on every surface that dispatches them: plain saturation (columnar
-  and sharded), a magic-rewritten bound query, a post-``Session.apply``
-  re-query (the IVM path), and a suite-matrix subset across stores.
+  and sharded vs instance), a magic-rewritten bound query, a
+  post-``Session.apply`` re-query (the IVM path), and the datalog
+  cells of a suite-matrix subset across all three stores (the matrix's
+  own cross-store agreement check).
 * **Observability** — kernel cells report ``exec_mode="kernel"`` and a
   positive ``kernel_batches`` through ``StreamStats`` and the
-  benchsuite ``CellResult``.
+  benchsuite ``CellResult``; interpreter cells report ``"interpret"``
+  and zero batches.
 
 Raw rows land in ``benchmarks/results/BENCH_kernels.json`` — written
 *before* the assertions, so a failing run still uploads its evidence.
@@ -27,7 +35,8 @@ import time
 
 from repro.api import Session
 from repro.benchsuite.harness import run_matrix
-from repro.benchsuite.report import answer_digest, check_agreement
+from repro.benchsuite.report import answer_digest
+from repro.storage import BACKENDS
 
 from conftest import write_json_result
 
@@ -37,9 +46,9 @@ VERTICES = 192
 CHORDS = 48
 SEED = 2019
 
-#: Asserted wall-clock floor for kernel vs interpreter on the columnar
-#: store (the design target is 10×).
-SPEEDUP_FLOOR = 3.0
+#: Asserted wall-clock floor for kernels on ``columnar`` vs the
+#: interpreter on ``instance`` (the design target is 10×).
+SPEEDUP_FLOOR = 2.0
 
 RULES = """
 path(X, Y) :- edge(X, Y).
@@ -60,18 +69,17 @@ def _program_text() -> str:
     return facts + "\n" + RULES
 
 
-def _saturate(program_text: str, store: str, exec_mode: str,
-              query: str = QUERY, rewrite: str = "auto"):
-    """One cold session, one drained stream: (cell dict, answers)."""
+def _saturate(program_text: str, store: str, query: str = QUERY,
+              rewrite: str = "auto"):
+    """One cold session, one drained stream: the cell dict."""
     session = Session(store=store)
     session.load(program_text)
     start = time.perf_counter()
-    stream = session.query(query, exec_mode=exec_mode, rewrite=rewrite)
+    stream = session.query(query, rewrite=rewrite)
     answers = stream.to_set()
     seconds = time.perf_counter() - start
-    cell = {
+    return {
         "store": store,
-        "exec_mode_requested": exec_mode,
         "exec_mode": stream.stats.exec_mode,
         "rewrite": stream.stats.rewrite,
         "kernel_batches": stream.stats.kernel_batches,
@@ -81,27 +89,25 @@ def _saturate(program_text: str, store: str, exec_mode: str,
         "answers": len(answers),
         "digest": answer_digest(answers),
     }
-    return cell, answers
 
 
-def _post_apply_digest(program_text: str, store: str, exec_mode: str):
+def _post_apply_digest(program_text: str, store: str):
     """Query → apply a change batch → re-query; the IVM-path digest."""
     from repro.lang.parser import parse_program
 
     session = Session(store=store)
     session.load(program_text)
-    session.query(QUERY, exec_mode=exec_mode).to_set()
+    session.query(QUERY).to_set()
     # Two fresh edges that lengthen existing chains through a new
     # vertex — the warmed fixpoint is upgraded, not recomputed.
     _, delta = parse_program(
         f"edge(w0, v0). edge(v{VERTICES // 2}, w0)."
     )
     report = session.apply(inserts=delta)
-    stream = session.query(QUERY, exec_mode=exec_mode)
+    stream = session.query(QUERY)
     answers = stream.to_set()
     return {
         "store": store,
-        "exec_mode_requested": exec_mode,
         "maintained": len(report.maintained),
         "answers": len(answers),
         "digest": answer_digest(answers),
@@ -111,47 +117,32 @@ def _post_apply_digest(program_text: str, store: str, exec_mode: str):
 def test_kernel_compile_speedup_and_parity(report):
     program_text = _program_text()
 
-    # -- the tentpole measurement: TC saturation, kernel vs interpret --
-    col_kernel, _ = _saturate(program_text, "columnar", "kernel")
-    col_interp, _ = _saturate(program_text, "columnar", "interpret")
-    sh_kernel, _ = _saturate(program_text, "sharded", "kernel")
-    inst_interp, _ = _saturate(program_text, "instance", "interpret")
-    speedup = col_interp["seconds"] / max(col_kernel["seconds"], 1e-9)
-    speedup_vs_instance = (
-        inst_interp["seconds"] / max(col_kernel["seconds"], 1e-9)
-    )
+    # -- the headline measurement: TC saturation per store ------------
+    col_kernel = _saturate(program_text, "columnar")
+    sh_kernel = _saturate(program_text, "sharded")
+    inst_interp = _saturate(program_text, "instance")
+    saturation = (col_kernel, sh_kernel, inst_interp)
+    speedup = inst_interp["seconds"] / max(col_kernel["seconds"], 1e-9)
 
     # -- magic-rewritten cell: demand program through the kernels ------
-    magic_kernel, _ = _saturate(
-        program_text, "columnar", "kernel", query=BOUND_QUERY,
-        rewrite="magic",
+    magic_kernel = _saturate(
+        program_text, "columnar", query=BOUND_QUERY, rewrite="magic"
     )
-    magic_interp, _ = _saturate(
-        program_text, "columnar", "interpret", query=BOUND_QUERY,
-        rewrite="magic",
+    magic_interp = _saturate(
+        program_text, "instance", query=BOUND_QUERY, rewrite="magic"
     )
 
     # -- post-Session.apply cell: the IVM path ------------------------
-    ivm_kernel = _post_apply_digest(program_text, "columnar", "kernel")
-    ivm_interp = _post_apply_digest(program_text, "instance", "interpret")
+    ivm_kernel = _post_apply_digest(program_text, "columnar")
+    ivm_interp = _post_apply_digest(program_text, "instance")
 
-    # -- suite-matrix subset: datalog cells across both exec modes ----
-    matrix_kernel = run_matrix(
+    # -- suite-matrix subset: datalog cells on all three stores -------
+    matrix = run_matrix(
         engines=("datalog",),
-        stores=("columnar", "sharded"),
+        stores=BACKENDS,
         scale="smoke",
         suites=("industrial",),
-        exec_mode="kernel",
     )
-    matrix_interp = run_matrix(
-        engines=("datalog",),
-        stores=("columnar", "sharded"),
-        scale="smoke",
-        suites=("industrial",),
-        exec_mode="interpret",
-    )
-    matrix_cells = matrix_kernel.cells + matrix_interp.cells
-    disagreements = check_agreement(matrix_cells)
 
     report(
         f"Columnar kernel compilation ({VERTICES} vertices + "
@@ -159,19 +150,18 @@ def test_kernel_compile_speedup_and_parity(report):
         ("configuration", "seconds", "rounds", "batches", "answers"),
         [
             (
-                f"{cell['store']} × {cell['exec_mode_requested']}",
+                f"{cell['store']} × {cell['exec_mode']}",
                 f"{cell['seconds']:.3f}",
                 str(cell["rounds"]),
                 str(cell["kernel_batches"]),
                 str(cell["answers"]),
             )
-            for cell in (col_kernel, col_interp, sh_kernel, inst_interp)
+            for cell in saturation
         ],
         notes=(
-            f"kernel speedup {speedup:.1f}x vs columnar-interpret, "
-            f"{speedup_vs_instance:.1f}x vs instance-interpret "
-            f"(asserted floor {SPEEDUP_FLOOR:.0f}x); magic cell "
-            f"{magic_kernel['seconds']:.3f}s kernel vs "
+            f"columnar kernels {speedup:.1f}x vs the instance "
+            f"interpreter (asserted floor {SPEEDUP_FLOOR:.0f}x); magic "
+            f"cell {magic_kernel['seconds']:.3f}s kernel vs "
             f"{magic_interp['seconds']:.3f}s interpret",
         ),
     )
@@ -181,64 +171,56 @@ def test_kernel_compile_speedup_and_parity(report):
     write_json_result(
         "BENCH_kernels.json",
         {
-            "schema": "repro/bench-kernels/v1",
+            "schema": "repro/bench-kernels/v2",
             "scale": {
                 "vertices": VERTICES,
                 "chords": CHORDS,
                 "seed": SEED,
             },
             "speedup_floor": SPEEDUP_FLOOR,
-            "speedup_vs_columnar_interpret": speedup,
-            "speedup_vs_instance_interpret": speedup_vs_instance,
-            "saturation_cells": [
-                col_kernel, col_interp, sh_kernel, inst_interp
-            ],
+            "speedup_vs_instance_interpret": speedup,
+            "saturation_cells": list(saturation),
             "magic_cells": [magic_kernel, magic_interp],
             "ivm_cells": [ivm_kernel, ivm_interp],
             "matrix": {
-                "kernel_cells": [
-                    c.as_dict() for c in matrix_kernel.cells
-                ],
-                "interpret_cells": [
-                    c.as_dict() for c in matrix_interp.cells
-                ],
-                "disagreements": disagreements,
+                "cells": [c.as_dict() for c in matrix.cells],
+                "disagreements": matrix.disagreements,
             },
         },
     )
 
     # -- exactness ----------------------------------------------------
-    digests = {
-        cell["digest"]
-        for cell in (col_kernel, col_interp, sh_kernel, inst_interp)
-    }
-    assert len(digests) == 1, (
-        "kernel and interpreter disagree on the closure: "
-        f"{[c['digest'] for c in (col_kernel, col_interp, sh_kernel, inst_interp)]}"
+    assert len({cell["digest"] for cell in saturation}) == 1, (
+        "kernels and the interpreter disagree on the closure: "
+        f"{[(c['store'], c['digest']) for c in saturation]}"
     )
+    assert len({cell["rounds"] for cell in saturation}) == 1
+    assert len({cell["derived"] for cell in saturation}) == 1
     assert magic_kernel["digest"] == magic_interp["digest"]
-    assert magic_kernel["rewrite"] == "magic"
+    assert magic_kernel["rewrite"] == magic_interp["rewrite"] == "magic"
     assert ivm_kernel["digest"] == ivm_interp["digest"]
-    assert disagreements == [], disagreements
+    assert matrix.disagreements == [], matrix.disagreements
 
-    # -- dispatch actually happened -----------------------------------
-    assert col_kernel["exec_mode"] == "kernel"
-    assert col_kernel["kernel_batches"] > 0
-    assert sh_kernel["exec_mode"] == "kernel"
-    assert magic_kernel["exec_mode"] == "kernel"
-    assert magic_kernel["kernel_batches"] > 0
-    assert col_interp["exec_mode"] == "interpret"
-    assert col_interp["kernel_batches"] == 0
-    kernel_ok = [
-        c for c in matrix_kernel.cells if c.status == "ok"
-    ]
-    assert kernel_ok, "matrix subset produced no successful cells"
-    assert all(c.exec_mode == "kernel" for c in kernel_ok)
-    assert all(c.kernel_batches > 0 for c in kernel_ok)
+    # -- the store decided how the rounds ran --------------------------
+    for cell in (col_kernel, sh_kernel, magic_kernel):
+        assert cell["exec_mode"] == "kernel"
+        assert cell["kernel_batches"] > 0
+    for cell in (inst_interp, magic_interp):
+        assert cell["exec_mode"] == "interpret"
+        assert cell["kernel_batches"] == 0
+    matrix_ok = [c for c in matrix.cells if c.status == "ok"]
+    assert {c.store for c in matrix_ok} == set(BACKENDS), (
+        "matrix subset is missing a store's successful cells"
+    )
+    for cell in matrix_ok:
+        kernel = cell.store != "instance"
+        assert cell.exec_mode == ("kernel" if kernel else "interpret")
+        assert (cell.kernel_batches > 0) == kernel
 
     # -- the performance floor ----------------------------------------
     assert speedup >= SPEEDUP_FLOOR, (
-        f"kernel exec is only {speedup:.2f}x the columnar interpreter "
-        f"(floor {SPEEDUP_FLOOR}x): kernel {col_kernel['seconds']:.3f}s "
-        f"vs interpret {col_interp['seconds']:.3f}s"
+        f"columnar kernels are only {speedup:.2f}x the instance "
+        f"interpreter (floor {SPEEDUP_FLOOR}x): kernel "
+        f"{col_kernel['seconds']:.3f}s vs interpret "
+        f"{inst_interp['seconds']:.3f}s"
     )

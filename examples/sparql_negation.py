@@ -19,10 +19,9 @@ Run:  python examples/sparql_negation.py
 
 from repro.datalog.negation import (
     negation_stratification,
-    parse_stratified_program,
     stratified_answers,
 )
-from repro.lang.parser import parse_query
+from repro.lang.parser import parse_program, parse_query
 
 ONTOLOGY = """
     % class declarations
@@ -55,13 +54,13 @@ ONTOLOGY = """
 
 
 def main() -> None:
-    program, database = parse_stratified_program(ONTOLOGY)
+    program, database = parse_program(ONTOLOGY)
     strata = negation_stratification(program)
     print(f"{len(program)} rules stratify into {len(strata)} strata:")
     for index, layer in enumerate(strata):
-        heads = sorted({rule.head.predicate for rule in layer})
+        heads = sorted({rule.head[0].predicate for rule in layer})
         negated = sorted(
-            {atom.predicate for rule in layer for atom in rule.negative}
+            {atom.predicate for rule in layer for atom in rule.negated}
         )
         suffix = f" (negates: {', '.join(negated)})" if negated else ""
         print(f"  stratum {index}: {', '.join(heads)}{suffix}")

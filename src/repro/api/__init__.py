@@ -37,7 +37,7 @@ remain as thin wrappers over this layer.
 
 from ..lint import LintError
 from .execution import execute_plan
-from .planner import ENGINES, EXEC_MODES, REWRITES, Planner, QueryPlan
+from .planner import ENGINES, REWRITES, Planner, QueryPlan
 from .program import CompiledProgram, ProgramAnalysis, compile_program
 from .session import Session
 from .stream import AnswerStream, StreamStats
@@ -51,7 +51,6 @@ __all__ = [
     "Planner",
     "QueryPlan",
     "ENGINES",
-    "EXEC_MODES",
     "REWRITES",
     "AnswerStream",
     "StreamStats",

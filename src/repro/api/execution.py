@@ -147,7 +147,6 @@ def execute_plan(
                 store=plan.store,
                 on_fixpoint=on_fixpoint,
                 stats=stats,
-                exec_mode=plan.exec_mode,
             )
             stats.saturated = True
 

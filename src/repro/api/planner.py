@@ -14,12 +14,11 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Optional, Tuple
 
 from ..core.query import ConjunctiveQuery
-from ..datalog.seminaive import EXEC_MODES, resolve_exec
 from ..rewriting.magic import MagicRewriting, magic_rewrite, query_constants
-from ..storage import BACKENDS, FactStore
+from ..storage import BACKENDS, FactStore, kernel_capable
 from .program import CompiledProgram, compile_program
 
-__all__ = ["Planner", "QueryPlan", "ENGINES", "REWRITES", "EXEC_MODES"]
+__all__ = ["Planner", "QueryPlan", "ENGINES", "REWRITES"]
 
 #: Engine names a plan can resolve to (``"auto"`` is accepted as input).
 ENGINES = ("datalog", "pwl", "ward", "chase", "network")
@@ -116,13 +115,6 @@ class QueryPlan:
     rewrite: str = "none"
     rewrite_note: str = "none (plan not built by Planner.plan)"
     rewriting: Optional[MagicRewriting] = field(compare=False, default=None)
-    #: The resolved exec dimension (:data:`EXEC_MODES` minus ``"auto"``):
-    #: ``"kernel"`` runs the datalog engine's rounds as compiled batch
-    #: kernels over interned id arrays, ``"interpret"`` keeps the
-    #: per-tuple substitution interpreter; ``exec_note`` carries the
-    #: stable why/why-not shown by :meth:`explain`.
-    exec_mode: str = "interpret"
-    exec_note: str = "interpret (plan not built by Planner.plan)"
     #: Whether a saturated materialization of this plan can be upgraded
     #: in place under EDB change sets (see :mod:`repro.incremental`);
     #: ``maintenance`` carries the human-readable why/why-not.  The
@@ -135,6 +127,35 @@ class QueryPlan:
     @property
     def engine_label(self) -> str:
         return _ENGINE_LABELS[self.method]
+
+    @property
+    def exec_mode(self) -> str:
+        """How the rounds will run — derived, never chosen:
+        ``"kernel"`` (compiled batch kernels over interned id rows)
+        exactly when the datalog engine runs on a
+        :func:`~repro.storage.kernel_capable` store, else
+        ``"interpret"`` (the per-tuple substitution interpreter)."""
+        if self.method == "datalog" and kernel_capable(self.store):
+            return "kernel"
+        return "interpret"
+
+    @property
+    def exec_note(self) -> str:
+        """The stable why of :attr:`exec_mode` shown by :meth:`explain`."""
+        if self.method != "datalog":
+            return (
+                f"interpret (engine {self.method!r} has no compiled "
+                "kernel path)"
+            )
+        if self.exec_mode == "kernel":
+            return (
+                f"kernel (store '{self.store_name}' exposes interned "
+                "id arrays)"
+            )
+        return (
+            f"interpret (store '{self.store_name}' has no interned "
+            "id-array surface)"
+        )
 
     def explain(self) -> str:
         """A stable, human-readable rendering of the plan."""
@@ -209,7 +230,6 @@ class Planner:
         method: str = "auto",
         store="instance",
         rewrite: str = "auto",
-        exec_mode: str = "auto",
         magic_provider: Optional[Callable] = None,
         **engine_kwargs,
     ) -> QueryPlan:
@@ -221,13 +241,7 @@ class Planner:
         exactly when the program is full, the plan resolved to the
         datalog engine, and the query binds at least one argument;
         ``"magic"`` forces it (an error outside that fragment);
-        ``"none"`` disables it.  ``exec_mode`` selects the exec
-        dimension (:data:`EXEC_MODES`): ``"auto"`` compiles the
-        datalog engine's rounds to columnar batch kernels exactly when
-        the store declares :attr:`~repro.storage.base.FactStore.kernel_capable`;
-        ``"kernel"`` forces it (an error off the datalog engine or on
-        an incapable store); ``"interpret"`` keeps the per-tuple
-        interpreter.  ``magic_provider``, if given, builds
+        ``"none"`` disables it.  ``magic_provider``, if given, builds
         the :class:`~repro.rewriting.magic.MagicRewriting` — the
         session passes its per-(program, binding-pattern) cache here.
         Remaining keyword arguments are forwarded to the chosen engine
@@ -249,35 +263,7 @@ class Planner:
                 f"unknown rewrite {rewrite!r}; choose one of "
                 f"{', '.join(REWRITES)}"
             )
-        if exec_mode not in EXEC_MODES:
-            raise ValueError(
-                f"unknown exec_mode {exec_mode!r}; choose one of "
-                f"{', '.join(EXEC_MODES)}"
-            )
         store_name = _store_label(store)
-        if resolved != "datalog":
-            if exec_mode == "kernel":
-                raise ValueError(
-                    "compiled kernels run on the datalog engine's "
-                    f"semi-naive rounds; this plan resolved to {resolved!r}"
-                )
-            exec_resolved = "interpret"
-            exec_note = (
-                f"interpret (engine {resolved!r} has no compiled "
-                "kernel path)"
-            )
-        elif exec_mode == "interpret":
-            exec_resolved = "interpret"
-            exec_note = "interpret (forced by the caller)"
-        else:
-            # Raises for a forced kernel on an incapable store.
-            exec_resolved = resolve_exec(exec_mode, store, store_name)
-            exec_note = (
-                f"kernel (store '{store_name}' exposes interned id arrays)"
-                if exec_resolved == "kernel"
-                else f"interpret (store '{store_name}' has no interned "
-                "id-array surface)"
-            )
         rewriting = None
         bound = len(query_constants(query))
         if rewrite == "none":
@@ -374,8 +360,6 @@ class Planner:
             rewrite="magic" if rewriting is not None else "none",
             rewrite_note=rewrite_note,
             rewriting=rewriting,
-            exec_mode=exec_resolved,
-            exec_note=exec_note,
             maintainable=maintainable,
             maintenance=maintenance,
         )

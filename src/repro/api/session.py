@@ -248,7 +248,6 @@ class Session:
         program: ProgramLike = None,
         method: str = "auto",
         rewrite: str = "auto",
-        exec_mode: str = "auto",
         **engine_kwargs,
     ) -> QueryPlan:
         """Plan a query without running it (see :meth:`QueryPlan.explain`).
@@ -256,12 +255,7 @@ class Session:
         ``rewrite`` selects the demand dimension
         (:data:`repro.api.planner.REWRITES`); adorned demand programs
         are cached per (program, binding pattern), so repeated point
-        queries pay the rewriting once.  ``exec_mode`` selects the exec
-        dimension (:data:`repro.api.planner.EXEC_MODES`): compiled
-        batch kernels versus the per-tuple interpreter on the datalog
-        engine.  It changes *how* the fixpoint is computed, never the
-        fixpoint itself, so cached materializations are shared across
-        exec modes.
+        queries pay the rewriting once.
         """
         if isinstance(query, str):
             query = parse_query(query)
@@ -281,7 +275,6 @@ class Session:
             method=method,
             store=self.store,
             rewrite=rewrite,
-            exec_mode=exec_mode,
             magic_provider=self._magic_for,
             **engine_kwargs,
         )
@@ -318,7 +311,6 @@ class Session:
         program: ProgramLike = None,
         method: str = "auto",
         rewrite: str = "auto",
-        exec_mode: str = "auto",
         **engine_kwargs,
     ) -> AnswerStream:
         """Answer a query against the session EDB, lazily.
@@ -326,15 +318,13 @@ class Session:
         Returns an :class:`AnswerStream`; the engine starts on the
         first pull, and its materialized set equals the legacy eager
         ``certain_answers`` for the same arguments (the magic rewriting
-        only restricts *how much* is derived — and the exec dimension
-        only *how* it is derived — never the answers).
+        only restricts *how much* is derived, never the answers).
         """
         plan = self.plan(
             query,
             program=program,
             method=method,
             rewrite=rewrite,
-            exec_mode=exec_mode,
             **engine_kwargs,
         )
         return execute_plan(plan, self.edb, cache=self.cache)

@@ -37,7 +37,8 @@ class StreamStats:
     demand dimension (``"magic"`` or ``"none"``) and ``derived`` the
     facts the datalog engine staged beyond the seeded database — the
     pair the demand benchmark compares across plans.  ``exec_mode`` is
-    the exec dimension the datalog engine actually ran
+    how the datalog engine actually ran — compiled kernels on a
+    kernel-capable store, the interpreter otherwise
     (``"kernel"``/``"interpret"``; empty for other engines and cache
     hits) and ``kernel_batches`` the number of batch operations the
     compiled kernels executed (0 under the interpreter).  ``wall_ms`` is

@@ -240,7 +240,6 @@ def run_cell(
     scale: str = "smoke",
     budget: Optional[dict] = None,
     compiled=None,
-    exec_mode: str = "auto",
 ) -> CellResult:
     """Execute one matrix cell through a fresh :class:`Session`.
 
@@ -281,10 +280,7 @@ def run_cell(
         if steps is not None:
             kwargs[steps_key] = steps
 
-    stream = session.query(
-        query, program=compiled, method=engine, exec_mode=exec_mode,
-        **kwargs,
-    )
+    stream = session.query(query, program=compiled, method=engine, **kwargs)
     start = perf_counter()
     try:
         answers = stream.to_set()
@@ -323,7 +319,6 @@ def run_matrix(
     suites: Sequence[str] = SUITES,
     queries_per_scenario: int = 1,
     progress=None,
-    exec_mode: str = "auto",
 ) -> SuiteReport:
     """Run the full scenario × engine × store matrix.
 
@@ -333,8 +328,8 @@ def run_matrix(
     cells, so the emitted matrix is rectangular and the JSON says *why*
     a number is absent.  *progress*, if given, is called with each
     finished :class:`CellResult` (the CLI prints rows as they land).
-    ``exec_mode`` is forwarded to every datalog cell (each cell's
-    ``exec_mode`` field records what actually ran).
+    Each datalog cell's ``exec_mode`` field records how its store made
+    the rounds run.
     """
     for engine in engines:
         if engine not in ENGINES:
@@ -396,12 +391,6 @@ def run_matrix(
                         cell = run_cell(
                             scenario, query, engine, store,
                             scale=scale, budget=budget, compiled=compiled,
-                            # A forced exec mode binds the datalog
-                            # engine only; the others have no kernel
-                            # path and would refuse the plan.
-                            exec_mode=(
-                                exec_mode if engine == "datalog" else "auto"
-                            ),
                         )
                         if engine in ("pwl", "ward") and cell.status == "ok":
                             # Only successful runs are shared: a failed

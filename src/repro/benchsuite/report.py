@@ -77,7 +77,7 @@ class CellResult:
     rounds: int = 0
     events: int = 0
     decided_tuples: int = 0
-    #: The exec dimension the datalog engine actually ran
+    #: How the datalog engine's rounds actually ran on this store
     #: (``"kernel"``/``"interpret"``; empty off the datalog engine) and
     #: how many batch operations the compiled kernels executed.
     exec_mode: str = ""

@@ -68,7 +68,7 @@ from .analysis import (
     node_width_bound_pwl,
     node_width_bound_ward,
 )
-from .api import ENGINES, EXEC_MODES, REWRITES, Session
+from .api import ENGINES, REWRITES, Session
 from .chase import chase
 from .lang.parser import parse_program, parse_query
 from .lint import registered_codes
@@ -202,6 +202,29 @@ def build_parser() -> argparse.ArgumentParser:
              "private temporary directory)",
     )
 
+    def plan_options(rewrite_default: str = "auto"):
+        """Shared by every subcommand that plans queries: the engine
+        and the demand rewriting.  A parent per use, not one shared
+        object — argparse parents share their actions, and ``update``
+        needs its own ``--rewrite`` default."""
+        options = argparse.ArgumentParser(add_help=False)
+        options.add_argument(
+            "--method",
+            default="auto",
+            choices=("auto",) + ENGINES,
+            help="engine selection (default: dispatch on the program "
+                 "class)",
+        )
+        options.add_argument(
+            "--rewrite",
+            default=rewrite_default,
+            choices=REWRITES,
+            help="demand (magic-set) rewriting of bound queries on full "
+                 "programs; auto applies it exactly when it pays "
+                 "(default: %(default)s)",
+        )
+        return options
+
     classify = commands.add_parser(
         "classify",
         parents=[store_options],
@@ -266,33 +289,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     answer = commands.add_parser(
         "answer",
-        parents=[store_options],
+        parents=[store_options, plan_options()],
         help="compute certain answers of a query",
     )
     answer.add_argument("file", type=Path, help="program + facts file")
     answer.add_argument(
         "--query", required=True, help='e.g. "q(X,Y) :- t(X,Y)."'
-    )
-    answer.add_argument(
-        "--method",
-        default="auto",
-        choices=("auto",) + ENGINES,
-        help="engine selection (default: dispatch on the program class)",
-    )
-    answer.add_argument(
-        "--rewrite",
-        default="auto",
-        choices=REWRITES,
-        help="demand (magic-set) rewriting of bound queries on full "
-             "programs (default: auto — applied exactly when it pays)",
-    )
-    answer.add_argument(
-        "--exec", dest="exec_mode",
-        default="auto",
-        choices=EXEC_MODES,
-        help="datalog exec dimension: compiled columnar batch kernels "
-             "vs the per-tuple interpreter (default: auto — kernels "
-             "exactly when the store exposes interned id arrays)",
     )
     answer.add_argument(
         "--explain", action="store_true",
@@ -301,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     query = commands.add_parser(
         "query",
-        parents=[store_options],
+        parents=[store_options, plan_options()],
         help="load a program once, then answer many queries against it",
     )
     query.add_argument("file", type=Path, help="program + facts file")
@@ -309,27 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--query", action="append", default=[], metavar="CQ",
         help="a query to answer (repeatable; without any, read queries "
              "interactively from stdin)",
-    )
-    query.add_argument(
-        "--method",
-        default="auto",
-        choices=("auto",) + ENGINES,
-        help="engine selection (default: dispatch on the program class)",
-    )
-    query.add_argument(
-        "--rewrite",
-        default="auto",
-        choices=REWRITES,
-        help="demand (magic-set) rewriting of bound queries on full "
-             "programs (default: auto — applied exactly when it pays)",
-    )
-    query.add_argument(
-        "--exec", dest="exec_mode",
-        default="auto",
-        choices=EXEC_MODES,
-        help="datalog exec dimension: compiled columnar batch kernels "
-             "vs the per-tuple interpreter (default: auto — kernels "
-             "exactly when the store exposes interned id arrays)",
     )
     query.add_argument(
         "--explain", action="store_true",
@@ -407,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     update = commands.add_parser(
         "update",
-        parents=[store_options],
+        parents=[store_options, plan_options(rewrite_default="none")],
         help="apply EDB fact deltas (+atom / -atom lines) through the "
              "incremental-maintenance layer and print what it did",
     )
@@ -422,29 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--query", action="append", default=[], metavar="CQ",
         help="query to answer before and after the deltas (repeatable); "
              "warms the fixpoint cache so maintenance has something to "
-             "upgrade",
-    )
-    update.add_argument(
-        "--method",
-        default="auto",
-        choices=("auto",) + ENGINES,
-        help="engine selection for --query (default: auto)",
-    )
-    update.add_argument(
-        "--rewrite",
-        default="none",
-        choices=REWRITES,
-        help="demand rewriting for the --query runs (default: none — "
-             "a magic fixpoint is demand-specific and cannot be "
-             "maintained, which would defeat this subcommand's "
-             "upgrade-in-place purpose)",
-    )
-    update.add_argument(
-        "--exec", dest="exec_mode",
-        default="auto",
-        choices=EXEC_MODES,
-        help="datalog exec dimension for the --query runs "
-             "(default: auto)",
+             "upgrade (hence --rewrite defaults to none here: a magic "
+             "fixpoint is demand-specific and would be dropped instead)",
     )
 
     rewrite = commands.add_parser(
@@ -510,17 +470,12 @@ def build_parser() -> argparse.ArgumentParser:
     client_ops = client.add_subparsers(dest="client_command", required=True)
 
     client_query = client_ops.add_parser(
-        "query", help="answer one or more queries against the server"
+        "query",
+        parents=[plan_options()],
+        help="answer one or more queries against the server",
     )
     client_query.add_argument(
         "query", nargs="+", help='CQ text, e.g. "q(X,Y) :- t(X,Y)."'
-    )
-    client_query.add_argument(
-        "--method", default="auto", choices=("auto",) + ENGINES
-    )
-    client_query.add_argument("--rewrite", default="auto", choices=REWRITES)
-    client_query.add_argument(
-        "--exec", dest="exec_mode", default="auto", choices=EXEC_MODES
     )
     client_query.add_argument(
         "--first", type=_positive_int, default=None, metavar="N",
@@ -616,7 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace_replay = trace_ops.add_parser(
         "replay",
-        parents=[store_options],
+        parents=[store_options, plan_options()],
         help="replay a trace file and report latency percentiles, "
              "throughput, and answer-verification results",
     )
@@ -650,18 +605,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace_replay.add_argument(
         "--no-verify", action="store_true",
         help="skip ground-truth answer verification (pure load run)",
-    )
-    trace_replay.add_argument(
-        "--method", default="auto", choices=("auto",) + ENGINES,
-        help="engine selection for replayed queries (default: auto)",
-    )
-    trace_replay.add_argument(
-        "--rewrite", default="auto", choices=REWRITES,
-        help="demand rewriting for replayed queries (default: auto)",
-    )
-    trace_replay.add_argument(
-        "--exec", dest="exec_mode", default="auto", choices=EXEC_MODES,
-        help="datalog exec dimension for replayed queries (default: auto)",
     )
     trace_replay.add_argument(
         "--json", action="store_true",
@@ -784,8 +727,7 @@ def _answer_one(session, query_text, args, out) -> None:
     stream = session.query(
         query_text,
         method=args.method,
-        rewrite=getattr(args, "rewrite", "auto"),
-        exec_mode=getattr(args, "exec_mode", "auto"),
+        rewrite=args.rewrite,
     )
     if getattr(args, "explain", False):
         print(stream.explain(), file=out)
@@ -810,8 +752,7 @@ def _answer_one(session, query_text, args, out) -> None:
 def _cmd_answer(args, out) -> int:
     session = _load_session(args)
     stream = session.query(
-        args.query, method=args.method, rewrite=args.rewrite,
-        exec_mode=args.exec_mode,
+        args.query, method=args.method, rewrite=args.rewrite
     )
     if args.explain:
         print(stream.explain(), file=out)
@@ -930,8 +871,7 @@ def _cmd_update(args, out, stdin) -> int:
         # hence --rewrite defaults to "none" here: a demand-specific
         # magic fixpoint would be dropped by apply(), not upgraded.
         session.query(
-            query_text, method=args.method, rewrite=args.rewrite,
-            exec_mode=args.exec_mode,
+            query_text, method=args.method, rewrite=args.rewrite
         ).to_set()
     if args.changes == "-":
         stdin = stdin if stdin is not None else sys.stdin
@@ -1121,7 +1061,6 @@ def _cmd_client(args, out, stdin) -> int:
                     query_text,
                     method=args.method,
                     rewrite=args.rewrite,
-                    exec_mode=args.exec_mode,
                     first=args.first,
                 )
                 for row in result.answers:
@@ -1237,9 +1176,7 @@ def _cmd_trace(args, out) -> int:
         replay_trace,
     )
 
-    engine_opts = dict(
-        method=args.method, rewrite=args.rewrite, exec_mode=args.exec_mode
-    )
+    engine_opts = dict(method=args.method, rewrite=args.rewrite)
     if args.target == "server":
         try:
             target = ClientTarget(args.host, args.port, **engine_opts)

@@ -2,11 +2,7 @@
 stratified negation (the paper's "mild negation")."""
 
 from .negation import (
-    NotStratifiableError,
-    Rule,
-    StratifiedProgram,
     negation_stratification,
-    parse_stratified_program,
     stratified_answers,
     stratified_fixpoint,
 )
@@ -36,10 +32,6 @@ __all__ = [
     "Strata",
     "stratified_seminaive",
     "StratifiedResult",
-    "Rule",
-    "StratifiedProgram",
-    "NotStratifiableError",
-    "parse_stratified_program",
     "negation_stratification",
     "stratified_fixpoint",
     "stratified_answers",

@@ -7,245 +7,65 @@ direct-semantics entailment regime.  The mild negation in question is
 predicate's value is fully settled before the rule's stratum runs —
 negation never wraps around a recursive cycle.
 
-The layer is deliberately self-contained (its own :class:`Rule` with
-positive and negative body literals, its own parser on top of the
-shared atom syntax) so the existential core of the package stays the
-paper's pure TGD formalism:
+This module is only the evaluator.  Programs come from the one parser
+(:func:`repro.lang.parser.parse_program` puts ``not p(X, Y)`` literals
+on :attr:`~repro.core.tgd.TGD.negated`), and what makes them evaluable
+is what the linter already checks: safety (E101 — every variable of a
+negated literal, and of the head of a rule with negation, occurs in a
+positive body atom) and stratifiability (E103 — no negated literal
+inside its own strongly connected component of the dependency graph,
+:attr:`~repro.lint.context.LintContext.dependency_sccs`).
 
-* :func:`parse_stratified_program` — the surface syntax extends the
-  rule bodies with ``not p(X, Y)`` literals;
-* :func:`negation_stratification` — predicate dependency graph with
-  positive/negative edges; a program is stratifiable iff no negative
-  edge lies inside a strongly connected component;
-* :func:`stratified_fixpoint` — evaluates stratum by stratum;
-  within a stratum the negated predicates are complete (they belong to
-  strictly lower strata), so each negative literal is a static filter.
-
-Rules must be *safe*: every variable of the head and of every negative
-literal occurs in some positive body atom.
+* :func:`negation_stratification` — the rules grouped by the SCC of
+  their head predicate, dependencies first;
+* :func:`stratified_fixpoint` — evaluates stratum by stratum; within a
+  stratum the negated predicates are complete (they belong to strictly
+  lower strata), so each negative literal is a static filter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Tuple
 
 from ..core.atoms import Atom
 from ..core.homomorphism import homomorphisms
 from ..core.instance import Database, Instance
+from ..core.program import Program
 from ..core.query import ConjunctiveQuery
-from ..core.terms import Constant, Variable
-from ..lang.parser import parse_atom
-from ..reachability.digraph import DiGraph
+from ..core.terms import Constant
+from ..core.tgd import TGD
+from ..lint import LintContext, LintError
+from ..lint.passes import check_negation_in_recursion, check_unsafe_rules
+from .seminaive import _check_datalog
 
 __all__ = [
-    "Rule",
-    "StratifiedProgram",
-    "NotStratifiableError",
-    "parse_stratified_program",
     "negation_stratification",
     "stratified_fixpoint",
     "stratified_answers",
 ]
 
 
-class NotStratifiableError(ValueError):
-    """Raised when negation occurs inside a recursive cycle."""
+def negation_stratification(program: Program) -> List[Tuple[TGD, ...]]:
+    """Partition the rules into strata, dependencies first.
 
-
-@dataclass(frozen=True)
-class Rule:
-    """One rule: head ← positive body, negated literals."""
-
-    head: Atom
-    positive: Tuple[Atom, ...]
-    negative: Tuple[Atom, ...] = ()
-    label: str = ""
-
-    def __post_init__(self) -> None:
-        if not self.positive:
-            raise ValueError(
-                f"rule for {self.head.predicate} needs at least one "
-                "positive body atom"
-            )
-        bound: Set[Variable] = set()
-        for atom in self.positive:
-            bound |= atom.variables()
-        unsafe = (self.head.variables() - bound) | {
-            var
-            for atom in self.negative
-            for var in atom.variables() - bound
-        }
-        if unsafe:
-            names = ", ".join(sorted(v.name for v in unsafe))
-            raise ValueError(
-                f"unsafe rule for {self.head.predicate}: variables "
-                f"{{{names}}} do not occur in a positive body atom"
-            )
-
-    def predicates(self) -> Set[str]:
-        return (
-            {self.head.predicate}
-            | {a.predicate for a in self.positive}
-            | {a.predicate for a in self.negative}
-        )
-
-    def __str__(self) -> str:
-        body = [str(a) for a in self.positive]
-        body += [f"not {a}" for a in self.negative]
-        return f"{self.head} :- {', '.join(body)}."
-
-
-@dataclass
-class StratifiedProgram:
-    """A finite set of rules with (possibly) negated body literals."""
-
-    rules: Tuple[Rule, ...]
-    name: str = ""
-
-    def __len__(self) -> int:
-        return len(self.rules)
-
-    def __iter__(self):
-        return iter(self.rules)
-
-    def head_predicates(self) -> Set[str]:
-        return {rule.head.predicate for rule in self.rules}
-
-    def predicates(self) -> Set[str]:
-        result: Set[str] = set()
-        for rule in self.rules:
-            result |= rule.predicates()
-        return result
-
-    def has_negation(self) -> bool:
-        return any(rule.negative for rule in self.rules)
-
-
-# -- parsing -------------------------------------------------------------------
-
-
-def _strip_comments(text: str) -> str:
-    lines = []
-    for line in text.splitlines():
-        index = line.find("%")
-        lines.append(line if index < 0 else line[:index])
-    return "\n".join(lines)
-
-
-def _split_statements(text: str) -> List[str]:
-    statements = []
-    depth = 0
-    current: List[str] = []
-    for char in text:
-        if char == "(":
-            depth += 1
-        elif char == ")":
-            depth -= 1
-        if char == "." and depth == 0:
-            statement = "".join(current).strip()
-            if statement:
-                statements.append(statement)
-            current = []
-        else:
-            current.append(char)
-    leftover = "".join(current).strip()
-    if leftover:
-        raise ValueError(f"statement without terminating period: {leftover!r}")
-    return statements
-
-
-def _split_literals(body: str) -> List[str]:
-    literals = []
-    depth = 0
-    current: List[str] = []
-    for char in body:
-        if char == "(":
-            depth += 1
-        elif char == ")":
-            depth -= 1
-        if char == "," and depth == 0:
-            literals.append("".join(current).strip())
-            current = []
-        else:
-            current.append(char)
-    last = "".join(current).strip()
-    if last:
-        literals.append(last)
-    return literals
-
-
-def parse_stratified_program(
-    text: str, name: str = ""
-) -> Tuple[StratifiedProgram, Database]:
-    """Parse rules with optional ``not`` literals, plus ground facts.
-
-    The syntax is the package's usual surface syntax with body literals
-    optionally prefixed by ``not``::
-
-        reach(X, Y)      :- edge(X, Y).
-        reach(X, Z)      :- edge(X, Y), reach(Y, Z).
-        separated(X, Y)  :- node(X), node(Y), not reach(X, Y).
+    Rules must be full and single-head (``ValueError`` otherwise);
+    unsafe negation (E101) and negation through recursion (E103 — the
+    classic win/move pattern) raise :class:`~repro.lint.LintError`
+    carrying the findings.  A rule evaluates in the stratum of its
+    head's component.
     """
-    rules: List[Rule] = []
-    database = Database()
-    for statement in _split_statements(_strip_comments(text)):
-        if ":-" not in statement:
-            atom = parse_atom(statement)
-            if not atom.is_fact():
-                raise ValueError(f"fact contains variables: {statement!r}")
-            database.add(atom)
-            continue
-        head_text, body_text = statement.split(":-", 1)
-        head = parse_atom(head_text.strip())
-        positive: List[Atom] = []
-        negative: List[Atom] = []
-        for literal in _split_literals(body_text):
-            if literal.startswith("not ") or literal.startswith("not("):
-                negative.append(parse_atom(literal[3:].strip()))
-            else:
-                positive.append(parse_atom(literal))
-        rules.append(Rule(head, tuple(positive), tuple(negative)))
-    return StratifiedProgram(tuple(rules), name=name), database
-
-
-# -- stratification --------------------------------------------------------------
-
-
-def negation_stratification(
-    program: StratifiedProgram,
-) -> List[Tuple[Rule, ...]]:
-    """Partition the rules into strata; raise if not stratifiable.
-
-    Predicates are grouped by the SCCs of the full dependency graph; a
-    negative edge inside one SCC means negation through recursion —
-    the classic non-stratifiable pattern (win/move) — and is rejected.
-    Rule strata follow the topological order of the condensation.
-    """
-    graph = DiGraph()
-    negative_edges: Set[Tuple[str, str]] = set()
-    for predicate in program.predicates():
-        graph.add_node(predicate)
-    for rule in program:
-        for atom in rule.positive:
-            graph.add_edge(atom.predicate, rule.head.predicate)
-        for atom in rule.negative:
-            graph.add_edge(atom.predicate, rule.head.predicate)
-            negative_edges.add((atom.predicate, rule.head.predicate))
-
-    _, component_of = graph.condensation()
-    for source, target in negative_edges:
-        if component_of[source] == component_of[target]:
-            raise NotStratifiableError(
-                f"negation through recursion: {target!r} negatively "
-                f"depends on {source!r} inside one recursive component"
-            )
-
-    # A rule evaluates in the stratum of its head's component.
-    layered: Dict[int, List[Rule]] = {}
-    for rule in program:
-        layered.setdefault(component_of[rule.head.predicate], []).append(rule)
-    return [tuple(layered[key]) for key in sorted(layered)]
+    _check_datalog(program)
+    ctx = LintContext(program)
+    errors = [*check_unsafe_rules(ctx), *check_negation_in_recursion(ctx)]
+    if errors:
+        raise LintError(errors, program.name)
+    scc_of = ctx.dependency_sccs
+    layered: Dict[int, List[TGD]] = {}
+    for tgd in program:
+        layered.setdefault(scc_of[tgd.head[0].predicate], []).append(tgd)
+    # SCC ids count sinks first, so dependencies carry the higher ids.
+    return [tuple(layered[key]) for key in sorted(layered, reverse=True)]
 
 
 # -- evaluation --------------------------------------------------------------------
@@ -264,12 +84,12 @@ class StratifiedFixpoint:
         return query.evaluate(self.instance)
 
 
-def _rule_matches(rule: Rule, instance: Instance):
+def _rule_matches(rule: TGD, instance: Instance):
     """All substitutions matching the positive body and failing every
     negated literal."""
-    for hom in homomorphisms(list(rule.positive), instance):
+    for hom in homomorphisms(list(rule.body), instance):
         blocked = False
-        for negated in rule.negative:
+        for negated in rule.negated:
             image = hom.apply_atom(negated)
             if next(iter(instance.matching(image)), None) is not None:
                 blocked = True
@@ -279,7 +99,7 @@ def _rule_matches(rule: Rule, instance: Instance):
 
 
 def stratified_fixpoint(
-    database: Database, program: StratifiedProgram
+    database: Database, program: Program
 ) -> StratifiedFixpoint:
     """Evaluate stratum by stratum to the perfect model.
 
@@ -300,11 +120,7 @@ def stratified_fixpoint(
             fresh: List[Atom] = []
             for rule in layer:
                 for hom in _rule_matches(rule, instance):
-                    fact = hom.apply_atom(rule.head)
-                    if not fact.is_ground():
-                        raise ValueError(
-                            f"rule {rule} produced non-ground fact {fact}"
-                        )
+                    fact = hom.apply_atom(rule.head[0])
                     if fact not in instance:
                         fresh.append(fact)
             for fact in fresh:
@@ -323,7 +139,7 @@ def stratified_fixpoint(
 def stratified_answers(
     query: ConjunctiveQuery,
     database: Database,
-    program: StratifiedProgram,
+    program: Program,
 ) -> set[tuple[Constant, ...]]:
     """Evaluate a CQ over the perfect model of a stratified program."""
     return stratified_fixpoint(database, program).evaluate(query)

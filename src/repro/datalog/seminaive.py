@@ -29,55 +29,16 @@ from ..core.substitution import Substitution
 from ..core.terms import Constant, Term, Variable
 from ..core.tgd import TGD
 from ..kernels import KernelEvaluator
-from ..storage import (
-    ColumnarStore,
-    DeltaOverlay,
-    FactStore,
-    StoreChoice,
-    kernel_capable,
-    make_store,
-)
+from ..storage import FactStore, StoreChoice, kernel_capable, make_store
 
 __all__ = [
     "SemiNaiveResult",
     "SemiNaiveRound",
-    "EXEC_MODES",
     "seminaive",
     "seminaive_rounds",
-    "resolve_exec",
     "datalog_answers",
     "stream_datalog_answers",
 ]
-
-#: Execution modes of the semi-naive core: ``"kernel"`` runs compiled
-#: batch kernels over the store's interned id rows (stores declaring
-#: :attr:`~repro.storage.base.FactStore.kernel_capable`),
-#: ``"interpret"`` the classic per-tuple substitution loop, ``"auto"``
-#: kernels whenever the store is capable.  Both modes produce identical
-#: rounds, staged facts, and ``considered`` counts — the interpreter is
-#: the kernel's oracle.
-EXEC_MODES = ("auto", "kernel", "interpret")
-
-
-def resolve_exec(exec_mode: str, store: StoreChoice,
-                 store_label: str) -> str:
-    """The mode actually run on *store* (a live store, backend name or
-    factory), validating forced kernels — shared with the planner."""
-    if exec_mode not in EXEC_MODES:
-        raise ValueError(
-            f"unknown exec_mode {exec_mode!r}; choose one of "
-            f"{', '.join(EXEC_MODES)}"
-        )
-    capable = kernel_capable(store)
-    if exec_mode == "kernel" and not capable:
-        raise ValueError(
-            "exec_mode='kernel' needs a store with an interned "
-            f"id-array surface; {store_label!r} has none"
-        )
-    if exec_mode == "interpret" or not capable:
-        return "interpret"
-    return "kernel"
-
 
 @dataclass
 class SemiNaiveResult:
@@ -178,46 +139,25 @@ def seminaive_rounds(
     max_rounds: Optional[int] = None,
     *,
     store: StoreChoice = "instance",
-    exec_mode: str = "auto",
 ) -> Iterable[SemiNaiveRound]:
     """The semi-naive fixpoint as a lazy generator of round events.
 
     This is the engine core; :func:`seminaive` drains it eagerly and
     :func:`stream_datalog_answers` taps it to yield query answers as
     each round lands.  ``store`` selects the storage backend (see
-    :data:`repro.storage.BACKENDS`).  The ``"delta"`` backend runs on a
-    single :class:`~repro.storage.delta.DeltaOverlay` whose writable
-    layer *is* the semi-naive delta, promoted at each round boundary;
-    the other backends keep the classic two-store structure.  All
-    backends perform the identical round structure and derivations.
-
-    ``exec_mode`` picks the execution core (:data:`EXEC_MODES`):
-    ``"auto"`` compiles the rules to columnar batch kernels when the
-    store exposes interned id arrays (columnar, sharded) and falls back
-    to the per-tuple interpreter otherwise (instance, delta overlay);
-    both cores produce identical events.
+    :data:`repro.storage.BACKENDS`), and the backend selects how the
+    rounds run: a store that is
+    :func:`~repro.storage.kernel_capable` (columnar, sharded) has its
+    rules compiled to batch kernels that join its interned id rows in
+    place; any other store (instance) runs the per-tuple interpreter.
+    Both bodies produce identical events — rounds, staged facts and
+    ``considered`` counts — which is what makes ``store="instance"``
+    the kernels' reference; ``exec_mode`` on each event reports which
+    one ran.
     """
     _check_datalog(program)
-    if store == "delta":
-        # One overlay plays both roles: its writable layer *is* the
-        # round's delta, promoted into the (columnar) base at each
-        # round boundary.  The overlay has no id-array surface, so it
-        # always interprets.
-        resolve_exec(exec_mode, "delta", "delta")
-        overlay: Optional[DeltaOverlay] = DeltaOverlay(ColumnarStore())
-        overlay.add_all(database)
-        instance: FactStore = overlay
-        delta: FactStore = overlay.delta
-        yield SemiNaiveRound(
-            index=0, staged=tuple(database), considered=0, instance=instance
-        )
-        yield from _delta_loop(
-            instance, delta, program, overlay=overlay, max_rounds=max_rounds
-        )
-        return
     instance = make_store(store, database)
-    label = store if isinstance(store, str) else type(instance).__name__
-    if resolve_exec(exec_mode, instance, label) == "kernel":
+    if kernel_capable(instance):
         yield SemiNaiveRound(
             index=0, staged=tuple(database), considered=0,
             instance=instance, exec_mode="kernel",
@@ -240,22 +180,17 @@ def seminaive_rounds(
     yield SemiNaiveRound(
         index=0, staged=tuple(database), considered=0, instance=instance
     )
-    yield from _delta_loop(
-        instance, delta, program, max_rounds=max_rounds
-    )
+    yield from _delta_loop(instance, delta, program, max_rounds)
 
 
 def _delta_loop(
     instance: FactStore,
     delta: FactStore,
     program: Program,
-    *,
-    overlay: Optional[DeltaOverlay] = None,
     max_rounds: Optional[int] = None,
 ) -> Iterable[SemiNaiveRound]:
-    """The shared semi-naive round loop: join against *delta*, merge,
-    repeat to fixpoint.  With *overlay* given, the overlay's writable
-    layer is the delta and each round boundary promotes it."""
+    """The interpreter's round loop: join against *delta*, merge,
+    repeat to fixpoint."""
     rounds = 0
     while len(delta) > 0:
         if max_rounds is not None and rounds >= max_rounds:
@@ -279,14 +214,9 @@ def _delta_loop(
         # Merge only after the full round: every rule joins against the
         # same snapshot, so rounds/considered are independent of rule
         # and hash iteration order.
-        if overlay is not None:
-            overlay.promote()
-            overlay.add_all(staged)
-            delta = overlay.delta
-        else:
-            instance.add_all(staged)
-            delta = delta.fresh()
-            delta.add_all(staged)
+        instance.add_all(staged)
+        delta = delta.fresh()
+        delta.add_all(staged)
         yield SemiNaiveRound(
             index=rounds,
             staged=tuple(staged),
@@ -301,12 +231,11 @@ def seminaive(
     max_rounds: Optional[int] = None,
     *,
     store: StoreChoice = "instance",
-    exec_mode: str = "auto",
 ) -> SemiNaiveResult:
     """Compute the least fixpoint of a Datalog program over a database.
 
     Thin eager driver over :func:`seminaive_rounds`; see there for the
-    round structure and the ``store``/``exec_mode`` semantics.
+    round structure and how ``store`` selects the evaluation body.
     """
     instance: Optional[FactStore] = None
     rounds = 0
@@ -316,9 +245,7 @@ def seminaive(
     resolved_exec = "interpret"
     per_round_considered: List[int] = []
     per_round_derived: List[int] = []
-    for event in seminaive_rounds(
-        database, program, max_rounds, store=store, exec_mode=exec_mode
-    ):
+    for event in seminaive_rounds(database, program, max_rounds, store=store):
         instance = event.instance
         resolved_exec = event.exec_mode
         if event.index == 0:
@@ -348,7 +275,6 @@ def stream_datalog_answers(
     program: Program,
     *,
     store: StoreChoice = "instance",
-    exec_mode: str = "auto",
     on_fixpoint=None,
     stats=None,
 ) -> Iterable[tuple[Constant, ...]]:
@@ -383,11 +309,7 @@ def stream_datalog_answers(
 
     yield from stream_new_answers(
         query,
-        tap(
-            seminaive_rounds(
-                database, program, store=store, exec_mode=exec_mode
-            )
-        ),
+        tap(seminaive_rounds(database, program, store=store)),
         lambda event: event.staged,
     )
     if on_fixpoint is not None and last_instance[0] is not None:
@@ -400,14 +322,9 @@ def datalog_answers(
     program: Program,
     *,
     store: StoreChoice = "instance",
-    exec_mode: str = "auto",
 ) -> set[tuple[Constant, ...]]:
     """``cert(q, D, Σ)`` for a Datalog program: evaluate over the fixpoint.
 
     Thin eager wrapper over :func:`stream_datalog_answers`.
     """
-    return set(
-        stream_datalog_answers(
-            query, database, program, store=store, exec_mode=exec_mode
-        )
-    )
+    return set(stream_datalog_answers(query, database, program, store=store))

@@ -6,14 +6,14 @@ the representation the store exists for.  This package compiles each
 rule once into batch join plans over interned id rows
 (:mod:`~repro.kernels.compiler`) and executes them set-at-a-time
 (:mod:`~repro.kernels.runtime`), reproducing the interpreter's round
-structure, staged facts, and match counts exactly — the interpreter
-remains the fallback for stores that do not declare
-:attr:`~repro.storage.base.FactStore.kernel_capable`, and the
-ground-truth oracle the property suite compares against.
+structure, staged facts, and match counts exactly.
 
-Selection is the planner's ``exec`` dimension
-(``--exec kernel/interpret/auto``); the engine-level dispatch lives in
-:func:`repro.datalog.seminaive.seminaive_rounds`.
+Nobody selects this path: :func:`repro.datalog.seminaive.seminaive_rounds`
+runs kernels exactly when the store declares
+:attr:`~repro.storage.base.FactStore.kernel_capable` (columnar,
+sharded) and the interpreter otherwise, so ``store="instance"`` is the
+ground-truth reference the property suite and ``bench_kernel_compile``
+compare the kernels against.
 """
 
 from ..storage import kernel_capable

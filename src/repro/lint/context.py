@@ -188,7 +188,9 @@ class LintContext:
         """Predicate → SCC id over the dependency graph *including*
         negative edges — the stratifiability structure: a negated
         literal whose predicate shares an SCC with the rule's head is
-        negation through recursion."""
+        negation through recursion.  Ids count sinks first (an edge
+        never goes from a lower id to a higher one), which is the
+        order :mod:`repro.datalog.negation` reverses into strata."""
         if self._dependency_sccs is None:
             graph: DiGraph = DiGraph()
             for use in self.arity_uses:

@@ -179,7 +179,6 @@ class ReasoningClient:
         *,
         method: str = "auto",
         rewrite: str = "auto",
-        exec_mode: str = "auto",
         first: Optional[int] = None,
         timeout: Optional[float] = None,
         **engine_kwargs,
@@ -189,8 +188,6 @@ class ReasoningClient:
             request["method"] = method
         if rewrite != "auto":
             request["rewrite"] = rewrite
-        if exec_mode != "auto":
-            request["exec_mode"] = exec_mode
         if first is not None:
             request["first"] = first
         request.update(engine_kwargs)

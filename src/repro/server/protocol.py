@@ -41,7 +41,6 @@ OPS = ("query", "update", "lint", "stats", "ping", "shutdown")
 QUERY_OPTIONS = (
     "method",
     "rewrite",
-    "exec_mode",
     "first",
     "variant",
     "max_atoms",
@@ -52,6 +51,9 @@ QUERY_OPTIONS = (
     "probe_depth",
     "probe_atoms",
 )
+
+#: Every key a query frame may carry; anything else is a ProtocolError.
+_QUERY_KEYS = frozenset({"op", "id", "query", *QUERY_OPTIONS})
 
 
 class ProtocolError(ValueError):
@@ -120,11 +122,24 @@ def handle_request(
             text = request.get("query")
             if not isinstance(text, str) or not text.strip():
                 raise ProtocolError("query op needs a non-empty 'query'")
+            unknown = request.keys() - _QUERY_KEYS
+            if unknown:
+                raise ProtocolError(
+                    f"unknown query option(s) {', '.join(sorted(unknown))}; "
+                    f"valid options: {', '.join(QUERY_OPTIONS)}"
+                )
             options = {
                 key: request[key]
                 for key in QUERY_OPTIONS
                 if request.get(key) is not None
             }
+            first = options.get("first")
+            if first is not None and (
+                type(first) is not int or first < 1
+            ):
+                raise ProtocolError(
+                    f"'first' must be a positive integer, got {first!r}"
+                )
             result = service.query(text, **options)
             return done(result.as_payload())
         if op == "lint":

@@ -219,7 +219,6 @@ class ReasoningService:
         *,
         method: str = "auto",
         rewrite: str = "auto",
-        exec_mode: str = "auto",
         **engine_kwargs,
     ) -> AnswerStream:
         """Admit *query* under the current snapshot and return its lazy
@@ -234,8 +233,7 @@ class ReasoningService:
         lease = self._snapshots.current()
         try:
             plan = self._session.plan(
-                query, method=method, rewrite=rewrite,
-                exec_mode=exec_mode, **engine_kwargs
+                query, method=method, rewrite=rewrite, **engine_kwargs
             )
             stream = execute_plan(
                 plan, lease.store, cache=lease.snapshot.caches
@@ -271,20 +269,21 @@ class ReasoningService:
         *,
         method: str = "auto",
         rewrite: str = "auto",
-        exec_mode: str = "auto",
         first: Optional[int] = None,
         **engine_kwargs,
     ) -> QueryResult:
         """Answer *query* eagerly: drain the stream (or its first *n*)
         and release the snapshot lease before returning."""
         stream = self.stream(
-            query, method=method, rewrite=rewrite, exec_mode=exec_mode,
-            **engine_kwargs
+            query, method=method, rewrite=rewrite, **engine_kwargs
         )
         try:
             if first is not None:
-                rows = stream.first(first)
-                truncated = not stream.exhausted
+                # One tuple past *first* decides whether anything was
+                # cut: the engine may not know it is exhausted yet.
+                rows = stream.first(first + 1)
+                truncated = len(rows) > first
+                rows = rows[:first]
             else:
                 rows = stream.to_sorted()
                 truncated = False

@@ -1,17 +1,16 @@
 """MVCC snapshots of the EDB: immutable versions, refcounted leases.
 
 The serving layer must let ``apply(ChangeSet)`` install a new EDB
-version *while in-flight queries keep reading the old one*.  The shape
-was already in the codebase: a :class:`~repro.storage.delta.DeltaOverlay`
-is a writable delta over a frozen base.  Here that becomes a persistent
-version chain:
+version *while in-flight queries keep reading the old one*.  A
+:class:`~repro.storage.delta.DeltaOverlay` — a writable delta and
+tombstones over a base it seals — is exactly one such step, so the
+versions form a persistent chain:
 
 * **version 0** is a frozen copy of the EDB at serve start;
 * **version n+1** is a ``DeltaOverlay`` over version n's store, holding
   the batch's insertions in its delta and its retractions as
   tombstones — built in O(|change|), never touching version n — and
-  then frozen (:meth:`~repro.storage.base.FactStore.freeze` turns the
-  "base is frozen" convention into an enforced invariant);
+  then frozen itself (:meth:`~repro.storage.base.FactStore.freeze`);
 * every ``flatten_depth`` versions the chain is collapsed into a fresh
   flat store, bounding per-read layer traversal without ever mutating
   a shared structure (the old chain stays valid for its readers).

@@ -8,15 +8,20 @@ are written against the :class:`FactStore` interface and accept a
   object-set representation with eager per-(position, term) indexes;
 * ``"columnar"`` — :class:`ColumnarStore`, interned term-id tuples with
   lazy per-(predicate, position) indexes and an LRU probe cache;
-* ``"delta"`` — :class:`DeltaOverlay` over a columnar base: a small
-  writable delta above a frozen base, with ``promote()`` merging;
 * ``"sharded"`` — :class:`ShardedStore`, relations hash-partitioned
   into shards kept resident under a byte budget, cold shards spilled
   to disk (out-of-core; see :mod:`repro.storage.sharded`).
 
 All backends produce identical answers (the property suite asserts
 this); they differ in space and probe cost, which
-:meth:`FactStore.memory_report` makes measurable.
+:meth:`FactStore.memory_report` makes measurable, and in how the
+datalog engine runs over them: :func:`kernel_capable` stores
+(columnar, sharded) get compiled batch kernels, the rest the per-tuple
+interpreter.
+
+:class:`DeltaOverlay` is also a :class:`FactStore` but not a backend:
+it is the serving layer's O(|change|) version layer over a sealed base
+(see :mod:`repro.server.snapshot`).
 """
 
 from __future__ import annotations
@@ -58,9 +63,8 @@ __all__ = [
 ]
 
 #: Backend names accepted by ``make_store`` and every ``store=``
-#: argument.  "sharded" is appended last: error messages render this
-#: tuple, and several tests pin the historical prefix.
-BACKENDS = ("instance", "columnar", "delta", "sharded")
+#: argument.
+BACKENDS = ("instance", "columnar", "sharded")
 
 StoreChoice = Union[str, FactStore, Callable[[], FactStore]]
 
@@ -71,11 +75,7 @@ def _backend_class(name: str) -> type:
         from ..core.instance import Instance  # imports storage.base
 
         return Instance
-    classes = {
-        "columnar": ColumnarStore,
-        "delta": DeltaOverlay,
-        "sharded": ShardedStore,
-    }
+    classes = {"columnar": ColumnarStore, "sharded": ShardedStore}
     if name not in classes:
         raise ValueError(
             f"unknown storage backend {name!r}; expected one of {BACKENDS}"
@@ -87,7 +87,7 @@ def make_store(store: StoreChoice = "instance", atoms: Iterable[Atom] = ()) -> F
     """Build a fact store from a backend name, factory, or instance.
 
     * a backend name from :data:`BACKENDS` builds a fresh store seeded
-      with *atoms* (for ``"delta"`` the seed becomes the frozen base);
+      with *atoms*;
     * a callable is invoked to produce an empty store, then seeded;
     * an existing :class:`FactStore` is seeded in place and returned.
     """
@@ -98,8 +98,6 @@ def make_store(store: StoreChoice = "instance", atoms: Iterable[Atom] = ()) -> F
         built = store()
         built.add_all(atoms)
         return built
-    if store == "delta":
-        return DeltaOverlay(ColumnarStore(atoms))
     return _backend_class(store)(atoms)
 
 

@@ -162,8 +162,8 @@ class FactStore(ABC):
 
         Freezing is one-way and idempotent.  The snapshot manager of
         the serving layer freezes each EDB version before handing it to
-        concurrent readers, turning the ``DeltaOverlay`` convention
-        ("the base is frozen") into an enforced invariant.
+        concurrent readers, and a ``DeltaOverlay`` freezes the base it
+        is built over.
         """
         self._frozen = True
         return self

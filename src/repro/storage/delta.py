@@ -1,18 +1,21 @@
-"""Delta-overlay storage.
+"""Delta-overlay storage: an O(|change|) version layer.
 
-:class:`DeltaOverlay` layers a small writable *delta* store over a
-frozen *base* store.  This is the shape delta-oriented evaluation
-actually wants: semi-naive rounds and the operator network's delta
-streams read the union but only ever write the (small) top layer, and
-:meth:`DeltaOverlay.promote` merges the delta into the base at a round
-boundary.  The streaming-Vadalog architecture builds its recursion
-handling on exactly this base/delta split.
+:class:`DeltaOverlay` layers a small writable *delta* store and a set
+of *tombstones* over a *base* store that it seals at construction.
+The visible atom set is ``base − tombstones + delta``: building the
+next state of a large fact base costs the size of the change, not the
+size of the base, and whoever still reads the base is unaffected.  This
+is the base/delta split the streaming-Vadalog architecture builds on,
+and what :class:`~repro.server.snapshot.SnapshotManager` chains into
+MVCC versions.
 
 Both layers are themselves :class:`~repro.storage.base.FactStore`
-instances, so overlays compose with any backend (columnar base under an
-instance delta, etc.).  The base is treated as frozen by convention —
-the overlay never writes to it outside ``promote()`` — but it is not
-copied, so constructing an overlay over a large base is O(1).
+instances, so overlays compose with any backend and with each other.
+The base is not copied — constructing an overlay over a large base is
+O(1) — and :meth:`~repro.storage.base.FactStore.freeze` is what keeps
+that safe: no write can reach the base, so the layers stay disjoint
+(``delta ∩ base = ∅``, ``tombstones ⊆ base``) and reads never have to
+check.
 """
 
 from __future__ import annotations
@@ -22,54 +25,34 @@ from typing import Iterable, Iterator, Mapping, Optional
 from ..core.atoms import Atom
 from ..core.terms import Term
 from .base import FactStore, MemoryReport
-from .columnar import ColumnarStore
 from .memory import deep_sizeof
 
 __all__ = ["DeltaOverlay"]
 
 
 class DeltaOverlay(FactStore):
-    """A writable delta layered over a frozen base store.
+    """A writable delta (and tombstones) layered over a sealed base.
 
-    New atoms (not present in either layer) land in the delta;
-    ``promote()`` merges the delta into the base and starts a fresh one.
+    Construction freezes *base*.  Atoms new to the overlay land in the
+    delta; retracting a base atom records a tombstone that every
+    base-side read filters.
     """
 
     backend_name = "delta"
 
-    def __init__(
-        self,
-        base: Optional[FactStore] = None,
-        atoms: Iterable[Atom] = (),
-    ):
-        self._base = base if base is not None else ColumnarStore()
-        self._delta = self._base.fresh()
-        # Shadow accounting: how many delta atoms are *also* in the base
-        # (possible because the base is frozen only by convention), with
-        # the layer lengths the count was valid for.  add() keeps the
-        # key current on the fast path; any mutation that bypasses the
-        # overlay changes a layer length and forces a recount.
-        self._overlap_count = 0
-        self._overlap_key: Optional[tuple[int, int]] = (len(self._base), 0)
-        # Base-aware deletion: the base is frozen, so retracting one of
-        # its atoms records a tombstone that every base-side read path
-        # filters; ``promote()`` applies tombstones to the base for
-        # real.  Invariant (kept by add/discard): a tombstoned atom is
-        # never simultaneously in the delta.
+    def __init__(self, base: FactStore):
+        self._base = base.freeze()
+        self._delta = base.fresh()
         self._tombstones: set[Atom] = set()
-        self._dead_count = 0
-        self._dead_key: Optional[tuple[int, int]] = (len(self._base), 0)
-        self.promotions = 0
-        self.add_all(atoms)
 
     @property
     def base(self) -> FactStore:
-        """The frozen lower layer."""
+        """The sealed lower layer."""
         return self._base
 
     @property
     def delta(self) -> FactStore:
-        """The writable upper layer (atoms added since the last promote)."""
+        """The writable upper layer."""
         return self._delta
 
     # -- mutation ----------------------------------------------------------
@@ -80,103 +63,25 @@ class DeltaOverlay(FactStore):
             # Re-asserting a retracted base atom resurrects it: drop
             # the tombstone and the base copy shows through again.
             self._tombstones.discard(atom)
-            self._dead_key = None  # force a recount on the next read
-            if atom in self._base:
-                return True
-            # Dangling tombstone (base mutated behind our back): fall
-            # through and store the atom in the delta like any other.
+            return True
         if atom in self._base:
             return False
-        added = self._delta.add(atom)
-        if added and self._overlap_key == (
-            len(self._base), len(self._delta) - 1
-        ):
-            # Both layers were exactly as the cached count last saw
-            # them, and the new delta atom is not in the base: the
-            # count stays valid for the grown delta.  Any other shape
-            # means a layer was mutated behind the overlay's back, and
-            # the stale key forces a recount on the next read.
-            self._overlap_key = (self._overlap_key[0], len(self._delta))
-        return added
-
-    def _overlap(self) -> int:
-        """How many delta atoms the base shadows (cached, recounted
-        whenever either layer was mutated behind the overlay's back)."""
-        key = (len(self._base), len(self._delta))
-        if key != self._overlap_key:
-            self._overlap_count = sum(
-                1 for atom in self._delta if atom in self._base
-            )
-            self._overlap_key = key
-        return self._overlap_count
+        return self._delta.add(atom)
 
     def discard(self, atom: Atom) -> bool:
-        """Remove *atom* from the overlay's visible set.
-
-        A delta atom is deleted outright; a base atom gets a tombstone
-        (the base stays frozen until :meth:`promote` applies it).
-        """
+        """Remove *atom* from the overlay's visible set: a delta atom
+        is deleted outright, a base atom gets a tombstone."""
         if not isinstance(atom, Atom):
             return False
         self._check_mutable()
-        removed = self._delta.discard(atom)
-        # A delta-side removal changes the delta length, which stales
-        # the overlap key and forces a recount on the next read.
+        if self._delta.discard(atom):
+            return True
         if atom in self._base and atom not in self._tombstones:
             self._tombstones.add(atom)
-            if self._dead_key == (len(self._base), len(self._tombstones) - 1):
-                self._dead_count += 1
-                self._dead_key = (self._dead_key[0], len(self._tombstones))
-            removed = True
-        return removed
-
-    def _dead(self) -> int:
-        """How many tombstones shadow a live base atom (cached)."""
-        if not self._tombstones:
-            return 0
-        key = (len(self._base), len(self._tombstones))
-        if key != self._dead_key:
-            self._dead_count = sum(
-                1 for atom in self._tombstones if atom in self._base
-            )
-            self._dead_key = key
-        return self._dead_count
-
-    def promote(self) -> int:
-        """Merge the delta into the base (and apply any tombstones);
-        return how many atoms moved."""
-        self._check_mutable()
-        if self._tombstones:
-            self._base.discard_all(self._tombstones)
-            self._tombstones.clear()
-        self._dead_count = 0
-        moved = self._base.add_all(self._delta)
-        self._delta = self._base.fresh()
-        self._overlap_count = 0
-        self._overlap_key = (len(self._base), 0)
-        self._dead_key = (len(self._base), 0)
-        self.promotions += 1
-        return moved
+            return True
+        return False
 
     # -- membership and iteration -----------------------------------------
-
-    def _unshadowed(self, atoms: Iterable[Atom]) -> Iterator[Atom]:
-        """Delta atoms not also present in the (mutable) base.
-
-        The insert-time guard in :meth:`add` keeps the layers disjoint
-        only as long as the base never changes; an atom added to the
-        base afterwards (it is frozen by convention, not enforcement)
-        would otherwise be reported twice by every read path.
-        """
-        if self._overlap() == 0:
-            # The common case — the base really was left frozen — keeps
-            # the zero-overhead read path: no per-atom membership probe
-            # in the engines' inner join loops.
-            yield from atoms
-            return
-        for atom in atoms:
-            if atom not in self._base:
-                yield atom
 
     def _live(self, atoms: Iterable[Atom]) -> Iterator[Atom]:
         """Base atoms not retracted through a tombstone."""
@@ -194,32 +99,26 @@ class DeltaOverlay(FactStore):
 
     def __iter__(self) -> Iterator[Atom]:
         yield from self._live(self._base)
-        yield from self._unshadowed(self._delta)
+        yield from self._delta
 
     def __len__(self) -> int:
-        return (
-            len(self._base) - self._dead()
-            + len(self._delta) - self._overlap()
-        )
+        return len(self._base) - len(self._tombstones) + len(self._delta)
 
     def count(self, predicate: Optional[str] = None) -> int:
         if predicate is None:
             return len(self)
-        if self._overlap() == 0 and not self._tombstones:
-            # No shadowed atoms anywhere: delegate so each backend
-            # keeps its O(1)/index-based counting path.
-            return self._base.count(predicate) + self._delta.count(predicate)
-        return sum(
-            1 for _ in self._live(self._base.by_predicate(predicate))
-        ) + sum(
-            1 for _ in self._unshadowed(self._delta.by_predicate(predicate))
+        # Delegate so each backend keeps its O(1)/index-based count.
+        dead = sum(1 for t in self._tombstones if t.predicate == predicate)
+        return (
+            self._base.count(predicate) - dead
+            + self._delta.count(predicate)
         )
 
     # -- retrieval ---------------------------------------------------------
 
     def by_predicate(self, predicate: str) -> Iterator[Atom]:
         yield from self._live(self._base.by_predicate(predicate))
-        yield from self._unshadowed(self._delta.by_predicate(predicate))
+        yield from self._delta.by_predicate(predicate)
 
     def predicates(self) -> set[str]:
         names = self._base.predicates() | self._delta.predicates()
@@ -236,21 +135,17 @@ class DeltaOverlay(FactStore):
         yield from self._live(
             self._base.matching_bound(predicate, bound, arity)
         )
-        yield from self._unshadowed(
-            self._delta.matching_bound(predicate, bound, arity)
-        )
+        yield from self._delta.matching_bound(predicate, bound, arity)
 
     def matching(self, pattern: Atom) -> Iterator[Atom]:
         # Delegate per layer so each backend keeps its optimized path.
         yield from self._live(self._base.matching(pattern))
-        yield from self._unshadowed(self._delta.matching(pattern))
+        yield from self._delta.matching(pattern)
 
     # -- lifecycle ---------------------------------------------------------
 
     def freeze(self) -> "DeltaOverlay":
-        """Seal the overlay *and both layers* — the base was frozen by
-        convention all along; a frozen overlay enforces it."""
-        self._base.freeze()
+        """Seal the overlay and its delta (the base already is)."""
         self._delta.freeze()
         super().freeze()
         return self
@@ -259,10 +154,12 @@ class DeltaOverlay(FactStore):
         return DeltaOverlay(self._base.fresh())
 
     def copy(self) -> "DeltaOverlay":
-        clone = DeltaOverlay(self._base.copy())
+        """An independent writable overlay over the *same* sealed base
+        — the base is immutable, so sharing it shares no mutable
+        state."""
+        clone = DeltaOverlay(self._base)
         clone._delta.add_all(self._delta)
         clone._tombstones = set(self._tombstones)
-        clone._dead_key = None
         return clone
 
     # -- accounting --------------------------------------------------------

@@ -74,12 +74,10 @@ class SessionTarget:
         *,
         method: str = "auto",
         rewrite: str = "auto",
-        exec_mode: str = "auto",
     ):
         self._session = session
         self._method = method
         self._rewrite = rewrite
-        self._exec_mode = exec_mode
         self._lock = threading.Lock()
 
     @classmethod
@@ -103,7 +101,6 @@ class SessionTarget:
                 text,
                 method=self._method,
                 rewrite=self._rewrite,
-                exec_mode=self._exec_mode,
             ).to_sorted()
             version = self._session.edb_version
         return (
@@ -134,12 +131,10 @@ class ServiceTarget:
         *,
         method: str = "auto",
         rewrite: str = "auto",
-        exec_mode: str = "auto",
     ):
         self._service = service
         self._method = method
         self._rewrite = rewrite
-        self._exec_mode = exec_mode
 
     @classmethod
     def for_scenario(cls, scenario: Scenario, *, store="instance", **kwargs):
@@ -165,7 +160,6 @@ class ServiceTarget:
             text,
             method=self._method,
             rewrite=self._rewrite,
-            exec_mode=self._exec_mode,
         )
         return result.answers, result.version
 
@@ -195,14 +189,12 @@ class ClientTarget:
         timeout: float = 60.0,
         method: str = "auto",
         rewrite: str = "auto",
-        exec_mode: str = "auto",
     ):
         self.host = host
         self.port = port
         self.timeout = timeout
         self._method = method
         self._rewrite = rewrite
-        self._exec_mode = exec_mode
         self._clients: List[object] = []
         self._lock = threading.Lock()
         self._primary = self._connect()
@@ -249,7 +241,6 @@ class _ClientWorker:
             text,
             method=self._target._method,
             rewrite=self._target._rewrite,
-            exec_mode=self._target._exec_mode,
         )
         return result.answers, result.version
 

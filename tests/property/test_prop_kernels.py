@@ -3,15 +3,18 @@
 Random stratified (positive, full, single-head) Datalog programs over
 random databases, executed through every dispatching surface:
 
-* plain saturation — ``seminaive`` with ``exec_mode="kernel"`` on the
-  columnar and sharded stores versus the interpreter on the plain
-  instance store, comparing the fixpoint atom set, the answer digest,
+* plain saturation — ``seminaive`` on the columnar and sharded stores
+  (which run kernels) versus the plain instance store (which runs the
+  interpreter), comparing the fixpoint atom set, the answer digest,
   and the work counters (rounds / derived / considered) exactly;
 * magic-rewritten — a bound query forced through ``rewrite="magic"``
-  in both exec modes, digests compared;
+  on all three stores, digests compared;
 * post-``Session.apply`` — the incremental-maintenance path: saturate,
   apply a random insert batch, re-query; the kernel-maintained session
-  must answer digest-equal to a from-scratch interpreter session.
+  must answer digest-equal to a from-scratch interpreter session;
+* derived dispatch — over every storage backend and every benchsuite
+  generator family, kernels run exactly on the kernel-capable stores
+  and every counter equals the ``instance`` run.
 
 The interpreter is the ground-truth oracle; any divergence is a kernel
 bug by definition.
@@ -21,6 +24,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import Session
+from repro.benchsuite.churn import generate_churn
+from repro.benchsuite.harness import suite_corpus
 from repro.benchsuite.report import answer_digest
 from repro.core.atoms import Atom
 from repro.core.program import Program
@@ -28,6 +33,7 @@ from repro.core.terms import Constant, Variable
 from repro.core.tgd import TGD
 from repro.datalog.seminaive import seminaive
 from repro.lang.parser import parse_query
+from repro.storage import BACKENDS, kernel_capable
 
 NODES = 5
 
@@ -123,13 +129,10 @@ def _digest(instance):
 @settings(max_examples=40, deadline=None)
 def test_kernel_fixpoint_matches_interpreter(program, pairs, units):
     database = build_database(pairs, units)
-    reference = seminaive(
-        database, program, store="instance", exec_mode="interpret"
-    )
+    reference = seminaive(database, program, store="instance")
+    assert reference.exec_mode == "interpret"
     for store in ("columnar", "sharded"):
-        result = seminaive(
-            database, program, store=store, exec_mode="kernel"
-        )
+        result = seminaive(database, program, store=store)
         assert result.exec_mode == "kernel"
         assert result.instance.atoms() == reference.instance.atoms()
         assert _digest(result.instance) == _digest(reference.instance)
@@ -168,13 +171,10 @@ def test_kernel_matches_interpreter_under_magic(program, pairs, units):
         ("instance", "interpret"),
     ):
         session = _session(store, program, database)
-        stream = session.query(
-            BOUND_QUERY, rewrite="magic", exec_mode=exec_mode
-        )
+        stream = session.query(BOUND_QUERY, rewrite="magic")
         answers = stream.to_set()
         assert stream.stats.rewrite == "magic"
-        if exec_mode == "kernel":
-            assert stream.stats.exec_mode == "kernel"
+        assert stream.stats.exec_mode == exec_mode
         results[(store, exec_mode)] = answer_digest(answers)
     assert len(set(results.values())) == 1, results
 
@@ -199,12 +199,66 @@ def test_kernel_matches_interpreter_after_apply(
     query = parse_query("out(X, Y) :- p(X, Y).")
 
     maintained = _session("columnar", program, database)
-    maintained.query(query, exec_mode="kernel").to_set()
+    maintained.query(query).to_set()
     maintained.apply(inserts=inserts)
-    kernel_answers = maintained.query(query, exec_mode="kernel").to_set()
+    kernel_answers = maintained.query(query).to_set()
 
     scratch = _session("instance", program, database + inserts)
-    scratch_answers = scratch.query(query, exec_mode="interpret").to_set()
+    scratch_answers = scratch.query(query).to_set()
 
     assert answer_digest(kernel_answers) == answer_digest(scratch_answers)
     assert kernel_answers == scratch_answers
+
+
+def _family_scenarios(seed):
+    """One scenario set per seed from every benchsuite generator
+    family, plus the churn family the end-to-end benchmark drives."""
+    churn = generate_churn(
+        vertices=16, edges=24, clusters=4, steps=0, seed=seed
+    ).scenario
+    return [*suite_corpus("smoke", base_seed=seed), churn]
+
+
+@given(seed=st.integers(0, 10**6))
+@settings(max_examples=6, deadline=None)
+def test_store_alone_decides_dispatch_across_families(seed):
+    """How the rounds run is a function of the store, nothing else:
+    kernels iff ``kernel_capable(store)``, and either way the same
+    rounds, derivations, match counts and digests as the interpreter
+    that ``store="instance"`` runs."""
+    for scenario in _family_scenarios(seed):
+        # The datalog engine's fragment of each family's program.
+        program = Program(
+            tgd for tgd in scenario.program
+            if tgd.is_full() and tgd.is_single_head()
+        )
+        assert len(program) > 0, scenario.name
+        reference = seminaive(scenario.database, program, store="instance")
+        assert reference.exec_mode == "interpret" and reference.derived > 0
+        for store in BACKENDS:
+            expected = "kernel" if kernel_capable(store) else "interpret"
+            result = seminaive(scenario.database, program, store=store)
+            label = (scenario.name, store)
+            assert result.exec_mode == expected, label
+            assert (result.batches > 0) == (expected == "kernel"), label
+            assert result.rounds == reference.rounds, label
+            assert result.derived == reference.derived, label
+            assert result.considered == reference.considered, label
+            assert (
+                result.per_round_considered == reference.per_round_considered
+            ), label
+            assert _digest(result.instance) == _digest(reference.instance)
+
+            session = _session(store, program, scenario.database)
+            for query in scenario.queries:
+                assert session.plan(query).exec_mode == expected, label
+                stream = session.query(query, rewrite="none")
+                answers = stream.to_set()
+                if stream.stats.from_cache:
+                    continue  # an earlier query already saturated
+                assert stream.stats.exec_mode == expected, label
+                assert stream.stats.rounds == reference.rounds, label
+                assert stream.stats.derived == reference.derived, label
+                assert answer_digest(answers) == answer_digest(
+                    reference.evaluate(query)
+                ), label

@@ -8,8 +8,8 @@ transitive closure over the node domain.
 from hypothesis import given, settings, strategies as st
 
 from repro.core.terms import Constant
-from repro.datalog.negation import parse_stratified_program, stratified_answers
-from repro.lang.parser import parse_query
+from repro.datalog.negation import stratified_answers
+from repro.lang.parser import parse_program, parse_query
 from repro.reachability.digraph import DiGraph
 
 NODES = 5
@@ -39,7 +39,7 @@ def build_text(pairs) -> str:
 @given(edge_lists)
 @settings(max_examples=50, deadline=None)
 def test_separated_is_complement_of_reachability(pairs):
-    program, database = parse_stratified_program(build_text(pairs))
+    program, database = parse_program(build_text(pairs))
     query = parse_query("q(X, Y) :- separated(X, Y).")
     answers = stratified_answers(query, database, program)
 
@@ -64,7 +64,7 @@ def test_separated_is_complement_of_reachability(pairs):
 @settings(max_examples=30, deadline=None)
 def test_partition_covers_all_pairs(pairs):
     # reach ∪ separated is the full node square; they are disjoint.
-    program, database = parse_stratified_program(build_text(pairs))
+    program, database = parse_program(build_text(pairs))
     reach = stratified_answers(
         parse_query("q(X, Y) :- node(X), node(Y), reach(X, Y)."),
         database, program,

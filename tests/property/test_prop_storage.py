@@ -11,6 +11,7 @@ on arbitrary patterns.
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,12 +23,15 @@ from repro.core.terms import Constant, Null, Variable
 from repro.core.tgd import TGD
 from repro.datalog.seminaive import seminaive
 from repro.lang.parser import parse_query
+from repro.server.snapshot import SnapshotManager
 from repro.storage import (
     BACKENDS,
     ColumnarStore,
     DeltaOverlay,
     FactStore,
+    FrozenStoreError,
     Relation,
+    make_store,
 )
 
 from .strategies import atoms
@@ -214,3 +218,99 @@ def test_relation_agrees_with_set_model(operations):
             }
         assert set(relation.rows) == model == set(relation.row_pos)
         assert len(relation.rows) == len(model)
+
+
+# -- DeltaOverlay: a version layer over a sealed base ----------------------
+
+_K = [Constant(name) for name in "abc"]
+#: A universe small enough that re-adds, retractions of base atoms and
+#: resurrections all happen in a 40-step sequence.
+_POOL = [Atom("r", (x, y)) for x in _K for y in _K] + [
+    Atom("s", (x,)) for x in _K
+]
+_pool_atoms = st.sampled_from(_POOL)
+_edits = st.lists(
+    st.tuples(st.sampled_from(("add", "discard")), _pool_atoms), max_size=40
+)
+_base_atoms = st.lists(_pool_atoms, unique=True, max_size=8)
+_base_backends = st.sampled_from(BACKENDS)
+
+
+def _observe(store: FactStore) -> dict:
+    listed = list(store)
+    return {
+        "atoms": set(listed),
+        "no_duplicates": len(listed) == len(set(listed)),
+        "len": len(store),
+        "contains": [atom in store for atom in _POOL],
+        "counts": {p: store.count(p) for p in ("r", "s", "missing")},
+        "count_all": store.count(),
+        "predicates": store.predicates(),
+        "by_predicate": sorted(map(str, store.by_predicate("r"))),
+        "probe": sorted(
+            map(str, store.matching_bound("r", {1: _K[0]}, arity=2))
+        ),
+        "pattern": sorted(map(str, store.matching(Atom("r", (X, X))))),
+    }
+
+
+@settings(max_examples=120, deadline=None)
+@given(_base_backends, _base_atoms, _edits)
+def test_overlay_agrees_with_set_model(backend, base_atoms, edits):
+    """Random add/discard/re-add sequences over a sealed base: every
+    read of the overlay agrees with a plain ``set``, with no recount —
+    ``len`` is arithmetic over the three layers."""
+    base = make_store(backend, base_atoms)
+    overlay = DeltaOverlay(base)
+    assert base.frozen and not overlay.frozen
+    with pytest.raises(FrozenStoreError):
+        base.add(_POOL[0])
+    with pytest.raises(FrozenStoreError):
+        base.discard(_POOL[0])
+    model = set(base_atoms)
+    for action, atom in edits:
+        if action == "add":
+            assert overlay.add(atom) == (atom not in model)
+            model.add(atom)
+        else:
+            assert overlay.discard(atom) == (atom in model)
+            model.discard(atom)
+        assert _observe(overlay) == _observe(Instance(model))
+    assert set(base) == set(base_atoms)  # the base never moved
+
+    clone = overlay.copy()
+    assert clone.base is base and not clone.frozen
+    assert _observe(clone) == _observe(Instance(model))
+    clone.add_all(_POOL)
+    clone.discard(_POOL[-1])
+    assert _observe(overlay) == _observe(Instance(model))  # independent
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _base_backends,
+    _base_atoms,
+    st.lists(_edits, min_size=1, max_size=9),
+    st.integers(1, 4),
+)
+def test_overlay_chain_agrees_with_flattened_store(
+    backend, base_atoms, batches, flatten_depth
+):
+    """The MVCC chain: every version — an overlay ``depth`` layers
+    above the last flat store, or the flat store a flatten produced —
+    reads exactly as the model says, and stays sealed."""
+    manager = SnapshotManager(
+        base_atoms, store=backend, flatten_depth=flatten_depth
+    )
+    model = set(base_atoms)
+    for batch in batches:
+        after = set(model)
+        for action, atom in batch:
+            (after.add if action == "add" else after.discard)(atom)
+        manager.install(tuple(after - model), tuple(model - after))
+        model = after
+        with manager.current() as lease:
+            assert lease.snapshot.depth < flatten_depth
+            assert lease.store.frozen
+            assert _observe(lease.store) == _observe(Instance(model))
+    assert manager.flattened == len(batches) // flatten_depth

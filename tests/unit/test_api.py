@@ -128,7 +128,7 @@ class TestPlanner:
 
     def test_unknown_store_rejected_with_choices(self):
         program, _ = parse_program(TC_SOURCE)
-        with pytest.raises(ValueError, match="instance, columnar, delta"):
+        with pytest.raises(ValueError, match="instance, columnar, sharded"):
             Planner().plan(
                 compile_program(program),
                 parse_query("q(X,Y) :- t(X,Y)."),
@@ -302,11 +302,11 @@ class TestSession:
             Session().query("q(X) :- t(X,Y).")
 
     def test_store_validated(self):
-        with pytest.raises(ValueError, match="instance, columnar, delta"):
+        with pytest.raises(ValueError, match="instance, columnar, sharded"):
             Session(store="bogus")
 
     def test_answers_convenience(self):
-        session = Session(store="delta")
+        session = Session(store="columnar")
         session.load(TC_SOURCE)
         assert session.answers("q(X,Y) :- t(X,Y).") == TC_ANSWERS
 

@@ -223,7 +223,7 @@ class TestRunMatrixAndReport:
     def test_proof_tree_measurement_shared_across_stores(self):
         report = run_matrix(
             scale="smoke", suites=("chasebench",), engines=("pwl",),
-            stores=("instance", "columnar", "delta"),
+            stores=("instance", "columnar", "sharded"),
         )
         cells = [c for c in report.cells if c.engine == "pwl"]
         assert len(cells) == 3 and all(c.status == "ok" for c in cells)

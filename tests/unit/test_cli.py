@@ -5,6 +5,7 @@ import io
 import pytest
 
 from repro.cli import main
+from repro.storage import BACKENDS
 
 TC_PROGRAM = """
     e(a,b). e(b,c).
@@ -324,7 +325,7 @@ class TestStoreOption:
     )
     def test_answer_and_chase_accept_backends(self, program_file, argv_tail):
         command = "answer" if argv_tail else "chase"
-        for backend in ("instance", "columnar", "delta"):
+        for backend in BACKENDS:
             code, _ = run(
                 [command, str(program_file), "--store", backend] + argv_tail
             )
@@ -351,7 +352,73 @@ class TestStoreOption:
             run(argv + ["--store", "bogus"])
         stderr = capsys.readouterr().err
         assert "unknown storage backend 'bogus'" in stderr
-        assert "instance, columnar, delta" in stderr
+        assert "instance, columnar, sharded" in stderr
+
+
+    def test_delta_is_not_a_backend(self, program_file, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run(["chase", str(program_file), "--store", "delta"])
+        assert excinfo.value.code == 2
+        stderr = capsys.readouterr().err
+        assert "argument --store: unknown storage backend 'delta'" in stderr
+
+    def test_help_lists_the_three_backends(self, capsys):
+        with pytest.raises(SystemExit):
+            run(["answer", "--help"])
+        assert "(instance, columnar, sharded;" in " ".join(
+            capsys.readouterr().out.split()
+        )
+
+
+#: Subcommands that plan queries, with the argv that reaches each one.
+PLANNING_SUBCOMMANDS = {
+    "answer": ["answer", "FILE", "--query", "q(X,Y) :- t(X,Y)."],
+    "query": ["query", "FILE", "--query", "q(X,Y) :- t(X,Y)."],
+    "update": ["update", "FILE", "--changes", "nope.delta"],
+    "client query": ["client", "query", "q(X,Y) :- t(X,Y)."],
+    "trace replay": ["trace", "replay", "FILE"],
+}
+
+
+class TestPlanOptions:
+    """--method/--rewrite come from one parent parser; how a rule runs
+    is not an option at all."""
+
+    @pytest.fixture(params=sorted(PLANNING_SUBCOMMANDS))
+    def argv(self, request, program_file):
+        return [
+            str(program_file) if token == "FILE" else token
+            for token in PLANNING_SUBCOMMANDS[request.param]
+        ]
+
+    def test_method_and_rewrite_parse_everywhere(self, argv):
+        from repro.cli import build_parser
+
+        args = build_parser().parse_args(
+            argv + ["--method", "datalog", "--rewrite", "magic"]
+        )
+        assert (args.method, args.rewrite) == ("datalog", "magic")
+
+    def test_defaults(self, argv):
+        from repro.cli import build_parser
+
+        args = build_parser().parse_args(argv)
+        assert args.method == "auto"
+        # `update` maintains what it materialized; a magic fixpoint
+        # would be dropped instead.
+        expected = "none" if argv[0] == "update" else "auto"
+        assert args.rewrite == expected
+
+    def test_choices_validated(self, argv, capsys):
+        with pytest.raises(SystemExit):
+            run(argv + ["--rewrite", "bogus"])
+        assert "argument --rewrite: invalid choice" in capsys.readouterr().err
+
+    def test_exec_flag_is_gone(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run(argv + ["--exec", "kernel"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --exec" in capsys.readouterr().err
 
 
 class TestParserErrors:

@@ -4,16 +4,17 @@ Covers the three layers the kernels cut across: the compiler
 (``repro.kernels.compiler`` — lowering rules to pin plans with the
 first-pin old/full discipline), the runtime
 (``repro.kernels.runtime`` — batch execution over interned id rows,
-parity with the per-tuple interpreter), and the dispatch surfaces
-(``exec_mode`` through ``seminaive``, the planner's exec dimension,
-and ``StreamStats``/server observability), plus ``intern_many``.  The
+parity with the per-tuple interpreter that ``store="instance"`` runs),
+and what reports the store-derived dispatch (``exec_mode`` on
+``seminaive`` results, the plan, and ``StreamStats``/server stats),
+plus ``intern_many``.  The
 relation primitive the kernels join in place is covered by
 ``test_relation.py``.
 """
 
 import pytest
 
-from repro.api import EXEC_MODES, Session
+from repro.api import Session
 from repro.core.instance import Instance
 from repro.core.terms import Constant, Variable
 from repro.datalog.seminaive import seminaive, seminaive_rounds
@@ -148,12 +149,8 @@ class TestBulkInterning:
 def _parity(source, store):
     """Kernel result on *store* vs the interpreter on ``instance``."""
     program, database = parse_program(source)
-    kernel = seminaive(
-        database, program, store=store, exec_mode="kernel"
-    )
-    interp = seminaive(
-        database, program, store="instance", exec_mode="interpret"
-    )
+    kernel = seminaive(database, program, store=store)
+    interp = seminaive(database, program, store="instance")
     assert kernel.instance.atoms() == interp.instance.atoms()
     assert kernel.rounds == interp.rounds
     assert kernel.derived == interp.derived
@@ -233,9 +230,7 @@ class TestRuntimeParity:
             ghost(phantom) :- missing(X).
             """
         )
-        result = seminaive(
-            database, program, store="columnar", exec_mode="kernel"
-        )
+        result = seminaive(database, program, store="columnar")
         # The interpreter never materializes heads of rules without a
         # body match; the kernel must not intern their constants either.
         assert result.instance.table.id_of(Constant("phantom")) is None
@@ -243,14 +238,10 @@ class TestRuntimeParity:
     def test_round_events_match_interpreter(self):
         program, database = parse_program(TC_SOURCE)
         kernel_events = list(
-            seminaive_rounds(
-                database, program, store="columnar", exec_mode="kernel"
-            )
+            seminaive_rounds(database, program, store="columnar")
         )
         interp_events = list(
-            seminaive_rounds(
-                database, program, store="instance", exec_mode="interpret"
-            )
+            seminaive_rounds(database, program, store="instance")
         )
         assert len(kernel_events) == len(interp_events)
         for kev, iev in zip(kernel_events, interp_events):
@@ -261,35 +252,15 @@ class TestRuntimeParity:
         assert all(e.batches > 0 for e in kernel_events[1:])
 
 
-class TestExecResolution:
-    def test_exec_modes_tuple(self):
-        assert EXEC_MODES == ("auto", "kernel", "interpret")
-
-    def test_unknown_mode_rejected(self):
+class TestDerivedDispatch:
+    def test_store_decides_how_rounds_run(self):
         program, database = parse_program(TC_SOURCE)
-        with pytest.raises(ValueError, match="unknown exec_mode"):
-            seminaive(database, program, exec_mode="vectorized")
-
-    def test_forced_kernel_needs_id_array_surface(self):
-        program, database = parse_program(TC_SOURCE)
-        for store in ("instance", "delta"):
-            with pytest.raises(ValueError, match="interned"):
-                list(
-                    seminaive_rounds(
-                        database, program, store=store, exec_mode="kernel"
-                    )
-                )
-
-    def test_auto_resolution_per_store(self):
-        program, database = parse_program(TC_SOURCE)
-        assert (
-            seminaive(database, program, store="columnar").exec_mode
-            == "kernel"
-        )
-        assert (
-            seminaive(database, program, store="instance").exec_mode
-            == "interpret"
-        )
+        for store, ran in (
+            ("columnar", "kernel"),
+            ("sharded", "kernel"),
+            ("instance", "interpret"),
+        ):
+            assert seminaive(database, program, store=store).exec_mode == ran
 
     def test_kernel_capable_probe(self):
         # One declaration — the backend class attribute — read through
@@ -300,7 +271,7 @@ class TestExecResolution:
         for capable in ("columnar", "sharded", ColumnarStore(),
                         ShardedStore(), sharded_store_factory(1 << 16)):
             assert kernel_capable(capable)
-        for incapable in ("instance", "delta", Instance(),
+        for incapable in ("instance", Instance(),
                           DeltaOverlay(ColumnarStore())):
             assert not kernel_capable(incapable)
         with pytest.raises(ValueError, match="unknown storage backend"):
@@ -312,8 +283,8 @@ class TestExecResolution:
             KernelEvaluator(Instance(), program)
 
 
-class TestPlannerExecDimension:
-    def test_columnar_auto_resolves_to_kernel(self):
+class TestPlanReportsExec:
+    def test_columnar_plans_kernels(self):
         session = Session(store="columnar")
         session.load(TC_SOURCE)
         plan = session.plan("q(X,Y) :- t(X,Y).")
@@ -321,33 +292,14 @@ class TestPlannerExecDimension:
         assert "interned id arrays" in plan.exec_note
         assert "exec    : kernel" in plan.explain()
 
-    def test_instance_auto_falls_back_to_interpreter(self):
+    def test_instance_plans_the_interpreter(self):
         session = Session(store="instance")
         session.load(TC_SOURCE)
         plan = session.plan("q(X,Y) :- t(X,Y).")
         assert plan.exec_mode == "interpret"
         assert "no interned id-array surface" in plan.exec_note
 
-    def test_forced_interpret_on_capable_store(self):
-        session = Session(store="columnar")
-        session.load(TC_SOURCE)
-        plan = session.plan("q(X,Y) :- t(X,Y).", exec_mode="interpret")
-        assert plan.exec_mode == "interpret"
-        assert "forced by the caller" in plan.exec_note
-
-    def test_forced_kernel_on_incapable_store_rejected(self):
-        session = Session(store="instance")
-        session.load(TC_SOURCE)
-        with pytest.raises(ValueError, match="interned id-array"):
-            session.plan("q(X,Y) :- t(X,Y).", exec_mode="kernel")
-
-    def test_unknown_mode_rejected_at_plan_time(self):
-        session = Session(store="columnar")
-        session.load(TC_SOURCE)
-        with pytest.raises(ValueError, match="unknown exec_mode"):
-            session.plan("q(X,Y) :- t(X,Y).", exec_mode="simd")
-
-    def test_non_datalog_engine_refuses_forced_kernel(self):
+    def test_non_datalog_engine_interprets_on_any_store(self):
         session = Session(store="columnar")
         session.load(
             """
@@ -355,8 +307,6 @@ class TestPlannerExecDimension:
             knows(X,K) :- person(X).
             """
         )
-        with pytest.raises(ValueError, match="semi-naive"):
-            session.plan("q(X) :- person(X).", exec_mode="kernel")
         plan = session.plan("q(X) :- person(X).")
         assert plan.exec_mode == "interpret"
         assert "no compiled kernel path" in plan.exec_note
@@ -368,7 +318,7 @@ class TestStatsEcho:
     def test_stream_stats_report_kernel_dispatch(self):
         session = Session(store="columnar")
         session.load(TC_SOURCE)
-        stream = session.query("q(X,Y) :- t(X,Y).", exec_mode="kernel")
+        stream = session.query("q(X,Y) :- t(X,Y).")
         answers = stream.to_set()
         assert len(answers) == 6
         assert stream.stats.exec_mode == "kernel"
@@ -393,31 +343,11 @@ class TestStatsEcho:
         assert cached.stats.from_cache
         assert cached.stats.exec_mode == ""
 
-    def test_exec_mode_shared_fixpoint_across_modes(self):
-        # exec changes how the fixpoint is computed, never the
-        # fixpoint: the kernel-built materialization serves the
-        # interpret-mode query from cache.
-        session = Session(store="columnar")
-        session.load(TC_SOURCE)
-        first = session.query("q(X,Y) :- t(X,Y).", exec_mode="kernel")
-        kernel_answers = first.to_set()
-        second = session.query("q(X,Y) :- t(X,Y).", exec_mode="interpret")
-        assert second.to_set() == kernel_answers
-        assert second.stats.from_cache
-
     def test_server_echoes_exec_mode(self):
         service = ReasoningService(TC_SOURCE, store="columnar")
-        result = service.query(
-            "q(X,Y) :- t(X,Y).", exec_mode="kernel"
-        )
+        result = service.query("q(X,Y) :- t(X,Y).")
         assert result.stats["exec_mode"] == "kernel"
         assert result.stats["kernel_batches"] > 0
-        forced = service.query(
-            "q(X,Y) :- t(X,Y).", exec_mode="interpret"
-        )
-        # Same fixpoint, already materialized: the forced-interpret
-        # query answers from cache without running either core.
-        assert forced.stats["from_cache"]
-        assert {tuple(r) for r in forced.answers} == {
-            tuple(r) for r in result.answers
-        }
+        again = service.query("q(X,Y) :- t(X,Y).")
+        assert again.stats["from_cache"]
+        assert again.stats["exec_mode"] == ""

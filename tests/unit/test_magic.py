@@ -377,7 +377,7 @@ class TestSessionIntegration:
 
     def test_store_backends_agree(self):
         expected = None
-        for backend in ("instance", "columnar", "delta"):
+        for backend in ("instance", "columnar", "sharded"):
             session = Session(store=backend)
             session.load(STRATIFIED_SOURCE)
             got = set(session.query("q(Y) :- t(a,Y).").to_set())

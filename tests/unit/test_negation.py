@@ -1,90 +1,67 @@
-"""Unit tests for stratified negation (the paper's "mild negation")."""
+"""Unit tests for stratified negation (the paper's "mild negation").
+
+Programs come from the one parser; safety and stratifiability are the
+linter's E101/E103, surfaced by the evaluator as ``LintError``.
+"""
 
 import pytest
 
 from repro.core.terms import Constant
 from repro.datalog.negation import (
-    NotStratifiableError,
-    Rule,
     negation_stratification,
-    parse_stratified_program,
     stratified_answers,
     stratified_fixpoint,
 )
-from repro.lang.parser import parse_atom, parse_query
+from repro.lang.parser import parse_program, parse_query
+from repro.lint import LintError
 
 a, b, c, d = Constant("a"), Constant("b"), Constant("c"), Constant("d")
 
 
-class TestParsing:
-    def test_positive_rules_and_facts(self):
-        program, database = parse_stratified_program("""
-            edge(a, b). edge(b, c).
-            reach(X, Y) :- edge(X, Y).
-        """)
-        assert len(program) == 1
-        assert len(database) == 2
-        assert not program.has_negation()
-
-    def test_negative_literals(self):
-        program, _ = parse_stratified_program("""
+class TestFrontEnd:
+    def test_negative_literals_ride_on_the_core_rule_type(self):
+        program, database = parse_program("""
+            node(a).
             separated(X, Y) :- node(X), node(Y), not edge(X, Y).
         """)
-        rule = program.rules[0]
-        assert len(rule.positive) == 2
-        assert len(rule.negative) == 1
-        assert rule.negative[0].predicate == "edge"
+        (rule,) = program
+        assert len(rule.body) == 2
+        assert [atom.predicate for atom in rule.negated] == ["edge"]
+        assert len(database) == 1
+        assert program.has_negation()
 
+
+class TestSafety:
     def test_unsafe_existential_negation_rejected(self):
         # "not edge(X, Y)" with Y nowhere positive is the classic
         # safety violation; the supported encoding goes through a
         # has_out(X) :- edge(X, Y) helper.
-        with pytest.raises(ValueError, match="unsafe"):
-            parse_stratified_program("""
-                sink(X) :- node(X), not edge(X, Y).
-            """)
-
-    def test_comments_stripped(self):
-        program, database = parse_stratified_program("""
-            % a comment with not edge(X, Y). inside
-            edge(a, b).
+        program, database = parse_program("""
+            node(a).
+            sink(X) :- node(X), not edge(X, Y).
         """)
-        assert len(program) == 0
-        assert len(database) == 1
+        with pytest.raises(LintError, match="E101"):
+            stratified_fixpoint(database, program)
 
-    def test_missing_period_rejected(self):
-        with pytest.raises(ValueError, match="terminating period"):
-            parse_stratified_program("edge(a, b)")
+    def test_unsafe_head_variable_under_negation_rejected(self):
+        program, _ = parse_program("p(X, Y) :- q(X), not r(X).")
+        with pytest.raises(ValueError, match="existential"):
+            negation_stratification(program)
 
-    def test_fact_with_variables_rejected(self):
-        with pytest.raises(ValueError, match="variables"):
-            parse_stratified_program("edge(a, X).")
+    def test_existential_rule_rejected(self):
+        program, _ = parse_program("p(X, Y) :- q(X).")
+        with pytest.raises(ValueError, match="existential"):
+            negation_stratification(program)
 
-
-class TestSafety:
-    def test_unsafe_head_variable_rejected(self):
-        with pytest.raises(ValueError, match="unsafe"):
-            Rule(
-                parse_atom("p(X, Y)"),
-                (parse_atom("q(X)"),),
-            )
-
-    def test_unsafe_negative_variable_rejected(self):
-        with pytest.raises(ValueError, match="unsafe"):
-            Rule(
-                parse_atom("p(X)"),
-                (parse_atom("q(X)"),),
-                (parse_atom("r(X, Z)"),),
-            )
-
-    def test_rule_needs_positive_body(self):
-        with pytest.raises(ValueError, match="positive body"):
-            Rule(parse_atom("p(a)"), ())
+    def test_multi_head_rule_rejected(self):
+        program, _ = parse_program("p(X), r(X) :- q(X).")
+        with pytest.raises(ValueError, match="single-head"):
+            negation_stratification(program)
 
 
 class TestStratification:
     def test_negation_free_is_one_order(self):
-        program, _ = parse_stratified_program("""
+        program, _ = parse_program("""
             reach(X, Y) :- edge(X, Y).
             reach(X, Z) :- edge(X, Y), reach(Y, Z).
         """)
@@ -92,7 +69,7 @@ class TestStratification:
         assert sum(len(layer) for layer in strata) == 2
 
     def test_negation_below_recursion_allowed(self):
-        program, _ = parse_stratified_program("""
+        program, _ = parse_program("""
             reach(X, Y)     :- edge(X, Y).
             reach(X, Z)     :- edge(X, Y), reach(Y, Z).
             separated(X, Y) :- node(X), node(Y), not reach(X, Y).
@@ -100,27 +77,29 @@ class TestStratification:
         strata = negation_stratification(program)
         # `separated` must evaluate after the `reach` component.
         last = strata[-1]
-        assert any(rule.head.predicate == "separated" for rule in last)
+        assert any(
+            rule.head[0].predicate == "separated" for rule in last
+        )
 
     def test_win_move_rejected(self):
-        program, _ = parse_stratified_program("""
+        program, _ = parse_program("""
             win(X) :- move(X, Y), not win(Y).
         """)
-        with pytest.raises(NotStratifiableError, match="win"):
+        with pytest.raises(LintError, match="E103.*win"):
             negation_stratification(program)
 
     def test_mutual_negation_rejected(self):
-        program, _ = parse_stratified_program("""
+        program, _ = parse_program("""
             p(X) :- base(X), not q(X).
             q(X) :- base(X), not p(X).
         """)
-        with pytest.raises(NotStratifiableError):
+        with pytest.raises(LintError, match="E103"):
             negation_stratification(program)
 
 
 class TestEvaluation:
     def test_complement_of_reachability(self):
-        program, database = parse_stratified_program("""
+        program, database = parse_program("""
             node(a). node(b). node(c).
             edge(a, b). edge(b, c).
             reach(X, Y)     :- edge(X, Y).
@@ -138,7 +117,7 @@ class TestEvaluation:
         assert len(answers) == 6
 
     def test_sinks(self):
-        program, database = parse_stratified_program("""
+        program, database = parse_program("""
             node(a). node(b). node(c).
             edge(a, b). edge(b, c).
             has_out(X) :- edge(X, Y).
@@ -149,21 +128,19 @@ class TestEvaluation:
 
     def test_negation_free_matches_seminaive(self):
         from repro.datalog.seminaive import datalog_answers
-        from repro.lang.parser import parse_program
 
         text = """
             edge(a, b). edge(b, c). edge(c, a).
             reach(X, Y) :- edge(X, Y).
             reach(X, Z) :- edge(X, Y), reach(Y, Z).
         """
-        strat_program, strat_db = parse_stratified_program(text)
-        plain_program, plain_db = parse_program(text)
+        program, database = parse_program(text)
         query = parse_query("q(X, Y) :- reach(X, Y).")
-        assert stratified_answers(query, strat_db, strat_program) == \
-            datalog_answers(query, plain_db, plain_program)
+        assert stratified_answers(query, database, program) == \
+            datalog_answers(query, database, program)
 
     def test_double_negation_through_strata(self):
-        program, database = parse_stratified_program("""
+        program, database = parse_program("""
             node(a). node(b).
             edge(a, b).
             has_out(X)  :- edge(X, Y).
@@ -174,7 +151,7 @@ class TestEvaluation:
         assert stratified_answers(query, database, program) == {(a,)}
 
     def test_fixpoint_statistics(self):
-        program, database = parse_stratified_program("""
+        program, database = parse_program("""
             node(a). node(b).
             edge(a, b).
             has_out(X) :- edge(X, Y).
@@ -189,7 +166,7 @@ class TestOwl2QLWithNegation:
     """The paper's key property (2): OWL 2 QL entailment + mild negation."""
 
     def test_classes_without_instances(self):
-        program, database = parse_stratified_program("""
+        program, database = parse_program("""
             class(person). class(robot).
             subClass(employee, person). class(employee).
             type(alice, employee).

@@ -23,6 +23,7 @@ from repro.server import (
     SnapshotManager,
 )
 from repro.server.protocol import (
+    QUERY_OPTIONS,
     ProtocolError,
     decode_request,
     encode_response,
@@ -301,6 +302,58 @@ class TestProtocol:
     def test_shutdown_returns_none(self):
         service = ReasoningService(PROGRAM)
         assert handle_request(service, {"op": "shutdown"}) is None
+
+    @pytest.mark.parametrize("first", [-1, 0, 2.5, "2", True, [2]])
+    def test_first_must_be_a_positive_int(self, first):
+        service = ReasoningService(PROGRAM)
+        response = handle_request(
+            service, {"op": "query", "query": FULL_QUERY, "first": first}
+        )
+        assert response["ok"] is False
+        assert response["kind"] == "ProtocolError"
+        assert "'first' must be a positive integer" in response["error"]
+        assert service.stats()["queries_total"] == 0  # never admitted
+
+    @pytest.mark.parametrize(
+        "first, rows, truncated",
+        [(1, 1, True), (5, 5, True), (6, 6, False), (7, 6, False)],
+    )
+    def test_truncated_only_when_something_was_cut(
+        self, first, rows, truncated
+    ):
+        # FULL_QUERY has exactly six answers: asking for all six cuts
+        # nothing, which one pull past `first` is enough to know.
+        service = ReasoningService(PROGRAM)
+        for _ in range(2):  # engine run, then fixpoint-cache hit
+            response = handle_request(
+                service,
+                {"op": "query", "query": FULL_QUERY, "first": first},
+            )
+            assert response["ok"]
+            assert len(response["answers"]) == rows
+            assert response["truncated"] is truncated
+
+    def test_null_first_means_no_limit(self):
+        service = ReasoningService(PROGRAM)
+        response = handle_request(
+            service, {"op": "query", "query": FULL_QUERY, "first": None}
+        )
+        assert response["ok"] and len(response["answers"]) == 6
+        assert response["truncated"] is False
+
+    def test_unknown_query_option_lists_the_valid_ones(self):
+        service = ReasoningService(PROGRAM, store="columnar")
+        response = handle_request(
+            service,
+            {"op": "query", "query": FULL_QUERY, "id": 3,
+             "exec_mode": "interpret", "frist": 2},
+        )
+        assert response["ok"] is False and response["id"] == 3
+        assert response["kind"] == "ProtocolError"
+        assert "unknown query option(s) exec_mode, frist" in response["error"]
+        for option in QUERY_OPTIONS:
+            assert option in response["error"]
+        assert "exec_mode" not in QUERY_OPTIONS
 
 
 @pytest.fixture()

@@ -14,6 +14,8 @@ from repro.storage import (
     ColumnarStore,
     DeltaOverlay,
     FactStore,
+    FrozenStoreError,
+    ShardedStore,
     TermTable,
     deep_sizeof,
     make_store,
@@ -153,15 +155,24 @@ class TestColumnarStore:
 
 
 class TestDeltaOverlay:
-    def test_layering_and_promote(self):
+    def test_layering(self):
         overlay = DeltaOverlay(ColumnarStore([Atom("e", (a, b))]))
         assert len(overlay.base) == 1 and len(overlay.delta) == 0
         assert not overlay.add(Atom("e", (a, b)))  # already in base
         assert overlay.add(Atom("t", (a, b)))
+        assert len(overlay.base) == 1
         assert len(overlay.delta) == 1 and len(overlay) == 2
-        assert overlay.promote() == 1
-        assert len(overlay.base) == 2 and len(overlay.delta) == 0
         assert Atom("t", (a, b)) in overlay
+
+    def test_construction_seals_the_base(self):
+        base = ColumnarStore([Atom("r", (a, b))])
+        overlay = DeltaOverlay(base)
+        assert base.frozen and not overlay.frozen
+        with pytest.raises(FrozenStoreError):
+            base.add(Atom("r", (b, c)))
+        with pytest.raises(FrozenStoreError):
+            base.discard(Atom("r", (a, b)))
+        assert overlay.add(Atom("r", (b, c)))  # the overlay stays writable
 
     def test_reads_span_both_layers(self):
         overlay = DeltaOverlay(ColumnarStore([Atom("r", (a, b))]))
@@ -181,48 +192,6 @@ class TestDeltaOverlay:
         assert len(overlay) == 2
         assert isinstance(overlay.delta, Instance)
 
-    def test_atom_in_both_layers_counted_once(self):
-        # Regression: an atom added to the delta first and to the
-        # (mutable) base afterwards used to be reported twice by every
-        # read path — the insert-time guard in add() only dedupes while
-        # the base stays frozen.
-        overlay = DeltaOverlay(ColumnarStore([Atom("r", (a, b))]))
-        overlay.add(Atom("r", (b, c)))          # lands in the delta
-        overlay.base.add(Atom("r", (b, c)))     # later lands in the base too
-        assert len(overlay) == 2
-        assert overlay.count() == 2
-        assert overlay.count("r") == 2
-        assert list(overlay).count(Atom("r", (b, c))) == 1
-        assert list(overlay.by_predicate("r")).count(Atom("r", (b, c))) == 1
-        assert list(overlay.matching(Atom("r", (X, Y)))).count(
-            Atom("r", (b, c))
-        ) == 1
-        assert list(
-            overlay.matching_bound("r", {1: b}, arity=2)
-        ).count(Atom("r", (b, c))) == 1
-        assert overlay.memory_report().atom_count == 2
-
-    def test_delta_side_backdoor_mutation_recounted(self):
-        # Regression: a shadowed atom slipped in through the public
-        # .delta property (not overlay.add) must not let a later add()
-        # re-validate the stale overlap count — len()/count() would
-        # disagree with iteration forever after.
-        overlay = DeltaOverlay(ColumnarStore([Atom("r", (a, b))]))
-        overlay.delta.add(Atom("r", (a, b)))    # bypasses the add() guard
-        overlay.add(Atom("r", (b, c)))
-        assert len(overlay) == 2
-        assert overlay.count("r") == 2
-        assert sorted(map(str, overlay)) == sorted(
-            map(str, {Atom("r", (a, b)), Atom("r", (b, c))})
-        )
-
-    def test_shadowed_delta_atom_not_double_promoted(self):
-        overlay = DeltaOverlay(ColumnarStore())
-        overlay.add(Atom("r", (a, b)))
-        overlay.base.add(Atom("r", (a, b)))
-        assert overlay.promote() == 0           # nothing actually moved
-        assert len(overlay) == 1
-
     def test_memory_report_merges_layers(self):
         overlay = DeltaOverlay(ColumnarStore([Atom("r", (a, b))]))
         overlay.add(Atom("s", (c,)))
@@ -237,7 +206,7 @@ class TestMakeStore:
     def test_backend_names(self):
         assert isinstance(make_store("instance"), Instance)
         assert isinstance(make_store("columnar"), ColumnarStore)
-        assert isinstance(make_store("delta"), DeltaOverlay)
+        assert isinstance(make_store("sharded"), ShardedStore)
 
     def test_unknown_backend_raises(self):
         with pytest.raises(ValueError, match="unknown storage backend"):
@@ -249,10 +218,6 @@ class TestMakeStore:
         existing = Instance()
         assert make_store(existing, [Atom("r", (a,))]) is existing
         assert len(existing) == 1
-
-    def test_delta_seed_goes_to_base(self):
-        made = make_store("delta", [Atom("r", (a,))])
-        assert len(made.base) == 1 and len(made.delta) == 0
 
     def test_instance_is_a_fact_store(self):
         assert isinstance(Instance(), FactStore)
@@ -304,13 +269,6 @@ class TestEnginesAcrossBackends:
             assert result.derived == reference.derived, backend
             assert result.considered == reference.considered, backend
             assert result.evaluate(query) == reference.evaluate(query), backend
-
-    def test_seminaive_delta_promotes_per_round(self):
-        program, database = parse_program(PROGRAM)
-        result = seminaive(database, program, store="delta")
-        assert isinstance(result.instance, DeltaOverlay)
-        assert result.instance.promotions == result.rounds
-        assert len(result.instance.delta) == 0  # fixpoint: empty delta
 
     def test_operator_network_across_backends(self):
         program, database = parse_program(PROGRAM)
@@ -504,7 +462,7 @@ class TestDiscard:
         assert not overlay.discard(Atom("r", (a, b)))  # already dead
         assert Atom("r", (a, b)) not in overlay
         assert len(overlay) == 1
-        assert len(base) == 2  # base untouched until promote
+        assert len(base) == 2  # the base is never touched
         assert set(overlay.by_predicate("r")) == {Atom("r", (b, c))}
 
     def test_delta_overlay_readd_resurrects_base_atom(self):
@@ -514,16 +472,6 @@ class TestDiscard:
         assert Atom("r", (a, b)) in overlay
         assert len(overlay) == 1
         assert len(overlay.delta) == 0  # the base copy shows through
-
-    def test_delta_overlay_promote_applies_tombstones(self):
-        base = ColumnarStore([Atom("r", (a, b)), Atom("r", (b, c))])
-        overlay = DeltaOverlay(base)
-        overlay.add(Atom("r", (c, d)))
-        overlay.discard(Atom("r", (a, b)))
-        overlay.promote()
-        assert set(base) == {Atom("r", (b, c)), Atom("r", (c, d))}
-        assert set(overlay) == set(base)
-        assert overlay.memory_report().atom_count == 2
 
     def test_delta_overlay_memory_report_counts_tombstones(self):
         overlay = DeltaOverlay(ColumnarStore([Atom("r", (a, b))]))
