@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import time
 
-from repro.api import Session
-from repro.reasoning.answers import certain_answers
+from repro.api import Session, certain_answers
 
 from conftest import write_json_result
 from workloads import tc_linear_chain

@@ -21,9 +21,9 @@ Measured here:
 from __future__ import annotations
 
 from repro.analysis import is_piecewise_linear
+from repro.api import certain_answers
 from repro.datalog.seminaive import datalog_answers
 from repro.expressiveness import pwl_to_datalog, ward_to_datalog
-from repro.reasoning import certain_answers
 
 from workloads import reachability_query, tc_doubling_chain, tc_linear_random
 

@@ -118,7 +118,7 @@ def test_e7_guide_termination_ablation(benchmark, report):
 
 def test_e7_guide_preserves_certain_answers(benchmark):
     """Guided network answers equal the chase-probe certain answers."""
-    from repro.reasoning import certain_answers
+    from repro.api import certain_answers
 
     program, database = parse_program("""
         p(c1). p(c2).

@@ -14,8 +14,7 @@ The headline claims of ``repro.storage.sharded``, measured end-to-end:
   ``tests/unit/test_sharded.py::TestBudgetUnderKernels``.
 * **Exactness across the spill boundary** — the budgeted, constantly
   evicting/reloading store answers digest-equal to a fully resident
-  :class:`~repro.storage.ColumnarStore` ground truth, both through the
-  sequential evaluator and the shard-parallel one.
+  :class:`~repro.storage.ColumnarStore` ground truth.
 * **Warm starts** — a :class:`~repro.server.ReasoningService` restarted
   over the same ``--state-dir`` answers its *first* query from the
   restored fixpoint cache, without resaturating.
@@ -34,7 +33,6 @@ from pathlib import Path
 from repro.benchsuite.report import answer_digest
 from repro.datalog.seminaive import seminaive
 from repro.lang.parser import parse_program, parse_query
-from repro.parallel import shard_parallel_evaluate
 from repro.server import ReasoningService
 from repro.storage import ShardedStore, sharded_store_factory
 
@@ -104,8 +102,7 @@ def test_oocore_budget_and_warm_start(benchmark, report):
         store = budgeted.instance
         stats_after_chase = dict(store.stats)
 
-        sequential_answers = query.evaluate(store)
-        parallel_answers = shard_parallel_evaluate(query, store, workers=4)
+        budgeted_answers = query.evaluate(store)
         stats_after_query = dict(store.stats)
 
         def bound_probe():
@@ -136,8 +133,7 @@ def test_oocore_budget_and_warm_start(benchmark, report):
 
     resident = stats_after_chase["resident_estimate"]
     resident_post = stats_after_query["resident_estimate"]
-    budgeted_digest = answer_digest(sequential_answers)
-    parallel_digest = answer_digest(parallel_answers)
+    budgeted_digest = answer_digest(budgeted_answers)
     warm_digest = answer_digest(warm.answers)
     cold_digest = answer_digest(cold.answers)
 
@@ -160,7 +156,7 @@ def test_oocore_budget_and_warm_start(benchmark, report):
                 f"{resident / 1024:.0f} KiB (est.)",
                 f"{stats_after_chase['spill_bytes'] / 1024:.0f} KiB "
                 f"/ {stats_after_chase['spill_pages']} pages",
-                str(len(sequential_answers)),
+                str(len(budgeted_answers)),
             ),
             (
                 "warm start (restored cache)",
@@ -207,8 +203,7 @@ def test_oocore_budget_and_warm_start(benchmark, report):
             "answers": len(truth_answers),
             "digests": {
                 "columnar": truth_digest,
-                "sharded_sequential": budgeted_digest,
-                "sharded_parallel": parallel_digest,
+                "sharded": budgeted_digest,
                 "service_cold": cold_digest,
                 "service_warm": warm_digest,
             },
@@ -234,9 +229,8 @@ def test_oocore_budget_and_warm_start(benchmark, report):
     assert resident_post <= BUDGET + shard_slack
     assert stats_after_chase["spilled_shards"] > 0
     assert stats_after_chase["evictions"] > 0
-    # Exactness across the spill boundary, sequential and parallel.
+    # Exactness across the spill boundary.
     assert budgeted_digest == truth_digest
-    assert parallel_digest == truth_digest
     # Warm start: the restarted service never resaturated.
     assert cold.stats["from_cache"] is False
     assert second.warm_started is True

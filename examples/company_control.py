@@ -12,6 +12,7 @@ Run:  python examples/company_control.py
 """
 
 from repro import parse_program, parse_query, certain_answers
+from repro.analysis import is_piecewise_linear, is_warded
 from repro.engine import JoinOptimizer, LinearForestGuide, OperatorNetwork
 
 
@@ -35,8 +36,8 @@ SCENARIO = """
 
 def main() -> None:
     program, database = parse_program(SCENARIO)
-    print(f"warded: {program.is_warded()}, "
-          f"piece-wise linear: {program.is_piecewise_linear()}")
+    print(f"warded: {is_warded(program)}, "
+          f"piece-wise linear: {is_piecewise_linear(program)}")
 
     print("\n== who controls harbor_credit? ==")
     query = parse_query("q(X) :- control(X, harbor_credit).")

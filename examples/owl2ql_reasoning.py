@@ -11,7 +11,7 @@ Run:  python examples/owl2ql_reasoning.py
 """
 
 from repro import parse_program, parse_query, certain_answers
-from repro.analysis import wardedness_report
+from repro.analysis import is_piecewise_linear, wardedness_report
 
 
 ONTOLOGY = """
@@ -51,7 +51,7 @@ def main() -> None:
         if info.needs_ward:
             print(f"  ward {info.ward}  in  {info.tgd}")
     print(f"warded: {report.warded}, "
-          f"piece-wise linear: {program.is_piecewise_linear()}")
+          f"piece-wise linear: {is_piecewise_linear(program)}")
 
     print("\n== inferred types ==")
     query = parse_query("q(X, C) :- type(X, C).")

@@ -17,10 +17,10 @@ Run:  python examples/parallel_and_indexes.py
 import random
 
 from repro import parse_program, parse_query
+from repro.api import certain_answers
 from repro.core.terms import Constant
 from repro.parallel import parallel_certain_answers, speedup_curve
 from repro.reachability import TwoHopIndex, configuration_graph
-from repro.reasoning import certain_answers
 
 
 def build_scenario(vertices: int = 14, edges: int = 26, seed: int = 7):

@@ -20,6 +20,8 @@ Quickstart::
     print(certain_answers(query, database, program))
 """
 
+import importlib
+
 from .core import (
     Atom,
     Constant,
@@ -64,38 +66,34 @@ __all__ = [
     "__version__",
 ]
 
-#: Names resolved through :mod:`repro.api` on first access.
-_API_EXPORTS = (
-    "Session",
-    "CompiledProgram",
-    "Planner",
-    "QueryPlan",
-    "AnswerStream",
-    "compile_program",
-)
-
-#: Names resolved through :mod:`repro.incremental` on first access.
-_INCREMENTAL_EXPORTS = ("ChangeSet", "MaintenanceReport")
+#: Names resolved through a subpackage on first access.
+_LAZY_EXPORTS = {
+    "api": (
+        "certain_answers",
+        "Session",
+        "CompiledProgram",
+        "Planner",
+        "QueryPlan",
+        "AnswerStream",
+        "compile_program",
+    ),
+    "incremental": ("ChangeSet", "MaintenanceReport"),
+}
 
 
 def __getattr__(name):
     """Lazily surface the session and incremental layers at the root.
 
-    ``repro.Session``, ``repro.AnswerStream``, ``repro.ChangeSet`` et
-    al. resolve through their subpackages on first access, so importing
-    the core package stays cheap.
+    ``repro.certain_answers``, ``repro.Session``, ``repro.ChangeSet``
+    et al. resolve through their subpackages on first access, so
+    importing the core package stays cheap.
     """
-    if name in _API_EXPORTS or name == "api":
-        from . import api
-
-        return api if name == "api" else getattr(api, name)
-    if name in _INCREMENTAL_EXPORTS or name == "incremental":
-        from . import incremental
-
-        return (
-            incremental if name == "incremental"
-            else getattr(incremental, name)
-        )
+    for package, exports in _LAZY_EXPORTS.items():
+        if name == package or name in exports:
+            # import_module, not ``from . import``: the latter asks this
+            # very hook for the submodule first and would recurse.
+            module = importlib.import_module(f"{__name__}.{package}")
+            return module if name == package else getattr(module, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -104,13 +102,3 @@ def __dir__():
     session-layer names even before their first access."""
     return sorted(set(globals()) | set(__all__))
 
-
-def certain_answers(query, database, program, **kwargs):
-    """Compute ``cert(q, D, Σ)``; see :func:`repro.reasoning.certain_answers`.
-
-    Imported lazily so that the core package works even while the
-    reasoning layer is exercised in isolation.
-    """
-    from .reasoning import certain_answers as _certain_answers
-
-    return _certain_answers(query, database, program, **kwargs)

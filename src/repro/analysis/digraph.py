@@ -1,18 +1,30 @@
-"""A minimal directed graph with the structure reachability indexes need.
+"""A minimal directed graph: adjacency, SCCs, condensation, topological order.
 
 Nodes are arbitrary hashable objects.  The implementation is
-intentionally dependency-free: the reproduction's reachability layer
-(Section 7, future work (2)) must stand on its own, exactly like the
-rest of the substrate.
+intentionally dependency-free and holds the one Tarjan in ``src/``:
+the predicate graph (:mod:`repro.analysis.predicate_graph`), the
+linter's dependency SCCs and the reachability indexes (Section 7,
+future work (2)) all build one of these.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Iterator, List, Set, Tuple
+from typing import (
+    Collection, Dict, Hashable, Iterable, Iterator, List, Set, Tuple,
+)
 
 __all__ = ["DiGraph"]
 
 Node = Hashable
+
+
+def _ordered(nodes: Collection[Node]) -> List[Node]:
+    """A deterministic visiting order: natural where the nodes compare
+    (predicate names sort as strings), by ``repr`` where they do not."""
+    try:
+        return sorted(nodes)
+    except TypeError:
+        return sorted(nodes, key=repr)
 
 
 class DiGraph:
@@ -33,8 +45,9 @@ class DiGraph:
         return graph
 
     def add_node(self, node: Node) -> None:
-        self._succ.setdefault(node, set())
-        self._pred.setdefault(node, set())
+        if node not in self._succ:
+            self._succ[node] = set()
+            self._pred[node] = set()
 
     def add_edge(self, u: Node, v: Node) -> None:
         self.add_node(u)
@@ -121,7 +134,7 @@ class DiGraph:
             counter[0] += 1
             stack.append(root)
             on_stack.add(root)
-            work.append((root, iter(sorted(self._succ[root], key=repr))))
+            work.append((root, iter(_ordered(self._succ[root]))))
             while work:
                 node, successors = work[-1]
                 advanced = False
@@ -132,8 +145,7 @@ class DiGraph:
                         stack.append(successor)
                         on_stack.add(successor)
                         work.append(
-                            (successor,
-                             iter(sorted(self._succ[successor], key=repr)))
+                            (successor, iter(_ordered(self._succ[successor])))
                         )
                         advanced = True
                         break
@@ -183,15 +195,14 @@ class DiGraph:
     def topological_order(self) -> List[Node]:
         """Kahn's algorithm; raises ``ValueError`` on a cycle."""
         in_degree = {node: self.in_degree(node) for node in self.nodes()}
-        ready = sorted(
-            (node for node, degree in in_degree.items() if degree == 0),
-            key=repr,
+        ready = _ordered(
+            [node for node, degree in in_degree.items() if degree == 0]
         )
         order: List[Node] = []
         while ready:
             node = ready.pop()
             order.append(node)
-            for successor in sorted(self._succ[node], key=repr):
+            for successor in _ordered(self._succ[node]):
                 in_degree[successor] -= 1
                 if in_degree[successor] == 0:
                     ready.append(successor)

@@ -10,9 +10,10 @@ contains a cycle (a single vertex only qualifies if it has a self-loop).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Set
+from typing import Dict, List, Set
 
 from ..core.program import Program
+from .digraph import DiGraph
 
 __all__ = ["PredicateGraph"]
 
@@ -20,100 +21,48 @@ __all__ = ["PredicateGraph"]
 class PredicateGraph:
     """``pg(Σ)`` with SCC decomposition and mutual-recursion queries.
 
-    SCCs are computed once (Tarjan's algorithm, iterative to dodge
-    recursion limits) and all queries are O(1) dictionary lookups after
-    that.
+    SCCs are computed once (:meth:`DiGraph.sccs`) and all queries are
+    O(1) dictionary lookups after that.  Vertices enter the graph in
+    sorted order, which fixes the order components are emitted in — the
+    strata schedule of every fixpoint engine follows it.
     """
 
     def __init__(self, program: Program):
-        self._vertices: Set[str] = set(program.schema())
-        self._edges: Dict[str, Set[str]] = {v: set() for v in self._vertices}
+        self._graph = DiGraph()
+        for vertex in sorted(program.schema()):
+            self._graph.add_node(vertex)
         for tgd in program:
             for body_pred in tgd.body_predicates():
                 for head_pred in tgd.head_predicates():
-                    self._edges[body_pred].add(head_pred)
-        self._scc_of: Dict[str, int] = {}
-        self._sccs: List[FrozenSet[str]] = []
-        self._compute_sccs()
-        self._cyclic: Set[int] = self._find_cyclic_components()
-
-    # -- construction helpers -------------------------------------------------
-
-    def _compute_sccs(self) -> None:
-        """Iterative Tarjan SCC over the predicate vertices."""
-        index_counter = 0
-        index: Dict[str, int] = {}
-        lowlink: Dict[str, int] = {}
-        on_stack: Set[str] = set()
-        stack: List[str] = []
-
-        for root in sorted(self._vertices):
-            if root in index:
-                continue
-            work: List[tuple[str, Iterable[str]]] = [
-                (root, iter(sorted(self._edges[root])))
-            ]
-            index[root] = lowlink[root] = index_counter
-            index_counter += 1
-            stack.append(root)
-            on_stack.add(root)
-            while work:
-                vertex, successors = work[-1]
-                advanced = False
-                for succ in successors:
-                    if succ not in index:
-                        index[succ] = lowlink[succ] = index_counter
-                        index_counter += 1
-                        stack.append(succ)
-                        on_stack.add(succ)
-                        work.append((succ, iter(sorted(self._edges[succ]))))
-                        advanced = True
-                        break
-                    if succ in on_stack:
-                        lowlink[vertex] = min(lowlink[vertex], index[succ])
-                if advanced:
-                    continue
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    lowlink[parent] = min(lowlink[parent], lowlink[vertex])
-                if lowlink[vertex] == index[vertex]:
-                    component: Set[str] = set()
-                    while True:
-                        member = stack.pop()
-                        on_stack.discard(member)
-                        component.add(member)
-                        if member == vertex:
-                            break
-                    scc_id = len(self._sccs)
-                    self._sccs.append(frozenset(component))
-                    for member in component:
-                        self._scc_of[member] = scc_id
-
-    def _find_cyclic_components(self) -> Set[int]:
-        """Components containing a cycle: size > 1, or a self-loop."""
-        cyclic: Set[int] = set()
-        for scc_id, component in enumerate(self._sccs):
-            if len(component) > 1:
-                cyclic.add(scc_id)
-            else:
-                (only,) = component
-                if only in self._edges[only]:
-                    cyclic.add(scc_id)
-        return cyclic
+                    self._graph.add_edge(body_pred, head_pred)
+        self._sccs: List[frozenset[str]] = [
+            frozenset(component) for component in self._graph.sccs()
+        ]
+        self._scc_of: Dict[str, int] = {
+            member: scc_id
+            for scc_id, component in enumerate(self._sccs)
+            for member in component
+        }
+        #: Components containing a cycle: size > 1, or a self-loop.
+        self._cyclic: Set[int] = {
+            scc_id
+            for vertex, scc_id in self._scc_of.items()
+            if len(self._sccs[scc_id]) > 1
+            or vertex in self._graph.successors(vertex)
+        }
 
     # -- queries -----------------------------------------------------------
 
     def vertices(self) -> frozenset[str]:
-        return frozenset(self._vertices)
+        return frozenset(self._graph.nodes())
 
     def successors(self, predicate: str) -> frozenset[str]:
         """Predicates R with an edge predicate → R."""
-        return frozenset(self._edges.get(predicate, ()))
+        return frozenset(self._graph.successors(predicate))
 
     def edges(self) -> set[tuple[str, str]]:
         """All edges of pg(Σ) as (source, target) pairs."""
-        return {(p, r) for p, succs in self._edges.items() for r in succs}
+        return set(self._graph.edges())
 
     def mutually_recursive(self, p: str, r: str) -> bool:
         """True iff some cycle of pg(Σ) contains both *p* and *r*.

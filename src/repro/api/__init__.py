@@ -30,13 +30,16 @@ Quickstart::
     print(stream.first(1))        # first answer, engine barely started
     print(sorted(stream.to_set()))  # the full certain-answer set
 
-The legacy entry points (``certain_answers``, ``chase_answers``,
-``datalog_answers``, ``chase``, ``seminaive``, ``OperatorNetwork.run``)
-remain as thin wrappers over this layer.
+:func:`certain_answers` is the one-shot form — plan, execute, drain —
+for a caller with one question and no session.  Requests enter here
+and nowhere else: the engines' own eager drivers (``seminaive``,
+``datalog_answers``, ``chase``, ``is_certain_answer``,
+``OperatorNetwork.run``) sit below this package and never call up
+into it.
 """
 
 from ..lint import LintError
-from .execution import execute_plan
+from .execution import certain_answers, execute_plan
 from .planner import ENGINES, REWRITES, Planner, QueryPlan
 from .program import CompiledProgram, ProgramAnalysis, compile_program
 from .session import Session
@@ -55,4 +58,5 @@ __all__ = [
     "AnswerStream",
     "StreamStats",
     "execute_plan",
+    "certain_answers",
 ]

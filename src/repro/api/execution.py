@@ -1,5 +1,5 @@
 """Plan execution: one dispatcher from :class:`QueryPlan` to a lazy
-:class:`AnswerStream`.
+:class:`AnswerStream`, and the one-shot facade over it.
 
 Every engine is driven through its streaming core
 (:func:`~repro.datalog.seminaive.stream_datalog_answers`,
@@ -9,7 +9,8 @@ Every engine is driven through its streaming core
 surface as they are derived.  When a
 :class:`~repro.api.cache.FixpointCache` is attached, saturated
 materializations and star abstractions are reused across queries
-instead of recomputed.
+instead of recomputed.  :func:`certain_answers` is plan + execute +
+drain for callers that have one question and no session.
 """
 
 from __future__ import annotations
@@ -25,13 +26,14 @@ from ..reasoning.answers import (
     UnsupportedProgramError,
     stream_proof_tree_answers,
 )
-from .planner import QueryPlan
+from .planner import Planner, QueryPlan
+from .program import compile_program
 from .stream import AnswerStream, StreamStats
 
-__all__ = ["execute_plan"]
+__all__ = ["certain_answers", "execute_plan"]
 
 #: chase budget used when the strict certain-answer semantics must
-#: witness saturation (the legacy ``certain_answers`` defaults).
+#: witness saturation.
 STRICT_CHASE_MAX_ATOMS = 200000
 STRICT_CHASE_MAX_STEPS = 400000
 
@@ -41,30 +43,6 @@ _NOT_SATURATED = (
     "computed exactly (cf. Theorem 5.1: CQAns(PWL) alone is "
     "undecidable)"
 )
-
-#: Worker pool used when a cached fixpoint lives in a sharded store —
-#: shard scans are independent, so the cache-hit path fans them out.
-SHARD_SCAN_WORKERS = 4
-
-
-def _evaluate_fixpoint(query, cached):
-    """``q(cached)`` for a cache hit, shard-parallel when possible.
-
-    A sharded materialization may be partially spilled; the per-shard
-    tasks decode each page once in a worker instead of funneling every
-    row through one sequential scan.  Answers are identical to
-    ``query.evaluate`` either way (the shard fan-out partitions the
-    homomorphism space exactly).
-    """
-    from ..storage.sharded import ShardedStore
-
-    if isinstance(cached, ShardedStore):
-        from ..parallel.shardscan import shard_parallel_evaluate
-
-        return shard_parallel_evaluate(
-            query, cached, workers=SHARD_SCAN_WORKERS
-        )
-    return query.evaluate(cached)
 
 
 def _stream_network_answers(query, database, network, *, store, run,
@@ -108,7 +86,7 @@ def execute_plan(
             return None
         stats.from_cache = True
         stats.saturated = True
-        return sorted(_evaluate_fixpoint(run_query, fixpoint), key=str)
+        return sorted(run_query.evaluate(fixpoint), key=str)
 
     on_fixpoint = (
         partial(cache.set_fixpoint, plan) if cache is not None else None
@@ -245,3 +223,28 @@ def execute_plan(
         raise ValueError(f"unknown method {plan.method!r}")
 
     return AnswerStream(plan, factory, stats)
+
+
+def certain_answers(
+    query, database, program, *, method="auto", store="instance",
+    **engine_kwargs,
+) -> set:
+    """Compute ``cert(q, D, Σ)`` in one shot.
+
+    ``method`` is ``"auto"`` (dispatch on the class of Σ: full programs
+    → semi-naive Datalog, WARD ∩ PWL → the linear proof-tree search of
+    Theorem 4.8, WARD → the AND-OR search of Theorem 4.9, anything else
+    → the chase, accepted only if it saturates) or one of
+    :data:`~repro.api.planner.ENGINES`; ``store`` names the backend the
+    materializing engines run on; *engine_kwargs* (``max_atoms``,
+    ``strict``, ``probe_depth``, ``width_bound``, ...) reach the
+    engine.  This is ``Planner().plan`` + :func:`execute_plan` drained
+    — nothing is cached; many queries over one program belong to a
+    :class:`~repro.api.session.Session`, whose streams also carry the
+    run's :class:`StreamStats`.
+    """
+    plan = Planner().plan(
+        compile_program(program), query, method=method, store=store,
+        **engine_kwargs,
+    )
+    return set(execute_plan(plan, database))

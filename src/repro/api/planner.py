@@ -1,11 +1,8 @@
 """The planner: engine selection as an inspectable artifact.
 
-Engine dispatch used to live as ad-hoc ``if`` chains inside
-``certain_answers`` (and again, slightly differently, in callers that
-picked ``chase_answers`` or ``datalog_answers`` by hand).
-:class:`Planner` is now the one place that decision is made; its output
-is a :class:`QueryPlan` — a frozen record of *what* will run and *why*,
-with a stable :meth:`QueryPlan.explain` rendering.
+:class:`Planner` is the one place the engine for a program is chosen;
+its output is a :class:`QueryPlan` — a frozen record of *what* will run
+and *why*, with a stable :meth:`QueryPlan.explain` rendering.
 """
 
 from __future__ import annotations
@@ -188,9 +185,9 @@ class QueryPlan:
 class Planner:
     """Resolves (compiled program, query, method) into a :class:`QueryPlan`.
 
-    This is the *only* place engine auto-dispatch lives: the legacy
-    ``certain_answers`` and ``chase_answers`` facades both route
-    through here, as does :meth:`repro.api.Session.query`.
+    This is the *only* place engine auto-dispatch lives:
+    :func:`repro.api.certain_answers`, :meth:`repro.api.Session.query`
+    and the server all route through here.
     """
 
     def resolve(

@@ -2,9 +2,8 @@
 
 A :class:`CompiledProgram` runs the front-half of the pipeline — parse
 (done by the caller), normalize, **classify**, **stratify**, **plan** —
-exactly once and keeps the results for every subsequent query.  The
-legacy entry points recomputed this per call; the planner and the
-session layer read it from here instead.
+exactly once and keeps the results for every subsequent query; the
+planner and the session layer read them from here.
 """
 
 from __future__ import annotations

@@ -316,9 +316,10 @@ class Session:
         """Answer a query against the session EDB, lazily.
 
         Returns an :class:`AnswerStream`; the engine starts on the
-        first pull, and its materialized set equals the legacy eager
-        ``certain_answers`` for the same arguments (the magic rewriting
-        only restricts *how much* is derived, never the answers).
+        first pull, and its materialized set equals
+        :func:`~repro.api.execution.certain_answers` for the same
+        arguments (the magic rewriting only restricts *how much* is
+        derived, never the answers).
         """
         plan = self.plan(
             query,

@@ -25,10 +25,12 @@ AnswerTuple = Tuple[Constant, ...]
 class StreamStats:
     """Execution statistics, filled in as the stream is driven.
 
-    ``probe_answers``/``decided_tuples`` mirror the legacy
-    :class:`~repro.reasoning.answers.AnswerReport` fields (proof-tree
-    engines only); ``saturated`` reports fixpoint completion for the
-    materializing engines; ``from_cache`` marks a session cache hit
+    ``method`` is the engine that ran; ``probe_answers`` counts the
+    answers the bounded chase probe settled alone and
+    ``decided_tuples`` the candidate tuples sent to a decision engine
+    (proof-tree engines only); ``saturated`` reports fixpoint
+    completion for the materializing engines; ``from_cache`` marks a
+    session cache hit
     (a reused materialization — no engine run at all).  ``rounds``
     counts semi-naive fixpoint rounds (datalog engine) and ``events``
     counts engine steps — chase trigger firings or operator-network

@@ -6,7 +6,6 @@ from .runner import (
     ChaseResult,
     ChaseRun,
     chase,
-    chase_answers,
     chase_events,
     stream_chase_answers,
 )
@@ -22,7 +21,6 @@ from .trigger import Trigger, all_triggers, fire, triggers_for_new_atom
 
 __all__ = [
     "chase",
-    "chase_answers",
     "chase_events",
     "stream_chase_answers",
     "ChaseEvent",

@@ -44,7 +44,6 @@ __all__ = [
     "ChaseRun",
     "chase",
     "chase_events",
-    "chase_answers",
     "stream_chase_answers",
 ]
 
@@ -251,35 +250,3 @@ def stream_chase_answers(
     )
     if on_fixpoint is not None and run.saturated and run.instance is not None:
         on_fixpoint(run.instance)
-
-
-def chase_answers(
-    query: ConjunctiveQuery,
-    database: Database,
-    program: Program,
-    **chase_kwargs,
-) -> set[tuple[Constant, ...]]:
-    """Certain answers via the chase (exact when the chase saturates).
-
-    When the chase is truncated by limits the returned set is a *sound
-    under-approximation* of cert(q, D, Σ): every returned tuple is a
-    certain answer, but some certain answers may be missing.
-
-    Thin deprecated wrapper: engine selection and execution live in
-    :mod:`repro.api`; this routes through the planner with the chase
-    engine forced and the non-strict (no raise on truncation) semantics.
-    """
-    from ..api import compile_program
-    from ..api.execution import execute_plan
-    from ..api.planner import Planner
-
-    store = chase_kwargs.pop("store", "instance")
-    plan = Planner().plan(
-        compile_program(program),
-        query,
-        method="chase",
-        store=store,
-        strict=False,
-        **chase_kwargs,
-    )
-    return set(execute_plan(plan, database))

@@ -17,11 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, Sequence
 
-from ..core.atoms import Atom
+from ..core.atoms import Atom, match_atom
 from ..core.homomorphism import homomorphisms
 from ..core.instance import Instance
 from ..core.substitution import Substitution
-from ..core.terms import Null, NullFactory, Term, Variable
+from ..core.terms import Null, NullFactory, Term
 from ..core.tgd import TGD
 
 __all__ = ["Trigger", "triggers_for_new_atom", "all_triggers", "fire"]
@@ -52,18 +52,9 @@ def _match_with_pin(
     instance: Instance,
 ) -> Iterator[Trigger]:
     """Triggers of *tgd* whose body atom at *pin_position* maps to *new_atom*."""
-    pinned = tgd.body[pin_position]
-    if pinned.predicate != new_atom.predicate or pinned.arity != new_atom.arity:
+    seed = match_atom(tgd.body[pin_position], new_atom)
+    if seed is None:
         return
-    seed: Dict[Variable, Term] = {}
-    for p_term, n_term in zip(pinned.args, new_atom.args):
-        if isinstance(p_term, Variable):
-            existing = seed.get(p_term)
-            if existing is not None and existing != n_term:
-                return
-            seed[p_term] = n_term
-        elif p_term != n_term:
-            return
     rest = [a for i, a in enumerate(tgd.body) if i != pin_position]
     for hom in homomorphisms(rest, instance, seed):
         yield Trigger(tgd_index, tgd, hom)

@@ -450,11 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="grace period for open connections on shutdown (default 5)",
     )
     serve.add_argument(
-        "--flatten-depth", type=_positive_int, default=8, metavar="N",
-        help="collapse the snapshot overlay chain every N versions "
-             "(default 8)",
-    )
-    serve.add_argument(
         "--state-dir", type=Path, default=None, metavar="DIR",
         help="persist EDB + promoted fixpoints here; a restart over the "
              "same program warm-starts from the checkpoint instead of "
@@ -981,7 +976,6 @@ def _cmd_serve(args, out) -> int:
         service = ReasoningService(
             Path(args.file),
             store=_resolve_store(args),
-            flatten_depth=args.flatten_depth,
             state_dir=args.state_dir,
         )
     except OSError as error:

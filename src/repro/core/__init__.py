@@ -1,4 +1,6 @@
-"""Core model: terms, atoms, substitutions, instances, TGDs, CQs, programs."""
+"""Core model: terms, atoms, substitutions, instances, TGDs, CQs, programs
+— and the :class:`~repro.core.store.FactStore` interface ``Instance``
+implements.  Imports nothing else of the package."""
 
 from .atoms import Atom, Position
 from .homomorphism import find_homomorphism, homomorphisms

@@ -15,7 +15,14 @@ from typing import Iterable, Iterator, Optional
 from .spans import AtomSpan
 from .terms import Constant, Null, Term, Variable
 
-__all__ = ["Atom", "Position", "atoms_variables", "atoms_terms", "atoms_nulls"]
+__all__ = [
+    "Atom",
+    "Position",
+    "match_atom",
+    "atoms_variables",
+    "atoms_terms",
+    "atoms_nulls",
+]
 
 
 @dataclass(frozen=True, slots=True)
@@ -94,6 +101,30 @@ class Atom:
 
     def __repr__(self) -> str:
         return f"Atom({self.predicate!r}, {self.args!r})"
+
+
+def match_atom(pattern: Atom, fact: Atom) -> Optional[dict[Variable, Term]]:
+    """Bindings of *pattern*'s variables that make it equal *fact*.
+
+    ``None`` unless predicate and arity agree, every non-variable
+    argument of *pattern* equals *fact*'s, and repeated variables bind
+    consistently.  The dict is fresh, so callers may extend it (it is
+    the seed handed to :func:`~repro.core.homomorphism.homomorphisms`
+    when a body atom is pinned to a delta fact).
+    """
+    if pattern.predicate != fact.predicate or len(pattern.args) != len(fact.args):
+        return None
+    seed: dict[Variable, Term] = {}
+    for p_term, f_term in zip(pattern.args, fact.args):
+        if isinstance(p_term, Variable):
+            bound = seed.get(p_term)
+            if bound is None:
+                seed[p_term] = f_term
+            elif bound != f_term:
+                return None
+        elif p_term != f_term:
+            return None
+    return seed
 
 
 def atoms_variables(atoms: Iterable[Atom]) -> set[Variable]:

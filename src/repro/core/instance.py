@@ -8,18 +8,18 @@ indexes so that the chase, homomorphism search, and the reasoning
 algorithms can retrieve matching atoms without scanning.
 
 ``Instance`` is the reference implementation of the
-:class:`~repro.storage.base.FactStore` interface: the engines are
+:class:`~repro.core.store.FactStore` interface: the engines are
 written against that interface, and alternative backends (columnar,
-delta-overlay — see :mod:`repro.storage`) are drop-in replacements.
+sharded — see :mod:`repro.storage`) are drop-in replacements.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Set
 
-from ..storage.base import FactStore, MemoryReport
-from ..storage.memory import deep_sizeof
 from .atoms import Atom, schema_of
+from .memory import deep_sizeof
+from .store import FactStore, MemoryReport
 from .terms import Constant, Null, Term
 
 __all__ = ["Instance", "Database"]
@@ -154,7 +154,7 @@ class Instance(FactStore):
 
     # ``matching`` (pattern form, repeated variables respected) is
     # inherited from FactStore and derives from matching_bound, so the
-    # match semantics live in exactly one place (storage.base).
+    # match semantics live in exactly one place (core.store).
 
     def active_domain(self) -> set[Term]:
         """``dom(I)``: every constant and null occurring in the instance."""

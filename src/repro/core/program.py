@@ -111,24 +111,6 @@ class Program:
         """
         return any(t.negated for t in self._tgds)
 
-    def is_warded(self) -> bool:
-        """Membership in WARD (Definition 3.1)."""
-        from ..analysis.wardedness import is_warded
-
-        return is_warded(self)
-
-    def is_piecewise_linear(self) -> bool:
-        """Membership in PWL (Definition 4.1)."""
-        from ..analysis.piecewise import is_piecewise_linear
-
-        return is_piecewise_linear(self)
-
-    def is_intensionally_linear(self) -> bool:
-        """Membership in IL: at most one intensional body atom per TGD."""
-        from ..analysis.piecewise import is_intensionally_linear
-
-        return is_intensionally_linear(self)
-
     def max_body_size(self) -> int:
         """``max_{σ∈Σ} |body(σ)|`` — a factor of both node-width bounds."""
         return max(len(t.body) for t in self._tgds)

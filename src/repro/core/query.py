@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .atoms import Atom, atoms_variables
+from .atoms import Atom, atoms_variables, match_atom
 from .homomorphism import homomorphisms
 from .instance import Instance
 from .substitution import Substitution
@@ -192,24 +192,8 @@ class ConjunctiveQuery:
         for pin_index, pinned in enumerate(self.atoms):
             others = self.atoms[:pin_index] + self.atoms[pin_index + 1:]
             for delta_atom in delta_atoms:
-                if (
-                    pinned.predicate != delta_atom.predicate
-                    or pinned.arity != delta_atom.arity
-                ):
-                    continue
-                seed: dict[Variable, Term] = {}
-                compatible = True
-                for p_term, d_term in zip(pinned.args, delta_atom.args):
-                    if isinstance(p_term, Variable):
-                        bound = seed.get(p_term)
-                        if bound is not None and bound != d_term:
-                            compatible = False
-                            break
-                        seed[p_term] = d_term
-                    elif p_term != d_term:
-                        compatible = False
-                        break
-                if not compatible:
+                seed = match_atom(pinned, delta_atom)
+                if seed is None:
                     continue
                 for hom in homomorphisms(list(others), instance, seed):
                     image = tuple(hom.apply_term(v) for v in self.output)

@@ -18,18 +18,23 @@ probe.
 Every backend also answers :meth:`FactStore.memory_report`, making the
 paper's space-efficiency claims measurable per component (fact payload,
 indexes, interning tables, caches) instead of anecdotal.
+
+The interface lives in ``core``, below its reference implementation
+:class:`~repro.core.instance.Instance`; the other backends, and the
+name → class table behind ``store=``, are :mod:`repro.storage`, which
+re-exports everything defined here.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
-from ..core.atoms import Atom, schema_of
-from ..core.terms import Constant, Null, Term, Variable
+from .atoms import Atom, match_atom, schema_of
+from .terms import Constant, Null, Term, Variable
 
-__all__ = ["FactStore", "FrozenStoreError", "MemoryReport", "pattern_agrees"]
+__all__ = ["FactStore", "FrozenStoreError", "MemoryReport"]
 
 
 class FrozenStoreError(RuntimeError):
@@ -101,27 +106,6 @@ class MemoryReport:
             f"MemoryReport({self.backend}: {self.atom_count} atoms, "
             f"{self.term_count} terms, {self.total_bytes}B{spill}; {parts})"
         )
-
-
-def pattern_agrees(pattern: Atom, stored: Atom) -> bool:
-    """Does *stored* match the (possibly non-ground) *pattern*?
-
-    Same predicate and arity, every ground argument equal, and repeated
-    variables bound consistently.
-    """
-    if pattern.predicate != stored.predicate or pattern.arity != stored.arity:
-        return False
-    bound: Dict[Variable, Term] = {}
-    for p_term, s_term in zip(pattern.args, stored.args):
-        if isinstance(p_term, Variable):
-            seen = bound.get(p_term)
-            if seen is None:
-                bound[p_term] = s_term
-            elif seen != s_term:
-                return False
-        elif p_term != s_term:
-            return False
-    return True
 
 
 class FactStore(ABC):
@@ -277,7 +261,7 @@ class FactStore(ABC):
         for stored in self.matching_bound(
             pattern.predicate, bound, arity=pattern.arity
         ):
-            if not need_agree or pattern_agrees(pattern, stored):
+            if not need_agree or match_atom(pattern, stored) is not None:
                 yield stored
 
     # -- derived views -----------------------------------------------------

@@ -18,15 +18,15 @@ This engine is the substrate for:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Iterable, List, Optional
 
-from ..core.atoms import Atom
+from ..core.atoms import Atom, match_atom
 from ..core.homomorphism import homomorphisms
 from ..core.instance import Database
 from ..core.program import Program
 from ..core.query import ConjunctiveQuery, stream_new_answers
 from ..core.substitution import Substitution
-from ..core.terms import Constant, Term, Variable
+from ..core.terms import Constant
 from ..core.tgd import TGD
 from ..kernels import KernelEvaluator
 from ..storage import FactStore, StoreChoice, kernel_capable, make_store
@@ -88,19 +88,8 @@ def _delta_matches(
         pinned = body[pin_index]
         others = body[:pin_index] + body[pin_index + 1:]
         for delta_atom in delta.by_predicate(pinned.predicate):
-            seed: Dict[Variable, Term] = {}
-            compatible = True
-            for p_term, d_term in zip(pinned.args, delta_atom.args):
-                if isinstance(p_term, Variable):
-                    bound = seed.get(p_term)
-                    if bound is not None and bound != d_term:
-                        compatible = False
-                        break
-                    seed[p_term] = d_term
-                elif p_term != d_term:
-                    compatible = False
-                    break
-            if not compatible or pinned.arity != delta_atom.arity:
+            seed = match_atom(pinned, delta_atom)
+            if seed is None:
                 continue
             for hom in homomorphisms(others, instance, seed):
                 image = hom.apply_atoms(tgd.body)

@@ -37,14 +37,13 @@ at ``fixpoint(EDB \\ retracted)``, phase B lifts it to
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..core.atoms import Atom
+from ..core.atoms import Atom, match_atom
 from ..core.homomorphism import find_homomorphism
 from ..core.instance import Instance
-from ..core.terms import Term, Variable
+from ..core.store import FactStore
 from ..datalog.seminaive import _delta_matches
-from ..storage.base import FactStore
 from .support import SupportIndex
 from .views import AtomSet, UnionView
 
@@ -146,20 +145,19 @@ class MaintenanceReport:
         return "\n".join(lines)
 
 
-def _head_seed(head: Atom, fact: Atom) -> Optional[Dict[Variable, Term]]:
-    """Bindings making *head* equal *fact*, or None if they don't unify."""
-    if head.predicate != fact.predicate or head.arity != fact.arity:
-        return None
-    seed: Dict[Variable, Term] = {}
-    for h_term, f_term in zip(head.args, fact.args):
-        if isinstance(h_term, Variable):
-            bound = seed.get(h_term)
-            if bound is not None and bound != f_term:
-                return None
-            seed[h_term] = f_term
-        elif h_term != f_term:
-            return None
-    return seed
+def _derived_heads(
+    layer, instance, delta, stats: MaintenanceStats
+) -> Iterator[Atom]:
+    """The head fact of every match of a *layer* rule over *instance*
+    that uses a *delta* atom — one per match, so multiplicities are the
+    support counts — each counted into ``stats.matches``.  Lazy: a
+    consumer that edits *instance* between pulls is seen by the join.
+    """
+    for tgd in layer:
+        head = tgd.head[0]
+        for hom in _delta_matches(tgd, instance, delta):
+            stats.matches += 1
+            yield hom.apply_atom(head)
 
 
 class FixpointMaintainer:
@@ -306,15 +304,11 @@ class FixpointMaintainer:
         frontier = AtomSet(set(removed) | over)
         while len(frontier) > 0:
             wave: set[Atom] = set()
-            for tgd in layer:
-                head = tgd.head[0]
-                for hom in _delta_matches(tgd, view, frontier):
-                    stats.matches += 1
-                    fact = hom.apply_atom(head)
-                    if fact in over or fact in removed:
-                        continue
-                    if fact in store:
-                        wave.add(fact)
+            for fact in _derived_heads(layer, view, frontier, stats):
+                if fact in over or fact in removed:
+                    continue
+                if fact in store:
+                    wave.add(fact)
             over |= wave
             frontier = AtomSet(wave)
         stats.overdeleted += len(over)
@@ -337,23 +331,19 @@ class FixpointMaintainer:
         wave = AtomSet(rederived)
         while len(wave) > 0 and remaining:
             fresh: List[Atom] = []
-            for tgd in layer:
-                head = tgd.head[0]
-                for hom in _delta_matches(tgd, store, wave):
-                    stats.matches += 1
-                    fact = hom.apply_atom(head)
-                    if fact in remaining:
-                        store.add(fact)
-                        remaining.discard(fact)
-                        fresh.append(fact)
-                        stats.rederived += 1
+            for fact in _derived_heads(layer, store, wave, stats):
+                if fact in remaining:
+                    store.add(fact)
+                    remaining.discard(fact)
+                    fresh.append(fact)
+                    stats.rederived += 1
             wave = AtomSet(fresh)
         for fact in remaining:
             removed.add(fact)
 
     def _derivable(self, fact: Atom, layer) -> bool:
         for tgd in layer:
-            seed = _head_seed(tgd.head[0], fact)
+            seed = match_atom(tgd.head[0], fact)
             if seed is None:
                 continue
             if find_homomorphism(list(tgd.body), self.store, seed) is not None:
@@ -382,12 +372,8 @@ class FixpointMaintainer:
         # atom is a lost support (each enumerated exactly once).
         losses: Dict[Atom, int] = {}
         if len(removed) > 0:
-            for tgd in layer:
-                head = tgd.head[0]
-                for hom in _delta_matches(tgd, view, removed):
-                    stats.matches += 1
-                    fact = hom.apply_atom(head)
-                    losses[fact] = losses.get(fact, 0) + 1
+            for fact in _derived_heads(layer, view, removed, stats):
+                losses[fact] = losses.get(fact, 0) + 1
         for fact in edb_dels:
             losses[fact] = losses.get(fact, 0) + 1  # the EDB support
         for fact, lost in losses.items():
@@ -417,14 +403,10 @@ class FixpointMaintainer:
         while len(wave) > 0:
             staged: List[Atom] = []
             staged_set: set[Atom] = set()
-            for tgd in layer:
-                head = tgd.head[0]
-                for hom in _delta_matches(tgd, store, wave):
-                    stats.matches += 1
-                    fact = hom.apply_atom(head)
-                    if fact not in store and fact not in staged_set:
-                        staged_set.add(fact)
-                        staged.append(fact)
+            for fact in _derived_heads(layer, store, wave, stats):
+                if fact not in store and fact not in staged_set:
+                    staged_set.add(fact)
+                    staged.append(fact)
             for fact in staged:
                 store.add(fact)
                 delta_plus.add(fact)
@@ -442,12 +424,8 @@ class FixpointMaintainer:
         support = self.supports.get(index)
         gains: Dict[Atom, int] = {}
         if len(delta_plus) > 0:
-            for tgd in layer:
-                head = tgd.head[0]
-                for hom in _delta_matches(tgd, store, delta_plus):
-                    stats.matches += 1
-                    fact = hom.apply_atom(head)
-                    gains[fact] = gains.get(fact, 0) + 1
+            for fact in _derived_heads(layer, store, delta_plus, stats):
+                gains[fact] = gains.get(fact, 0) + 1
         for fact in edb_ins:
             gains[fact] = gains.get(fact, 0) + 1  # the EDB support
         for fact, gained in gains.items():

@@ -1,6 +1,6 @@
 """Light-weight atom collections used by the maintenance phases.
 
-Neither of these is a full :class:`~repro.storage.base.FactStore`; they
+Neither of these is a full :class:`~repro.core.store.FactStore`; they
 implement exactly the retrieval surface the delta-join machinery needs
 (``matching`` for the join side, ``by_predicate``/``__contains__`` for
 the pinned delta side), which keeps them O(1) to construct around the
@@ -57,7 +57,7 @@ class UnionView:
     state — the fixpoint as it stood before this batch — while the live
     store is already missing the net deletions of earlier strata.  The
     union restores them without copying anything.  *removed* must be an
-    indexed :class:`~repro.storage.base.FactStore` (the maintainer uses
+    indexed :class:`~repro.core.store.FactStore` (the maintainer uses
     an :class:`~repro.core.instance.Instance`): the view sits under
     every join of the deletion phase, so probes into the removed layer
     must hit position indexes, not scans.

@@ -10,7 +10,7 @@ structure, staged facts, and match counts exactly.
 
 Nobody selects this path: :func:`repro.datalog.seminaive.seminaive_rounds`
 runs kernels exactly when the store declares
-:attr:`~repro.storage.base.FactStore.kernel_capable` (columnar,
+:attr:`~repro.core.store.FactStore.kernel_capable` (columnar,
 sharded) and the interpreter otherwise, so ``store="instance"`` is the
 ground-truth reference the property suite and ``bench_kernel_compile``
 compare the kernels against.

@@ -2,7 +2,7 @@
 
 A :class:`KernelEvaluator` holds no relation of its own: it joins the
 :class:`~repro.storage.relation.Relation` objects of a kernel-capable
-store (:attr:`~repro.storage.base.FactStore.kernel_capable`) in place.
+store (:attr:`~repro.core.store.FactStore.kernel_capable`) in place.
 The store hands a relation out as a sequence of resident *parts*, one
 at a time (``store.parts`` — the single relation of a columnar store,
 each non-empty shard of a sharded one, paged in through its LRU/budget

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
+from ..analysis.digraph import DiGraph
 from ..analysis.piecewise import PiecewiseReport, piecewise_report
 from ..analysis.predicate_graph import PredicateGraph
 from ..analysis.wardedness import WardednessReport, wardedness_report
@@ -27,7 +28,6 @@ from ..core.program import Program
 from ..core.query import ConjunctiveQuery
 from ..core.spans import Span
 from ..core.terms import Constant
-from ..reachability.digraph import DiGraph
 
 __all__ = ["ArityUse", "FactSummary", "LintContext"]
 

@@ -14,7 +14,7 @@ subpackage wraps that capability behind an ontology-level API:
   QL axiom shapes) and a database holding the axioms and assertions;
 * :class:`BGPQuery <repro.owl2ql.queries.BGPQuery>` — SPARQL-style
   basic graph patterns answered under the entailment regime via
-  ``certain_answers``.
+  :func:`repro.api.certain_answers`.
 """
 
 from .encoding import EncodedOntology, encode, entailment_rules

@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Set, Tuple, Union
 
+from ..api import certain_answers
 from ..core.atoms import Atom
 from ..core.query import ConjunctiveQuery
 from ..core.terms import Constant, Term, Variable
-from ..reasoning.answers import certain_answers
 from .encoding import EncodedOntology
 
 __all__ = ["Var", "TriplePattern", "BGPQuery", "answer_bgp"]

@@ -19,16 +19,14 @@ Two views of that claim are made executable here:
 * :mod:`executor <repro.parallel.executor>` — an actual multi-worker
   ``certain_answers``: the candidate tuples are decided concurrently by
   a thread pool, with the star-abstraction oracle computed once and
-  shared read-only.  Answers are identical to the sequential facade by
-  construction.
-* :mod:`shardscan <repro.parallel.shardscan>` — shard-parallel CQ
-  evaluation over the hash-partitioned sharded store: the pinned
-  atom's matches fan out one scan-and-join task per shard, an exact
-  partition of the homomorphism space.
+  shared read-only.  Answers are identical to
+  :func:`repro.api.certain_answers` by construction.
+
+Nothing in ``src/`` imports this package: it is a leaf that benchmark
+E11 and the examples drive.
 """
 
 from .executor import ParallelReport, parallel_certain_answers
-from .shardscan import ShardScanReport, shard_parallel_evaluate
 from .workplan import (
     SpeedupPoint,
     greedy_makespan,
@@ -39,8 +37,6 @@ from .workplan import (
 __all__ = [
     "parallel_certain_answers",
     "ParallelReport",
-    "shard_parallel_evaluate",
-    "ShardScanReport",
     "greedy_makespan",
     "speedup_curve",
     "SpeedupPoint",

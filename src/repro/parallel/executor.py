@@ -1,8 +1,8 @@
 """Multi-worker certain-answer computation.
 
-``parallel_certain_answers`` mirrors the sequential facade
-(:func:`repro.reasoning.answers.certain_answers`) for the proof-tree
-engines, but decides the candidate tuples concurrently:
+``parallel_certain_answers`` mirrors the sequential per-tuple driver
+(:func:`repro.reasoning.answers.stream_proof_tree_answers`) for the
+proof-tree engines, but decides the candidate tuples concurrently:
 
 * the chase probe and the star-abstraction oracle are computed once,
   up front (they depend only on D and Σ);
@@ -70,7 +70,6 @@ def parallel_certain_answers(
     method: str = "auto",
     probe_depth: int = 3,
     probe_atoms: int = 20000,
-    store: str = "instance",
     report: bool = False,
     **engine_kwargs,
 ):
@@ -78,14 +77,8 @@ def parallel_certain_answers(
 
     Supports the proof-tree methods (``"pwl"``, ``"ward"``, or
     ``"auto"`` dispatching between them); other program classes have no
-    per-tuple parallel structure and belong to the sequential facade.
-
-    ``store`` selects the probe's storage backend.  With
-    ``store="sharded"`` the probe materializes into a
-    :class:`~repro.storage.sharded.ShardedStore` and the probe answers
-    are computed shard-parallel on the same worker pool — the second
-    parallel axis next to per-tuple decisions (and the one that also
-    bounds probe memory, since the sharded probe spills under budget).
+    per-tuple parallel structure and belong to
+    :func:`repro.api.certain_answers`.
     """
     if workers <= 0:
         raise ValueError("workers must be positive")
@@ -105,21 +98,11 @@ def parallel_certain_answers(
     if "oracle" not in engine_kwargs and engine_kwargs.get("use_oracle", True):
         engine_kwargs["oracle"] = abstraction
 
-    probe = probe_instance(
-        database, program, probe_depth, probe_atoms, store=store
+    probe_answers = query.evaluate(
+        probe_instance(database, program, probe_depth, probe_atoms)
     )
-    from ..storage.sharded import ShardedStore
-
-    if isinstance(probe, ShardedStore):
-        from .shardscan import shard_parallel_evaluate
-
-        probe_answers = shard_parallel_evaluate(
-            query, probe, workers=workers
-        )
-    else:
-        probe_answers = query.evaluate(probe)
     # Candidate pools come from the abstraction (complete); the probe
-    # only pre-settles positives — same split as the sequential facade.
+    # only pre-settles positives — same split as the sequential driver.
     candidates = sorted(candidate_tuples(query, abstraction) - probe_answers,
                         key=str)
 

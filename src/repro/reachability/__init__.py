@@ -9,8 +9,8 @@ these algorithms can be adapted for our purposes."
 
 This subpackage makes that equivalence executable:
 
-* :mod:`digraph <repro.reachability.digraph>` — a minimal directed
-  graph with SCC condensation (self-contained, no third-party deps);
+* :class:`~repro.analysis.digraph.DiGraph` — the minimal directed
+  graph with SCC condensation the analyses already use, re-exported;
 * :mod:`index <repro.reachability.index>` — three classic reachability
   schemes behind one interface: on-demand DFS, GRAIL-style randomized
   interval labeling (negative-cut filter + verified fallback), and
@@ -22,8 +22,8 @@ This subpackage makes that equivalence executable:
   against any of the indexes.
 """
 
+from ..analysis.digraph import DiGraph
 from .bridge import ConfigurationGraph, configuration_graph, data_graph
-from .digraph import DiGraph
 from .index import (
     DFSReachability,
     IntervalIndex,

@@ -24,6 +24,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from ..analysis.digraph import DiGraph
 from ..analysis.levels import node_width_bound_pwl
 from ..analysis.piecewise import is_piecewise_linear
 from ..analysis.wardedness import is_warded
@@ -32,7 +33,6 @@ from ..core.program import Program
 from ..core.query import ConjunctiveQuery
 from ..core.terms import Constant
 from ..reasoning.state import State, SuccessorGenerator
-from .digraph import DiGraph
 from .index import ReachabilityIndex
 
 __all__ = ["ConfigurationGraph", "configuration_graph", "data_graph"]

@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Set, Tuple
 
-from .digraph import DiGraph
+from ..analysis.digraph import DiGraph
 
 __all__ = [
     "ReachabilityIndex",

@@ -1,5 +1,5 @@
 """Reasoning algorithms: the space-bounded searches of Section 4.3 and
-the public certain-answer facade."""
+the per-tuple drivers that assemble certain answers from them."""
 
 from .certificate import (
     Certificate,
@@ -9,9 +9,7 @@ from .certificate import (
     verify_certificate,
 )
 from .answers import (
-    AnswerReport,
     UnsupportedProgramError,
-    certain_answers,
     is_certain_answer,
     stream_proof_tree_answers,
 )
@@ -20,10 +18,8 @@ from .state import Frontier, SearchStats, State, SuccessorGenerator
 from .ward import WardDecision, and_or_search, decide_ward
 
 __all__ = [
-    "certain_answers",
     "is_certain_answer",
     "stream_proof_tree_answers",
-    "AnswerReport",
     "UnsupportedProgramError",
     "decide_pwl_ward",
     "linear_proof_search",

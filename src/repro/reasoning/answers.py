@@ -1,17 +1,12 @@
-"""The public query-answering facade.
+"""Certain answers from per-tuple proof-tree decisions.
 
-``certain_answers(q, D, Σ)`` computes cert(q, D, Σ), dispatching on the
-class of Σ:
-
-* full single-head programs → semi-naive Datalog evaluation (exact),
-* WARD ∩ PWL → the linear proof-tree search of Theorem 4.8,
-* WARD → the AND-OR (alternating) search of Theorem 4.9,
-* anything else → the chase, accepted only if it saturates (CQ
-  answering under arbitrary TGDs — even PWL alone, Theorem 5.1 — is
-  undecidable, so no complete procedure exists to fall back to).
-
-For the proof-tree engines the answer *set* is assembled from per-tuple
-decisions.  Two auxiliary structures split the work:
+:func:`is_certain_answer` is the paper's decision problem — is c̄ in
+cert(q, D, Σ)? — answered by the linear proof-tree search of
+Theorem 4.8 (WARD ∩ PWL) or the AND-OR search of Theorem 4.9 (WARD).
+:func:`stream_proof_tree_answers` assembles the answer *set* from such
+decisions; which engine answers a given program at all is decided one
+layer up, by :class:`repro.api.Planner`.  Two auxiliary structures
+split the work:
 
 * the **star abstraction** (an always-terminating Datalog fixpoint that
   over-approximates every chase) bounds the per-variable candidate
@@ -25,7 +20,6 @@ decisions.  Two auxiliary structures split the work:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Set, Tuple
 
 from ..analysis.piecewise import is_piecewise_linear
@@ -40,13 +34,11 @@ from .pwl_ward import decide_pwl_ward
 from .ward import decide_ward
 
 __all__ = [
-    "certain_answers",
     "is_certain_answer",
     "stream_proof_tree_answers",
     "probe_instance",
     "candidate_tuples",
     "UnsupportedProgramError",
-    "AnswerReport",
 ]
 
 
@@ -54,32 +46,18 @@ class UnsupportedProgramError(ValueError):
     """Raised when no sound-and-complete method applies to the program."""
 
 
-@dataclass
-class AnswerReport:
-    """Answers plus provenance of how they were obtained."""
-
-    answers: Set[Tuple[Constant, ...]]
-    method: str
-    probe_answers: int = 0       # answers settled by the chase probe alone
-    decided_tuples: int = 0      # candidate tuples sent to a decision engine
-
-
 def probe_instance(
     database: Database,
     program: Program,
     probe_depth: int = 3,
     probe_atoms: int = 20000,
-    store="instance",
 ) -> Instance:
     """A bounded chase used to seed candidates (sound under-approximation).
 
-    Public hook shared by the per-tuple drivers: the streaming facade
+    Public hook shared by the per-tuple drivers: the streaming driver
     below and :func:`repro.parallel.executor.parallel_certain_answers`
     both split the work into "probe settles the cheap positives, a
     decision engine settles the rest", and this is the probe half.
-    ``store`` selects the probe's backend — the parallel executor runs
-    it on the sharded store so the probe answers can be evaluated
-    shard-parallel.
     """
     result = chase(
         database,
@@ -87,7 +65,6 @@ def probe_instance(
         variant="restricted",
         policy=DepthPolicy(probe_depth),
         max_atoms=probe_atoms,
-        store=store,
     )
     return result.instance
 
@@ -130,12 +107,6 @@ def candidate_tuples(
         assignment = dict(zip(unique_vars, combo))
         tuples.add(tuple(assignment[v] for v in query.output))
     return tuples
-
-
-# Backwards-compatible aliases: these started as module internals and
-# external drivers imported them by their private names.
-_probe_instance = probe_instance
-_candidate_tuples = candidate_tuples
 
 
 def stream_proof_tree_answers(
@@ -189,59 +160,6 @@ def stream_proof_tree_answers(
             query, candidate, database, program, **engine_kwargs
         ).accepted:
             yield candidate
-
-
-def certain_answers(
-    query: ConjunctiveQuery,
-    database: Database,
-    program: Program,
-    *,
-    method: str = "auto",
-    probe_depth: int = 3,
-    probe_atoms: int = 20000,
-    report: bool = False,
-    **engine_kwargs,
-):
-    """Compute ``cert(q, D, Σ)``.
-
-    ``method``: ``"auto"`` (dispatch on the program class), ``"datalog"``,
-    ``"pwl"``, ``"ward"``, ``"chase"``, or ``"network"``.  With
-    ``report=True`` an :class:`AnswerReport` is returned instead of the
-    bare answer set.  Engine keyword arguments (``width_bound``,
-    ``specialization``, ``max_depth``, ...) are forwarded to the
-    decision engines.  ``store`` selects the fact-storage backend for
-    the materializing methods; the proof-tree engines hold bounded CQs,
-    not instances, so they ignore it.
-
-    Thin deprecated wrapper: engine selection lives in
-    :class:`repro.api.Planner` and execution in :mod:`repro.api`; prefer
-    :class:`repro.api.Session`, which additionally caches the compiled
-    analysis, abstraction, and materializations across queries.
-    """
-    from ..api import compile_program
-    from ..api.execution import execute_plan
-    from ..api.planner import Planner
-
-    store = engine_kwargs.pop("store", "instance")
-    plan = Planner().plan(
-        compile_program(program),
-        query,
-        method=method,
-        store=store,
-        probe_depth=probe_depth,
-        probe_atoms=probe_atoms,
-        **engine_kwargs,
-    )
-    stream = execute_plan(plan, database)
-    answers = stream.to_set()
-    if report:
-        return AnswerReport(
-            answers=set(answers),
-            method=plan.method,
-            probe_answers=stream.stats.probe_answers,
-            decided_tuples=stream.stats.decided_tuples,
-        )
-    return set(answers)
 
 
 def is_certain_answer(

@@ -65,7 +65,8 @@ def linear_proof_search(
     the explored state count (the search is then incomplete but still
     sound); the benchmarks use the cap as a safety net only.  *oracle*
     optionally injects a precomputed star abstraction (reused across
-    per-tuple decisions by :func:`repro.reasoning.answers.certain_answers`).
+    per-tuple decisions by
+    :func:`repro.reasoning.answers.stream_proof_tree_answers`).
     """
     stats = SearchStats()
     generator = SuccessorGenerator(

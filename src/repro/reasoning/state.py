@@ -31,13 +31,13 @@ import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Deque, Iterator, List, Optional, Sequence, Set, Tuple
 
-from ..core.atoms import Atom, atoms_variables
+from ..core.atoms import Atom, atoms_variables, match_atom
 from ..core.instance import Database
 from ..core.program import Program
 from ..core.substitution import Substitution
-from ..core.terms import Term, Variable
+from ..core.terms import Variable
 from ..prooftree.canonical import canonical_form
 from ..prooftree.chunk import chunk_unifiers
 
@@ -252,8 +252,11 @@ class SuccessorGenerator:
             if not atom.variables():
                 continue
             for fact in self.database.matching(atom):
-                theta = self._match_substitution(atom, fact)
-                if theta is None or theta in seen:
+                seed = match_atom(atom, fact)
+                if seed is None:
+                    continue
+                theta = Substitution(seed)
+                if theta in seen:
                     continue
                 seen.add(theta)
                 self.stats.specialization_steps += 1
@@ -266,19 +269,6 @@ class SuccessorGenerator:
                 theta = Substitution({var: constant})
                 self.stats.specialization_steps += 1
                 yield State.make(theta.apply_atoms(state.atoms), self.database)
-
-    @staticmethod
-    def _match_substitution(atom: Atom, fact: Atom) -> Optional[Substitution]:
-        mapping: Dict[Term, Term] = {}
-        for a_term, f_term in zip(atom.args, fact.args):
-            if isinstance(a_term, Variable):
-                bound = mapping.get(a_term)
-                if bound is not None and bound != f_term:
-                    return None
-                mapping[a_term] = f_term
-            elif a_term != f_term:
-                return None
-        return Substitution(mapping)
 
     def successors(self, state: State) -> Iterator[State]:
         """All live ``r``/``s`` successors (eager ``d`` inside State.make)."""

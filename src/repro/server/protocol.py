@@ -149,13 +149,18 @@ def handle_request(
                     "lint op takes 'program' as a text block (omit it "
                     "to lint the server's loaded program)"
                 )
-            return done(
-                service.lint(
-                    program,
-                    select=request.get("select"),
-                    ignore=request.get("ignore"),
-                )
-            )
+            prefixes = {}
+            for key in ("select", "ignore"):
+                value = prefixes[key] = request.get(key)
+                if value is not None and not (
+                    isinstance(value, list)
+                    and all(isinstance(code, str) for code in value)
+                ):
+                    raise ProtocolError(
+                        f"{key!r} must be a list of diagnostic-code "
+                        f"prefixes (strings), got {value!r}"
+                    )
+            return done(service.lint(program, **prefixes))
         # op == "update"
         changes = request.get("changes")
         if isinstance(changes, list):

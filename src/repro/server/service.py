@@ -107,7 +107,6 @@ class ReasoningService:
         source: Union[str, Path, object],
         *,
         store: str = "instance",
-        flatten_depth: int = 8,
         name: str = "",
         facts=(),
         state_dir: Union[str, Path, None] = None,
@@ -141,9 +140,7 @@ class ReasoningService:
             self._session.apply(
                 inserts=saved - current, retracts=current - saved
             )
-        self._snapshots = SnapshotManager(
-            self._session.edb, store=store, flatten_depth=flatten_depth
-        )
+        self._snapshots = SnapshotManager(self._session.edb, store=store)
         if restored is not None:
             self._snapshots._head.caches.restore(
                 restored.fixpoints, self._compiled, store

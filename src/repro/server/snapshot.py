@@ -10,7 +10,7 @@ versions form a persistent chain:
 * **version n+1** is a ``DeltaOverlay`` over version n's store, holding
   the batch's insertions in its delta and its retractions as
   tombstones — built in O(|change|), never touching version n — and
-  then frozen itself (:meth:`~repro.storage.base.FactStore.freeze`);
+  then frozen itself (:meth:`~repro.core.store.FactStore.freeze`);
 * every ``flatten_depth`` versions the chain is collapsed into a fresh
   flat store, bounding per-read layer traversal without ever mutating
   a shared structure (the old chain stays valid for its readers).

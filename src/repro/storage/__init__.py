@@ -2,7 +2,9 @@
 
 The engines — chase runner, operator network, semi-naive evaluation —
 are written against the :class:`FactStore` interface and accept a
-``store=`` argument naming a backend:
+``store=`` argument naming a backend.  The interface
+(:mod:`repro.core.store`) and its reference implementation live in
+``core``, below this package, and are re-exported here:
 
 * ``"instance"`` — :class:`repro.core.instance.Instance`, the original
   object-set representation with eager per-(position, term) indexes;
@@ -29,11 +31,12 @@ from __future__ import annotations
 from typing import Callable, Iterable, Union
 
 from ..core.atoms import Atom
-from .base import FactStore, FrozenStoreError, MemoryReport
+from ..core.instance import Instance
+from ..core.memory import deep_sizeof, traced_peak
+from ..core.store import FactStore, FrozenStoreError, MemoryReport
 from .columnar import ColumnarStore
 from .delta import DeltaOverlay
 from .interning import TermTable
-from .memory import deep_sizeof, traced_peak
 from .relation import Relation
 from .sharded import (
     ShardedStore,
@@ -63,24 +66,24 @@ __all__ = [
 ]
 
 #: Backend names accepted by ``make_store`` and every ``store=``
-#: argument.
-BACKENDS = ("instance", "columnar", "sharded")
+#: argument, and the :class:`FactStore` class behind each.
+_BACKEND_CLASSES = {
+    "instance": Instance,
+    "columnar": ColumnarStore,
+    "sharded": ShardedStore,
+}
+BACKENDS = tuple(_BACKEND_CLASSES)
 
 StoreChoice = Union[str, FactStore, Callable[[], FactStore]]
 
 
 def _backend_class(name: str) -> type:
     """The :class:`FactStore` class behind a :data:`BACKENDS` name."""
-    if name == "instance":
-        from ..core.instance import Instance  # imports storage.base
-
-        return Instance
-    classes = {"columnar": ColumnarStore, "sharded": ShardedStore}
-    if name not in classes:
+    if name not in _BACKEND_CLASSES:
         raise ValueError(
             f"unknown storage backend {name!r}; expected one of {BACKENDS}"
         )
-    return classes[name]
+    return _BACKEND_CLASSES[name]
 
 
 def make_store(store: StoreChoice = "instance", atoms: Iterable[Atom] = ()) -> FactStore:

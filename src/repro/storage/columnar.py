@@ -25,10 +25,10 @@ from collections import OrderedDict
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from ..core.atoms import Atom
+from ..core.memory import deep_sizeof
+from ..core.store import FactStore, MemoryReport
 from ..core.terms import Term
-from .base import FactStore, MemoryReport
 from .interning import TermTable
-from .memory import deep_sizeof
 from .relation import Relation, Row
 
 __all__ = ["ColumnarStore"]

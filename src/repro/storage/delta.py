@@ -9,10 +9,10 @@ is the base/delta split the streaming-Vadalog architecture builds on,
 and what :class:`~repro.server.snapshot.SnapshotManager` chains into
 MVCC versions.
 
-Both layers are themselves :class:`~repro.storage.base.FactStore`
+Both layers are themselves :class:`~repro.core.store.FactStore`
 instances, so overlays compose with any backend and with each other.
 The base is not copied — constructing an overlay over a large base is
-O(1) — and :meth:`~repro.storage.base.FactStore.freeze` is what keeps
+O(1) — and :meth:`~repro.core.store.FactStore.freeze` is what keeps
 that safe: no write can reach the base, so the layers stay disjoint
 (``delta ∩ base = ∅``, ``tombstones ⊆ base``) and reads never have to
 check.
@@ -23,9 +23,9 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Mapping, Optional
 
 from ..core.atoms import Atom
+from ..core.memory import deep_sizeof
+from ..core.store import FactStore, MemoryReport
 from ..core.terms import Term
-from .base import FactStore, MemoryReport
-from .memory import deep_sizeof
 
 __all__ = ["DeltaOverlay"]
 

@@ -25,8 +25,8 @@ from __future__ import annotations
 import threading
 from typing import Dict, Iterable, List, Optional, Set
 
+from ..core.memory import deep_sizeof
 from ..core.terms import Term
-from .memory import deep_sizeof
 
 __all__ = ["TermTable"]
 

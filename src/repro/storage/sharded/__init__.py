@@ -3,7 +3,7 @@
 The package splits the concern in three:
 
 * :mod:`~repro.storage.sharded.store` — :class:`ShardedStore`, the
-  :class:`~repro.storage.base.FactStore` backend: relations hash-
+  :class:`~repro.core.store.FactStore` backend: relations hash-
   partitioned into shards, resident under a byte budget with LRU
   eviction;
 * :mod:`~repro.storage.sharded.spill` — :class:`SpillPager`, the

@@ -1,6 +1,6 @@
 """Out-of-core, budgeted, hash-partitioned fact storage.
 
-:class:`ShardedStore` implements the full :class:`~repro.storage.base.
+:class:`ShardedStore` implements the full :class:`~repro.core.store.
 FactStore` surface over *shards*: each (predicate, arity) relation is
 hash-partitioned on a key position into a fixed number of shards, each
 resident shard a small :class:`~repro.storage.relation.Relation` of
@@ -8,8 +8,6 @@ interned term-id rows.  Shards are the unit of
 
 * **locality** — a probe bound on the partition key touches exactly one
   shard;
-* **parallelism** — independent shards scan concurrently
-  (:mod:`repro.parallel.shardscan`);
 * **memory control** — resident shards are tracked against a byte
   budget; when the estimate exceeds it, least-recently-used shards are
   *evicted*: their rows persist as a :class:`~repro.storage.sharded.
@@ -39,7 +37,6 @@ import weakref
 from collections import OrderedDict
 from pathlib import Path
 from typing import (
-    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -51,10 +48,10 @@ from typing import (
 )
 
 from ...core.atoms import Atom
+from ...core.memory import deep_sizeof
+from ...core.store import FactStore, MemoryReport
 from ...core.terms import Term
-from ..base import FactStore, MemoryReport
 from ..interning import TermTable
-from ..memory import deep_sizeof
 from ..relation import Relation, Row
 from .spill import SpillPager
 
@@ -593,66 +590,6 @@ class ShardedStore(FactStore):
                     for row in self._matched_rows(relation, encoded)
                 )
         return (self._decode(pred, row) for pred, row in matched)
-
-    # -- shard-parallel probing -------------------------------------------
-
-    def probe_shards(
-        self,
-        predicate: str,
-        bound: Mapping[int, Term],
-        arity: Optional[int] = None,
-    ) -> List[Callable[[], List[Atom]]]:
-        """The probe split into one independent task per shard.
-
-        Each returned callable filters and decodes *one* shard's
-        snapshot when invoked — the unit the parallel executor fans out
-        across its worker pool (:mod:`repro.parallel.shardscan`).  The
-        union of the tasks' results equals ``matching_bound``'s result
-        at snapshot time, by construction.
-        """
-        tasks: List[Callable[[], List[Atom]]] = []
-        with self._lock:
-            by_arity = self._relations.get(predicate)
-            if not by_arity:
-                return tasks
-            relations = (
-                [by_arity[arity]] if arity is not None and arity in by_arity
-                else [] if arity is not None
-                else list(by_arity.values())
-            )
-            for relation in relations:
-                if any(position > relation.arity for position in bound):
-                    continue
-                encoded = self._encode_bound(relation, bound)
-                if encoded is None:
-                    continue
-                for index, shard in enumerate(relation.shards):
-                    if not shard.count:
-                        continue
-                    if relation.key in encoded:
-                        tid = encoded[relation.key]
-                        target = (
-                            (tid * _MIX) & 0xFFFFFFFF
-                        ) % len(relation.shards)
-                        if index != target:
-                            continue
-                    snapshot = self._peek_rows(relation, index, shard)
-                    tasks.append(self._shard_task(
-                        relation.predicate, snapshot, dict(encoded)
-                    ))
-        return tasks
-
-    def _shard_task(
-        self, predicate: str, snapshot: List[Row], encoded: Dict[int, int]
-    ) -> Callable[[], List[Atom]]:
-        def scan() -> List[Atom]:
-            return [
-                self._decode(predicate, row)
-                for row in snapshot
-                if all(row[p] == t for p, t in encoded.items())
-            ]
-
-        return scan
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -10,6 +10,8 @@ import random
 
 import pytest
 
+from repro.analysis import is_piecewise_linear, is_warded
+from repro.api import certain_answers
 from repro.benchsuite import (
     generate_chasebench,
     generate_dbpedia,
@@ -21,7 +23,6 @@ from repro.chase.runner import chase
 from repro.datalog.seminaive import seminaive
 from repro.engine.operators import OperatorNetwork
 from repro.lang.parser import parse_program, parse_query
-from repro.reasoning.answers import certain_answers
 from repro.reasoning.pwl_ward import decide_pwl_ward
 from repro.reasoning.ward import decide_ward
 
@@ -70,7 +71,7 @@ class TestProofTreeVsChase:
             r(X,K) :- p(X).
             s(Y) :- r(X,Y), e(X,Z).
         """)
-        assert program.is_warded() and program.is_piecewise_linear()
+        assert is_warded(program) and is_piecewise_linear(program)
         # Boolean probes answered by both the chase (terminating here)
         # and the proof-tree engines must agree.
         for text, expected in [

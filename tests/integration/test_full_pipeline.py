@@ -11,6 +11,7 @@ from repro.analysis import (
     is_warded,
     node_width_bound_pwl,
 )
+from repro.api import certain_answers
 from repro.core.atoms import Atom
 from repro.core.instance import Database
 from repro.core.terms import Constant
@@ -28,7 +29,7 @@ from repro.owl2ql import (
     encode,
 )
 from repro.parallel import parallel_certain_answers
-from repro.reasoning import certain_answers, certified_decision
+from repro.reasoning import certified_decision
 from repro.rewriting import unfold
 
 a, b, c, d = Constant("a"), Constant("b"), Constant("c"), Constant("d")

@@ -7,10 +7,11 @@ operator network — and checks they all agree on the certain answers.
 
 import pytest
 
+from repro.analysis import is_piecewise_linear, is_warded
+from repro.api import certain_answers
 from repro.chase.runner import chase
 from repro.chase.termination import DepthPolicy
 from repro.lang.parser import parse_program, parse_query
-from repro.reasoning.answers import certain_answers
 
 
 @pytest.fixture(scope="module")
@@ -39,8 +40,8 @@ def ontology():
 
 def test_program_is_warded_pwl(ontology):
     program, _ = ontology
-    assert program.is_warded()
-    assert program.is_piecewise_linear()
+    assert is_warded(program)
+    assert is_piecewise_linear(program)
 
 
 def test_subclass_closure(ontology):

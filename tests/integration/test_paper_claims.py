@@ -93,7 +93,7 @@ class TestTheorem63:
         rewriting = pwl_to_datalog(query, program, width_bound=3)
         assert rewriting.program.is_full()
         assert is_piecewise_linear(rewriting.program)
-        from repro.reasoning.answers import certain_answers
+        from repro.api import certain_answers
 
         assert datalog_answers(
             rewriting.query, database, rewriting.program
@@ -103,7 +103,7 @@ class TestTheorem63:
 class TestTheorem66:
     def test_program_expressiveness_separation(self):
         from repro.expressiveness.separation import separation_witness
-        from repro.reasoning.answers import certain_answers
+        from repro.api import certain_answers
 
         witness = separation_witness()
         q1_answers = certain_answers(

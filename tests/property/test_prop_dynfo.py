@@ -8,7 +8,7 @@ surviving edge set.
 from hypothesis import given, settings, strategies as st
 
 from repro.dynfo.reachability import DynamicReachability
-from repro.reachability.digraph import DiGraph
+from repro.analysis.digraph import DiGraph
 
 NODES = 6
 

@@ -15,7 +15,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import Session
+from repro.api import Session, certain_answers
 from repro.core.atoms import Atom
 from repro.core.instance import Database
 from repro.core.program import Program
@@ -23,7 +23,6 @@ from repro.core.terms import Constant, Variable
 from repro.core.tgd import TGD
 from repro.incremental import ChangeSet
 from repro.lang.parser import parse_query
-from repro.reasoning.answers import certain_answers
 from repro.storage import BACKENDS
 
 X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.terms import Constant
 from repro.datalog.negation import stratified_answers
 from repro.lang.parser import parse_program, parse_query
-from repro.reachability.digraph import DiGraph
+from repro.analysis.digraph import DiGraph
 
 NODES = 5
 

@@ -8,10 +8,10 @@ saturating-chase reference on class-membership queries.
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis import is_piecewise_linear, is_warded
+from repro.api import certain_answers
 from repro.chase import chase
 from repro.lang.parser import parse_query
 from repro.owl2ql import Ontology, encode
-from repro.reasoning import certain_answers
 
 CLASSES = ["c0", "c1", "c2", "c3"]
 PROPS = ["p0", "p1"]

@@ -2,7 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.reachability.digraph import DiGraph
+from repro.analysis.digraph import DiGraph
 from repro.reachability.index import (
     DFSReachability,
     IntervalIndex,

@@ -15,12 +15,12 @@ import threading
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import certain_answers
 from repro.core.atoms import Atom
 from repro.core.instance import Database
 from repro.core.terms import Constant
 from repro.incremental import ChangeSet
 from repro.lang.parser import parse_program, parse_query
-from repro.reasoning.answers import certain_answers
 from repro.server import ReasoningService
 from repro.storage import BACKENDS
 

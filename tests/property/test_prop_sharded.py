@@ -9,9 +9,10 @@ Three guarantees, over random inputs:
 * **Snapshot probes** — a probe started before a discard storm still
   yields exactly its snapshot (the PR-5 interleaving contract, extended
   to paged shards).
-* **Shard-parallel evaluation** — ``shard_parallel_evaluate`` computes
-  the same certain answers as sequential ``Query.evaluate`` over random
-  warded fixpoints, for any worker count.
+* **Spilled-fixpoint evaluation** — ``Query.evaluate`` over a budgeted
+  store whose shards have spilled computes the same answers as over the
+  resident ``Instance`` of the same random warded fixpoint — the read
+  path every cached ``sharded`` fixpoint is served through.
 """
 
 from hypothesis import given, settings
@@ -21,7 +22,6 @@ from repro.chase.runner import chase
 from repro.core.instance import Instance
 from repro.core.terms import Variable
 from repro.lang.parser import parse_query
-from repro.parallel import shard_parallel_evaluate
 from repro.storage import ShardedStore, sharded_store_factory
 
 from .strategies import atoms
@@ -128,9 +128,9 @@ def test_probe_snapshot_survives_discard_storm(stored):
 
 
 @settings(max_examples=25, deadline=None)
-@given(warded_instances(), st.integers(min_value=1, max_value=6))
-def test_shard_parallel_matches_sequential(data, workers):
-    """shard_parallel_evaluate ≡ Query.evaluate on random fixpoints."""
+@given(warded_instances())
+def test_spilled_fixpoint_evaluates_like_resident(data):
+    """Query.evaluate over spilled shards ≡ over the resident Instance."""
     database, rules = data
     result = chase(
         database, rules,
@@ -138,6 +138,8 @@ def test_shard_parallel_matches_sequential(data, workers):
         max_atoms=400,
     )
     store = result.instance
+    resident = Instance(store)
+    assert store.stats["spilled_shards"] > 0
     for text in (
         "q(X,Y) :- t(X,Y).",
         "q(X) :- t(X,X).",
@@ -145,6 +147,4 @@ def test_shard_parallel_matches_sequential(data, workers):
         "q(X,Z) :- t(X,Y), t(Y,Z).",
     ):
         query = parse_query(text)
-        expected = query.evaluate(store)
-        got = shard_parallel_evaluate(query, store, workers=workers)
-        assert got == expected, text
+        assert query.evaluate(store) == query.evaluate(resident), text

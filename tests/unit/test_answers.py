@@ -2,15 +2,25 @@
 
 import pytest
 
+from repro.analysis import is_warded
+from repro.api import Session, certain_answers
 from repro.core.terms import Constant
 from repro.lang.parser import parse_program, parse_query
 from repro.reasoning.answers import (
     UnsupportedProgramError,
-    certain_answers,
     is_certain_answer,
 )
 
 a, b, c = Constant("a"), Constant("b"), Constant("c")
+
+
+def run(query, database, program, **options):
+    """The answer set plus the run's ``StreamStats`` — how it was
+    obtained (``method``, ``probe_answers``, ``decided_tuples``)."""
+    session = Session()
+    session.add_facts(database)
+    stream = session.query(query, program=program, **options)
+    return set(stream.to_set()), stream.stats
 
 
 class TestAutoDispatch:
@@ -21,9 +31,9 @@ class TestAutoDispatch:
             t(X,Z) :- t(X,Y), t(Y,Z).
         """)
         query = parse_query("q(X,Y) :- t(X,Y).")
-        report = certain_answers(query, database, program, report=True)
-        assert report.method == "datalog"
-        assert report.answers == {(a, b), (b, c), (a, c)}
+        answers, stats = run(query, database, program)
+        assert stats.method == "datalog"
+        assert answers == {(a, b), (b, c), (a, c)}
 
     def test_pwl_route(self):
         program, database = parse_program("""
@@ -32,9 +42,9 @@ class TestAutoDispatch:
             p(Y) :- r(X,Y).
         """)
         query = parse_query("q(X) :- r(X,Y).")
-        report = certain_answers(query, database, program, report=True)
-        assert report.method == "pwl"
-        assert report.answers == {(c,)}
+        answers, stats = run(query, database, program)
+        assert stats.method == "pwl"
+        assert answers == {(c,)}
 
     def test_ward_route(self):
         program, database = parse_program("""
@@ -45,9 +55,9 @@ class TestAutoDispatch:
             t(X,K) :- s(X).
         """)
         query = parse_query("q(X,Y) :- t(X,Y).")
-        report = certain_answers(query, database, program, report=True)
-        assert report.method == "ward"
-        assert report.answers == {(a, b), (b, c), (a, c)}
+        answers, stats = run(query, database, program)
+        assert stats.method == "ward"
+        assert answers == {(a, b), (b, c), (a, c)}
 
     def test_chase_route_for_non_warded_terminating(self):
         # Two dangerous variables in different body atoms (no ward), but
@@ -58,11 +68,11 @@ class TestAutoDispatch:
             s(Y,X) :- r(X,Y).
             t(Y,W) :- s(Y,X), r(X,W).
         """)
-        assert not program.is_warded()
+        assert not is_warded(program)
         query = parse_query("q() :- t(X,W).")
-        report = certain_answers(query, database, program, report=True)
-        assert report.method == "chase"
-        assert report.answers == {()}
+        answers, stats = run(query, database, program)
+        assert stats.method == "chase"
+        assert answers == {()}
 
 
 class TestMethodSelection:
@@ -113,13 +123,14 @@ class TestProbeInteraction:
             t(X,Z) :- e(X,Y), t(Y,Z).
         """)
         query = parse_query("q(X,Y) :- t(X,Y).")
-        report = certain_answers(
-            query, database, program, method="pwl", report=True, probe_depth=5
+        answers, stats = run(
+            query, database, program, method="pwl", probe_depth=5
         )
         # the terminating restricted chase finds all three answers;
         # only non-answers go through the decision procedure.
-        assert report.probe_answers == 3
-        assert report.answers == {(a, b), (b, c), (a, c)}
+        assert stats.probe_answers == 3
+        assert stats.decided_tuples == 1
+        assert answers == {(a, b), (b, c), (a, c)}
 
     def test_boolean_query_answers(self):
         program, database = parse_program("""

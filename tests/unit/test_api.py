@@ -8,12 +8,13 @@ from repro.api import (
     CompiledProgram,
     Planner,
     Session,
+    certain_answers,
     compile_program,
     execute_plan,
 )
 from repro.core.terms import Constant
 from repro.lang.parser import parse_program, parse_query
-from repro.reasoning.answers import UnsupportedProgramError, certain_answers
+from repro.reasoning.answers import UnsupportedProgramError
 
 a, b, c = Constant("a"), Constant("b"), Constant("c")
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.reachability.digraph import DiGraph
+from repro.analysis.digraph import DiGraph
 
 
 def diamond() -> DiGraph:

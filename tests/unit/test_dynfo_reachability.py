@@ -69,7 +69,7 @@ class TestIncrementalInsertions:
             edges.add((u, v))
             index.insert_edge(u, v)
         # Brute-force closure from the edge set.
-        from repro.reachability.digraph import DiGraph
+        from repro.analysis.digraph import DiGraph
 
         g = DiGraph.from_pairs(edges)
         for u in range(8):

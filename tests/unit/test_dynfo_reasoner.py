@@ -2,11 +2,11 @@
 
 import pytest
 
+from repro.api import certain_answers
 from repro.core.atoms import Atom
 from repro.core.terms import Constant
 from repro.dynfo import IncrementalReasoner, closure_pattern
 from repro.lang.parser import parse_program
-from repro.reasoning import certain_answers
 
 a, b, c, d = Constant("a"), Constant("b"), Constant("c"), Constant("d")
 

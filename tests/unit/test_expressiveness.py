@@ -3,6 +3,8 @@
 import pytest
 
 from repro.analysis.piecewise import is_piecewise_linear
+from repro.analysis.wardedness import is_warded
+from repro.api import certain_answers
 from repro.core.atoms import Atom
 from repro.core.program import Program
 from repro.core.terms import Constant, Variable
@@ -19,7 +21,6 @@ from repro.expressiveness.translation import (
     ward_to_datalog,
 )
 from repro.lang.parser import parse_program, parse_query
-from repro.reasoning.answers import certain_answers
 
 X = Variable("X")
 a, b, c = Constant("a"), Constant("b"), Constant("c")
@@ -118,8 +119,8 @@ class TestWardRewriting:
 class TestSeparation:
     def test_witness_classes(self):
         witness = separation_witness()
-        assert witness.program.is_warded()
-        assert witness.program.is_piecewise_linear()
+        assert is_warded(witness.program)
+        assert is_piecewise_linear(witness.program)
         assert not witness.program.is_full()
 
     def test_witness_semantics(self):

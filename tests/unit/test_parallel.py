@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import certain_answers
 from repro.core.terms import Constant
 from repro.lang.parser import parse_program, parse_query
 from repro.parallel import (
@@ -10,7 +11,6 @@ from repro.parallel import (
     round_work_span,
     speedup_curve,
 )
-from repro.reasoning import certain_answers
 
 a, b, c, d = Constant("a"), Constant("b"), Constant("c"), Constant("d")
 

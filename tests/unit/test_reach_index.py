@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.reachability.digraph import DiGraph
+from repro.analysis.digraph import DiGraph
 from repro.reachability.index import (
     DFSReachability,
     IntervalIndex,

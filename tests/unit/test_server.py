@@ -355,6 +355,43 @@ class TestProtocol:
             assert option in response["error"]
         assert "exec_mode" not in QUERY_OPTIONS
 
+    #: One W203 (cartesian body) finding and no W204.
+    CARTESIAN = "e(a,b). f(c). t(X,Y) :- e(X,Y). u(X,Z) :- e(X,Y), f(Z)."
+
+    @pytest.mark.parametrize("key", ["select", "ignore"])
+    @pytest.mark.parametrize("value", ["W204", 5, ["W", 3], {"W": 1}])
+    def test_lint_prefixes_must_be_a_list_of_strings(self, key, value):
+        # A bare string used to be read character-wise: "W204" selected
+        # the prefixes W, 2, 0, 4 and so returned W203.
+        service = ReasoningService(PROGRAM)
+        response = handle_request(
+            service,
+            {"op": "lint", "program": self.CARTESIAN, "id": 9, key: value},
+        )
+        assert response["ok"] is False and response["id"] == 9
+        assert response["kind"] == "ProtocolError"
+        assert f"'{key}' must be a list" in response["error"]
+
+    @pytest.mark.parametrize(
+        "select, codes",
+        [(["W204"], []), (["W203"], ["W203"]), (["W2"], ["W203"]),
+         (None, ["I206", "I206", "W203", "I106"])],
+    )
+    def test_lint_select_list_and_null(self, select, codes):
+        service = ReasoningService(PROGRAM)
+        response = handle_request(
+            service,
+            {"op": "lint", "program": self.CARTESIAN, "select": select},
+        )
+        assert response["ok"]
+        assert [d["code"] for d in response["diagnostics"]] == codes
+        ignored = handle_request(
+            service,
+            {"op": "lint", "program": self.CARTESIAN,
+             "select": select, "ignore": ["W203"]},
+        )
+        assert "W203" not in [d["code"] for d in ignored["diagnostics"]]
+
 
 @pytest.fixture()
 def server():

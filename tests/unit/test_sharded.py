@@ -11,7 +11,6 @@ from repro.core.instance import Instance
 from repro.core.terms import Constant, Variable
 from repro.datalog.seminaive import seminaive, seminaive_rounds
 from repro.lang.parser import parse_program
-from repro.parallel import ShardScanReport, shard_parallel_evaluate
 from repro.lang.parser import parse_query
 from repro.storage import (
     BACKENDS,
@@ -374,6 +373,11 @@ class TestSharedInterningAccounting:
 
 
 class TestShardParallelEvaluate:
+    """The read path over a sharded fixpoint.  (Named for the
+    shard-parallel scan it used to compare against; there is one read
+    path now, ``query.evaluate``, and the reference is the resident
+    ``Instance``.)"""
+
     PROGRAM = """
     edge(n0, n1). edge(n1, n2). edge(n2, n3). edge(n3, n4). edge(n4, n0).
     path(X, Y) :- edge(X, Y).
@@ -395,6 +399,8 @@ class TestShardParallelEvaluate:
     @pytest.mark.parametrize("budget", [None, 2048])
     def test_agrees_with_sequential(self, budget):
         store = self._saturated_store(budget)
+        resident = Instance(store)
+        assert (store.stats["spilled_shards"] > 0) == (budget is not None)
         for text in (
             "q(X, Y) :- path(X, Y).",
             "q(X) :- path(n0, X).",
@@ -402,33 +408,81 @@ class TestShardParallelEvaluate:
             "q() :- path(n0, n0).",
         ):
             query = parse_query(text)
-            expected = query.evaluate(store)
-            for workers in (1, 4):
-                got = shard_parallel_evaluate(query, store, workers=workers)
-                assert got == expected, text
+            assert query.evaluate(store) == query.evaluate(resident), text
+        if budget is not None:
+            assert store.stats["reloads"] > 0
 
-    def test_report_shape(self):
-        store = self._saturated_store()
-        query = parse_query("q(X, Y) :- path(X, Y).")
-        report = shard_parallel_evaluate(query, store, report=True)
-        assert isinstance(report, ShardScanReport)
-        assert report.answers == query.evaluate(store)
-        assert report.shards == len(report.per_shard_matches) > 1
-        assert 0.0 < report.skew <= 1.0
-        assert report.total_matches == sum(report.per_shard_matches)
 
-    def test_falls_back_for_unsharded_store(self):
-        program, database = parse_program(self.PROGRAM)
-        query = parse_query("q(X, Y) :- edge(X, Y).")
-        got = shard_parallel_evaluate(query, Instance(database))
-        assert got == query.evaluate(Instance(database))
+class TestCachedReadStartsNoThread:
+    """A hit on a cached sharded fixpoint is ``query.evaluate`` like on
+    every other store — no worker pool is built per read."""
 
-    def test_workers_validated(self):
-        store = self._saturated_store()
-        with pytest.raises(ValueError):
-            shard_parallel_evaluate(
-                parse_query("q(X, Y) :- edge(X, Y)."), store, workers=0
-            )
+    PROGRAM = TestShardParallelEvaluate.PROGRAM
+    QUERIES = (
+        "q(X, Y) :- path(X, Y).",
+        "q(X) :- path(n0, X).",
+        "q(X) :- edge(X, Y), path(Y, n0).",
+        "q() :- path(n0, n0).",
+        "q(X, Z) :- path(X, Y), edge(Y, Z).",
+    )
+
+    @pytest.fixture()
+    def started(self, monkeypatch):
+        names = []
+        start = threading.Thread.start
+
+        def counting_start(thread):
+            names.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        return names
+
+    def _expected(self):
+        from repro.api import Session
+
+        reference = Session(store="instance")
+        reference.load(self.PROGRAM)
+        return {
+            text: reference.query(text, rewrite="none").to_set()
+            for text in self.QUERIES
+        }
+
+    def test_session_hits(self, started):
+        from repro.api import Session
+
+        expected = self._expected()
+        session = Session(store="sharded")
+        session.load(self.PROGRAM)
+        session.query(self.QUERIES[0], rewrite="none").to_set()
+        threads = threading.active_count()
+        for _ in range(10):
+            for text in self.QUERIES:
+                stream = session.query(text, rewrite="none")
+                assert stream.to_set() == expected[text], text
+                assert stream.stats.from_cache
+        assert started == []
+        assert threading.active_count() == threads
+
+    def test_service_hits_on_a_spilling_store(self, started):
+        from repro.server import ReasoningService
+
+        expected = {
+            text: sorted(tuple(map(str, row)) for row in rows)
+            for text, rows in self._expected().items()
+        }
+        service = ReasoningService(
+            self.PROGRAM, store=sharded_store_factory(2048, None)
+        )
+        service.query(self.QUERIES[0], rewrite="none")
+        threads = threading.active_count()
+        for _ in range(10):
+            for text in self.QUERIES:
+                result = service.query(text, rewrite="none")
+                assert sorted(result.answers) == expected[text], text
+                assert result.stats["from_cache"]
+        assert started == []
+        assert threading.active_count() == threads
 
 
 class TestShardedFactory:

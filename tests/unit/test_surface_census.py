@@ -2,15 +2,26 @@
 
 Three plan dimensions — ``method`` × ``rewrite`` × ``store`` — and
 three stores.  How a rule runs (kernels or the interpreter) follows
-from where its rows live and is reported, never accepted.  A knob
-re-added anywhere along the path fails here rather than in review.
+from where its rows live and is reported, never accepted.  Requests
+come in through one door: one ``certain_answers``, defined in
+``repro.api``.  A knob or a second facade re-added anywhere along the
+path fails here rather than in review.
 """
 
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
+import repro.api
+import repro.chase
+import repro.reasoning
 from repro.api import Planner, Session
+from repro.core.program import Program
 from repro.datalog.seminaive import (
     datalog_answers,
     seminaive,
@@ -59,6 +70,11 @@ def test_protocol_query_options():
         (stream_datalog_answers,
          ("query", "database", "program", "store", "on_fixpoint", "stats")),
         (datalog_answers, ("query", "database", "program", "store")),
+        (repro.api.certain_answers,
+         ("query", "database", "program", "method", "store",
+          "engine_kwargs")),
+        (ReasoningService.__init__,
+         ("self", "source", "store", "name", "facts", "state_dir")),
     ],
     ids=lambda value: getattr(value, "__qualname__", None),
 )
@@ -77,3 +93,45 @@ def test_delta_is_not_a_backend_anywhere():
     with pytest.raises(ValueError, match="unknown storage backend 'delta'"):
         ReasoningService(TC_SOURCE, store="delta")
 
+
+
+def test_one_certain_answers_facade():
+    assert repro.certain_answers is repro.api.certain_answers
+    assert repro.api.certain_answers.__module__ == "repro.api.execution"
+    for module, names in (
+        (repro.reasoning, ("certain_answers", "AnswerReport")),
+        (repro.reasoning.answers,
+         ("certain_answers", "AnswerReport", "_probe_instance",
+          "_candidate_tuples")),
+        (repro.chase, ("chase_answers",)),
+        (repro.chase.runner, ("chase_answers",)),
+        (Program,
+         ("is_warded", "is_piecewise_linear", "is_intensionally_linear")),
+    ):
+        for name in names:
+            assert not hasattr(module, name), (module, name)
+
+
+def test_root_names_resolve_lazily_in_a_fresh_process():
+    # ``repro.api`` must not be imported yet when the root hook is first
+    # asked: resolving through ``from . import api`` recursed there.
+    code = (
+        "import sys, repro\n"
+        "assert 'repro.api' not in sys.modules\n"
+        "assert repro.certain_answers is repro.api.certain_answers\n"
+        "assert repro.ChangeSet is repro.incremental.ChangeSet\n"
+    )
+    source_root = str(Path(repro.__file__).parents[1])
+    subprocess.run(
+        [sys.executable, "-c", code], check=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": source_root},
+    )
+
+
+def test_serve_has_no_flatten_depth_flag():
+    from repro.cli import build_parser
+
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(
+            ["serve", "program.vada", "--flatten-depth", "4"]
+        )

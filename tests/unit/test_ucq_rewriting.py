@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.api import certain_answers
 from repro.core.terms import Constant
 from repro.lang.parser import parse_program, parse_query
-from repro.reasoning import certain_answers
 from repro.rewriting import unfold
 from repro.storage import BACKENDS, ColumnarStore
 
