@@ -33,7 +33,7 @@ from ..storage.sharded import FixpointRecord
 from .planner import QueryPlan, _store_label
 from .program import CompiledProgram
 
-__all__ = ["FixpointCache", "MAGIC_FIXPOINT_LIMIT"]
+__all__ = ["FixpointCache", "MAGIC_FIXPOINT_LIMIT", "data_kwargs"]
 
 
 #: engine kwargs whose values are plain data — a plan whose kwargs
@@ -64,15 +64,17 @@ _MAGIC_FALLBACK = (
 )
 
 
-def _cacheable(plan: QueryPlan) -> bool:
-    """Whether *plan*'s saturated materialization may be cached/reused.
+def data_kwargs(engine_kwargs) -> Optional[tuple]:
+    """*engine_kwargs* in comparable form if all are plain data, else None.
 
     Live collaborators (termination policies, guides, custom null
     factories, oracles) can suppress or alter derivations without
     marking the run unsaturated — such runs must never be served to,
-    or taken from, a shared cache.
+    or taken from, a shared cache, nor their plans kept across requests.
     """
-    return all(key in _CACHEABLE_KWARGS for key in plan.engine_kwargs)
+    if not all(key in _CACHEABLE_KWARGS for key in engine_kwargs):
+        return None
+    return tuple(sorted((k, repr(v)) for k, v in engine_kwargs.items()))
 
 
 class _Key(NamedTuple):
@@ -93,15 +95,19 @@ class _Key(NamedTuple):
     token: Optional[tuple]
 
     @classmethod
-    def of(cls, plan: QueryPlan) -> "_Key":
-        rewriting = plan.rewriting
-        return cls(
-            id(plan.program),
-            plan.method,
-            plan.store_name,
-            tuple(sorted((k, repr(v)) for k, v in plan.engine_kwargs.items())),
-            rewriting.cache_token if rewriting is not None else None,
-        )
+    def of(cls, plan: QueryPlan) -> Optional["_Key"]:
+        """*plan*'s key, or None when its materialization may not be
+        cached or reused (see :func:`data_kwargs`).  Computed once per
+        (frozen) plan: prepared plans live across requests."""
+        memo = vars(plan)
+        if "_fixpoint_key" not in memo:
+            kwargs = data_kwargs(plan.engine_kwargs)
+            rewriting = plan.rewriting
+            memo["_fixpoint_key"] = None if kwargs is None else cls(
+                id(plan.program), plan.method, plan.store_name, kwargs,
+                rewriting.cache_token if rewriting is not None else None,
+            )
+        return memo["_fixpoint_key"]
 
     def label(self, compiled: CompiledProgram) -> str:
         tag = "×magic" if self.token is not None else ""
@@ -144,9 +150,9 @@ class FixpointCache:
 
     def get_fixpoint(self, plan: QueryPlan) -> Optional[FactStore]:
         """The cached saturated materialization for *plan*, if any."""
-        if not _cacheable(plan):
-            return None
         key = _Key.of(plan)
+        if key is None:
+            return None
         with self._lock:
             entry = self._fixpoints.get(key)
             if entry is None:
@@ -160,9 +166,9 @@ class FixpointCache:
 
     def set_fixpoint(self, plan: QueryPlan, store: FactStore) -> None:
         """Register *plan*'s saturated materialization for reuse."""
-        if not _cacheable(plan):
-            return
         key = _Key.of(plan)
+        if key is None:
+            return
         with self._lock:
             self._fixpoints.pop(key, None)
             self._fixpoints[key] = _Entry(store, plan.program)

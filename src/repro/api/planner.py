@@ -261,6 +261,14 @@ class Planner:
                 f"{', '.join(REWRITES)}"
             )
         store_name = _store_label(store)
+        if resolved == "datalog" and engine_kwargs:
+            # A plan keeps only what its engine receives, so an option
+            # that cannot change the run cannot split its fixpoint.
+            reasons = reasons + (
+                "ignored (the datalog engine runs to its fixpoint and "
+                f"takes no option): {', '.join(sorted(engine_kwargs))}",
+            )
+            engine_kwargs = {}
         rewriting = None
         bound = len(query_constants(query))
         if rewrite == "none":

@@ -8,6 +8,8 @@ A :class:`Session` owns
   engine uses (see :data:`repro.storage.BACKENDS`);
 * a **compiled-program cache** — each :class:`Program` is classified,
   stratified, and join-planned exactly once;
+* a **prepared-plan cache** — each query *text* is parsed and planned
+  once per option set (bounded LRU; untouched by updates);
 * one :class:`~repro.api.cache.FixpointCache` — the star abstractions
   (proof-tree engines) and saturated materializations (fixpoint
   engines) valid for the EDB as it stands.  :meth:`Session.apply`
@@ -41,13 +43,16 @@ from ..rewriting.magic import (
     binding_pattern,
 )
 from ..storage import FactStore
-from .cache import FixpointCache
+from .cache import FixpointCache, data_kwargs
 from .execution import execute_plan
 from .planner import Planner, QueryPlan, validate_store
 from .program import CompiledProgram, compile_program
 from .stream import AnswerStream
 
 __all__ = ["Session"]
+
+#: Cap on prepared plans per session (~1.6 KB each).
+PREPARED_PLAN_LIMIT = 1024
 
 QueryLike = Union[str, ConjunctiveQuery]
 ProgramLike = Union[None, str, Program, CompiledProgram]
@@ -91,6 +96,12 @@ class Session:
         #: are structural, but programmatically generated query shapes
         #: would otherwise grow it without limit.
         self._adorned: Dict[tuple, AdornedProgram] = {}
+        #: Prepared plans (see :meth:`plan`), least recently used first.
+        #: A plan holds program, query and rewriting but no store, so
+        #: :meth:`apply` drops none — :attr:`cache` decides freshness.
+        self._prepared: Dict[tuple, QueryPlan] = {}
+        self._prepared_hits = 0
+        self._prepared_misses = 0
 
     def __repr__(self) -> str:
         return (
@@ -255,11 +266,30 @@ class Session:
         ``rewrite`` selects the demand dimension
         (:data:`repro.api.planner.REWRITES`); adorned demand programs
         are cached per (program, binding pattern), so repeated point
-        queries pay the rewriting once.
+        queries pay the rewriting once.  A query given as text is
+        *prepared*: parsed and planned once per (text, program, options)
+        and the same frozen plan returned from then on, unless an engine
+        kwarg is a live collaborator rather than data.
         """
-        if isinstance(query, str):
-            query = parse_query(query)
         compiled = self._resolve_program(program)
+        key = None
+        if isinstance(query, str):
+            kwargs = data_kwargs(engine_kwargs)
+            # A method or rewrite that is no string is the planner's
+            # ValueError to raise, not a key to look up.
+            if (
+                kwargs is not None
+                and isinstance(method, str)
+                and isinstance(rewrite, str)
+            ):
+                key = (query, id(compiled), method, rewrite, kwargs)
+                with self._lock:
+                    plan = self._prepared.pop(key, None)
+                    if plan is not None:
+                        self._prepared[key] = plan  # LRU refresh
+                        self._prepared_hits += 1
+                        return plan
+            query = parse_query(query)
         # Static gate: a program with error-severity diagnostics —
         # unsafe negation, arity conflicts, negation through recursion —
         # has no sound evaluation, so reject it before the planner ever
@@ -269,7 +299,7 @@ class Session:
         errors = compiled.diagnostics.errors()
         if errors:
             raise LintError(errors, compiled.name)
-        return self.planner.plan(
+        plan = self.planner.plan(
             compiled,
             query,
             method=method,
@@ -278,6 +308,24 @@ class Session:
             magic_provider=self._magic_for,
             **engine_kwargs,
         )
+        if key is not None:
+            # Only a plan that parsed, linted and planned gets here:
+            # errors are raised on every call and never cached.
+            with self._lock:
+                self._prepared_misses += 1
+                self._prepared[key] = plan
+                if len(self._prepared) > PREPARED_PLAN_LIMIT:
+                    del self._prepared[next(iter(self._prepared))]
+        return plan
+
+    def prepared_stats(self) -> dict:
+        """Prepared plans kept, requests served one, texts planned."""
+        with self._lock:
+            return {
+                "entries": len(self._prepared),
+                "hits": self._prepared_hits,
+                "misses": self._prepared_misses,
+            }
 
     #: Cap on cached adorned demand programs (per binding pattern).
     _ADORNED_CACHE_LIMIT = 64

@@ -11,7 +11,7 @@ materialized; consumed tuples are cached, so repeated iteration,
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from ..core.terms import Constant
@@ -68,7 +68,7 @@ class StreamStats:
 
     def as_dict(self) -> dict:
         """A JSON-ready rendering (used by the server protocol)."""
-        return asdict(self)
+        return {n: getattr(self, n) for n in self.__dataclass_fields__}
 
 
 class AnswerStream:
@@ -138,12 +138,13 @@ class AnswerStream:
 
     # -- pulling -----------------------------------------------------------
 
-    def _pull(self) -> bool:
-        """Advance the engine by one tuple; False when drained.
+    def _pull(self, drain: bool = False) -> bool:
+        """Advance the engine by one tuple — with *drain*, by all it has
+        left, in one timed stretch; False when drained.
 
-        Each pull's wall-clock time accrues to ``stats.wall_ms``, so a
-        drained stream's total equals the engine time the caller
-        actually paid (idle time between pulls is not charged).
+        The time spent accrues to ``stats.wall_ms``, so a drained
+        stream's total equals the engine time the caller actually paid
+        (idle time between pulls is not charged).
         """
         if self._error is not None:
             raise self._error
@@ -154,19 +155,23 @@ class AnswerStream:
             if self._iterator is None:
                 self._iterator = iter(self._factory())
             try:
-                item = next(self._iterator)
+                if not drain:
+                    self._cache.append(next(self._iterator))
+                    return True
+                # extend() keeps what it consumed before an error: the
+                # sound prefix stays replayable.
+                self._cache.extend(self._iterator)
             except StopIteration:
-                self._exhausted = True
-                self._run_release_hooks()
-                return False
+                pass
             except BaseException as error:
                 self._error = error
                 self._run_release_hooks()
                 raise
+            self._exhausted = True
+            self._run_release_hooks()
+            return False
         finally:
             self.stats.wall_ms += (time.perf_counter() - started) * 1000.0
-        self._cache.append(item)
-        return True
 
     # -- resource management -----------------------------------------------
 
@@ -225,8 +230,7 @@ class AnswerStream:
 
     def to_set(self) -> frozenset:
         """Drain the stream and return the full certain-answer set."""
-        while self._pull():
-            pass
+        self._pull(drain=True)
         return frozenset(self._cache)
 
     def to_sorted(self) -> List[AnswerTuple]:

@@ -18,23 +18,40 @@ matched next, using the instance's position indexes.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Sequence
+from typing import Container, Dict, Iterator, Optional, Sequence
 
 from .atoms import Atom
 from .instance import Instance
 from .substitution import Substitution
 from .terms import Term, Variable
 
-__all__ = ["homomorphisms", "find_homomorphism", "extends_to_homomorphism"]
+__all__ = [
+    "homomorphisms",
+    "find_homomorphism",
+    "extends_to_homomorphism",
+    "most_selective",
+]
 
 
-def _bound_count(atom: Atom, assignment: Dict[Variable, Term]) -> int:
-    """How many arguments of *atom* are ground under *assignment*."""
-    return sum(
-        1
-        for t in atom.args
-        if not isinstance(t, Variable) or t in assignment
-    )
+def most_selective(pending: Sequence[Atom], bound: Container[Variable]) -> int:
+    """Index of the atom of *pending* to match next, given the *bound*
+    variables: the most ground arguments, then the smallest arity, ties
+    broken deterministically by string form.
+
+    The choice depends on *which* variables are bound, never on their
+    values: the search below asks per node, a compiled
+    :class:`~repro.core.query.ConjunctiveQuery` once per query — through
+    this one function, so the two orders cannot drift.
+    """
+    if len(pending) == 1:
+        return 0  # nothing to rank: the common case at the leaves
+    def rank(atom: Atom) -> tuple:
+        ground = sum(
+            1 for t in atom.args if not isinstance(t, Variable) or t in bound
+        )
+        return ground, -len(atom.args), str(atom)
+
+    return max(range(len(pending)), key=lambda i: rank(pending[i]))
 
 
 def _resolve(atom: Atom, assignment: Dict[Variable, Term]) -> Atom:
@@ -67,16 +84,7 @@ def homomorphisms(
         if not remaining:
             yield Substitution(dict(assignment))
             return
-        # Most-selective-first: pick the pending atom with the most
-        # bound arguments; ties broken deterministically by string form.
-        best_index = max(
-            range(len(remaining)),
-            key=lambda i: (
-                _bound_count(remaining[i], assignment),
-                -len(remaining[i].args),
-                str(remaining[i]),
-            ),
-        )
+        best_index = most_selective(remaining, assignment)
         chosen = remaining[best_index]
         rest = remaining[:best_index] + remaining[best_index + 1:]
         pattern = _resolve(chosen, assignment)

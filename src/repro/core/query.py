@@ -11,10 +11,11 @@ answers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .atoms import Atom, atoms_variables, match_atom
-from .homomorphism import homomorphisms
+from .atoms import Atom, atoms_variables
+from .homomorphism import homomorphisms, most_selective
 from .instance import Instance
 from .substitution import Substitution
 from .terms import Constant, Term, Variable
@@ -50,6 +51,80 @@ def stream_new_answers(query: "ConjunctiveQuery", events, delta_of):
         for answer in sorted(fresh - seen, key=str):
             seen.add(answer)
             yield answer
+
+
+class _Step(NamedTuple):
+    """One body atom of a compiled query.  Variables live in numbered
+    slots of a row dict; a step says what to probe and where a match goes."""
+
+    predicate: str
+    arity: int
+    constants: tuple  # (1-based position, term) per non-variable argument
+    feeds: tuple      # (1-based position, slot) per variable bound earlier
+    binds: tuple      # (0-based index, slot) per variable first bound here
+    agree: tuple      # (index, earlier index) per variable repeated here
+
+
+def _compile(query: "ConjunctiveQuery", pinned: Optional[int] = None):
+    """``(steps, output slots)`` of *query*: the atom at index
+    *pinned* first (its candidates come from a delta, not from a
+    probe), the rest in the static order of
+    :func:`~repro.core.homomorphism.most_selective`."""
+    pending = list(query.atoms)
+    slots: dict[Variable, int] = {}
+    steps = []
+    while pending:
+        at = most_selective(pending, slots) if pinned is None else pinned
+        pinned = None
+        atom = pending.pop(at)
+        constants, feeds, binds, agree = parts = [], [], [], []
+        first: dict[Variable, int] = {}
+        for index, term in enumerate(atom.args):
+            if not isinstance(term, Variable):
+                constants.append((index + 1, term))
+            elif term in first:
+                agree.append((index, first[term]))
+            elif term in slots:
+                feeds.append((index + 1, slots[term]))
+            else:
+                first[term] = index
+                binds.append((index, len(slots)))
+                slots[term] = len(slots)
+        # Tuples: compiled forms stay resident with their prepared plan.
+        steps.append(_Step(atom.predicate, len(atom.args), *map(tuple, parts)))
+    return tuple(steps), tuple(slots[v] for v in query.output)
+
+
+def _search(compiled, depth, store, row, answers, candidates=None) -> None:
+    """Extend the partial match in *row* by step *depth* and those below
+    it, adding the constants-only output tuple of every complete match
+    to *answers*.  *candidates* are the stored atoms to try for this
+    step; by default it probes *store* on its bound positions."""
+    steps, output = compiled
+    predicate, arity, constants, feeds, binds, agree = steps[depth]
+    if candidates is None:
+        bound = dict(constants)
+        for position, slot in feeds:
+            bound[position] = row[slot]
+        candidates = store.matching_bound(predicate, bound, arity)
+    depth += 1
+    for stored in candidates:
+        args = stored.args
+        for index, earlier in agree:
+            if args[index] != args[earlier]:
+                break
+        else:
+            for index, slot in binds:
+                row[slot] = args[index]
+            if depth < len(steps):
+                _search(compiled, depth, store, row, answers)
+                continue
+            image = tuple([row[slot] for slot in output])
+            for term in image:
+                if not isinstance(term, Constant):
+                    break
+            else:
+                answers.add(image)
 
 
 @dataclass(frozen=True)
@@ -166,13 +241,21 @@ class ConjunctiveQuery:
 
     # -- evaluation ----------------------------------------------------------
 
+    @cached_property
+    def _compiled(self) -> tuple:
+        """Compiled once per (frozen) query, on first use; racing first
+        calls compute equal values."""
+        return _compile(self)
+
+    @cached_property
+    def _compiled_pinned(self) -> tuple:
+        """Likewise, one form per body atom with that atom first."""
+        return tuple(_compile(self, at) for at in range(len(self.atoms)))
+
     def evaluate(self, instance: Instance) -> set[tuple[Constant, ...]]:
         """``q(I)``: all constant output tuples under homomorphisms into I."""
         answers: set[tuple[Constant, ...]] = set()
-        for hom in homomorphisms(self.atoms, instance):
-            image = tuple(hom.apply_term(v) for v in self.output)
-            if all(isinstance(t, Constant) for t in image):
-                answers.add(image)  # type: ignore[arg-type]
+        _search(self._compiled, 0, instance, {}, answers)
         return answers
 
     def evaluate_delta(
@@ -189,16 +272,17 @@ class ConjunctiveQuery:
         """
         answers: set[tuple[Constant, ...]] = set()
         delta_atoms = list(delta)
-        for pin_index, pinned in enumerate(self.atoms):
-            others = self.atoms[:pin_index] + self.atoms[pin_index + 1:]
-            for delta_atom in delta_atoms:
-                seed = match_atom(pinned, delta_atom)
-                if seed is None:
-                    continue
-                for hom in homomorphisms(list(others), instance, seed):
-                    image = tuple(hom.apply_term(v) for v in self.output)
-                    if all(isinstance(t, Constant) for t in image):
-                        answers.add(image)  # type: ignore[arg-type]
+        for compiled in self._compiled_pinned:
+            pin = compiled[0][0]
+            candidates = [
+                atom for atom in delta_atoms
+                if atom.predicate == pin.predicate
+                and len(atom.args) == pin.arity
+                and all(
+                    atom.args[at - 1] == term for at, term in pin.constants
+                )
+            ]
+            _search(compiled, 0, instance, {}, answers, candidates)
         return answers
 
     def holds_in(self, instance: Instance) -> bool:

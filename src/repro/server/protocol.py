@@ -56,6 +56,28 @@ QUERY_OPTIONS = (
 _QUERY_KEYS = frozenset({"op", "id", "query", *QUERY_OPTIONS})
 
 
+def _at_least(least: int):
+    # ``type(...) is int``: JSON ``true`` is a Python int, and not a count.
+    return lambda value: type(value) is int and value >= least
+
+
+#: What the value of each query option must be — (test, wording) — so
+#: that no engine is handed a value of the wrong type.
+_OPTION_VALUES = {
+    **dict.fromkeys(
+        ("method", "rewrite", "variant"),
+        (lambda value: isinstance(value, str), "a string"),
+    ),
+    **dict.fromkeys(
+        ("max_atoms", "max_steps", "max_events", "max_rounds",
+         "probe_depth", "probe_atoms"),
+        (_at_least(0), "a non-negative integer"),
+    ),
+    "first": (_at_least(1), "a positive integer"),
+    "strict": (lambda value: isinstance(value, bool), "a boolean"),
+}
+
+
 class ProtocolError(ValueError):
     """A malformed frame: not JSON, not an object, or not a known op."""
 
@@ -133,13 +155,12 @@ def handle_request(
                 for key in QUERY_OPTIONS
                 if request.get(key) is not None
             }
-            first = options.get("first")
-            if first is not None and (
-                type(first) is not int or first < 1
-            ):
-                raise ProtocolError(
-                    f"'first' must be a positive integer, got {first!r}"
-                )
+            for key, value in options.items():
+                accepts, wording = _OPTION_VALUES[key]
+                if not accepts(value):
+                    raise ProtocolError(
+                        f"{key!r} must be {wording}, got {value!r}"
+                    )
             result = service.query(text, **options)
             return done(result.as_payload())
         if op == "lint":

@@ -435,6 +435,7 @@ class ReasoningService:
             **counters,
             "snapshots": self._snapshots.stats(),
             "head_caches": head.caches.stats(),
+            "prepared": self._session.prepared_stats(),
             "memory": {
                 "edb_resident_bytes": head_report.resident_bytes,
                 "edb_spilled_bytes": head_report.spilled_bytes,

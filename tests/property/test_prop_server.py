@@ -15,7 +15,7 @@ import threading
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import certain_answers
+from repro.api import Session, certain_answers
 from repro.core.atoms import Atom
 from repro.core.instance import Database
 from repro.core.terms import Constant
@@ -151,3 +151,44 @@ def test_concurrent_answers_match_admitted_version(data):
         assert all(
             count == 0 for count in service.snapshots.refcounts().values()
         ), store
+
+
+@settings(max_examples=25, deadline=None)
+@given(scenarios(), st.sampled_from(("none", "auto")), st.data())
+def test_prepared_plans_survive_updates_and_answers_follow_the_edb(
+    data, rewrite, draws
+):
+    """One ``Session`` and one ``ReasoningService`` answer the same few
+    texts between change batches: every text is parsed and planned once,
+    and every answer equals a fresh session's over the EDB as it then
+    stands — a prepared plan holds no store, the per-version fixpoint
+    cache decides what is fresh."""
+    seed, batches = data
+    session = Session()
+    session.load(_source(seed))
+    service = ReasoningService(_source(seed))
+    for batch in [None, *batches]:
+        if batch is not None:
+            session.apply(batch)
+            service.apply(batch)
+            assert set(service.session.edb) == set(session.edb)
+        texts = draws.draw(
+            st.lists(st.sampled_from(QUERIES), min_size=1, max_size=4)
+        )
+        for text in texts:
+            fresh = Session()
+            fresh.compile(PROGRAM)
+            fresh.add_facts(session.edb)
+            expected = {
+                tuple(map(str, row))
+                for row in fresh.query(text, rewrite=rewrite).to_set()
+            }
+            assert expected == _expected(text, session.edb)
+            got = session.query(text, rewrite=rewrite).to_set()
+            assert {tuple(map(str, row)) for row in got} == expected
+            served = service.query(text, rewrite=rewrite)
+            assert set(served.answers) == expected
+            assert served.version == service.current_version
+    for stats in (session.prepared_stats(), service.stats()["prepared"]):
+        assert stats["misses"] == stats["entries"] <= len(QUERIES)
+

@@ -192,3 +192,51 @@ class TestCheckpointRoundTrip:
         fresh = FixpointCache(Database())
         fresh.restore(cache.records(), plan.program, "columnar")
         assert fresh.stats()["fixpoints"] == 0
+
+
+class TestIgnoredOptionsDoNotSplitTheFixpoint:
+    """A ``datalog`` plan keeps only what its engine receives — nothing
+    — so a budget the engine never sees cannot key a second copy."""
+
+    def test_four_budgets_one_fixpoint_three_hits(self):
+        session = Session()
+        session.load(TC_SOURCE)
+        rounds = []
+        for budget in (1, 2, 3, 4):
+            stream = session.query(FULL, max_rounds=budget)
+            assert len(stream.to_set()) == 3
+            rounds.append((stream.stats.rounds, stream.stats.from_cache))
+        assert rounds[0][0] > 1 and not rounds[0][1]  # ran to its fixpoint
+        assert rounds[1:] == [(0, True)] * 3
+        assert session.cache.stats() == {
+            "fixpoints": 1, "abstractions": 0, "hits": 3, "misses": 1,
+        }
+
+    def test_service_maintains_one_copy_across_an_update(self):
+        from repro.server import ReasoningService
+
+        service = ReasoningService(TC_SOURCE)
+        for budget in (1, 2, 3, 4, 5):
+            service.query(FULL, rewrite="none", max_atoms=budget)
+        assert service.stats()["head_caches"]["fixpoints"] == 1
+        update = service.apply("+e(c,d).")
+        assert update.maintained == 1 and not update.fallbacks
+        assert service.stats()["head_caches"]["fixpoints"] == 1
+        result = service.query(FULL, rewrite="none", max_atoms=6)
+        assert result.stats["from_cache"] and len(result.answers) == 6
+
+    def test_explain_names_the_ignored_options(self):
+        session = Session()
+        session.load(TC_SOURCE)
+        plan = session.plan(FULL, max_rounds=2, max_atoms=9)
+        assert plan.method == "datalog" and plan.engine_kwargs == {}
+        (line,) = [
+            line for line in plan.explain().splitlines() if "ignored" in line
+        ]
+        assert line.endswith("takes no option): max_atoms, max_rounds")
+        assert "ignored" not in session.explain(FULL)
+        # Other engines receive theirs, untouched.
+        chase = session.plan(FULL, method="chase", max_atoms=9)
+        assert chase.engine_kwargs == {"max_atoms": 9}
+        assert "ignored" not in chase.explain()
+

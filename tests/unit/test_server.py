@@ -341,6 +341,74 @@ class TestProtocol:
         assert response["ok"] and len(response["answers"]) == 6
         assert response["truncated"] is False
 
+    @pytest.mark.parametrize(
+        "option, value, wording",
+        [("probe_depth", "2", "a non-negative integer"),
+         ("max_atoms", "x", "a non-negative integer"),
+         ("max_steps", True, "a non-negative integer"),
+         ("max_events", 2.0, "a non-negative integer"),
+         ("max_rounds", -1, "a non-negative integer"),
+         ("probe_atoms", [3], "a non-negative integer"),
+         ("strict", "no", "a boolean"),
+         ("strict", 0, "a boolean"),
+         ("rewrite", ["none"], "a string"),
+         ("method", 3, "a string"),
+         ("variant", False, "a string")],
+    )
+    def test_option_values_are_checked_before_admission(
+        self, option, value, wording
+    ):
+        # {"method": "pwl", "probe_depth": "2"} used to reach the engine
+        # and come back as a TypeError from a str < int comparison.
+        service = ReasoningService(PROGRAM)
+        response = handle_request(
+            service,
+            {"op": "query", "query": FULL_QUERY, "method": "pwl", "id": 4,
+             option: value},
+        )
+        assert response["ok"] is False and response["id"] == 4
+        assert response["kind"] == "ProtocolError"
+        assert response["error"] == (
+            f"{option!r} must be {wording}, got {value!r}"
+        )
+        assert service.stats()["queries_total"] == 0  # never admitted
+
+    @pytest.mark.parametrize(
+        "options",
+        [{"method": "pwl", "probe_depth": 2, "probe_atoms": 0},
+         {"method": "chase", "variant": "restricted", "strict": False,
+          "max_atoms": 100, "max_steps": 100},
+         {"method": "network", "max_events": 1000, "strict": True},
+         {"method": "datalog", "rewrite": "none", "max_rounds": 0},
+         {"method": None, "rewrite": None, "strict": None, "max_atoms": None}],
+        ids=lambda options: str(options["method"]),
+    )
+    def test_valid_option_values_are_still_accepted(self, options):
+        service = ReasoningService(PROGRAM)
+        response = handle_request(
+            service, {"op": "query", "query": FULL_QUERY, **options}
+        )
+        assert response["ok"], response
+        assert len(response["answers"]) == 6
+
+    def test_every_query_option_has_a_value_check(self):
+        from repro.server.protocol import _OPTION_VALUES
+
+        assert set(_OPTION_VALUES) == set(QUERY_OPTIONS)
+
+    def test_stats_count_prepared_plans(self):
+        service = ReasoningService(PROGRAM)
+        request = {"op": "query", "query": BOUND_QUERY, "rewrite": "none"}
+        for _ in range(7):
+            assert handle_request(service, request)["ok"]
+        stats = handle_request(service, {"op": "stats"})["stats"]
+        assert stats["prepared"] == {"entries": 1, "hits": 6, "misses": 1}
+        handle_request(service, {**request, "rewrite": "magic"})
+        handle_request(service, {"op": "query", "query": "q(X) :- path(a X"})
+        assert service.stats()["prepared"] == {
+            "entries": 2, "hits": 6, "misses": 2,
+        }
+
     def test_unknown_query_option_lists_the_valid_ones(self):
         service = ReasoningService(PROGRAM, store="columnar")
         response = handle_request(
