@@ -1,11 +1,12 @@
 """The fixpoint cache: what has been computed for *one* EDB state.
 
 A :class:`FixpointCache` holds the saturated materializations (fixpoint
-engines) and star abstractions (proof-tree engines) valid for exactly
-one EDB state.  The object *is* the version: there is no watermark to
-compare, so a result computed against one state can never be filed
-under another — a stream that outlives an update registers into the
-object it was handed, which by then nobody else reads.
+engines) and the star abstractions and chase probes (proof-tree
+engines) valid for exactly one EDB state.  The object *is* the
+version: there is no watermark to compare, so a result computed against
+one state can never be filed under another — a stream that outlives an
+update registers into the object it was handed, which by then nobody
+else reads.
 
 An update does not edit a cache; :meth:`FixpointCache.advance` builds
 the cache of the next state from the cache of this one, carrying each
@@ -144,7 +145,8 @@ class FixpointCache:
         self.edb = edb
         self._lock = threading.Lock()
         self._fixpoints: Dict[_Key, _Entry] = {}
-        self._abstractions: Dict[int, object] = {}
+        self._abstractions: Dict[int, tuple] = {}
+        self._probes: Dict[int, tuple] = {}
         self.hits = 0
         self.misses = 0
 
@@ -177,6 +179,22 @@ class FixpointCache:
                 for stale in magic[:-MAGIC_FIXPOINT_LIMIT]:
                     del self._fixpoints[stale]
 
+    def _once(self, slots: dict, compiled: CompiledProgram, setting, compute, *args):
+        """``compute(edb, *args)``, kept in *compiled*'s one slot of
+        *slots* while *setting* stays the same (the slot holds
+        *compiled*: its ``id`` is the key).  Computed outside the lock;
+        of racing first calls the first to publish wins."""
+        key = id(compiled)
+        with self._lock:
+            held = slots.get(key)
+        if held is None or held[0] != setting:
+            computed = (setting, compute(self.edb, *args), compiled)
+            with self._lock:
+                held = slots.get(key)
+                if held is None or held[0] != setting:
+                    held = slots[key] = computed
+        return held[1]
+
     def abstraction_for(self, compiled: CompiledProgram):
         """The star abstraction of (EDB, Σ), computed at most once.
 
@@ -186,21 +204,31 @@ class FixpointCache:
         """
         from ..reasoning.abstraction import star_abstraction
 
-        key = id(compiled)
-        with self._lock:
-            abstraction = self._abstractions.get(key)
-        if abstraction is not None:
-            return abstraction
-        computed = star_abstraction(self.edb, compiled.analysis.normalized)
-        with self._lock:
-            # First publisher wins; a racing duplicate is equal anyway.
-            return self._abstractions.setdefault(key, computed)
+        return self._once(
+            self._abstractions, compiled, None,
+            star_abstraction, compiled.analysis.normalized,
+        )
+
+    def probe_for(self, compiled: CompiledProgram, probe_depth, probe_atoms):
+        """The bounded chase probe of (EDB, Σ), likewise query-free.
+
+        ``probe_depth`` / ``probe_atoms`` are client-settable and a probe
+        may hold ``probe_atoms`` atoms, so a program keeps one: a new
+        setting's probe replaces the previous one.
+        """
+        from ..reasoning.answers import probe_instance
+
+        return self._once(
+            self._probes, compiled, (probe_depth, probe_atoms),
+            probe_instance, compiled.program, probe_depth, probe_atoms,
+        )
 
     def stats(self) -> dict:
         with self._lock:
             return {
                 "fixpoints": len(self._fixpoints),
                 "abstractions": len(self._abstractions),
+                "probes": len(self._probes),
                 "hits": self.hits,
                 "misses": self.misses,
             }
@@ -219,9 +247,9 @@ class FixpointCache:
         *edb* is the fact base **after** the batch.  Returns the new
         cache, ``(label, stats)`` for every materialization carried
         across by incremental maintenance, and ``(label, reason)`` for
-        every one dropped to recomputation.  Star abstractions depend
-        on the whole EDB and are cheap next to saturation: they are
-        recomputed on demand, not carried.
+        every one dropped to recomputation.  Star abstractions and
+        chase probes depend on the whole EDB and are cheap next to
+        saturation: they are recomputed on demand, not carried.
 
         With ``copy=True`` this cache is left untouched — its stores
         stay exact for readers still on the old state — and the copies

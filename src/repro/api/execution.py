@@ -68,7 +68,7 @@ def execute_plan(
     of *database*'s state), the materializing engines first consult it
     (a hit skips the engine entirely) and register their saturated
     result on completion, and the proof-tree engines reuse its star
-    abstraction.
+    abstraction and chase probe.
     """
     stats = StreamStats(
         method=plan.method,
@@ -165,11 +165,11 @@ def execute_plan(
             tree_kwargs.pop("strict", None)
             probe_depth = tree_kwargs.pop("probe_depth", 3)
             probe_atoms = tree_kwargs.pop("probe_atoms", 20000)
-            abstraction = (
-                cache.abstraction_for(plan.program)
-                if cache is not None
-                else None
-            )
+            if cache is not None:
+                tree_kwargs["abstraction"] = cache.abstraction_for(plan.program)
+                tree_kwargs["probe"] = cache.probe_for(
+                    plan.program, probe_depth, probe_atoms
+                )
             yield from stream_proof_tree_answers(
                 query,
                 database,
@@ -177,7 +177,6 @@ def execute_plan(
                 method=plan.method,
                 probe_depth=probe_depth,
                 probe_atoms=probe_atoms,
-                abstraction=abstraction,
                 stats=stats,
                 **tree_kwargs,
             )

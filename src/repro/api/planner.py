@@ -41,14 +41,14 @@ _PIPELINES = {
     ),
     "pwl": (
         "reuse (or build) the star abstraction of (D, Σ)",
-        "bounded chase probe settles cheap positives — streamed first",
+        "reuse (or build) the bounded chase probe; its answers stream first",
         "enumerate candidate tuples from the abstraction's pools",
         "decide each remaining candidate by linear proof-tree search, "
         "streaming accepted tuples",
     ),
     "ward": (
         "reuse (or build) the star abstraction of (D, Σ)",
-        "bounded chase probe settles cheap positives — streamed first",
+        "reuse (or build) the bounded chase probe; its answers stream first",
         "enumerate candidate tuples from the abstraction's pools",
         "decide each remaining candidate by AND-OR search, streaming "
         "accepted tuples",

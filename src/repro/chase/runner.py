@@ -70,11 +70,15 @@ class ChaseResult:
 
 def _head_already_satisfied(trigger: Trigger, instance: FactStore) -> bool:
     """Restricted-chase check: does h|frontier extend to the head in I?"""
-    frontier = trigger.tgd.frontier()
+    tgd = trigger.tgd
+    if not tgd.existential_variables():
+        # h already grounds the head: the extension test is membership.
+        head = trigger.substitution.apply_atoms(tgd.head)
+        return all(atom in instance for atom in head)
     seed: Dict[Variable, Term] = {
-        v: trigger.substitution[v] for v in frontier
+        v: trigger.substitution[v] for v in tgd.frontier()
     }
-    return find_homomorphism(list(trigger.tgd.head), instance, seed) is not None
+    return find_homomorphism(list(tgd.head), instance, seed) is not None
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ the standard delta-driven strategy used by chase engines.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterator, Sequence
 
 from ..core.atoms import Atom, match_atom
@@ -35,9 +36,13 @@ class Trigger:
     tgd: TGD
     substitution: Substitution
 
+    @cached_property
+    def _image(self) -> tuple[Atom, ...]:
+        return self.substitution.apply_atoms(self.tgd.body)
+
     def body_image(self) -> tuple[Atom, ...]:
         """``h(body(σ))`` — the atoms of I that matched the body."""
-        return self.substitution.apply_atoms(self.tgd.body)
+        return self._image
 
     def key(self) -> tuple[int, tuple[Atom, ...]]:
         """Deduplication key: same rule, same body image ⇒ same trigger."""

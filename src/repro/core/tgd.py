@@ -25,6 +25,7 @@ occurrences as trivially harmless.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .atoms import Atom, atoms_variables
@@ -72,23 +73,33 @@ class TGD:
 
     # -- variable structure --------------------------------------------------
 
-    def body_variables(self) -> set[Variable]:
+    @cached_property
+    def _variable_sets(self) -> tuple[frozenset[Variable], ...]:
+        """(body, head, frontier, existential) variables, computed once:
+        ``cached_property`` writes the frozen instance's ``__dict__``,
+        which equality and hashing never read.  Immutable because every
+        caller is handed the same objects."""
+        body = frozenset(atoms_variables(self.body))
+        head = frozenset(atoms_variables(self.head))
+        return body, head, body & head, head - body
+
+    def body_variables(self) -> frozenset[Variable]:
         """Variables occurring in the body."""
-        return atoms_variables(self.body)
+        return self._variable_sets[0]
 
-    def head_variables(self) -> set[Variable]:
+    def head_variables(self) -> frozenset[Variable]:
         """Variables occurring in the head."""
-        return atoms_variables(self.head)
+        return self._variable_sets[1]
 
-    def frontier(self) -> set[Variable]:
+    def frontier(self) -> frozenset[Variable]:
         """``front(σ)``: variables occurring in both body and head."""
-        return self.body_variables() & self.head_variables()
+        return self._variable_sets[2]
 
-    def existential_variables(self) -> set[Variable]:
+    def existential_variables(self) -> frozenset[Variable]:
         """``var∃(σ)``: head variables not occurring in the body."""
-        return self.head_variables() - self.body_variables()
+        return self._variable_sets[3]
 
-    def variables(self) -> set[Variable]:
+    def variables(self) -> frozenset[Variable]:
         """All variables of the TGD."""
         return self.body_variables() | self.head_variables()
 

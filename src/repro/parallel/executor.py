@@ -4,8 +4,8 @@
 (:func:`repro.reasoning.answers.stream_proof_tree_answers`) for the
 proof-tree engines, but decides the candidate tuples concurrently:
 
-* the chase probe and the star-abstraction oracle are computed once,
-  up front (they depend only on D and Σ);
+* the chase probe, the star-abstraction oracle and the prepared
+  decider come from that driver's own preamble, once, up front;
 * every candidate tuple is an independent decision task — the
   NLogSpace machine per tuple — dispatched to a thread pool;
 * the result set is the union of probe answers and accepted tuples,
@@ -26,14 +26,11 @@ from typing import Dict, Set, Tuple
 
 from ..analysis.piecewise import is_piecewise_linear
 from ..analysis.wardedness import is_warded
-from ..core.instance import Database, Instance
+from ..core.instance import Database
 from ..core.program import Program
 from ..core.query import ConjunctiveQuery
 from ..core.terms import Constant
-from ..reasoning.abstraction import star_abstraction
-from ..reasoning.answers import candidate_tuples, probe_instance
-from ..reasoning.pwl_ward import decide_pwl_ward
-from ..reasoning.ward import decide_ward
+from ..reasoning.answers import prepare_proof_tree_answers
 
 __all__ = ["ParallelReport", "parallel_certain_answers"]
 
@@ -90,31 +87,17 @@ def parallel_certain_answers(
         method = "pwl" if is_piecewise_linear(program) else "ward"
     if method not in ("pwl", "ward"):
         raise ValueError(f"unknown parallel method {method!r}")
-
-    decide = decide_pwl_ward if method == "pwl" else decide_ward
-    abstraction = engine_kwargs.get("oracle")
-    if not isinstance(abstraction, Instance):
-        abstraction = star_abstraction(database, program.single_head())
-    if "oracle" not in engine_kwargs and engine_kwargs.get("use_oracle", True):
-        engine_kwargs["oracle"] = abstraction
-
-    probe_answers = query.evaluate(
-        probe_instance(database, program, probe_depth, probe_atoms)
+    probe_answers, pending, decide = prepare_proof_tree_answers(
+        query, database, program, method=method, probe_depth=probe_depth,
+        probe_atoms=probe_atoms, **engine_kwargs,
     )
-    # Candidate pools come from the abstraction (complete); the probe
-    # only pre-settles positives — same split as the sequential driver.
-    candidates = sorted(candidate_tuples(query, abstraction) - probe_answers,
-                        key=str)
-
+    candidates = list(pending)
     per_tuple_cost: Dict[Answer, int] = {}
     answers: Set[Answer] = set(probe_answers)
 
     def decide_one(candidate: Answer) -> Tuple[Answer, bool, int]:
-        decision = decide(
-            query, candidate, database, program, **engine_kwargs
-        )
-        cost = decision.stats.visited
-        return candidate, decision.accepted, cost
+        decision = decide(candidate)
+        return candidate, decision.accepted, decision.stats.visited
 
     if candidates:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -58,7 +58,9 @@ def star_abstraction(database: Database, program: Program) -> Instance:
     if not program.is_single_head():
         raise ValueError("star_abstraction needs a single-head program")
     abstracted = Program([_abstract_rule(t) for t in program])
-    return seminaive(database, abstracted).instance
+    # A plain Datalog fixpoint: run it on kernels, then decode into the
+    # Instance the searches probe once per generated configuration.
+    return Instance(seminaive(database, abstracted, store="columnar").instance)
 
 
 def atom_satisfiable(atom: Atom, abstract: Instance) -> bool:

@@ -30,11 +30,13 @@ from ..core.instance import Database, Instance
 from ..core.program import Program
 from ..core.query import ConjunctiveQuery
 from ..core.terms import Constant, Variable
-from .pwl_ward import decide_pwl_ward
-from .ward import decide_ward
+from .abstraction import STAR, star_abstraction
+from .pwl_ward import prepare_pwl_ward
+from .ward import prepare_ward
 
 __all__ = [
     "is_certain_answer",
+    "prepare_proof_tree_answers",
     "stream_proof_tree_answers",
     "probe_instance",
     "candidate_tuples",
@@ -52,13 +54,8 @@ def probe_instance(
     probe_depth: int = 3,
     probe_atoms: int = 20000,
 ) -> Instance:
-    """A bounded chase used to seed candidates (sound under-approximation).
-
-    Public hook shared by the per-tuple drivers: the streaming driver
-    below and :func:`repro.parallel.executor.parallel_certain_answers`
-    both split the work into "probe settles the cheap positives, a
-    decision engine settles the rest", and this is the probe half.
-    """
+    """A bounded chase used to seed candidates (sound under-approximation):
+    the "probe settles the cheap positives" half of the per-tuple split."""
     result = chase(
         database,
         program,
@@ -82,8 +79,6 @@ def candidate_tuples(
     positions.  The ⋆ constant itself is excluded — it stands for
     nulls, which are never certain answers.
     """
-    from .abstraction import STAR
-
     per_variable: Dict[Variable, Set[Constant]] = {}
     for var in dict.fromkeys(query.output):
         candidates: Optional[Set[Constant]] = None
@@ -109,33 +104,24 @@ def candidate_tuples(
     return tuples
 
 
-def stream_proof_tree_answers(
-    query: ConjunctiveQuery,
-    database: Database,
-    program: Program,
-    *,
-    method: str,
-    probe_depth: int = 3,
-    probe_atoms: int = 20000,
-    abstraction: Optional[Instance] = None,
-    stats=None,
-    **engine_kwargs,
+_PREPARE = {"pwl": prepare_pwl_ward, "ward": prepare_ward}
+
+
+def prepare_proof_tree_answers(
+    query, database, program, *, method, probe_depth=3, probe_atoms=20000,
+    abstraction=None, probe=None, **engine_kwargs,
 ):
-    """Yield ``cert(q, D, Σ)`` tuples via the proof-tree engines, lazily.
+    """Everything that precedes the per-tuple decisions, paid once.
 
-    The star abstraction (computed once — it depends only on D and Σ —
-    and reusable across queries, so callers with a cache pass it as
-    *abstraction*) bounds the candidate tuples completely and doubles as
-    the shared pruning oracle; the bounded chase probe settles the cheap
-    positives, which stream out first, and only the remaining candidates
-    go through a per-tuple decision run, each accepted tuple yielded as
-    soon as its run returns.  *stats*, if given, receives
-    ``probe_answers`` and ``decided_tuples`` attributes as they accrue.
+    Returns ``(probe_answers, pending, decide)``: the answers the chase
+    probe settles, a lazy iterator over the remaining candidates in
+    decision order, and the prepared decider for them.  The star
+    abstraction and the probe depend only on D and Σ, so callers with a
+    cache pass them as *abstraction* and *probe*.  Raises — before any
+    answer exists — when Σ is outside *method*'s class.
     """
-    if method not in ("pwl", "ward"):
+    if method not in _PREPARE:
         raise ValueError(f"unknown method {method!r}")
-    from .abstraction import star_abstraction
-
     if abstraction is None:
         oracle = engine_kwargs.get("oracle")
         abstraction = (
@@ -145,20 +131,55 @@ def stream_proof_tree_answers(
         )
     if "oracle" not in engine_kwargs and engine_kwargs.get("use_oracle", True):
         engine_kwargs["oracle"] = abstraction
-    probe = probe_instance(database, program, probe_depth, probe_atoms)
+    decide = _PREPARE[method](query, database, program, **engine_kwargs)
+    if probe is None:
+        probe = probe_instance(database, program, probe_depth, probe_atoms)
     probe_answers = query.evaluate(probe)
+
+    def pending():
+        yield from sorted(
+            candidate_tuples(query, abstraction) - probe_answers, key=str
+        )
+
+    return probe_answers, pending(), decide
+
+
+def stream_proof_tree_answers(
+    query: ConjunctiveQuery,
+    database: Database,
+    program: Program,
+    *,
+    method: str,
+    probe_depth: int = 3,
+    probe_atoms: int = 20000,
+    abstraction: Optional[Instance] = None,
+    probe: Optional[Instance] = None,
+    stats=None,
+    **engine_kwargs,
+):
+    """Yield ``cert(q, D, Σ)`` tuples via the proof-tree engines, lazily.
+
+    The star abstraction bounds the candidate tuples completely and
+    doubles as the shared pruning oracle; the bounded chase probe
+    settles the cheap positives, which stream out first, and only the
+    remaining candidates go through a per-tuple decision run, each
+    accepted tuple yielded as soon as its run returns.  *stats*, if
+    given, receives ``probe_answers`` and ``decided_tuples`` attributes
+    as they accrue; everything else is
+    :func:`prepare_proof_tree_answers`'.
+    """
+    probe_answers, pending, decide = prepare_proof_tree_answers(
+        query, database, program, method=method, probe_depth=probe_depth,
+        probe_atoms=probe_atoms, abstraction=abstraction, probe=probe,
+        **engine_kwargs,
+    )
     if stats is not None:
         stats.probe_answers = len(probe_answers)
-    for answer in sorted(probe_answers, key=str):
-        yield answer
-    decide = decide_pwl_ward if method == "pwl" else decide_ward
-    candidates = candidate_tuples(query, abstraction)
-    for candidate in sorted(candidates - probe_answers, key=str):
+    yield from sorted(probe_answers, key=str)
+    for candidate in pending:
         if stats is not None:
             stats.decided_tuples += 1
-        if decide(
-            query, candidate, database, program, **engine_kwargs
-        ).accepted:
+        if decide(candidate).accepted:
             yield candidate
 
 
@@ -179,12 +200,7 @@ def is_certain_answer(
             raise UnsupportedProgramError(
                 "no complete decision procedure outside WARD"
             )
-    if method == "pwl":
-        return decide_pwl_ward(
-            query, answer, database, program, **engine_kwargs
-        ).accepted
-    if method == "ward":
-        return decide_ward(
-            query, answer, database, program, **engine_kwargs
-        ).accepted
-    raise ValueError(f"unknown method {method!r}")
+    if method not in _PREPARE:
+        raise ValueError(f"unknown method {method!r}")
+    prepare = _PREPARE[method]
+    return prepare(query, database, program, **engine_kwargs)(answer).accepted

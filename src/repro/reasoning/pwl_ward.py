@@ -19,7 +19,7 @@ space-complexity observable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..analysis.levels import node_width_bound_pwl
 from ..analysis.piecewise import is_piecewise_linear
@@ -31,7 +31,9 @@ from ..core.query import ConjunctiveQuery
 from ..core.terms import Constant
 from .state import Frontier, SearchStats, State, SuccessorGenerator
 
-__all__ = ["PWLDecision", "decide_pwl_ward", "linear_proof_search"]
+__all__ = [
+    "PWLDecision", "decide_pwl_ward", "linear_proof_search", "prepare_pwl_ward",
+]
 
 
 @dataclass
@@ -68,16 +70,21 @@ def linear_proof_search(
     per-tuple decisions by
     :func:`repro.reasoning.answers.stream_proof_tree_answers`).
     """
-    stats = SearchStats()
     generator = SuccessorGenerator(
         database,
         program,
         width_bound,
         specialization=specialization,
-        stats=stats,
         oracle=oracle,
         use_oracle=use_oracle,
     )
+    return _search(initial_atoms, generator, strategy, trace, max_states)
+
+
+def _search(initial_atoms, generator, strategy, trace, max_states) -> PWLDecision:
+    """The search proper; ``generator.stats`` is this decision's own."""
+    stats, database = generator.stats, generator.database
+    width_bound = generator.width_bound
     initial = State.make(tuple(initial_atoms), database)
     stats.max_width = max(stats.max_width, initial.width())
     if initial.width() > width_bound:
@@ -124,6 +131,43 @@ def linear_proof_search(
     return PWLDecision(False, stats, width_bound, None)
 
 
+def prepare_pwl_ward(
+    query: ConjunctiveQuery, database: Database, program: Program, *,
+    width_bound: Optional[int] = None, specialization: str = "guided",
+    strategy: str = "bestfirst", check_membership: bool = True,
+    trace: bool = False, max_states: Optional[int] = None,
+    oracle: Optional[object] = None, use_oracle: bool = True,
+) -> Callable[[Sequence[Constant]], PWLDecision]:
+    """:func:`decide_pwl_ward` minus the candidate: ``prepare(…)(c̄)``.
+
+    q, D and Σ are fixed across the candidates of an answer stream, so
+    the membership verdicts, the single-head normal form, the width
+    bound and the successor generator are paid here, once.  The decider
+    returned instantiates q with c̄ and searches, metering into a fresh
+    :class:`SearchStats`: it carries nothing from one candidate to the
+    next and may be called from several threads.
+    """
+    if check_membership:
+        if not is_warded(program):
+            raise ValueError("program is not warded")
+        if not is_piecewise_linear(program):
+            raise ValueError("program is not piece-wise linear")
+    normalized = program.single_head()
+    bound = (
+        width_bound
+        if width_bound is not None
+        else max(node_width_bound_pwl(query, normalized), query.width())
+    )
+    generator = SuccessorGenerator(
+        database, normalized, bound, specialization=specialization,
+        oracle=oracle, use_oracle=use_oracle,
+    )
+    return lambda answer: _search(
+        query.instantiate(tuple(answer)), generator.with_stats(SearchStats()),
+        strategy, trace, max_states,
+    )
+
+
 def decide_pwl_ward(
     query: ConjunctiveQuery,
     answer: Sequence[Constant],
@@ -147,27 +191,9 @@ def decide_pwl_ward(
     up front (completeness of the linear search is only guaranteed
     inside the class — Theorem 5.1 shows PWL alone is undecidable).
     """
-    if check_membership:
-        if not is_warded(program):
-            raise ValueError("program is not warded")
-        if not is_piecewise_linear(program):
-            raise ValueError("program is not piece-wise linear")
-    normalized = program.single_head()
-    bound = (
-        width_bound
-        if width_bound is not None
-        else max(node_width_bound_pwl(query, normalized), query.width())
-    )
-    initial = query.instantiate(tuple(answer))
-    return linear_proof_search(
-        initial,
-        database,
-        normalized,
-        bound,
-        specialization=specialization,
-        strategy=strategy,
-        trace=trace,
-        max_states=max_states,
-        oracle=oracle,
-        use_oracle=use_oracle,
-    )
+    return prepare_pwl_ward(
+        query, database, program, width_bound=width_bound,
+        specialization=specialization, strategy=strategy,
+        check_membership=check_membership, trace=trace,
+        max_states=max_states, oracle=oracle, use_oracle=use_oracle,
+    )(answer)

@@ -27,6 +27,7 @@ WARD ∩ PWL and the AND-OR search for WARD:
 
 from __future__ import annotations
 
+import copy
 import heapq
 import itertools
 from collections import deque
@@ -171,7 +172,8 @@ class SuccessorGenerator:
         self.width_bound = width_bound
         self.specialization = specialization
         self.stats = stats if stats is not None else SearchStats()
-        self._domain = sorted(
+        # Only the exhaustive enumeration reads dom(D): guided runs skip the sort.
+        self._domain = None if specialization == "guided" else sorted(
             database.constants(), key=lambda c: (type(c.value).__name__, str(c.value))
         )
         self._head_predicates = program.head_predicates()
@@ -183,6 +185,14 @@ class SuccessorGenerator:
             self._oracle = star_abstraction(database, program)
         else:
             self._oracle = None
+
+    def with_stats(self, stats: SearchStats) -> "SuccessorGenerator":
+        """A view of this generator metering into *stats*: what one
+        decision of a prepared decider runs on.  Everything but
+        ``stats`` is shared with the original and never written."""
+        view = copy.copy(self)
+        view.stats = stats
+        return view
 
     # -- pruning ----------------------------------------------------------
 

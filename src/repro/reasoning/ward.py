@@ -25,7 +25,7 @@ exactly how Proposition 3.2's PTime data complexity arises.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from ..analysis.levels import node_width_bound_ward
 from ..analysis.wardedness import is_warded
@@ -37,7 +37,7 @@ from ..core.terms import Constant
 from ..prooftree.decomposition import connected_components
 from .state import Frontier, SearchStats, State, SuccessorGenerator
 
-__all__ = ["WardDecision", "decide_ward", "and_or_search"]
+__all__ = ["WardDecision", "decide_ward", "and_or_search", "prepare_ward"]
 
 
 @dataclass
@@ -65,7 +65,6 @@ def and_or_search(
     use_oracle: bool = True,
 ) -> WardDecision:
     """Least-fixpoint acceptance over the AND-OR configuration graph."""
-    stats = stats if stats is not None else SearchStats()
     generator = SuccessorGenerator(
         database,
         program,
@@ -75,6 +74,13 @@ def and_or_search(
         oracle=oracle,
         use_oracle=use_oracle,
     )
+    return _search(initial_atoms, generator, strategy, max_states)
+
+
+def _search(initial_atoms, generator, strategy, max_states) -> WardDecision:
+    """The search proper; ``generator.stats`` is this decision's own."""
+    stats, database = generator.stats, generator.database
+    width_bound = generator.width_bound
     initial = State.make(tuple(initial_atoms), database)
     stats.max_width = max(stats.max_width, initial.width())
     if initial.is_accepting():
@@ -162,6 +168,37 @@ def and_or_search(
     )
 
 
+def prepare_ward(
+    query: ConjunctiveQuery, database: Database, program: Program, *,
+    width_bound: Optional[int] = None, specialization: str = "guided",
+    strategy: str = "bestfirst", check_membership: bool = True,
+    max_states: Optional[int] = None,
+    oracle: Optional[object] = None, use_oracle: bool = True,
+) -> Callable[[Sequence[Constant]], WardDecision]:
+    """:func:`decide_ward` minus the candidate: ``prepare(…)(c̄)``.
+
+    Pays the membership verdict, the normal form, the width bound and
+    the successor generator once per (q, D, Σ); same contract as
+    :func:`repro.reasoning.pwl_ward.prepare_pwl_ward`.
+    """
+    if check_membership and not is_warded(program):
+        raise ValueError("program is not warded")
+    normalized = program.single_head()
+    bound = (
+        width_bound
+        if width_bound is not None
+        else max(node_width_bound_ward(query, normalized), query.width())
+    )
+    generator = SuccessorGenerator(
+        database, normalized, bound, specialization=specialization,
+        oracle=oracle, use_oracle=use_oracle,
+    )
+    return lambda answer: _search(
+        query.instantiate(tuple(answer)), generator.with_stats(SearchStats()),
+        strategy, max_states,
+    )
+
+
 def decide_ward(
     query: ConjunctiveQuery,
     answer: Sequence[Constant],
@@ -181,23 +218,9 @@ def decide_ward(
     The width bound defaults to ``f_WARD(q, Σ)`` on the single-head
     normalization.
     """
-    if check_membership and not is_warded(program):
-        raise ValueError("program is not warded")
-    normalized = program.single_head()
-    bound = (
-        width_bound
-        if width_bound is not None
-        else max(node_width_bound_ward(query, normalized), query.width())
-    )
-    initial = query.instantiate(tuple(answer))
-    return and_or_search(
-        initial,
-        database,
-        normalized,
-        bound,
-        specialization=specialization,
-        strategy=strategy,
-        max_states=max_states,
-        oracle=oracle,
-        use_oracle=use_oracle,
-    )
+    return prepare_ward(
+        query, database, program, width_bound=width_bound,
+        specialization=specialization, strategy=strategy,
+        check_membership=check_membership, max_states=max_states,
+        oracle=oracle, use_oracle=use_oracle,
+    )(answer)

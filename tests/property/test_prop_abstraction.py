@@ -10,10 +10,18 @@ from hypothesis import given, settings, strategies as st
 
 from repro.chase import chase
 from repro.core.atoms import Atom
-from repro.core.instance import Database
+from repro.core.instance import Database, Instance
+from repro.core.program import Program
 from repro.core.terms import Constant, Null
+from repro.datalog.seminaive import seminaive
 from repro.lang.parser import parse_program
-from repro.reasoning.abstraction import STAR, star_abstraction
+from repro.reasoning.abstraction import (
+    STAR,
+    _abstract_rule,
+    star_abstraction,
+)
+
+from .strategies import databases, programs
 
 NODES = 5
 
@@ -77,3 +85,38 @@ def test_abstraction_is_full_datalog_fixpoint(pairs, marked):
     abstract = star_abstraction(database, program.single_head())
     for atom in abstract:
         assert all(isinstance(t, Constant) for t in atom.args)
+
+
+def interpreted_abstraction(database, program):
+    """The abstraction as the per-tuple interpreter computes it — the
+    reference for the kernel path ``star_abstraction`` runs on."""
+    abstracted = Program([_abstract_rule(t) for t in program])
+    return seminaive(database, abstracted, store="instance").instance
+
+
+@given(programs(), databases())
+@settings(max_examples=120, deadline=None)
+def test_kernel_path_abstraction_equals_the_interpreter(program, database):
+    normalized = program.single_head()
+    abstract = star_abstraction(database, normalized)
+    assert isinstance(abstract, Instance)
+    assert abstract.atoms() == interpreted_abstraction(database, normalized).atoms()
+
+
+def test_star_in_the_head_and_repeated_head_variables():
+    # ⋆ twice in one head, ⋆ joined on in a body, a head repeating a
+    # frontier variable, and a multi-head split through an Aux atom.
+    program, database = parse_program("""
+        p(a). p(b). e(a,b).
+        r(X,W,W) :- p(X).
+        s(Y,Y) :- r(X,Y,Z).
+        t(X,X) :- e(X,Y).
+        u(X,V), m(V,V) :- t(X,X).
+    """)
+    normalized = program.single_head()
+    abstract = star_abstraction(database, normalized)
+    assert abstract.atoms() == interpreted_abstraction(database, normalized).atoms()
+    assert Atom("r", (Constant("a"), STAR, STAR)) in abstract
+    assert Atom("s", (STAR, STAR)) in abstract
+    assert Atom("t", (Constant("a"), Constant("a"))) in abstract
+    assert Atom("m", (STAR, STAR)) in abstract

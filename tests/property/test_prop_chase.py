@@ -1,17 +1,22 @@
 """Property-based tests for the chase on random Datalog programs."""
 
 import random
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.chase import runner
 from repro.chase.runner import chase
+from repro.chase.termination import DepthPolicy
 from repro.core.atoms import Atom
-from repro.core.homomorphism import homomorphisms
+from repro.core.homomorphism import find_homomorphism, homomorphisms
 from repro.core.instance import Database
 from repro.core.program import Program
 from repro.core.terms import Constant, Variable
 from repro.core.tgd import TGD
+
+from .strategies import databases, programs
 
 
 @st.composite
@@ -92,3 +97,43 @@ def test_restricted_chase_agrees_with_seminaive(instance):
     via_chase = chase(database, program).instance.atoms()
     via_seminaive = seminaive(database, program).instance.atoms()
     assert via_chase == via_seminaive
+
+
+def head_satisfied_by_homomorphism(trigger, instance):
+    """The restricted-chase check in its general form — always a
+    homomorphism search from h|frontier — kept here as the reference
+    for the ground-head membership path of existential-free rules."""
+    seed = {v: trigger.substitution[v] for v in trigger.tgd.frontier()}
+    return find_homomorphism(list(trigger.tgd.head), instance, seed) is not None
+
+
+@given(
+    programs(), databases(),
+    st.sampled_from([None, 1, 2]), st.sampled_from([None, 12, 40]),
+)
+@settings(max_examples=120, deadline=None)
+def test_ground_head_check_equals_the_homomorphism_check(
+    program, database, depth, max_atoms
+):
+    """Same atoms, same counters, same null numbering — over full,
+    existential and multi-head rules, with and without a depth policy
+    and an atom budget (``max_steps`` only keeps random rules finite)."""
+    def run():
+        return chase(
+            database, program, max_steps=120, max_atoms=max_atoms,
+            policy=None if depth is None else DepthPolicy(depth),
+        )
+
+    with mock.patch.object(
+        runner, "_head_already_satisfied", head_satisfied_by_homomorphism
+    ):
+        reference = run()
+    result = run()
+    assert result.instance.atoms() == reference.instance.atoms()
+    assert (result.fired, result.suppressed, result.saturated) == (
+        reference.fired, reference.suppressed, reference.saturated
+    )
+    assert (
+        result.null_factory.fresh().label
+        == reference.null_factory.fresh().label
+    )

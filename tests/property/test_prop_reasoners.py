@@ -1,18 +1,25 @@
 """Property-based tests for the reasoning engines against ground truth."""
 
+import itertools
 import random
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import is_piecewise_linear, is_warded
+from repro.api import compile_program
+from repro.api.cache import FixpointCache
 from repro.core.atoms import Atom
 from repro.core.instance import Database
 from repro.core.program import Program
 from repro.core.terms import Constant, Variable
 from repro.core.tgd import TGD
 from repro.lang.parser import parse_query
-from repro.reasoning.pwl_ward import decide_pwl_ward
-from repro.reasoning.ward import decide_ward
+from repro.reasoning.answers import stream_proof_tree_answers
+from repro.reasoning.pwl_ward import decide_pwl_ward, prepare_pwl_ward
+from repro.reasoning.ward import decide_ward, prepare_ward
+
+from .strategies import CONSTANT_VALUES, databases, programs, queries
 
 
 @st.composite
@@ -117,3 +124,96 @@ def test_guided_equals_exhaustive_specialization(graph, data):
         query, answer, database, program, specialization="exhaustive"
     ).accepted
     assert guided == exhaustive
+
+
+# -- the prepared decider changes nothing but time -----------------------
+
+#: Caps, not claims: random rule sets can have large configuration
+#: graphs, and canonicalising a wide configuration of look-alike atoms
+#: is exponential.  A capped search is still deterministic, which is
+#: all the prepared ≡ fresh comparisons below need.
+CAP = 150
+WIDTHS = st.sampled_from([2, 3, 4])
+
+ENGINES = {
+    "pwl": (prepare_pwl_ward, decide_pwl_ward),
+    "ward": (prepare_ward, decide_ward),
+}
+
+
+def in_class(method, program):
+    return is_warded(program) and (
+        method == "ward" or is_piecewise_linear(program)
+    )
+
+
+@given(
+    st.sampled_from(sorted(ENGINES)), programs(), databases(), queries(),
+    WIDTHS, st.booleans(), st.randoms(use_true_random=False),
+)
+@settings(max_examples=100, deadline=None)
+def test_prepared_decider_equals_a_fresh_decision(
+    method, program, database, query, width, use_oracle, rng
+):
+    """``prepare(…)(c̄)`` equals ``decide_x(q, c̄, D, Σ)`` on the verdict,
+    the width bound and every ``SearchStats`` field, for every candidate
+    and in any order: nothing is carried from one candidate to the next.
+    (Without the oracle far more candidates get past the initial state.)"""
+    assume(in_class(method, program))
+    prepare, decide = ENGINES[method]
+    constants = [Constant(value) for value in CONSTANT_VALUES]
+    distinct = list(dict.fromkeys(query.output))  # X may be output twice
+    candidates = [
+        tuple(dict(zip(distinct, combo))[v] for v in query.output)
+        for combo in itertools.product(constants, repeat=len(distinct))
+    ]
+
+    def same(got, want):
+        assert got.accepted == want.accepted
+        assert got.width_bound == want.width_bound
+        assert got.stats == want.stats  # a dataclass: every field
+        assert got.stats is not want.stats
+
+    options = dict(max_states=CAP, width_bound=width, use_oracle=use_oracle)
+    fresh = {
+        c: decide(query, c, database, program, **options) for c in candidates
+    }
+    prepared = prepare(query, database, program, **options)
+    order = candidates * 2  # every candidate twice, interleaved at random
+    rng.shuffle(order)
+    for candidate in order:
+        same(prepared(candidate), fresh[candidate])
+    # The default bound f(q, Σ) is the prepared part: one expansion each.
+    by_default = prepare(query, database, program, max_states=1)
+    for candidate in candidates:
+        same(
+            by_default(candidate),
+            decide(query, candidate, database, program, max_states=1),
+        )
+
+
+@given(
+    st.sampled_from(sorted(ENGINES)), programs(), databases(), queries(),
+    WIDTHS,
+)
+@settings(max_examples=40, deadline=None)
+def test_cached_probe_and_abstraction_stream_the_same_answers(
+    method, program, database, query, width
+):
+    """Handing the stream a cache's probe and abstraction changes no
+    element of it, nor their order."""
+    assume(in_class(method, program))
+    compiled = compile_program(program)
+    cache = FixpointCache(database)
+    options = dict(
+        method=method, probe_depth=2, probe_atoms=300,
+        max_states=CAP, width_bound=width,
+    )
+    plain = list(stream_proof_tree_answers(query, database, program, **options))
+    handed = list(stream_proof_tree_answers(
+        query, database, program,
+        abstraction=cache.abstraction_for(compiled),
+        probe=cache.probe_for(compiled, 2, 300),
+        **options,
+    ))
+    assert handed == plain

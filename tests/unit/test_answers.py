@@ -200,3 +200,52 @@ class TestCandidateCompleteness:
             query, database, program, method="pwl", probe_atoms=0,
         )
         assert answers == set()
+
+
+class TestForcedMethodOutsideItsClass:
+    """A forced method's class check is a property of Σ: it fires once,
+    before the first answer, whatever the data (regression: the check
+    ran inside the first per-tuple decision, so a probe that settled
+    every candidate returned answers with no error, and otherwise the
+    error arrived after the probe's rows had streamed out)."""
+
+    CLOSURE = "t(X,Y) :- e(X,Y). t(X,Z) :- t(X,Y), t(Y,Z)."  # warded, not PWL
+    QUERY = "q(X,Y) :- t(X,Y)."
+
+    def stream(self, facts, rules=CLOSURE, query=QUERY, **options):
+        session = Session()
+        session.load(facts + rules)
+        return session.query(query, **options)
+
+    @pytest.mark.parametrize(
+        "facts",
+        ["e(a,b). e(b,c). e(c,a).",  # the probe settles all 9 candidates
+         "e(a,b). e(b,c)."],         # 3 probe answers, then a decision
+        ids=["probe-settles-all", "probe-then-decision"],
+    )
+    def test_pwl_on_non_pwl_raises_before_any_row(self, facts):
+        rows = []
+        with pytest.raises(ValueError, match="not piece-wise linear"):
+            for row in self.stream(facts, method="pwl"):
+                rows.append(row)
+        assert rows == []
+
+    def test_first_one_raises(self):
+        with pytest.raises(ValueError, match="not piece-wise linear"):
+            self.stream("e(a,b). e(b,c). e(c,a).", method="pwl").first(1)
+
+    def test_ward_on_non_warded_raises_before_any_row(self):
+        rules = "r(X,K) :- p(X). s(Y,X) :- r(X,Y). t(Y,W) :- s(Y,X), r(X,W)."
+        rows = []
+        with pytest.raises(ValueError, match="not warded"):
+            for row in self.stream(
+                "p(a).", rules, "q(X) :- p(X).", method="ward"
+            ):
+                rows.append(row)
+        assert rows == []
+
+    def test_check_membership_false_still_streams(self):
+        stream = self.stream(
+            "e(a,b). e(b,c).", method="pwl", check_membership=False
+        )
+        assert set(stream.to_set()) >= {(a, b), (b, c), (a, c)}

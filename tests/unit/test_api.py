@@ -298,6 +298,62 @@ class TestSession:
         session.query("q(X) :- r(X,Y).", method="pwl").to_set()
         assert session.abstraction_for(compiled) is before
 
+    def test_proof_tree_path_pays_per_program_and_per_version_once(
+        self, monkeypatch
+    ):
+        """Two queries of the e2e ``pwl_reason`` shape on one session:
+        what depends only on Σ or on (D, Σ) is computed once, and an
+        update recomputes exactly the (D, Σ) part."""
+        import repro.reasoning.abstraction as abstraction_module
+        import repro.reasoning.answers as answers_module
+        import repro.reasoning.pwl_ward as pwl_module
+        from repro.benchsuite import generate_iwarded
+
+        calls = {}
+
+        def count(module, name):
+            real = getattr(module, name)
+
+            def counting(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+
+        count(answers_module, "probe_instance")
+        count(abstraction_module, "star_abstraction")
+        count(pwl_module, "is_warded")
+        count(pwl_module, "is_piecewise_linear")
+
+        scenario = generate_iwarded(
+            seed=7, flavour="pwl", vertices=8, edges=12
+        )
+        session = Session()
+        compiled = session.compile(scenario.program)
+        session.add_facts(scenario.database)
+        queries = ("q(X,Y) :- iw_t(X,Y).", "q(X) :- iw_P(X).")
+
+        def run():
+            streams = [session.query(q, method="pwl") for q in queries]
+            return [len(stream.to_set()) for stream in streams], streams
+
+        counts, streams = run()
+        assert streams[0].stats.decided_tuples > 1  # decisions did run
+        assert compiled.analysis_runs == 1
+        assert calls == {
+            "probe_instance": 1, "star_abstraction": 1,
+            "is_warded": 2, "is_piecewise_linear": 2,  # once per stream
+        }
+        assert session.cache.stats()["probes"] == 1
+
+        (fact,) = parse_program("iw_e(zz0, zz1).")[1]
+        assert session.apply(inserts=[fact]).inserted == (fact,)
+        after, _ = run()
+        assert after[0] == counts[0] + 1
+        assert calls["probe_instance"] == 2
+        assert calls["star_abstraction"] == 2
+        assert compiled.analysis_runs == 1
+
     def test_requires_a_program(self):
         with pytest.raises(ValueError, match="no program loaded"):
             Session().query("q(X) :- t(X,Y).")

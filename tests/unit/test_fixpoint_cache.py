@@ -76,7 +76,8 @@ class TestMagicBound:
     def test_hits_and_misses_are_counted(self):
         _, plan, _, cache, _ = warm()
         assert cache.stats() == {
-            "fixpoints": 1, "abstractions": 0, "hits": 0, "misses": 1,
+            "fixpoints": 1, "abstractions": 0, "probes": 0,
+            "hits": 0, "misses": 1,
         }
         cache.get_fixpoint(plan)
         assert cache.stats()["hits"] == 1
@@ -168,6 +169,80 @@ class TestAdvance:
         assert successor.stats()["abstractions"] == 0
 
 
+class TestProbes:
+    """``probe_for``: one chase probe per program, for one EDB state."""
+
+    def test_same_setting_is_one_object(self):
+        _, plan, _, cache, _ = warm()
+        probe = cache.probe_for(plan.program, 3, 20000)
+        assert cache.probe_for(plan.program, 3, 20000) is probe
+        assert f("t", "a", "c") in probe
+
+    def test_a_new_setting_replaces_the_previous(self):
+        _, plan, _, cache, _ = warm()
+        probes = [
+            cache.probe_for(plan.program, depth, atoms)
+            for depth, atoms in ((3, 20000), (2, 20000), (3, 3))
+        ]
+        assert cache.stats()["probes"] == 1
+        assert len(probes[2]) == 3 < len(probes[0])  # the budget took
+        assert cache.probe_for(plan.program, 3, 3) is probes[2]
+        assert cache.probe_for(plan.program, 3, 20000) is not probes[0]
+
+    def test_advance_drops_it_and_leaves_the_predecessor_exact(self):
+        _, plan, edb, cache, _ = warm()
+        probe = cache.probe_for(plan.program, 3, 20000)
+        before = set(probe)
+        new_edb = Database(edb)
+        new_edb.add(f("e", "c", "d"))
+        successor, _, _ = cache.advance(
+            (f("e", "c", "d"),), (), new_edb, copy=True
+        )
+        assert successor.stats()["probes"] == 0
+        # A reader admitted under the old version keeps an exact probe.
+        assert cache.probe_for(plan.program, 3, 20000) is probe
+        assert set(probe) == before
+        assert f("t", "a", "d") in successor.probe_for(plan.program, 3, 20000)
+
+    def test_two_programs_keep_a_slot_each(self):
+        from repro.api import compile_program
+        from repro.lang.parser import parse_program
+
+        _, plan, _, cache, _ = warm()
+        other = compile_program(parse_program("s(X) :- e(X,Y).")[0])
+        first = cache.probe_for(plan.program, 3, 20000)
+        second = cache.probe_for(other, 3, 20000)
+        assert cache.stats()["probes"] == 2
+        assert cache.probe_for(plan.program, 3, 20000) is first
+        assert cache.probe_for(other, 3, 20000) is second
+
+    def test_racing_first_calls_get_one_object(self):
+        import sys
+        import threading
+
+        _, plan, _, cache, _ = warm()
+        barrier = threading.Barrier(8)
+        got = []
+
+        def call():
+            barrier.wait(timeout=10)
+            got.append(cache.probe_for(plan.program, 3, 20000))
+
+        threads = [threading.Thread(target=call) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(got) == 8 and all(probe is got[0] for probe in got)
+        assert cache.stats()["probes"] == 1
+
+
 class TestCheckpointRoundTrip:
     def test_restored_cache_answers_its_first_query_from_cache(self):
         _, plan, edb, cache, before = warm()
@@ -209,7 +284,8 @@ class TestIgnoredOptionsDoNotSplitTheFixpoint:
         assert rounds[0][0] > 1 and not rounds[0][1]  # ran to its fixpoint
         assert rounds[1:] == [(0, True)] * 3
         assert session.cache.stats() == {
-            "fixpoints": 1, "abstractions": 0, "hits": 3, "misses": 1,
+            "fixpoints": 1, "abstractions": 0, "probes": 0,
+            "hits": 3, "misses": 1,
         }
 
     def test_service_maintains_one_copy_across_an_update(self):

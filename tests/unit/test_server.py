@@ -288,6 +288,21 @@ class TestProtocol:
         assert response["ok"] is False
         assert "expected" in response["error"]
 
+    def test_forced_method_outside_its_class_has_no_partial_answers(self):
+        # Warded but not PWL; the probe alone settles all nine rows, so
+        # no per-tuple decision ever runs to notice.
+        service = ReasoningService(
+            "e(a,b). e(b,c). e(c,a). "
+            "t(X,Y) :- e(X,Y). t(X,Z) :- t(X,Y), t(Y,Z)."
+        )
+        response = handle_request(
+            service,
+            {"op": "query", "query": "q(X,Y) :- t(X,Y).", "method": "pwl"},
+        )
+        assert response["ok"] is False
+        assert response["error"] == "program is not piece-wise linear"
+        assert "answers" not in response
+
     def test_update_accepts_list_and_text(self):
         service = ReasoningService(PROGRAM)
         as_list = handle_request(

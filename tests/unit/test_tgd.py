@@ -51,6 +51,50 @@ class TestTGDStructure:
         assert t1 == t2
 
 
+class TestMemoisedVariableSets:
+    """The four variable sets are computed once per (frozen) TGD and
+    handed to every caller, so they must be immutable and per-object."""
+
+    ACCESSORS = (
+        "body_variables", "head_variables", "frontier",
+        "existential_variables",
+    )
+
+    def recomputed(self, t):
+        body = {v for a in t.body for v in a.variables()}
+        head = {v for a in t.head for v in a.variables()}
+        return body, head, body & head, head - body
+
+    def test_immutable_and_equal_to_recomputed(self):
+        t = tgd([Atom("p", (X, Y)), Atom("s", (Y, W))],
+                [Atom("r", (X, Z)), Atom("u", (Z, Z, Y))])
+        for name, expected in zip(self.ACCESSORS, self.recomputed(t)):
+            result = getattr(t, name)()
+            assert result == expected, name
+            assert getattr(t, name)() is result, name  # once
+            with pytest.raises(AttributeError):
+                result.add(W)
+        assert t.variables() == {X, Y, Z, W}
+
+    def test_memo_is_outside_identity(self):
+        t = tgd([Atom("p", (X, Y))], [Atom("r", (X, Z))])
+        fresh = tgd([Atom("p", (X, Y))], [Atom("r", (X, Z))])
+        t.frontier()
+        assert t == fresh and hash(t) == hash(fresh)
+
+    def test_rename_and_single_head_copies_do_not_share_a_stale_memo(self):
+        t = tgd([Atom("p", (X, Y))], [Atom("r", (X, Z)), Atom("u", (Y, Z))])
+        for name in self.ACCESSORS:
+            getattr(t, name)()  # warm the memo before deriving copies
+        derived = [t.rename("7"), *single_head_program_atoms([t])]
+        assert len(derived) == 4
+        for copy in derived:
+            for name, expected in zip(self.ACCESSORS, self.recomputed(copy)):
+                assert getattr(copy, name)() == expected, (str(copy), name)
+        assert derived[0].frontier() == {Variable("X@7"), Variable("Y@7")}
+        assert derived[2].existential_variables() == frozenset()
+
+
 class TestSingleHead:
     def test_single_head_passthrough(self):
         t = tgd([Atom("p", (X,))], [Atom("r", (X,))])
