@@ -73,8 +73,7 @@ def _head_already_satisfied(trigger: Trigger, instance: FactStore) -> bool:
     tgd = trigger.tgd
     if not tgd.existential_variables():
         # h already grounds the head: the extension test is membership.
-        head = trigger.substitution.apply_atoms(tgd.head)
-        return all(atom in instance for atom in head)
+        return all(atom in instance for atom in trigger.ground_head)
     seed: Dict[Variable, Term] = {
         v: trigger.substitution[v] for v in tgd.frontier()
     }
@@ -186,7 +185,7 @@ def chase_events(
         trigger = queue.popleft()
         if variant == "restricted" and _head_already_satisfied(trigger, instance):
             continue
-        produced, h_prime = fire(trigger, factory)
+        produced, nulls = fire(trigger, factory)
         if not policy.should_fire(trigger, produced, instance):
             run.suppressed += 1
             continue
@@ -194,7 +193,7 @@ def chase_events(
         new_atoms = [a for a in produced if a not in instance]
         if graph is not None and new_atoms:
             graph.record_firing(
-                trigger.tgd_index, h_prime, trigger.body_image(), new_atoms
+                trigger.tgd_index, trigger.extended(nulls), trigger.image, new_atoms
             )
         for atom in new_atoms:
             instance.add(atom)

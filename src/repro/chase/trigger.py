@@ -16,13 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from ..core.atoms import Atom, match_atom
 from ..core.homomorphism import homomorphisms
 from ..core.instance import Instance
+from ..core.match import AtomSet, walk
 from ..core.substitution import Substitution
-from ..core.terms import Null, NullFactory, Term
+from ..core.terms import Null, NullFactory
 from ..core.tgd import TGD
 
 __all__ = ["Trigger", "triggers_for_new_atom", "all_triggers", "fire"]
@@ -30,63 +31,51 @@ __all__ = ["Trigger", "triggers_for_new_atom", "all_triggers", "fire"]
 
 @dataclass(frozen=True)
 class Trigger:
-    """An applicable pair (σ, h), h restricted to the body variables."""
+    """An applicable pair (σ, h), held as σ and the body image
+    ``h(body(σ))`` — the atoms of I the body matched — from which h
+    (restricted to the body variables) is rebuilt on demand."""
 
     tgd_index: int
     tgd: TGD
-    substitution: Substitution
+    image: tuple[Atom, ...]
 
     @cached_property
-    def _image(self) -> tuple[Atom, ...]:
-        return self.substitution.apply_atoms(self.tgd.body)
+    def substitution(self) -> Substitution:
+        h: dict = {}
+        for pattern, stored in zip(self.tgd.body, self.image):
+            h.update(match_atom(pattern, stored))
+        return Substitution(h)
 
-    def body_image(self) -> tuple[Atom, ...]:
-        """``h(body(σ))`` — the atoms of I that matched the body."""
-        return self._image
+    @cached_property
+    def ground_head(self) -> tuple[Atom, ...]:
+        """``h(head(σ))`` of an existential-free σ, instantiated once for
+        the restricted check and the firing."""
+        return self.tgd.matcher.head_atoms(self.image)
+
+    def extended(self, nulls: Sequence[Null]) -> Substitution:
+        """h': h plus the existential variables, by name, sent to *nulls*
+        (what :func:`fire` returned)."""
+        invented = zip(sorted(self.tgd.existential_variables(), key=str), nulls)
+        return Substitution({**self.substitution, **dict(invented)})
 
     def key(self) -> tuple[int, tuple[Atom, ...]]:
         """Deduplication key: same rule, same body image ⇒ same trigger."""
-        return (self.tgd_index, self.body_image())
-
-
-def _match_with_pin(
-    tgd: TGD,
-    tgd_index: int,
-    pin_position: int,
-    new_atom: Atom,
-    instance: Instance,
-) -> Iterator[Trigger]:
-    """Triggers of *tgd* whose body atom at *pin_position* maps to *new_atom*."""
-    seed = match_atom(tgd.body[pin_position], new_atom)
-    if seed is None:
-        return
-    rest = [a for i, a in enumerate(tgd.body) if i != pin_position]
-    for hom in homomorphisms(rest, instance, seed):
-        yield Trigger(tgd_index, tgd, hom)
+        return (self.tgd_index, self.image)
 
 
 def triggers_for_new_atom(
     tgds: Sequence[TGD], new_atom: Atom, instance: Instance
 ) -> Iterator[Trigger]:
-    """All triggers that use *new_atom* somewhere in their body image.
-
-    To avoid yielding the same trigger once per pinned position, each
-    trigger is reported for the *first* body position that maps to the
-    new atom.
-    """
+    """All triggers that use *new_atom* somewhere in their body image,
+    each reported once: for the *first* body position that maps to it
+    (the compiled delta join of :func:`repro.core.match.walk`)."""
+    delta = AtomSet((new_atom,))
     for tgd_index, tgd in enumerate(tgds):
-        for position in range(len(tgd.body)):
-            for trigger in _match_with_pin(
-                tgd, tgd_index, position, new_atom, instance
-            ):
-                image = trigger.body_image()
-                first_use = None
-                for i, atom in enumerate(image):
-                    if atom == new_atom:
-                        first_use = i
-                        break
-                if first_use == position:
-                    yield trigger
+        for form in tgd.matcher.pinned:
+            for _, matched in walk(form, instance, delta):
+                yield Trigger(
+                    tgd_index, tgd, tuple([matched[d] for d in form.depth_of])
+                )
 
 
 def all_triggers(
@@ -95,28 +84,27 @@ def all_triggers(
     """Every applicable trigger over the full instance (naive discovery)."""
     for tgd_index, tgd in enumerate(tgds):
         for hom in homomorphisms(tgd.body, instance):
-            yield Trigger(tgd_index, tgd, hom)
+            yield Trigger(tgd_index, tgd, hom.apply_atoms(tgd.body))
 
 
 def fire(
     trigger: Trigger, null_factory: NullFactory
-) -> tuple[tuple[Atom, ...], Substitution]:
+) -> tuple[tuple[Atom, ...], tuple[Null, ...]]:
     """Compute the head atoms the trigger produces (not yet inserted).
 
-    Returns ``(atoms, h')`` where h' extends the body match on the
-    frontier with fresh nulls for the existential variables.  The depth
-    of each fresh null is one more than the deepest null among the terms
-    the trigger consumes (constants count as depth 0), which gives the
-    chase's "null depth" used by depth-bounded termination control.
+    Returns ``(atoms, nulls)``: the head under h' — h on the frontier,
+    a fresh null per existential variable — and those nulls in variable
+    name order.  The depth of each fresh null is one more than the
+    deepest null among the terms the trigger consumes (constants count
+    as depth 0), which gives the chase's "null depth" used by
+    depth-bounded termination control.
     """
-    h = trigger.substitution
-    input_depth = 0
-    for atom in trigger.body_image():
-        for term in atom.args:
-            if isinstance(term, Null):
-                input_depth = max(input_depth, term.depth)
-    extension: Dict[Term, Term] = {}
-    for var in sorted(trigger.tgd.existential_variables(), key=lambda v: v.name):
-        extension[var] = null_factory.fresh(depth=input_depth + 1)
-    h_prime = Substitution({**{k: h[k] for k in h}, **extension})
-    return h_prime.apply_atoms(trigger.tgd.head), h_prime
+    compiled = trigger.tgd.matcher
+    if not compiled.existential:
+        return trigger.ground_head, ()
+    depth = 1 + max(
+        (t.depth for a in trigger.image for t in a.args if isinstance(t, Null)),
+        default=0,
+    )
+    nulls = tuple(null_factory.fresh(depth) for _ in compiled.existential)
+    return compiled.head_atoms(trigger.image, nulls), nulls

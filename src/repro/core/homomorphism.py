@@ -2,13 +2,11 @@
 
 A homomorphism from a set of atoms A into a set of atoms B is a
 substitution that is the identity on constants and maps every atom of A
-into B.  This is the workhorse of:
-
-* CQ evaluation (``q(I)`` is the set of images of the output variables
-  under homomorphisms from ``atoms(q)`` to I),
-* trigger detection in the chase (σ is applicable iff its body maps into
-  the current instance),
-* the restricted chase's head-satisfaction check.
+into B.  This is the *reference* matcher: query reads and every rule
+join (semi-naive rounds, maintenance waves, the chase's trigger
+discovery) run compiled (:mod:`repro.core.match`) and are pinned
+against it; it still answers ``holds_in``, negation, naive trigger
+discovery and the restricted chase's existential head check.
 
 The search is a standard backtracking join.  Atoms are processed in a
 greedy most-selective-first order: at each step the pending atom with the
@@ -28,7 +26,6 @@ from .terms import Term, Variable
 __all__ = [
     "homomorphisms",
     "find_homomorphism",
-    "extends_to_homomorphism",
     "most_selective",
 ]
 
@@ -39,9 +36,9 @@ def most_selective(pending: Sequence[Atom], bound: Container[Variable]) -> int:
     broken deterministically by string form.
 
     The choice depends on *which* variables are bound, never on their
-    values: the search below asks per node, a compiled
-    :class:`~repro.core.query.ConjunctiveQuery` once per query — through
-    this one function, so the two orders cannot drift.
+    values: the search below asks per node, :mod:`repro.core.match` once
+    per compiled query or rule — through this one function, so the two
+    orders cannot drift.
     """
     if len(pending) == 1:
         return 0  # nothing to rank: the common case at the leaves
@@ -117,20 +114,3 @@ def find_homomorphism(
     for hom in homomorphisms(atoms, instance, seed):
         return hom
     return None
-
-
-def extends_to_homomorphism(
-    partial: Substitution,
-    atoms: Sequence[Atom],
-    instance: Instance,
-) -> bool:
-    """True iff *partial* extends to a homomorphism of *atoms* into *instance*.
-
-    This is the restricted-chase satisfaction check: given a body match
-    ``h``, does ``h|frontier`` extend to the head atoms?
-    """
-    seed = {
-        v: partial[v]
-        for v in partial.variable_domain()
-    }
-    return find_homomorphism(atoms, instance, seed) is not None

@@ -108,8 +108,9 @@ class Instance(FactStore):
         return set(self._by_predicate.get(predicate, ()))
 
     def by_predicate(self, predicate: str) -> Iterator[Atom]:
-        """All atoms whose predicate is *predicate* (FactStore form)."""
-        return iter(self.with_predicate(predicate))
+        """All atoms whose predicate is *predicate* (FactStore form): a
+        tuple snapshot, so the store may change while it is consumed."""
+        return iter(tuple(self._by_predicate.get(predicate, ())))
 
     def count(self, predicate: Optional[str] = None) -> int:
         """Number of stored atoms, optionally restricted to a predicate."""

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .atoms import Atom, atoms_variables
-from .homomorphism import homomorphisms, most_selective
+from .homomorphism import homomorphisms
 from .instance import Instance
+from .match import compile_atoms, pinned_candidates
 from .substitution import Substitution
 from .terms import Constant, Term, Variable
 
@@ -51,48 +52,6 @@ def stream_new_answers(query: "ConjunctiveQuery", events, delta_of):
         for answer in sorted(fresh - seen, key=str):
             seen.add(answer)
             yield answer
-
-
-class _Step(NamedTuple):
-    """One body atom of a compiled query.  Variables live in numbered
-    slots of a row dict; a step says what to probe and where a match goes."""
-
-    predicate: str
-    arity: int
-    constants: tuple  # (1-based position, term) per non-variable argument
-    feeds: tuple      # (1-based position, slot) per variable bound earlier
-    binds: tuple      # (0-based index, slot) per variable first bound here
-    agree: tuple      # (index, earlier index) per variable repeated here
-
-
-def _compile(query: "ConjunctiveQuery", pinned: Optional[int] = None):
-    """``(steps, output slots)`` of *query*: the atom at index
-    *pinned* first (its candidates come from a delta, not from a
-    probe), the rest in the static order of
-    :func:`~repro.core.homomorphism.most_selective`."""
-    pending = list(query.atoms)
-    slots: dict[Variable, int] = {}
-    steps = []
-    while pending:
-        at = most_selective(pending, slots) if pinned is None else pinned
-        pinned = None
-        atom = pending.pop(at)
-        constants, feeds, binds, agree = parts = [], [], [], []
-        first: dict[Variable, int] = {}
-        for index, term in enumerate(atom.args):
-            if not isinstance(term, Variable):
-                constants.append((index + 1, term))
-            elif term in first:
-                agree.append((index, first[term]))
-            elif term in slots:
-                feeds.append((index + 1, slots[term]))
-            else:
-                first[term] = index
-                binds.append((index, len(slots)))
-                slots[term] = len(slots)
-        # Tuples: compiled forms stay resident with their prepared plan.
-        steps.append(_Step(atom.predicate, len(atom.args), *map(tuple, parts)))
-    return tuple(steps), tuple(slots[v] for v in query.output)
 
 
 def _search(compiled, depth, store, row, answers, candidates=None) -> None:
@@ -241,16 +200,21 @@ class ConjunctiveQuery:
 
     # -- evaluation ----------------------------------------------------------
 
+    def _compile(self, pinned: Optional[int] = None) -> tuple:
+        """``(steps, output slots)``, the atom at *pinned* first."""
+        steps, _, slots = compile_atoms(self.atoms, pinned)
+        return steps, tuple(slots[v] for v in self.output)
+
     @cached_property
     def _compiled(self) -> tuple:
         """Compiled once per (frozen) query, on first use; racing first
         calls compute equal values."""
-        return _compile(self)
+        return self._compile()
 
     @cached_property
     def _compiled_pinned(self) -> tuple:
         """Likewise, one form per body atom with that atom first."""
-        return tuple(_compile(self, at) for at in range(len(self.atoms)))
+        return tuple(self._compile(at) for at in range(len(self.atoms)))
 
     def evaluate(self, instance: Instance) -> set[tuple[Constant, ...]]:
         """``q(I)``: all constant output tuples under homomorphisms into I."""
@@ -273,15 +237,7 @@ class ConjunctiveQuery:
         answers: set[tuple[Constant, ...]] = set()
         delta_atoms = list(delta)
         for compiled in self._compiled_pinned:
-            pin = compiled[0][0]
-            candidates = [
-                atom for atom in delta_atoms
-                if atom.predicate == pin.predicate
-                and len(atom.args) == pin.arity
-                and all(
-                    atom.args[at - 1] == term for at, term in pin.constants
-                )
-            ]
+            candidates = pinned_candidates(compiled[0][0], delta_atoms)
             _search(compiled, 0, instance, {}, answers, candidates)
         return answers
 

@@ -24,11 +24,12 @@ occurrences as trivially harmless.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Optional, Sequence
 
 from .atoms import Atom, atoms_variables
+from .match import CompiledRule, compile_rule
 from .spans import Span
 from .substitution import Substitution
 from .terms import Constant, Term, Variable
@@ -82,6 +83,17 @@ class TGD:
         body = frozenset(atoms_variables(self.body))
         head = frozenset(atoms_variables(self.head))
         return body, head, body & head, head - body
+
+    @cached_property
+    def matcher(self) -> CompiledRule:
+        """The body compiled once per pinned position, the head as a row
+        projection (:mod:`repro.core.match`) — cached like the variable
+        sets, so outside equality, hashing and ``repr``."""
+        return compile_rule(self)
+
+    def __getstate__(self) -> dict:
+        """Pickle the fields only; what is cached is recomputed."""
+        return {spec.name: getattr(self, spec.name) for spec in fields(self)}
 
     def body_variables(self) -> frozenset[Variable]:
         """Variables occurring in the body."""

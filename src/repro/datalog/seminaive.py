@@ -20,14 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Optional
 
-from ..core.atoms import Atom, match_atom
-from ..core.homomorphism import homomorphisms
+from ..core.atoms import Atom
 from ..core.instance import Database
+from ..core.match import AtomSet, rule_heads
 from ..core.program import Program
 from ..core.query import ConjunctiveQuery, stream_new_answers
-from ..core.substitution import Substitution
 from ..core.terms import Constant
-from ..core.tgd import TGD
 from ..kernels import KernelEvaluator
 from ..storage import FactStore, StoreChoice, kernel_capable, make_store
 
@@ -70,36 +68,6 @@ def _check_datalog(program: Program) -> None:
                 "semi-naive evaluation needs single-head TGDs; normalize "
                 f"first ({tgd} has {len(tgd.head)} head atoms)"
             )
-
-
-def _delta_matches(
-    tgd: TGD,
-    instance: FactStore,
-    delta: FactStore,
-) -> Iterable[Substitution]:
-    """Body matches that use at least one delta atom.
-
-    Implemented by pinning each body position to the delta in turn; a
-    match is reported only for the first pinned position it uses, so
-    each match appears exactly once.
-    """
-    body = list(tgd.body)
-    for pin_index in range(len(body)):
-        pinned = body[pin_index]
-        others = body[:pin_index] + body[pin_index + 1:]
-        for delta_atom in delta.by_predicate(pinned.predicate):
-            seed = match_atom(pinned, delta_atom)
-            if seed is None:
-                continue
-            for hom in homomorphisms(others, instance, seed):
-                image = hom.apply_atoms(tgd.body)
-                first_delta = None
-                for i, atom in enumerate(image):
-                    if atom in delta:
-                        first_delta = i
-                        break
-                if first_delta == pin_index:
-                    yield hom
 
 
 @dataclass(frozen=True)
@@ -164,17 +132,15 @@ def seminaive_rounds(
                 exec_mode="kernel",
             )
         return
-    delta = instance.fresh()
-    delta.add_all(database)
     yield SemiNaiveRound(
         index=0, staged=tuple(database), considered=0, instance=instance
     )
-    yield from _delta_loop(instance, delta, program, max_rounds)
+    yield from _delta_loop(instance, AtomSet(database), program, max_rounds)
 
 
 def _delta_loop(
     instance: FactStore,
-    delta: FactStore,
+    delta: AtomSet,
     program: Program,
     max_rounds: Optional[int] = None,
 ) -> Iterable[SemiNaiveRound]:
@@ -188,24 +154,16 @@ def _delta_loop(
         round_considered = 0
         staged: List[Atom] = []
         staged_set: set[Atom] = set()
-        for tgd in program:
-            head = tgd.head[0]
-            for hom in _delta_matches(tgd, instance, delta):
-                round_considered += 1
-                fact = hom.apply_atom(head)
-                if not fact.is_ground():
-                    raise ValueError(
-                        f"rule {tgd} produced non-ground fact {fact}"
-                    )
-                if fact not in instance and fact not in staged_set:
-                    staged_set.add(fact)
-                    staged.append(fact)
+        for fact in rule_heads(program, instance, delta):
+            round_considered += 1
+            if fact not in instance and fact not in staged_set:
+                staged_set.add(fact)
+                staged.append(fact)
         # Merge only after the full round: every rule joins against the
         # same snapshot, so rounds/considered are independent of rule
         # and hash iteration order.
         instance.add_all(staged)
-        delta = delta.fresh()
-        delta.add_all(staged)
+        delta = AtomSet(staged)
         yield SemiNaiveRound(
             index=rounds,
             staged=tuple(staged),

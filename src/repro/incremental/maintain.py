@@ -5,10 +5,10 @@ upgrades it in place when the EDB changes, instead of letting the
 session throw the materialization away:
 
 * **insertions** ride the semi-naive fast path — deltas seeded from
-  just the new facts and propagated with the interpreter's
-  :func:`repro.datalog.seminaive._delta_matches`, stratum by stratum
-  so the rounds interleave correctly with deletions (the compiled
-  kernels are not involved: they saturate from scratch only);
+  just the new facts and propagated through the compiled delta join
+  the interpreter runs (:func:`repro.core.match.rule_heads`), stratum
+  by stratum so the rounds interleave correctly with deletions (the
+  batch kernels are not involved: they saturate from scratch only);
 * **retractions** run delete–rederive (DRed) on recursive strata and
   pure counting (:mod:`repro.incremental.support`) on non-recursive
   ones, using the stratification the
@@ -39,13 +39,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..core.atoms import Atom, match_atom
-from ..core.homomorphism import find_homomorphism
+from ..core.atoms import Atom
 from ..core.instance import Instance
+from ..core.match import AtomSet, rule_heads, walk
 from ..core.store import FactStore
-from ..datalog.seminaive import _delta_matches
 from .support import SupportIndex
-from .views import AtomSet, UnionView
+from .views import UnionView
 
 __all__ = [
     "FixpointMaintainer",
@@ -153,11 +152,9 @@ def _derived_heads(
     support counts — each counted into ``stats.matches``.  Lazy: a
     consumer that edits *instance* between pulls is seen by the join.
     """
-    for tgd in layer:
-        head = tgd.head[0]
-        for hom in _delta_matches(tgd, instance, delta):
-            stats.matches += 1
-            yield hom.apply_atom(head)
+    for fact in rule_heads(layer, instance, delta):
+        stats.matches += 1
+        yield fact
 
 
 class FixpointMaintainer:
@@ -342,11 +339,9 @@ class FixpointMaintainer:
             removed.add(fact)
 
     def _derivable(self, fact: Atom, layer) -> bool:
+        pinned = AtomSet((fact,))
         for tgd in layer:
-            seed = match_atom(tgd.head[0], fact)
-            if seed is None:
-                continue
-            if find_homomorphism(list(tgd.body), self.store, seed) is not None:
+            for _ in walk(tgd.matcher.from_head, self.store, pinned):
                 return True
         return False
 

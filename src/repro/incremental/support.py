@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Sequence
 
 from ..core.atoms import Atom
-from ..core.homomorphism import homomorphisms
+from ..core.match import rule_heads
 
 __all__ = ["SupportIndex"]
 
@@ -76,10 +76,8 @@ class SupportIndex:
         each contributes one support.
         """
         index = cls()
-        for tgd in layer:
-            head = tgd.head[0]
-            for hom in homomorphisms(list(tgd.body), view):
-                index.gain(hom.apply_atom(head))
+        for fact in rule_heads(layer, view):
+            index.gain(fact)
         for fact in edb_facts:
             index.gain(fact)
         return index

@@ -1,53 +1,21 @@
-"""Light-weight atom collections used by the maintenance phases.
+"""The old-state view of the deletion phase.
 
-Neither of these is a full :class:`~repro.core.store.FactStore`; they
-implement exactly the retrieval surface the delta-join machinery needs
-(``matching`` for the join side, ``by_predicate``/``__contains__`` for
-the pinned delta side), which keeps them O(1) to construct around the
-live store.
+Not a full :class:`~repro.core.store.FactStore`: it implements exactly
+the probe surface the compiled delta join needs of its join side
+(``matching_bound``, and ``matching`` derived from it), which keeps it
+O(1) to construct around the live store.  The pinned delta side of the
+same joins is :class:`repro.core.match.AtomSet`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List
+from typing import Iterator, Mapping, Optional
 
 from ..core.atoms import Atom
+from ..core.store import FactStore
+from ..core.terms import Term
 
-__all__ = ["AtomSet", "UnionView"]
-
-
-class AtomSet:
-    """A small predicate-indexed atom set (the pinned delta of a join).
-
-    Supports the protocol :func:`repro.datalog.seminaive._delta_matches`
-    expects of its ``delta`` argument: ``by_predicate``, membership,
-    iteration, and truthiness.
-    """
-
-    def __init__(self, atoms: Iterable[Atom] = ()):
-        self._atoms: set[Atom] = set()
-        self._by_predicate: Dict[str, List[Atom]] = {}
-        for atom in atoms:
-            self.add(atom)
-
-    def add(self, atom: Atom) -> bool:
-        if atom in self._atoms:
-            return False
-        self._atoms.add(atom)
-        self._by_predicate.setdefault(atom.predicate, []).append(atom)
-        return True
-
-    def __contains__(self, atom: object) -> bool:
-        return atom in self._atoms
-
-    def __iter__(self) -> Iterator[Atom]:
-        return iter(self._atoms)
-
-    def __len__(self) -> int:
-        return len(self._atoms)
-
-    def by_predicate(self, predicate: str) -> Iterator[Atom]:
-        return iter(tuple(self._by_predicate.get(predicate, ())))
+__all__ = ["UnionView"]
 
 
 class UnionView:
@@ -60,7 +28,8 @@ class UnionView:
     indexed :class:`~repro.core.store.FactStore` (the maintainer uses
     an :class:`~repro.core.instance.Instance`): the view sits under
     every join of the deletion phase, so probes into the removed layer
-    must hit position indexes, not scans.
+    must hit position indexes, not scans.  An atom in both layers is
+    reported once, from the store.
     """
 
     def __init__(self, store, removed):
@@ -70,14 +39,15 @@ class UnionView:
     def __contains__(self, atom: object) -> bool:
         return atom in self._store or atom in self._removed
 
-    def matching(self, pattern: Atom) -> Iterator[Atom]:
-        yield from self._store.matching(pattern)
-        for atom in self._removed.matching(pattern):
+    def matching_bound(
+        self, predicate: str, bound: Mapping[int, Term], arity: Optional[int] = None
+    ) -> Iterator[Atom]:
+        yield from self._store.matching_bound(predicate, bound, arity)
+        for atom in self._removed.matching_bound(predicate, bound, arity):
             if atom not in self._store:
                 yield atom
 
+    matching = FactStore.matching  # the pattern form, over matching_bound
+
     def by_predicate(self, predicate: str) -> Iterator[Atom]:
-        yield from self._store.by_predicate(predicate)
-        for atom in self._removed.by_predicate(predicate):
-            if atom not in self._store:
-                yield atom
+        return self.matching_bound(predicate, {})

@@ -11,7 +11,7 @@ per-tuple :class:`~repro.core.substitution.Substitution` churn.
 Exact-once delta semantics
 --------------------------
 
-The interpreter (:func:`~repro.datalog.seminaive._delta_matches`)
+The interpreter (:func:`repro.core.match.walk`, the tuple compiler)
 reports a body match at pin *i* iff position *i* is the **first** body
 position whose image lies in the delta.  The compiled plans reproduce
 that count exactly without materializing images: with position *i*

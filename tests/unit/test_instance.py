@@ -49,6 +49,20 @@ class TestInstance:
         assert inst.with_predicate("r") == {Atom("r", (a,))}
         assert inst.with_predicate("missing") == set()
 
+    def test_by_predicate_is_safe_against_mutation_while_consumed(self):
+        """The FactStore contract the delta loops rely on: the iterator
+        is a snapshot, so adding (or discarding) under it neither raises
+        nor changes what it yields."""
+        inst = Instance([Atom("r", (a,)), Atom("r", (b,)), Atom("s", (b,))])
+        seen = []
+        for atom in inst.by_predicate("r"):
+            seen.append(atom)
+            inst.add(Atom("r", (Constant(f"new{len(seen)}"),)))
+            inst.discard(Atom("r", (b,)))
+        assert sorted(seen, key=str) == [Atom("r", (a,)), Atom("r", (b,))]
+        assert inst.count("r") == 3
+        assert list(inst.by_predicate("missing")) == []
+
     def test_copy_is_independent(self):
         inst = Instance([Atom("r", (a,))])
         clone = inst.copy()

@@ -1,5 +1,7 @@
 """Unit tests for TGDs and the single-head normal form."""
 
+import pickle
+
 import pytest
 
 from repro.core.atoms import Atom
@@ -93,6 +95,36 @@ class TestMemoisedVariableSets:
                 assert getattr(copy, name)() == expected, (str(copy), name)
         assert derived[0].frontier() == {Variable("X@7"), Variable("Y@7")}
         assert derived[2].existential_variables() == frozenset()
+
+
+class TestCompiledFormsStayOutsideIdentity:
+    """``TGD.matcher`` (the body compiled once per pinned position) is a
+    cache: it never shows in equality, hashing, ``repr`` or a pickle."""
+
+    def make(self):
+        return tgd([Atom("p", (X, Y)), Atom("s", (Y, W))], [Atom("r", (X, W))])
+
+    def test_compiled_once_one_form_per_body_position(self):
+        t = self.make()
+        assert t.matcher is t.matcher
+        assert len(t.matcher.pinned) == 2 and t.matcher.existential == ()
+        assert tgd([Atom("p", (X,))], [Atom("r", (X, Z))]).matcher.existential
+
+    def test_equality_hash_and_repr_ignore_them(self):
+        cold, warm = self.make(), self.make()
+        before = repr(warm)
+        warm.matcher
+        assert warm == cold and hash(warm) == hash(cold)
+        assert repr(warm) == before and "matcher" not in before
+
+    def test_pickle_carries_the_fields_only(self):
+        warm = self.make()
+        warm.matcher, warm.frontier()
+        cold_bytes = pickle.dumps(self.make())
+        assert pickle.dumps(warm) == cold_bytes
+        copy = pickle.loads(pickle.dumps(warm))
+        assert copy == warm and "matcher" not in vars(copy)
+        assert copy.label == warm.label and copy.matcher == warm.matcher
 
 
 class TestSingleHead:
