@@ -8,15 +8,19 @@ random graph, ≥100-update stream, ≤10% churn per update, insertions
 
 * **incremental** — one long-lived :class:`repro.api.Session`; every
   update goes through ``Session.apply`` and upgrades the cached
-  fixpoint (DRed + counting + semi-naive fast path) which then serves
-  the per-step query from cache;
+  fixpoint (DRed + the semi-naive fast path) which then serves the
+  per-step query from cache;
 * **recompute** — what the session did before this subsystem existed:
   every update throws the materialization away and the per-step query
   re-runs semi-naive evaluation from scratch.
 
 Answers are asserted identical at every step (and the final stores
-atom-identical), so the speedup is measured on provably equal work.
-Raw rows land in ``benchmarks/results/BENCH_incremental.json``.
+atom-identical), and the floor is a count, not a clock: the body
+matches maintenance examined, summed over the stream, must stay below
+the matches per-update recomputation considered.  Wall-clock seconds
+and the speedup are recorded in
+``benchmarks/results/BENCH_incremental.json``, not asserted — the
+committed e2e trajectory (``serve_churn_ivm``) is what gates time.
 """
 
 from __future__ import annotations
@@ -41,10 +45,6 @@ SEED = 2019
 
 #: The per-step query (the TC reachability workload of E2).
 QUERY_INDEX = 0
-
-#: CI-safe floor; locally the observed speedup is far higher (the JSON
-#: artifact records the measured value).
-MIN_SPEEDUP = 3.0
 
 
 def _run_incremental(churn, query):
@@ -93,15 +93,19 @@ def _run_recompute(churn, query):
     edb = Database(churn.scenario.database)
     per_step = []
     last = None
+    considered = 0
     start = time.perf_counter()
     for step in churn.steps:
         edb.discard_all(step.retracts)
         edb.add_all(step.inserts)
-        last = seminaive(Database(edb), program).instance
+        result = seminaive(Database(edb), program)
+        considered += result.considered
+        last = result.instance
         per_step.append(frozenset(query.evaluate(last)))
     seconds = time.perf_counter() - start
     return {
         "seconds": seconds,
+        "considered": considered,
         "answers": per_step,
         "fixpoint": last,
         "resident_bytes": last.memory_report().total_bytes,
@@ -137,6 +141,7 @@ def test_incremental_churn_vs_recompute(benchmark, report):
         if frozenset(before) != frozenset(after)
     )
     speedup = recompute["seconds"] / incremental["seconds"]
+    matches = incremental["maintenance_totals"]["matches"]
 
     # One maintained update as the pytest-benchmark row (fresh session
     # per round so the step is always applied to a saturated cache).
@@ -174,6 +179,8 @@ def test_incremental_churn_vs_recompute(benchmark, report):
             f"{retractions} retraction(s) and "
             f"{sum(len(s.inserts) for s in churn.steps)} insertion(s) "
             "exercised; answers asserted identical at every update; "
+            f"{matches} maintenance matches vs {recompute['considered']} "
+            "considered by recomputation; "
             f"maintenance totals: {incremental['maintenance_totals']}",
         ),
     )
@@ -193,7 +200,7 @@ def test_incremental_churn_vs_recompute(benchmark, report):
             "incremental_warmup_seconds": incremental["warmup_seconds"],
             "recompute_seconds": recompute["seconds"],
             "speedup": speedup,
-            "min_speedup_asserted": MIN_SPEEDUP,
+            "recompute_considered": recompute["considered"],
             "answers_equal_every_step": not divergences,
             "divergent_steps": divergences[:10],
             "final_stores_equal": stores_equal,
@@ -217,7 +224,7 @@ def test_incremental_churn_vs_recompute(benchmark, report):
     assert not divergences, f"divergence at update(s) {divergences[:10]}"
     assert stores_equal, "maintained store != recomputed store"
     assert changed > 0, "churn stream must actually move the answers"
-    assert speedup >= MIN_SPEEDUP, (
-        f"incremental maintenance only {speedup:.1f}x faster than "
-        f"recompute (need ≥{MIN_SPEEDUP}x)"
+    assert matches < recompute["considered"], (
+        f"maintenance examined {matches} body matches, recomputation "
+        f"only {recompute['considered']}"
     )

@@ -31,26 +31,11 @@ from ..incremental import (
 )
 from ..storage import FactStore, make_store
 from ..storage.sharded import FixpointRecord
-from .planner import QueryPlan, _store_label
+from .planner import WIRE_OPTIONS, QueryPlan, _store_label
 from .program import CompiledProgram
 
 __all__ = ["FixpointCache", "MAGIC_FIXPOINT_LIMIT", "data_kwargs"]
 
-
-#: engine kwargs whose values are plain data — a plan whose kwargs
-#: stay inside this set has cacheable, key-comparable semantics.
-_CACHEABLE_KWARGS = frozenset(
-    {
-        "variant",
-        "max_atoms",
-        "max_steps",
-        "max_events",
-        "max_rounds",
-        "strict",
-        "probe_depth",
-        "probe_atoms",
-    }
-)
 
 #: Cap on *demand-specific* (magic) fixpoints per cache: their key
 #: includes the query's seed constants, so answering many distinct
@@ -73,7 +58,7 @@ def data_kwargs(engine_kwargs) -> Optional[tuple]:
     marking the run unsaturated — such runs must never be served to,
     or taken from, a shared cache, nor their plans kept across requests.
     """
-    if not all(key in _CACHEABLE_KWARGS for key in engine_kwargs):
+    if not WIRE_OPTIONS.issuperset(engine_kwargs):
         return None
     return tuple(sorted((k, repr(v)) for k, v in engine_kwargs.items()))
 
@@ -118,18 +103,12 @@ class _Key(NamedTuple):
         )
 
 
-class _Entry:
-    """One saturated store, the program that produced it (kept alive:
-    the key holds its ``id``), and — once an in-place :meth:`advance`
-    has built one — the maintainer whose support indexes stay coherent
-    with the store."""
+class _Entry(NamedTuple):
+    """One saturated store and the program that produced it (kept
+    alive: the key holds its ``id``)."""
 
-    __slots__ = ("store", "compiled", "maintainer")
-
-    def __init__(self, store: FactStore, compiled: CompiledProgram):
-        self.store = store
-        self.compiled = compiled
-        self.maintainer: Optional[FixpointMaintainer] = None
+    store: FactStore
+    compiled: CompiledProgram
 
 
 class FixpointCache:
@@ -253,9 +232,8 @@ class FixpointCache:
 
         With ``copy=True`` this cache is left untouched — its stores
         stay exact for readers still on the old state — and the copies
-        are maintained; with ``copy=False`` the stores (and their kept
-        maintainers) are handed over and upgraded in place, leaving
-        this cache empty.
+        are maintained; with ``copy=False`` the stores are handed over
+        and upgraded in place, leaving this cache empty.
         """
         with self._lock:
             entries = list(self._fixpoints.items())
@@ -278,17 +256,10 @@ class FixpointCache:
                 fallbacks.append((label, reason))
                 continue
             if copy:
-                # A maintainer is bound to one store; the copy's is not
-                # kept, the next batch copies again.
                 entry = _Entry(entry.store.copy(), entry.compiled)
-                maintainer = FixpointMaintainer(entry.compiled, entry.store)
-            else:
-                if entry.maintainer is None:
-                    entry.maintainer = FixpointMaintainer(
-                        entry.compiled, entry.store
-                    )
-                maintainer = entry.maintainer
-            stats = maintainer.apply(inserted, retracted, edb=edb)
+            stats = FixpointMaintainer(entry.compiled, entry.store).apply(
+                inserted, retracted, edb=edb
+            )
             successor._fixpoints[key] = entry
             maintained.append((label, stats))
         return successor, maintained, fallbacks

@@ -125,6 +125,7 @@ def execute_plan(
                 store=plan.store,
                 on_fixpoint=on_fixpoint,
                 stats=stats,
+                **kwargs,  # wire options are gone; an unknown one raises
             )
             stats.saturated = True
 
@@ -136,8 +137,6 @@ def execute_plan(
                 yield from answers
                 return
             chase_kwargs = dict(kwargs)
-            chase_kwargs.pop("probe_depth", None)
-            chase_kwargs.pop("probe_atoms", None)
             strict = chase_kwargs.pop("strict", True)
             if strict:
                 chase_kwargs.setdefault("max_atoms", STRICT_CHASE_MAX_ATOMS)
@@ -162,7 +161,6 @@ def execute_plan(
 
         def factory():
             tree_kwargs = dict(kwargs)
-            tree_kwargs.pop("strict", None)
             probe_depth = tree_kwargs.pop("probe_depth", 3)
             probe_atoms = tree_kwargs.pop("probe_atoms", 20000)
             if cache is not None:
@@ -189,8 +187,6 @@ def execute_plan(
                 yield from answers
                 return
             net_kwargs = dict(kwargs)
-            net_kwargs.pop("probe_depth", None)
-            net_kwargs.pop("probe_atoms", None)
             strict = net_kwargs.pop("strict", True)
             if strict:
                 # Same budget discipline as the strict chase: a

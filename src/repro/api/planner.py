@@ -15,7 +15,10 @@ from ..rewriting.magic import MagicRewriting, magic_rewrite, query_constants
 from ..storage import BACKENDS, FactStore, kernel_capable
 from .program import CompiledProgram, compile_program
 
-__all__ = ["Planner", "QueryPlan", "ENGINES", "REWRITES"]
+__all__ = [
+    "Planner", "QueryPlan", "ENGINES", "ENGINE_OPTIONS", "REWRITES",
+    "WIRE_OPTIONS",
+]
 
 #: Engine names a plan can resolve to (``"auto"`` is accepted as input).
 ENGINES = ("datalog", "pwl", "ward", "chase", "network")
@@ -24,6 +27,18 @@ ENGINES = ("datalog", "pwl", "ward", "chase", "network")
 #: magic-set demand transformation exactly when it pays: a full
 #: program, the datalog engine, and ≥1 bound argument in the query).
 REWRITES = ("auto", "magic", "none")
+
+#: The *wire* options — the plain-data engine kwargs a request frame may
+#: carry (:data:`repro.server.protocol.QUERY_OPTIONS` minus the plan
+#: dimensions and ``first``) — that each engine's streaming core takes.
+ENGINE_OPTIONS = {
+    "datalog": frozenset(),
+    "pwl": frozenset({"probe_depth", "probe_atoms"}),
+    "ward": frozenset({"probe_depth", "probe_atoms"}),
+    "chase": frozenset({"variant", "max_atoms", "max_steps", "strict"}),
+    "network": frozenset({"max_atoms", "max_events", "strict"}),
+}
+WIRE_OPTIONS = frozenset().union(*ENGINE_OPTIONS.values())
 
 _ENGINE_LABELS = {
     "datalog": "semi-naive least fixpoint (exact for full programs)",
@@ -261,14 +276,21 @@ class Planner:
                 f"{', '.join(REWRITES)}"
             )
         store_name = _store_label(store)
-        if resolved == "datalog" and engine_kwargs:
-            # A plan keeps only what its engine receives, so an option
-            # that cannot change the run cannot split its fixpoint.
+        ignored = sorted(
+            WIRE_OPTIONS.difference(ENGINE_OPTIONS[resolved])
+            .intersection(engine_kwargs)
+        )
+        if ignored:
+            # A plan keeps only the wire options its engine takes: one
+            # that cannot change the run can neither split its fixpoint
+            # nor fail the engine ``auto`` resolved to.  Any other kwarg
+            # reaches the engine, which raises on what it does not know.
             reasons = reasons + (
-                "ignored (the datalog engine runs to its fixpoint and "
-                f"takes no option): {', '.join(sorted(engine_kwargs))}",
+                f"ignored (the {resolved} engine takes no such option): "
+                f"{', '.join(ignored)}",
             )
-            engine_kwargs = {}
+            for key in ignored:
+                del engine_kwargs[key]
         rewriting = None
         bound = len(query_constants(query))
         if rewrite == "none":
@@ -349,7 +371,7 @@ class Planner:
             )
         elif gap is None:
             maintainable = True
-            maintenance = "incremental (DRed + counting over the strata)"
+            maintenance = "incremental (DRed over the strata)"
         else:
             maintainable = False
             maintenance = f"recompute on EDB change ({gap})"

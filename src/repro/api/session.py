@@ -15,7 +15,7 @@ A :class:`Session` owns
   engines) valid for the EDB as it stands.  :meth:`Session.apply`
   replaces it with the cache of the next state: each materialization
   is routed through :mod:`repro.incremental` and *upgraded in place*
-  (DRed + counting + the semi-naive insertion fast path) instead of
+  (DRed + the semi-naive insertion fast path) instead of
   recomputed, with a recorded fallback for plans outside the
   maintainable fragment.
 
@@ -146,9 +146,9 @@ class Session:
         *changes* is a :class:`~repro.incremental.ChangeSet` (or a bare
         iterable of atoms, treated as insertions); ``inserts=`` /
         ``retracts=`` extend it.  Every cached ``(plan, fixpoint)`` is
-        routed through its :class:`~repro.incremental.FixpointMaintainer`
-        and upgraded in place — DRed / counting deletion plus the
-        semi-naive insertion fast path — while plans outside the
+        routed through a :class:`~repro.incremental.FixpointMaintainer`
+        and upgraded in place — DRed deletion plus the semi-naive
+        insertion fast path — while plans outside the
         maintainable fragment fall back to recomputation-on-next-query,
         with the reason recorded in the returned
         :class:`~repro.incremental.MaintenanceReport`.
@@ -176,8 +176,8 @@ class Session:
             self.edb.discard_all(retracted)
             self.edb.add_all(inserted)
             self._edb_version += 1
-            # In place: nobody reads the old state, so the stores and
-            # their maintainers move to the next cache as they are.
+            # In place: nobody reads the old state, so the stores
+            # move to the next cache as they are.
             self.cache, maintained, fallbacks = self.cache.advance(
                 inserted, retracted, self.edb, copy=False
             )

@@ -31,8 +31,8 @@ from .scenario import Scenario
 __all__ = ["ChurnScenario", "generate_churn"]
 
 #: The program under churn: linear transitive closure (a recursive
-#: stratum maintained by DRed) plus two non-recursive strata maintained
-#: by counting supports — every maintenance path is on the hot path.
+#: stratum) plus two non-recursive strata on top of it — DRed's waves
+#: run on both kinds.
 _CHURN_RULES = """
     t(X,Y) :- e(X,Y).
     t(X,Z) :- e(X,Y), t(Y,Z).

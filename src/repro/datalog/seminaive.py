@@ -34,6 +34,7 @@ __all__ = [
     "SemiNaiveRound",
     "seminaive",
     "seminaive_rounds",
+    "delta_rounds",
     "datalog_answers",
     "stream_datalog_answers",
 ]
@@ -135,17 +136,22 @@ def seminaive_rounds(
     yield SemiNaiveRound(
         index=0, staged=tuple(database), considered=0, instance=instance
     )
-    yield from _delta_loop(instance, AtomSet(database), program, max_rounds)
+    yield from delta_rounds(instance, AtomSet(database), program, max_rounds)
 
 
-def _delta_loop(
+def delta_rounds(
     instance: FactStore,
     delta: AtomSet,
-    program: Program,
+    program: Iterable,
     max_rounds: Optional[int] = None,
 ) -> Iterable[SemiNaiveRound]:
-    """The interpreter's round loop: join against *delta*, merge,
-    repeat to fixpoint."""
+    """The interpreter's round loop: join the rules of *program* against
+    *delta*, merge the staged facts into *instance*, repeat to fixpoint.
+
+    *delta* is read during the first round only, so a caller may extend
+    it between events — the insertion phase of
+    :class:`~repro.incremental.FixpointMaintainer` runs one stratum's
+    rules through here, seeded from a batch's new facts."""
     rounds = 0
     while len(delta) > 0:
         if max_rounds is not None and rounds >= max_rounds:

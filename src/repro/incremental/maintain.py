@@ -1,18 +1,20 @@
-"""The fixpoint maintainer: DRed + counting over the program's strata.
+"""The fixpoint maintainer: delete–rederive over the program's strata.
 
 A :class:`FixpointMaintainer` owns one cached least-fixpoint store and
 upgrades it in place when the EDB changes, instead of letting the
 session throw the materialization away:
 
-* **insertions** ride the semi-naive fast path — deltas seeded from
-  just the new facts and propagated through the compiled delta join
-  the interpreter runs (:func:`repro.core.match.rule_heads`), stratum
-  by stratum so the rounds interleave correctly with deletions (the
-  batch kernels are not involved: they saturate from scratch only);
-* **retractions** run delete–rederive (DRed) on recursive strata and
-  pure counting (:mod:`repro.incremental.support`) on non-recursive
-  ones, using the stratification the
-  :class:`~repro.api.program.CompiledProgram` already computed.
+* **insertions** ride the semi-naive fast path — the interpreter's own
+  round loop (:func:`repro.datalog.seminaive.delta_rounds`) seeded from
+  just the new facts, stratum by stratum (the batch kernels are not
+  involved: they saturate from scratch only);
+* **retractions** run delete–rederive (DRed) on every stratum,
+  recursive or not, in the order of the stratification the
+  :class:`~repro.api.program.CompiledProgram` already computed.  On a
+  non-recursive stratum the over-deletion is one wave and the
+  rederivation one :meth:`~FixpointMaintainer._derivable` check per
+  candidate; nothing is kept between batches, so a maintainer is a
+  schedule plus a store and costs nothing to build.
 
 The maintainable fragment is full (existential-free) programs: their
 saturated store is the least fixpoint over constants, so deletion has
@@ -27,7 +29,7 @@ Batch discipline (one ``apply``):
    :class:`~repro.incremental.views.UnionView` of the live store and
    the net-removed set, so nothing is copied.
 2. **Phase B — insertions**, strata in topological order, semi-naive
-   within each recursive stratum.
+   within each stratum.
 
 This is the standard stratified DRed schedule: phase A leaves the store
 at ``fixpoint(EDB \\ retracted)``, phase B lifts it to
@@ -43,7 +45,7 @@ from ..core.atoms import Atom
 from ..core.instance import Instance
 from ..core.match import AtomSet, rule_heads, walk
 from ..core.store import FactStore
-from .support import SupportIndex
+from ..datalog.seminaive import delta_rounds
 from .views import UnionView
 
 __all__ = [
@@ -81,9 +83,7 @@ class MaintenanceStats:
     overdeleted: int = 0     # DRed over-approximation size
     rederived: int = 0       # overdeleted facts with surviving proofs
     removed: int = 0         # net facts deleted from the store
-    strata_maintained: int = 0
-    dred_strata: int = 0     # strata that ran delete–rederive
-    counting_strata: int = 0  # strata maintained by support counts
+    strata_maintained: int = 0  # strata that ran delete–rederive
     matches: int = 0         # delta-join body matches examined
 
     def merge(self, other: "MaintenanceStats") -> "MaintenanceStats":
@@ -132,8 +132,8 @@ class MaintenanceReport:
         ]
         for label, stats in self.maintained:
             lines.append(
-                f"maintained {label}: {stats.strata_maintained} stratum/strata "
-                f"({stats.dred_strata} DRed, {stats.counting_strata} counting), "
+                f"maintained {label}: DRed over {stats.strata_maintained} "
+                f"stratum/strata, "
                 f"+{stats.derived_added} derived, -{stats.removed} removed, "
                 f"{stats.overdeleted} overdeleted / {stats.rederived} rederived"
             )
@@ -160,10 +160,8 @@ def _derived_heads(
 class FixpointMaintainer:
     """Maintains one saturated store under EDB change sets.
 
-    Construction precomputes the stratum schedule from the compiled
-    program's analysis; per-stratum :class:`SupportIndex` objects are
-    built lazily, the first time a deletion reaches a non-recursive
-    stratum, and kept coherent from then on.
+    Holds nothing but the store and the stratum schedule it reads off
+    the compiled program's analysis, so building one per batch is free.
     """
 
     def __init__(self, compiled, store: FactStore):
@@ -171,26 +169,13 @@ class FixpointMaintainer:
         reason = unmaintainable_reason(analysis)
         if reason is not None:
             raise ValueError(f"program is not maintainable: {reason}")
-        self.compiled = compiled
         self.store = store
-        self.program = analysis.normalized
         self.layers: Tuple[tuple, ...] = analysis.strata.layers
-        self.group_heads: List[set] = []
-        self.recursive: List[bool] = []
-        self.head_group: Dict[str, int] = {}
-        for index, layer in enumerate(self.layers):
-            heads = {tgd.head[0].predicate for tgd in layer}
-            self.group_heads.append(heads)
-            self.recursive.append(
-                any(
-                    atom.predicate in heads
-                    for tgd in layer
-                    for atom in tgd.body
-                )
-            )
-            for predicate in heads:
-                self.head_group[predicate] = index
-        self.supports: Dict[int, SupportIndex] = {}
+        self.head_group: Dict[str, int] = {
+            tgd.head[0].predicate: index
+            for index, layer in enumerate(self.layers)
+            for tgd in layer
+        }
 
     # -- the batch entry point ---------------------------------------------
 
@@ -203,24 +188,16 @@ class FixpointMaintainer:
     ) -> MaintenanceStats:
         """Upgrade the store for one effective (inserted, retracted) batch.
 
-        *edb* is the session's asserted-fact base **after** the batch;
-        together with the two sequences it reconstructs old-EDB
-        membership exactly.  The two sequences must be effective:
-        inserted facts were absent from the old EDB, retracted facts
-        present (and the two disjoint) — :meth:`repro.api.Session.apply`
-        guarantees this.
+        *edb* is the session's asserted-fact base **after** the batch.
+        The two sequences must be effective: inserted facts were absent
+        from the old EDB, retracted facts present (and the two
+        disjoint) — :meth:`repro.api.Session.apply` guarantees this.
         """
         stats = MaintenanceStats()
         inserted_set = set(inserted)
         retracted_set = set(retracted)
         stats.edb_inserted = len(inserted_set)
         stats.edb_retracted = len(retracted_set)
-
-        def in_old_edb(fact: Atom) -> bool:
-            return (
-                fact in retracted_set
-                or (fact in edb and fact not in inserted_set)
-            )
 
         def in_mid_edb(fact: Atom) -> bool:
             # EDB \ retracted — what phase A may rederive from.
@@ -245,16 +222,7 @@ class FixpointMaintainer:
                 if not removed and not edb_dels:
                     continue
                 stats.strata_maintained += 1
-                if self.recursive[index]:
-                    stats.dred_strata += 1
-                    self._dred_delete(
-                        index, layer, removed, edb_dels, in_mid_edb, stats
-                    )
-                else:
-                    stats.counting_strata += 1
-                    self._counting_delete(
-                        index, layer, removed, edb_dels, in_old_edb, stats
-                    )
+                self._dred_delete(layer, removed, edb_dels, in_mid_edb, stats)
         stats.removed = len(removed)
 
         # ---- Phase B: insertions, stratum by stratum ---------------------
@@ -263,29 +231,21 @@ class FixpointMaintainer:
             if self.store.add(fact):
                 delta_plus.add(fact)
         before = len(delta_plus)
-        if inserted_set or delta_plus:
-            for index, layer in enumerate(self.layers):
-                edb_ins = [
-                    fact
-                    for fact in inserted_set
-                    if fact.predicate in self.group_heads[index]
-                ]
-                if not delta_plus and not edb_ins:
-                    continue
-                if self.recursive[index]:
-                    self._seminaive_insert(layer, delta_plus, stats)
-                else:
-                    self._counting_insert(
-                        index, layer, delta_plus, edb_ins, stats
-                    )
+        if before:
+            for layer in self.layers:
+                # Semi-naive rounds within the stratum, seeded from
+                # every fact added so far in this batch.
+                for event in delta_rounds(self.store, delta_plus, layer):
+                    stats.matches += event.considered
+                    for fact in event.staged:
+                        delta_plus.add(fact)
         stats.derived_added = len(delta_plus) - before
         return stats
 
-    # -- deletion: DRed on recursive strata --------------------------------
+    # -- deletion: delete–rederive -----------------------------------------
 
     def _dred_delete(
         self,
-        index: int,
         layer,
         removed: Instance,
         edb_dels: Sequence[Atom],
@@ -344,88 +304,3 @@ class FixpointMaintainer:
             for _ in walk(tgd.matcher.from_head, self.store, pinned):
                 return True
         return False
-
-    # -- deletion: counting on non-recursive strata ------------------------
-
-    def _counting_delete(
-        self,
-        index: int,
-        layer,
-        removed: Instance,
-        edb_dels: Sequence[Atom],
-        in_old_edb,
-        stats: MaintenanceStats,
-    ) -> None:
-        store = self.store
-        view = UnionView(store, removed)
-        support = self.supports.get(index)
-        if support is None:
-            support = self.supports[index] = self._build_support(
-                index, layer, view, in_old_edb
-            )
-        # One exact pass: every old-state match that uses a net-removed
-        # atom is a lost support (each enumerated exactly once).
-        losses: Dict[Atom, int] = {}
-        if len(removed) > 0:
-            for fact in _derived_heads(layer, view, removed, stats):
-                losses[fact] = losses.get(fact, 0) + 1
-        for fact in edb_dels:
-            losses[fact] = losses.get(fact, 0) + 1  # the EDB support
-        for fact, lost in losses.items():
-            if support.lose(fact, lost) == 0 and store.discard(fact):
-                removed.add(fact)
-
-    def _build_support(
-        self, index: int, layer, view: UnionView, in_old_edb
-    ) -> SupportIndex:
-        edb_facts = [
-            fact
-            for predicate in self.group_heads[index]
-            for fact in view.by_predicate(predicate)
-            if in_old_edb(fact)
-        ]
-        return SupportIndex.build(layer, view, edb_facts)
-
-    # -- insertion ---------------------------------------------------------
-
-    def _seminaive_insert(
-        self, layer, delta_plus: AtomSet, stats: MaintenanceStats
-    ) -> None:
-        """Semi-naive rounds within one recursive stratum, seeded from
-        every fact added so far in this batch."""
-        store = self.store
-        wave = delta_plus
-        while len(wave) > 0:
-            staged: List[Atom] = []
-            staged_set: set[Atom] = set()
-            for fact in _derived_heads(layer, store, wave, stats):
-                if fact not in store and fact not in staged_set:
-                    staged_set.add(fact)
-                    staged.append(fact)
-            for fact in staged:
-                store.add(fact)
-                delta_plus.add(fact)
-            wave = AtomSet(staged)
-
-    def _counting_insert(
-        self,
-        index: int,
-        layer,
-        delta_plus: AtomSet,
-        edb_ins: Sequence[Atom],
-        stats: MaintenanceStats,
-    ) -> None:
-        store = self.store
-        support = self.supports.get(index)
-        gains: Dict[Atom, int] = {}
-        if len(delta_plus) > 0:
-            for fact in _derived_heads(layer, store, delta_plus, stats):
-                gains[fact] = gains.get(fact, 0) + 1
-        for fact in edb_ins:
-            gains[fact] = gains.get(fact, 0) + 1  # the EDB support
-        for fact, gained in gains.items():
-            if support is not None:
-                support.gain(fact, gained)
-            if fact not in store:
-                store.add(fact)
-                delta_plus.add(fact)

@@ -267,7 +267,7 @@ def compile_kernels(program: Program) -> KernelProgram:
     Rule order only affects the order staged facts are discovered in —
     never the staged set or the ``considered`` count, which the
     round-boundary merge makes order-independent (the same guarantee
-    the interpreter documents in ``_delta_loop``).
+    the interpreter documents in ``delta_rounds``).
     """
     return KernelProgram(
         program=program,

@@ -46,7 +46,6 @@ QUERY_OPTIONS = (
     "max_atoms",
     "max_steps",
     "max_events",
-    "max_rounds",
     "strict",
     "probe_depth",
     "probe_atoms",
@@ -69,8 +68,8 @@ _OPTION_VALUES = {
         (lambda value: isinstance(value, str), "a string"),
     ),
     **dict.fromkeys(
-        ("max_atoms", "max_steps", "max_events", "max_rounds",
-         "probe_depth", "probe_atoms"),
+        ("max_atoms", "max_steps", "max_events", "probe_depth",
+         "probe_atoms"),
         (_at_least(0), "a non-negative integer"),
     ),
     "first": (_at_least(1), "a positive integer"),

@@ -150,8 +150,12 @@ class DeltaOverlay(FactStore):
         super().freeze()
         return self
 
-    def fresh(self) -> "DeltaOverlay":
-        return DeltaOverlay(self._base.fresh())
+    def fresh(self) -> FactStore:
+        """An empty *flat* store of the bottom backend (sharing its
+        interning table, if it has one).  Never another overlay: the
+        next overlay takes its delta from here, so a version chain of
+        depth *d* has *d* + 1 leaf stores, not 2^*d*."""
+        return self._base.fresh()
 
     def copy(self) -> "DeltaOverlay":
         """An independent writable overlay over the *same* sealed base

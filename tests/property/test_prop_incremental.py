@@ -15,21 +15,25 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.predicate_graph import PredicateGraph
 from repro.api import Session, certain_answers
 from repro.core.atoms import Atom
 from repro.core.instance import Database
 from repro.core.program import Program
 from repro.core.terms import Constant, Variable
 from repro.core.tgd import TGD
+from repro.datalog.seminaive import seminaive
 from repro.incremental import ChangeSet
 from repro.lang.parser import parse_query
 from repro.storage import BACKENDS
 
+from .strategies import constants, databases, programs, schema_atoms, SCHEMA
+
 X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
 
-#: Linear TC (recursive stratum → DRed) feeding two non-recursive
-#: strata (→ counting); heads of every stratum are also legal EDB
-#: predicates, so retraction of derived-predicate assertions is hit.
+#: Linear TC (a recursive stratum) feeding two non-recursive strata;
+#: heads of every stratum are also legal EDB predicates, so retraction
+#: of derived-predicate assertions is hit.
 PROGRAM = Program(
     [
         TGD((Atom("e", (X, Y)),), (Atom("t", (X, Y)),)),
@@ -196,3 +200,84 @@ def test_streams_straddling_applies_never_poison_the_cache(data):
                     query, Database(session.edb), PROGRAM, method="datalog"
                 )
                 assert got == expected, (store, query)
+
+
+# -- drawn programs under a non-recursive tower ----------------------------
+
+#: Two non-recursive strata stacked on whatever ``strategies.programs()``
+#: drew: ``v`` reads every head predicate of the drawn rules, so it sits
+#: above their recursive stratum wherever that is, and ``w`` reads ``v``
+#: — each with two ways to derive a fact.
+TOWER = (
+    TGD((Atom("t", (X, Y)),), (Atom("v", (X,)),)),
+    TGD((Atom("u", (X,)),), (Atom("v", (X,)),)),
+    TGD((Atom("r", (X, Y)),), (Atom("v", (Y,)),)),
+    TGD((Atom("v", (X,)), Atom("p", (X,))), (Atom("w", (X,)),)),
+    TGD((Atom("v", (X,)), Atom("e", (X, Y))), (Atom("w", (Y,)),)),
+)
+
+
+def _has_recursive_stratum(rules) -> bool:
+    graph = PredicateGraph(Program(rules))
+    return any(
+        graph.is_recursive_predicate(tgd.head[0].predicate) for tgd in rules
+    )
+
+
+def towered_programs():
+    """The full rules of a ``programs()`` draw that recurse (one rule
+    per head atom), under :data:`TOWER`: ≥ 2 non-recursive strata above
+    a recursive one."""
+    return (
+        programs()
+        .map(lambda program: [
+            TGD(tgd.body, (head,))
+            for tgd in program if tgd.is_full() for head in tgd.head
+        ])
+        .filter(_has_recursive_stratum)
+        .map(lambda rules: Program(rules + list(TOWER), name="towered"))
+    )
+
+
+def _facts():
+    """Ground facts of every predicate — EDB, drawn heads and tower."""
+    tower = st.builds(
+        lambda predicate, value: Atom(predicate, (value,)),
+        st.sampled_from(["v", "w"]), constants(),
+    )
+    return st.one_of(schema_atoms(list(SCHEMA), constants()), tower)
+
+
+_batches = st.lists(
+    st.builds(
+        lambda inserts, retracts: ChangeSet.of(
+            inserts=inserts, retracts=retracts
+        ),
+        st.lists(_facts(), max_size=3), st.lists(_facts(), max_size=3),
+    ),
+    min_size=1, max_size=6,
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(towered_programs(), databases(), _batches)
+def test_whole_fixpoint_equals_recompute_under_a_nonrecursive_tower(
+    program, database, batches
+):
+    """After every batch the maintained store *is* the from-scratch
+    least fixpoint — every stratum, not just a query's slice of it."""
+    warm = parse_query("q(X) :- w(X).")
+    for store in BACKENDS:
+        session = Session(store=store)
+        compiled = session.compile(program)
+        session.add_facts(database)
+        plan = session.plan(warm, rewrite="none")
+        session.query(warm, rewrite="none").to_set()
+        for batch in batches:
+            report = session.apply(batch)
+            assert not report.fallbacks
+            maintained = session.cache.get_fixpoint(plan)
+            scratch = seminaive(
+                Database(session.edb), compiled.analysis.normalized
+            ).instance
+            assert set(maintained) == set(scratch), (store, batch)

@@ -11,7 +11,6 @@ from repro.datalog.seminaive import seminaive
 from repro.incremental import (
     ChangeSet,
     FixpointMaintainer,
-    SupportIndex,
     unmaintainable_reason,
 )
 from repro.lang.parser import parse_program
@@ -31,7 +30,7 @@ TC_SOURCE = """
     t(X,Z) :- e(X,Y), t(Y,Z).
 """
 
-#: Adds a counting stratum on top of the DRed one.
+#: Adds a non-recursive stratum on top of the recursive one.
 LAYERED_SOURCE = TC_SOURCE + """
     reach(X) :- t(X,Y).
 """
@@ -67,16 +66,6 @@ class TestChangeSet:
         )
         assert changes and len(changes) == 2
         assert changes.describe() == "ChangeSet(+1, -1)"
-
-
-class TestSupportIndex:
-    def test_gain_lose_and_zero(self):
-        index = SupportIndex()
-        assert index.gain(f("r", "a")) == 1
-        assert index.gain(f("r", "a"), 2) == 3
-        assert index.lose(f("r", "a")) == 2
-        assert index.lose(f("r", "a"), 2) == 0
-        assert f("r", "a") not in index
 
 
 class TestFixpointMaintainer:
@@ -118,7 +107,7 @@ class TestFixpointMaintainer:
         assert set(fixpoint) == {f("e", "a", "b"), f("t", "a", "b")}
         assert stats.overdeleted == 2  # t(b,c), t(a,c)
         assert stats.removed == 3      # plus the EDB fact itself
-        assert stats.dred_strata >= 1
+        assert stats.strata_maintained >= 1
 
     def test_rederivation_keeps_alternative_proofs(self):
         compiled, edb, fixpoint, maintainer = self._maintainer("""
@@ -132,28 +121,55 @@ class TestFixpointMaintainer:
         assert f("t", "a", "b") in fixpoint
         assert stats.rederived >= 1
 
-    def test_counting_stratum_deletes_without_rederive(self):
+    def test_nonrecursive_stratum_drops_unsupported(self):
         compiled, edb, fixpoint, maintainer = self._maintainer(
             LAYERED_SOURCE
         )
         edb.discard(f("e", "b", "c"))
         stats = maintainer.apply([], [f("e", "b", "c")], edb=edb)
         assert f("reach", "b") not in fixpoint
-        assert f("reach", "a") in fixpoint
-        assert stats.counting_strata == 1
+        assert f("reach", "a") in fixpoint  # t(a,b) still supports it
+        # e's removal reaches both strata: t, then reach on top of it.
+        assert stats.strata_maintained == 2
+        # reach(a) and reach(b) were both candidates; one came back.
+        assert stats.overdeleted == 4 and stats.rederived == 1
 
-    def test_counting_survives_multi_support(self):
+    def test_nonrecursive_fact_keeps_second_derivation(self):
         compiled, edb, fixpoint, maintainer = self._maintainer(
             LAYERED_SOURCE
         )
         # reach(a) is supported by t(a,b) and t(a,c); killing one
-        # support must not delete it (counting, not set-diff).
+        # support must not delete it.
         edb.add(f("e", "a", "c"))
         maintainer.apply([f("e", "a", "c")], [], edb=edb)
         edb.discard(f("e", "a", "b"))
         maintainer.apply([], [f("e", "a", "b")], edb=edb)
         assert f("reach", "a") in fixpoint
         assert f("t", "a", "c") in fixpoint
+        edb.discard(f("e", "a", "c"))
+        maintainer.apply([], [f("e", "a", "c")], edb=edb)
+        assert f("reach", "a") not in fixpoint
+
+    def test_nonrecursive_fact_asserted_and_derived(self):
+        """A fact of a derived predicate that is also EDB-asserted
+        survives losing its rule support, and survives losing the
+        assertion while a rule still derives it."""
+        compiled, edb, fixpoint, maintainer = self._maintainer(
+            LAYERED_SOURCE + "reach(b)."
+        )
+        edb.discard(f("e", "b", "c"))
+        maintainer.apply([], [f("e", "b", "c")], edb=edb)
+        assert f("t", "b", "c") not in fixpoint
+        assert f("reach", "b") in fixpoint  # still asserted
+        edb.add(f("e", "b", "c"))
+        maintainer.apply([f("e", "b", "c")], [], edb=edb)
+        edb.discard(f("reach", "b"))
+        stats = maintainer.apply([], [f("reach", "b")], edb=edb)
+        assert f("reach", "b") in fixpoint  # still derived from t(b,c)
+        assert stats.removed == 0 and stats.rederived == 1
+        edb.discard(f("e", "b", "c"))
+        maintainer.apply([], [f("e", "b", "c")], edb=edb)
+        assert f("reach", "b") not in fixpoint
 
     def test_edb_assertion_of_derived_predicate(self):
         compiled, edb, fixpoint, maintainer = self._maintainer(TC_SOURCE)
@@ -298,4 +314,4 @@ class TestSessionApply:
         report = session.apply(retracts=[f("e", "b", "c")])
         text = report.describe()
         assert "maintained datalog×instance fixpoint" in text
-        assert "DRed" in text and "counting" in text
+        assert "DRed over 2 stratum/strata" in text

@@ -24,8 +24,8 @@ from repro.core.instance import Instance
 from repro.core.match import AtomSet
 from repro.core.terms import Constant, Variable
 from repro.core.tgd import TGD
-from repro.datalog.seminaive import _delta_loop, seminaive
-from repro.incremental import MaintenanceStats, SupportIndex
+from repro.datalog.seminaive import delta_rounds, seminaive
+from repro.incremental import MaintenanceStats
 from repro.incremental.maintain import FixpointMaintainer, _derived_heads
 from repro.lang.parser import parse_program
 
@@ -38,7 +38,6 @@ def reference_joins() -> ExitStack:
     for target in (
         "repro.datalog.seminaive.rule_heads",
         "repro.incremental.maintain.rule_heads",
-        "repro.incremental.support.rule_heads",
     ):
         stack.enter_context(mock.patch(target, reference.rule_heads))
     stack.enter_context(mock.patch.object(
@@ -81,7 +80,7 @@ def test_seminaive_considered_per_round_on_the_e2_chain():
     assert shipped[1] == tuple(range(31, 0, -1)) + (0,)
 
 
-#: Linear TC maintained by DRed, two counting strata on top — and a
+#: Linear TC with two non-recursive strata on top — and a
 #: doubling variant whose rederive waves join survivors with survivors.
 DOUBLING = """
     t(X,Y) :- e(X,Y).
@@ -144,7 +143,7 @@ def test_restricted_chase_counters_and_null_numbering():
 
 
 def test_a_non_ground_head_is_refused_before_the_first_round():
-    """All three Datalog paths, and nothing derived on any of them."""
+    """Both Datalog paths, and nothing derived on either of them."""
     X, Y, W = Variable("X"), Variable("Y"), Variable("W")
     good = TGD((Atom("e", (X, Y)),), (Atom("t", (X, Y)),))
     bad = TGD((Atom("e", (X, Y)),), (Atom("t", (X, W)),))
@@ -152,9 +151,8 @@ def test_a_non_ground_head_is_refused_before_the_first_round():
     store = Instance([edge])
     stats = MaintenanceStats()
     for pull in (
-        lambda: next(iter(_delta_loop(store, AtomSet([edge]), [good, bad]))),
+        lambda: next(iter(delta_rounds(store, AtomSet([edge]), [good, bad]))),
         lambda: next(_derived_heads([good, bad], store, AtomSet([edge]), stats)),
-        lambda: SupportIndex.build([good, bad], store, []),
     ):
         with pytest.raises(ValueError, match="no body atom binds"):
             pull()

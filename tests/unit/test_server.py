@@ -29,7 +29,13 @@ from repro.server.protocol import (
     encode_response,
     handle_request,
 )
-from repro.storage import BACKENDS, ColumnarStore, FrozenStoreError
+from repro.api.planner import ENGINE_OPTIONS, ENGINES, WIRE_OPTIONS
+from repro.storage import (
+    BACKENDS,
+    ColumnarStore,
+    DeltaOverlay,
+    FrozenStoreError,
+)
 
 PROGRAM = """
 edge(a, b). edge(b, c). edge(c, d).
@@ -130,6 +136,29 @@ class TestSnapshotManager:
         for extra in atoms:
             assert extra in head.store
         head.release()
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_chain_of_d_installs_has_d_plus_one_leaf_stores(self, backend):
+        """An overlay's delta is a flat store of the bottom backend —
+        were it another overlay, depth d would mean 2^d leaves."""
+
+        def leaves(store):
+            if isinstance(store, DeltaOverlay):
+                return leaves(store.base) + leaves(store.delta)
+            return [store]
+
+        depth = 7
+        manager = SnapshotManager(
+            [edge("a", "b")], store=backend, flatten_depth=depth + 1
+        )
+        bottom = type(manager.current().store)
+        for index in range(depth):
+            head = manager.install((edge("n", str(index)),), ()).store
+            assert isinstance(head, DeltaOverlay)
+            assert type(head.fresh()) is bottom
+            assert len(leaves(head)) == index + 2
+            assert all(type(leaf) is bottom for leaf in leaves(head))
+        assert manager.stats()["flattened"] == 0 and len(head) == depth + 1
 
     def test_every_version_frozen(self):
         manager = SnapshotManager([edge("a", "b")])
@@ -362,7 +391,7 @@ class TestProtocol:
          ("max_atoms", "x", "a non-negative integer"),
          ("max_steps", True, "a non-negative integer"),
          ("max_events", 2.0, "a non-negative integer"),
-         ("max_rounds", -1, "a non-negative integer"),
+         ("max_steps", -1, "a non-negative integer"),
          ("probe_atoms", [3], "a non-negative integer"),
          ("strict", "no", "a boolean"),
          ("strict", 0, "a boolean"),
@@ -394,7 +423,7 @@ class TestProtocol:
          {"method": "chase", "variant": "restricted", "strict": False,
           "max_atoms": 100, "max_steps": 100},
          {"method": "network", "max_events": 1000, "strict": True},
-         {"method": "datalog", "rewrite": "none", "max_rounds": 0},
+         {"method": "datalog", "rewrite": "none", "max_atoms": 0},
          {"method": None, "rewrite": None, "strict": None, "max_atoms": None}],
         ids=lambda options: str(options["method"]),
     )
@@ -405,6 +434,44 @@ class TestProtocol:
         )
         assert response["ok"], response
         assert len(response["answers"]) == 6
+
+    @pytest.mark.parametrize("method", ENGINES)
+    def test_every_engine_accepts_every_wire_option(self, method):
+        """An option the resolved engine does not take is dropped by the
+        planner and named on a ``why:`` line, never a TypeError from
+        inside an engine (``max_events`` used to crash chase/pwl/ward,
+        ``variant`` network/pwl/ward, ...)."""
+        values = {"variant": "restricted", "strict": True}
+        service = ReasoningService(PROGRAM)
+        plain = handle_request(
+            service, {"op": "query", "query": FULL_QUERY, "method": method}
+        )
+        assert plain["ok"] and len(plain["answers"]) == 6
+        for option in sorted(WIRE_OPTIONS):
+            value = values.get(option, 1000)
+            response = handle_request(
+                service,
+                {"op": "query", "query": FULL_QUERY, "method": method,
+                 "rewrite": "none", option: value},
+            )
+            assert response["ok"], (option, response)
+            assert response["answers"] == plain["answers"]
+            plan = service.session.plan(
+                FULL_QUERY, method=method, rewrite="none", **{option: value}
+            )
+            taken = option in ENGINE_OPTIONS[method]
+            assert (option in plan.engine_kwargs) is taken
+            note = (
+                f"ignored (the {method} engine takes no such option): "
+                f"{option}"
+            )
+            assert (note in plan.explain()) is not taken
+
+    def test_non_wire_kwargs_still_reach_the_engine_and_raise(self):
+        service = ReasoningService(PROGRAM)
+        for method in ENGINES:
+            with pytest.raises(TypeError, match="no_such_option"):
+                service.query(FULL_QUERY, method=method, no_such_option=1)
 
     def test_every_query_option_has_a_value_check(self):
         from repro.server.protocol import _OPTION_VALUES

@@ -21,6 +21,7 @@ import repro.api
 import repro.chase
 import repro.reasoning
 from repro.api import Planner, Session
+from repro.api.planner import WIRE_OPTIONS
 from repro.core.program import Program
 from repro.datalog.seminaive import (
     datalog_answers,
@@ -44,8 +45,10 @@ def test_backends():
 def test_protocol_query_options():
     assert QUERY_OPTIONS == (
         "method", "rewrite", "first", "variant", "max_atoms", "max_steps",
-        "max_events", "max_rounds", "strict", "probe_depth", "probe_atoms",
+        "max_events", "strict", "probe_depth", "probe_atoms",
     )
+    # ... of which the engine options are the planner's table.
+    assert set(QUERY_OPTIONS[3:]) == WIRE_OPTIONS
 
 
 @pytest.mark.parametrize(
