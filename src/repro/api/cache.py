@@ -129,15 +129,23 @@ class FixpointCache:
         self.hits = 0
         self.misses = 0
 
-    def get_fixpoint(self, plan: QueryPlan) -> Optional[FactStore]:
-        """The cached saturated materialization for *plan*, if any."""
+    def get_fixpoint(
+        self, plan: QueryPlan, unrewritten: bool = False
+    ) -> Optional[FactStore]:
+        """The cached saturated materialization for *plan*, if any —
+        or, with *unrewritten*, the full fixpoint a magic *plan*
+        restricts: a hit if held, but its absence is no miss (the
+        lookup of the demand fixpoint follows)."""
         key = _Key.of(plan)
         if key is None:
             return None
+        if unrewritten:
+            key = key._replace(token=None)
         with self._lock:
             entry = self._fixpoints.get(key)
             if entry is None:
-                self.misses += 1
+                if not unrewritten:
+                    self.misses += 1
                 return None
             self.hits += 1
             if key.token is not None:

@@ -79,9 +79,11 @@ def execute_plan(
     program = plan.program.program
     kwargs = dict(plan.engine_kwargs)
 
-    def cached_answers(run_query):
+    def cached_answers(run_query, unrewritten=False):
         """``run_query`` over the cached fixpoint; None on a miss."""
-        fixpoint = cache.get_fixpoint(plan) if cache is not None else None
+        fixpoint = (
+            cache.get_fixpoint(plan, unrewritten) if cache is not None else None
+        )
         if fixpoint is None:
             return None
         stats.from_cache = True
@@ -105,7 +107,16 @@ def execute_plan(
         )
 
         def factory():
-            answers = cached_answers(run_query)
+            # Demand is decided per version, not per plan: ``auto`` reads
+            # q off a held (and maintained) full fixpoint and builds none.
+            answers = (
+                cached_answers(query, unrewritten=True)
+                if plan.auto_rewrite else None
+            )
+            if answers is not None:
+                stats.rewrite = "none"  # what ran, not what was planned
+            else:
+                answers = cached_answers(run_query)
             if answers is not None:
                 stats.exec_mode = ""  # no engine ran at all
                 yield from answers

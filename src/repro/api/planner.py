@@ -23,9 +23,10 @@ __all__ = [
 #: Engine names a plan can resolve to (``"auto"`` is accepted as input).
 ENGINES = ("datalog", "pwl", "ward", "chase", "network")
 
-#: Values of the plan's rewrite dimension (``"auto"`` applies the
+#: Values of the plan's rewrite dimension (``"auto"`` plans the
 #: magic-set demand transformation exactly when it pays: a full
-#: program, the datalog engine, and ≥1 bound argument in the query).
+#: program, the datalog engine, and ≥1 bound argument in the query —
+#: and runs it only where no full fixpoint is already held).
 REWRITES = ("auto", "magic", "none")
 
 #: The *wire* options — the plain-data engine kwargs a request frame may
@@ -127,6 +128,9 @@ class QueryPlan:
     rewrite: str = "none"
     rewrite_note: str = "none (plan not built by Planner.plan)"
     rewriting: Optional[MagicRewriting] = field(compare=False, default=None)
+    #: ``rewriting`` was chosen by ``rewrite="auto"``, not forced: it
+    #: runs only where the cache holds no full fixpoint to read instead.
+    auto_rewrite: bool = False
     #: Whether a saturated materialization of this plan can be upgraded
     #: in place under EDB change sets (see :mod:`repro.incremental`);
     #: ``maintenance`` carries the human-readable why/why-not.  The
@@ -251,7 +255,8 @@ class Planner:
         when given by name.  ``rewrite`` selects the demand dimension
         (:data:`REWRITES`): ``"auto"`` applies the magic-set rewriting
         exactly when the program is full, the plan resolved to the
-        datalog engine, and the query binds at least one argument;
+        datalog engine, and the query binds at least one argument
+        (run only where no full fixpoint is held to read instead);
         ``"magic"`` forces it (an error outside that fragment);
         ``"none"`` disables it.  ``magic_provider``, if given, builds
         the :class:`~repro.rewriting.magic.MagicRewriting` — the
@@ -336,7 +341,10 @@ class Planner:
                     "whole fixpoint; rewrite='magic' overrides)"
                 )
             elif rewriting.adorned.restricts:
-                rewrite_note = rewriting.describe()
+                rewrite_note = rewriting.describe() + (
+                    "; a held full fixpoint is read instead"
+                    if rewrite == "auto" else ""
+                )
                 reasons = reasons + (
                     f"query binds {bound} argument(s) on a full "
                     "program → magic-set rewriting restricts "
@@ -360,6 +368,9 @@ class Planner:
             maintenance = (
                 "recompute on EDB change (magic-rewritten "
                 "materialization is demand-specific)"
+                if rewrite == "magic"
+                else "incremental when read from the full fixpoint (DRed "
+                "over the strata); a demand-specific one is dropped"
             )
         elif gap is None and resolved in ("pwl", "ward"):
             # The proof-tree engines hold no materialization to
@@ -387,6 +398,7 @@ class Planner:
             rewrite="magic" if rewriting is not None else "none",
             rewrite_note=rewrite_note,
             rewriting=rewriting,
+            auto_rewrite=rewriting is not None and rewrite == "auto",
             maintainable=maintainable,
             maintenance=maintenance,
         )

@@ -30,13 +30,14 @@ class StreamStats:
     ``decided_tuples`` the candidate tuples sent to a decision engine
     (proof-tree engines only); ``saturated`` reports fixpoint
     completion for the materializing engines; ``from_cache`` marks a
-    session cache hit
-    (a reused materialization — no engine run at all).  ``rounds``
+    cache hit (a reused materialization — the plan's own, or the held
+    full fixpoint an ``auto`` plan read — no engine run at all).  ``rounds``
     counts semi-naive fixpoint rounds (datalog engine) and ``events``
     counts engine steps — chase trigger firings or operator-network
     delta events — so the benchmark harness can report work per cell
-    without re-running the engine.  ``rewrite`` is the plan's resolved
-    demand dimension (``"magic"`` or ``"none"``) and ``derived`` the
+    without re-running the engine.  ``rewrite`` is the demand dimension
+    that *ran* (``"magic"`` or ``"none"`` — ``plan.rewrite``, except when
+    an ``auto`` plan read a held full fixpoint) and ``derived`` the
     facts the datalog engine staged beyond the seeded database — the
     pair the demand benchmark compares across plans.  ``exec_mode`` is
     how the datalog engine actually ran — compiled kernels on a

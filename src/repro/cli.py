@@ -403,8 +403,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--query", action="append", default=[], metavar="CQ",
         help="query to answer before and after the deltas (repeatable); "
              "warms the fixpoint cache so maintenance has something to "
-             "upgrade (hence --rewrite defaults to none here: a magic "
-             "fixpoint is demand-specific and would be dropped instead)",
+             "upgrade (hence --rewrite defaults to none here: the first "
+             "bound query of a cold session would build a demand-specific "
+             "magic fixpoint, which is dropped instead)",
     )
 
     rewrite = commands.add_parser(
@@ -863,8 +864,9 @@ def _cmd_update(args, out, stdin) -> int:
     for query_text in args.query:
         # Materialize once: the cached fixpoint is what maintenance
         # upgrades (and what the post-update answers are served from) —
-        # hence --rewrite defaults to "none" here: a demand-specific
-        # magic fixpoint would be dropped by apply(), not upgraded.
+        # hence --rewrite defaults to "none" here: the session is cold,
+        # so ``auto`` would build its first bound query a demand-specific
+        # magic fixpoint, which apply() drops (later ones read the full).
         session.query(
             query_text, method=args.method, rewrite=args.rewrite
         ).to_set()

@@ -177,8 +177,13 @@ class Instance(FactStore):
         return schema_of(self._atoms)
 
     def copy(self) -> "Instance":
-        """An independent copy sharing no mutable state."""
-        return Instance(self._atoms)
+        """An independent, unfrozen copy of the same type: the three
+        containers are copied as they stand, no atom is re-checked."""
+        clone = type(self).__new__(type(self))
+        clone._atoms = set(self._atoms)
+        clone._by_predicate = {k: set(v) for k, v in self._by_predicate.items()}
+        clone._by_position = {k: set(v) for k, v in self._by_position.items()}
+        return clone
 
     def memory_report(self, seen: Optional[set[int]] = None) -> MemoryReport:
         """Byte accounting: atom payload vs the two eager indexes."""
@@ -211,9 +216,6 @@ class Database(Instance):
                 f"databases contain facts (constants only), got {atom}"
             )
         return super().add(atom)
-
-    def copy(self) -> "Database":
-        return Database(self._atoms)
 
     def to_instance(self) -> Instance:
         """An :class:`Instance` copy, suitable as the chase's ``I0``."""

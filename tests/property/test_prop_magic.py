@@ -6,7 +6,9 @@ magic plan's answer set must equal the ground-truth semi-naive fixpoint
 answers — before and after ``Session.apply`` update batches (where the
 demand-specific materialization must fall back to recomputation with a
 recorded reason, never silently serve stale or demand-mismatched
-facts).
+facts).  And the other side of ``rewrite="auto"``'s run-time choice: on
+a version that holds the full fixpoint, the ``auto`` read served from it
+≡ the forced demand program ≡ ground truth, across update batches.
 """
 
 import random
@@ -190,3 +192,39 @@ def test_magic_stays_exact_across_session_apply(
         assert got == expected
         if effective:
             assert not stream.stats.from_cache
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    full_programs(),
+    databases(),
+    bound_queries(),
+    st.lists(change_sets(), min_size=1, max_size=3),
+)
+def test_warm_auto_equals_forced_magic_equals_ground_truth(
+    program, database, query, updates
+):
+    """``rewrite="auto"`` on a session that holds the full fixpoint
+    reads it — a cache hit, no demand program run — and agrees with the
+    forced demand program and the from-scratch answers before and after
+    every batch, on all three backends."""
+    for backend in BACKENDS:
+        session = Session(store=backend)
+        session.compile(program)
+        session.add_facts(database)
+        # Any unrewritten read leaves the full fixpoint in the cache.
+        session.query(query, rewrite="none", method="datalog").to_set()
+        for changes in (None, *updates):
+            if changes is not None:
+                session.apply(changes)
+            expected = datalog_answers(
+                query, Database(session.edb), program
+            )
+            warm = session.query(query, method="datalog")
+            assert set(warm.to_set()) == expected, backend
+            assert warm.stats.from_cache, backend
+            assert warm.stats.rewrite == "none", backend
+            assert warm.stats.derived == 0, backend
+            forced = session.query(query, rewrite="magic", method="datalog")
+            assert set(forced.to_set()) == expected, backend
+            assert forced.stats.rewrite == "magic", backend

@@ -68,8 +68,15 @@ class TestMagicBound:
         session, plans = self._point_plans(MAGIC_FIXPOINT_LIMIT + 1)
         full = session.plan("q(X,Y) :- t(X,Y).", rewrite="none")
         answers(full, session.edb, session.cache)
+        # With the full fixpoint held, ``auto`` plans read it: no demand
+        # fixpoint is ever built beside it.
         for plan in plans:
-            answers(plan, session.edb, session.cache)
+            assert answers(plan, session.edb, session.cache)[1]
+        assert session.cache.stats()["fixpoints"] == 1
+        # Forced magic still builds one per seed, bounded beside it.
+        for plan in plans:
+            forced = session.plan(plan.query, rewrite="magic")
+            assert not answers(forced, session.edb, session.cache)[1]
         assert session.cache.get_fixpoint(full) is not None
         assert session.cache.stats()["fixpoints"] == MAGIC_FIXPOINT_LIMIT + 1
 
@@ -81,6 +88,89 @@ class TestMagicBound:
         }
         cache.get_fixpoint(plan)
         assert cache.stats()["hits"] == 1
+
+
+class TestAutoReadsWhatTheVersionHolds:
+    """``rewrite="auto"`` plans demand; whether it *runs* is decided per
+    version by what the cache it is handed already holds."""
+
+    BOUND = "q(Y) :- t(a,Y)."
+    ROWS = {("b",), ("c",)}
+
+    def _run(self, session, cache, **plan_kwargs):
+        plan = session.plan(self.BOUND, **plan_kwargs)
+        stream = execute_plan(plan, cache.edb, cache=cache)
+        rows = {tuple(map(str, row)) for row in stream.to_set()}
+        assert rows == self.ROWS
+        return plan, stream.stats
+
+    def test_cold_auto_runs_magic_and_caches_under_its_token(self):
+        session = Session()
+        session.load(TC_SOURCE)
+        cache = FixpointCache(Database(session.edb))
+        plan, stats = self._run(session, cache)
+        assert plan.rewrite == "magic" and plan.auto_rewrite
+        assert stats.rewrite == "magic" and not stats.from_cache
+        assert stats.derived > 0 and stats.exec_mode == "interpret"
+        assert cache.stats()["fixpoints"] == 1
+        assert cache.get_fixpoint(plan) is not None  # under the magic key
+        assert cache.get_fixpoint(plan, unrewritten=True) is None
+        # The repeat is a hit on that demand fixpoint.
+        _, again = self._run(session, cache)
+        assert again.rewrite == "magic" and again.from_cache
+        # ... which an update drops with the one recorded wording.
+        _, _, fallbacks = cache.advance((), (), cache.edb, copy=True)
+        ((label, reason),) = fallbacks
+        assert "×magic fixpoint" in label and "demand-specific" in reason
+
+    def test_warm_auto_reads_the_full_fixpoint(self):
+        session, full, _, cache, _ = warm()
+        plan, stats = self._run(session, cache)
+        assert plan.rewrite == "magic" and plan.auto_rewrite
+        assert stats.rewrite == "none" and stats.from_cache
+        assert stats.exec_mode == "" and stats.derived == 0
+        assert stats.saturated
+        assert cache.stats()["fixpoints"] == 1  # no demand fixpoint built
+        held = cache.get_fixpoint(plan, unrewritten=True)
+        assert held is cache.get_fixpoint(full)
+
+    def test_forced_magic_never_consults_the_full_fixpoint(self):
+        session, _, _, cache, _ = warm()
+        before = cache.stats()
+        plan, stats = self._run(session, cache, rewrite="magic")
+        assert plan.rewrite == "magic" and not plan.auto_rewrite
+        assert stats.rewrite == "magic" and not stats.from_cache
+        assert stats.derived > 0
+        after = cache.stats()
+        assert after["fixpoints"] == 2
+        assert (after["hits"], after["misses"]) == (
+            before["hits"], before["misses"] + 1,
+        )
+
+    def test_each_read_counts_once(self):
+        session = Session()
+        session.load(TC_SOURCE)
+        cache = FixpointCache(Database(session.edb))
+
+        def counts():
+            stats = cache.stats()
+            return stats["hits"], stats["misses"]
+
+        self._run(session, cache)  # cold auto: one miss, not two
+        assert counts() == (0, 1)
+        self._run(session, cache)  # its demand fixpoint: one hit
+        assert counts() == (1, 1)
+        answers(session.plan(FULL), cache.edb, cache)  # full: one miss
+        assert counts() == (1, 2)
+        self._run(session, cache)  # warm auto: one hit, no miss
+        assert counts() == (2, 2)
+
+    def test_uncacheable_plans_are_left_alone(self):
+        """A live collaborator keeps a plan out of the cache both ways."""
+        session, _, _, cache, _ = warm()
+        plan = session.plan(self.BOUND, guide=None)
+        assert plan.auto_rewrite
+        assert cache.get_fixpoint(plan, unrewritten=True) is None
 
 
 class TestAdvance:

@@ -69,6 +69,40 @@ class TestInstance:
         clone.add(Atom("r", (b,)))
         assert len(inst) == 1 and len(clone) == 2
 
+    @pytest.mark.parametrize("cls", [Instance, Database])
+    def test_copy_of_a_frozen_store_is_mutable_and_shares_no_container(
+        self, cls
+    ):
+        """The copy is structural (sets and both indexes copied, not
+        rebuilt), so each of the three containers must be its own."""
+        r_ab, r_ac, s_b = Atom("r", (a, b)), Atom("r", (a, c)), Atom("s", (b,))
+        original = cls([r_ab, s_b]).freeze()
+        clone = original.copy()
+        assert type(clone) is cls and not clone.frozen
+
+        def state(store):
+            return (
+                set(store),
+                sorted(map(str, store.matching_bound("r", {1: a}))),
+                store.count("r"), store.count("s"), store.predicates(),
+            )
+
+        before = state(original)
+        assert state(clone) == before
+        # Adding to / emptying a bucket of the clone leaves the original.
+        assert clone.add(r_ac) and clone.discard(s_b)
+        assert state(original) == before
+        assert state(clone) == (
+            {r_ab, r_ac}, [str(r_ab), str(r_ac)], 2, 0, {"r"},
+        )
+        assert list(clone.matching_bound("s", {1: b})) == []
+        # ... and the other way round, through a second mutable copy.
+        other = clone.copy()
+        assert other.discard(r_ab) and other.discard(r_ac) and other.add(s_b)
+        assert state(other) == ({s_b}, [], 0, 1, {"s"})
+        assert state(clone)[0] == {r_ab, r_ac} and clone.count("r") == 2
+        assert list(other.matching_bound("r", {1: a})) == []
+
 
 class TestDatabase:
     def test_rejects_nulls(self):

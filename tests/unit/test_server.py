@@ -258,6 +258,31 @@ class TestReasoningService:
         after = service.query(BOUND_QUERY, rewrite="magic")
         assert ("e",) in after.answers
 
+    def test_warm_bound_read_is_a_hit_across_an_update(self):
+        """Demand and deltas compose: on a version that holds the full
+        fixpoint a default (``auto``) bound read is served from it, so
+        an update has no demand fixpoint to drop and the next bound
+        read is a hit on the maintained copy."""
+        service = ReasoningService(PROGRAM)
+        service.query(FULL_QUERY)
+        old_reader = service.stream(BOUND_QUERY)  # leased on v0, not run yet
+        before = service.query(BOUND_QUERY)
+        assert before.stats["from_cache"] and before.stats["rewrite"] == "none"
+        update = service.apply("+edge(d, e).")
+        assert update.migrated == 1 and update.fallbacks == ()
+        after = service.query(BOUND_QUERY)
+        assert after.version == before.version + 1
+        assert after.stats["from_cache"] and after.stats["rewrite"] == "none"
+        assert after.answers == (("b",), ("c",), ("d",), ("e",))
+        stats = service.stats()
+        assert stats["migration_fallbacks_total"] == 0
+        assert stats["head_caches"]["fixpoints"] == 1
+        # The reader admitted before the update still reads v0's fixpoint.
+        rows = sorted(tuple(map(str, row)) for row in old_reader)
+        assert rows == [("b",), ("c",), ("d",)] == list(before.answers)
+        assert old_reader.stats.from_cache
+        assert old_reader.stats.snapshot_version == before.version
+
     def test_query_error_counted_and_lease_released(self):
         service = ReasoningService(PROGRAM)
         with pytest.raises(Exception):
