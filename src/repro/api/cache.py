@@ -12,11 +12,12 @@ An update does not edit a cache; :meth:`FixpointCache.advance` builds
 the cache of the next state from the cache of this one, carrying each
 materialization across the change batch with a
 :class:`~repro.incremental.FixpointMaintainer` or dropping it with a
-recorded reason.  The two callers differ in one thing only: a
-:class:`~repro.api.Session` has no reader on the old state and hands
-its stores over in place (``copy=False``); the server's snapshot
-versions keep serving in-flight readers and maintain a copy
-(``copy=True``).
+recorded reason.  The two callers differ in one thing only, and the
+EDB they hand over says which: a :class:`~repro.api.Session` edits its
+one EDB object, has no reader on the old state and gets its stores
+handed over in place; the server's next snapshot version is another
+store, the old one keeps serving in-flight readers, and copies are
+maintained.
 """
 
 from __future__ import annotations
@@ -185,8 +186,8 @@ class FixpointCache:
     def abstraction_for(self, compiled: CompiledProgram):
         """The star abstraction of (EDB, Σ), computed at most once.
 
-        It both bounds the candidate answer pools and serves as the
-        pruning oracle of the proof-tree engines, and depends only on
+        q evaluated over it is the candidate answer set and it serves as
+        the pruning oracle of the proof-tree engines; it depends only on
         the facts and the program — never on the query.
         """
         from ..reasoning.abstraction import star_abstraction
@@ -223,7 +224,7 @@ class FixpointCache:
     # -- carrying the cache to the next EDB state --------------------------
 
     def advance(
-        self, inserted, retracted, edb, *, copy: bool
+        self, inserted, retracted, edb
     ) -> Tuple[
         "FixpointCache",
         List[Tuple[str, MaintenanceStats]],
@@ -238,11 +239,13 @@ class FixpointCache:
         chase probes depend on the whole EDB and are cheap next to
         saturation: they are recomputed on demand, not carried.
 
-        With ``copy=True`` this cache is left untouched — its stores
-        stay exact for readers still on the old state — and the copies
-        are maintained; with ``copy=False`` the stores are handed over
-        and upgraded in place, leaving this cache empty.
+        When *edb* is another object than this cache's own, this cache
+        is left untouched — its stores stay exact for readers still on
+        the old state — and copies are maintained; when it is the same
+        object (edited in place), the stores are handed over and
+        upgraded in place, leaving this cache empty.
         """
+        copy = edb is not self.edb
         with self._lock:
             entries = list(self._fixpoints.items())
             if not copy:

@@ -58,14 +58,14 @@ _PIPELINES = {
     "pwl": (
         "reuse (or build) the star abstraction of (D, Σ)",
         "reuse (or build) the bounded chase probe; its answers stream first",
-        "enumerate candidate tuples from the abstraction's pools",
+        "evaluate q over the star abstraction for the candidate tuples",
         "decide each remaining candidate by linear proof-tree search, "
         "streaming accepted tuples",
     ),
     "ward": (
         "reuse (or build) the star abstraction of (D, Σ)",
         "reuse (or build) the bounded chase probe; its answers stream first",
-        "enumerate candidate tuples from the abstraction's pools",
+        "evaluate q over the star abstraction for the candidate tuples",
         "decide each remaining candidate by AND-OR search, streaming "
         "accepted tuples",
     ),

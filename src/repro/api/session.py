@@ -164,11 +164,7 @@ class Session:
         if extra:
             changes = ChangeSet(changes.ops + extra.ops)
         with self._lock:
-            net_inserts, net_retracts = changes.net()
-            # Effective deltas relative to the current EDB: re-asserting
-            # a present fact and retracting an absent one are no-ops.
-            inserted = tuple(f for f in net_inserts if f not in self.edb)
-            retracted = tuple(f for f in net_retracts if f in self.edb)
+            inserted, retracted = changes.effective(self.edb)
             if not inserted and not retracted:
                 return MaintenanceReport(
                     version=self._edb_version, inserted=(), retracted=()
@@ -176,10 +172,10 @@ class Session:
             self.edb.discard_all(retracted)
             self.edb.add_all(inserted)
             self._edb_version += 1
-            # In place: nobody reads the old state, so the stores
-            # move to the next cache as they are.
+            # The same EDB object, edited: nobody reads the old state,
+            # so the stores move to the next cache as they are.
             self.cache, maintained, fallbacks = self.cache.advance(
-                inserted, retracted, self.edb, copy=False
+                inserted, retracted, self.edb
             )
             return MaintenanceReport(
                 version=self._edb_version,
@@ -191,6 +187,18 @@ class Session:
 
     # -- program management ------------------------------------------------
 
+    def parse(
+        self, source: Union[str, Path], *, name: str = ""
+    ) -> Tuple[CompiledProgram, Database]:
+        """Parse a program (text or path) and compile it; its facts are
+        returned, not absorbed — :meth:`load` adds them to this
+        session's EDB, the server cuts its version 0 from them."""
+        if isinstance(source, Path):
+            name = name or source.stem
+            source = source.read_text()
+        program, database = parse_program(source, name=name)
+        return self.compile(program, source=source, facts=database), database
+
     def load(
         self, source: Union[str, Path], *, name: str = ""
     ) -> CompiledProgram:
@@ -199,12 +207,9 @@ class Session:
         The returned :class:`CompiledProgram` becomes the session's
         default program for subsequent :meth:`query` calls.
         """
-        if isinstance(source, Path):
-            name = name or source.stem
-            source = source.read_text()
-        program, database = parse_program(source, name=name)
+        compiled, database = self.parse(source, name=name)
         self.add_facts(database)
-        return self.compile(program, source=source, facts=database)
+        return compiled
 
     def compile(
         self, program: Program, *, source: Optional[str] = None, facts=None

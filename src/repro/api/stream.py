@@ -27,8 +27,9 @@ class StreamStats:
 
     ``method`` is the engine that ran; ``probe_answers`` counts the
     answers the bounded chase probe settled alone and
-    ``decided_tuples`` the candidate tuples sent to a decision engine
-    (proof-tree engines only); ``saturated`` reports fixpoint
+    ``decided_tuples`` the rows of q over the star abstraction the probe
+    could not settle, each sent to a decision engine (proof-tree engines
+    only); ``saturated`` reports fixpoint
     completion for the materializing engines; ``from_cache`` marks a
     cache hit (a reused materialization — the plan's own, or the held
     full fixpoint an ``auto`` plan read — no engine run at all).  ``rounds``

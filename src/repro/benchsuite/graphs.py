@@ -11,16 +11,9 @@ from ..core.terms import Constant
 
 __all__ = [
     "random_edges",
-    "chain_edges",
-    "layered_edges",
     "add_binary_relation",
     "add_unary_relation",
 ]
-
-
-def chain_edges(n: int, prefix: str = "n") -> List[Tuple[str, str]]:
-    """A simple path n0 → n1 → ... → n_{n-1} (worst case for reachability)."""
-    return [(f"{prefix}{i}", f"{prefix}{i+1}") for i in range(n - 1)]
 
 
 def random_edges(
@@ -36,22 +29,6 @@ def random_edges(
         if a != b:
             edges.add((f"{prefix}{a}", f"{prefix}{b}"))
     return sorted(edges)
-
-
-def layered_edges(
-    layers: int, width: int, rng: random.Random, density: float = 0.5,
-    prefix: str = "v",
-) -> List[Tuple[str, str]]:
-    """A layered DAG: edges only between consecutive layers."""
-    edges: List[Tuple[str, str]] = []
-    for layer in range(layers - 1):
-        for i in range(width):
-            for j in range(width):
-                if rng.random() < density:
-                    edges.append(
-                        (f"{prefix}{layer}_{i}", f"{prefix}{layer+1}_{j}")
-                    )
-    return edges
 
 
 def add_binary_relation(

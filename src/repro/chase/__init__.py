@@ -11,7 +11,6 @@ from .runner import (
 )
 from .termination import (
     AlwaysFire,
-    CompositePolicy,
     DepthPolicy,
     IsomorphismPolicy,
     TerminationPolicy,
@@ -36,6 +35,5 @@ __all__ = [
     "AlwaysFire",
     "DepthPolicy",
     "IsomorphismPolicy",
-    "CompositePolicy",
     "atom_shape",
 ]

@@ -20,7 +20,6 @@ provides the closest open implementations of the same role
   sub-chases; queries that join on nulls across atoms may need the
   unpruned chase (the classic price of atom-level patterns — documented
   behaviour, exercised by the E7 ablation benchmark).
-* :class:`CompositePolicy` — conjunction of policies.
 
 Policies are consulted *before* a trigger fires; returning False
 suppresses it.  They also see the atoms the trigger would create.
@@ -40,7 +39,6 @@ __all__ = [
     "AlwaysFire",
     "DepthPolicy",
     "IsomorphismPolicy",
-    "CompositePolicy",
     "atom_shape",
 ]
 
@@ -132,18 +130,3 @@ class IsomorphismPolicy:
         for atom in produced:
             self._shapes.add(atom_shape(atom))
         return True
-
-
-class CompositePolicy:
-    """Fire only if every constituent policy agrees."""
-
-    def __init__(self, policies: Sequence[TerminationPolicy]):
-        self.policies = list(policies)
-
-    def should_fire(
-        self, trigger: Trigger, produced: Sequence[Atom], instance: Instance
-    ) -> bool:
-        return all(
-            policy.should_fire(trigger, produced, instance)
-            for policy in self.policies
-        )

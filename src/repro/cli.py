@@ -994,7 +994,8 @@ def _cmd_serve(args, out) -> int:
     warm = ", warm-started" if service.warm_started else ""
     print(
         f"repro: serving {service.program_name} "
-        f"({len(service.session.edb)} fact(s), store={args.store}{warm}) "
+        f"({len(service.snapshots.head.store)} fact(s), "
+        f"store={args.store}{warm}) "
         f"on {host}:{port}",
         file=out,
         flush=True,

@@ -20,8 +20,6 @@ __all__ = [
     "Position",
     "match_atom",
     "atoms_variables",
-    "atoms_terms",
-    "atoms_nulls",
 ]
 
 
@@ -133,27 +131,6 @@ def atoms_variables(atoms: Iterable[Atom]) -> set[Variable]:
     for atom in atoms:
         result.update(atom.variables())
     return result
-
-
-def atoms_terms(atoms: Iterable[Atom]) -> set[Term]:
-    """All terms occurring in a collection of atoms."""
-    result: set[Term] = set()
-    for atom in atoms:
-        result.update(atom.args)
-    return result
-
-
-def atoms_nulls(atoms: Iterable[Atom]) -> set[Null]:
-    """All labeled nulls occurring in a collection of atoms."""
-    result: set[Null] = set()
-    for atom in atoms:
-        result.update(atom.nulls())
-    return result
-
-
-def make_atom(predicate: str, *args: Term) -> Atom:
-    """Convenience constructor: ``make_atom("R", x, y)`` builds ``R(x,y)``."""
-    return Atom(predicate, tuple(args))
 
 
 def schema_of(atoms: Iterable[Atom]) -> dict[str, int]:

@@ -27,7 +27,6 @@ __all__ = [
     "Variable",
     "Null",
     "NullFactory",
-    "fresh_variable_stream",
 ]
 
 
@@ -119,17 +118,6 @@ class NullFactory:
         with self._lock:
             label = next(self._counter)
         return Null(label, depth)
-
-
-def fresh_variable_stream(prefix: str = "v") -> "itertools.count":
-    """Return an iterator of fresh :class:`Variable` objects.
-
-    The stream yields ``Variable(f"{prefix}0")``, ``Variable(f"{prefix}1")``,
-    and so on.  Callers that need variables disjoint from an existing set
-    should choose a prefix that cannot collide (the parser never produces
-    names containing ``'@'``, which internal code exploits).
-    """
-    return (Variable(f"{prefix}{i}") for i in itertools.count())
 
 
 def is_constant(term: Term) -> bool:

@@ -25,8 +25,9 @@ class ChangeSet:
 
     ``ops`` preserves issue order; :meth:`net` collapses it to
     last-wins insert/retract tuples (inserting then retracting the same
-    fact cancels, and vice versa), which is what the maintainer and the
-    session consume.
+    fact cancels, and vice versa); :meth:`effective` cuts that down to
+    what changes a given EDB, which is what the session, the server and
+    the maintainer consume.
     """
 
     ops: Tuple[Tuple[str, Atom], ...] = ()
@@ -106,6 +107,16 @@ class ChangeSet:
         inserts = tuple(a for a in order if final[a] == INSERT)
         retracts = tuple(a for a in order if final[a] == RETRACT)
         return inserts, retracts
+
+    def effective(self, edb) -> Tuple[Tuple[Atom, ...], Tuple[Atom, ...]]:
+        """:meth:`net` relative to *edb* (anything answering ``in``):
+        re-asserting a present fact and retracting an absent one are
+        no-ops, so what is left is exactly what the batch changes."""
+        inserts, retracts = self.net()
+        return (
+            tuple(fact for fact in inserts if fact not in edb),
+            tuple(fact for fact in retracts if fact in edb),
+        )
 
     def describe(self) -> str:
         inserts, retracts = self.net()

@@ -24,13 +24,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Set, Tuple
 
-from ..analysis.piecewise import is_piecewise_linear
-from ..analysis.wardedness import is_warded
 from ..core.instance import Database
 from ..core.program import Program
 from ..core.query import ConjunctiveQuery
 from ..core.terms import Constant
-from ..reasoning.answers import prepare_proof_tree_answers
+from ..reasoning.answers import prepare_proof_tree_answers, proof_tree_method
 
 __all__ = ["ParallelReport", "parallel_certain_answers"]
 
@@ -80,13 +78,7 @@ def parallel_certain_answers(
     if workers <= 0:
         raise ValueError("workers must be positive")
     if method == "auto":
-        if not is_warded(program):
-            raise ValueError(
-                "parallel_certain_answers needs a warded program"
-            )
-        method = "pwl" if is_piecewise_linear(program) else "ward"
-    if method not in ("pwl", "ward"):
-        raise ValueError(f"unknown parallel method {method!r}")
+        method = proof_tree_method(program)
     probe_answers, pending, decide = prepare_proof_tree_answers(
         query, database, program, method=method, probe_depth=probe_depth,
         probe_atoms=probe_atoms, **engine_kwargs,

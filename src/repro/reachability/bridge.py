@@ -89,7 +89,7 @@ def configuration_graph(
 
     *answers* defaults to all |dom(D)|^k output tuples; pass an iterable
     to restrict the sources.  The graph is the same one
-    :func:`repro.reasoning.pwl_ward.linear_proof_search` explores
+    :func:`repro.reasoning.pwl_ward.decide_pwl_ward` explores
     (successor = one resolution/specialization step with eager
     database-fact decomposition), so path existence to the empty CQ is
     exactly Theorem 4.8 certainty.

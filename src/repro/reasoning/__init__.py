@@ -13,19 +13,17 @@ from .answers import (
     is_certain_answer,
     stream_proof_tree_answers,
 )
-from .pwl_ward import PWLDecision, decide_pwl_ward, linear_proof_search
+from .pwl_ward import PWLDecision, decide_pwl_ward
 from .state import Frontier, SearchStats, State, SuccessorGenerator
-from .ward import WardDecision, and_or_search, decide_ward
+from .ward import WardDecision, decide_ward
 
 __all__ = [
     "is_certain_answer",
     "stream_proof_tree_answers",
     "UnsupportedProgramError",
     "decide_pwl_ward",
-    "linear_proof_search",
     "PWLDecision",
     "decide_ward",
-    "and_or_search",
     "WardDecision",
     "State",
     "SuccessorGenerator",

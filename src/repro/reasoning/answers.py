@@ -9,18 +9,17 @@ layer up, by :class:`repro.api.Planner`.  Two auxiliary structures
 split the work:
 
 * the **star abstraction** (an always-terminating Datalog fixpoint that
-  over-approximates every chase) bounds the per-variable candidate
-  constants — any certain answer's homomorphism into the chase survives
-  the null-collapse into the abstraction with its constants intact, so
-  the pools drawn from the abstraction are *complete*;
+  over-approximates every chase) bounds the candidate tuples — any
+  certain answer's homomorphism into the chase survives the
+  null-collapse into the abstraction with its constants intact, so q
+  evaluated over the abstraction is *complete*;
 * a bounded **chase probe** (a sound under-approximation) settles the
   cheap positives, so only the remainder needs a decision run.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Dict, Optional, Sequence, Set, Tuple
+from typing import Optional, Sequence, Set, Tuple
 
 from ..analysis.piecewise import is_piecewise_linear
 from ..analysis.wardedness import is_warded
@@ -29,7 +28,7 @@ from ..chase.termination import DepthPolicy
 from ..core.instance import Database, Instance
 from ..core.program import Program
 from ..core.query import ConjunctiveQuery
-from ..core.terms import Constant, Variable
+from ..core.terms import Constant
 from .abstraction import STAR, star_abstraction
 from .pwl_ward import prepare_pwl_ward
 from .ward import prepare_ward
@@ -40,6 +39,7 @@ __all__ = [
     "stream_proof_tree_answers",
     "probe_instance",
     "candidate_tuples",
+    "proof_tree_method",
     "UnsupportedProgramError",
 ]
 
@@ -69,42 +69,31 @@ def probe_instance(
 def candidate_tuples(
     query: ConjunctiveQuery, abstraction: Instance
 ) -> Set[Tuple[Constant, ...]]:
-    """All output tuples the star abstraction makes conceivable.
+    """All output tuples the star abstraction makes conceivable: the
+    ⋆-free rows of ``q(abstraction)``.
 
-    Each output variable can only take constants seen at its positions
-    in the abstract instance.  This pool is *complete*: a certain
-    answer c̄ has a homomorphism h from q into the chase with
-    h(output) = c̄, and composing h with the null-collapse γ (nulls ↦ ⋆,
-    constants fixed) lands in the abstraction with c̄ still at the same
-    positions.  The ⋆ constant itself is excluded — it stands for
-    nulls, which are never certain answers.
+    This set is *complete*: a certain answer c̄ has a homomorphism h
+    from q into the chase with h(output) = c̄, and composing h with the
+    null-collapse γ (nulls ↦ ⋆, constants fixed) is a homomorphism from
+    q into the abstraction with c̄ still at the output.  A row holding
+    the ⋆ constant is excluded — it stands for nulls, which are never
+    certain answers.
     """
-    per_variable: Dict[Variable, Set[Constant]] = {}
-    for var in dict.fromkeys(query.output):
-        candidates: Optional[Set[Constant]] = None
-        for atom in query.atoms:
-            for index, term in enumerate(atom.args):
-                if term != var:
-                    continue
-                seen = {
-                    stored.args[index]
-                    for stored in abstraction.with_predicate(atom.predicate)
-                    if isinstance(stored.args[index], Constant)
-                    and stored.args[index] != STAR
-                }
-                candidates = seen if candidates is None else candidates & seen
-        per_variable[var] = candidates or set()
-
-    unique_vars = list(dict.fromkeys(query.output))
-    pools = [sorted(per_variable[v], key=str) for v in unique_vars]
-    tuples: Set[Tuple[Constant, ...]] = set()
-    for combo in itertools.product(*pools):
-        assignment = dict(zip(unique_vars, combo))
-        tuples.add(tuple(assignment[v] for v in query.output))
-    return tuples
+    return {row for row in query.evaluate(abstraction) if STAR not in row}
 
 
 _PREPARE = {"pwl": prepare_pwl_ward, "ward": prepare_ward}
+
+
+def proof_tree_method(program: Program) -> str:
+    """The per-tuple search complete for Σ: ``"pwl"`` (Theorem 4.8)
+    inside WARD ∩ PWL, ``"ward"`` (Theorem 4.9) in the rest of WARD."""
+    if not is_warded(program):
+        raise UnsupportedProgramError(
+            "program is not warded: no complete decision procedure "
+            "outside WARD"
+        )
+    return "pwl" if is_piecewise_linear(program) else "ward"
 
 
 def prepare_proof_tree_answers(
@@ -194,12 +183,7 @@ def is_certain_answer(
 ) -> bool:
     """Decide ``c̄ ∈ cert(q, D, Σ)`` (the paper's decision problem)."""
     if method == "auto":
-        if is_warded(program):
-            method = "pwl" if is_piecewise_linear(program) else "ward"
-        else:
-            raise UnsupportedProgramError(
-                "no complete decision procedure outside WARD"
-            )
+        method = proof_tree_method(program)
     if method not in _PREPARE:
         raise ValueError(f"unknown method {method!r}")
     prepare = _PREPARE[method]

@@ -3,7 +3,7 @@
 The paper's algorithm (Section 4.3) accepts by *constructing* a linear
 proof tree level by level; the accepting run itself is therefore a
 checkable certificate of ``c̄ ∈ cert(q, D, Σ)``.  This module turns the
-trace of :func:`repro.reasoning.pwl_ward.linear_proof_search` into an
+trace of :func:`repro.reasoning.pwl_ward.decide_pwl_ward` into an
 explicit :class:`Certificate` — the sequence of configurations together
 with the operation (resolution ``r``, specialization ``s``; the ``d``
 drops of database facts are folded into each configuration) that links

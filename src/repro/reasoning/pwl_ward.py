@@ -19,21 +19,18 @@ space-complexity observable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from ..analysis.levels import node_width_bound_pwl
 from ..analysis.piecewise import is_piecewise_linear
 from ..analysis.wardedness import is_warded
-from ..core.atoms import Atom
 from ..core.instance import Database
 from ..core.program import Program
 from ..core.query import ConjunctiveQuery
 from ..core.terms import Constant
 from .state import Frontier, SearchStats, State, SuccessorGenerator
 
-__all__ = [
-    "PWLDecision", "decide_pwl_ward", "linear_proof_search", "prepare_pwl_ward",
-]
+__all__ = ["PWLDecision", "decide_pwl_ward", "prepare_pwl_ward"]
 
 
 @dataclass
@@ -44,41 +41,6 @@ class PWLDecision:
     stats: SearchStats
     width_bound: int
     trace: Optional[List[State]] = None   # an accepting path, if requested
-
-
-def linear_proof_search(
-    initial_atoms: Sequence[Atom],
-    database: Database,
-    program: Program,
-    width_bound: int,
-    *,
-    specialization: str = "guided",
-    strategy: str = "bestfirst",
-    trace: bool = False,
-    max_states: Optional[int] = None,
-    oracle: Optional[object] = None,
-    use_oracle: bool = True,
-) -> PWLDecision:
-    """Search for an accepting configuration path (a linear proof tree).
-
-    *program* must be single-head.  ``strategy`` selects the frontier
-    order (:class:`repro.reasoning.state.Frontier`): narrowest-first by
-    default, or the paper-literal BFS.  ``max_states`` optionally caps
-    the explored state count (the search is then incomplete but still
-    sound); the benchmarks use the cap as a safety net only.  *oracle*
-    optionally injects a precomputed star abstraction (reused across
-    per-tuple decisions by
-    :func:`repro.reasoning.answers.stream_proof_tree_answers`).
-    """
-    generator = SuccessorGenerator(
-        database,
-        program,
-        width_bound,
-        specialization=specialization,
-        oracle=oracle,
-        use_oracle=use_oracle,
-    )
-    return _search(initial_atoms, generator, strategy, trace, max_states)
 
 
 def _search(initial_atoms, generator, strategy, trace, max_states) -> PWLDecision:
@@ -92,38 +54,39 @@ def _search(initial_atoms, generator, strategy, trace, max_states) -> PWLDecisio
     if not initial.is_accepting() and generator.is_dead(initial):
         return PWLDecision(False, stats, width_bound, None)
 
-    parents: Dict[State, Optional[State]] = {initial: None}
+    # What the paper's machine may hold: the visited set.  Parent
+    # pointers (a second State reference per configuration) are kept
+    # only when the caller asked for the accepting path.
+    visited: Set[State] = {initial}
+    parents: Dict[State, State] = {}
     queue = Frontier(strategy)
     queue.push(initial)
     stats.visited = 1
 
-    def build_trace(state: State) -> List[State]:
-        path = [state]
-        while parents[path[-1]] is not None:
-            path.append(parents[path[-1]])  # type: ignore[arg-type]
-        path.reverse()
-        return path
+    def accept(state: State) -> PWLDecision:
+        path = None
+        if trace:
+            path = [state]
+            while path[-1] in parents:
+                path.append(parents[path[-1]])
+            path.reverse()
+        return PWLDecision(True, stats, width_bound, path)
 
     if initial.is_accepting():
-        return PWLDecision(
-            True, stats, width_bound, build_trace(initial) if trace else None
-        )
+        return accept(initial)
 
     while queue:
         stats.max_frontier = max(stats.max_frontier, len(queue))
         state = queue.pop()
         for successor in generator.successors(state):
-            if successor in parents:
+            if successor in visited:
                 continue
-            parents[successor] = state
+            visited.add(successor)
+            if trace:
+                parents[successor] = state
             stats.visited += 1
             if successor.is_accepting():
-                return PWLDecision(
-                    True,
-                    stats,
-                    width_bound,
-                    build_trace(successor) if trace else None,
-                )
+                return accept(successor)
             queue.push(successor)
             if max_states is not None and stats.visited >= max_states:
                 return PWLDecision(False, stats, width_bound, None)
@@ -146,6 +109,12 @@ def prepare_pwl_ward(
     returned instantiates q with c̄ and searches, metering into a fresh
     :class:`SearchStats`: it carries nothing from one candidate to the
     next and may be called from several threads.
+
+    ``strategy`` selects the frontier order
+    (:class:`repro.reasoning.state.Frontier`): narrowest-first by
+    default, or the paper-literal BFS.  ``max_states`` optionally caps
+    the explored state count (the search is then incomplete but still
+    sound); the benchmarks use the cap as a safety net only.
     """
     if check_membership:
         if not is_warded(program):

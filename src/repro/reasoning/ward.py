@@ -29,7 +29,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from ..analysis.levels import node_width_bound_ward
 from ..analysis.wardedness import is_warded
-from ..core.atoms import Atom
 from ..core.instance import Database
 from ..core.program import Program
 from ..core.query import ConjunctiveQuery
@@ -37,7 +36,7 @@ from ..core.terms import Constant
 from ..prooftree.decomposition import connected_components
 from .state import Frontier, SearchStats, State, SuccessorGenerator
 
-__all__ = ["WardDecision", "decide_ward", "and_or_search", "prepare_ward"]
+__all__ = ["WardDecision", "decide_ward", "prepare_ward"]
 
 
 @dataclass
@@ -51,34 +50,9 @@ class WardDecision:
     exhausted: bool = True   # False iff the state cap stopped the search
 
 
-def and_or_search(
-    initial_atoms: Sequence[Atom],
-    database: Database,
-    program: Program,
-    width_bound: int,
-    *,
-    specialization: str = "guided",
-    strategy: str = "bestfirst",
-    max_states: Optional[int] = None,
-    stats: Optional[SearchStats] = None,
-    oracle: Optional[object] = None,
-    use_oracle: bool = True,
-) -> WardDecision:
-    """Least-fixpoint acceptance over the AND-OR configuration graph."""
-    generator = SuccessorGenerator(
-        database,
-        program,
-        width_bound,
-        specialization=specialization,
-        stats=stats,
-        oracle=oracle,
-        use_oracle=use_oracle,
-    )
-    return _search(initial_atoms, generator, strategy, max_states)
-
-
 def _search(initial_atoms, generator, strategy, max_states) -> WardDecision:
-    """The search proper; ``generator.stats`` is this decision's own."""
+    """Least-fixpoint acceptance over the AND-OR configuration graph;
+    ``generator.stats`` is this decision's own."""
     stats, database = generator.stats, generator.database
     width_bound = generator.width_bound
     initial = State.make(tuple(initial_atoms), database)
@@ -179,7 +153,8 @@ def prepare_ward(
 
     Pays the membership verdict, the normal form, the width bound and
     the successor generator once per (q, D, Σ); same contract as
-    :func:`repro.reasoning.pwl_ward.prepare_pwl_ward`.
+    :func:`repro.reasoning.pwl_ward.prepare_pwl_ward`, ``strategy`` and
+    ``max_states`` included (a capped run reports ``exhausted=False``).
     """
     if check_membership and not is_warded(program):
         raise ValueError("program is not warded")

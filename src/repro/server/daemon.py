@@ -22,6 +22,7 @@ import time
 from typing import Optional, Tuple
 
 from .protocol import (
+    MAX_REQUEST_BYTES,
     ProtocolError,
     decode_request,
     encode_response,
@@ -40,7 +41,15 @@ class _ConnectionHandler(socketserver.StreamRequestHandler):
         server: "ReasoningServer" = self.server  # type: ignore[assignment]
         server._track_connection(self, +1)
         try:
-            for raw in self.rfile:
+            # Never ``for raw in self.rfile``: that buffers a line of
+            # any length.
+            while raw := self.rfile.readline(MAX_REQUEST_BYTES + 1):
+                if len(raw) > MAX_REQUEST_BYTES:
+                    self._send(error_response(ProtocolError(
+                        f"request line exceeds {MAX_REQUEST_BYTES} bytes; "
+                        f"closing the connection"
+                    )))
+                    return
                 line = raw.decode("utf-8", errors="replace").strip()
                 if not line:
                     continue

@@ -17,6 +17,9 @@ Every request may carry an ``"id"``; the response echoes it, so a
 pipelining client can match responses to requests.  Failures are
 responses, not disconnects: ``{"ok": false, "error": <message>,
 "kind": <exception class>}`` — the connection survives a bad query.
+The one exception is a request line longer than
+:data:`MAX_REQUEST_BYTES`: it gets such a reply and the connection is
+closed (mid-line there is nothing to resynchronise on).
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from typing import Optional
 from .service import ReasoningService
 
 __all__ = [
+    "MAX_REQUEST_BYTES",
     "OPS",
     "ProtocolError",
     "decode_request",
@@ -36,6 +40,12 @@ __all__ = [
 ]
 
 OPS = ("query", "update", "lint", "stats", "ping", "shutdown")
+
+#: The longest request line the daemon buffers, newline included: far
+#: above any frame the CLI, the replay harness or the e2e driver sends
+#: (the largest is a ``lint`` op carrying a program's text), and a bound
+#: on what a client that never sends a newline can make it hold.
+MAX_REQUEST_BYTES = 16 * 1024 * 1024
 
 #: Engine kwargs a query request may carry, mirroring the CLI's knobs.
 QUERY_OPTIONS = (

@@ -8,20 +8,22 @@ over it, and tests/benchmarks drive it in-process with plain threads.
 Design:
 
 * one :class:`~repro.api.Session` owns program compilation and
-  planning (compile-once, adorned-program cache, plan explanations) —
-  made thread-safe in this PR;
+  planning (compile-once, adorned-program cache, prepared plans, plan
+  explanations) and holds no fact: its EDB stays empty;
 * a :class:`~repro.server.snapshot.SnapshotManager` owns the EDB as a
-  chain of immutable versions; every query is *admitted* under a lease
-  on the then-current version and evaluates against that frozen store
-  no matter how many updates land while it runs;
+  chain of immutable versions — the only place the service keeps
+  facts; every query is *admitted* under a lease on the then-current
+  version and evaluates against that frozen store no matter how many
+  updates land while it runs;
 * each version carries its own :class:`~repro.api.cache.FixpointCache`
   — saturated materializations and star abstractions valid for exactly
   that EDB — and a query reads and fills the cache of the version it
   was admitted on.  On ``apply``, the new version's cache is the
-  previous head's ``advance(..., copy=True)``: maintainable fixpoints
-  are copied and upgraded over just the change batch, so the new
-  version starts warm without recomputing and the old version's stores
-  stay exact for its in-flight readers.
+  previous head's ``advance`` onto the new store: maintainable
+  fixpoints are copied and upgraded over just the change batch
+  *before* the version becomes head, so a reader finds either head
+  warm and the old version's stores stay exact for its in-flight
+  readers.
 """
 
 from __future__ import annotations
@@ -114,18 +116,18 @@ class ReasoningService:
         self._session = Session(store=store)
         if isinstance(source, (str, Path)):
             # Program text or a file of it; its facts seed the EDB.
-            self._compiled = self._session.load(source, name=name)
+            self._compiled, seed = self._session.parse(source, name=name)
+            seed = [*seed, *facts]
         else:
             # An in-memory Program/CompiledProgram (the embeddable
             # path — benchmarks hand over generated scenarios).
             self._compiled = self._session.compile(source)
-        if facts:
-            self._session.add_facts(facts)
+            seed = facts
         # Warm start: with a state directory holding a checkpoint of
-        # the *same program* (content-fingerprinted), restore the
-        # checkpointed EDB before version 0 is cut, then re-seed the
-        # head's fixpoint caches from the persisted materializations —
-        # the first query answers from cache instead of resaturating.
+        # the *same program* (content-fingerprinted), version 0 is cut
+        # from the checkpointed EDB instead, and the head's fixpoint
+        # cache re-seeded from the persisted materializations — the
+        # first query answers from cache instead of resaturating.
         self._state = (
             StateDirectory(state_dir) if state_dir is not None else None
         )
@@ -134,15 +136,11 @@ class ReasoningService:
         restored = (
             self._state.load(self._program_key) if self._state else None
         )
+        self._snapshots = SnapshotManager(
+            seed if restored is None else restored.edb, store=store
+        )
         if restored is not None:
-            current = set(self._session.edb)
-            saved = set(restored.edb)
-            self._session.apply(
-                inserts=saved - current, retracts=current - saved
-            )
-        self._snapshots = SnapshotManager(self._session.edb, store=store)
-        if restored is not None:
-            self._snapshots._head.caches.restore(
+            self._snapshots.head.caches.restore(
                 restored.fixpoints, self._compiled, store
             )
             self.warm_started = True
@@ -163,7 +161,7 @@ class ReasoningService:
         """Persist head EDB + its cacheable fixpoints (write lock held)."""
         if self._state is None:
             return None
-        head = self._snapshots._head
+        head = self._snapshots.head
         state = SavedState(
             program_key=self._program_key,
             store_name=_store_label(self._session.store),
@@ -347,9 +345,10 @@ class ReasoningService:
             changes = ChangeSet.parse(changes)
         started = time.perf_counter()
         with self._write_lock:
-            previous = self._snapshots._head
-            report = self._session.apply(changes)
-            if not report.inserted and not report.retracted:
+            inserted, retracted = changes.effective(
+                self._snapshots.head.store
+            )
+            if not inserted and not retracted:
                 wall_ms = (time.perf_counter() - started) * 1000.0
                 return UpdateResult(
                     version=self._snapshots.head_version,
@@ -361,14 +360,8 @@ class ReasoningService:
                     wall_ms=wall_ms,
                     effective=False,
                 )
-            version = self._snapshots.install(
-                report.inserted, report.retracted
-            )
-            # A reader admitted between these two statements fills the
-            # version's initial empty cache; what it computes is lost
-            # to the carried-forward entry, which is equal.
-            version.caches, maintained, fallbacks = previous.caches.advance(
-                report.inserted, report.retracted, version.store, copy=True
+            version, maintained, fallbacks = self._snapshots.install(
+                inserted, retracted
             )
             # Keep the warm-start checkpoint current: a crash after
             # this point restarts at this version, not at serve start.
@@ -380,8 +373,8 @@ class ReasoningService:
             self.migration_fallbacks_total += len(fallbacks)
         return UpdateResult(
             version=version.number,
-            added=report.added,
-            dropped=report.dropped,
+            added=len(inserted),
+            dropped=len(retracted),
             maintained=len(maintained),
             migrated=len(maintained),
             fallbacks=tuple(fallbacks),
@@ -402,7 +395,7 @@ class ReasoningService:
         (the same invariant ``memory_report(seen)`` gives composite
         stores, applied at the version-chain level).
         """
-        head = self._snapshots._head
+        head = self._snapshots.head
         seen: set = set()
         versions: Dict[str, dict] = {}
         head_report = None

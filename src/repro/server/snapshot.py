@@ -40,18 +40,21 @@ class SnapshotVersion:
 
     ``caches`` is what has been computed for exactly this EDB; it lives
     on the version so that version GC drops it together with the store.
-    The serving layer replaces a new version's (empty) cache with the
-    one carried forward from its predecessor.
+    A version is published with the cache carried forward from its
+    predecessor, never with an empty one to be swapped later.
     """
 
     __slots__ = ("number", "store", "depth", "refs", "caches")
 
-    def __init__(self, number: int, store: FactStore, depth: int):
+    def __init__(
+        self, number: int, store: FactStore, depth: int,
+        caches: FixpointCache,
+    ):
         self.number = number
         self.store = store
         self.depth = depth
         self.refs = 0
-        self.caches: FixpointCache = FixpointCache(store)
+        self.caches = caches
 
     def __repr__(self) -> str:
         return (
@@ -125,9 +128,12 @@ class SnapshotManager:
         self._store_name = store
         self._flatten_depth = flatten_depth
         self._lock = threading.Lock()
+        #: Serializes :meth:`install`, which builds the successor
+        #: outside ``_lock`` so that readers keep being admitted.
+        self._install_lock = threading.Lock()
         base = make_store(store, atoms)
         base.freeze()
-        head = SnapshotVersion(0, base, depth=0)
+        head = SnapshotVersion(0, base, 0, FixpointCache(base))
         self._head = head
         #: Live versions: the head plus every version some lease holds.
         self._versions: Dict[int, SnapshotVersion] = {0: head}
@@ -135,6 +141,12 @@ class SnapshotManager:
         self.flattened = 0
 
     # -- read side ---------------------------------------------------------
+
+    @property
+    def head(self) -> SnapshotVersion:
+        """The newest version, unleased: for the writer and for
+        reports — a reader takes :meth:`current`."""
+        return self._head
 
     @property
     def head_version(self) -> int:
@@ -158,15 +170,23 @@ class SnapshotManager:
         self,
         inserted: Tuple[Atom, ...],
         retracted: Tuple[Atom, ...],
-    ) -> SnapshotVersion:
+    ) -> Tuple[SnapshotVersion, list, list]:
         """Install the next version: head ∖ *retracted* ∪ *inserted*.
 
         O(|change|) on the overlay path; every ``flatten_depth``-th
         install materializes a flat copy instead, so reads never
         traverse more than ``flatten_depth`` layers.  The previous head
         is untouched either way — in-flight readers are unaffected.
+
+        The head's cache is carried across the batch
+        (:meth:`FixpointCache.advance`, on copies) *before* the version
+        becomes head, and store and cache are published together: a
+        reader is admitted on the old head, warm, or on the new head,
+        warm — never on a head whose cache is still being built.
+        Returns the version with ``advance``'s ``maintained`` and
+        ``fallbacks`` lists.
         """
-        with self._lock:
+        with self._install_lock:
             previous = self._head
             if previous.depth + 1 >= self._flatten_depth:
                 store = make_store(self._store_name)
@@ -186,13 +206,17 @@ class SnapshotManager:
                 store = overlay
                 depth = previous.depth + 1
             store.freeze()
-            version = SnapshotVersion(
-                previous.number + 1, store, depth=depth
+            caches, maintained, fallbacks = previous.caches.advance(
+                inserted, retracted, store
             )
-            self._versions[version.number] = version
-            self._head = version
-            self._collect_locked()
-            return version
+            version = SnapshotVersion(
+                previous.number + 1, store, depth, caches
+            )
+            with self._lock:
+                self._versions[version.number] = version
+                self._head = version
+                self._collect_locked()
+            return version, maintained, fallbacks
 
     # -- garbage collection ------------------------------------------------
 

@@ -1,10 +1,12 @@
 """Property tests for the star-abstraction oracle invariant.
 
-The soundness of the dead-state pruning (and of the candidate pools of
+The soundness of the dead-state pruning (and of the candidate tuples of
 the answer facade) rests on one invariant: the abstraction
 over-approximates every chase — collapsing the nulls of any chase atom
 to ⋆ must yield an atom of the abstract instance.
 """
+
+import itertools
 
 from hypothesis import given, settings, strategies as st
 
@@ -20,8 +22,9 @@ from repro.reasoning.abstraction import (
     _abstract_rule,
     star_abstraction,
 )
+from repro.reasoning.answers import candidate_tuples
 
-from .strategies import databases, programs
+from .strategies import databases, programs, queries
 
 NODES = 5
 
@@ -120,3 +123,48 @@ def test_star_in_the_head_and_repeated_head_variables():
     assert Atom("s", (STAR, STAR)) in abstract
     assert Atom("t", (Constant("a"), Constant("a"))) in abstract
     assert Atom("m", (STAR, STAR)) in abstract
+
+
+def pool_product(query, abstraction):
+    """The superset reference: per output variable, the non-⋆ constants
+    the abstraction holds at *every* position the variable occupies,
+    then the product of those pools (what ``candidate_tuples`` was
+    before it became a read of q)."""
+    distinct = list(dict.fromkeys(query.output))
+    pools = []
+    for variable in distinct:
+        pool = None
+        for atom in query.atoms:
+            for index, term in enumerate(atom.args):
+                if term != variable:
+                    continue
+                seen = {
+                    stored.args[index]
+                    for stored in abstraction.with_predicate(atom.predicate)
+                    if stored.args[index] != STAR
+                }
+                pool = seen if pool is None else pool & seen
+        pools.append(sorted(pool, key=str))
+    return {
+        tuple(dict(zip(distinct, combo))[v] for v in query.output)
+        for combo in itertools.product(*pools)
+    }
+
+
+@given(programs(), databases(), queries())
+@settings(max_examples=200, deadline=None)
+def test_candidates_sit_between_the_certain_answers_and_the_product(
+    program, database, query
+):
+    """``cert(q, D, Σ) ⊆ candidate_tuples(q, A) ⊆ product(q, A)``, ⋆ in
+    no candidate.  The chase is the oracle: q over any prefix of it is
+    certain, and over a saturated one it *is* cert(q, D, Σ) — random
+    rule sets need not terminate, so the prefix is what is always there.
+    Boolean queries, repeated output variables and query constants all
+    come out of ``queries()``."""
+    abstraction = star_abstraction(database, program.single_head())
+    candidates = candidate_tuples(query, abstraction)
+    result = chase(database, program, max_atoms=400)
+    assert query.evaluate(result.instance) <= candidates
+    assert candidates <= pool_product(query, abstraction)
+    assert all(STAR not in row for row in candidates)

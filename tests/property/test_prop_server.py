@@ -78,7 +78,7 @@ def _run_concurrently(store, seed, batches):
     """Readers query while the writer applies every batch; returns the
     observations plus the EDB state recorded per installed version."""
     service = ReasoningService(_source(seed), store=store)
-    edb_states = {0: frozenset(service.session.edb)}
+    edb_states = {0: frozenset(service.snapshots.head.store)}
     observations = []
     errors = []
     start = threading.Barrier(4)
@@ -90,10 +90,10 @@ def _run_concurrently(store, seed, batches):
             for batch in batches:
                 result = service.apply(batch)
                 if result.effective:
-                    # Only the writer mutates session.edb: this snapshot
-                    # is exactly the admitted state of result.version.
+                    # Only the writer installs versions: the head is
+                    # still exactly the admitted state of result.version.
                     edb_states[result.version] = frozenset(
-                        service.session.edb
+                        service.snapshots.head.store
                     )
         except Exception as error:  # pragma: no cover
             errors.append(error)
@@ -171,7 +171,7 @@ def test_prepared_plans_survive_updates_and_answers_follow_the_edb(
         if batch is not None:
             session.apply(batch)
             service.apply(batch)
-            assert set(service.session.edb) == set(session.edb)
+            assert set(service.snapshots.head.store) == set(session.edb)
         texts = draws.draw(
             st.lists(st.sampled_from(QUERIES), min_size=1, max_size=4)
         )

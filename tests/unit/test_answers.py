@@ -126,10 +126,10 @@ class TestProbeInteraction:
         answers, stats = run(
             query, database, program, method="pwl", probe_depth=5
         )
-        # the terminating restricted chase finds all three answers;
-        # only non-answers go through the decision procedure.
+        # the terminating restricted chase finds all three answers —
+        # every row of q over the abstraction — so no decision runs.
         assert stats.probe_answers == 3
-        assert stats.decided_tuples == 1
+        assert stats.decided_tuples == 0
         assert answers == {(a, b), (b, c), (a, c)}
 
     def test_boolean_query_answers(self):
@@ -143,9 +143,9 @@ class TestProbeInteraction:
 
 
 class TestCandidateCompleteness:
-    """The candidate pools come from the star abstraction, so the
-    answer set must be complete for *any* probe budget (regression:
-    pools drawn from a truncated probe silently dropped answers)."""
+    """The candidates are q over the star abstraction, so the answer
+    set must be complete for *any* probe budget (regression: candidates
+    drawn from a truncated probe silently dropped answers)."""
 
     def setup_method(self):
         self.program, self.database = parse_program("""

@@ -336,11 +336,17 @@ class TestSession:
         queries = ("q(X,Y) :- iw_t(X,Y).", "q(X) :- iw_P(X).")
 
         def run():
-            streams = [session.query(q, method="pwl") for q in queries]
+            # probe_atoms=0: the probe settles nothing, so every row of q
+            # over the abstraction goes to the proof-tree search
+            streams = [
+                session.query(q, method="pwl", probe_atoms=0)
+                for q in queries
+            ]
             return [len(stream.to_set()) for stream in streams], streams
 
         counts, streams = run()
-        assert streams[0].stats.decided_tuples > 1  # decisions did run
+        assert streams[0].stats.probe_answers == 0
+        assert streams[0].stats.decided_tuples >= counts[0] > 1
         assert compiled.analysis_runs == 1
         assert calls == {
             "probe_instance": 1, "star_abstraction": 1,

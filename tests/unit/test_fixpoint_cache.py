@@ -119,7 +119,7 @@ class TestAutoReadsWhatTheVersionHolds:
         _, again = self._run(session, cache)
         assert again.rewrite == "magic" and again.from_cache
         # ... which an update drops with the one recorded wording.
-        _, _, fallbacks = cache.advance((), (), cache.edb, copy=True)
+        _, _, fallbacks = cache.advance((), (), cache.edb)
         ((label, reason),) = fallbacks
         assert "×magic fixpoint" in label and "demand-specific" in reason
 
@@ -181,7 +181,7 @@ class TestAdvance:
         new_edb = Database(edb)
         new_edb.add(f("e", "c", "d"))
         successor, maintained, fallbacks = cache.advance(
-            (f("e", "c", "d"),), (), new_edb, copy=True
+            (f("e", "c", "d"),), (), new_edb
         )
         assert len(maintained) == 1 and not fallbacks
         # The old object still answers the old state, from cache.
@@ -200,7 +200,7 @@ class TestAdvance:
         store = cache.get_fixpoint(plan)
         edb.add(f("e", "c", "d"))
         second, maintained, _ = cache.advance(
-            (f("e", "c", "d"),), (), edb, copy=False
+            (f("e", "c", "d"),), (), edb
         )
         assert len(maintained) == 1
         assert second.get_fixpoint(plan) is store
@@ -208,7 +208,7 @@ class TestAdvance:
         assert cache.stats()["fixpoints"] == 0  # handed over, not shared
         edb.discard(f("e", "a", "b"))
         third, maintained, _ = second.advance(
-            (), (f("e", "a", "b"),), edb, copy=False
+            (), (f("e", "a", "b"),), edb
         )
         assert len(maintained) == 1
         assert third.get_fixpoint(plan) is store
@@ -222,7 +222,7 @@ class TestAdvance:
         assert plan.rewrite == "magic"
         edb.add(f("e", "c", "d"))
         successor, maintained, fallbacks = cache.advance(
-            (f("e", "c", "d"),), (), edb, copy=True
+            (f("e", "c", "d"),), (), edb
         )
         assert not maintained
         ((label, reason),) = fallbacks
@@ -240,7 +240,7 @@ class TestAdvance:
         )
         edb.add(f("p", "b"))
         successor, maintained, fallbacks = cache.advance(
-            (f("p", "b"),), (), edb, copy=False
+            (f("p", "b"),), (), edb
         )
         assert not maintained
         ((label, reason),) = fallbacks
@@ -252,7 +252,7 @@ class TestAdvance:
         session, plan, edb, cache, _ = warm()
         first = cache.abstraction_for(plan.program)
         assert cache.abstraction_for(plan.program) is first
-        successor, _, _ = cache.advance((), (), edb, copy=True)
+        successor, _, _ = cache.advance((), (), edb)
         assert successor.stats()["abstractions"] == 0
 
 
@@ -283,7 +283,7 @@ class TestProbes:
         new_edb = Database(edb)
         new_edb.add(f("e", "c", "d"))
         successor, _, _ = cache.advance(
-            (f("e", "c", "d"),), (), new_edb, copy=True
+            (f("e", "c", "d"),), (), new_edb
         )
         assert successor.stats()["probes"] == 0
         # A reader admitted under the old version keeps an exact probe.

@@ -80,8 +80,10 @@ class TestSnapshotManager:
     def test_install_and_isolation(self):
         manager = SnapshotManager([edge("a", "b")], store="columnar")
         lease0 = manager.current()
-        version = manager.install((edge("b", "c"),), ())
-        assert version.number == 1
+        version, maintained, fallbacks = manager.install(
+            (edge("b", "c"),), ()
+        )
+        assert version.number == 1 and not maintained and not fallbacks
         assert manager.head_version == 1
         # The old lease still reads the old contents.
         assert edge("b", "c") not in lease0.store
@@ -153,7 +155,7 @@ class TestSnapshotManager:
         )
         bottom = type(manager.current().store)
         for index in range(depth):
-            head = manager.install((edge("n", str(index)),), ()).store
+            head = manager.install((edge("n", str(index)),), ())[0].store
             assert isinstance(head, DeltaOverlay)
             assert type(head.fresh()) is bottom
             assert len(leaves(head)) == index + 2
@@ -282,6 +284,48 @@ class TestReasoningService:
         assert rows == [("b",), ("c",), ("d",)] == list(before.answers)
         assert old_reader.stats.from_cache
         assert old_reader.stats.snapshot_version == before.version
+
+    def test_a_version_is_published_with_its_carried_cache(
+        self, monkeypatch
+    ):
+        """A reader admitted while an update maintains the fixpoint
+        reads the old head, warm; the new head appears with its cache
+        already carried.  (Regression: the version became head first,
+        so such a reader re-saturated into a cache that was then
+        replaced.)  And the service keeps no second copy of the EDB."""
+        from repro.incremental import FixpointMaintainer
+
+        service = ReasoningService(PROGRAM)
+        service.query(FULL_QUERY, rewrite="none")  # warm-up
+        during = []
+
+        def read():
+            during.append(service.query(FULL_QUERY, rewrite="none"))
+
+        def admit_a_reader():
+            reader = threading.Thread(target=read)
+            reader.start()
+            reader.join(timeout=10)
+
+        real = FixpointMaintainer.apply
+
+        def observed(self, *args, **kwargs):
+            admit_a_reader()  # the update is under way, nothing carried
+            stats = real(self, *args, **kwargs)
+            admit_a_reader()  # carried, not yet published
+            return stats
+
+        monkeypatch.setattr(FixpointMaintainer, "apply", observed)
+        for number, batch in enumerate(("+edge(d, e).", "-edge(a, b)."), 1):
+            assert service.apply(batch).migrated == 1
+            after = service.query(FULL_QUERY, rewrite="none")
+            assert after.version == number and after.stats["from_cache"]
+            assert [r.version for r in during] == [number - 1] * 2
+            assert all(r.stats["from_cache"] for r in during)
+            during.clear()
+        assert ("a", "b") not in after.answers and ("d", "e") in after.answers
+        assert len(service.session.edb) == 0
+        assert service.stats()["memory"]["edb_atoms"] == 3
 
     def test_query_error_counted_and_lease_released(self):
         service = ReasoningService(PROGRAM)
@@ -613,6 +657,35 @@ class TestDaemonAndClient:
                 line = client._reader.readline()
             assert json.loads(line)["ok"] is False
             assert client.ping() == 0
+
+    def test_oversized_request_line_is_refused_and_the_socket_closed(
+        self, server
+    ):
+        """A line with no newline inside ``MAX_REQUEST_BYTES`` is never
+        buffered whole: one error reply naming the limit, then EOF —
+        and the daemon keeps answering everybody else."""
+        import socket
+
+        from repro.server.protocol import MAX_REQUEST_BYTES
+
+        with socket.create_connection(server.address, timeout=30) as raw:
+            raw.sendall(b"x" * (MAX_REQUEST_BYTES + 1))
+            with raw.makefile("rb") as replies:
+                reply = json.loads(replies.readline())
+                assert replies.readline() == b""  # closed by the daemon
+        assert reply["ok"] is False and reply["kind"] == "ProtocolError"
+        assert str(MAX_REQUEST_BYTES) in reply["error"]
+        # A line of exactly the bound, newline included, is a request.
+        head, tail = b'{"op":"ping","id":"', b'"}\n'
+        padding = b"x" * (MAX_REQUEST_BYTES - len(head) - len(tail))
+        with socket.create_connection(server.address, timeout=30) as raw:
+            raw.sendall(head + padding + tail)
+            with raw.makefile("rb") as replies:
+                reply = json.loads(replies.readline())
+        assert reply["ok"] is True and len(reply["id"]) == len(padding)
+        with ReasoningClient(*server.address) as client:
+            assert client.ping() == 0
+        assert server.drain(timeout=5)
 
     def test_concurrent_clients_one_socket_each(self, server):
         host, port = server.address

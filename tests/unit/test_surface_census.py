@@ -102,7 +102,11 @@ def test_one_certain_answers_facade():
     assert repro.certain_answers is repro.api.certain_answers
     assert repro.api.certain_answers.__module__ == "repro.api.execution"
     for module, names in (
-        (repro.reasoning, ("certain_answers", "AnswerReport")),
+        (repro.reasoning,
+         ("certain_answers", "AnswerReport", "linear_proof_search",
+          "and_or_search")),
+        (repro.reasoning.pwl_ward, ("linear_proof_search",)),
+        (repro.reasoning.ward, ("and_or_search",)),
         (repro.reasoning.answers,
          ("certain_answers", "AnswerReport", "_probe_instance",
           "_candidate_tuples")),
