@@ -130,27 +130,31 @@ class Instance(FactStore):
     ) -> Iterator[Atom]:
         """Atoms of *predicate* agreeing with every bound (1-based) position.
 
-        Uses the most selective available position index; falls back to
-        the predicate index when *bound* is empty.
+        Uses the most selective available position index, whose bucket
+        already agrees on the position it is keyed on, so only the other
+        bound positions are compared; falls back to the predicate index
+        when *bound* is empty.
         """
         candidates: Optional[Set[Atom]] = None
+        keyed = None
         for position, term in bound.items():
-            bucket = self._by_position.get((predicate, position, term), set())
-            if candidates is None or len(bucket) < len(candidates):
-                candidates = bucket
+            bucket = self._by_position.get((predicate, position, term))
             if not bucket:
                 return
+            if candidates is None or len(bucket) < len(candidates):
+                candidates, keyed = bucket, position
         if candidates is None:
-            candidates = self._by_predicate.get(predicate, set())
+            candidates = self._by_predicate.get(predicate, ())
+        rest = [(at - 1, term) for at, term in bound.items() if at != keyed]
         # Snapshot: the interface allows callers to add while consuming.
         for stored in tuple(candidates):
-            if arity is not None and stored.arity != arity:
+            args = stored.args
+            if arity is not None and len(args) != arity:
                 continue
-            if all(
-                position <= stored.arity
-                and stored.args[position - 1] == term
-                for position, term in bound.items()
-            ):
+            for index, term in rest:
+                if index >= len(args) or args[index] != term:
+                    break
+            else:
                 yield stored
 
     # ``matching`` (pattern form, repeated variables respected) is

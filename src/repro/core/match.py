@@ -4,7 +4,8 @@ An atom sequence — a query body, a rule body — is compiled once into
 slot-addressed probe :class:`Step` s in the static order of
 :func:`~repro.core.homomorphism.most_selective`, and re-bound per stored
 tuple: no :class:`~repro.core.substitution.Substitution`, no resolved
-pattern atom, no per-node ordering.  A rule additionally gets its head
+pattern atom, no per-node ordering, and a step that binds nothing is
+one membership test (:func:`probe`).  A rule additionally gets its head
 as a projection of the row and one form per *pinned* body position, so
 the semi-naive rounds, the maintenance waves and the chase's trigger
 discovery all run their delta joins through :func:`walk`.
@@ -22,7 +23,7 @@ from .homomorphism import most_selective
 from .terms import Variable
 
 __all__ = ["AtomSet", "compile_atoms", "compile_rule", "pinned_candidates",
-           "walk", "rule_heads"]
+           "probe", "walk", "rule_heads"]
 
 
 class AtomSet:
@@ -182,6 +183,21 @@ def pinned_candidates(step: Step, atoms: Iterable[Atom]) -> list:
     ]
 
 
+def probe(step: Step, store, row) -> Iterator[Atom]:
+    """The stored atoms *step* may match under the slots of *row*.  A
+    step that binds no slot has one possible atom, so it costs one
+    ``atom in store``; any other is one ``matching_bound`` probe on its
+    bound positions."""
+    predicate, arity, constants, feeds, binds, _ = step
+    bound = dict(constants)
+    for position, slot in feeds:
+        bound[position] = row[slot]
+    if binds:
+        return store.matching_bound(predicate, bound, arity)
+    atom = Atom(predicate, tuple([bound[at] for at in range(1, arity + 1)]))
+    return iter((atom,) if atom in store else ())
+
+
 def walk(form: RuleForm, store, delta=None):
     """Yield ``(row, matched)`` for every match of *form*'s steps over
     *store*: ``row`` holds a term per cell, ``matched`` the stored atom
@@ -207,15 +223,11 @@ def walk(form: RuleForm, store, delta=None):
             barred[depth] = delta.count(predicate) > 0
     depth = 0
     while depth >= 0:
-        predicate, arity, constants, feeds, binds, agree = steps[depth]
+        step = steps[depth]
+        binds, agree = step.binds, step.agree
         candidates = iters[depth]
         if candidates is None:
-            bound = dict(constants)
-            for position, slot in feeds:
-                bound[position] = row[slot]
-            candidates = iters[depth] = store.matching_bound(
-                predicate, bound, arity
-            )
+            candidates = iters[depth] = probe(step, store, row)
         for stored in candidates:
             if barred[depth] and stored in delta:
                 continue

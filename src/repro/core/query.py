@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 from .atoms import Atom, atoms_variables
 from .homomorphism import homomorphisms
 from .instance import Instance
-from .match import compile_atoms, pinned_candidates
+from .match import compile_atoms, pinned_candidates, probe
 from .substitution import Substitution
 from .terms import Constant, Term, Variable
 
@@ -58,14 +58,12 @@ def _search(compiled, depth, store, row, answers, candidates=None) -> None:
     """Extend the partial match in *row* by step *depth* and those below
     it, adding the constants-only output tuple of every complete match
     to *answers*.  *candidates* are the stored atoms to try for this
-    step; by default it probes *store* on its bound positions."""
+    step; by default :func:`~repro.core.match.probe` asks *store*."""
     steps, output = compiled
-    predicate, arity, constants, feeds, binds, agree = steps[depth]
+    step = steps[depth]
+    binds, agree = step.binds, step.agree
     if candidates is None:
-        bound = dict(constants)
-        for position, slot in feeds:
-            bound[position] = row[slot]
-        candidates = store.matching_bound(predicate, bound, arity)
+        candidates = probe(step, store, row)
     depth += 1
     for stored in candidates:
         args = stored.args

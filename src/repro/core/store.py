@@ -190,7 +190,10 @@ class FactStore(ABC):
     # -- membership and iteration -----------------------------------------
 
     @abstractmethod
-    def __contains__(self, atom: object) -> bool: ...
+    def __contains__(self, atom: object) -> bool:
+        """A point lookup, never a scan: a compiled join step that binds
+        nothing asks this once per partial match
+        (:func:`repro.core.match.probe`)."""
 
     @abstractmethod
     def __iter__(self) -> Iterator[Atom]: ...

@@ -53,7 +53,8 @@ CONST = "c"
 
 @dataclass(frozen=True)
 class JoinStep:
-    """One hash-probe (or scan) of a body atom against the mirror.
+    """One hash-probe (or scan) of a body atom against the store's
+    relation parts.
 
     ``key`` pairs each keyed 0-based position with its value source —
     ``(SLOT, slot)`` for an already-bound variable, ``(CONST, term)``

@@ -8,7 +8,10 @@ and the chase's trigger discovery all pull their delta joins out of its
 ``match_atom`` — live on in ``reference_matcher.py``.  Over random
 programs, stores (with nulls) and deltas both must yield the same
 *multiset* of (rule, pinned position, body image, head), each match
-exactly once.
+exactly once — on every store a join can be handed (``Instance``,
+columnar, sharded, the deletion phase's ``UnionView`` and a
+``DeltaOverlay`` version chain with tombstones), because a step that
+binds nothing asks the store's ``__contains__`` instead of probing.
 """
 
 from collections import Counter
@@ -18,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chase.trigger import triggers_for_new_atom
-from repro.core.atoms import Atom
+from repro.core.atoms import Atom, atoms_variables, match_atom
 from repro.core.homomorphism import homomorphisms
 from repro.core.instance import Instance
 from repro.core.match import AtomSet, rule_heads, walk
@@ -26,7 +29,7 @@ from repro.core.substitution import Substitution
 from repro.core.terms import Constant, Null, Variable
 from repro.core.tgd import TGD
 from repro.incremental.views import UnionView
-from repro.storage import ColumnarStore
+from repro.storage import ColumnarStore, DeltaOverlay, ShardedStore
 
 from . import reference_matcher as reference
 from .strategies import databases, programs
@@ -68,6 +71,17 @@ def assert_same_matches(tgd, store, delta):
     ) == Counter(
         hom.apply_atoms(tgd.body) for hom in homomorphisms(tgd.body, store)
     )
+    # The head-first form ``_derivable`` asks, per stored head fact.
+    head, form = tgd.head[0], tgd.matcher.from_head
+    for fact in list(store.by_predicate(head.predicate)):
+        seed = match_atom(head, fact)
+        assert Counter(
+            tuple(matched[depth] for depth in form.depth_of[1:])
+            for _, matched in walk(form, store, AtomSet([fact]))
+        ) == Counter(
+            () if seed is None else
+            (hom.apply_atoms(tgd.body) for hom in homomorphisms(tgd.body, store, seed))
+        )
 
 
 # -- random inputs -----------------------------------------------------------
@@ -87,6 +101,12 @@ def _atoms(terms, max_arity=3):
 @st.composite
 def rules(draw):
     body = draw(st.lists(_atoms([X, Y, Z, a, b]), min_size=1, max_size=3))
+    # Often a last atom over variables the others bind: a step that binds
+    # nothing — a repeated-variable pair such as t(X,Y), t(Y,X), under
+    # either name and at any arity, so it may clash with an earlier one.
+    bound = sorted(atoms_variables(body), key=str)
+    if bound and draw(st.booleans()):
+        body.append(draw(_atoms(bound + [a])))
     head = draw(st.lists(_atoms([X, Y, Z, W, a]), min_size=1, max_size=2))
     return TGD(tuple(body), tuple(head))
 
@@ -94,30 +114,57 @@ def rules(draw):
 stores = st.lists(_atoms([a, b, c, Null(0), Null(1)]), min_size=1, max_size=14)
 
 
-def _split(draw, atoms):
-    """A store and a delta drawn from it."""
-    picked = draw(st.lists(st.sampled_from(atoms), unique=True, max_size=6))
-    return Instance(atoms), AtomSet(picked)
+def version_chain(atoms):
+    """*atoms* as the server's version chain holds them: half in a sealed
+    base, half in an overlay's delta, and ghosts of every atom (first
+    argument ``gone``) in the base under tombstones at two depths."""
+    gone = Constant("gone")
+    ghosts = [Atom(atom.predicate, (gone,) + atom.args[1:]) for atom in atoms]
+    older = DeltaOverlay(Instance(atoms[::2] + ghosts))
+    older.add_all(atoms[1::2])
+    older.discard_all(ghosts[::2])
+    newer = DeltaOverlay(older)
+    newer.discard_all(ghosts[1::2])
+    assert set(newer) == set(atoms)
+    return newer
+
+
+def every_store(atoms):
+    """*atoms* in each store the tuple compiler can be handed."""
+    half = len(atoms) // 2
+    return (
+        Instance(atoms),
+        ColumnarStore(atoms),
+        ShardedStore(atoms, num_shards=3),
+        UnionView(Instance(atoms[:half]), Instance(atoms[half - 1:])),
+        version_chain(atoms),
+    )
+
+
+def _delta(draw, atoms):
+    """A delta drawn from *atoms*."""
+    return AtomSet(draw(st.lists(st.sampled_from(atoms), unique=True, max_size=6)))
 
 
 @given(rules(), stores, st.data())
 @settings(max_examples=300, deadline=None)
 def test_compiled_delta_join_equals_the_reference(tgd, atoms, data):
-    store, delta = _split(data.draw, atoms)
-    assert_same_matches(tgd, store, delta)
+    delta = _delta(data.draw, atoms)
+    for store in every_store(atoms):
+        assert_same_matches(tgd, store, delta)
 
 
 @given(programs(), databases(), st.data())
 @settings(max_examples=150, deadline=None)
 def test_on_random_programs_and_databases(program, database, data):
-    """``strategies.programs()`` × ``databases()``, every rule, on the
-    object store and on an id-interning one, and — for the full
-    single-head rules — through ``rule_heads`` as the engines call it."""
+    """``strategies.programs()`` × ``databases()``, every rule, on every
+    store, and — for the full single-head rules — through ``rule_heads``
+    as the engines call it."""
     atoms = sorted(database, key=str)
-    store, delta = _split(data.draw, atoms)
+    store, delta = Instance(atoms), _delta(data.draw, atoms)
     for tgd in program:
-        assert_same_matches(tgd, store, delta)
-        assert_same_matches(tgd, ColumnarStore(atoms), delta)
+        for each in every_store(atoms):
+            assert_same_matches(tgd, each, delta)
     datalog = [t for t in program if t.is_full() and t.is_single_head()]
     for wave in (delta, None):
         assert Counter(rule_heads(datalog, store, wave)) == Counter(

@@ -11,6 +11,18 @@ X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
 a, b, c = Constant("a"), Constant("b"), Constant("c")
 
 
+def brute_force(store, bound, arity=None):
+    """The ``r`` atoms ``matching_bound`` must return, by a full scan."""
+    return {
+        atom for atom in store.by_predicate("r")
+        if (arity is None or len(atom.args) == arity)
+        and all(
+            at <= len(atom.args) and atom.args[at - 1] == term
+            for at, term in bound.items()
+        )
+    }
+
+
 class TestInstance:
     def test_add_and_contains(self):
         inst = Instance()
@@ -62,6 +74,45 @@ class TestInstance:
         assert sorted(seen, key=str) == [Atom("r", (a,)), Atom("r", (b,))]
         assert inst.count("r") == 3
         assert list(inst.by_predicate("missing")) == []
+
+    def test_matching_bound_is_a_filter_of_the_predicate_scan(self):
+        """The index bucket is trusted on the position it is keyed on
+        and only the other bound positions are compared: the result is
+        still exactly the brute-force filter, across mixed arities under
+        one name, positions past an atom's arity, absent terms and the
+        empty bound."""
+        inst = Instance([
+            Atom("r", (a,)), Atom("r", (a, b)), Atom("r", (b, a)),
+            Atom("r", (a, b, c)), Atom("r", (a, a, b)), Atom("r", (c, b, a)),
+            Atom("r", (Null(0), b)), Atom("s", (a, b)),
+        ])
+        bounds = [
+            {}, {1: a}, {2: b}, {1: a, 2: b}, {2: b, 1: a}, {3: a},
+            {1: a, 3: b}, {3: c, 1: a, 2: b}, {4: a}, {1: a, 4: a},
+            {1: Constant("absent")}, {2: b, 1: Constant("absent")},
+            {1: Null(0)}, {2: b, 1: Null(0)},
+        ]
+        for bound in bounds:
+            for arity in (None, 1, 2, 3, 4):
+                got = list(inst.matching_bound("r", bound, arity))
+                assert len(got) == len(set(got))
+                assert set(got) == brute_force(inst, bound, arity), (bound, arity)
+        assert list(inst.matching_bound("missing", {1: a})) == []
+        assert list(inst.matching_bound("missing", {})) == []
+
+    def test_matching_bound_is_a_snapshot_while_consumed(self):
+        """Adding under a probe that is being consumed neither raises nor
+        changes what it yields — bound and unbound, bucket and scan."""
+        for bound in ({1: a}, {1: a, 2: b}, {}):
+            inst = Instance([Atom("r", (a, b)), Atom("r", (a, c))])
+            want = brute_force(inst, bound, 2)
+            seen = []
+            for atom in inst.matching_bound("r", bound, 2):
+                seen.append(atom)
+                inst.add(Atom("r", (a, Constant(f"new{len(seen)}"))))
+                inst.add(Atom("r", (a, b, Constant(f"new{len(seen)}"))))
+            assert set(seen) == want and len(seen) == len(want)
+            assert inst.count("r") == 2 + 2 * len(want)
 
     def test_copy_is_independent(self):
         inst = Instance([Atom("r", (a,))])

@@ -7,9 +7,11 @@ the work counters must agree: per-round ``considered`` of the semi-naive
 interpreter, ``MaintenanceReport.totals()`` of a churn stream (DRed's
 rederive stage edits the store *while* it pulls matches, so ``matches``
 is order-sensitive), and ``fired`` / ``suppressed`` / null numbering of
-a restricted chase.
+a restricted chase.  A spy store pins what one compiled step costs: a
+step that binds nothing is one ``__contains__`` and no probe.
 """
 
+from collections import Counter
 from contextlib import ExitStack
 from unittest import mock
 
@@ -21,13 +23,13 @@ from repro.chase.runner import chase
 from repro.chase.termination import DepthPolicy
 from repro.core.atoms import Atom
 from repro.core.instance import Instance
-from repro.core.match import AtomSet
+from repro.core.match import AtomSet, walk
 from repro.core.terms import Constant, Variable
 from repro.core.tgd import TGD
 from repro.datalog.seminaive import delta_rounds, seminaive
 from repro.incremental import MaintenanceStats
 from repro.incremental.maintain import FixpointMaintainer, _derived_heads
-from repro.lang.parser import parse_program
+from repro.lang.parser import parse_program, parse_query
 
 from ..property import reference_matcher as reference
 
@@ -140,6 +142,99 @@ def test_restricted_chase_counters_and_null_numbering():
     shipped, on_reference = both(run)
     assert shipped == on_reference
     assert shipped[0] > 10 and shipped[1] > 0 and shipped[3] > 3
+
+
+class Spy(Instance):
+    """An instance that counts how the joins ask it."""
+
+    def __init__(self, atoms=()):
+        super().__init__(atoms)
+        self.calls = Counter()
+
+    def __contains__(self, atom):
+        self.calls["contains"] += 1
+        return super().__contains__(atom)
+
+    def matching_bound(self, predicate, bound, arity=None):
+        self.calls["matching_bound"] += 1
+        return super().matching_bound(predicate, bound, arity)
+
+
+a, b, c, d = (Constant(name) for name in "abcd")
+
+
+def t(*terms):
+    return Atom("t", terms)
+
+
+def e(*terms):
+    return Atom("e", terms)
+
+
+def only_rule(text):
+    (tgd,) = parse_program(text)[0]
+    return tgd
+
+
+def test_a_step_that_binds_nothing_is_one_membership_test():
+    """The second ``t`` of ``mutual`` is fed both its variables: a
+    pinned walk asks the store once per delta atom and never probes,
+    and a full walk probes only for the first step."""
+    mutual = only_rule("mutual(X,Y) :- t(X,Y), t(Y,X).")
+    assert [step.binds == () for step in mutual.matcher.full.steps] == [False, True]
+    store = Spy([t(a, b), t(b, a), t(b, c)])
+    images = ((t(a, b), t(b, a)), (t(b, a), t(a, b)))
+    for form, image in zip(mutual.matcher.pinned, images):
+        store.calls.clear()
+        got = [
+            tuple(matched[depth] for depth in form.depth_of)
+            for _, matched in walk(form, store, AtomSet([t(a, b)]))
+        ]
+        assert got == [image]
+        assert store.calls == {"contains": 1}
+    store.calls.clear()
+    assert sum(1 for _ in walk(mutual.matcher.full, store)) == 2
+    assert store.calls == {"matching_bound": 1, "contains": 3}
+
+
+def test_the_head_first_form_ends_in_a_membership_test():
+    """``_derivable``'s form of ``t(X,Z) :- e(X,Y), t(Y,Z)``: the head
+    binds X and Z, ``t(Y,Z)`` binds Y, and ``e(X,Y)`` is asked once per
+    ``t`` atom into Z."""
+    rule = only_rule("t(X,Z) :- e(X,Y), t(Y,Z).")
+    form = rule.matcher.from_head
+    assert [step.predicate for step in form.steps] == ["t", "t", "e"]
+    assert form.steps[-1].binds == ()
+    store = Spy([e(a, b), e(b, c), t(b, d), t(c, d), t(c, a)])
+    assert sum(1 for _ in walk(form, store, AtomSet([t(a, d)]))) == 1
+    assert store.calls == {"matching_bound": 1, "contains": 2}
+
+
+def test_query_reads_use_the_membership_step():
+    query = parse_query("q(X,Y) :- t(X,Y), t(Y,X).")
+    store = Spy([t(a, b), t(b, a), t(b, c)])
+    assert query.evaluate(store) == {(a, b), (b, a)}
+    assert store.calls == {"matching_bound": 1, "contains": 3}
+    store.calls.clear()
+    assert query.evaluate_delta(store, [t(a, b)]) == {(a, b), (b, a)}
+    assert store.calls == {"contains": 2}
+
+
+def test_counters_on_the_churn_program_are_unchanged():
+    """``mutual`` and the head-first form of the recursive rule run as
+    membership tests here; every count is the one the probing joins
+    gave."""
+    churn = generate_churn(
+        vertices=32, edges=64, clusters=4, steps=6, churn=0.1, seed=2019
+    )
+    result = seminaive(churn.scenario.database, churn.scenario.program)
+    assert result.per_round_considered == (64, 200, 309, 202, 83, 19, 6, 0)
+    session = Session()
+    session.add_facts(churn.scenario.database)
+    session.compile(churn.scenario.program)
+    session.query("q(X,Y) :- mutual(X,Y).", rewrite="none").to_set()
+    matches = [session.apply(step).totals().matches for step in churn.steps]
+    assert matches == [319, 237, 294, 227, 289, 245]
 
 
 def test_a_non_ground_head_is_refused_before_the_first_round():
