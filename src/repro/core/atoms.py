@@ -45,15 +45,43 @@ class Atom:
     came from the parser (see :mod:`repro.core.spans`); it is excluded
     from equality and hashing — atoms built programmatically or derived
     by the engines simply carry ``span=None``.
+
+    The hash is computed once, at construction, and kept beside the
+    fields: sets and indexes of atoms hash every atom they touch, and
+    rehashing the terms on each visit was the dominant cost of
+    maintenance.  It is derived from the interned terms' identities, so
+    it is meaningful only in the process that computed it; a pickled
+    atom carries its fields alone and recomputes the hash on load.
     """
 
     predicate: str
     args: tuple[Term, ...]
     span: Optional[AtomSpan] = field(default=None, compare=False, repr=False)
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.args, tuple):
             object.__setattr__(self, "args", tuple(self.args))
+        object.__setattr__(self, "_hash", hash((self.predicate, self.args)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not Atom:
+            return NotImplemented
+        return (
+            self._hash == other._hash
+            and self.predicate == other.predicate
+            and self.args == other.args
+        )
+
+    def __reduce__(self):
+        if self.span is None:
+            return (Atom, (self.predicate, self.args))
+        return (Atom, (self.predicate, self.args, self.span))
 
     @property
     def arity(self) -> int:

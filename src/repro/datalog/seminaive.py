@@ -124,7 +124,7 @@ def seminaive_rounds(
         for index, staged, considered, batches in KernelEvaluator(
             instance, program
         ).rounds(max_rounds):
-            yield SemiNaiveRound(
+            event = SemiNaiveRound(
                 index=index,
                 staged=staged,
                 considered=considered,
@@ -132,6 +132,10 @@ def seminaive_rounds(
                 batches=batches,
                 exec_mode="kernel",
             )
+            # Hold no round's atoms while the next round runs.
+            del staged
+            yield event
+            del event
         return
     yield SemiNaiveRound(
         index=0, staged=tuple(database), considered=0, instance=instance
@@ -209,6 +213,7 @@ def seminaive(
         batches += event.batches
         per_round_considered.append(event.considered)
         per_round_derived.append(len(event.staged))
+        del event  # the round's atoms go before the next round runs
     assert instance is not None
     return SemiNaiveResult(
         instance=instance,

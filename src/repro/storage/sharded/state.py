@@ -39,8 +39,10 @@ __all__ = ["FixpointRecord", "SavedState", "StateDirectory",
            "program_fingerprint"]
 
 #: Bump when the pickle layout changes; mismatched checkpoints are
-#: ignored (cold start), never migrated.
-STATE_FORMAT = 1
+#: ignored (cold start), never migrated.  Format 2: terms pickle as
+#: ``Constant(value)`` calls that re-intern on load, atoms as
+#: ``Atom(predicate, args)`` calls that rehash on load.
+STATE_FORMAT = 2
 
 
 def program_fingerprint(compiled) -> str:
@@ -142,7 +144,9 @@ class StateDirectory:
             with open(self.state_file, "rb") as handle:
                 payload = pickle.load(handle)
         except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-                ImportError, IndexError):
+                ImportError, IndexError, TypeError):
+            # TypeError: an older format whose objects no longer
+            # construct the way it pickled them (format 1 terms).
             return None
         if not isinstance(payload, dict):
             return None

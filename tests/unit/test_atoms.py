@@ -1,8 +1,11 @@
 """Unit tests for atoms, positions, and schema inference."""
 
+from dataclasses import dataclass
+
 import pytest
 
 from repro.core.atoms import Atom, Position, atoms_variables, schema_of
+from repro.core.spans import AtomSpan, Span
 from repro.core.terms import Constant, Null, Variable
 
 X, Y = Variable("X"), Variable("Y")
@@ -43,6 +46,32 @@ class TestAtom:
         assert Atom("r", (X,)) == Atom("r", (X,))
         assert Atom("r", (X,)) != Atom("s", (X,))
         assert len({Atom("r", (X,)), Atom("r", (X,))}) == 1
+
+    def test_span_stays_out_of_equality_and_hash(self):
+        here = AtomSpan(Span.point(1, 1, 4))
+        there = AtomSpan(Span.point(7, 3, 4), (Span.point(7, 5),))
+        spanned = [Atom("r", (X, a), here), Atom("r", (X, a), there)]
+        plain = Atom("r", (X, a))
+        assert spanned[0] == spanned[1] == plain
+        assert hash(spanned[0]) == hash(spanned[1]) == hash(plain)
+        assert len({*spanned, plain}) == 1
+        assert Atom("r", (X, a), here) != Atom("r", (a, X), here)
+
+    def test_hash_is_computed_once(self):
+        calls = []
+
+        @dataclass(frozen=True, slots=True, eq=False)
+        class CountingNull(Null):
+            def __hash__(self):
+                calls.append(self.label)
+                return hash(self.label)
+
+        atom = Atom("r", (CountingNull(1), a))
+        assert calls == [1]
+        for _ in range(3):
+            hash(atom)
+            assert atom in {atom}
+        assert calls == [1]
 
     def test_str(self):
         assert str(Atom("r", (X, a))) == "r(X,a)"

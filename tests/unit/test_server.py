@@ -9,6 +9,7 @@ daemon + client over a real socket.
 import json
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -944,6 +945,22 @@ class TestWarmStart:
         result = second.query(FULL_QUERY)
         assert result.stats["from_cache"] is False
         assert result.answers == first.query(FULL_QUERY).answers
+
+    def test_format_1_checkpoint_restarts_cold(self, tmp_path):
+        # state_format1.pkl is what this test's program checkpointed
+        # before terms were interned: its terms pickled as bare
+        # ``__newobj__`` calls, which no longer construct.
+        fixture = Path(__file__).parent / "fixtures" / "state_format1.pkl"
+        (tmp_path / "state.pkl").write_bytes(fixture.read_bytes())
+
+        first = ReasoningService(PROGRAM, state_dir=tmp_path)
+        assert first.warm_started is False
+        assert ("a", "d") in first.query(FULL_QUERY).answers
+        first.apply("+edge(d, e).")  # rewrites the checkpoint
+
+        second = ReasoningService(PROGRAM, state_dir=tmp_path)
+        assert second.warm_started is True
+        assert ("a", "e") in second.query(FULL_QUERY).answers
 
     def test_no_state_dir_never_warm(self):
         service = ReasoningService(PROGRAM)
