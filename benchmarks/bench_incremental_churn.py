@@ -28,8 +28,7 @@ from __future__ import annotations
 import time
 
 from repro.api import Session
-from repro.benchsuite import generate_churn
-from repro.benchsuite.report import answer_digest
+from repro.benchsuite import answer_digest, generate_churn
 from repro.core.instance import Database
 from repro.datalog.seminaive import seminaive
 

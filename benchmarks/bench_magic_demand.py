@@ -32,9 +32,8 @@ from __future__ import annotations
 import time
 
 from repro.api import Session
-from repro.benchsuite import generate_churn
+from repro.benchsuite import answer_digest, generate_churn
 from repro.benchsuite.iwarded import generate_iwarded
-from repro.benchsuite.report import answer_digest
 from repro.core.program import Program
 from repro.lang.parser import parse_query
 

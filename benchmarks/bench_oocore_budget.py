@@ -30,7 +30,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.benchsuite.report import answer_digest
+from repro.benchsuite import answer_digest
 from repro.datalog.seminaive import seminaive
 from repro.lang.parser import parse_program, parse_query
 from repro.server import ReasoningService

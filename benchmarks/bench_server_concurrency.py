@@ -18,8 +18,7 @@ import random
 import threading
 import time
 
-from repro.benchsuite import generate_churn
-from repro.benchsuite.report import answer_digest
+from repro.benchsuite import answer_digest, generate_churn
 from repro.core.instance import Database
 from repro.datalog.seminaive import seminaive
 from repro.lang.parser import parse_query

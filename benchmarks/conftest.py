@@ -24,7 +24,7 @@ def write_json_result(name: str, payload) -> Path:
     """Archive one benchmark's raw numbers as JSON under ``results/``.
 
     The shared writer for every harness that emits a machine-readable
-    artifact (``BENCH_api.json``, ``BENCH_suite.json``, ...): one place
+    artifact (``BENCH_api.json``, ``BENCH_kernels.json``, ...): one place
     resolves the destination (file-relative, cwd-independent) and
     creates the directory.
     """

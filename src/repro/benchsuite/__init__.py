@@ -5,21 +5,17 @@ see DESIGN.md §5 — plus the Section 1.2 recursion-statistics analyzer."""
 from .chasebench import generate_chasebench
 from .churn import ChurnScenario, generate_churn
 from .dbpedia import example_33_program, generate_dbpedia
-from .harness import (
-    DEFAULT_ENGINES,
-    SCALES,
-    SUITES,
-    applicable_engines,
-    run_cell,
-    run_matrix,
-    suite_corpus,
-)
 from .ibench import generate_ibench
 from .industrial import generate_industrial
 from .iwarded import RECURSION_FLAVOURS, generate_iwarded
-from .report import CellResult, SuiteReport, answer_digest, check_agreement
-from .scenario import Scenario
-from .stats import RecursionStatistics, classify_corpus, default_corpus
+from .scenario import Scenario, answer_digest
+from .stats import (
+    SUITES,
+    RecursionStatistics,
+    classify_corpus,
+    default_corpus,
+    suite_corpus,
+)
 
 __all__ = [
     "Scenario",
@@ -35,15 +31,7 @@ __all__ = [
     "classify_corpus",
     "RecursionStatistics",
     "default_corpus",
-    "SCALES",
     "SUITES",
-    "DEFAULT_ENGINES",
     "suite_corpus",
-    "applicable_engines",
-    "run_cell",
-    "run_matrix",
-    "CellResult",
-    "SuiteReport",
     "answer_digest",
-    "check_agreement",
 ]

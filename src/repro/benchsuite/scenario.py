@@ -6,19 +6,40 @@ redistributable, so :mod:`repro.benchsuite` generates synthetic
 scenarios with the same structural features (**[SIM]**, DESIGN.md §5);
 every generated scenario carries its suite label and the recursion
 flavour it was planted with, so the E1 statistics can be validated
-against ground truth.
+against ground truth.  :func:`answer_digest` is how the benchmarks and
+agreement tests compare the answer sets engines return on them.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, Iterable, List, Tuple
 
 from ..core.instance import Database
 from ..core.program import Program
 from ..core.query import ConjunctiveQuery
 
-__all__ = ["Scenario"]
+__all__ = ["Scenario", "answer_digest"]
+
+
+def answer_digest(answers: Iterable[Tuple]) -> str:
+    """A content digest of a certain-answer set (order-independent).
+
+    Terms and rows are length-prefixed so the encoding is injective:
+    a constant containing ``,`` or a newline cannot make two different
+    answer sets collide into one digest (which would silently defeat
+    an agreement check).
+    """
+    rows = sorted(
+        ";".join(
+            f"{len(text)}:{text}"
+            for text in (str(term) for term in answer)
+        )
+        for answer in answers
+    )
+    canonical = "\n".join(f"{len(row)}#{row}" for row in rows)
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
 @dataclass

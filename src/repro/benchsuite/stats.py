@@ -12,12 +12,14 @@ membership and the Section 1.2 linearization), and
 :func:`default_corpus` builds a corpus whose *suite mixture* mirrors the
 benchmark families the paper lists; the E1 benchmark then checks that
 the measured fractions land in the reported bands.
+:func:`suite_corpus` is the small one-of-each-family corpus the
+cross-engine and cross-store agreement tests run over.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Dict, List, Sequence
 
 from ..analysis.linearization import linearize
 from ..analysis.piecewise import is_piecewise_linear
@@ -29,7 +31,26 @@ from .industrial import generate_industrial
 from .iwarded import generate_iwarded
 from .scenario import Scenario
 
-__all__ = ["RecursionStatistics", "classify_corpus", "default_corpus"]
+__all__ = [
+    "RecursionStatistics",
+    "SUITES",
+    "classify_corpus",
+    "default_corpus",
+    "suite_corpus",
+]
+
+#: The five benchmark families the paper surveys (PAPER.md §1.2).
+SUITES = ("iwarded", "ibench", "chasebench", "dbpedia", "industrial")
+
+#: Per-family generator sizes of :func:`suite_corpus`: small enough
+#: that every engine runs on every store in seconds.
+_SMOKE_SIZES: Dict[str, dict] = {
+    "iwarded": dict(vertices=8, edges=12),
+    "ibench": dict(primitives=4, rows_per_relation=5),
+    "chasebench": dict(entities=8),
+    "dbpedia": dict(classes=8, entities=10, properties=3),
+    "industrial": dict(companies=8, ownerships=12),
+}
 
 
 @dataclass
@@ -124,4 +145,63 @@ def default_corpus(base_seed: int = 2019, scale: int = 2) -> List[Scenario]:
         for flavour in ("psc", "nonpwl", "nonpwl"):
             scenarios.append(generate_industrial(seed=seed, flavour=flavour))
             seed += 1
+    return scenarios
+
+
+def suite_corpus(
+    *, base_seed: int = 2019, suites: Sequence[str] = SUITES
+) -> List[Scenario]:
+    """Deterministic smoke-sized scenarios from the five families.
+
+    Each family contributes piece-wise linear scenarios (so at least
+    the two proof-tree engines run — and must agree — on every one),
+    and the industrial family additionally contributes a full-Datalog
+    control scenario so the semi-naive engine has exact inputs too.
+    """
+    for suite in suites:
+        if suite not in SUITES:
+            raise ValueError(
+                f"unknown suite {suite!r}; choose from {', '.join(SUITES)}"
+            )
+    sizes = _SMOKE_SIZES
+    scenarios: List[Scenario] = []
+    if "iwarded" in suites:
+        scenarios.append(
+            generate_iwarded(
+                seed=base_seed, flavour="linear", **sizes["iwarded"]
+            )
+        )
+        scenarios.append(
+            generate_iwarded(
+                seed=base_seed + 1, flavour="pwl", **sizes["iwarded"]
+            )
+        )
+    if "ibench" in suites:
+        scenarios.append(
+            generate_ibench(
+                seed=base_seed + 2, add_target_recursion=True,
+                **sizes["ibench"],
+            )
+        )
+    if "chasebench" in suites:
+        scenarios.append(
+            generate_chasebench(
+                seed=base_seed + 3, recursion="linear", **sizes["chasebench"]
+            )
+        )
+    if "dbpedia" in suites:
+        scenarios.append(
+            generate_dbpedia(seed=base_seed + 4, **sizes["dbpedia"])
+        )
+    if "industrial" in suites:
+        scenarios.append(
+            generate_industrial(
+                seed=base_seed + 5, flavour="psc", **sizes["industrial"]
+            )
+        )
+        scenarios.append(
+            generate_industrial(
+                seed=base_seed + 6, flavour="control", **sizes["industrial"]
+            )
+        )
     return scenarios

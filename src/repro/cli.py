@@ -25,11 +25,6 @@ The everyday workflow of the library, now built on the
   report (strata maintained, rederivations, fallbacks) is printed;
 * ``stats`` — regenerate the Section 1.2 recursion statistics over the
   synthetic benchmark corpus;
-* ``bench`` — run the scenario-matrix benchmark suite (all five
-  families × engines × storage backends) through the session layer,
-  cross-check answers across cells, and write one consolidated
-  ``BENCH_suite.json`` (``--scale``, ``--suite``, ``--engine``,
-  ``--store``, ``--out``);
 * ``rewrite FILE --query ...`` — the Theorem 6.3 / Lemma 6.4 rewriting;
 * ``serve FILE`` — run the concurrent reasoning daemon
   (:mod:`repro.server`): many clients over newline-delimited JSON,
@@ -37,16 +32,14 @@ The everyday workflow of the library, now built on the
   SIGTERM/SIGINT drain gracefully;
 * ``client query|update|stats|ping|shutdown`` — talk to a running
   server with :class:`repro.server.ReasoningClient`;
-* ``trace generate|replay|summarize`` — the workload harness
-  (:mod:`repro.workloads`): generate a seeded, zipf-skewed NDJSON
-  trace over a scenario family, replay it closed- or open-loop
-  against an in-process session/service or a live server (latency
-  percentiles, answer verification against per-version ground truth),
-  or summarize a trace file.
+* ``trace generate|summarize`` — seeded workload traces
+  (:mod:`repro.workloads`): generate a zipf-skewed NDJSON trace over
+  a scenario family, or summarize a trace file.
 
 Exit codes: 0 success, 1 lint findings (errors, or warnings under
 ``--strict``), 2 engine/usage errors (printed as ``repro: error:
-...``, no traceback), 3 truncation/disagreement, 130 on interrupt.
+...``, no traceback), 3 truncation or a failed update batch, 130 on
+interrupt.
 
 Every subcommand accepts ``--store`` naming a fact-storage backend
 (see :data:`repro.storage.BACKENDS`); an unknown name fails fast with
@@ -77,15 +70,10 @@ from .storage import BACKENDS
 __all__ = ["main", "build_parser"]
 
 
-#: Mirror of ``repro.benchsuite.harness`` constants (SCALES keys and
-#: SUITES), kept static here so building the parser never imports the
-#: harness and its five generator modules; a unit test pins the mirror
-#: to the source of truth.
-BENCH_SCALES = ("smoke", "small", "medium")
-BENCH_SUITES = ("iwarded", "ibench", "chasebench", "dbpedia", "industrial")
-
 #: Mirror of ``repro.workloads.generate`` constants (MIXES keys and
-#: TRACE_FAMILIES), static for the same reason; pinned by the same test.
+#: TRACE_FAMILIES), kept static here so building the parser never
+#: imports the generators; a unit test pins the mirror to the source of
+#: truth.
 TRACE_MIXES = ("read-heavy", "churn", "lookup-heavy")
 TRACE_FAMILIES = ("churn",)
 
@@ -121,28 +109,12 @@ def _byte_size(value: str) -> int:
             break
     try:
         parsed = int(float(text) * factor)
-    except ValueError:
+    except (ValueError, OverflowError):  # OverflowError: "inf", "1e400"
         raise argparse.ArgumentTypeError(
             f"not a byte size: {value!r} (use e.g. 8000000, 8m, 2g)"
         )
     if parsed < 1:
         raise argparse.ArgumentTypeError(f"must be positive, got {value!r}")
-    return parsed
-
-
-def _replay_rate(value: str):
-    """argparse type for ``trace replay --rate``: ops/sec or 'trace'."""
-    if value == "trace":
-        return value
-    try:
-        parsed = float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"not a rate: {value!r} (ops/sec number, or 'trace' to "
-            "honour the recorded schedule)"
-        )
-    if parsed <= 0:
-        raise argparse.ArgumentTypeError(f"rate must be > 0, got {parsed}")
     return parsed
 
 
@@ -345,47 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--scale", type=int, default=2)
     stats.add_argument("--seed", type=int, default=2019)
 
-    bench = commands.add_parser(
-        "bench",
-        help="run the scenario-matrix benchmark suite (all five "
-             "families × engines × storage backends) and write one "
-             "consolidated BENCH_suite.json",
-    )
-    bench.add_argument(
-        "--scale", default="smoke", choices=BENCH_SCALES,
-        help="corpus size / engine budget knob (default: smoke)",
-    )
-    bench.add_argument(
-        "--suite", action="append", default=None, choices=BENCH_SUITES,
-        metavar="SUITE",
-        help="benchmark family to include (repeatable; default: all of "
-             f"{', '.join(BENCH_SUITES)})",
-    )
-    bench.add_argument(
-        "--engine", action="append", default=None, choices=ENGINES,
-        metavar="ENGINE",
-        help="engine to run (repeatable; default: all of "
-             f"{', '.join(ENGINES)})",
-    )
-    bench.add_argument(
-        "--store", action="append", default=None, type=_store_backend,
-        metavar="BACKEND",
-        help="storage backend to run (repeatable; default: all of "
-             f"{', '.join(BACKENDS)})",
-    )
-    bench.add_argument(
-        "--queries", type=_positive_int, default=1, metavar="N",
-        help="queries per scenario (default 1)",
-    )
-    bench.add_argument("--seed", type=int, default=2019)
-    bench.add_argument(
-        "--out", type=Path,
-        default=Path("benchmarks/results/BENCH_suite.json"),
-        help="where to write the consolidated JSON artifact "
-             "(default: benchmarks/results/BENCH_suite.json, relative "
-             "to the working directory)",
-    )
-
     update = commands.add_parser(
         "update",
         parents=[store_options, plan_options(rewrite_default="none")],
@@ -514,8 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace = commands.add_parser(
         "trace",
-        help="generate, replay, or summarize workload traces "
-             "(repro.workloads)",
+        help="generate or summarize workload traces (repro.workloads)",
     )
     trace_ops = trace.add_subparsers(dest="trace_command", required=True)
 
@@ -545,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace_generate.add_argument(
         "--rate", type=float, default=200.0, metavar="OPS_PER_SEC",
         help="recorded arrival schedule: op i at i/rate seconds "
-             "(default 200; only open-loop replay reads it)",
+             "(default 200)",
     )
     trace_generate.add_argument(
         "--vertices", type=_positive_int, default=64, metavar="N",
@@ -563,49 +493,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", default="-", metavar="PATH",
         help="trace file to write; '-' prints NDJSON to stdout "
              "(default)",
-    )
-
-    trace_replay = trace_ops.add_parser(
-        "replay",
-        parents=[store_options, plan_options()],
-        help="replay a trace file and report latency percentiles, "
-             "throughput, and answer-verification results",
-    )
-    trace_replay.add_argument("file", type=Path, help="trace file (NDJSON)")
-    trace_replay.add_argument(
-        "--target", default="service",
-        choices=("session", "service", "server"),
-        help="what to drive: an in-process Session (lock-serialized "
-             "baseline), an in-process snapshot-isolated "
-             "ReasoningService, or a live server over sockets "
-             "(default: service)",
-    )
-    trace_replay.add_argument(
-        "--host", default="127.0.0.1",
-        help="server address for --target server",
-    )
-    trace_replay.add_argument(
-        "--port", type=int, default=7777,
-        help="server port for --target server (default 7777)",
-    )
-    trace_replay.add_argument(
-        "--workers", type=_positive_int, default=4, metavar="N",
-        help="concurrent replay workers (default 4)",
-    )
-    trace_replay.add_argument(
-        "--rate", type=_replay_rate, default=None, metavar="OPS_PER_SEC",
-        help="open-loop pacing: a target ops/sec, or 'trace' to honour "
-             "each op's recorded schedule; omit for closed-loop "
-             "(as-fast-as-possible)",
-    )
-    trace_replay.add_argument(
-        "--no-verify", action="store_true",
-        help="skip ground-truth answer verification (pure load run)",
-    )
-    trace_replay.add_argument(
-        "--json", action="store_true",
-        help="print the full replay result as JSON instead of the "
-             "human summary",
     )
 
     trace_summarize = trace_ops.add_parser(
@@ -911,63 +798,6 @@ def _cmd_update(args, out, stdin) -> int:
     return 3 if failed else 0
 
 
-def _cmd_bench(args, out) -> int:
-    """The scenario-matrix suite: one command, one JSON artifact."""
-    from .benchsuite.harness import SUITES, run_matrix
-
-    def progress(cell):
-        line = (
-            f"{cell.suite}/{cell.scenario}  {cell.engine}×{cell.store}  "
-            f"{cell.status}"
-        )
-        if cell.status == "ok":
-            line += (
-                f"  {cell.seconds:.3f}s  {cell.answers} answer(s)  "
-                f"{cell.resident_bytes / 1024:.0f} KiB resident"
-            )
-        print(line, file=out)
-
-    # dict.fromkeys: repeatable flags dedupe while keeping order, so
-    # `--engine pwl --engine pwl` doesn't run every cell twice.
-    report = run_matrix(
-        engines=tuple(dict.fromkeys(args.engine)) if args.engine else ENGINES,
-        stores=tuple(dict.fromkeys(args.store)) if args.store else BACKENDS,
-        scale=args.scale,
-        base_seed=args.seed,
-        suites=tuple(dict.fromkeys(args.suite)) if args.suite else SUITES,
-        queries_per_scenario=args.queries,
-        progress=progress,
-    )
-    path = report.write(args.out)
-    ok = len(report.ok_cells)
-    print(
-        f"-- {len(report.cells)} cells ({ok} ok), "
-        f"{report.agreement_groups_checked} (scenario, query) group(s) "
-        f"cross-checked, {len(report.disagreements)} disagreement(s)",
-        file=out,
-    )
-    print(f"-- wrote {path}", file=out)
-    for record in report.disagreements:
-        print(f"DISAGREEMENT: {record}", file=out)
-    for cell in report.error_cells:
-        print(
-            f"ERROR CELL: {cell.suite}/{cell.scenario} "
-            f"{cell.engine}×{cell.store}: {cell.detail}",
-            file=out,
-        )
-    if ok == 0:
-        # A matrix where every cell was skipped or failed measured
-        # nothing — a silent green here would let a typo'd slice pass
-        # CI without a single number behind it.
-        print(
-            "-- no successful cells: the selected suites/engines/stores "
-            "measured nothing",
-            file=out,
-        )
-        return 3
-    return 0 if not report.disagreements and not report.error_cells else 3
-
-
 def _cmd_serve(args, out) -> int:
     """Run the reasoning daemon until SIGTERM/SIGINT, then drain."""
     import signal
@@ -1125,7 +955,7 @@ def _cmd_client(args, out, stdin) -> int:
 
 
 def _cmd_trace(args, out) -> int:
-    """The workload harness: generate / replay / summarize traces."""
+    """Seeded workload traces: generate / summarize."""
     import json
 
     from .workloads import Trace, generate_trace
@@ -1156,59 +986,11 @@ def _cmd_trace(args, out) -> int:
         )
         return 0
 
-    # Trace.load wraps unreadable/malformed files in TraceError, which
-    # main() renders as the one-line exit-2 diagnostic.
+    # summarize.  Trace.load wraps unreadable/malformed files in
+    # TraceError, which main() renders as the one-line exit-2 diagnostic.
     trace = Trace.load(args.file)
-
-    if args.trace_command == "summarize":
-        print(json.dumps(trace.summary(), indent=2, default=str), file=out)
-        return 0
-
-    # replay
-    from .workloads import (
-        ClientTarget,
-        ServiceTarget,
-        SessionTarget,
-        materialize_scenario,
-        replay_trace,
-    )
-
-    engine_opts = dict(method=args.method, rewrite=args.rewrite)
-    if args.target == "server":
-        try:
-            target = ClientTarget(args.host, args.port, **engine_opts)
-        except OSError as error:
-            print(
-                f"repro: error: cannot connect to {args.host}:{args.port}: "
-                f"{error}",
-                file=sys.stderr,
-            )
-            return 2
-        scenario = None if args.no_verify else materialize_scenario(trace)
-    else:
-        scenario = materialize_scenario(trace)
-        factory = (
-            SessionTarget if args.target == "session" else ServiceTarget
-        )
-        target = factory.for_scenario(
-            scenario, store=_resolve_store(args), **engine_opts
-        )
-    try:
-        result = replay_trace(
-            trace,
-            target,
-            workers=args.workers,
-            rate=args.rate,
-            verify=not args.no_verify,
-            scenario=scenario,
-        )
-    finally:
-        target.close()
-    if args.json:
-        print(json.dumps(result.as_dict(), indent=2, default=str), file=out)
-    else:
-        print(result.describe(), file=out)
-    return 0 if result.ok else 3
+    print(json.dumps(trace.summary(), indent=2, default=str), file=out)
+    return 0
 
 
 def _cmd_stats(args, out) -> int:
@@ -1241,7 +1023,6 @@ def _dispatch(args, out, stdin) -> int:
         "answer": _cmd_answer,
         "chase": _cmd_chase,
         "stats": _cmd_stats,
-        "bench": _cmd_bench,
         "rewrite": _cmd_rewrite,
         "serve": _cmd_serve,
         "trace": _cmd_trace,

@@ -11,7 +11,7 @@ Thread-safe: a lock serializes frames, so one client may be shared —
 though one connection per thread is the better pattern, and what the
 concurrency benchmark does.
 
-Two resilience affordances for long-lived callers (the replay driver
+Two resilience affordances for long-lived callers (a load driver
 holds connections across thousands of ops):
 
 * every operation takes ``timeout=`` to bound *that* round-trip —

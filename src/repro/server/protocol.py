@@ -42,7 +42,7 @@ __all__ = [
 OPS = ("query", "update", "lint", "stats", "ping", "shutdown")
 
 #: The longest request line the daemon buffers, newline included: far
-#: above any frame the CLI, the replay harness or the e2e driver sends
+#: above any frame the CLI, the client library or the e2e driver sends
 #: (the largest is a ``lint`` op carrying a program's text), and a bound
 #: on what a client that never sends a newline can make it hold.
 MAX_REQUEST_BYTES = 16 * 1024 * 1024
@@ -95,6 +95,9 @@ def decode_request(line: str) -> dict:
         request = json.loads(line)
     except json.JSONDecodeError as error:
         raise ProtocolError(f"not valid JSON: {error}") from None
+    except RecursionError:
+        # A frame like "[[[[..." nests past the interpreter's limit.
+        raise ProtocolError("JSON nested too deeply") from None
     if not isinstance(request, dict):
         raise ProtocolError("request must be a JSON object")
     op = request.get("op")

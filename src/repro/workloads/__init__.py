@@ -1,14 +1,13 @@
-"""repro.workloads — trace-record/replay load harness.
+"""repro.workloads — seeded, skew-shaped traffic for the reasoning engine.
 
-Reproducible, skew-shaped traffic for the reasoning engine: a versioned
-NDJSON trace schema (:mod:`.trace`), seeded zipfian generators over
-benchsuite key spaces (:mod:`.generate`), closed/open-loop replay
-drivers with per-op latency accounting and ground-truth answer
-verification (:mod:`.replay`), and the shared log-bucket latency
-histogram (:mod:`.latency`) the benchmarks report percentiles from.
+A versioned NDJSON trace schema (:mod:`.trace`), seeded zipfian
+generators over benchsuite key spaces (:mod:`.generate`), and the
+shared log-bucket latency histogram (:mod:`.latency`) the benchmarks
+report percentiles from.  The end-to-end benchmark
+(``benchmarks/e2e/``) builds its serving op lists from
+:func:`generate_trace` and :func:`materialize_scenario`.
 
-``python -m repro trace generate|replay|summarize`` is the CLI surface;
-``benchmarks/bench_trace_replay.py`` the measurement matrix.
+``python -m repro trace generate|summarize`` is the CLI surface.
 """
 
 from .generate import (
@@ -19,23 +18,12 @@ from .generate import (
     materialize_scenario,
 )
 from .latency import LatencyHistogram
-from .replay import (
-    ClientTarget,
-    ReplayResult,
-    ServiceTarget,
-    SessionTarget,
-    replay_trace,
-)
 from .trace import OP_KINDS, TRACE_SCHEMA, Trace, TraceError, TraceOp
 
 __all__ = [
-    "ClientTarget",
     "LatencyHistogram",
     "MIXES",
     "OP_KINDS",
-    "ReplayResult",
-    "ServiceTarget",
-    "SessionTarget",
     "TRACE_FAMILIES",
     "TRACE_SCHEMA",
     "Trace",
@@ -44,5 +32,4 @@ __all__ = [
     "ZipfianSampler",
     "generate_trace",
     "materialize_scenario",
-    "replay_trace",
 ]

@@ -12,9 +12,10 @@ byte-identical trace.
 
 Updates are generated *statefully*: the generator tracks the live edge
 set, so every retraction targets a present fact and every insertion an
-absent one.  Replay therefore admits every update batch as effective,
+absent one.  A server therefore admits every update batch as effective,
 which keeps the trace-order → EDB-version mapping exact — the property
-the replay driver's ground-truth verification stands on.
+the end-to-end benchmark's oracle (``benchmarks/e2e/oracle.py``) stands
+on when it checks each read against the version it was admitted under.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ MIXES: Dict[str, Dict[str, float]] = {
 }
 
 #: Scenario families traces can be generated over (and re-materialized
-#: from, for replay ground truth).  Only the churn family ships a
+#: from, for ground truth).  Only the churn family ships a
 #: maintainable update model today; read-only families would slot in
 #: here with an empty update fraction.
 TRACE_FAMILIES = ("churn",)
@@ -123,14 +124,14 @@ def materialize_scenario(trace: Trace) -> Scenario:
     """Rebuild the scenario a trace was generated over.
 
     The trace header records the family and generator parameters, so
-    replay (and its ground-truth verification) reconstructs the same
+    a consumer (and its ground-truth check) reconstructs the same
     program and base EDB from the trace file alone.
     """
     generator = trace.meta.get("generator")
     if not isinstance(generator, dict):
         raise TraceError(
             "trace meta carries no 'generator' record; cannot rebuild "
-            "the scenario (replay needs an explicit scenario=)"
+            "the scenario"
         )
     try:
         return _base_scenario(
@@ -171,8 +172,7 @@ def generate_trace(
     One seeded rng drives every choice — op kind, key rank, query
     shape, edge churn — in a fixed order, so the same arguments always
     produce the byte-identical NDJSON dump.  ``rate`` only stamps the
-    ``at`` schedule (op ``i`` at ``i/rate`` seconds) for the open-loop
-    replay driver; closed-loop replay ignores it.
+    recorded ``at`` schedule (op ``i`` at ``i/rate`` seconds).
     """
     if ops < 1:
         raise ValueError(f"ops must be >= 1, got {ops}")

@@ -1,9 +1,8 @@
 """Shared latency accounting: a log-bucketed histogram.
 
-Every perf artifact in the repo that reports percentiles goes through
-:class:`LatencyHistogram`, so "p99" means the same thing in
-``BENCH_replay.json`` as in ``BENCH_server.json``: nearest-rank over
-geometric buckets, clamped to the observed min/max.
+The benchmark artifacts that report percentiles (``BENCH_server.json``)
+go through :class:`LatencyHistogram`, so "p99" means one thing:
+nearest-rank over geometric buckets, clamped to the observed min/max.
 
 The buckets are geometric — bucket 0 is ``[0, base)`` and bucket *i*
 covers ``[base·g^(i-1), base·g^i)`` with ``base`` one microsecond and
@@ -11,9 +10,9 @@ covers ``[base·g^(i-1), base·g^i)`` with ``base`` one microsecond and
 bounded (≤ ~9% with the default growth) regardless of whether the
 samples are microsecond point lookups or second-long saturations, while
 the storage stays a handful of integer counters instead of one float
-per observation.  Recording is O(1) and thread-safe: replay workers and
-benchmark reader threads share one instance without coordination beyond
-the internal lock.
+per observation.  Recording is O(1) and thread-safe: benchmark reader
+threads share one instance without coordination beyond the internal
+lock.
 """
 
 from __future__ import annotations

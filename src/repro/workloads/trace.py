@@ -1,10 +1,11 @@
-"""The versioned NDJSON trace schema: recorded op streams for replay.
+"""The versioned NDJSON trace schema: recorded op streams.
 
-A trace is the unit of workload exchange — one file, replayable against
-any engine × store × rewrite × exec cell (or a live server) by
-:mod:`repro.workloads.replay`.  The on-disk form is newline-delimited
-JSON: a header record naming the schema version and carrying the
-generator's metadata, then one record per timestamped operation::
+A trace is the unit of workload exchange — one file holding an op
+stream and the generator record that rebuilds the scenario it runs
+over (:func:`repro.workloads.materialize_scenario`).  The on-disk form
+is newline-delimited JSON: a header record naming the schema version
+and carrying the generator's metadata, then one record per timestamped
+operation::
 
     {"meta": {...}, "schema": "repro/trace/v1"}
     {"at": 0.0, "index": 0, "key": "n3", "kind": "query",
@@ -55,10 +56,10 @@ class TraceError(ValueError):
 class TraceOp:
     """One timestamped operation of a recorded workload.
 
-    ``at`` is the op's scheduled offset (seconds from trace start) —
-    the open-loop replay driver paces against it; closed-loop replay
-    ignores it.  ``key`` records which skew-sampled key produced the
-    op, for observability only (summaries report key concentration).
+    ``at`` is the op's scheduled offset (seconds from trace start),
+    the recorded arrival schedule.  ``key`` records which skew-sampled
+    key produced the op, for observability only (summaries report key
+    concentration).
     """
 
     index: int
@@ -228,8 +229,8 @@ class Trace:
         """Deep validation: every query parses, every delta parses.
 
         Structural validation happens on load; this pass additionally
-        runs the language parsers, so a replay never discovers a typo'd
-        atom halfway through a million-op stream.
+        runs the language parsers, so a consumer never discovers a
+        typo'd atom halfway through a million-op stream.
         """
         from ..incremental import ChangeSet
         from ..lang.parser import parse_query

@@ -7,7 +7,7 @@ Two contracts the CI lint job enforces:
   ontology example's existential rules are the point);
 * every benchsuite generator family emits programs free of
   error-severity findings at smoke scale — the scenarios the
-  benchmark matrix runs are well-formed by construction.
+  cross-engine agreement tests run are well-formed by construction.
 """
 
 from pathlib import Path
@@ -41,7 +41,7 @@ def test_example_is_strict_clean(path):
 
 @pytest.mark.parametrize(
     "scenario",
-    suite_corpus("smoke"),
+    suite_corpus(),
     ids=lambda sc: f"{sc.suite}-{sc.name}",
 )
 def test_benchsuite_generators_emit_error_free_programs(scenario):
@@ -51,7 +51,7 @@ def test_benchsuite_generators_emit_error_free_programs(scenario):
 
 @pytest.mark.parametrize(
     "scenario",
-    suite_corpus("smoke"),
+    suite_corpus(),
     ids=lambda sc: f"{sc.suite}-{sc.name}",
 )
 def test_benchsuite_queries_lint_with_program(scenario):

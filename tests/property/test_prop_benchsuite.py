@@ -5,12 +5,11 @@ generators:
 
 * **Determinism** — the same seed must yield a byte-identical scenario
   (program text, database contents, queries) for every family; without
-  it no ``BENCH_suite.json`` number is reproducible and no cross-run
-  comparison is meaningful.
+  it no benchmark number is reproducible and no cross-run comparison
+  is meaningful.
 * **Honest planting** — ``Scenario.planted_recursion`` must agree with
   what the package's own analyzers measure, for any seed; the E1
-  statistics and the harness's engine-applicability gate both trust
-  that label.
+  statistics trust that label.
 """
 
 from hypothesis import given, settings
@@ -94,8 +93,8 @@ def test_planted_recursion_matches_analyzers(seed):
 @settings(max_examples=10, deadline=None)
 @given(seed=seeds)
 def test_harness_corpus_is_deterministic(seed):
-    first = suite_corpus("smoke", base_seed=seed)
-    second = suite_corpus("smoke", base_seed=seed)
+    first = suite_corpus(base_seed=seed)
+    second = suite_corpus(base_seed=seed)
     assert [_fingerprint(s) for s in first] == [
         _fingerprint(s) for s in second
     ]

@@ -24,9 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import Session
-from repro.benchsuite.churn import generate_churn
-from repro.benchsuite.harness import suite_corpus
-from repro.benchsuite.report import answer_digest
+from repro.benchsuite import answer_digest, generate_churn, suite_corpus
 from repro.core.atoms import Atom
 from repro.core.program import Program
 from repro.core.terms import Constant, Variable
@@ -216,7 +214,7 @@ def _family_scenarios(seed):
     churn = generate_churn(
         vertices=16, edges=24, clusters=4, steps=0, seed=seed
     ).scenario
-    return [*suite_corpus("smoke", base_seed=seed), churn]
+    return [*suite_corpus(base_seed=seed), churn]
 
 
 @given(seed=st.integers(0, 10**6))

@@ -1,5 +1,6 @@
 """Unit tests for the command-line interface."""
 
+import argparse
 import io
 
 import pytest
@@ -96,78 +97,8 @@ class TestStats:
         assert "piece-wise linear total" in output
 
 
-class TestBench:
-    def test_choice_mirrors_match_harness(self):
-        # The parser's static choices must track the harness constants.
-        from repro.benchsuite.harness import SCALES, SUITES
-        from repro.cli import BENCH_SCALES, BENCH_SUITES
-
-        assert BENCH_SCALES == tuple(SCALES)
-        assert BENCH_SUITES == SUITES
-
-    def test_trace_mirrors_match_workloads(self):
-        from repro.cli import TRACE_FAMILIES, TRACE_MIXES
-        from repro.workloads import MIXES
-        from repro.workloads import TRACE_FAMILIES as WORKLOAD_FAMILIES
-
-        assert TRACE_MIXES == tuple(MIXES)
-        assert TRACE_FAMILIES == WORKLOAD_FAMILIES
-
-    def test_matrix_subcommand_writes_artifact(self, tmp_path):
-        import json
-
-        out_path = tmp_path / "results" / "BENCH_suite.json"
-        code, output = run(
-            [
-                "bench", "--scale", "smoke",
-                "--suite", "industrial",
-                "--engine", "pwl", "--engine", "ward",
-                "--store", "instance", "--store", "columnar",
-                "--out", str(out_path),
-            ]
-        )
-        assert code == 0
-        assert "0 disagreement(s)" in output
-        assert f"wrote {out_path}" in output
-        payload = json.loads(out_path.read_text())
-        assert payload["scale"] == "smoke"
-        assert payload["suites"] == ["industrial"]
-        assert {c["engine"] for c in payload["cells"]} == {"pwl", "ward"}
-        assert {c["store"] for c in payload["cells"]} == {
-            "instance", "columnar"
-        }
-        assert all(c["status"] == "ok" for c in payload["cells"])
-
-    def test_rejects_unknown_engine_and_store(self, tmp_path):
-        with pytest.raises(SystemExit):
-            run(["bench", "--engine", "warp"])
-        with pytest.raises(SystemExit):
-            run(["bench", "--store", "ram"])
-
-    def test_rejects_nonpositive_queries(self, tmp_path):
-        # argparse-level rejection: usage error, nothing runs.
-        with pytest.raises(SystemExit):
-            run(
-                ["bench", "--queries", "0",
-                 "--out", str(tmp_path / "b.json")]
-            )
-
-    def test_vacuous_matrix_fails(self, tmp_path):
-        # Every iwarded cell is skipped for the datalog engine (the
-        # programs have existentials): measuring nothing must not exit 0.
-        code, output = run(
-            [
-                "bench", "--scale", "smoke", "--suite", "iwarded",
-                "--engine", "datalog", "--store", "instance",
-                "--out", str(tmp_path / "b.json"),
-            ]
-        )
-        assert code == 3
-        assert "no successful cells" in output
-
-
 class TestTrace:
-    """The workload-harness subcommand: generate / replay / summarize."""
+    """The trace subcommand: generate / summarize."""
 
     GENERATE = [
         "trace", "generate", "--ops", "40", "--seed", "11",
@@ -203,62 +134,26 @@ class TestTrace:
         _, second = run(self.GENERATE)
         assert first == second
 
-    def test_replay_session_and_service(self, tmp_path):
-        path = tmp_path / "t.ndjson"
-        run(self.GENERATE + ["--out", str(path)])
-        for target in ("session", "service"):
-            code, output = run(
-                ["trace", "replay", str(path), "--target", target,
-                 "--workers", "2"]
-            )
-            assert code == 0, output
-            assert "0 mismatch(es)" in output
-            assert "0 error(s)" in output
+    def test_trace_mirrors_match_workloads(self):
+        # The parser's static choices must track the generator constants.
+        from repro.cli import TRACE_FAMILIES, TRACE_MIXES
+        from repro.workloads import MIXES
+        from repro.workloads import TRACE_FAMILIES as WORKLOAD_FAMILIES
 
-    def test_replay_json_output(self, tmp_path):
-        import json
-
-        path = tmp_path / "t.ndjson"
-        run(self.GENERATE + ["--out", str(path)])
-        code, output = run(
-            ["trace", "replay", str(path), "--json", "--workers", "2"]
-        )
-        assert code == 0
-        payload = json.loads(output)
-        assert payload["ok"] is True
-        assert payload["ops_run"] == 40
-        assert "p99_ms" in payload["latency"]["all"]
-
-    def test_replay_open_loop(self, tmp_path):
-        path = tmp_path / "t.ndjson"
-        run(self.GENERATE + ["--out", str(path), "--rate", "2000"])
-        code, output = run(
-            ["trace", "replay", str(path), "--rate", "trace",
-             "--workers", "2"]
-        )
-        assert code == 0
-        assert "lateness" in output
-
-    def test_replay_missing_file_errors(self, tmp_path):
-        code, _ = run(
-            ["trace", "replay", str(tmp_path / "absent.ndjson")]
-        )
-        assert code == 2  # one-line diagnostic, no traceback
+        assert TRACE_MIXES == tuple(MIXES)
+        assert TRACE_FAMILIES == WORKLOAD_FAMILIES
 
     def test_rejects_bad_rate_and_mix(self):
         with pytest.raises(SystemExit):
             run(["trace", "generate", "--mix", "write-only"])
         with pytest.raises(SystemExit):
-            run(["trace", "replay", "t.ndjson", "--rate", "-2"])
+            run(["trace", "generate", "--rate", "fast"])
 
-    def test_replay_server_connection_refused(self, tmp_path):
-        path = tmp_path / "t.ndjson"
-        run(self.GENERATE + ["--out", str(path)])
+    def test_summarize_missing_file_errors(self, tmp_path):
         code, _ = run(
-            ["trace", "replay", str(path), "--target", "server",
-             "--port", "1"]  # nothing listens on port 1
+            ["trace", "summarize", str(tmp_path / "absent.ndjson")]
         )
-        assert code == 2
+        assert code == 2  # one-line diagnostic, no traceback
 
 
 class TestQuery:
@@ -385,7 +280,6 @@ PLANNING_SUBCOMMANDS = {
     "query": ["query", "FILE", "--query", "q(X,Y) :- t(X,Y)."],
     "update": ["update", "FILE", "--changes", "nope.delta"],
     "client query": ["client", "query", "q(X,Y) :- t(X,Y)."],
-    "trace replay": ["trace", "replay", "FILE"],
 }
 
 
@@ -766,6 +660,10 @@ class TestShardedStoreFlags:
             _byte_size("0")
         with pytest.raises(Exception):
             _byte_size("12q")
+        # Overflowing floats are usage errors, not OverflowError tracebacks.
+        for value in ("inf", "1e400"):
+            with pytest.raises(argparse.ArgumentTypeError):
+                _byte_size(value)
 
 
 class TestClientMemoryStats:

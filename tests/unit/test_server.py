@@ -365,6 +365,8 @@ class TestProtocol:
             decode_request('["a", "list"]')
         with pytest.raises(ProtocolError):
             decode_request('{"op": "evaporate"}')
+        with pytest.raises(ProtocolError, match="nested too deeply"):
+            decode_request("[" * 100_000)
         assert decode_request('{"op": "ping"}') == {"op": "ping"}
 
     def test_roundtrip_query(self):
@@ -656,6 +658,20 @@ class TestDaemonAndClient:
                 line = client._reader.readline()
             assert json.loads(line)["ok"] is False
             assert client.ping() == 0
+
+    def test_deeply_nested_frame_gets_a_reply_and_the_connection_lives(
+        self, server
+    ):
+        import socket
+
+        with socket.create_connection(server.address, timeout=30) as raw:
+            with raw.makefile("rb") as replies:
+                raw.sendall(b"[" * 100_000 + b"\n")
+                reply = json.loads(replies.readline())
+                raw.sendall(b'{"op": "ping"}\n')
+                pong = json.loads(replies.readline())
+        assert reply["ok"] is False and reply["kind"] == "ProtocolError"
+        assert pong["ok"] is True and pong["op"] == "ping"
 
     def test_oversized_request_line_is_refused_and_the_socket_closed(
         self, server

@@ -570,7 +570,7 @@ class TestStateDirectory:
 
     def test_fingerprint_of_in_memory_program(self):
         # No source text (the embeddable path: benchmarks and the
-        # workload harness hand over generated Program objects) — the
+        # trace generators hand over generated Program objects) — the
         # fallback digests the rules themselves.
         from repro.api import compile_program
 

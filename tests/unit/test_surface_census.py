@@ -5,9 +5,11 @@ three stores.  How a rule runs (kernels or the interpreter) follows
 from where its rows live and is reported, never accepted.  Requests
 come in through one door: one ``certain_answers``, defined in
 ``repro.api``.  A knob or a second facade re-added anywhere along the
-path fails here rather than in review.
+path fails here rather than in review.  So does a second benchmark
+system: the CLI has no ``bench`` and no ``trace replay``.
 """
 
+import argparse
 import inspect
 import os
 import subprocess
@@ -72,14 +74,12 @@ def test_network_is_not_a_method_anywhere(capsys):
     assert response["error"] == "unknown method 'network'"
     from repro.cli import build_parser
 
-    for argv in (
-        ["answer", "program.vada", "--query", "q(X) :- t(X,Y).",
-         "--method", "network"],
-        ["bench", "--engine", "network"],
-    ):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(argv)
-        assert "invalid choice: 'network'" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(
+            ["answer", "program.vada", "--query", "q(X) :- t(X,Y).",
+             "--method", "network"]
+        )
+    assert "invalid choice: 'network'" in capsys.readouterr().err
 
 
 def test_a_max_events_frame_is_refused_with_the_valid_options():
@@ -175,6 +175,52 @@ def test_root_names_resolve_lazily_in_a_fresh_process():
         [sys.executable, "-c", code], check=True, timeout=60,
         env={**os.environ, "PYTHONPATH": source_root},
     )
+
+
+@pytest.mark.parametrize(
+    "argv, rejected",
+    [
+        (["bench", "--scale", "smoke"], "'bench'"),
+        (["trace", "replay", "trace.ndjson"], "'replay'"),
+    ],
+)
+def test_one_benchmark_system(argv, rejected, capsys):
+    # The scenario matrix and the trace replayer are gone: the e2e
+    # contract measures, tier-1 tests check agreement.
+    from repro.cli import build_parser
+
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv)
+    assert f"invalid choice: {rejected}" in capsys.readouterr().err
+
+
+def test_trace_subcommands_and_the_workload_and_benchsuite_exports():
+    from repro.cli import build_parser
+
+    import repro.benchsuite
+    import repro.workloads
+
+    (commands,) = (
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    (trace_ops,) = (
+        action for action in commands.choices["trace"]._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    assert tuple(trace_ops.choices) == ("generate", "summarize")
+    assert sorted(repro.workloads.__all__) == [
+        "LatencyHistogram", "MIXES", "OP_KINDS", "TRACE_FAMILIES",
+        "TRACE_SCHEMA", "Trace", "TraceError", "TraceOp", "ZipfianSampler",
+        "generate_trace", "materialize_scenario",
+    ]
+    assert sorted(repro.benchsuite.__all__) == [
+        "ChurnScenario", "RECURSION_FLAVOURS", "RecursionStatistics",
+        "SUITES", "Scenario", "answer_digest", "classify_corpus",
+        "default_corpus", "example_33_program", "generate_chasebench",
+        "generate_churn", "generate_dbpedia", "generate_ibench",
+        "generate_industrial", "generate_iwarded", "suite_corpus",
+    ]
 
 
 def test_serve_has_no_flatten_depth_flag():

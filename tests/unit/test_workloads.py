@@ -1,25 +1,21 @@
-"""Unit tests for :mod:`repro.workloads` — the trace replay harness."""
+"""Unit tests for :mod:`repro.workloads` — traces, their generators,
+and the latency histogram."""
 
 import math
 
 import pytest
 
-from repro.server import ReasoningServer, ReasoningService
 from repro.workloads import (
     MIXES,
     OP_KINDS,
     TRACE_SCHEMA,
-    ClientTarget,
     LatencyHistogram,
-    ServiceTarget,
-    SessionTarget,
     Trace,
     TraceError,
     TraceOp,
     ZipfianSampler,
     generate_trace,
     materialize_scenario,
-    replay_trace,
 )
 
 SMALL = dict(vertices=16, edges=32, clusters=2)
@@ -202,7 +198,7 @@ class TestGenerate:
 
     def test_updates_always_effective(self):
         # Stateful generation: every retract hits a live edge, every
-        # insert an absent one — so replay admits every batch and the
+        # insert an absent one — so a server admits every batch and the
         # trace-order → version mapping stays exact.
         from repro.incremental import ChangeSet
 
@@ -237,131 +233,3 @@ class TestGenerate:
         )
         with pytest.raises(TraceError):
             materialize_scenario(stripped)
-
-
-class TestReplay:
-    def test_session_target_verifies(self):
-        trace = generate_trace(ops=60, mix="churn", seed=21, **SMALL)
-        scenario = materialize_scenario(trace)
-        result = replay_trace(
-            trace, SessionTarget.for_scenario(scenario), workers=2
-        )
-        assert result.ok, (result.mismatches, result.errors)
-        assert result.ops_run == 60
-        assert result.verified > 0
-        assert result.latency["all"].count == 60
-
-    def test_service_target_concurrent(self):
-        trace = generate_trace(ops=60, mix="churn", seed=22, **SMALL)
-        result = replay_trace(
-            trace,
-            ServiceTarget.for_scenario(materialize_scenario(trace)),
-            workers=4,
-        )
-        assert result.ok, (result.mismatches, result.errors)
-        assert result.mode == "closed"
-        assert result.throughput > 0
-
-    def test_open_loop_records_lateness(self):
-        trace = generate_trace(ops=30, seed=23, rate=500.0, **SMALL)
-        result = replay_trace(
-            trace,
-            ServiceTarget.for_scenario(materialize_scenario(trace)),
-            workers=2,
-            rate="trace",
-        )
-        assert result.ok
-        assert result.mode == "open"
-        assert result.lateness.count == 30
-
-    def test_open_loop_numeric_rate(self):
-        trace = generate_trace(ops=20, seed=24, **SMALL)
-        result = replay_trace(
-            trace,
-            ServiceTarget.for_scenario(materialize_scenario(trace)),
-            workers=2,
-            rate=1000.0,
-        )
-        assert result.ok
-        assert result.rate == 1000.0
-
-    def test_server_target_over_sockets(self):
-        trace = generate_trace(ops=40, mix="churn", seed=25, **SMALL)
-        scenario = materialize_scenario(trace)
-        service = ReasoningService(
-            scenario.program, facts=scenario.database
-        )
-        server = ReasoningServer(service, port=0)
-        host, port = server.address
-        server.serve_in_thread()
-        target = ClientTarget(host, port)
-        try:
-            result = replay_trace(trace, target, workers=3)
-        finally:
-            target.close()
-            server.shutdown_async()
-            server.close()
-        assert result.ok, (result.mismatches, result.errors)
-        assert result.target == "server"
-
-    def test_no_verify_skips_ground_truth(self):
-        trace = generate_trace(ops=20, seed=26, **SMALL)
-        result = replay_trace(
-            trace,
-            ServiceTarget.for_scenario(materialize_scenario(trace)),
-            verify=False,
-        )
-        assert result.ok
-        assert result.verified == 0
-
-    def test_detects_wrong_answers(self):
-        # A target that lies about one answer must be caught.
-        trace = generate_trace(ops=30, seed=27, **SMALL)
-        scenario = materialize_scenario(trace)
-        inner = ServiceTarget.for_scenario(scenario)
-
-        class LyingTarget:
-            name = "liar"
-
-            def worker(self):
-                return self
-
-            def baseline_version(self):
-                return inner.baseline_version()
-
-            def query(self, text):
-                answers, version = inner.query(text)
-                return answers + (("bogus",),), version
-
-            def update(self, changes):
-                return inner.update(changes)
-
-            def close(self):
-                pass
-
-        result = replay_trace(trace, LyingTarget())
-        assert not result.ok
-        assert result.mismatches
-
-    def test_rejects_bad_arguments(self):
-        trace = generate_trace(ops=5, seed=3, **SMALL)
-        target = ServiceTarget.for_scenario(materialize_scenario(trace))
-        with pytest.raises(ValueError):
-            replay_trace(trace, target, workers=0)
-        with pytest.raises(ValueError):
-            replay_trace(trace, target, rate=-5)
-        with pytest.raises(ValueError):
-            replay_trace(trace, target, rate="yesterday")
-
-    def test_result_serializes(self):
-        trace = generate_trace(ops=15, seed=28, **SMALL)
-        result = replay_trace(
-            trace,
-            ServiceTarget.for_scenario(materialize_scenario(trace)),
-        )
-        payload = result.as_dict()
-        assert payload["ok"] is True
-        assert payload["ops_run"] == 15
-        assert "all" in payload["latency"]
-        assert "p99_ms" in payload["latency"]["all"]
-        assert "ops/s" in result.describe()
