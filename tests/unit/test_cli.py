@@ -97,6 +97,18 @@ class TestStats:
         assert "piece-wise linear total" in output
 
 
+class TestBench:
+    """Static parser choices that mirror workload-generator constants."""
+
+    def test_trace_mirrors_match_workloads(self):
+        from repro.cli import TRACE_FAMILIES, TRACE_MIXES
+        from repro.workloads import MIXES
+        from repro.workloads import TRACE_FAMILIES as WORKLOAD_FAMILIES
+
+        assert TRACE_MIXES == tuple(MIXES)
+        assert TRACE_FAMILIES == WORKLOAD_FAMILIES
+
+
 class TestTrace:
     """The trace subcommand: generate / summarize."""
 
@@ -133,15 +145,6 @@ class TestTrace:
         _, first = run(self.GENERATE)
         _, second = run(self.GENERATE)
         assert first == second
-
-    def test_trace_mirrors_match_workloads(self):
-        # The parser's static choices must track the generator constants.
-        from repro.cli import TRACE_FAMILIES, TRACE_MIXES
-        from repro.workloads import MIXES
-        from repro.workloads import TRACE_FAMILIES as WORKLOAD_FAMILIES
-
-        assert TRACE_MIXES == tuple(MIXES)
-        assert TRACE_FAMILIES == WORKLOAD_FAMILIES
 
     def test_rejects_bad_rate_and_mix(self):
         with pytest.raises(SystemExit):
