@@ -5,19 +5,25 @@ a kernel-capable store (columnar, sharded) and interprets on the rest
 (instance).  So the comparison is between *stores*, measured
 end-to-end through the session layer:
 
-* **Speedup** (recorded, not asserted) — the E2-style
-  transitive-closure saturation on the ``columnar`` store (kernels)
-  against the same saturation on the ``instance`` store (interpreter):
+* **Speedup** — the E2-style transitive-closure saturation on the
+  ``columnar`` store (kernels) runs at least ``SPEEDUP_FLOOR``× faster
+  than the same saturation on the ``instance`` store (interpreter):
   the two cells compared are ``columnar`` and ``instance`` of
   ``saturation_cells``, recorded as ``speedup_vs_instance_interpret``.
-  A sub-second wall-clock ratio on a shared CI machine is noise, not a
-  gate; end-to-end speed is the ``batch_saturate`` workload's business
-  (``benchmarks/e2e/``).
+  The design target is ≥10× at scale; at this smoke scale the ratio
+  measured ~3× when the 2× floor was set, and 1.3–2.1× on a 2-core
+  machine since interned terms made the interpreter cheaper, so the
+  floor fails on some runs (rescaling it is an open ROADMAP item).
 * **Exactness** — kernel cells answer digest-equal to the interpreter
   on every surface that dispatches them: plain saturation (columnar
-  and sharded vs instance), a magic-rewritten bound query, a
-  post-``Session.apply`` re-query (the IVM path), and the datalog
-  cells of the industrial smoke scenarios across all three stores.
+  and sharded vs instance), a magic-rewritten bound query and a
+  post-``Session.apply`` re-query (the IVM path).  The generator
+  families' datalog cells on every store are tier-1's business:
+  ``tests/property/test_prop_kernels.py::
+  test_store_alone_decides_dispatch_across_families`` (dispatch,
+  batches and digests per store) and
+  ``tests/integration/test_cross_validation.py::
+  TestSuiteCorpusAgreement`` (one digest across engines and stores).
 * **Observability** — kernel cells report ``exec_mode="kernel"`` and a
   positive ``kernel_batches`` through ``StreamStats``; interpreter
   cells report ``"interpret"`` and zero batches.
@@ -32,9 +38,7 @@ import random
 import time
 
 from repro.api import Session
-from repro.api.program import compile_program
-from repro.benchsuite import answer_digest, suite_corpus
-from repro.storage import BACKENDS
+from repro.benchsuite import answer_digest
 
 from conftest import write_json_result
 
@@ -43,6 +47,10 @@ from conftest import write_json_result
 VERTICES = 192
 CHORDS = 48
 SEED = 2019
+
+#: Asserted wall-clock floor for kernels on ``columnar`` vs the
+#: interpreter on ``instance`` (the design target is 10×).
+SPEEDUP_FLOOR = 2.0
 
 RULES = """
 path(X, Y) :- edge(X, Y).
@@ -108,34 +116,6 @@ def _post_apply_digest(program_text: str, store: str):
     }
 
 
-def _suite_cells():
-    """The datalog cells of the industrial smoke scenarios, one cold
-    session per (scenario, store)."""
-    cells = []
-    for scenario in suite_corpus(suites=("industrial",)):
-        analysis = compile_program(scenario.program).analysis
-        if not (analysis.full and analysis.single_head):
-            continue  # the datalog engine is exact on full programs only
-        for store in BACKENDS:
-            session = Session(store=store)
-            session.add_facts(scenario.database)
-            stream = session.query(
-                scenario.queries[0],
-                program=session.compile(scenario.program),
-                method="datalog",
-            )
-            answers = stream.to_set()
-            cells.append({
-                "scenario": scenario.name,
-                "store": store,
-                "exec_mode": stream.stats.exec_mode,
-                "kernel_batches": stream.stats.kernel_batches,
-                "answers": len(answers),
-                "digest": answer_digest(answers),
-            })
-    return cells
-
-
 def test_kernel_compile_speedup_and_parity(report):
     program_text = _program_text()
 
@@ -158,9 +138,6 @@ def test_kernel_compile_speedup_and_parity(report):
     ivm_kernel = _post_apply_digest(program_text, "columnar")
     ivm_interp = _post_apply_digest(program_text, "instance")
 
-    # -- industrial smoke scenarios: datalog cells on all three stores -
-    suite_cells = _suite_cells()
-
     report(
         f"Columnar kernel compilation ({VERTICES} vertices + "
         f"{CHORDS} chords, transitive closure)",
@@ -177,7 +154,7 @@ def test_kernel_compile_speedup_and_parity(report):
         ],
         notes=(
             f"columnar kernels {speedup:.1f}x vs the instance "
-            f"interpreter; magic "
+            f"interpreter (asserted floor {SPEEDUP_FLOOR:.0f}x); magic "
             f"cell {magic_kernel['seconds']:.3f}s kernel vs "
             f"{magic_interp['seconds']:.3f}s interpret",
         ),
@@ -194,11 +171,11 @@ def test_kernel_compile_speedup_and_parity(report):
                 "chords": CHORDS,
                 "seed": SEED,
             },
+            "speedup_floor": SPEEDUP_FLOOR,
             "speedup_vs_instance_interpret": speedup,
             "saturation_cells": list(saturation),
             "magic_cells": [magic_kernel, magic_interp],
             "ivm_cells": [ivm_kernel, ivm_interp],
-            "suite_cells": suite_cells,
         },
     )
 
@@ -212,13 +189,6 @@ def test_kernel_compile_speedup_and_parity(report):
     assert magic_kernel["digest"] == magic_interp["digest"]
     assert magic_kernel["rewrite"] == magic_interp["rewrite"] == "magic"
     assert ivm_kernel["digest"] == ivm_interp["digest"]
-    for name in {cell["scenario"] for cell in suite_cells}:
-        digests = {
-            cell["store"]: cell["digest"]
-            for cell in suite_cells
-            if cell["scenario"] == name
-        }
-        assert len(set(digests.values())) == 1, (name, digests)
 
     # -- the store decided how the rounds ran --------------------------
     for cell in (col_kernel, sh_kernel, magic_kernel):
@@ -227,11 +197,11 @@ def test_kernel_compile_speedup_and_parity(report):
     for cell in (inst_interp, magic_interp):
         assert cell["exec_mode"] == "interpret"
         assert cell["kernel_batches"] == 0
-    assert {cell["store"] for cell in suite_cells} == set(BACKENDS), (
-        "no full-Datalog industrial smoke scenario ran on every store"
-    )
-    for cell in suite_cells:
-        kernel = cell["store"] != "instance"
-        assert cell["exec_mode"] == ("kernel" if kernel else "interpret")
-        assert (cell["kernel_batches"] > 0) == kernel
 
+    # -- the performance floor ----------------------------------------
+    assert speedup >= SPEEDUP_FLOOR, (
+        f"columnar kernels are only {speedup:.2f}x the instance "
+        f"interpreter (floor {SPEEDUP_FLOOR}x): kernel "
+        f"{col_kernel['seconds']:.3f}s vs interpret "
+        f"{inst_interp['seconds']:.3f}s"
+    )

@@ -163,45 +163,47 @@ def suite_corpus(
             raise ValueError(
                 f"unknown suite {suite!r}; choose from {', '.join(SUITES)}"
             )
-    sizes = _SMOKE_SIZES
     scenarios: List[Scenario] = []
     if "iwarded" in suites:
         scenarios.append(
             generate_iwarded(
-                seed=base_seed, flavour="linear", **sizes["iwarded"]
+                seed=base_seed, flavour="linear", **_SMOKE_SIZES["iwarded"]
             )
         )
         scenarios.append(
             generate_iwarded(
-                seed=base_seed + 1, flavour="pwl", **sizes["iwarded"]
+                seed=base_seed + 1, flavour="pwl", **_SMOKE_SIZES["iwarded"]
             )
         )
     if "ibench" in suites:
         scenarios.append(
             generate_ibench(
                 seed=base_seed + 2, add_target_recursion=True,
-                **sizes["ibench"],
+                **_SMOKE_SIZES["ibench"],
             )
         )
     if "chasebench" in suites:
         scenarios.append(
             generate_chasebench(
-                seed=base_seed + 3, recursion="linear", **sizes["chasebench"]
+                seed=base_seed + 3, recursion="linear",
+                **_SMOKE_SIZES["chasebench"],
             )
         )
     if "dbpedia" in suites:
         scenarios.append(
-            generate_dbpedia(seed=base_seed + 4, **sizes["dbpedia"])
+            generate_dbpedia(seed=base_seed + 4, **_SMOKE_SIZES["dbpedia"])
         )
     if "industrial" in suites:
         scenarios.append(
             generate_industrial(
-                seed=base_seed + 5, flavour="psc", **sizes["industrial"]
+                seed=base_seed + 5, flavour="psc",
+                **_SMOKE_SIZES["industrial"],
             )
         )
         scenarios.append(
             generate_industrial(
-                seed=base_seed + 6, flavour="control", **sizes["industrial"]
+                seed=base_seed + 6, flavour="control",
+                **_SMOKE_SIZES["industrial"],
             )
         )
     return scenarios
