@@ -31,10 +31,7 @@ The everyday workflow of the library, now built on the
   every query snapshot-isolated against live ``update`` batches;
   SIGTERM/SIGINT drain gracefully;
 * ``client query|update|stats|ping|shutdown`` — talk to a running
-  server with :class:`repro.server.ReasoningClient`;
-* ``trace generate|summarize`` — seeded workload traces
-  (:mod:`repro.workloads`): generate a zipf-skewed NDJSON trace over
-  a scenario family, or summarize a trace file.
+  server with :class:`repro.server.ReasoningClient`.
 
 Exit codes: 0 success, 1 lint findings (errors, or warnings under
 ``--strict``), 2 engine/usage errors (printed as ``repro: error:
@@ -70,14 +67,6 @@ from .storage import BACKENDS
 __all__ = ["main", "build_parser"]
 
 
-#: Mirror of ``repro.workloads.generate`` constants (MIXES keys and
-#: TRACE_FAMILIES), kept static here so building the parser never
-#: imports the generators; a unit test pins the mirror to the source of
-#: truth.
-TRACE_MIXES = ("read-heavy", "churn", "lookup-heavy")
-TRACE_FAMILIES = ("churn",)
-
-
 def _store_backend(value: str) -> str:
     """argparse type for ``--store``: validate against the registry."""
     if value not in BACKENDS:
@@ -96,6 +85,19 @@ def _positive_int(value: str) -> int:
         raise argparse.ArgumentTypeError(f"not an integer: {value!r}")
     if parsed < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {parsed}")
+    return parsed
+
+
+def _port(value: str) -> int:
+    """argparse type for ``--port``: a TCP port number, 0..65535."""
+    try:
+        parsed = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {value!r}")
+    if not 0 <= parsed <= 65535:
+        raise argparse.ArgumentTypeError(
+            f"must be in 0..65535, got {parsed}"
+        )
     return parsed
 
 
@@ -301,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chase_cmd.add_argument("file", type=Path, help="program + facts file")
     chase_cmd.add_argument(
-        "--max-atoms", type=int, default=10000,
+        "--max-atoms", type=_positive_int, default=10000,
         help="instance-size budget (default 10000)",
     )
     chase_cmd.add_argument(
@@ -314,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[store_options],
         help="Section 1.2 recursion statistics over the corpus",
     )
-    stats.add_argument("--scale", type=int, default=2)
+    stats.add_argument("--scale", type=_positive_int, default=2)
     stats.add_argument("--seed", type=int, default=2019)
 
     update = commands.add_parser(
@@ -350,11 +352,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--query", required=True, help='e.g. "q(X,Y) :- t(X,Y)."'
     )
     rewrite.add_argument(
-        "--width", type=int, default=None,
+        "--width", type=_positive_int, default=None,
         help="node-width bound (default: the theorem's polynomial)",
     )
     rewrite.add_argument(
-        "--max-states", type=int, default=20000,
+        "--max-states", type=_positive_int, default=20000,
         help="canonical-CQ budget before truncating (default 20000)",
     )
 
@@ -369,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--host", default="127.0.0.1", help="bind address (default: loopback)"
     )
     serve.add_argument(
-        "--port", type=int, default=7777,
+        "--port", type=_port, default=7777,
         help="TCP port; 0 binds an ephemeral port (default 7777)",
     )
     serve.add_argument(
@@ -393,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="talk to a running reasoning server",
     )
     client.add_argument("--host", default="127.0.0.1")
-    client.add_argument("--port", type=int, default=7777)
+    client.add_argument("--port", type=_port, default=7777)
     client_ops = client.add_subparsers(dest="client_command", required=True)
 
     client_query = client_ops.add_parser(
@@ -442,66 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     client_ops.add_parser("ping", help="liveness check; prints the version")
     client_ops.add_parser("shutdown", help="ask the server to stop")
-
-    trace = commands.add_parser(
-        "trace",
-        help="generate or summarize workload traces (repro.workloads)",
-    )
-    trace_ops = trace.add_subparsers(dest="trace_command", required=True)
-
-    trace_generate = trace_ops.add_parser(
-        "generate",
-        help="generate a seeded, zipf-skewed NDJSON op trace over a "
-             "scenario family",
-    )
-    trace_generate.add_argument(
-        "--ops", type=_positive_int, default=500, metavar="N",
-        help="trace length in operations (default 500)",
-    )
-    trace_generate.add_argument(
-        "--mix", default="read-heavy", choices=TRACE_MIXES,
-        help="op mix: read-heavy 90/5/5, churn 25/50/25, lookup-heavy "
-             "25/5/70 (query/update/point_lookup; default: read-heavy)",
-    )
-    trace_generate.add_argument(
-        "--family", default="churn", choices=TRACE_FAMILIES,
-        help="scenario family the trace runs over (default: churn)",
-    )
-    trace_generate.add_argument(
-        "--skew", type=float, default=1.1, metavar="S",
-        help="zipfian skew exponent; 0 is uniform (default 1.1)",
-    )
-    trace_generate.add_argument("--seed", type=int, default=2019)
-    trace_generate.add_argument(
-        "--rate", type=float, default=200.0, metavar="OPS_PER_SEC",
-        help="recorded arrival schedule: op i at i/rate seconds "
-             "(default 200)",
-    )
-    trace_generate.add_argument(
-        "--vertices", type=_positive_int, default=64, metavar="N",
-        help="scenario key-space size (default 64)",
-    )
-    trace_generate.add_argument(
-        "--edges", type=_positive_int, default=128, metavar="N",
-        help="scenario base edge count (default 128)",
-    )
-    trace_generate.add_argument(
-        "--clusters", type=_positive_int, default=8, metavar="N",
-        help="scenario cluster count (default 8)",
-    )
-    trace_generate.add_argument(
-        "--out", default="-", metavar="PATH",
-        help="trace file to write; '-' prints NDJSON to stdout "
-             "(default)",
-    )
-
-    trace_summarize = trace_ops.add_parser(
-        "summarize",
-        help="print a trace file's op mix, schedule, and key skew",
-    )
-    trace_summarize.add_argument(
-        "file", type=Path, help="trace file (NDJSON)"
-    )
 
     return parser
 
@@ -954,45 +896,6 @@ def _cmd_client(args, out, stdin) -> int:
     return 0
 
 
-def _cmd_trace(args, out) -> int:
-    """Seeded workload traces: generate / summarize."""
-    import json
-
-    from .workloads import Trace, generate_trace
-
-    if args.trace_command == "generate":
-        trace = generate_trace(
-            ops=args.ops,
-            mix=args.mix,
-            skew=args.skew,
-            seed=args.seed,
-            rate=args.rate,
-            family=args.family,
-            vertices=args.vertices,
-            edges=args.edges,
-            clusters=args.clusters,
-        )
-        if args.out == "-":
-            out.write(trace.dumps())
-            return 0
-        trace.dump(Path(args.out))
-        summary = trace.summary()
-        print(
-            f"wrote {args.out}: {summary['ops']} op(s) "
-            f"({', '.join(f'{k}={v}' for k, v in summary['kinds'].items())}), "
-            f"{summary['duration_seconds']:.1f}s schedule, "
-            f"{summary['distinct_keys']} distinct key(s)",
-            file=out,
-        )
-        return 0
-
-    # summarize.  Trace.load wraps unreadable/malformed files in
-    # TraceError, which main() renders as the one-line exit-2 diagnostic.
-    trace = Trace.load(args.file)
-    print(json.dumps(trace.summary(), indent=2, default=str), file=out)
-    return 0
-
-
 def _cmd_stats(args, out) -> int:
     from .benchsuite import classify_corpus, default_corpus
 
@@ -1025,7 +928,6 @@ def _dispatch(args, out, stdin) -> int:
         "stats": _cmd_stats,
         "rewrite": _cmd_rewrite,
         "serve": _cmd_serve,
-        "trace": _cmd_trace,
     }
     return handlers[args.command](args, out)
 

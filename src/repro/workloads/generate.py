@@ -1,14 +1,23 @@
-"""Seeded workload generation: zipfian key skew over scenario key spaces.
+"""Seeded workload generation: zipfian key skew over the churn graph.
 
 The "millions of users" traffic the north star names is not uniform:
 a few hot entities absorb most of the reads while the long tail is
 touched rarely, and updates churn the same skewed key population.
 :class:`ZipfianSampler` is the seeded, ``s``-parameterized sampler that
 produces that shape, and :func:`generate_trace` composes it with a
-configurable op mix (read-heavy, churn, lookup-heavy) over a scenario
-family's exported key space (:meth:`repro.benchsuite.Scenario.key_space`)
-into a reproducible :class:`~repro.workloads.trace.Trace` — same seed,
-byte-identical trace.
+named op mix (read-heavy, churn) over the churn family's exported key
+space (:meth:`repro.benchsuite.Scenario.key_space`) into a reproducible
+:class:`Trace` — same seed, identical op list.  The end-to-end benchmark
+(``benchmarks/e2e/workloads.py``) turns each op into a request frame.
+
+Three op kinds:
+
+* ``query`` — a conjunctive query with a bound constant sampled from
+  the key skew;
+* ``update`` — one EDB change batch in the ``+atom`` / ``-atom``
+  textual delta format :meth:`repro.incremental.ChangeSet.parse` reads;
+* ``point_lookup`` — a fully-bound Boolean query (answer ``()`` or
+  nothing): the "is this edge live" shape of serving traffic.
 
 Updates are generated *statefully*: the generator tracks the live edge
 set, so every retraction targets a present fact and every insertion an
@@ -22,15 +31,16 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import Dict, List, Sequence, Tuple
 
 from ..benchsuite import Scenario, generate_churn
-from .trace import TRACE_SCHEMA, Trace, TraceError, TraceOp
 
 __all__ = [
     "MIXES",
-    "TRACE_FAMILIES",
+    "Trace",
+    "TraceOp",
     "ZipfianSampler",
     "generate_trace",
     "materialize_scenario",
@@ -38,18 +48,35 @@ __all__ = [
 
 #: Named op mixes: fractions of query / update / point_lookup traffic.
 #: ``read-heavy`` is the 90/5/5 serving shape, ``churn`` the 50%-write
-#: maintenance stress, ``lookup-heavy`` the point-probe cache workload.
+#: maintenance stress.
 MIXES: Dict[str, Dict[str, float]] = {
     "read-heavy": {"query": 0.90, "update": 0.05, "point_lookup": 0.05},
     "churn": {"query": 0.25, "update": 0.50, "point_lookup": 0.25},
-    "lookup-heavy": {"query": 0.25, "update": 0.05, "point_lookup": 0.70},
 }
 
-#: Scenario families traces can be generated over (and re-materialized
-#: from, for ground truth).  Only the churn family ships a
-#: maintainable update model today; read-only families would slot in
-#: here with an empty update fraction.
-TRACE_FAMILIES = ("churn",)
+#: Facts per update batch: half retractions of live edges, half inserts.
+UPDATE_BATCH = 4
+
+#: Share of point lookups that probe a live edge (the rest probe a
+#: skew-sampled pair, usually absent).
+LOOKUP_HIT_FRACTION = 0.5
+
+
+@dataclass(frozen=True)
+class TraceOp:
+    """One generated operation: a query text or a change batch."""
+
+    kind: str
+    query: str = ""
+    changes: str = ""
+
+
+@dataclass(frozen=True)
+class Trace:
+    """A generated op stream and the scenario it runs over."""
+
+    ops: Tuple[TraceOp, ...]
+    scenario: Scenario
 
 
 class ZipfianSampler:
@@ -101,48 +128,9 @@ _QUERY_PATTERNS = (
 )
 
 
-def _base_scenario(
-    family: str, *, vertices: int, edges: int, clusters: int, seed: int
-) -> Scenario:
-    if family not in TRACE_FAMILIES:
-        raise ValueError(
-            f"unknown trace family {family!r}; "
-            f"choose from {', '.join(TRACE_FAMILIES)}"
-        )
-    # steps=0: only the base scenario — the trace carries its own
-    # update stream, generated with the key skew instead of uniformly.
-    return generate_churn(
-        vertices=vertices,
-        edges=edges,
-        clusters=clusters,
-        steps=0,
-        seed=seed,
-    ).scenario
-
-
 def materialize_scenario(trace: Trace) -> Scenario:
-    """Rebuild the scenario a trace was generated over.
-
-    The trace header records the family and generator parameters, so
-    a consumer (and its ground-truth check) reconstructs the same
-    program and base EDB from the trace file alone.
-    """
-    generator = trace.meta.get("generator")
-    if not isinstance(generator, dict):
-        raise TraceError(
-            "trace meta carries no 'generator' record; cannot rebuild "
-            "the scenario"
-        )
-    try:
-        return _base_scenario(
-            generator["family"],
-            vertices=generator["vertices"],
-            edges=generator["edges"],
-            clusters=generator["clusters"],
-            seed=generator["seed"],
-        )
-    except (KeyError, ValueError, TypeError) as error:
-        raise TraceError(f"bad generator record: {error!r}") from error
+    """The scenario (program and base EDB) *trace* was generated over."""
+    return trace.scenario
 
 
 def _edges_of(scenario: Scenario) -> set:
@@ -159,20 +147,15 @@ def generate_trace(
     mix: str = "read-heavy",
     skew: float = 1.1,
     seed: int = 2019,
-    rate: float = 200.0,
-    family: str = "churn",
     vertices: int = 64,
     edges: int = 128,
     clusters: int = 8,
-    update_batch: int = 4,
-    lookup_hit_fraction: float = 0.5,
 ) -> Trace:
-    """Generate a reproducible *ops*-long trace over a scenario family.
+    """Generate a reproducible *ops*-long trace over the churn graph.
 
     One seeded rng drives every choice — op kind, key rank, query
     shape, edge churn — in a fixed order, so the same arguments always
-    produce the byte-identical NDJSON dump.  ``rate`` only stamps the
-    recorded ``at`` schedule (op ``i`` at ``i/rate`` seconds).
+    produce the identical op list.
     """
     if ops < 1:
         raise ValueError(f"ops must be >= 1, got {ops}")
@@ -180,13 +163,11 @@ def generate_trace(
         raise ValueError(
             f"unknown mix {mix!r}; choose from {', '.join(MIXES)}"
         )
-    if rate <= 0:
-        raise ValueError(f"rate must be positive, got {rate}")
-    if update_batch < 2:
-        raise ValueError(f"update_batch must be >= 2, got {update_batch}")
-    scenario = _base_scenario(
-        family, vertices=vertices, edges=edges, clusters=clusters, seed=seed
-    )
+    # steps=0: only the base scenario — the trace carries its own
+    # update stream, generated with the key skew instead of uniformly.
+    scenario = generate_churn(
+        vertices=vertices, edges=edges, clusters=clusters, steps=0, seed=seed
+    ).scenario
     keys = scenario.key_space()
     rng = random.Random(seed)
     # Hot ranks are a property of the workload, not of key names: a
@@ -218,8 +199,7 @@ def generate_trace(
         raise ValueError("key space saturated: no absent edge to insert")
 
     trace_ops: List[TraceOp] = []
-    for index, kind in enumerate(kinds):
-        at = index / rate
+    for kind in kinds:
         if kind == "query":
             key = sampler.sample()
             pattern = _QUERY_PATTERNS[
@@ -227,68 +207,25 @@ def generate_trace(
                     1, len(_QUERY_PATTERNS)
                 )
             ]
-            trace_ops.append(
-                TraceOp(
-                    index=index,
-                    at=at,
-                    kind=kind,
-                    query=pattern.format(key=key),
-                    key=key,
-                )
-            )
+            trace_ops.append(TraceOp(kind, query=pattern.format(key=key)))
         elif kind == "point_lookup":
-            if live and rng.random() < lookup_hit_fraction:
+            if live and rng.random() < LOOKUP_HIT_FRACTION:
                 a, b = sorted(live)[rng.randrange(len(live))]
             else:
                 a = sampler.sample()
                 b = sampler.uniform()
-            trace_ops.append(
-                TraceOp(
-                    index=index,
-                    at=at,
-                    kind=kind,
-                    query=f"q() :- t({a}, {b}).",
-                    key=a,
-                )
-            )
+            trace_ops.append(TraceOp(kind, query=f"q() :- t({a}, {b})."))
         else:  # update
-            retract_count = min(update_batch // 2, max(0, len(live) - 1))
+            retract_count = min(UPDATE_BATCH // 2, max(0, len(live) - 1))
             outgoing = rng.sample(sorted(live), retract_count)
             live.difference_update(outgoing)
             forbidden = frozenset(outgoing)
             incoming = []
-            for _ in range(update_batch - retract_count):
+            for _ in range(UPDATE_BATCH - retract_count):
                 pair = fresh_edge(forbidden)
                 live.add(pair)
                 incoming.append(pair)
             lines = [f"-e({a},{b})." for a, b in outgoing]
             lines += [f"+e({a},{b})." for a, b in incoming]
-            trace_ops.append(
-                TraceOp(
-                    index=index,
-                    at=at,
-                    kind=kind,
-                    changes="\n".join(lines),
-                    key=incoming[0][0] if incoming else "",
-                )
-            )
-
-    meta = {
-        "schema": TRACE_SCHEMA,
-        "generator": {
-            "family": family,
-            "vertices": vertices,
-            "edges": edges,
-            "clusters": clusters,
-            "seed": seed,
-            "update_batch": update_batch,
-            "lookup_hit_fraction": lookup_hit_fraction,
-        },
-        "mix": {"name": mix, "weights": weights},
-        "skew": skew,
-        "rate": rate,
-        "ops": ops,
-        "key_space": len(keys),
-        "scenario": scenario.name,
-    }
-    return Trace(ops=tuple(trace_ops), meta=meta)
+            trace_ops.append(TraceOp(kind, changes="\n".join(lines)))
+    return Trace(ops=tuple(trace_ops), scenario=scenario)

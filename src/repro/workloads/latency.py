@@ -147,10 +147,11 @@ class LatencyHistogram:
     def percentile(self, fraction: float) -> float:
         """The nearest-rank *fraction* percentile, in seconds.
 
-        The answer is a bucket's geometric midpoint clamped to the
-        observed ``[min, max]`` — so ``percentile(1.0)`` is exactly the
-        maximum and quantization never reports a value outside the
-        observed range.
+        The last rank is the observed maximum itself, so
+        ``percentile(1.0)`` is exactly :attr:`max`; any other rank is
+        its bucket's geometric midpoint clamped to the observed
+        ``[min, max]``, so quantization never reports a value outside
+        the observed range.
         """
         if not 0 <= fraction <= 1:
             raise ValueError(f"fraction must be in [0, 1], got {fraction}")
@@ -158,6 +159,9 @@ class LatencyHistogram:
             if not self._count:
                 return 0.0
             target = max(1, math.ceil(fraction * self._count))
+            if target == self._count:
+                # The top bucket's midpoint can lie below its samples.
+                return self._max
             cumulative = 0
             for bucket in sorted(self._counts):
                 cumulative += self._counts[bucket]

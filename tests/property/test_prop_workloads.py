@@ -1,15 +1,13 @@
-"""Property tests for the workload harness.
+"""Property tests for the workload generator.
 
-Three laws the trace layer must satisfy for replay to be a trustworthy
-measurement instrument:
+Two laws the generator must satisfy for the end-to-end benchmark's op
+lists to be a trustworthy measurement instrument:
 
 * **determinism** — the generator is a pure function of its arguments:
-  the same seed yields the byte-identical NDJSON dump;
+  the same seed yields the identical op list;
 * **skew shape** — the zipfian sampler actually produces its advertised
   distribution: the rank-1 key's empirical frequency stays within
-  binomial sampling error of the analytic mass;
-* **round-trip** — serialization is lossless: ``loads(dumps(t)) == t``
-  for every generated trace.
+  binomial sampling error of the analytic mass.
 """
 
 import math
@@ -17,7 +15,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.workloads import MIXES, Trace, ZipfianSampler, generate_trace
+from repro.workloads import MIXES, ZipfianSampler, generate_trace
 
 #: Small scenario shapes: vertices divisible by clusters (a churn-family
 #: constraint), key spaces big enough for skew to mean something.
@@ -49,7 +47,7 @@ def test_same_seed_reproduces_identical_trace(shape, ops, mix, skew, seed):
         edges=edges,
         clusters=clusters,
     )
-    assert generate_trace(**kwargs).dumps() == generate_trace(**kwargs).dumps()
+    assert generate_trace(**kwargs).ops == generate_trace(**kwargs).ops
 
 
 @settings(max_examples=15, deadline=None)
@@ -70,26 +68,3 @@ def test_zipfian_top_rank_matches_analytic_mass(keys, skew, seed):
     # sampler whose weights or bisection are wrong.
     sigma = math.sqrt(expected * (1 - expected) / draws)
     assert abs(observed - expected) <= 5 * sigma + 1e-9
-
-
-@settings(max_examples=15, deadline=None)
-@given(
-    shape=_shapes,
-    ops=st.integers(min_value=1, max_value=80),
-    mix=st.sampled_from(sorted(MIXES)),
-    seed=st.integers(min_value=0, max_value=2**20),
-)
-def test_trace_round_trips_through_ndjson(shape, ops, mix, seed):
-    vertices, edges, clusters = shape
-    trace = generate_trace(
-        ops=ops,
-        mix=mix,
-        seed=seed,
-        vertices=vertices,
-        edges=edges,
-        clusters=clusters,
-    )
-    recovered = Trace.loads(trace.dumps())
-    assert recovered == trace
-    # And the round-trip is a fixpoint at the byte level too.
-    assert recovered.dumps() == trace.dumps()

@@ -97,68 +97,6 @@ class TestStats:
         assert "piece-wise linear total" in output
 
 
-class TestBench:
-    """Static parser choices that mirror workload-generator constants."""
-
-    def test_trace_mirrors_match_workloads(self):
-        from repro.cli import TRACE_FAMILIES, TRACE_MIXES
-        from repro.workloads import MIXES
-        from repro.workloads import TRACE_FAMILIES as WORKLOAD_FAMILIES
-
-        assert TRACE_MIXES == tuple(MIXES)
-        assert TRACE_FAMILIES == WORKLOAD_FAMILIES
-
-
-class TestTrace:
-    """The trace subcommand: generate / summarize."""
-
-    GENERATE = [
-        "trace", "generate", "--ops", "40", "--seed", "11",
-        "--vertices", "16", "--edges", "32", "--clusters", "2",
-    ]
-
-    def test_generate_to_stdout_is_ndjson(self):
-        import json
-
-        code, output = run(self.GENERATE)
-        assert code == 0
-        lines = output.strip().splitlines()
-        assert len(lines) == 41  # header + one line per op
-        header = json.loads(lines[0])
-        assert header["schema"] == "repro/trace/v1"
-        assert json.loads(lines[1])["index"] == 0
-
-    def test_generate_to_file_then_summarize(self, tmp_path):
-        import json
-
-        path = tmp_path / "t.ndjson"
-        code, output = run(self.GENERATE + ["--out", str(path)])
-        assert code == 0
-        assert "40 op(s)" in output
-        code, output = run(["trace", "summarize", str(path)])
-        assert code == 0
-        summary = json.loads(output)
-        assert summary["ops"] == 40
-        assert summary["schema"] == "repro/trace/v1"
-
-    def test_generate_is_deterministic(self):
-        _, first = run(self.GENERATE)
-        _, second = run(self.GENERATE)
-        assert first == second
-
-    def test_rejects_bad_rate_and_mix(self):
-        with pytest.raises(SystemExit):
-            run(["trace", "generate", "--mix", "write-only"])
-        with pytest.raises(SystemExit):
-            run(["trace", "generate", "--rate", "fast"])
-
-    def test_summarize_missing_file_errors(self, tmp_path):
-        code, _ = run(
-            ["trace", "summarize", str(tmp_path / "absent.ndjson")]
-        )
-        assert code == 2  # one-line diagnostic, no traceback
-
-
 class TestQuery:
     """The compile-once-query-many subcommand."""
 
@@ -331,6 +269,44 @@ class TestParserErrors:
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             run(["frobnicate"])
+
+    def test_port_range(self):
+        from repro.cli import _port
+
+        assert _port("0") == 0
+        assert _port("65535") == 65535
+        for value in ("-1", "65536", "99999", "http"):
+            with pytest.raises(argparse.ArgumentTypeError):
+                _port(value)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # 99999 used to wrap to port 34463 and talk to whatever
+            # listened there.
+            ["client", "--port", "99999", "ping"],
+            ["serve", "FILE", "--port", "65536"],
+            # A width bound below 1 printed "complete" for a rewriting
+            # that answers nothing.
+            ["rewrite", "FILE", "--query", "q(X,Y) :- t(X,Y).",
+             "--width", "-3"],
+            ["rewrite", "FILE", "--query", "q(X,Y) :- t(X,Y).",
+             "--width", "0"],
+            ["rewrite", "FILE", "--query", "q(X,Y) :- t(X,Y).",
+             "--max-states", "-1"],
+            ["chase", "FILE", "--max-atoms", "-5"],
+            ["stats", "--scale", "-1"],
+        ],
+    )
+    def test_out_of_range_numbers_are_usage_errors(self, program_file, argv,
+                                                   capsys):
+        argv = [
+            str(program_file) if token == "FILE" else token for token in argv
+        ]
+        with pytest.raises(SystemExit) as exit_info:
+            run(argv)
+        assert exit_info.value.code == 2
+        assert "must be" in capsys.readouterr().err
 
 
 class TestRewrite:

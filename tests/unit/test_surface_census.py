@@ -6,10 +6,9 @@ from where its rows live and is reported, never accepted.  Requests
 come in through one door: one ``certain_answers``, defined in
 ``repro.api``.  A knob or a second facade re-added anywhere along the
 path fails here rather than in review.  So does a second benchmark
-system: the CLI has no ``bench`` and no ``trace replay``.
+system: the CLI has no ``bench`` and no ``trace``.
 """
 
-import argparse
 import inspect
 import os
 import subprocess
@@ -181,12 +180,14 @@ def test_root_names_resolve_lazily_in_a_fresh_process():
     "argv, rejected",
     [
         (["bench", "--scale", "smoke"], "'bench'"),
-        (["trace", "replay", "trace.ndjson"], "'replay'"),
+        (["trace", "replay", "trace.ndjson"], "'trace'"),
+        (["trace", "generate", "--ops", "80"], "'trace'"),
     ],
 )
 def test_one_benchmark_system(argv, rejected, capsys):
-    # The scenario matrix and the trace replayer are gone: the e2e
-    # contract measures, tier-1 tests check agreement.
+    # The scenario matrix, the trace replayer and the trace file format
+    # are gone: the e2e contract generates its op lists in-process and
+    # measures, tier-1 tests check agreement.
     from repro.cli import build_parser
 
     with pytest.raises(SystemExit):
@@ -194,24 +195,12 @@ def test_one_benchmark_system(argv, rejected, capsys):
     assert f"invalid choice: {rejected}" in capsys.readouterr().err
 
 
-def test_trace_subcommands_and_the_workload_and_benchsuite_exports():
-    from repro.cli import build_parser
-
+def test_the_workload_and_benchsuite_exports():
     import repro.benchsuite
     import repro.workloads
 
-    (commands,) = (
-        action for action in build_parser()._actions
-        if isinstance(action, argparse._SubParsersAction)
-    )
-    (trace_ops,) = (
-        action for action in commands.choices["trace"]._actions
-        if isinstance(action, argparse._SubParsersAction)
-    )
-    assert tuple(trace_ops.choices) == ("generate", "summarize")
     assert sorted(repro.workloads.__all__) == [
-        "LatencyHistogram", "MIXES", "OP_KINDS", "TRACE_FAMILIES",
-        "TRACE_SCHEMA", "Trace", "TraceError", "TraceOp", "ZipfianSampler",
+        "LatencyHistogram", "MIXES", "Trace", "TraceOp", "ZipfianSampler",
         "generate_trace", "materialize_scenario",
     ]
     assert sorted(repro.benchsuite.__all__) == [
