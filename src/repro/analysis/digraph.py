@@ -2,9 +2,9 @@
 
 Nodes are arbitrary hashable objects.  The implementation is
 intentionally dependency-free and holds the one Tarjan in ``src/``:
-the predicate graph (:mod:`repro.analysis.predicate_graph`), the
-linter's dependency SCCs and the reachability indexes (Section 7,
-future work (2)) all build one of these.
+the predicate graph (:mod:`repro.analysis.predicate_graph`, which is
+also the linter's and stratified negation's dependency graph) and the
+reachability indexes (Section 7, future work (2)) build one of these.
 """
 
 from __future__ import annotations

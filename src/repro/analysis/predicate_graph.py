@@ -2,7 +2,11 @@
 
 The predicate graph ``pg(Σ)`` of a set of TGDs is the directed graph
 whose vertices are the predicates of ``sch(Σ)``, with an edge P → R iff
-some TGD has P in its body and R in its head.  Two predicates are
+some TGD has P in its body and R in its head.  A negated body literal
+is a body occurrence too, so the graph is also stratified negation's
+dependency graph: a negated literal inside its own SCC is negation
+through recursion (lint E103), and on the programs without one the
+negative edges merge no SCC.  Two predicates are
 *mutually recursive* iff some cycle of ``pg(Σ)`` contains both — i.e.,
 they lie in the same strongly connected component *and* that component
 contains a cycle (a single vertex only qualifies if it has a self-loop).
@@ -24,15 +28,19 @@ class PredicateGraph:
     SCCs are computed once (:meth:`DiGraph.sccs`) and all queries are
     O(1) dictionary lookups after that.  Vertices enter the graph in
     sorted order, which fixes the order components are emitted in — the
-    strata schedule of every fixpoint engine follows it.
+    strata schedule of every fixpoint engine follows it.  They are the
+    predicate names, arities unchecked, so a program with an arity
+    conflict still has its graph.
     """
 
     def __init__(self, program: Program):
         self._graph = DiGraph()
-        for vertex in sorted(program.schema()):
+        for vertex in sorted(
+            {a.predicate for tgd in program for a in tgd.body + tgd.head + tgd.negated}
+        ):
             self._graph.add_node(vertex)
         for tgd in program:
-            for body_pred in tgd.body_predicates():
+            for body_pred in tgd.body_predicates() | tgd.negated_predicates():
                 for head_pred in tgd.head_predicates():
                     self._graph.add_edge(body_pred, head_pred)
         self._sccs: List[frozenset[str]] = [

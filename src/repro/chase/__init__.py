@@ -1,6 +1,5 @@
-"""The chase procedure: triggers, runner, termination control, chase graph."""
+"""The chase procedure: triggers, runner, termination control."""
 
-from .graph import ChaseGraph, DerivationEdge
 from .runner import (
     ChaseEvent,
     ChaseResult,
@@ -30,8 +29,6 @@ __all__ = [
     "all_triggers",
     "triggers_for_new_atom",
     "fire",
-    "ChaseGraph",
-    "DerivationEdge",
     "TerminationPolicy",
     "AlwaysFire",
     "DepthPolicy",

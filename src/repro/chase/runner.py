@@ -25,16 +25,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Optional, Set
+from typing import Deque, Optional, Set
 
 from ..core.atoms import Atom
-from ..core.homomorphism import find_homomorphism
 from ..core.instance import Database
 from ..core.program import Program
 from ..core.query import ConjunctiveQuery, stream_new_answers
-from ..core.terms import Constant, NullFactory, Term, Variable
+from ..core.terms import Constant, NullFactory
 from ..storage import FactStore, StoreChoice, make_store
-from .graph import ChaseGraph
 from .termination import AlwaysFire, TerminationPolicy
 from .trigger import Trigger, all_triggers, fire, triggers_for_new_atom
 
@@ -60,7 +58,6 @@ class ChaseResult:
     saturated: bool                 # True iff no applicable trigger remained
     fired: int                      # number of triggers that fired
     suppressed: int                 # triggers withheld by the policy
-    graph: Optional[ChaseGraph] = None
     null_factory: Optional[NullFactory] = None
 
     def evaluate(self, query: ConjunctiveQuery) -> set[tuple[Constant, ...]]:
@@ -70,14 +67,11 @@ class ChaseResult:
 
 def _head_already_satisfied(trigger: Trigger, instance: FactStore) -> bool:
     """Restricted-chase check: does h|frontier extend to the head in I?"""
-    tgd = trigger.tgd
-    if not tgd.existential_variables():
+    compiled = trigger.tgd.matcher
+    if not compiled.existential:
         # h already grounds the head: the extension test is membership.
         return all(atom in instance for atom in trigger.ground_head)
-    seed: Dict[Variable, Term] = {
-        v: trigger.substitution[v] for v in tgd.frontier()
-    }
-    return find_homomorphism(list(tgd.head), instance, seed) is not None
+    return compiled.head_holds(trigger.image, instance)
 
 
 @dataclass(frozen=True)
@@ -103,7 +97,6 @@ class ChaseRun:
     saturated: bool = True
     fired: int = 0
     suppressed: int = 0
-    graph: Optional[ChaseGraph] = None
     null_factory: Optional[NullFactory] = None
 
     def result(self) -> ChaseResult:
@@ -113,7 +106,6 @@ class ChaseRun:
             saturated=self.saturated,
             fired=self.fired,
             suppressed=self.suppressed,
-            graph=self.graph,
             null_factory=self.null_factory,
         )
 
@@ -126,7 +118,6 @@ def chase_events(
     policy: Optional[TerminationPolicy] = None,
     max_steps: Optional[int] = None,
     max_atoms: Optional[int] = None,
-    record_graph: bool = False,
     null_factory: Optional[NullFactory] = None,
     store: StoreChoice = "instance",
     run: Optional[ChaseRun] = None,
@@ -153,11 +144,6 @@ def chase_events(
     run.null_factory = factory
     instance = make_store(store, database)
     run.instance = instance
-    graph = ChaseGraph() if record_graph else None
-    run.graph = graph
-    if graph is not None:
-        for atom in instance:
-            graph.add_database_atom(atom)
 
     tgds = list(program)
     seen_triggers: Set[tuple] = set()
@@ -185,16 +171,12 @@ def chase_events(
         trigger = queue.popleft()
         if variant == "restricted" and _head_already_satisfied(trigger, instance):
             continue
-        produced, nulls = fire(trigger, factory)
+        produced = fire(trigger, factory)
         if not policy.should_fire(trigger, produced, instance):
             run.suppressed += 1
             continue
         run.fired += 1
         new_atoms = [a for a in produced if a not in instance]
-        if graph is not None and new_atoms:
-            graph.record_firing(
-                trigger.tgd_index, trigger.extended(nulls), trigger.image, new_atoms
-            )
         for atom in new_atoms:
             instance.add(atom)
         for atom in new_atoms:

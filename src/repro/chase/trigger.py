@@ -9,7 +9,9 @@ frontier and maps each existential variable to a fresh null
 Trigger discovery is semi-naive: when an atom is added to the instance,
 only homomorphisms whose body image uses that atom need to be considered
 (pinning each body atom of each TGD to the new atom in turn).  This is
-the standard delta-driven strategy used by chase engines.
+the standard delta-driven strategy used by chase engines.  Both it and
+the initial discovery walk the TGD's compiled forms
+(:mod:`repro.core.match`).
 """
 
 from __future__ import annotations
@@ -18,11 +20,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
 
-from ..core.atoms import Atom, match_atom
-from ..core.homomorphism import homomorphisms
+from ..core.atoms import Atom
 from ..core.instance import Instance
 from ..core.match import AtomSet, walk
-from ..core.substitution import Substitution
 from ..core.terms import Null, NullFactory
 from ..core.tgd import TGD
 
@@ -32,31 +32,18 @@ __all__ = ["Trigger", "triggers_for_new_atom", "all_triggers", "fire"]
 @dataclass(frozen=True)
 class Trigger:
     """An applicable pair (σ, h), held as σ and the body image
-    ``h(body(σ))`` — the atoms of I the body matched — from which h
-    (restricted to the body variables) is rebuilt on demand."""
+    ``h(body(σ))`` — the atoms of I the body matched, from which the
+    compiled rule projects the head (h itself is never built)."""
 
     tgd_index: int
     tgd: TGD
     image: tuple[Atom, ...]
 
     @cached_property
-    def substitution(self) -> Substitution:
-        h: dict = {}
-        for pattern, stored in zip(self.tgd.body, self.image):
-            h.update(match_atom(pattern, stored))
-        return Substitution(h)
-
-    @cached_property
     def ground_head(self) -> tuple[Atom, ...]:
         """``h(head(σ))`` of an existential-free σ, instantiated once for
         the restricted check and the firing."""
         return self.tgd.matcher.head_atoms(self.image)
-
-    def extended(self, nulls: Sequence[Null]) -> Substitution:
-        """h': h plus the existential variables, by name, sent to *nulls*
-        (what :func:`fire` returned)."""
-        invented = zip(sorted(self.tgd.existential_variables(), key=str), nulls)
-        return Substitution({**self.substitution, **dict(invented)})
 
     def key(self) -> tuple[int, tuple[Atom, ...]]:
         """Deduplication key: same rule, same body image ⇒ same trigger."""
@@ -81,30 +68,30 @@ def triggers_for_new_atom(
 def all_triggers(
     tgds: Sequence[TGD], instance: Instance
 ) -> Iterator[Trigger]:
-    """Every applicable trigger over the full instance (naive discovery)."""
+    """Every applicable trigger over the full instance (the walk of each
+    TGD's unpinned form)."""
     for tgd_index, tgd in enumerate(tgds):
-        for hom in homomorphisms(tgd.body, instance):
-            yield Trigger(tgd_index, tgd, hom.apply_atoms(tgd.body))
+        form = tgd.matcher.full
+        for _, matched in walk(form, instance):
+            yield Trigger(
+                tgd_index, tgd, tuple([matched[d] for d in form.depth_of])
+            )
 
 
-def fire(
-    trigger: Trigger, null_factory: NullFactory
-) -> tuple[tuple[Atom, ...], tuple[Null, ...]]:
-    """Compute the head atoms the trigger produces (not yet inserted).
-
-    Returns ``(atoms, nulls)``: the head under h' — h on the frontier,
-    a fresh null per existential variable — and those nulls in variable
-    name order.  The depth of each fresh null is one more than the
-    deepest null among the terms the trigger consumes (constants count
-    as depth 0), which gives the chase's "null depth" used by
-    depth-bounded termination control.
+def fire(trigger: Trigger, null_factory: NullFactory) -> tuple[Atom, ...]:
+    """The head atoms the trigger produces (not yet inserted): the head
+    under h' — h on the frontier, a fresh null per existential variable.
+    The depth of each fresh null is one more than the deepest null among
+    the terms the trigger consumes (constants count as depth 0), which
+    gives the chase's "null depth" used by depth-bounded termination
+    control.
     """
     compiled = trigger.tgd.matcher
     if not compiled.existential:
-        return trigger.ground_head, ()
+        return trigger.ground_head
     depth = 1 + max(
         (t.depth for a in trigger.image for t in a.args if isinstance(t, Null)),
         default=0,
     )
     nulls = tuple(null_factory.fresh(depth) for _ in compiled.existential)
-    return compiled.head_atoms(trigger.image, nulls), nulls
+    return compiled.head_atoms(trigger.image, nulls)

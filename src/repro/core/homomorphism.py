@@ -2,11 +2,11 @@
 
 A homomorphism from a set of atoms A into a set of atoms B is a
 substitution that is the identity on constants and maps every atom of A
-into B.  This is the *reference* matcher: query reads and every rule
-join (semi-naive rounds, maintenance waves, the chase's trigger
-discovery) run compiled (:mod:`repro.core.match`) and are pinned
-against it; it still answers ``holds_in``, negation, naive trigger
-discovery and the restricted chase's existential head check.
+into B.  This is the *reference* matcher, and nothing in production
+runs it: queries, every rule join, stratified negation and the chase
+(its triggers and its restricted head check) run compiled
+(:mod:`repro.core.match`) and the tests pin them against it.
+:func:`most_selective` is shared: both order their joins by it.
 
 The search is a standard backtracking join.  Atoms are processed in a
 greedy most-selective-first order: at each step the pending atom with the

@@ -7,8 +7,9 @@ slot-addressed probe :class:`Step` s in the static order of
 atom, no per-node ordering, and a step that binds nothing is one
 membership test (:func:`probe`).  A rule additionally gets its head
 as a projection of the row and one form per *pinned* body position, so
-the semi-naive rounds, the maintenance waves and the chase's trigger
-discovery all run their delta joins through :func:`walk`.
+the semi-naive rounds (stratified negation's included), the maintenance
+waves, the chase's trigger discovery and its restricted head check all
+run through :func:`walk`.
 :func:`~repro.core.homomorphism.homomorphisms` is the reference this is
 pinned against (``tests/property/test_prop_body_compile.py``); the batch
 counterpart is :mod:`repro.kernels.compiler`.
@@ -22,8 +23,9 @@ from .atoms import Atom
 from .homomorphism import most_selective
 from .terms import Variable
 
-__all__ = ["AtomSet", "compile_atoms", "compile_rule", "pinned_candidates",
-           "probe", "rule_form", "rule_heads", "selective_order", "walk"]
+__all__ = ["AtomSet", "compile_atoms", "compile_rule", "holds",
+           "pinned_candidates", "probe", "rule_form", "rule_heads",
+           "selective_order", "walk"]
 
 
 class AtomSet:
@@ -70,17 +72,18 @@ class Step(NamedTuple):
 
 
 def selective_order(
-    atoms: Sequence[Atom], first: Optional[int] = None
+    atoms: Sequence[Atom], first: Optional[int] = None, bound: Iterable = ()
 ) -> tuple:
     """The join order of *atoms*, as indices into it: the atom at *first*
     first (a pinned atom: its candidates come from a delta, not from a
     probe — the delta-driven operand of a piece-wise linear rule), then
-    each next atom the :func:`most_selective` given what is bound so far.
+    each next atom the :func:`most_selective` given what is bound so far
+    (the variables of *bound* from the start).
     Every compiled join takes its order from here — the tuple steps of
     this module and the batch steps of :mod:`repro.kernels.compiler` —
     so the two compilers always join in one order."""
     pending = list(range(len(atoms)))
-    bound: set = set()
+    bound = set(bound)
     order = []
     while pending:
         at = (
@@ -94,12 +97,12 @@ def selective_order(
     return tuple(order)
 
 
-def compile_atoms(atoms: Sequence[Atom], order: Sequence[int]):
+def compile_atoms(atoms: Sequence[Atom], order: Sequence[int], slots=None):
     """``(steps, slots)`` of *atoms* joined in *order* (indices into
     *atoms*, as :func:`selective_order` gives them): ``steps[depth]`` is
     the atom ``atoms[order[depth]]``, ``slots`` the slot of each
-    variable."""
-    slots: dict[Variable, int] = {}
+    variable — those of the given *slots* fed, not bound."""
+    slots = dict(slots or {})
     steps = []
     for at in order:
         atom = atoms[at]
@@ -122,14 +125,15 @@ def compile_atoms(atoms: Sequence[Atom], order: Sequence[int]):
 
 
 class RuleForm(NamedTuple):
-    """A rule body compiled with one atom first (or none) and the head
-    as a projection of the row."""
+    """A rule body compiled with one atom first (or none), the head and
+    the negated literals as projections of the row."""
 
     steps: tuple
     depth_of: tuple   # body position → depth of its step
     earlier: tuple    # (depth, predicate) per body position before the pin
     template: tuple   # the initial row: a cell per variable, then the head's constants
     heads: tuple      # (predicate, row cells) per head atom
+    negated: tuple = ()  # (predicate, row cells) per negated body literal
 
 
 class CompiledRule(NamedTuple):
@@ -139,35 +143,48 @@ class CompiledRule(NamedTuple):
     full: RuleForm       # no atom pinned: every match of the body
     from_head: RuleForm  # head[0] first, then the body: is a given fact derivable?
     existential: tuple   # row cells of the head-only variables, by name
+    head_check: Optional[tuple]  # the head's steps fed the full row (existential rules)
 
-    def head_atoms(self, image: Sequence[Atom], nulls: Sequence = ()) -> tuple:
-        """The head under the match whose body image is *image*, the
-        existential variables sent to *nulls* (in name order)."""
+    def _row(self, image: Sequence[Atom]) -> list:
+        """The full form's row of the match whose body image is *image*."""
         form = self.full
         row = list(form.template)
         for stored, depth in zip(image, form.depth_of):
             for index, slot in form.steps[depth].binds:
                 row[slot] = stored.args[index]
+        return row
+
+    def head_atoms(self, image: Sequence[Atom], nulls: Sequence = ()) -> tuple:
+        """The head under the match whose body image is *image*, the
+        existential variables sent to *nulls* (in name order)."""
+        row = self._row(image)
         for slot, null in zip(self.existential, nulls):
             row[slot] = null
         return tuple(
             Atom(predicate, tuple([row[cell] for cell in cells]))
-            for predicate, cells in form.heads
+            for predicate, cells in self.full.heads
         )
 
+    def head_holds(self, image: Sequence[Atom], store) -> bool:
+        """The restricted chase's check for an existential rule: does
+        the match whose body image is *image* extend to a match of the
+        head in *store* (the frontier fixed, the existentials free)?"""
+        return holds(self.head_check, store, self._row(image))
 
-def rule_form(body, head, order: Sequence[int]) -> RuleForm:
-    """*body* joined in *order* (see :func:`compile_atoms`), *head* a
-    projection of the row.  Walked with a delta, the form is pinned at
-    its first step: ``earlier`` lists the body positions before it."""
+
+def rule_form(body, head, order: Sequence[int], negated=()) -> RuleForm:
+    """*body* joined in *order* (see :func:`compile_atoms`), *head* and
+    the *negated* literals projections of the row.  Walked with a delta,
+    the form is pinned at its first step: ``earlier`` lists the body
+    positions before it."""
     steps, slots = compile_atoms(body, order)
     cells: dict = dict(slots)
     template: list = [None] * len(slots)
-    # Head-only variables by name, then the head's constants: a cell
-    # each, so the head is a plain projection of the row.
+    # Head-only variables by name, then the constants of the head and
+    # the negated literals: a cell each, so each is a plain projection.
     unbound = {t for a in head for t in a.args if isinstance(t, Variable)}
     for term in sorted(unbound - set(slots), key=lambda v: v.name) + [
-        t for a in head for t in a.args
+        t for a in head + negated for t in a.args
     ]:
         if term not in cells:
             cells[term] = len(template)
@@ -177,24 +194,36 @@ def rule_form(body, head, order: Sequence[int]) -> RuleForm:
         steps, depth_of,
         tuple((depth_of[at], body[at].predicate) for at in range(order[0])),
         tuple(template),
-        tuple((a.predicate, tuple(cells[t] for t in a.args)) for a in head),
+        *(
+            tuple((a.predicate, tuple(cells[t] for t in a.args)) for a in atoms)
+            for atoms in (head, negated)
+        ),
     )
 
 
 def compile_rule(tgd) -> CompiledRule:
-    """Compile *tgd* (anything with ``body``, ``head`` and
-    ``existential_variables()``) once, for every way a rule is joined."""
-    body, head = tgd.body, tgd.head
+    """Compile *tgd* (anything with ``body``, ``head``, ``negated`` and
+    the variable sets of a :class:`~repro.core.tgd.TGD`) once, for every
+    way a rule is joined."""
+    body, head, negated = tgd.body, tgd.head, tgd.negated
     bound = len(tgd.body_variables())
     from_head = head[:1] + body
+    order = selective_order(body)
+    head_check = None
+    if tgd.existential_variables():
+        _, slots = compile_atoms(body, order)
+        head_check, _ = compile_atoms(
+            head, selective_order(head, bound=slots), slots
+        )
     return CompiledRule(
         tuple(
-            rule_form(body, head, selective_order(body, at))
+            rule_form(body, head, selective_order(body, at), negated)
             for at in range(len(body))
         ),
-        rule_form(body, head, selective_order(body)),
+        rule_form(body, head, order, negated),
         rule_form(from_head, (), selective_order(from_head, 0)),
         tuple(range(bound, bound + len(tgd.existential_variables()))),
+        head_check,
     )
 
 
@@ -225,9 +254,10 @@ def probe(step: Step, store, row) -> Iterator[Atom]:
     return iter((atom,) if atom in store else ())
 
 
-def walk(form: RuleForm, store, delta=None):
+def walk(form: RuleForm, store, delta=None, row=None):
     """Yield ``(row, matched)`` for every match of *form*'s steps over
-    *store*: ``row`` holds a term per cell, ``matched`` the stored atom
+    *store*: ``row`` holds a term per cell (a given *row* has its fed
+    slots filled and is written in place), ``matched`` the stored atom
     per depth.  With *delta* the form is a pinned one: it starts from the
     delta atoms of its first step's predicate and reports a match only if
     no earlier body position matched a delta atom, so over all pinned forms
@@ -237,7 +267,7 @@ def walk(form: RuleForm, store, delta=None):
     """
     steps = form.steps
     last = len(steps) - 1
-    row = list(form.template)
+    row = list(form.template) if row is None else row
     matched: list = [None] * len(steps)
     out = (row, matched)
     iters: list = [None] * len(steps)
@@ -276,12 +306,32 @@ def walk(form: RuleForm, store, delta=None):
             depth -= 1
 
 
+def holds(steps: tuple, store, row: list) -> bool:
+    """Does some match of *steps* over *store* extend the slots *row*
+    already binds?  Walked to the first match only; *row* is written."""
+    return next(walk(RuleForm(steps, (), (), (), ()), store, row=row), None) is not None
+
+
+def _unblocked(negated: tuple, matches, store):
+    """The *matches* no negated literal blocks: each literal, projected
+    from the row like a head atom, is absent from *store*."""
+    for match in matches:
+        row = match[0]
+        for predicate, cells in negated:
+            if Atom(predicate, tuple([row[cell] for cell in cells])) in store:
+                break
+        else:
+            yield match
+
+
 def rule_heads(rules, store, delta=None) -> Iterator[Atom]:
     """The head fact of every match of every rule of *rules* over
     *store* — one per match, so multiplicities are support counts; with
-    *delta*, of the matches that use a delta atom.  Lazy like
-    :func:`walk`.  Raises ``ValueError`` at the first pull, before any
-    match, if a head names a variable no body atom binds."""
+    *delta*, of the matches that use a delta atom.  A rule with negated
+    literals keeps only the matches none of them blocks (sound when the
+    negated predicates are complete in *store*: a lower stratum's).
+    Lazy like :func:`walk`.  Raises ``ValueError`` at the first pull,
+    before any match, if a head names a variable no body atom binds."""
     for tgd in rules:
         if tgd.matcher.existential:
             raise ValueError(
@@ -292,5 +342,8 @@ def rule_heads(rules, store, delta=None) -> Iterator[Atom]:
         compiled = tgd.matcher
         for form in (compiled.full,) if delta is None else compiled.pinned:
             predicate, cells = form.heads[0]
-            for row, _ in walk(form, store, delta):
+            matches = walk(form, store, delta)
+            if form.negated:
+                matches = _unblocked(form.negated, matches, store)
+            for row, _ in matches:
                 yield Atom(predicate, tuple([row[cell] for cell in cells]))

@@ -15,9 +15,8 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .atoms import Atom, atoms_variables
-from .homomorphism import homomorphisms
 from .instance import Instance
-from .match import compile_atoms, pinned_candidates, probe, selective_order
+from .match import compile_atoms, holds, pinned_candidates, probe, selective_order
 from .substitution import Substitution
 from .terms import Constant, Term, Variable
 
@@ -242,10 +241,10 @@ class ConjunctiveQuery:
         return answers
 
     def holds_in(self, instance: Instance) -> bool:
-        """Boolean evaluation: does some homomorphism into I exist?"""
-        for _ in homomorphisms(self.atoms, instance):
-            return True
-        return False
+        """Boolean evaluation: does some homomorphism into I exist?  One
+        that sends an output variable to a null counts."""
+        steps, _ = self._compiled
+        return holds(steps, instance, [None] * len(self.variables()))
 
     def __str__(self) -> str:
         head_args = ",".join(str(v) for v in self.output)

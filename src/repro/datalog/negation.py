@@ -7,37 +7,43 @@ direct-semantics entailment regime.  The mild negation in question is
 predicate's value is fully settled before the rule's stratum runs —
 negation never wraps around a recursive cycle.
 
-This module is only the evaluator.  Programs come from the one parser
+This module is only the evaluator, and it adds no machinery of its own.
+Programs come from the one parser
 (:func:`repro.lang.parser.parse_program` puts ``not p(X, Y)`` literals
-on :attr:`~repro.core.tgd.TGD.negated`), and what makes them evaluable
-is what the linter already checks: safety (E101 — every variable of a
-negated literal, and of the head of a rule with negation, occurs in a
-positive body atom) and stratifiability (E103 — no negated literal
-inside its own strongly connected component of the dependency graph,
-:attr:`~repro.lint.context.LintContext.dependency_sccs`).
+on :attr:`~repro.core.tgd.TGD.negated`); what makes them evaluable is
+what the linter checks — every error-severity finding, the same gate
+:meth:`Session.plan <repro.api.session.Session.plan>` applies: safety
+(E101 — every variable of a negated literal, and of the head of a rule
+with negation, occurs in a positive body atom), consistent arities
+(E102) and stratifiability (E103 — no negated literal inside its own
+strongly connected component of the predicate graph, whose edges
+include the negative ones).
 
-* :func:`negation_stratification` — the rules grouped by the SCC of
-  their head predicate, dependencies first;
-* :func:`stratified_fixpoint` — evaluates stratum by stratum; within a
-  stratum the negated predicates are complete (they belong to strictly
-  lower strata), so each negative literal is a static filter.
+* :func:`negation_stratification` — :func:`~repro.datalog.strata.compute_strata`
+  of the gated program, dependencies first;
+* :func:`stratified_fixpoint` — per stratum, the semi-naive rounds of
+  :func:`~repro.datalog.seminaive.delta_rounds`, seeded with the whole
+  instance as the first delta.  Within a stratum the negated predicates
+  are complete (they belong to strictly lower strata), so each negated
+  literal is a static filter on the compiled join
+  (:func:`~repro.core.match.rule_heads`) and semi-naive evaluation stays
+  sound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Optional, Tuple
 
-from ..core.atoms import Atom
-from ..core.homomorphism import homomorphisms
 from ..core.instance import Database, Instance
+from ..core.match import AtomSet
 from ..core.program import Program
 from ..core.query import ConjunctiveQuery
 from ..core.terms import Constant
 from ..core.tgd import TGD
-from ..lint import LintContext, LintError
-from ..lint.passes import check_negation_in_recursion, check_unsafe_rules
-from .seminaive import _check_datalog
+from ..lint import LintError, run_lint
+from .seminaive import _check_datalog, delta_rounds
+from .strata import compute_strata
 
 __all__ = [
     "negation_stratification",
@@ -46,26 +52,27 @@ __all__ = [
 ]
 
 
+def _gated_strata(
+    program: Program, database: Optional[Database] = None
+) -> Tuple[Tuple[TGD, ...], ...]:
+    _check_datalog(program)
+    errors = run_lint(program, facts=database).errors()
+    if errors:
+        raise LintError(errors, program.name)
+    return compute_strata(program).layers
+
+
 def negation_stratification(program: Program) -> List[Tuple[TGD, ...]]:
     """Partition the rules into strata, dependencies first.
 
-    Rules must be full and single-head (``ValueError`` otherwise);
-    unsafe negation (E101) and negation through recursion (E103 — the
-    classic win/move pattern) raise :class:`~repro.lint.LintError`
-    carrying the findings.  A rule evaluates in the stratum of its
-    head's component.
+    Rules must be full and single-head (``ValueError`` otherwise); a
+    program with error-severity lint findings — unsafe negation (E101),
+    arity conflicts (E102), negation through recursion (E103, the
+    classic win/move pattern) — raises :class:`~repro.lint.LintError`
+    carrying them.  A rule evaluates in the stratum of its head's
+    component.
     """
-    _check_datalog(program)
-    ctx = LintContext(program)
-    errors = [*check_unsafe_rules(ctx), *check_negation_in_recursion(ctx)]
-    if errors:
-        raise LintError(errors, program.name)
-    scc_of = ctx.dependency_sccs
-    layered: Dict[int, List[TGD]] = {}
-    for tgd in program:
-        layered.setdefault(scc_of[tgd.head[0].predicate], []).append(tgd)
-    # SCC ids count sinks first, so dependencies carry the higher ids.
-    return [tuple(layered[key]) for key in sorted(layered, reverse=True)]
+    return list(_gated_strata(program))
 
 
 # -- evaluation --------------------------------------------------------------------
@@ -78,24 +85,10 @@ class StratifiedFixpoint:
     instance: Instance
     strata: int
     derived: int
-    rounds: int
+    rounds: int  # semi-naive rounds, over all strata
 
     def evaluate(self, query: ConjunctiveQuery) -> set[tuple[Constant, ...]]:
         return query.evaluate(self.instance)
-
-
-def _rule_matches(rule: TGD, instance: Instance):
-    """All substitutions matching the positive body and failing every
-    negated literal."""
-    for hom in homomorphisms(list(rule.body), instance):
-        blocked = False
-        for negated in rule.negated:
-            image = hom.apply_atom(negated)
-            if next(iter(instance.matching(image)), None) is not None:
-                blocked = True
-                break
-        if not blocked:
-            yield hom
 
 
 def stratified_fixpoint(
@@ -103,31 +96,17 @@ def stratified_fixpoint(
 ) -> StratifiedFixpoint:
     """Evaluate stratum by stratum to the perfect model.
 
-    Within a stratum the rules iterate naively to fixpoint (the strata
-    are small by construction; the package's semi-naive engine handles
-    the negation-free fast path), while every negated literal refers
-    only to strata that are already complete.
+    The gate of :func:`negation_stratification` also sees *database*,
+    so a fact whose arity conflicts with a rule's use of its predicate
+    is an E102 error here too.
     """
-    strata = negation_stratification(program)
+    strata = _gated_strata(program, database)
     instance = database.to_instance()
-    derived = 0
-    rounds = 0
+    derived = rounds = 0
     for layer in strata:
-        changed = True
-        while changed:
+        for event in delta_rounds(instance, AtomSet(instance), layer):
             rounds += 1
-            changed = False
-            fresh: List[Atom] = []
-            for rule in layer:
-                for hom in _rule_matches(rule, instance):
-                    fact = hom.apply_atom(rule.head[0])
-                    if fact not in instance:
-                        fresh.append(fact)
-            for fact in fresh:
-                if fact not in instance:
-                    instance.add(fact)
-                    derived += 1
-                    changed = True
+            derived += len(event.staged)
     return StratifiedFixpoint(
         instance=instance,
         strata=len(strata),

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
+from ..analysis.predicate_graph import PredicateGraph
 from ..core.instance import Database, Instance
 from ..core.program import Program
 from ..core.query import ConjunctiveQuery
@@ -47,11 +48,10 @@ class Strata:
 
 
 def compute_strata(program: Program) -> Strata:
-    """Group rules by the SCC layer of their head predicate."""
-    from ..analysis.predicate_graph import PredicateGraph
-
-    graph = PredicateGraph(program)
-    order = graph.condensation_order()
+    """Group rules by the SCC layer of their head predicate — negated
+    body literals count as dependencies, so this is also stratified
+    negation's stratification (:mod:`repro.datalog.negation`)."""
+    order = PredicateGraph(program).condensation_order()
     layer_of: Dict[str, int] = {}
     for index, component in enumerate(order):
         for predicate in component:

@@ -10,16 +10,16 @@ Tolerance is the point: the production analyses
 :class:`~repro.analysis.predicate_graph.PredicateGraph`) *raise* on an
 arity-inconsistent program, but the linter's job is to report that
 inconsistency as a diagnostic and keep going.  The context therefore
-builds its own conflict-tolerant schema, and the graph-dependent
-structures degrade to ``None`` when the schema is broken (their passes
-skip rather than crash).
+builds its own conflict-tolerant schema, and the fragment reports
+degrade to ``None`` when the schema is broken (their passes skip rather
+than crash); the predicate graph needs names only and is always built.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from ..analysis.digraph import DiGraph
 from ..analysis.piecewise import PiecewiseReport, piecewise_report
 from ..analysis.predicate_graph import PredicateGraph
 from ..analysis.wardedness import WardednessReport, wardedness_report
@@ -112,13 +112,10 @@ class LintContext:
         self.facts = facts
         self.query = query
         self._arity_uses: Optional[Dict[str, ArityUse]] = None
-        self._graph: Optional[PredicateGraph] = None
-        self._graph_built = False
         self._ward: Optional[WardednessReport] = None
         self._ward_built = False
         self._pwl: Optional[PiecewiseReport] = None
         self._pwl_built = False
-        self._dependency_sccs: Optional[Dict[str, int]] = None
 
     # -- tolerant schema ---------------------------------------------------
 
@@ -156,14 +153,10 @@ class LintContext:
         """Predicates derived by some rule head."""
         return self.program.head_predicates()
 
-    @property
-    def graph(self) -> Optional[PredicateGraph]:
-        """``pg(Σ)``, or None when arity conflicts make it unbuildable."""
-        if not self._graph_built:
-            self._graph_built = True
-            if self.schema_consistent:
-                self._graph = PredicateGraph(self.program)
-        return self._graph
+    @cached_property
+    def graph(self) -> PredicateGraph:
+        """``pg(Σ)`` with its negative edges (arity conflicts or not)."""
+        return PredicateGraph(self.program)
 
     @property
     def ward_report(self) -> Optional[WardednessReport]:
@@ -176,34 +169,9 @@ class LintContext:
 
     @property
     def pwl_report(self) -> Optional[PiecewiseReport]:
-        """Definition 4.1 recursive-atom counts (needs the graph)."""
+        """Definition 4.1 recursive-atom counts."""
         if not self._pwl_built:
             self._pwl_built = True
-            if self.graph is not None:
+            if self.schema_consistent:
                 self._pwl = piecewise_report(self.program)
         return self._pwl
-
-    @property
-    def dependency_sccs(self) -> Optional[Dict[str, int]]:
-        """Predicate → SCC id over the dependency graph *including*
-        negative edges — the stratifiability structure: a negated
-        literal whose predicate shares an SCC with the rule's head is
-        negation through recursion.  Ids count sinks first (an edge
-        never goes from a lower id to a higher one), which is the
-        order :mod:`repro.datalog.negation` reverses into strata."""
-        if self._dependency_sccs is None:
-            graph: DiGraph = DiGraph()
-            for use in self.arity_uses:
-                graph.add_node(use)
-            for tgd in self.program:
-                for head in tgd.head_predicates():
-                    for body in tgd.body_predicates():
-                        graph.add_edge(body, head)
-                    for negated in tgd.negated_predicates():
-                        graph.add_edge(negated, head)
-            scc_of: Dict[str, int] = {}
-            for scc_id, component in enumerate(graph.sccs()):
-                for predicate in component:
-                    scc_of[predicate] = scc_id
-            self._dependency_sccs = scc_of
-        return self._dependency_sccs

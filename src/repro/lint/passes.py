@@ -190,11 +190,11 @@ def check_negation_in_recursion(ctx: LintContext) -> Iterator[Diagnostic]:
     """A negated literal inside its own recursive component makes the
     program non-stratifiable: no layering evaluates the negation after
     its target is complete."""
-    scc_of = ctx.dependency_sccs
+    graph = ctx.graph
     for index, tgd in _rules(ctx):
         for atom in tgd.negated:
             if any(
-                scc_of.get(atom.predicate) == scc_of.get(head) for head in tgd.head_predicates()
+                graph.mutually_recursive(atom.predicate, head) for head in tgd.head_predicates()
             ):
                 yield Diagnostic(
                     code="E103",

@@ -9,6 +9,9 @@ atom" rule answered by re-applying the substitution to the whole body.
 ``test_prop_body_compile.py`` pins the compiled matcher against these
 match for match; ``tests/unit/test_match_counters.py`` patches them back
 into the engines and compares the counters no answer digest can see.
+:func:`stratified_fixpoint` is the naive evaluator stratified negation
+ran on, with a textbook stratification of its own: the oracle of
+``test_prop_negation_reference.py``.
 """
 
 from repro.chase.trigger import Trigger
@@ -73,3 +76,72 @@ def triggers_for_new_atom(tgds, new_atom, instance):
                 image = hom.apply_atoms(tgd.body)
                 if image.index(new_atom) == position:
                     yield Trigger(tgd_index, tgd, image)
+
+
+def all_triggers(tgds, instance):
+    """Drop-in for :func:`repro.chase.trigger.all_triggers`."""
+    for tgd_index, tgd in enumerate(tgds):
+        for hom in homomorphisms(tgd.body, instance):
+            yield Trigger(tgd_index, tgd, hom.apply_atoms(tgd.body))
+
+
+def head_already_satisfied(trigger, instance):
+    """Drop-in for ``repro.chase.runner._head_already_satisfied``: the
+    restricted-chase check in its general form, a homomorphism search
+    from h|frontier for every rule (h rebuilt from the body image)."""
+    h = {}
+    for pattern, stored in zip(trigger.tgd.body, trigger.image):
+        h.update(match_atom(pattern, stored))
+    seed = {v: h[v] for v in trigger.tgd.frontier()}
+    return find_homomorphism(list(trigger.tgd.head), instance, seed) is not None
+
+
+def _strata(program):
+    """Rule groups in the textbook order: a head's stratum is at least
+    each positive body predicate's and above each negated one's."""
+    stratum = dict.fromkeys(
+        (a.predicate for tgd in program for a in tgd.body + tgd.head + tgd.negated), 0
+    )
+    changed = True
+    while changed:
+        changed = False
+        for tgd in program:
+            need = max(
+                [stratum[a.predicate] for a in tgd.body]
+                + [stratum[a.predicate] + 1 for a in tgd.negated]
+            )
+            if stratum[tgd.head[0].predicate] < need:
+                stratum[tgd.head[0].predicate] = need
+                changed = True
+    groups = {}
+    for tgd in program:
+        groups.setdefault(stratum[tgd.head[0].predicate], []).append(tgd)
+    return [groups[key] for key in sorted(groups)]
+
+
+def stratified_fixpoint(database, program):
+    """The perfect model of a stratifiable program (negation gated by
+    the caller): per stratum, every rule's matches whose negated
+    literals are absent, naively to fixpoint."""
+    instance = database.to_instance()
+    for layer in _strata(program):
+        changed = True
+        while changed:
+            changed = False
+            fresh = []
+            for rule in layer:
+                for hom in homomorphisms(list(rule.body), instance):
+                    if any(
+                        next(iter(instance.matching(hom.apply_atom(negated))), None)
+                        is not None
+                        for negated in rule.negated
+                    ):
+                        continue
+                    fact = hom.apply_atom(rule.head[0])
+                    if fact not in instance:
+                        fresh.append(fact)
+            for fact in fresh:
+                if fact not in instance:
+                    instance.add(fact)
+                    changed = True
+    return instance

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.chase.trigger import triggers_for_new_atom
+from repro.chase.trigger import all_triggers, triggers_for_new_atom
 from repro.core.atoms import Atom, atoms_variables, match_atom
 from repro.core.homomorphism import homomorphisms
 from repro.core.instance import Instance
@@ -183,6 +183,17 @@ def test_trigger_discovery_equals_the_reference(program, database):
             t.key() for t in reference.triggers_for_new_atom(tgds, atom, store)
         ]
         assert got == want  # same triggers, same order: null numbering
+
+
+@given(programs(), databases())
+@settings(max_examples=150, deadline=None)
+def test_initial_trigger_discovery_equals_the_reference(program, database):
+    """The chase's first triggers, from the walk of each unpinned form,
+    are the homomorphism search's, match for match and in its order."""
+    store = Instance(database)
+    tgds = list(program)
+    got = [t.key() for t in all_triggers(tgds, store)]
+    assert got == [t.key() for t in reference.all_triggers(tgds, store)]
 
 
 # -- explicit cases ----------------------------------------------------------

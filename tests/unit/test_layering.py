@@ -223,3 +223,48 @@ def test_function_level_imports_count_and_type_checking_blocks_do_not():
     assert [name for name, _ in found] == [
         "lang", "analysis", "storage", "__init__", "core", "kernels",
     ]
+
+
+#: The generic backtracking search, kept as the reference the compiled
+#: matcher (``core/match.py``) is pinned against.
+REFERENCE_MATCHER = {"homomorphisms", "find_homomorphism"}
+
+
+def reference_matcher_uses(source: str) -> list:
+    """Line numbers at which *source* imports or reads a name of
+    :data:`REFERENCE_MATCHER`."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = {alias.name for alias in node.names}
+        elif isinstance(node, ast.Attribute):
+            names = {node.attr}
+        else:
+            continue
+        if names & REFERENCE_MATCHER:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_production_code_never_runs_the_reference_matcher():
+    # Rule bodies, queries, negation and the chase run on the compiled
+    # forms; only ``core.homomorphism`` (which defines the search) and
+    # ``core/__init__`` (which re-exports it) may name it.
+    kept = {ROOT_DIR / "core" / "homomorphism.py", ROOT_DIR / "core" / "__init__.py"}
+    found = {
+        str(path.relative_to(ROOT_DIR)): lines
+        for path in sorted(ROOT_DIR.rglob("*.py"))
+        if path not in kept
+        and (lines := reference_matcher_uses(path.read_text()))
+    }
+    assert found == {}
+
+
+def test_the_reference_matcher_guard_sees_imports_and_attributes():
+    source = (
+        "from ..core.homomorphism import find_homomorphism\n"
+        "from repro.core import homomorphism\n"
+        "homomorphism.homomorphisms([], None)\n"
+        "from .homomorphism import most_selective\n"
+    )
+    assert reference_matcher_uses(source) == [1, 3]

@@ -7,8 +7,11 @@ the work counters must agree: per-round ``considered`` of the semi-naive
 interpreter, ``MaintenanceReport.totals()`` of a churn stream (DRed's
 rederive stage edits the store *while* it pulls matches, so ``matches``
 is order-sensitive), and ``fired`` / ``suppressed`` / null numbering of
-a restricted chase.  A spy store pins what one compiled step costs: a
-step that binds nothing is one ``__contains__`` and no probe.
+a restricted chase — its first triggers, delta discovery and existential
+head check all compiled — on a hand-written program, the benchsuite
+corpus and the proof-tree engines' probe chase.  A spy store pins what
+one compiled step costs: a step that binds nothing is one
+``__contains__`` and no probe.
 """
 
 from collections import Counter
@@ -18,6 +21,7 @@ from unittest import mock
 import pytest
 
 from repro.api import Session
+from repro.benchsuite import generate_iwarded, suite_corpus
 from repro.benchsuite.churn import generate_churn
 from repro.chase.runner import chase
 from repro.chase.termination import DepthPolicy
@@ -45,9 +49,13 @@ def reference_joins() -> ExitStack:
     stack.enter_context(mock.patch.object(
         FixpointMaintainer, "_derivable", reference.derivable
     ))
+    for name in ("triggers_for_new_atom", "all_triggers"):
+        stack.enter_context(mock.patch(
+            f"repro.chase.runner.{name}", getattr(reference, name)
+        ))
     stack.enter_context(mock.patch(
-        "repro.chase.runner.triggers_for_new_atom",
-        reference.triggers_for_new_atom,
+        "repro.chase.runner._head_already_satisfied",
+        reference.head_already_satisfied,
     ))
     return stack
 
@@ -142,6 +150,37 @@ def test_restricted_chase_counters_and_null_numbering():
     shipped, on_reference = both(run)
     assert shipped == on_reference
     assert shipped[0] > 10 and shipped[1] > 0 and shipped[3] > 3
+
+
+def probe_inputs() -> list:
+    """The proof-tree engines' probe chase (``reasoning.answers.probe_instance``)
+    inputs: the corpus and ``pwl_reason``'s iwarded-pwl V=60/E=100 —
+    built per test, so no module global keeps their terms interned."""
+    return suite_corpus(base_seed=2019) + [
+        generate_iwarded(seed=2019, flavour="pwl", vertices=60, edges=100)
+    ]
+
+
+PROBE_NAMES = [scenario.name for scenario in probe_inputs()]
+
+
+@pytest.mark.parametrize("index", range(len(PROBE_NAMES)), ids=PROBE_NAMES)
+def test_probe_chase_counters_on_the_corpus(index):
+    scenario = probe_inputs()[index]
+
+    def run():
+        result = chase(
+            scenario.database, scenario.program,
+            policy=DepthPolicy(3), max_atoms=20000,
+        )
+        return (
+            result.fired, result.suppressed, result.saturated,
+            result.instance.atoms(),
+        )
+
+    shipped, on_reference = both(run)
+    assert shipped == on_reference
+    assert shipped[0] > 0
 
 
 class Spy(Instance):

@@ -88,6 +88,29 @@ class TestStratification:
         with pytest.raises(LintError, match="E103.*win"):
             negation_stratification(program)
 
+    def test_arity_conflict_between_rules_rejected(self):
+        # `not p(X)` against the rule body's p(X, Y): the empty p/1 would
+        # let every e(X) through.  Session.load refuses the same text.
+        program, database = parse_program("""
+            e(a). e(b). p(a, b).
+            s(X, Y) :- e(X), p(X, Y).
+            q(X)    :- e(X), not p(X).
+        """)
+        with pytest.raises(LintError, match="E102.*'p'"):
+            stratified_answers(parse_query("q(X) :- q(X)."), database, program)
+        with pytest.raises(LintError, match="E102"):
+            negation_stratification(program)
+
+    def test_arity_conflict_with_a_fact_rejected(self):
+        # Only the facts use p/2: the rules alone are consistent.
+        program, database = parse_program("""
+            e(a). p(a, b).
+            q(X) :- e(X), not p(X).
+        """)
+        assert negation_stratification(program)
+        with pytest.raises(LintError, match="E102.*'p'"):
+            stratified_fixpoint(database, program)
+
     def test_mutual_negation_rejected(self):
         program, _ = parse_program("""
             p(X) :- base(X), not q(X).

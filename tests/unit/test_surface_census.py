@@ -219,3 +219,17 @@ def test_serve_has_no_flatten_depth_flag():
         build_parser().parse_args(
             ["serve", "program.vada", "--flatten-depth", "4"]
         )
+
+
+def test_the_chase_records_no_derivation_graph():
+    # The chase-graph recorder had no caller outside its own test.
+    from repro.chase.runner import ChaseResult, ChaseRun, chase_events
+    from repro.chase.trigger import Trigger
+
+    for name in ("ChaseGraph", "DerivationEdge"):
+        assert not hasattr(repro.chase, name), name
+    assert "record_graph" not in _parameters(chase_events)
+    for cls in (ChaseResult, ChaseRun):
+        assert "graph" not in cls.__dataclass_fields__, cls
+    for name in ("substitution", "extended"):
+        assert not hasattr(Trigger, name), name
