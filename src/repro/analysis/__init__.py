@@ -1,6 +1,6 @@
 """Static analysis: predicate graph, wardedness, piece-wise linearity."""
 
-from .affected import affected_positions, all_positions, nonaffected_positions
+from .affected import affected_positions
 from .levels import (
     max_level,
     node_width_bound_pwl,
@@ -17,7 +17,7 @@ from .piecewise import (
     recursive_body_atoms,
 )
 from .predicate_graph import PredicateGraph
-from .variable_roles import VariableRoles, classify_program, classify_variables
+from .variable_roles import VariableRoles, classify_variables
 from .wardedness import (
     TGDWardInfo,
     WardednessReport,
@@ -27,8 +27,6 @@ from .wardedness import (
 
 __all__ = [
     "affected_positions",
-    "nonaffected_positions",
-    "all_positions",
     "predicate_levels",
     "max_level",
     "node_width_bound_pwl",
@@ -36,7 +34,6 @@ __all__ = [
     "PredicateGraph",
     "VariableRoles",
     "classify_variables",
-    "classify_program",
     "is_warded",
     "wardedness_report",
     "WardednessReport",

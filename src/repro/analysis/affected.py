@@ -22,16 +22,7 @@ from ..core.atoms import Position
 from ..core.program import Program
 from ..core.terms import Variable
 
-__all__ = ["affected_positions", "nonaffected_positions", "all_positions"]
-
-
-def all_positions(program: Program) -> set[Position]:
-    """``pos(Σ)``: every position R[i] of every predicate of sch(Σ)."""
-    positions: set[Position] = set()
-    for predicate, arity in program.schema().items():
-        for i in range(1, arity + 1):
-            positions.add(Position(predicate, i))
-    return positions
+__all__ = ["affected_positions"]
 
 
 def affected_positions(program: Program) -> set[Position]:
@@ -68,8 +59,3 @@ def affected_positions(program: Program) -> set[Position]:
                             affected.add(position)
                             changed = True
     return affected
-
-
-def nonaffected_positions(program: Program) -> set[Position]:
-    """``nonaff(Σ) = pos(Σ) \\ aff(Σ)``."""
-    return all_positions(program) - affected_positions(program)

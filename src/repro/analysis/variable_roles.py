@@ -17,15 +17,13 @@ classification: they are their own fixed values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Set
+from typing import Set
 
 from ..core.atoms import Position
-from ..core.program import Program
 from ..core.terms import Variable
 from ..core.tgd import TGD
-from .affected import affected_positions
 
-__all__ = ["VariableRoles", "classify_variables", "classify_program"]
+__all__ = ["VariableRoles", "classify_variables"]
 
 
 @dataclass(frozen=True)
@@ -78,9 +76,3 @@ def classify_variables(
     return VariableRoles(
         frozenset(harmless), frozenset(harmful), frozenset(dangerous)
     )
-
-
-def classify_program(program: Program) -> Dict[TGD, VariableRoles]:
-    """Classify every TGD of *program* (aff(Σ) computed once)."""
-    affected = affected_positions(program)
-    return {tgd: classify_variables(tgd, affected) for tgd in program}

@@ -1,6 +1,7 @@
 """Synthetic benchmark suites emulating the families the paper surveys
 (ChaseBench, iBench, iWarded, DBpedia, industrial) — [SIM] substitutes,
-see DESIGN.md §5 — plus the Section 1.2 recursion-statistics analyzer."""
+because those suites are not redistributable (``scenario.py`` says what
+each one keeps) — plus the Section 1.2 recursion-statistics analyzer."""
 
 from .chasebench import generate_chasebench
 from .churn import ChurnScenario, generate_churn

@@ -3,7 +3,8 @@
 The paper surveys TGD-sets from ChaseBench, iBench, iWarded, a
 DBpedia-based benchmark, and industrial sources.  Those suites are not
 redistributable, so :mod:`repro.benchsuite` generates synthetic
-scenarios with the same structural features (**[SIM]**, DESIGN.md §5);
+scenarios with the same structural features (**[SIM]**: a substitute
+for data this repository cannot ship);
 every generated scenario carries its suite label and the recursion
 flavour it was planted with, so the E1 statistics can be validated
 against ground truth.  :func:`answer_digest` is how the benchmarks and

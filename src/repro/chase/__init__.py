@@ -11,10 +11,8 @@ from .runner import (
 from .termination import (
     AlwaysFire,
     DepthPolicy,
-    IsomorphismPolicy,
     LinearForestPolicy,
     TerminationPolicy,
-    atom_shape,
 )
 from .trigger import Trigger, all_triggers, fire, triggers_for_new_atom
 
@@ -32,7 +30,5 @@ __all__ = [
     "TerminationPolicy",
     "AlwaysFire",
     "DepthPolicy",
-    "IsomorphismPolicy",
     "LinearForestPolicy",
-    "atom_shape",
 ]

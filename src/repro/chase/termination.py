@@ -5,7 +5,7 @@ controls recursion with *guide structures* (linear forest, warded forest,
 lifted linear forest — Section 7(1) and reference [6]).  Those structures
 are proprietary and only sketched in the literature, so this module
 provides the closest open implementations of the same role
-(**[SIM]** substitution, see DESIGN.md §5):
+(a **[SIM]** substitution):
 
 * :class:`DepthPolicy` — bound the *null depth* (how many nested
   existential inventions lead to a term).  Sound for query answering in
@@ -15,15 +15,6 @@ provides the closest open implementations of the same role
   pattern tracking over invented nulls.  An invention is cut when its
   pattern already occurs along the chain of nulls it consumes (the E7
   ablation benchmark measures it against :class:`AlwaysFire`).
-* :class:`IsomorphismPolicy` — Vadalog-style aggressive termination
-  control: a trigger is suppressed when every atom it would create is
-  *isomorphic modulo nulls* to an atom already present (same predicate,
-  same constants at the same positions, same equality pattern among
-  nulls).  For warded sets this prunes the repetitive part of the chase
-  while preserving all *ground* consequences along isomorphic
-  sub-chases; queries that join on nulls across atoms may need the
-  unpruned chase (the classic price of atom-level patterns — documented
-  behaviour, pinned by ``tests/unit/test_chase.py``).
 
 Policies are consulted *before* a trigger fires; returning False
 suppresses it.  They also see the atoms the trigger would create.
@@ -31,7 +22,7 @@ suppresses it.  They also see the atoms the trigger would create.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Protocol, Sequence
+from typing import Dict, FrozenSet, Protocol, Sequence
 
 from ..core.atoms import Atom
 from ..core.instance import Instance
@@ -42,9 +33,7 @@ __all__ = [
     "TerminationPolicy",
     "AlwaysFire",
     "DepthPolicy",
-    "IsomorphismPolicy",
     "LinearForestPolicy",
-    "atom_shape",
 ]
 
 
@@ -88,55 +77,6 @@ class DepthPolicy:
         return True
 
 
-def atom_shape(atom: Atom) -> tuple:
-    """The isomorphism type of an atom modulo null identity.
-
-    Constants stay concrete; nulls are replaced by their first-occurrence
-    index within the atom, so ``R(c, ⊥7, ⊥7)`` and ``R(c, ⊥9, ⊥9)`` share
-    a shape while ``R(c, ⊥7, ⊥8)`` does not.
-    """
-    seen: dict[Null, int] = {}
-    shaped: list[object] = []
-    for term in atom.args:
-        if isinstance(term, Null):
-            index = seen.setdefault(term, len(seen))
-            shaped.append(("null", index))
-        else:
-            shaped.append(("const", term))
-    return (atom.predicate, tuple(shaped))
-
-
-class IsomorphismPolicy:
-    """Suppress triggers whose every produced atom repeats a known shape.
-
-    The policy tracks the shapes of all atoms it has allowed into the
-    instance; a trigger survives iff it contributes at least one *new*
-    shape.  This emulates the guide-structure check of the Vadalog
-    system: sub-chases rooted at isomorphic atoms are isomorphic, so one
-    representative suffices for deriving ground atoms.
-    """
-
-    def __init__(self) -> None:
-        self._shapes: set[tuple] = set()
-        self.suppressed = 0
-
-    def register(self, atoms: Iterable[Atom]) -> None:
-        """Record the shapes of atoms already in the instance (e.g. D)."""
-        for atom in atoms:
-            self._shapes.add(atom_shape(atom))
-
-    def should_fire(
-        self, trigger: Trigger, produced: Sequence[Atom], instance: Instance
-    ) -> bool:
-        fresh = [a for a in produced if atom_shape(a) not in self._shapes]
-        if not fresh:
-            self.suppressed += 1
-            return False
-        for atom in produced:
-            self._shapes.add(atom_shape(atom))
-        return True
-
-
 class LinearForestPolicy:
     """Per-chain pattern tracking over invented nulls (the linear forest
     of Section 7(1)).
@@ -150,12 +90,7 @@ class LinearForestPolicy:
     the same chain, so no new ground consequence can come from it.  For
     warded programs the number of patterns is bounded, which is why the
     chase under this policy terminates there.  Existential-free
-    triggers always fire.
-
-    Compared with :class:`IsomorphismPolicy` (one representative per
-    atom shape in the whole instance), the forest is *per chain* — less
-    aggressive, retaining more of the chase.  ``cuts`` counts the
-    triggers it suppressed.
+    triggers always fire.  ``cuts`` counts the triggers it suppressed.
     """
 
     def __init__(self) -> None:

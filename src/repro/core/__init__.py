@@ -10,7 +10,6 @@ from .query import ConjunctiveQuery
 from .substitution import Substitution
 from .terms import Constant, Null, NullFactory, Term, Variable
 from .tgd import TGD
-from .unification import mgu_atoms, mgu_pairs
 
 __all__ = [
     "Atom",
@@ -28,6 +27,4 @@ __all__ = [
     "ConjunctiveQuery",
     "homomorphisms",
     "find_homomorphism",
-    "mgu_atoms",
-    "mgu_pairs",
 ]

@@ -173,18 +173,3 @@ class NullFactory:
         with self._lock:
             label = next(self._counter)
         return Null(label, depth)
-
-
-def is_constant(term: Term) -> bool:
-    """Return True iff *term* is a constant of ``C``."""
-    return isinstance(term, Constant)
-
-
-def is_variable(term: Term) -> bool:
-    """Return True iff *term* is a variable of ``V``."""
-    return isinstance(term, Variable)
-
-
-def is_null(term: Term) -> bool:
-    """Return True iff *term* is a labeled null of ``N``."""
-    return isinstance(term, Null)

@@ -5,28 +5,23 @@ a most general unifier (MGU) over flat argument tuples: a union-find over
 variables where each class may additionally contain at most one *rigid*
 term (a constant or a labeled null).  Two rigid terms clash unless equal.
 
-Two flavours are exposed:
-
-* :func:`mgu_atoms` — MGU of two atoms,
-* :func:`mgu_pairs` — simultaneous MGU of a list of atom pairs, used by
-  chunk-based resolution (Definition 4.3) where every atom of the chunk
-  ``S1`` must unify with the (single) head atom of the TGD at once.
-
-Both return a :class:`~repro.core.substitution.Substitution` mapping every
-unified variable to the representative of its class (a rigid term if the
-class contains one, otherwise a canonical variable of the class), or
-``None`` if unification fails.
+:class:`UnionFind` is that structure.  Chunk-based resolution
+(Definition 4.3, :mod:`repro.prooftree.chunk`) unions every atom of a
+chunk ``S1`` with the (single) head atom of the TGD in one structure —
+the simultaneous MGU of the chunk — and reads it off with
+:meth:`UnionFind.to_substitution`: every unified variable maps to the
+representative of its class (a rigid term if the class contains one,
+otherwise a canonical variable of the class).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
-from .atoms import Atom
 from .substitution import Substitution
 from .terms import Term, Variable
 
-__all__ = ["mgu_atoms", "mgu_pairs", "unify_term_lists", "UnionFind"]
+__all__ = ["UnionFind"]
 
 
 class UnionFind:
@@ -34,9 +29,7 @@ class UnionFind:
 
     Variables may merge freely; a class may absorb at most one distinct
     rigid term (constant or null).  Merging two classes holding different
-    rigid terms fails.  The structure is deliberately small and
-    self-contained — it is also reused by the canonical-renaming code in
-    :mod:`repro.reasoning.canonical`.
+    rigid terms fails.
     """
 
     def __init__(self) -> None:
@@ -103,38 +96,3 @@ class UnionFind:
                 if isinstance(member, Variable) and member != target:
                     mapping[member] = target
         return Substitution(mapping)
-
-
-def unify_term_lists(
-    pairs: Iterable[tuple[Sequence[Term], Sequence[Term]]]
-) -> Optional[Substitution]:
-    """Simultaneously unify corresponding positions of term-tuple pairs."""
-    uf = UnionFind()
-    for left, right in pairs:
-        if len(left) != len(right):
-            return None
-        for s, t in zip(left, right):
-            if not uf.union(s, t):
-                return None
-    return uf.to_substitution()
-
-
-def mgu_atoms(a: Atom, b: Atom) -> Optional[Substitution]:
-    """The MGU of two atoms, or None if they do not unify."""
-    if a.predicate != b.predicate or a.arity != b.arity:
-        return None
-    return unify_term_lists([(a.args, b.args)])
-
-
-def mgu_pairs(pairs: Sequence[tuple[Atom, Atom]]) -> Optional[Substitution]:
-    """Simultaneous MGU of a list of atom pairs, or None on failure.
-
-    Used to unify a chunk ``S1 = {α1, ..., αk}`` of a query with the head
-    atom of a TGD: pass ``[(α1, head), ..., (αk, head)]``.
-    """
-    term_pairs = []
-    for a, b in pairs:
-        if a.predicate != b.predicate or a.arity != b.arity:
-            return None
-        term_pairs.append((a.args, b.args))
-    return unify_term_lists(term_pairs)

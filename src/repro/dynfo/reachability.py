@@ -21,7 +21,8 @@ segments a ⇝ u and v ⇝ b.
 general digraphs is the Datta-Kulkarni-Mukherjee-Schwentick-Zeume 2015
 result, whose matrix-rank machinery is far outside this reproduction's
 scope; the deletion path here recomputes the closure from the
-maintained edge set (**[SIM]**, documented in DESIGN.md §5) so the
+maintained edge set (**[SIM]**; ``docs/ARCHITECTURE.md`` "Why each
+engine, store and package exists", the ``dynfo`` row) so the
 *interface* and the insertion fast path stay faithful while answers
 remain exact.
 """

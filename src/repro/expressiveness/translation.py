@@ -54,7 +54,6 @@ from ..prooftree.canonical import canonical_form
 from ..prooftree.decomposition import connected_components, restrict_output
 from ..prooftree.resolution import ido_resolvents
 from ..prooftree.specialization import enumerate_specializations
-from ..prooftree.tree import eq_partition_substitution
 
 __all__ = [
     "RewritingResult",
@@ -62,6 +61,7 @@ __all__ = [
     "pwl_to_datalog",
     "ward_to_datalog",
     "set_partitions",
+    "eq_partition_substitution",
 ]
 
 _ANSWER = "Answer"
@@ -91,6 +91,25 @@ def set_partitions(items: Sequence[Variable]) -> Iterator[List[List[Variable]]]:
         for i in range(len(partition)):
             yield partition[:i] + [[first] + partition[i]] + partition[i + 1:]
         yield [[first]] + partition
+
+
+def eq_partition_substitution(
+    partition: Sequence[Sequence[Variable]],
+) -> Substitution:
+    """``eq_π``: map the variables of each block to one representative.
+
+    The representative of a block is its first element (the paper's
+    "distinguished element of S_i").
+    """
+    mapping = {}
+    for block in partition:
+        if not block:
+            raise ValueError("partition blocks must be non-empty")
+        representative = block[0]
+        for var in block:
+            if var != representative:
+                mapping[var] = representative
+    return Substitution(mapping)
 
 
 def _output_variable(index: int) -> Variable:

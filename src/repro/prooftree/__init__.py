@@ -1,41 +1,27 @@
-"""Proof-tree machinery: chunk unifiers, resolution, decomposition,
-specialization, canonical renaming, and proof trees (Section 4.1)."""
+"""Proof-tree steps on bounded CQs (Section 4.1): chunk unifiers, IDO
+resolution, decomposition into connected components, specialization
+and canonical renaming.  The searches of :mod:`repro.reasoning` and the
+Datalog rewriting of :mod:`repro.expressiveness` build their proof trees
+out of these steps; an accepting run of the search is itself the
+linear proof tree (``PWLDecision.trace``)."""
 
-from .canonical import canonical_form, canonical_variable, is_canonical_variable
+from .canonical import canonical_form, canonical_variable
 from .chunk import ChunkUnifier, chunk_unifiers, shared_variables
-from .decomposition import (
-    connected_components,
-    decompose,
-    is_decomposition,
-    restrict_output,
-)
-from .resolution import Resolvent, ido_resolvents, resolvents, retarget_for_outputs
-from .specialization import (
-    enumerate_specializations,
-    is_specialization,
-    specialize,
-)
-from .tree import ProofNode, ProofTree, eq_partition_substitution
+from .decomposition import connected_components, restrict_output
+from .resolution import Resolvent, ido_resolvents, retarget_for_outputs
+from .specialization import enumerate_specializations, specialize
 
 __all__ = [
     "canonical_form",
     "canonical_variable",
-    "is_canonical_variable",
     "ChunkUnifier",
     "chunk_unifiers",
     "shared_variables",
     "connected_components",
-    "decompose",
-    "is_decomposition",
     "restrict_output",
     "Resolvent",
-    "resolvents",
     "ido_resolvents",
     "retarget_for_outputs",
     "specialize",
     "enumerate_specializations",
-    "is_specialization",
-    "ProofNode",
-    "ProofTree",
-    "eq_partition_substitution",
 ]

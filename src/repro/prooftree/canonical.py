@@ -24,7 +24,7 @@ from typing import Dict, Iterable, List, Optional, Set
 from ..core.atoms import Atom
 from ..core.terms import Constant, Null, Term, Variable
 
-__all__ = ["canonical_form", "canonical_variable", "is_canonical_variable"]
+__all__ = ["canonical_form", "canonical_variable"]
 
 _CANON_PREFIX = "ᶜ"
 
@@ -32,11 +32,6 @@ _CANON_PREFIX = "ᶜ"
 def canonical_variable(index: int) -> Variable:
     """The *index*-th variable of the canonical pool."""
     return Variable(f"{_CANON_PREFIX}{index}")
-
-
-def is_canonical_variable(variable: Variable) -> bool:
-    """True iff *variable* came from :func:`canonical_variable`."""
-    return variable.name.startswith(_CANON_PREFIX)
 
 
 def _term_sort_key(term: Term) -> tuple:

@@ -9,8 +9,8 @@ subqueries without losing the connection.
 
 The finest decomposition groups atoms into connected components of the
 "shares a non-output variable" relation; every other decomposition is a
-union of such components (possibly overlapping).  The reasoner uses the
-finest one; the validator accepts any set satisfying the definition.
+union of such components (possibly overlapping).  The searches and the
+Datalog rewriting use the finest one.
 """
 
 from __future__ import annotations
@@ -18,15 +18,9 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Set
 
 from ..core.atoms import Atom, atoms_variables
-from ..core.query import ConjunctiveQuery
 from ..core.terms import Variable
 
-__all__ = [
-    "connected_components",
-    "decompose",
-    "is_decomposition",
-    "restrict_output",
-]
+__all__ = ["connected_components", "restrict_output"]
 
 
 def restrict_output(
@@ -75,47 +69,3 @@ def connected_components(
     for index, atom in enumerate(atom_list):
         grouped.setdefault(find(index), []).append(atom)
     return list(grouped.values())
-
-
-def decompose(query: ConjunctiveQuery) -> List[ConjunctiveQuery]:
-    """The finest decomposition of *query* (Definition 4.4).
-
-    Returns one subquery per connected component, with output tuples
-    restricted accordingly.  A query with a single component decomposes
-    into (a copy of) itself.
-    """
-    components = connected_components(query.atoms, query.output_variables())
-    return [
-        ConjunctiveQuery(
-            restrict_output(query.output, component),
-            tuple(component),
-            head_predicate=query.head_predicate,
-        )
-        for component in components
-    ]
-
-
-def is_decomposition(
-    query: ConjunctiveQuery, children: Sequence[ConjunctiveQuery]
-) -> bool:
-    """Check Definition 4.4: do *children* form a decomposition of *query*?"""
-    if not children:
-        return False
-    covered: Set[Atom] = set()
-    for child in children:
-        covered.update(child.atoms)
-    if covered != set(query.atoms):
-        return False
-    outputs = query.output_variables()
-    for child in children:
-        # (1) the output tuple is the restriction of x̄ to the child's vars
-        if child.output != restrict_output(query.output, child.atoms):
-            return False
-        child_atoms = set(child.atoms)
-        # (2) atoms sharing a non-output variable travel together
-        for alpha in child.atoms:
-            for beta in query.atoms:
-                shared = alpha.variables() & beta.variables()
-                if shared - outputs and beta not in child_atoms:
-                    return False
-    return True

@@ -28,7 +28,6 @@ from .chunk import ChunkUnifier, chunk_unifiers
 
 __all__ = [
     "Resolvent",
-    "resolvents",
     "ido_resolvents",
     "retarget_for_outputs",
     "rename_apart",
@@ -103,38 +102,6 @@ def rename_apart(tgd: TGD, query: ConjunctiveQuery, base: str = "r") -> TGD:
         if not ({v.name for v in candidate.variables()} & query_names):
             return candidate
         index += 1
-
-
-def resolvents(
-    query: ConjunctiveQuery,
-    tgd: TGD,
-) -> Iterator[Resolvent]:
-    """Enumerate every σ-resolvent of *query* (not necessarily IDO).
-
-    The TGD is renamed apart automatically.  The resolvent's output
-    tuple is ``γ(x̄)`` — entries that become constants are dropped from
-    the variable interface, matching
-    :meth:`ConjunctiveQuery.apply`.
-    """
-    renamed = rename_apart(tgd, query)
-    outputs = query.output_variables()
-    for unifier in chunk_unifiers(query.atoms, outputs, renamed):
-        gamma = unifier.gamma
-        body = _resolvent_body(query.atoms, unifier, renamed, gamma)
-        if not body:
-            continue
-        new_output = [
-            v
-            for v in (gamma.apply_term(o) for o in query.output)
-            if isinstance(v, Variable)
-        ]
-        yield Resolvent(
-            query=ConjunctiveQuery(
-                tuple(new_output), body, head_predicate=query.head_predicate
-            ),
-            unifier=unifier,
-            tgd=renamed,
-        )
 
 
 def ido_resolvents(

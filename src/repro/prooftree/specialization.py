@@ -23,13 +23,13 @@ non-output variables with constants of dom(D); that variant lives in
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from ..core.query import ConjunctiveQuery
 from ..core.substitution import Substitution
 from ..core.terms import Variable
 
-__all__ = ["specialize", "enumerate_specializations", "is_specialization"]
+__all__ = ["specialize", "enumerate_specializations"]
 
 
 def specialize(
@@ -85,68 +85,3 @@ def enumerate_specializations(
         yield specialize(query, promote=(var,))
         for target in dict.fromkeys(outputs):
             yield specialize(query, collapse={var: target})
-
-
-def is_specialization(
-    parent: ConjunctiveQuery, child: ConjunctiveQuery
-) -> bool:
-    """Check whether *child* is a specialization of *parent* (Def. 4.5).
-
-    The check reconstructs ȳ from the output tuples and then verifies
-    that some substitution of the remaining non-output variables of the
-    parent onto x̄ ∪ ȳ maps the parent's atoms onto the child's atoms.
-    The reconstruction is syntactic — variable names are preserved by
-    specialization, so no renaming search is needed.
-    """
-    k = len(parent.output)
-    if tuple(child.output[:k]) != tuple(parent.output):
-        return False
-    promoted = tuple(child.output[k:])
-    non_outputs = parent.existential_variables()
-    if not set(promoted) <= non_outputs:
-        return False
-
-    allowed_targets = set(parent.output) | set(promoted)
-    candidates = sorted(
-        non_outputs - set(promoted), key=lambda v: v.name
-    )
-
-    # The substitution ρ is determined per variable; reconstruct it by
-    # matching atoms positionally.  Because ρ only moves variables of z̄
-    # and fixes everything else, each parent atom must map to a child
-    # atom under a single consistent assignment.
-    assignment: Dict[Variable, Variable] = {}
-
-    def image(atom):
-        return atom.predicate, tuple(
-            assignment.get(t, t) if isinstance(t, Variable) else t
-            for t in atom.args
-        )
-
-    child_atoms = {(a.predicate, a.args) for a in child.atoms}
-
-    def backtrack(index: int) -> bool:
-        if index == len(parent.atoms):
-            return {image(a) for a in parent.atoms} == child_atoms
-        atom = parent.atoms[index]
-        free = [
-            t
-            for t in atom.args
-            if isinstance(t, Variable)
-            and t in candidates
-            and t not in assignment
-        ]
-        if not free:
-            return backtrack(index + 1)
-        # try identity first, then each allowed target, per free variable
-        var = free[0]
-        for target in [var, *sorted(allowed_targets, key=lambda v: v.name)]:
-            if target != var and target not in allowed_targets:
-                continue
-            assignment[var] = target
-            if backtrack(index):
-                return True
-            del assignment[var]
-        return False
-
-    return backtrack(0)

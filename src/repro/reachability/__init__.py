@@ -23,7 +23,7 @@ This subpackage makes that equivalence executable:
 """
 
 from ..analysis.digraph import DiGraph
-from .bridge import ConfigurationGraph, configuration_graph, data_graph
+from .bridge import ConfigurationGraph, configuration_graph
 from .index import (
     DFSReachability,
     IntervalIndex,
@@ -39,5 +39,4 @@ __all__ = [
     "TwoHopIndex",
     "ConfigurationGraph",
     "configuration_graph",
-    "data_graph",
 ]

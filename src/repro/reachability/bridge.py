@@ -35,19 +35,10 @@ from ..core.terms import Constant
 from ..reasoning.state import State, SuccessorGenerator
 from .index import ReachabilityIndex
 
-__all__ = ["ConfigurationGraph", "configuration_graph", "data_graph"]
+__all__ = ["ConfigurationGraph", "configuration_graph"]
 
 #: The unique accepting configuration: the empty CQ.
 ACCEPT = State(())
-
-
-def data_graph(database: Database, predicate: str) -> DiGraph:
-    """The directed graph stored in a binary EDB predicate."""
-    graph = DiGraph()
-    for atom in database.with_predicate(predicate):
-        if atom.arity == 2:
-            graph.add_edge(atom.args[0], atom.args[1])
-    return graph
 
 
 @dataclass

@@ -1,13 +1,9 @@
 """Reasoning algorithms: the space-bounded searches of Section 4.3 and
-the per-tuple drivers that assemble certain answers from them."""
+the per-tuple drivers that assemble certain answers from them.  An
+accepting run of the linear search is its own certificate
+(Theorem 4.8): ``decide_pwl_ward(..., trace=True).trace`` is the
+sequence of configurations, each a successor of the one before."""
 
-from .certificate import (
-    Certificate,
-    CertificateError,
-    certified_decision,
-    extract_certificate,
-    verify_certificate,
-)
 from .answers import (
     UnsupportedProgramError,
     is_certain_answer,
@@ -29,9 +25,4 @@ __all__ = [
     "SuccessorGenerator",
     "Frontier",
     "SearchStats",
-    "Certificate",
-    "CertificateError",
-    "certified_decision",
-    "extract_certificate",
-    "verify_certificate",
 ]

@@ -17,12 +17,15 @@ WARD ∩ PWL and the AND-OR search for WARD:
 * ``d`` — dropping ground atoms present in D (the decomposition that
   splits database leaves off; always valid since ground atoms share no
   variables).  Applied eagerly on state creation: a ground atom of D is
-  never useful to keep (see DESIGN.md §3);
+  never useful to keep — it is already discharged, and since it shares
+  no variable with the rest of the CQ no later step can need it;
 * ``s`` — specializations of single variables to constants of dom(D).
-  Two modes: *guided* (bind variables by matching one atom against the
-  database — a composition of paper specializations with branching
-  proportional to index hits) and *exhaustive* (the paper-literal
-  var × dom(D) enumeration, used for cross-validation).
+  The ``specialization=`` option picks one of two modes: ``"guided"``
+  (the default, every request path: bind variables by matching one atom
+  against the database — a composition of paper specializations with
+  branching proportional to index hits) and ``"exhaustive"`` (the
+  paper-literal var × dom(D) enumeration: E12b's ablation and the
+  guided ≡ exhaustive cross-validation).
 """
 
 from __future__ import annotations
@@ -160,7 +163,7 @@ class SuccessorGenerator:
         oracle: Optional[object] = None,
         use_oracle: bool = True,
     ):
-        if specialization not in ("guided", "exhaustive", "both"):
+        if specialization not in ("guided", "exhaustive"):
             raise ValueError(f"unknown specialization mode {specialization!r}")
         if not program.is_single_head():
             raise ValueError(
@@ -244,9 +247,9 @@ class SuccessorGenerator:
 
     def specializations(self, state: State) -> Iterator[State]:
         """Specialization successors (operation ``s``)."""
-        if self.specialization in ("guided", "both"):
+        if self.specialization == "guided":
             yield from self._guided_specializations(state)
-        if self.specialization in ("exhaustive", "both"):
+        else:
             yield from self._exhaustive_specializations(state)
 
     def _guided_specializations(self, state: State) -> Iterator[State]:

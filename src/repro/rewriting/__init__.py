@@ -1,17 +1,6 @@
-"""Query rewritings: UCQ unfolding and the magic-set demand transform.
+"""Query rewriting: the magic-set demand transformation.
 
-**UCQ unfolding (Section 4.1).**  "It is known that given a CQ q and a
-set Σ of TGDs, we can unfold q using the TGDs of Σ into an infinite
-union of CQs qΣ such that, for every database D, cert(q, D, Σ) =
-qΣ(D)" — the resolution view of certain answers that the proof-tree
-machinery of the paper refines.  :func:`unfold` performs the unfolding
-by exhaustive chunk-based resolution over canonicalized CQs, bounded by
-depth and size budgets; the result is directly evaluable over any
-database and reports whether the enumeration was exhaustive (then the
-evaluation is *exact*, which is the case for non-recursive programs)
-or truncated (then it is a sound under-approximation).
-
-**Magic sets (demand transformation).**  :func:`magic_rewrite` turns a
+:func:`magic_rewrite` turns a
 (full program, bound query) pair into a demand-restricted Datalog
 program plus seed facts, so the semi-naive engine derives only facts
 relevant to the query's constants — the classical optimization the
@@ -29,11 +18,8 @@ from .magic import (
     magic_rewrite,
     query_constants,
 )
-from .ucq import UCQRewriting, unfold
 
 __all__ = [
-    "UCQRewriting",
-    "unfold",
     "AdornedProgram",
     "MagicNotApplicable",
     "MagicRewriting",

@@ -1,9 +1,10 @@
 """End-to-end integration: every layer of the package on one scenario.
 
 One corporate-knowledge-graph workload flows through the ontology API,
-the static analyzers, five answering engines, the certificate layer,
-the Datalog rewriting, and the incremental maintainer — all of which
-must tell one consistent story.
+the static analyzers, five answering engines, the accepting runs of
+the proof-tree search (each verified as a certificate), the Datalog
+rewriting, and the incremental maintainer — all of which must tell one
+consistent story.
 """
 
 from repro.analysis import (
@@ -29,10 +30,20 @@ from repro.owl2ql import (
     encode,
 )
 from repro.parallel import parallel_certain_answers
-from repro.reasoning import certified_decision
-from repro.rewriting import unfold
+from repro.reasoning import decide_pwl_ward
+
+from ..property.reference_prooftree import verify_trace
 
 a, b, c, d = Constant("a"), Constant("b"), Constant("c"), Constant("d")
+
+
+def certified(query, answer, database, program):
+    """Decide with the accepting run kept, and verify that run."""
+    decision = decide_pwl_ward(query, answer, database, program, trace=True)
+    return decision.accepted and verify_trace(
+        decision.trace, query, answer, database, program,
+        width_bound=decision.width_bound, specialization="guided",
+    )
 
 
 class TestReachabilityStory:
@@ -87,10 +98,7 @@ class TestReachabilityStory:
 
     def test_every_positive_is_certifiable(self):
         for answer in self.expected:
-            accepted, certificate = certified_decision(
-                self.query, answer, self.database, self.program
-            )
-            assert accepted and certificate is not None
+            assert certified(self.query, answer, self.database, self.program)
 
     def test_datalog_rewriting_agrees(self):
         rewriting = pwl_to_datalog(self.query, self.program, width_bound=3)
@@ -98,10 +106,6 @@ class TestReachabilityStory:
         assert datalog_answers(
             rewriting.query, self.database, rewriting.program
         ) == self.expected
-
-    def test_ucq_unfolding_agrees_on_this_database(self):
-        rewriting = unfold(self.query, self.program, max_depth=10)
-        assert rewriting.evaluate(self.database) == self.expected
 
     def test_incremental_maintainer_agrees(self):
         reasoner = IncrementalReasoner(self.program, self.database)
@@ -147,7 +151,4 @@ class TestOntologyStory:
         # dana ⊑ staff ⊑ ∃hasBadge: the Boolean BGP is certain and the
         # underlying decision has a verifiable certificate.
         query = parse_query("q() :- triple(dana, hasBadge, B).")
-        accepted, certificate = certified_decision(
-            query, (), self.encoded.database, self.encoded.program
-        )
-        assert accepted and certificate is not None
+        assert certified(query, (), self.encoded.database, self.encoded.program)

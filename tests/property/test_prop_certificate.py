@@ -1,8 +1,12 @@
-"""Property tests: certified answers on random reachability instances.
+"""Property tests: accepting runs are certificates, on random
+reachability instances.
 
-Every positive decision must come with a certificate that verifies
-from scratch; every negative decision must produce none — and the
-accept/reject split must match the semi-naive ground truth.
+Every positive decision's trace must verify from scratch
+(``reference_prooftree.verify_trace``: rebuilt from q, c̄ and D, each
+step a successor under a fresh oracle-free generator of the same
+specialization mode, within the width bound, ending in the empty CQ);
+every negative decision must produce none — and the accept/reject split
+must match the semi-naive ground truth, in both modes.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -12,7 +16,9 @@ from repro.core.instance import Database
 from repro.core.terms import Constant
 from repro.datalog.seminaive import datalog_answers
 from repro.lang.parser import parse_program, parse_query
-from repro.reasoning.certificate import certified_decision, verify_certificate
+from repro.reasoning.pwl_ward import decide_pwl_ward
+
+from .reference_prooftree import verify_trace
 
 NODES = 5
 
@@ -52,14 +58,15 @@ def test_certificates_track_ground_truth(pairs, a, b):
     answer = (Constant(f"n{a}"), Constant(f"n{b}"))
     expected = answer in datalog_answers(QUERY, database, PROGRAM)
 
-    accepted, certificate = certified_decision(
-        QUERY, answer, database, PROGRAM
-    )
-    assert accepted == expected
-    if accepted:
-        assert certificate is not None
-        assert verify_certificate(certificate, database, PROGRAM)
-        assert certificate.states[-1].is_accepting()
-        assert certificate.max_width() <= certificate.width_bound
-    else:
-        assert certificate is None
+    for mode in ("guided", "exhaustive"):
+        decision = decide_pwl_ward(
+            QUERY, answer, database, PROGRAM, specialization=mode, trace=True
+        )
+        assert decision.accepted == expected
+        if decision.accepted:
+            assert verify_trace(
+                decision.trace, QUERY, answer, database, PROGRAM,
+                width_bound=decision.width_bound, specialization=mode,
+            )
+        else:
+            assert decision.trace is None

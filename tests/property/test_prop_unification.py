@@ -1,13 +1,17 @@
-"""Property-based tests for unification."""
+"""Property-based tests for unification: the production ``UnionFind``,
+driven as chunk resolution drives it."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.substitution import Substitution
 from repro.core.terms import Variable
-from repro.core.unification import mgu_atoms
-
+from .reference_prooftree import mgu
 from .strategies import atoms, constants
+
+
+def mgu_atoms(left, right):
+    return mgu([(left, right)])
 
 
 @given(atoms(), atoms())

@@ -1,10 +1,6 @@
 """Unit tests for affected positions (Section 3)."""
 
-from repro.analysis.affected import (
-    affected_positions,
-    all_positions,
-    nonaffected_positions,
-)
+from repro.analysis.affected import affected_positions
 from repro.core.atoms import Position
 from repro.lang.parser import parse_program
 
@@ -63,15 +59,3 @@ class TestPropagation:
         assert Position("type", 2) not in aff
         assert Position("triple", 2) not in aff
         assert Position("subClassStar", 1) not in aff
-
-
-class TestHelpers:
-    def test_all_positions(self):
-        program, _ = parse_program("r(X, Z) :- p(X).")
-        assert all_positions(program) == {
-            Position("p", 1), Position("r", 1), Position("r", 2)
-        }
-
-    def test_nonaffected_complement(self):
-        program, _ = parse_program("r(X, Z) :- p(X).")
-        assert nonaffected_positions(program) == {Position("p", 1), Position("r", 1)}

@@ -5,11 +5,7 @@ import itertools
 from repro.core.atoms import Atom
 from repro.core.terms import Constant, Variable
 from repro.lang.parser import parse_query
-from repro.prooftree.canonical import (
-    canonical_form,
-    canonical_variable,
-    is_canonical_variable,
-)
+from repro.prooftree.canonical import canonical_form, canonical_variable
 
 X, Y, Z, W = Variable("X"), Variable("Y"), Variable("Z"), Variable("W")
 a, b = Constant("a"), Constant("b")
@@ -41,7 +37,7 @@ class TestCanonicalForm:
         atoms = (Atom("r", (X, Y)),)
         form = canonical_form(atoms, frozen={X})
         assert form[0].args[0] == X
-        assert is_canonical_variable(form[0].args[1])  # Y renamed
+        assert form[0].args[1] == canonical_variable(0)  # Y renamed
 
     def test_frozen_variables_distinguish(self):
         # With X frozen, r(X,Y) and r(Z,Y) differ (Z is renameable).
@@ -73,6 +69,8 @@ class TestCanonicalForm:
 
 class TestHelpers:
     def test_canonical_variable_roundtrip(self):
-        v = canonical_variable(7)
-        assert is_canonical_variable(v)
-        assert not is_canonical_variable(Variable("X"))
+        # The pool is a fixed sequence of names no parsed variable uses.
+        assert canonical_variable(7) == canonical_variable(7)
+        pool = {canonical_variable(i) for i in range(8)}
+        assert len(pool) == 8
+        assert not pool & parse_query("q(X) :- r(X,Y), s(Y,Z).").variables()

@@ -7,7 +7,6 @@ from repro.chase.runner import chase
 from repro.chase.termination import (
     AlwaysFire,
     DepthPolicy,
-    IsomorphismPolicy,
     LinearForestPolicy,
 )
 from repro.chase.trigger import all_triggers, fire
@@ -132,33 +131,6 @@ class TestLimits:
         result = chase(database, program, policy=DepthPolicy(2))
         assert result.saturated is True or result.fired > 0
         assert all(n.depth <= 2 for n in result.instance.nulls())
-
-
-class TestIsomorphismPolicy:
-    def test_prunes_isomorphic_tail(self):
-        program, database = parse_program("""
-            p(a).
-            r(X,Z) :- p(X).
-            p(Y) :- r(X,Y).
-        """)
-        policy = IsomorphismPolicy()
-        policy.register(database)
-        result = chase(database, program, policy=policy, max_steps=1000)
-        # Chase terminates with a finite isomorphism-closed instance.
-        assert result.fired < 10
-        assert policy.suppressed >= 1
-
-    def test_preserves_ground_facts(self):
-        program, database = parse_program("""
-            e(a,b). e(b,c).
-            t(X,Y) :- e(X,Y).
-            t(X,Z) :- e(X,Y), t(Y,Z).
-        """)
-        policy = IsomorphismPolicy()
-        policy.register(database)
-        result = chase(database, program, policy=policy)
-        query = parse_query("q(X,Y) :- t(X,Y).")
-        assert result.evaluate(query) == {(a, b), (b, c), (a, c)}
 
 
 #: The existential cycle of E7b: P → ∃z R(x,z) → P.

@@ -1,15 +1,14 @@
-"""Unit tests for query decomposition (Definition 4.4)."""
+"""Unit tests for query decomposition (Definition 4.4): the production
+``connected_components`` / ``restrict_output``, assembled into subqueries
+and checked by the test-side ``is_decomposition``."""
 
 from repro.core.atoms import Atom
 from repro.core.query import ConjunctiveQuery
 from repro.core.terms import Constant, Variable
 from repro.lang.parser import parse_query
-from repro.prooftree.decomposition import (
-    connected_components,
-    decompose,
-    is_decomposition,
-    restrict_output,
-)
+from repro.prooftree.decomposition import connected_components, restrict_output
+
+from ..property.reference_prooftree import finest_decomposition, is_decomposition
 
 X, Y, Z, W = Variable("X"), Variable("Y"), Variable("Z"), Variable("W")
 
@@ -45,14 +44,14 @@ class TestComponents:
 class TestDecompose:
     def test_outputs_restricted_in_order(self):
         q = parse_query("q(X, W) :- r(X,Y), s(W).")
-        children = decompose(q)
+        children = finest_decomposition(q)
         by_pred = {c.atoms[0].predicate: c for c in children}
         assert by_pred["r"].output == (X,)
         assert by_pred["s"].output == (W,)
 
     def test_single_component_decomposes_to_itself(self):
         q = parse_query("q(X) :- r(X,Y), s(Y).")
-        children = decompose(q)
+        children = finest_decomposition(q)
         assert len(children) == 1
         assert set(children[0].atoms) == set(q.atoms)
 
@@ -60,11 +59,11 @@ class TestDecompose:
 class TestIsDecomposition:
     def test_valid_decomposition_accepted(self):
         q = parse_query("q(X) :- r(X,Y), t(X,Z).")
-        assert is_decomposition(q, decompose(q))
+        assert is_decomposition(q, finest_decomposition(q))
 
     def test_atoms_must_be_covered(self):
         q = parse_query("q(X) :- r(X,Y), t(X,Z).")
-        children = decompose(q)
+        children = finest_decomposition(q)
         assert not is_decomposition(q, children[:1])
 
     def test_split_of_non_output_variable_rejected(self):
@@ -78,7 +77,7 @@ class TestIsDecomposition:
     def test_overlapping_decomposition_accepted(self):
         # Definition 4.4 requires covering, not partitioning.
         q = parse_query("q(X) :- r(X,Y), t(X,Z).")
-        children = decompose(q)
+        children = finest_decomposition(q)
         overlapping = children + [children[0]]
         assert is_decomposition(q, overlapping)
 

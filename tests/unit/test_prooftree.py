@@ -1,24 +1,13 @@
-"""Unit tests for proof trees (Definition 4.6)."""
+"""Unit tests for ``eq_π`` (Definition 4.6(1)), the output-variable
+partition every proof tree's root label starts from; the Datalog
+rewriting emits one root per partition."""
 
 import pytest
 
-from repro.core.program import Program
 from repro.core.terms import Variable
-from repro.lang.parser import parse_program, parse_query
-from repro.prooftree.decomposition import decompose
-from repro.prooftree.resolution import ido_resolvents
-from repro.prooftree.specialization import specialize
-from repro.prooftree.tree import ProofNode, ProofTree, eq_partition_substitution
+from repro.expressiveness.translation import eq_partition_substitution
 
-X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
-
-
-def tc_program() -> Program:
-    program, _ = parse_program("""
-        t(X,Y) :- e(X,Y).
-        t(X,Z) :- e(X,Y), t(Y,Z).
-    """)
-    return program
+X, Y = Variable("X"), Variable("Y")
 
 
 class TestEqPartition:
@@ -33,86 +22,3 @@ class TestEqPartition:
     def test_empty_block_rejected(self):
         with pytest.raises(ValueError):
             eq_partition_substitution([[]])
-
-
-class TestProofTreeStructure:
-    def build_linear_tree(self):
-        """Root t(X,Y) → resolve to e(X,Y) (a leaf)."""
-        q = parse_query("q(X,Y) :- t(X,Y).")
-        tree = ProofTree.trivial(q)
-        (resolvent,) = ido_resolvents(tree.root.label, tc_program()[0])
-        child = ProofNode(resolvent.query)
-        tree.root.children = [child]
-        tree.root.operation = "resolution"
-        return q, tree
-
-    def test_trivial_tree_valid(self):
-        q = parse_query("q(X,Y) :- t(X,Y).")
-        tree = ProofTree.trivial(q)
-        tree.validate(tc_program())
-        assert tree.node_width() == 1
-        assert tree.is_linear()
-
-    def test_resolution_edge_validates(self):
-        _, tree = self.build_linear_tree()
-        tree.validate(tc_program())
-
-    def test_induced_cq_collects_leaves(self):
-        q, tree = self.build_linear_tree()
-        induced = tree.induced_cq()
-        assert induced.output == q.output
-        assert induced.atoms[0].predicate == "e"
-
-    def test_bad_root_rejected(self):
-        q = parse_query("q(X,Y) :- t(X,Y).")
-        wrong_root = ProofNode(parse_query("q(X,Y) :- e(X,Y)."))
-        tree = ProofTree(q, [[X], [Y]], wrong_root)
-        with pytest.raises(ValueError, match="root"):
-            tree.validate(tc_program())
-
-    def test_bogus_child_rejected(self):
-        q = parse_query("q(X,Y) :- t(X,Y).")
-        tree = ProofTree.trivial(q)
-        tree.root.children = [ProofNode(parse_query("q(X,Y) :- u(X,Y)."))]
-        with pytest.raises(ValueError, match="neither"):
-            tree.validate(tc_program())
-
-    def test_specialization_edge_validates(self):
-        q = parse_query("q(X) :- t(X,Y).")
-        tree = ProofTree.trivial(q)
-        child = ProofNode(specialize(tree.root.label, promote=(Y,)))
-        tree.root.children = [child]
-        tree.validate(tc_program())
-
-    def test_decomposition_edge_validates(self):
-        q = parse_query("q(X) :- t(X,Y), t(X,Z).")
-        tree = ProofTree.trivial(q)
-        children = [ProofNode(c) for c in decompose(tree.root.label)]
-        assert len(children) == 2
-        tree.root.children = children
-        tree.validate(tc_program())
-        assert tree.is_linear()  # both children are leaves
-
-    def test_partition_merges_outputs_in_root(self):
-        q = parse_query("q(X,Y) :- t(X,Y).")
-        tree = ProofTree.trivial(q, partition=[[X, Y]])
-        assert tree.root.label.atoms[0].args == (X, X)
-        tree.validate(tc_program())
-
-    def test_non_linear_tree_detected(self):
-        q = parse_query("q(X) :- t(X,Y), t(X,Z).")
-        tree = ProofTree.trivial(q)
-        children = [ProofNode(c) for c in decompose(tree.root.label)]
-        tree.root.children = children
-        # expand both children → two non-leaf children → not linear
-        for child in children:
-            resolved = next(iter(ido_resolvents(child.label, tc_program()[1])))
-            child.children = [ProofNode(resolved.query)]
-        assert not tree.is_linear()
-
-    def test_node_width(self):
-        q = parse_query("q(X,Y) :- t(X,Y).")
-        tree = ProofTree.trivial(q)
-        (step,) = ido_resolvents(tree.root.label, tc_program()[1])
-        tree.root.children = [ProofNode(step.query)]
-        assert tree.node_width() == 2

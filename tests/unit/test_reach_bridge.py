@@ -4,12 +4,7 @@ import pytest
 
 from repro.core.terms import Constant
 from repro.lang.parser import parse_program, parse_query
-from repro.reachability import (
-    DFSReachability,
-    TwoHopIndex,
-    configuration_graph,
-    data_graph,
-)
+from repro.reachability import DFSReachability, TwoHopIndex, configuration_graph
 from repro.reachability.bridge import ACCEPT
 from repro.reasoning import decide_pwl_ward
 
@@ -24,19 +19,6 @@ def tc_setup():
     """)
     query = parse_query("q(X,Y) :- t(X,Y).")
     return program, database, query
-
-
-class TestDataGraph:
-    def test_binary_predicate_extracted(self):
-        _, database, _ = tc_setup()
-        g = data_graph(database, "e")
-        assert len(g) == 4
-        assert g.edge_count == 3
-        assert b in g.successors(a)
-
-    def test_missing_predicate_gives_empty_graph(self):
-        _, database, _ = tc_setup()
-        assert len(data_graph(database, "nope")) == 0
 
 
 class TestConfigurationGraph:

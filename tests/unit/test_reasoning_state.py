@@ -49,6 +49,11 @@ class TestSuccessorGenerator:
         with pytest.raises(ValueError, match="single-head"):
             SuccessorGenerator(database, program, 4)
 
+    def test_only_guided_and_exhaustive_modes(self):
+        program, database = setup_tc()
+        with pytest.raises(ValueError, match="specialization mode"):
+            SuccessorGenerator(database, program, 4, specialization="both")
+
     def test_resolution_successors(self):
         program, database = setup_tc()
         gen = SuccessorGenerator(database, program, width_bound=4)

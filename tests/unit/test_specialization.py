@@ -4,11 +4,9 @@ import pytest
 
 from repro.core.terms import Variable
 from repro.lang.parser import parse_query
-from repro.prooftree.specialization import (
-    enumerate_specializations,
-    is_specialization,
-    specialize,
-)
+from repro.prooftree.specialization import enumerate_specializations, specialize
+
+from ..property.reference_prooftree import is_specialization
 
 X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
 

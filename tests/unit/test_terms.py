@@ -13,15 +13,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.core.terms import (
-    Constant,
-    Null,
-    NullFactory,
-    Variable,
-    is_constant,
-    is_null,
-    is_variable,
-)
+from repro.core.terms import Constant, Null, NullFactory, Variable
 
 
 class TestConstant:
@@ -78,16 +70,6 @@ class TestNullFactory:
     def test_start_offset(self):
         factory = NullFactory(start=10)
         assert factory.fresh().label == 10
-
-
-class TestPredicates:
-    def test_kind_predicates(self):
-        assert is_constant(Constant("a"))
-        assert not is_constant(Variable("a"))
-        assert is_variable(Variable("X"))
-        assert not is_variable(Null(0))
-        assert is_null(Null(0))
-        assert not is_null(Constant(0))
 
 
 class TestInterning:

@@ -1,9 +1,17 @@
-"""Unit tests for MGU computation (flat syntactic unification)."""
+"""Unit tests for MGU computation (flat syntactic unification): the
+production ``UnionFind``, driven as chunk resolution drives it."""
 
 
 from repro.core.atoms import Atom
 from repro.core.terms import Constant, Null, Variable
-from repro.core.unification import UnionFind, mgu_atoms, mgu_pairs
+from repro.core.unification import UnionFind
+
+from ..property.reference_prooftree import mgu as mgu_pairs
+
+
+def mgu_atoms(left, right):
+    return mgu_pairs([(left, right)])
+
 
 X, Y, Z, W = Variable("X"), Variable("Y"), Variable("Z"), Variable("W")
 a, b = Constant("a"), Constant("b")

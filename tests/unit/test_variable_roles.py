@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis.affected import affected_positions
-from repro.analysis.variable_roles import classify_program, classify_variables
+from repro.analysis.variable_roles import classify_variables
 from repro.core.terms import Variable
 from repro.lang.parser import parse_program
 
@@ -58,7 +58,9 @@ class TestClassification:
             p(Y) :- r(X, Y).
             """
         )
-        for roles in classify_program(program).values():
+        affected = affected_positions(program)
+        for tgd in program:
+            roles = classify_variables(tgd, affected)
             assert roles.dangerous <= roles.harmful
             assert not (roles.harmless & roles.harmful)
 
