@@ -21,7 +21,10 @@ from __future__ import annotations
 
 import time
 
-from repro.datalog.strata import compute_strata, stratified_seminaive
+from repro.core.instance import Database
+from repro.core.program import Program
+from repro.datalog.seminaive import seminaive
+from repro.datalog.strata import compute_strata
 from repro.lang.parser import parse_query
 
 from workloads import layered_strata_program
@@ -30,32 +33,45 @@ LEVELS = 6
 CHAIN = 12
 
 
+def materialized_strata(database, program):
+    """``seminaive`` once per ``compute_strata`` layer, its fixpoint
+    copied into a fresh ``Database`` at each boundary for the next layer
+    — the copy is the cost E8 prices.  Returns the final fixpoint and,
+    per stratum, the rounds run and the size of the boundary copy."""
+    rounds, sizes = [], []
+    for layer in compute_strata(program).layers:
+        result = seminaive(database, Program(layer))
+        rounds.append(result.rounds)
+        database = Database(result.instance)
+        sizes.append(len(database))
+    return database, rounds, sizes
+
+
 def test_e8_materialization_tradeoff(benchmark, report):
     program, database = layered_strata_program(LEVELS, n=CHAIN)
     query = parse_query(f"q(X,Y) :- t{LEVELS}(X,Y).")
 
-    materialized = benchmark.pedantic(
-        stratified_seminaive, (database, program), {"materialize": True},
-        rounds=2, iterations=1,
+    materialized, rounds, sizes = benchmark.pedantic(
+        materialized_strata, (database, program), rounds=2, iterations=1,
     )
     start = time.perf_counter()
-    streaming = stratified_seminaive(database, program, materialize=False)
+    streaming = seminaive(database, program)
     streaming_seconds = time.perf_counter() - start
 
     rows = [
         (
             "materialized (per-stratum)",
-            len(materialized.instance),
-            sum(materialized.per_stratum_rounds),
-            len(materialized.per_stratum_rounds),
-            max(materialized.materialized_sizes),
+            len(materialized),
+            sum(rounds),
+            len(rounds),
+            max(sizes),
         ),
         (
             "global (streaming-like)",
             len(streaming.instance),
-            sum(streaming.per_stratum_rounds),
-            len(streaming.per_stratum_rounds),
-            max(streaming.materialized_sizes),
+            streaming.rounds,
+            1,
+            len(streaming.instance),
         ),
     ]
     report(
@@ -73,23 +89,21 @@ def test_e8_materialization_tradeoff(benchmark, report):
     )
 
     # Same least fixpoint, same answers.
-    assert len(materialized.instance) == len(streaming.instance)
-    assert materialized.evaluate(query) == streaming.evaluate(query)
+    assert len(materialized) == len(streaming.instance)
+    assert query.evaluate(materialized) == streaming.evaluate(query)
     # The stratification is real: one layer per closure tower.
-    strata = compute_strata(program)
-    assert len(materialized.per_stratum_rounds) == len(strata.layers)
-    assert len(strata.layers) >= LEVELS
+    assert len(rounds) == len(compute_strata(program).layers)
+    assert len(rounds) >= LEVELS
     # Each boundary copy is at least the database — the footprint cost.
-    assert min(materialized.materialized_sizes) >= len(database)
+    assert min(sizes) >= len(database)
 
 
 def test_e8_streaming_baseline(benchmark):
     program, database = layered_strata_program(LEVELS, n=CHAIN)
     result = benchmark.pedantic(
-        stratified_seminaive, (database, program), {"materialize": False},
-        rounds=2, iterations=1,
+        seminaive, (database, program), rounds=2, iterations=1,
     )
-    assert len(result.per_stratum_rounds) == 1
+    assert result.rounds > 0
 
 
 def test_e8_deeper_towers_stay_correct(benchmark, report):
@@ -98,18 +112,13 @@ def test_e8_deeper_towers_stay_correct(benchmark, report):
     for levels in (2, 4, 6, 8):
         program, database = layered_strata_program(levels, n=8)
         query = parse_query(f"q(X,Y) :- t{levels}(X,Y).")
-        materialized = stratified_seminaive(database, program,
-                                            materialize=True)
-        streaming = stratified_seminaive(database, program,
-                                         materialize=False)
-        equal = materialized.evaluate(query) == streaming.evaluate(query)
-        rows.append(
-            (levels, sum(materialized.per_stratum_rounds),
-             sum(streaming.per_stratum_rounds), equal)
-        )
+        materialized, rounds, _ = materialized_strata(database, program)
+        streaming = seminaive(database, program)
+        equal = query.evaluate(materialized) == streaming.evaluate(query)
+        rows.append((levels, sum(rounds), streaming.rounds, equal))
 
     program, database = layered_strata_program(4, n=8)
-    benchmark(stratified_seminaive, database, program, materialize=True)
+    benchmark(materialized_strata, database, program)
 
     report(
         "E8b: depth sweep — materialized vs global rounds",

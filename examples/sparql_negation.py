@@ -7,7 +7,9 @@ under the OWL 2 QL entailment regime."  The mild negation is
 *stratified* negation — it never wraps around recursion.
 
 This example runs the Example 3.3 subclass/type machinery and then
-asks two SPARQL-flavoured questions that need NOT EXISTS:
+asks two SPARQL-flavoured questions that need NOT EXISTS, through a
+:class:`~repro.api.Session` like any other query — the planner puts a
+negated program on the datalog engine:
 
 * which declared classes are uninhabited under entailment (no
   instance, even through subclass reasoning)?
@@ -17,11 +19,7 @@ asks two SPARQL-flavoured questions that need NOT EXISTS:
 Run:  python examples/sparql_negation.py
 """
 
-from repro.datalog.negation import (
-    negation_stratification,
-    stratified_answers,
-)
-from repro.lang.parser import parse_program, parse_query
+from repro.api import Session
 
 ONTOLOGY = """
     % class declarations
@@ -54,10 +52,14 @@ ONTOLOGY = """
 
 
 def main() -> None:
-    program, database = parse_program(ONTOLOGY)
-    strata = negation_stratification(program)
-    print(f"{len(program)} rules stratify into {len(strata)} strata:")
-    for index, layer in enumerate(strata):
+    session = Session()
+    compiled = session.load(ONTOLOGY, name="sparql-negation")
+    # The plan's program line carries the stratum count: the datalog
+    # engine runs the rules stratum by stratum, each negated predicate
+    # complete before the stratum that negates it.
+    plan = session.explain("q(C) :- empty(C).")
+    print(next(line.strip() for line in plan.splitlines() if "strata" in line))
+    for index, layer in enumerate(compiled.analysis.strata.layers):
         heads = sorted({rule.head[0].predicate for rule in layer})
         negated = sorted(
             {atom.predicate for rule in layer for atom in rule.negated}
@@ -66,18 +68,12 @@ def main() -> None:
         print(f"  stratum {index}: {', '.join(heads)}{suffix}")
 
     print("\nuninhabited classes under entailment:")
-    for (cls,) in sorted(
-        stratified_answers(parse_query("q(C) :- empty(C)."),
-                           database, program),
-        key=str,
-    ):
+    for (cls,) in sorted(session.answers("q(C) :- empty(C)."), key=str):
         print(f"  {cls}")
 
     print("\nclass-separated entity pairs:")
     for x, y in sorted(
-        stratified_answers(parse_query("q(X, Y) :- separated(X, Y)."),
-                           database, program),
-        key=str,
+        session.answers("q(X, Y) :- separated(X, Y)."), key=str
     ):
         print(f"  {x} ⟂ {y}")
 

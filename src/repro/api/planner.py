@@ -24,9 +24,9 @@ __all__ = [
 ENGINES = ("datalog", "pwl", "ward", "chase")
 
 #: Values of the plan's rewrite dimension (``"auto"`` plans the
-#: magic-set demand transformation exactly when it pays: a full
-#: program, the datalog engine, and ≥1 bound argument in the query —
-#: and runs it only where no full fixpoint is already held).
+#: magic-set demand transformation exactly when it pays: a full,
+#: positive program, the datalog engine, and ≥1 bound argument in the
+#: query — and runs it only where no full fixpoint is already held).
 REWRITES = ("auto", "magic", "none")
 
 #: The *wire* options — the plain-data engine kwargs a request frame may
@@ -246,10 +246,11 @@ class Planner:
         ``store`` is validated against :data:`repro.storage.BACKENDS`
         when given by name.  ``rewrite`` selects the demand dimension
         (:data:`REWRITES`): ``"auto"`` applies the magic-set rewriting
-        exactly when the program is full, the plan resolved to the
-        datalog engine, and the query binds at least one argument
-        (run only where no full fixpoint is held to read instead);
-        ``"magic"`` forces it (an error outside that fragment);
+        exactly when the program is full and positive, the plan
+        resolved to the datalog engine, and the query binds at least
+        one argument (run only where no full fixpoint is held to read
+        instead); ``"magic"`` forces it (an error outside that
+        fragment);
         ``"none"`` disables it.  ``magic_provider``, if given, builds
         the :class:`~repro.rewriting.magic.MagicRewriting` — the
         session passes its per-(program, binding-pattern) cache here.
@@ -259,14 +260,23 @@ class Planner:
         """
         compiled = compile_program(compiled)
         validate_store(store)
-        if compiled.program.has_negation():
-            raise ValueError(
-                "the evaluation engines cover positive Datalog± only; "
-                "this program carries negated literals (see "
-                "'python -m repro lint' for the static checks and "
-                "repro.datalog.negation for stratified evaluation)"
-            )
         resolved, reasons = self.resolve(compiled, method)
+        negated = compiled.program.has_negation()
+        if negated and not (resolved == "datalog" and compiled.analysis.full):
+            raise ValueError(
+                "negated literals run only on the datalog engine, stratum "
+                "by stratum over a full program; "
+                + (
+                    f"this plan resolved to {resolved!r}"
+                    if resolved != "datalog"
+                    else "this program has existential rules"
+                )
+            )
+        if negated:
+            reasons = reasons + (
+                "negated literals → stratum by stratum, each stratum's "
+                "negated predicates complete before it runs",
+            )
         if rewrite not in REWRITES:
             raise ValueError(
                 f"unknown rewrite {rewrite!r}; choose one of "
@@ -309,6 +319,11 @@ class Planner:
                     "program"
                 )
             rewrite_note = "none (program has existential rules)"
+        elif negated and rewrite == "auto":
+            rewrite_note = (
+                "none (negated literals: demand would cut a negated "
+                "predicate short of its complete stratum)"
+            )
         elif rewrite == "auto" and bound == 0:
             rewrite_note = (
                 "none (no bound argument in the query — demand would "

@@ -134,10 +134,16 @@ def chase_events(
 
     ``store`` selects the materialization backend (see
     :data:`repro.storage.BACKENDS`); every backend yields the same chase
-    up to the representation of the instance.
+    up to the representation of the instance.  A program with negated
+    literals raises ``ValueError``: the datalog engine evaluates those.
     """
     if variant not in ("restricted", "oblivious"):
         raise ValueError(f"unknown chase variant {variant!r}")
+    if any(tgd.negated for tgd in program):
+        raise ValueError(
+            "the chase covers positive programs only; negated literals "
+            "run on the datalog engine (stratum by stratum)"
+        )
     run = run if run is not None else ChaseRun()
     policy = policy or AlwaysFire()
     factory = null_factory or NullFactory()

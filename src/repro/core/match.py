@@ -25,7 +25,7 @@ from .terms import Variable
 
 __all__ = ["AtomSet", "compile_atoms", "compile_rule", "holds",
            "pinned_candidates", "probe", "rule_form", "rule_heads",
-           "selective_order", "walk"]
+           "selective_order", "unblocked_walk", "walk"]
 
 
 class AtomSet:
@@ -221,7 +221,7 @@ def compile_rule(tgd) -> CompiledRule:
             for at in range(len(body))
         ),
         rule_form(body, head, order, negated),
-        rule_form(from_head, (), selective_order(from_head, 0)),
+        rule_form(from_head, (), selective_order(from_head, 0), negated),
         tuple(range(bound, bound + len(tgd.existential_variables()))),
         head_check,
     )
@@ -324,12 +324,20 @@ def _unblocked(negated: tuple, matches, store):
             yield match
 
 
+def unblocked_walk(form: RuleForm, store, delta=None):
+    """:func:`walk`, keeping the matches none of *form*'s negated
+    literals blocks (sound when the negated predicates are complete in
+    *store*: a lower stratum's); a positive form's walk as it is."""
+    matches = walk(form, store, delta)
+    return _unblocked(form.negated, matches, store) if form.negated else matches
+
+
 def rule_heads(rules, store, delta=None) -> Iterator[Atom]:
     """The head fact of every match of every rule of *rules* over
     *store* — one per match, so multiplicities are support counts; with
     *delta*, of the matches that use a delta atom.  A rule with negated
-    literals keeps only the matches none of them blocks (sound when the
-    negated predicates are complete in *store*: a lower stratum's).
+    literals keeps only the matches none of them blocks
+    (:func:`unblocked_walk`).
     Lazy like :func:`walk`.  Raises ``ValueError`` at the first pull,
     before any match, if a head names a variable no body atom binds."""
     for tgd in rules:
@@ -342,8 +350,5 @@ def rule_heads(rules, store, delta=None) -> Iterator[Atom]:
         compiled = tgd.matcher
         for form in (compiled.full,) if delta is None else compiled.pinned:
             predicate, cells = form.heads[0]
-            matches = walk(form, store, delta)
-            if form.negated:
-                matches = _unblocked(form.negated, matches, store)
-            for row, _ in matches:
+            for row, _ in unblocked_walk(form, store, delta):
                 yield Atom(predicate, tuple([row[cell] for cell in cells]))

@@ -103,11 +103,10 @@ class Program:
     def has_negation(self) -> bool:
         """True iff some TGD carries negated body literals.
 
-        The surface syntax accepts ``not p(X̄)`` so that
-        :mod:`repro.lint` can check safety and stratifiability
-        statically; the positive evaluation engines reject such
-        programs at planning time (see :mod:`repro.datalog.negation`
-        for the stratified evaluation layer).
+        Such a program is stratified negation: :mod:`repro.lint` checks
+        its safety and stratifiability, the datalog engine evaluates it
+        stratum by stratum, and the planner plans it on that engine
+        only.
         """
         return any(t.negated for t in self._tgds)
 

@@ -47,12 +47,11 @@ class TGD:
     surface syntax of Datalog∃.
 
     ``negated`` holds the rule's negated body literals (``not p(X̄)`` in
-    the surface syntax).  The evaluation engines cover positive
-    Datalog±; negated literals are carried for *static analysis*
-    (:mod:`repro.lint` safety and stratifiability passes) and for the
-    dedicated stratified layer (:mod:`repro.datalog.negation`) — the
-    planner rejects negated programs rather than silently ignoring the
-    literals.  ``span`` records where the rule was written (parser
+    the surface syntax): :mod:`repro.lint` checks their safety and
+    stratifiability, and the datalog engine evaluates them stratum by
+    stratum (:func:`~repro.datalog.seminaive.seminaive_rounds`); the
+    planner refuses them on every other engine, and the chase and magic
+    sets raise rather than silently ignore them.  ``span`` records where the rule was written (parser
     provenance; excluded from equality like every span).
     """
 

@@ -1,11 +1,7 @@
-"""Datalog engine: semi-naive evaluation, PWL-stratum scheduling, and
-stratified negation (the paper's "mild negation")."""
+"""Datalog engine: semi-naive evaluation, one stratum at a time when the
+program has negated literals (stratified negation, the paper's "mild
+negation"), over the strata of :func:`compute_strata`."""
 
-from .negation import (
-    negation_stratification,
-    stratified_answers,
-    stratified_fixpoint,
-)
 from .seminaive import (
     SemiNaiveResult,
     SemiNaiveRound,
@@ -14,12 +10,7 @@ from .seminaive import (
     seminaive_rounds,
     stream_datalog_answers,
 )
-from .strata import (
-    Strata,
-    StratifiedResult,
-    compute_strata,
-    stratified_seminaive,
-)
+from .strata import Strata, compute_strata
 
 __all__ = [
     "seminaive",
@@ -30,9 +21,4 @@ __all__ = [
     "stream_datalog_answers",
     "compute_strata",
     "Strata",
-    "stratified_seminaive",
-    "StratifiedResult",
-    "negation_stratification",
-    "stratified_fixpoint",
-    "stratified_answers",
 ]

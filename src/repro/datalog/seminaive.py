@@ -11,14 +11,15 @@ This engine is the substrate for:
 * evaluating the piece-wise linear Datalog programs produced by the
   Lemma 6.4 rewriting (Section 6),
 * the Datalog baseline in the benchmarks,
-* stratum-by-stratum evaluation with materialization boundaries
-  (Section 7(3), :mod:`repro.datalog.strata`).
+* stratified negation, the paper's "mild negation" (key property
+  (2)): a program with negated literals runs stratum by stratum
+  (:func:`seminaive_rounds`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from dataclasses import dataclass, replace
+from typing import Iterable, List, Optional, Sequence
 
 from ..core.atoms import Atom
 from ..core.instance import Database
@@ -27,7 +28,9 @@ from ..core.program import Program
 from ..core.query import ConjunctiveQuery, stream_new_answers
 from ..core.terms import Constant
 from ..kernels import KernelEvaluator
+from ..lint import LintError, run_lint
 from ..storage import FactStore, StoreChoice, kernel_capable, make_store
+from .strata import compute_strata
 
 __all__ = [
     "SemiNaiveResult",
@@ -112,35 +115,71 @@ def seminaive_rounds(
     ``considered`` counts — which is what makes ``store="instance"``
     the kernels' reference; ``exec_mode`` on each event reports which
     one ran.
+
+    A program with negated literals (stratified negation, the paper's
+    "mild negation") runs stratum by stratum: the layers of
+    :func:`~repro.datalog.strata.compute_strata` in order on the one
+    store, each later stratum seeded with the whole store as its first
+    delta, so the predicates it negates are complete before it reads
+    them.  Its lint errors — unsafe negation (E101), arity conflicts
+    with the rules or *database* (E102), negation through recursion
+    (E103) — raise :class:`~repro.lint.LintError` instead.  Event
+    indices count rounds over all strata.  A positive program is one
+    stratum.
     """
     _check_datalog(program)
+    layers: Sequence = (program,)
+    if any(tgd.negated for tgd in program):
+        program = Program(program, getattr(program, "name", ""))
+        errors = run_lint(program, facts=database).errors()
+        if errors:
+            raise LintError(errors, program.name)
+        layers = compute_strata(program).layers
     instance = make_store(store, database)
-    if kernel_capable(instance):
-        yield SemiNaiveRound(
-            index=0, staged=tuple(database), considered=0,
-            instance=instance, exec_mode="kernel",
-        )
-        # Post-merge instance view per event, same as the interpreter.
-        for index, staged, considered, batches in KernelEvaluator(
-            instance, program
-        ).rounds(max_rounds):
-            event = SemiNaiveRound(
-                index=index,
-                staged=staged,
-                considered=considered,
-                instance=instance,
-                batches=batches,
-                exec_mode="kernel",
-            )
-            # Hold no round's atoms while the next round runs.
-            del staged
-            yield event
-            del event
-        return
+    kernels = kernel_capable(instance)
+    exec_mode = "kernel" if kernels else "interpret"
     yield SemiNaiveRound(
-        index=0, staged=tuple(database), considered=0, instance=instance
+        index=0, staged=tuple(database), considered=0, instance=instance,
+        exec_mode=exec_mode,
     )
-    yield from delta_rounds(instance, AtomSet(database), program, max_rounds)
+    done = 0
+    for number, layer in enumerate(layers):
+        budget = None if max_rounds is None else max_rounds - done
+        if kernels:
+            events = _kernel_rounds(instance, layer, budget)
+        else:
+            delta = AtomSet(database if number == 0 else instance)
+            events = delta_rounds(instance, delta, layer, budget)
+        last = 0
+        for event in events:
+            last = event.index
+            if done:
+                event = replace(event, index=done + last)
+            yield event
+            del event  # the round's atoms go before the next round runs
+        done += last
+
+
+def _kernel_rounds(
+    instance: FactStore, program: Iterable, max_rounds: Optional[int]
+) -> Iterable[SemiNaiveRound]:
+    """The kernels' round loop over *instance*'s stored rows, as events
+    with the post-merge instance view, same as the interpreter's."""
+    for index, staged, considered, batches in KernelEvaluator(
+        instance, program
+    ).rounds(max_rounds):
+        event = SemiNaiveRound(
+            index=index,
+            staged=staged,
+            considered=considered,
+            instance=instance,
+            batches=batches,
+            exec_mode="kernel",
+        )
+        # Hold no round's atoms while the next round runs.
+        del staged
+        yield event
+        del event
 
 
 def delta_rounds(

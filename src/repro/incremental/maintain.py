@@ -34,6 +34,14 @@ Batch discipline (one ``apply``):
 This is the standard stratified DRed schedule: phase A leaves the store
 at ``fixpoint(EDB \\ retracted)``, phase B lifts it to
 ``fixpoint((EDB \\ retracted) ∪ inserted)``.
+
+Negated literals flip the direction of a change (Gupta, Mumick and
+Subrahmanian, SIGMOD 1993): a fact added below deletes the heads it now
+blocks, a fact removed below inserts the heads it unblocks.  Phase B
+handles both per stratum before its insertion rounds
+(:meth:`FixpointMaintainer._renegate`), with the same delete–rederive
+and no recomputation; a program without negation never takes that
+step.
 """
 
 from __future__ import annotations
@@ -43,8 +51,9 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.atoms import Atom
 from ..core.instance import Instance
-from ..core.match import AtomSet, rule_heads, walk
+from ..core.match import AtomSet, rule_heads, unblocked_walk
 from ..core.store import FactStore
+from ..core.tgd import TGD
 from ..datalog.seminaive import delta_rounds
 from .views import UnionView
 
@@ -171,6 +180,7 @@ class FixpointMaintainer:
             raise ValueError(f"program is not maintainable: {reason}")
         self.store = store
         self.layers: Tuple[tuple, ...] = analysis.strata.layers
+        self.negated = compiled.program.has_negation()
         self.head_group: Dict[str, int] = {
             tgd.head[0].predicate: index
             for index, layer in enumerate(self.layers)
@@ -223,7 +233,6 @@ class FixpointMaintainer:
                     continue
                 stats.strata_maintained += 1
                 self._dred_delete(layer, removed, edb_dels, in_mid_edb, stats)
-        stats.removed = len(removed)
 
         # ---- Phase B: insertions, stratum by stratum ---------------------
         delta_plus = AtomSet()
@@ -231,8 +240,12 @@ class FixpointMaintainer:
             if self.store.add(fact):
                 delta_plus.add(fact)
         before = len(delta_plus)
-        if before:
+        # What phase B deletes: heads a newly added fact now blocks.
+        lost = Instance()
+        if before or (removed and self.negated):
             for layer in self.layers:
+                if lost or any(tgd.negated for tgd in layer):
+                    self._renegate(layer, removed, lost, delta_plus, edb, stats)
                 # Semi-naive rounds within the stratum, seeded from
                 # every fact added so far in this batch.
                 for event in delta_rounds(self.store, delta_plus, layer):
@@ -240,7 +253,63 @@ class FixpointMaintainer:
                     for fact in event.staged:
                         delta_plus.add(fact)
         stats.derived_added = len(delta_plus) - before
+        stats.removed = len(removed) + len(lost)
         return stats
+
+    # -- negation: what an insertion blocks, what a deletion unblocks -------
+
+    def _renegate(
+        self,
+        layer,
+        removed: Instance,
+        lost: Instance,
+        added: AtomSet,
+        edb,
+        stats: MaintenanceStats,
+    ) -> None:
+        """Phase B's step for a stratum with negated literals (or one
+        above a phase B deletion), before its insertion rounds:
+
+        1. delete–rederive the heads that a newly *added* fact of a
+           negated predicate now blocks, together with everything that
+           rests on the facts phase B deleted below (*lost*, which
+           gains this stratum's deletions);
+        2. seed the insertion rounds with the heads that a newly
+           *removed* fact (phase A's or phase B's) unblocks and that
+           are derivable now.
+
+        Both joins run each rule with one negated literal moved into
+        its positive body, pinned on the changed facts of that literal's
+        predicate.  Lower strata are final here, so every check reads
+        the store as it stands.
+        """
+        store = self.store
+        flipped = [
+            TGD(tgd.body + (literal,), tgd.head)
+            for tgd in layer for literal in tgd.negated
+        ]
+        negated = {a.predicate for tgd in layer for a in tgd.negated}
+
+        def changed(*sources) -> AtomSet:
+            return AtomSet(
+                fact for source in sources
+                for predicate in negated
+                for fact in source.by_predicate(predicate)
+            )
+
+        blocked = set(_derived_heads(
+            flipped, UnionView(store, lost), changed(added), stats
+        ))
+        if blocked or lost:
+            stats.strata_maintained += 1
+            self._dred_delete(layer, lost, blocked, edb.__contains__, stats)
+        unblocked = set(_derived_heads(
+            flipped, store, changed(removed, lost), stats
+        ))
+        for fact in unblocked:
+            if fact not in store and self._derivable(fact, layer):
+                store.add(fact)
+                added.add(fact)
 
     # -- deletion: delete–rederive -----------------------------------------
 
@@ -248,10 +317,13 @@ class FixpointMaintainer:
         self,
         layer,
         removed: Instance,
-        edb_dels: Sequence[Atom],
-        in_mid_edb,
+        edb_dels,
+        asserted,
         stats: MaintenanceStats,
     ) -> None:
+        """Delete *edb_dels* and what rests on them or on *removed*
+        (the deletions so far, which gains this stratum's), then
+        rederive what still has a derivation or is *asserted*."""
         store = self.store
         view = UnionView(store, removed)
         # Over-delete: everything with a derivation (in the old state)
@@ -278,7 +350,7 @@ class FixpointMaintainer:
         remaining = set(over)
         rederived: List[Atom] = []
         for fact in sorted(remaining, key=str):
-            if in_mid_edb(fact) or self._derivable(fact, layer):
+            if asserted(fact) or self._derivable(fact, layer):
                 store.add(fact)
                 rederived.append(fact)
                 stats.rederived += 1
@@ -301,6 +373,6 @@ class FixpointMaintainer:
     def _derivable(self, fact: Atom, layer) -> bool:
         pinned = AtomSet((fact,))
         for tgd in layer:
-            for _ in walk(tgd.matcher.from_head, self.store, pinned):
+            for _ in unblocked_walk(tgd.matcher.from_head, self.store, pinned):
                 return True
         return False

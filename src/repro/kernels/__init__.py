@@ -6,10 +6,11 @@ the representation the store exists for.  This package compiles each
 rule once into batch join plans over interned id rows
 (:mod:`~repro.kernels.compiler`) and executes them set-at-a-time
 (:mod:`~repro.kernels.runtime`), reproducing the interpreter's round
-structure, staged facts, and match counts exactly.
+structure, staged facts, and match counts exactly — a negated literal
+included, as a membership test on the projected id row.
 
 Nobody selects this path: :func:`repro.datalog.seminaive.seminaive_rounds`
-runs kernels exactly when the store declares
+runs kernels (one evaluator per stratum) exactly when the store declares
 :attr:`~repro.core.store.FactStore.kernel_capable` (columnar,
 sharded) and the interpreter otherwise, so ``store="instance"`` is the
 ground-truth reference the property suite and ``bench_kernel_compile``

@@ -1,9 +1,9 @@
 """Lowering stratified Datalog rules to batch join plans.
 
 One rule is compiled into one :class:`RuleKernel`: a fixed slot layout
-for its variables, a head template, and — per body position — a
-:class:`PinPlan` that drives the semi-naive round with that position
-pinned to the delta.  The lowering happens **once per evaluation**;
+for its variables, a head template, a template per negated literal,
+and — per body position — a :class:`PinPlan` that drives the
+semi-naive round with that position pinned to the delta.  The lowering happens **once per evaluation**;
 the runtime (:mod:`repro.kernels.runtime`) then executes each plan as
 a handful of batch operations over interned id rows instead of
 per-tuple :class:`~repro.core.substitution.Substitution` churn.
@@ -103,6 +103,10 @@ class RuleKernel:
     #: Per head position: ``(SLOT, slot)`` or ``(CONST, term)``.
     head: Tuple[Tuple[str, object], ...]
     pins: Tuple[PinPlan, ...]
+    #: Per negated literal: ``(predicate, arity, template)``, the
+    #: template laid out like ``head`` — a membership test on the
+    #: projected id row (stratified negation: the relation is complete).
+    negated: Tuple[Tuple[str, int, Tuple[Tuple[str, object], ...]], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -211,6 +215,22 @@ def _compile_pin(rule: TGD, pin_index: int, slots: dict) -> PinPlan:
     )
 
 
+def _template(atom, slots: dict, rule: TGD) -> Tuple[Tuple[str, object], ...]:
+    """Per position of *atom*: ``(SLOT, slot)`` or ``(CONST, term)``."""
+    cells: List[Tuple[str, object]] = []
+    for term in atom.args:
+        if not isinstance(term, Variable):
+            cells.append((CONST, term))
+        elif term in slots:
+            cells.append((SLOT, slots[term]))
+        else:  # pragma: no cover — is_full() and lint's E101 exclude it
+            raise ValueError(
+                f"variable {term} of {atom} in {rule} is not bound by "
+                "the body"
+            )
+    return tuple(cells)
+
+
 def compile_rule(rule: TGD) -> RuleKernel:
     """Lower one full single-head rule to its batch plans."""
     if not rule.is_full() or not rule.is_single_head():
@@ -224,25 +244,17 @@ def compile_rule(rule: TGD) -> RuleKernel:
         # slots are shared across pins so the head template is stable.
         pins.append(_compile_pin(rule, pin_index, slots))
     head_atom = rule.head[0]
-    head: List[Tuple[str, object]] = []
-    for term in head_atom.args:
-        if isinstance(term, Variable):
-            slot = slots.get(term)
-            if slot is None:  # pragma: no cover — is_full() excludes it
-                raise ValueError(
-                    f"head variable {term} of {rule} is not bound by "
-                    "the body"
-                )
-            head.append((SLOT, slot))
-        else:
-            head.append((CONST, term))
     return RuleKernel(
         rule=rule,
         num_slots=len(slots),
         head_predicate=head_atom.predicate,
         head_arity=head_atom.arity,
-        head=tuple(head),
+        head=_template(head_atom, slots, rule),
         pins=tuple(pins),
+        negated=tuple(
+            (atom.predicate, atom.arity, _template(atom, slots, rule))
+            for atom in rule.negated
+        ),
     )
 
 

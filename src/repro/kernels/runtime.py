@@ -24,11 +24,13 @@ path), and the evaluator
 Each semi-naive round runs every rule's pin plans as batch operations:
 filter/project the delta rows of the pinned atom into a binding
 frontier, then extend the frontier through each join step with one
-hash probe per step (``kernel_batches`` counts these batch ops — per
-step, however many parts the step walks).  The old/full row discipline
-per step reproduces the interpreter's first-pin exact-once match
-counting — see :mod:`repro.kernels.compiler` — so ``considered``,
-staged facts, and round structure agree with the interpreter exactly.
+hash probe per step, then drop the bindings a negated literal blocks
+with one membership test per binding (``kernel_batches`` counts these
+batch ops — per step or literal, however many parts it walks).  The
+old/full row discipline per step reproduces the interpreter's
+first-pin exact-once match counting — see :mod:`repro.kernels.compiler`
+— so ``considered``, staged facts, and round structure agree with the
+interpreter exactly.
 """
 
 from __future__ import annotations
@@ -148,6 +150,8 @@ class KernelEvaluator:
                     if not frontier:
                         break
                     frontier = self._probe(step, frontier)
+                if frontier and kernel.negated:
+                    frontier = self._unblocked(kernel, frontier)
                 if not frontier:
                     continue
                 considered += len(frontier)
@@ -321,6 +325,32 @@ class KernelEvaluator:
                             extended[slot] = row[position]
                         out.append(extended)
         return out
+
+    def _unblocked(
+        self, kernel: RuleKernel, frontier: List[List[int]]
+    ) -> List[List[int]]:
+        """The bindings no negated literal of *kernel* blocks: the
+        literal's id row, projected like a head row, is in no part of
+        its relation (one batch op per literal).  A constant never
+        interned is carried by no stored row, so its literal passes."""
+        for predicate, arity, template in kernel.negated:
+            cells = [
+                (kind == SLOT, payload if kind == SLOT
+                 else self._const_id(payload))
+                for kind, payload in template
+            ]
+            if any(cid is None for _, cid in cells):
+                continue
+            self.batches += 1
+            for _, part in self.store.parts(predicate, arity):
+                frontier = [
+                    binding for binding in frontier
+                    if tuple(
+                        binding[value] if is_slot else value
+                        for is_slot, value in cells
+                    ) not in part
+                ]
+        return frontier
 
     # -- helpers -----------------------------------------------------------
 

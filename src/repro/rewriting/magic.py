@@ -202,8 +202,8 @@ def adorn_program(
 ) -> AdornedProgram:
     """Build the adorned demand program for *query*'s binding pattern.
 
-    *program* must be full (existential-free); multi-head rules are
-    normalized first.  The transformation is the generalized
+    *program* must be full (existential-free) and positive; multi-head
+    rules are normalized first.  The transformation is the generalized
     supplementary magic-set rewriting with the zeroth supplementary
     inlined as the magic guard; see the module docstring.
     """
@@ -215,6 +215,11 @@ def adorn_program(
             "magic-set rewriting needs a full (existential-free) "
             "program; existential rules invent values demand cannot "
             "enumerate"
+        )
+    if normalized.has_negation():
+        raise MagicNotApplicable(
+            "magic-set rewriting covers positive programs only; demand "
+            "would cut a negated predicate short of its complete stratum"
         )
     schema = normalized.schema()
     idb = normalized.head_predicates()

@@ -114,3 +114,46 @@ def queries(draw):
     pool = sorted({v for a in body for v in a.variables()}, key=str)
     output = draw(st.lists(st.sampled_from(pool), max_size=2)) if pool else []
     return ConjunctiveQuery(tuple(output), tuple(body))
+
+
+# -- stratified negation ----------------------------------------------------
+#
+# Three strata over ``SCHEMA``: ``t`` above the extensional ``e`` and
+# ``p``, ``u`` above ``t``, ``r`` above ``u``.  Rules negate only lower
+# strata — variables and constants, repeated variables (a negated
+# self-join) — and ``g``, which has no rules (and no facts unless a
+# test adds some).
+
+#: (head, the predicates below it) per stratum, lowest first.
+STRATA = (("t", ["e", "p"]), ("u", ["e", "p", "t"]), ("r", ["e", "p", "t", "u"]))
+
+
+@st.composite
+def stratum_rules(draw, head, lower):
+    """A safe rule of *head*'s stratum: a positive body over *lower* and
+    *head* itself (recursion), a head and up to two negated literals
+    over the body's variables and the constants, negating *lower* or
+    ``g``."""
+    body = draw(st.lists(
+        schema_atoms(lower + [head], st.sampled_from(BODY_VARIABLES)),
+        min_size=1, max_size=2,
+    ))
+    bound = sorted({v for a in body for v in a.variables()}, key=str)
+    terms = st.one_of(st.sampled_from(bound), constants())
+    negated = draw(st.lists(
+        st.one_of(
+            schema_atoms(lower, terms),
+            terms.map(lambda term: Atom("g", (term,))),
+        ),
+        max_size=2,
+    ))
+    head_atom = draw(schema_atoms([head], terms))
+    return TGD(tuple(body), (head_atom,), negated=tuple(negated))
+
+
+@st.composite
+def stratified_programs(draw):
+    rules = []
+    for head, lower in STRATA:
+        rules += draw(st.lists(stratum_rules(head, lower), min_size=1, max_size=2))
+    return Program(rules)

@@ -12,11 +12,13 @@ insertions, including retractions of facts of *derived* predicates.
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.predicate_graph import PredicateGraph
 from repro.api import Session, certain_answers
+from repro.benchsuite import answer_digest
 from repro.core.atoms import Atom
 from repro.core.instance import Database
 from repro.core.program import Program
@@ -24,10 +26,17 @@ from repro.core.terms import Constant, Variable
 from repro.core.tgd import TGD
 from repro.datalog.seminaive import seminaive
 from repro.incremental import ChangeSet
-from repro.lang.parser import parse_query
+from repro.lang.parser import parse_program, parse_query
 from repro.storage import BACKENDS
 
-from .strategies import constants, databases, programs, schema_atoms, SCHEMA
+from .strategies import (
+    SCHEMA,
+    constants,
+    databases,
+    programs,
+    schema_atoms,
+    stratified_programs,
+)
 
 X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
 
@@ -280,3 +289,107 @@ def test_whole_fixpoint_equals_recompute_under_a_nonrecursive_tower(
                 Database(session.edb), compiled.analysis.normalized
             ).instance
             assert set(maintained) == set(scratch), (store, batch)
+
+
+# -- stratified negation ----------------------------------------------------
+#
+# A negated literal turns a change below into its opposite above: an
+# insertion blocks heads (they must go), a retraction unblocks them
+# (they must come).  The maintainer handles both inside DRed.
+
+
+def _negation_facts():
+    """Facts of every schema predicate and of ``g``, which the drawn
+    programs only ever negate."""
+    return st.one_of(
+        schema_atoms(list(SCHEMA), constants()),
+        constants().map(lambda value: Atom("g", (value,))),
+    )
+
+
+_negation_batches = st.lists(
+    st.builds(
+        lambda inserts, retracts: ChangeSet.of(
+            inserts=inserts, retracts=retracts
+        ),
+        st.lists(_negation_facts(), max_size=3),
+        st.lists(_negation_facts(), max_size=3),
+    ),
+    min_size=1, max_size=5,
+)
+
+
+def _digest(store):
+    return answer_digest((atom.predicate, *atom.args) for atom in store)
+
+
+def _assert_maintained_equals_scratch(program, database, batches, warm):
+    for store in BACKENDS:
+        session = Session(store=store)
+        session.compile(program)
+        session.add_facts(database)
+        plan = session.plan(warm, rewrite="none")
+        session.query(warm, rewrite="none").to_set()
+        for batch in batches:
+            report = session.apply(batch)
+            assert not report.fallbacks
+            maintained = session.cache.get_fixpoint(plan)
+            assert maintained is not None, (store, batch)
+            scratch = seminaive(Database(session.edb), program).instance
+            assert _digest(maintained) == _digest(scratch), (
+                store, batch,
+            )
+            assert session.query(warm).to_set() == warm.evaluate(scratch)
+
+
+@settings(max_examples=30, deadline=None)
+@given(stratified_programs(), databases(), _negation_batches)
+def test_negated_programs_maintained_equal_recompute(program, database, batches):
+    """After every batch the maintained perfect model *is* the
+    from-scratch one, on every store."""
+    _assert_maintained_equals_scratch(
+        program, database, batches, parse_query("q(X,Y) :- r(X,Y).")
+    )
+
+
+#: ``u`` negates the closure ``t`` of ``e`` from ``a``; ``s`` is the
+#: recursion a ``u`` fact feeds.
+NEGATED = """
+    e(a,b). e(b,c). p(a). p(b). p(c). r(c,d).
+    t(X,Y) :- e(X,Y).
+    t(X,Z) :- e(X,Y), t(Y,Z).
+    u(X)   :- p(X), not t(a,X).
+    s(X,X) :- u(X).
+    s(X,Z) :- s(X,Y), r(Y,Z).
+"""
+
+
+def _atom(text):
+    (atom,) = parse_program(text)[1]
+    return atom
+
+
+@pytest.mark.parametrize(
+    "batches",
+    [
+        # A retraction that unblocks heads: u(b), u(c) and s(c,d) come.
+        [ChangeSet.of(retracts=[_atom("e(a,b).")])],
+        # An insertion that blocks one: u(a) goes once t(a,a) holds.
+        [ChangeSet.of(inserts=[_atom("e(b,a).")])],
+        # A blocked head that feeds recursion: u(c) unblocked, then
+        # blocked again, and s(c,c), s(c,d) with it.
+        [
+            ChangeSet.of(retracts=[_atom("e(b,c).")]),
+            ChangeSet.of(inserts=[_atom("e(a,c).")]),
+            ChangeSet.of(
+                inserts=[_atom("e(b,c).")], retracts=[_atom("e(a,c).")]
+            ),
+        ],
+    ],
+    ids=["retraction-unblocks", "insertion-blocks", "blocked-head-feeds-recursion"],
+)
+def test_negation_flips_the_direction_of_a_change(batches):
+    program, database = parse_program(NEGATED)
+    _assert_maintained_equals_scratch(
+        program, database, batches, parse_query("q(X,Y) :- s(X,Y).")
+    )

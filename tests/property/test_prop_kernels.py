@@ -12,13 +12,17 @@ random databases, executed through every dispatching surface:
 * post-``Session.apply`` — the incremental-maintenance path: saturate,
   apply a random insert batch, re-query; the kernel-maintained session
   must answer digest-equal to a from-scratch interpreter session;
-* derived dispatch — over every storage backend and every benchsuite
-  generator family, kernels run exactly on the kernel-capable stores
-  and every counter equals the ``instance`` run.
+* derived dispatch — over every storage backend, every benchsuite
+  generator family and a set of negated programs (stratified negation:
+  a negated literal is a membership test on the id row), kernels run
+  exactly on the kernel-capable stores and every counter equals the
+  ``instance`` run.
 
 The interpreter is the ground-truth oracle; any divergence is a kernel
 bug by definition.
 """
+
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,7 +34,7 @@ from repro.core.program import Program
 from repro.core.terms import Constant, Variable
 from repro.core.tgd import TGD
 from repro.datalog.seminaive import seminaive
-from repro.lang.parser import parse_query
+from repro.lang.parser import parse_program, parse_query
 from repro.storage import BACKENDS, kernel_capable
 
 NODES = 5
@@ -217,26 +221,71 @@ def _family_scenarios(seed):
     return [*suite_corpus(base_seed=seed), churn]
 
 
+#: Negated programs over ``e``/``r`` facts: negation below recursion,
+#: a negated self-join, a blocked head feeding recursion, and a negated
+#: constant no fact carries (it blocks nothing).
+NEGATED_PROGRAMS = (
+    """p(X,Y) :- e(X,Y).
+       p(X,Z) :- e(X,Y), p(Y,Z).
+       s(X)   :- r(X), not p(n0,X).""",
+    """p(X,Y) :- e(X,Y), not e(Y,X).
+       s(X)   :- e(X,Y), not p(X,X), not r(Y).
+       w(X)   :- s(X).
+       w(Y)   :- w(X), e(X,Y).""",
+    """s(X)   :- r(X), not e(X,nowhere).
+       p(X,Y) :- e(X,Y), s(X), not s(Y).""",
+)
+
+
+def _negated_scenarios(seed):
+    """``(name, program, database, queries)`` per negated program, over
+    a random graph and marking drawn from *seed*."""
+    rng = random.Random(seed)
+    database = build_database(
+        {(rng.randrange(NODES), rng.randrange(NODES)) for _ in range(8)},
+        {rng.randrange(NODES) for _ in range(3)},
+    )
+    for index, text in enumerate(NEGATED_PROGRAMS):
+        program, _ = parse_program(text)
+        queries = [
+            parse_query(f"q(X) :- {head}(X)." if head in ("s", "w")
+                        else f"q(X,Y) :- {head}(X,Y).")
+            for head in sorted(program.head_predicates())
+        ]
+        yield f"negated-{index}", program, database, queries
+
+
 @given(seed=st.integers(0, 10**6))
 @settings(max_examples=6, deadline=None)
 def test_store_alone_decides_dispatch_across_families(seed):
     """How the rounds run is a function of the store, nothing else:
     kernels iff ``kernel_capable(store)``, and either way the same
     rounds, derivations, match counts and digests as the interpreter
-    that ``store="instance"`` runs."""
-    for scenario in _family_scenarios(seed):
-        # The datalog engine's fragment of each family's program.
-        program = Program(
-            tgd for tgd in scenario.program
-            if tgd.is_full() and tgd.is_single_head()
+    that ``store="instance"`` runs — negated programs, run stratum by
+    stratum, included."""
+    scenarios = [
+        (
+            scenario.name,
+            # The datalog engine's fragment of each family's program.
+            Program(
+                tgd for tgd in scenario.program
+                if tgd.is_full() and tgd.is_single_head()
+            ),
+            scenario.database,
+            scenario.queries,
         )
-        assert len(program) > 0, scenario.name
-        reference = seminaive(scenario.database, program, store="instance")
+        for scenario in _family_scenarios(seed)
+    ]
+    for name, program, database, queries in (
+        scenarios + list(_negated_scenarios(seed))
+    ):
+        assert len(program) > 0, name
+        reference = seminaive(database, program, store="instance")
         assert reference.exec_mode == "interpret" and reference.derived > 0
         for store in BACKENDS:
             expected = "kernel" if kernel_capable(store) else "interpret"
-            result = seminaive(scenario.database, program, store=store)
-            label = (scenario.name, store)
+            result = seminaive(database, program, store=store)
+            label = (name, store)
             assert result.exec_mode == expected, label
             assert (result.batches > 0) == (expected == "kernel"), label
             assert result.rounds == reference.rounds, label
@@ -247,8 +296,8 @@ def test_store_alone_decides_dispatch_across_families(seed):
             ), label
             assert _digest(result.instance) == _digest(reference.instance)
 
-            session = _session(store, program, scenario.database)
-            for query in scenario.queries:
+            session = _session(store, program, database)
+            for query in queries:
                 assert session.plan(query).exec_mode == expected, label
                 stream = session.query(query, rewrite="none")
                 answers = stream.to_set()

@@ -69,6 +69,27 @@ class TestAnswer:
         assert code == 0
         assert "3 certain answer(s)" in output
 
+    @pytest.mark.parametrize("store", BACKENDS)
+    def test_negated_program(self, tmp_path, store):
+        path = tmp_path / "complement.vada"
+        path.write_text(TC_PROGRAM + """
+            n(a). n(b). n(c).
+            u(X) :- n(X), not t(a,X).
+        """)
+        code, output = run(
+            ["answer", str(path), "--query", "q(X) :- u(X).",
+             "--store", store]
+        )
+        assert code == 0
+        assert "(a)" in output
+        assert "1 certain answer(s)" in output
+
+    def test_chase_refuses_a_negated_program(self, tmp_path):
+        path = tmp_path / "complement.vada"
+        path.write_text(TC_PROGRAM + "n(a). u(X) :- n(X), not t(a,X).")
+        code, output = run(["chase", str(path)])
+        assert code == 2
+
 
 class TestChase:
     def test_saturating_chase(self, program_file):

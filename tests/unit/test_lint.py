@@ -11,6 +11,7 @@ CompiledProgram, the LintError planning gate, and the explain line.
 import pytest
 
 from repro.api import LintError, Session
+from repro.core.terms import Constant
 from repro.lang.parser import parse_program
 from repro.lint import (
     ProgramDiagnostics,
@@ -349,18 +350,19 @@ class TestSessionWiring:
 
 
 class TestPlannerNegationGate:
-    def test_negated_program_planning_fails_with_pointer_to_lint(self):
+    def test_negated_program_plans_on_datalog_only(self):
         session = Session()
         session.load(
-            "e(a). f(a).\n"
+            "e(a). e(b). f(a).\n"
             "p(X) :- e(X), not f(X).\n"
         )
-        with pytest.raises(ValueError, match="positive Datalog"):
-            session.plan("q(X) :- p(X).")
+        assert session.plan("q(X) :- p(X).").method == "datalog"
+        assert session.query("q(X) :- p(X).").to_set() == {(Constant("b"),)}
+        with pytest.raises(ValueError, match="only on the datalog engine"):
+            session.plan("q(X) :- p(X).", method="pwl")
 
     def test_lint_accepts_stratifiable_negation(self):
-        # Stratified negation lints clean (no E-codes) even though the
-        # evaluation engines refuse it — the diagnostics and the
-        # planner gate are separate, deliberately.
+        # Stratified negation lints clean (no E-codes): the datalog
+        # engine evaluates it; the planner keeps it off the others.
         report = lint_text("e(a). f(a).\np(X) :- e(X), not f(X).\n")
         assert not report.errors()

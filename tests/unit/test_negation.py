@@ -1,21 +1,34 @@
 """Unit tests for stratified negation (the paper's "mild negation").
 
-Programs come from the one parser; safety and stratifiability are the
+Programs come from the one parser and run through the one door: the
+datalog engine's ``seminaive`` evaluates them stratum by stratum, and
+``Session.query`` plans them on it.  Safety and stratifiability are the
 linter's E101/E103, surfaced by the evaluator as ``LintError``.
 """
 
 import pytest
 
+from repro.api import Session
+from repro.chase import chase
+from repro.core.instance import Database
 from repro.core.terms import Constant
-from repro.datalog.negation import (
-    negation_stratification,
-    stratified_answers,
-    stratified_fixpoint,
-)
+from repro.datalog.seminaive import datalog_answers, seminaive
+from repro.datalog.strata import compute_strata
 from repro.lang.parser import parse_program, parse_query
 from repro.lint import LintError
+from repro.rewriting.magic import MagicNotApplicable, magic_rewrite
+from repro.storage import BACKENDS
 
 a, b, c, d = Constant("a"), Constant("b"), Constant("c"), Constant("d")
+
+#: ``u`` negates the closure ``r`` of ``e``: only ``a`` is unreachable
+#: from ``a``.
+CLOSURE_COMPLEMENT = """
+    e(a,b). e(b,c). n(a). n(b). n(c).
+    r(X,Y) :- e(X,Y).
+    r(X,Z) :- e(X,Y), r(Y,Z).
+    u(X)   :- n(X), not r(a,X).
+"""
 
 
 class TestFrontEnd:
@@ -40,23 +53,32 @@ class TestSafety:
             node(a).
             sink(X) :- node(X), not edge(X, Y).
         """)
-        with pytest.raises(LintError, match="E101"):
-            stratified_fixpoint(database, program)
+        for store in BACKENDS:
+            with pytest.raises(LintError, match="E101"):
+                seminaive(database, program, store=store)
 
     def test_unsafe_head_variable_under_negation_rejected(self):
         program, _ = parse_program("p(X, Y) :- q(X), not r(X).")
         with pytest.raises(ValueError, match="existential"):
-            negation_stratification(program)
+            seminaive(Database(), program)
 
     def test_existential_rule_rejected(self):
         program, _ = parse_program("p(X, Y) :- q(X).")
         with pytest.raises(ValueError, match="existential"):
-            negation_stratification(program)
+            seminaive(Database(), program)
+        # Negation elsewhere in the program: the planner refuses it
+        # whichever engine the existential rule would need.
+        session = Session()
+        session.load("q(a).\np(X, Y) :- q(X).\ns(X) :- q(X), not r(X).")
+        with pytest.raises(ValueError, match="existential rules"):
+            session.plan("ans(X) :- s(X).", method="datalog")
+        with pytest.raises(ValueError, match="only on the datalog engine"):
+            session.plan("ans(X) :- s(X).")
 
     def test_multi_head_rule_rejected(self):
-        program, _ = parse_program("p(X), r(X) :- q(X).")
+        program, _ = parse_program("p(X), r(X) :- q(X), not s(X).")
         with pytest.raises(ValueError, match="single-head"):
-            negation_stratification(program)
+            seminaive(Database(), program)
 
 
 class TestStratification:
@@ -65,7 +87,7 @@ class TestStratification:
             reach(X, Y) :- edge(X, Y).
             reach(X, Z) :- edge(X, Y), reach(Y, Z).
         """)
-        strata = negation_stratification(program)
+        strata = compute_strata(program).layers
         assert sum(len(layer) for layer in strata) == 2
 
     def test_negation_below_recursion_allowed(self):
@@ -74,7 +96,7 @@ class TestStratification:
             reach(X, Z)     :- edge(X, Y), reach(Y, Z).
             separated(X, Y) :- node(X), node(Y), not reach(X, Y).
         """)
-        strata = negation_stratification(program)
+        strata = compute_strata(program).layers
         # `separated` must evaluate after the `reach` component.
         last = strata[-1]
         assert any(
@@ -85,8 +107,10 @@ class TestStratification:
         program, _ = parse_program("""
             win(X) :- move(X, Y), not win(Y).
         """)
-        with pytest.raises(LintError, match="E103.*win"):
-            negation_stratification(program)
+        database = Database()
+        for store in BACKENDS:
+            with pytest.raises(LintError, match="E103.*win"):
+                seminaive(database, program, store=store)
 
     def test_arity_conflict_between_rules_rejected(self):
         # `not p(X)` against the rule body's p(X, Y): the empty p/1 would
@@ -97,9 +121,9 @@ class TestStratification:
             q(X)    :- e(X), not p(X).
         """)
         with pytest.raises(LintError, match="E102.*'p'"):
-            stratified_answers(parse_query("q(X) :- q(X)."), database, program)
+            datalog_answers(parse_query("q(X) :- q(X)."), database, program)
         with pytest.raises(LintError, match="E102"):
-            negation_stratification(program)
+            seminaive(Database(), program)
 
     def test_arity_conflict_with_a_fact_rejected(self):
         # Only the facts use p/2: the rules alone are consistent.
@@ -107,9 +131,9 @@ class TestStratification:
             e(a). p(a, b).
             q(X) :- e(X), not p(X).
         """)
-        assert negation_stratification(program)
+        assert seminaive(Database(), program).derived == 0
         with pytest.raises(LintError, match="E102.*'p'"):
-            stratified_fixpoint(database, program)
+            seminaive(database, program)
 
     def test_mutual_negation_rejected(self):
         program, _ = parse_program("""
@@ -117,7 +141,7 @@ class TestStratification:
             q(X) :- base(X), not p(X).
         """)
         with pytest.raises(LintError, match="E103"):
-            negation_stratification(program)
+            seminaive(Database(), program)
 
 
 class TestEvaluation:
@@ -130,7 +154,7 @@ class TestEvaluation:
             separated(X, Y) :- node(X), node(Y), not reach(X, Y).
         """)
         query = parse_query("q(X, Y) :- separated(X, Y).")
-        answers = stratified_answers(query, database, program)
+        answers = datalog_answers(query, database, program)
         # Pairs with NO path, including reflexive ones (no self-loops).
         assert (b, a) in answers
         assert (c, a) in answers
@@ -147,7 +171,7 @@ class TestEvaluation:
             sink(X)    :- node(X), not has_out(X).
         """)
         query = parse_query("q(X) :- sink(X).")
-        assert stratified_answers(query, database, program) == {(c,)}
+        assert datalog_answers(query, database, program) == {(c,)}
 
     def test_negation_free_matches_seminaive(self):
         from repro.datalog.seminaive import datalog_answers
@@ -159,7 +183,7 @@ class TestEvaluation:
         """
         program, database = parse_program(text)
         query = parse_query("q(X, Y) :- reach(X, Y).")
-        assert stratified_answers(query, database, program) == \
+        assert datalog_answers(query, database, program) == \
             datalog_answers(query, database, program)
 
     def test_double_negation_through_strata(self):
@@ -171,7 +195,7 @@ class TestEvaluation:
             source(X)   :- node(X), not sink(X).
         """)
         query = parse_query("q(X) :- source(X).")
-        assert stratified_answers(query, database, program) == {(a,)}
+        assert datalog_answers(query, database, program) == {(a,)}
 
     def test_fixpoint_statistics(self):
         program, database = parse_program("""
@@ -180,9 +204,9 @@ class TestEvaluation:
             has_out(X) :- edge(X, Y).
             sink(X)    :- node(X), not has_out(X).
         """)
-        result = stratified_fixpoint(database, program)
+        result = seminaive(database, program)
         assert result.derived == 2    # has_out(a), sink(b)
-        assert result.strata >= 2
+        assert len(compute_strata(program).layers) >= 2
 
 
 class TestOwl2QLWithNegation:
@@ -202,5 +226,61 @@ class TestOwl2QLWithNegation:
             empty(C)     :- class(C), not inhabited(C).
         """)
         query = parse_query("q(C) :- empty(C).")
-        answers = stratified_answers(query, database, program)
+        answers = datalog_answers(query, database, program)
         assert answers == {(Constant("robot"),)}
+
+
+class TestOneDoor:
+    """Negated programs run on the datalog engine, and only there."""
+
+    def test_closure_complement_on_every_store(self):
+        # Regression: the rounds once ignored the negated literal and
+        # answered {a, b, c} on every store.
+        program, database = parse_program(CLOSURE_COMPLEMENT)
+        query = parse_query("q(X) :- u(X).")
+        for store in BACKENDS:
+            assert datalog_answers(query, database, program, store=store) == {(a,)}
+            session = Session(store=store)
+            session.load(CLOSURE_COMPLEMENT)
+            assert session.query("q(X) :- u(X).").to_set() == {(a,)}, store
+
+    def test_auto_plans_the_datalog_engine(self):
+        session = Session()
+        session.load(CLOSURE_COMPLEMENT)
+        plan = session.plan("q(X) :- u(X).")
+        assert plan.method == "datalog"
+        assert "2 stratum/strata" in plan.explain()
+        assert any("stratum by stratum" in reason for reason in plan.reasons)
+
+    @pytest.mark.parametrize("method", ["pwl", "ward", "chase"])
+    def test_other_engines_refused(self, method):
+        session = Session()
+        session.load(CLOSURE_COMPLEMENT)
+        with pytest.raises(ValueError, match="only on the datalog engine"):
+            session.plan("q(X) :- u(X).", method=method)
+
+    def test_chase_refuses_negation(self):
+        program, database = parse_program(CLOSURE_COMPLEMENT)
+        with pytest.raises(ValueError, match="datalog engine"):
+            chase(database, program)
+
+
+class TestMagicRefusesNegation:
+    def test_magic_rewrite_raises(self):
+        program, _ = parse_program(CLOSURE_COMPLEMENT)
+        with pytest.raises(MagicNotApplicable, match="positive programs"):
+            magic_rewrite(program, parse_query("q() :- u(a)."))
+
+    def test_forced_magic_raises(self):
+        session = Session()
+        session.load(CLOSURE_COMPLEMENT)
+        with pytest.raises(MagicNotApplicable):
+            session.plan("q() :- u(a).", rewrite="magic")
+
+    def test_auto_resolves_to_none_with_the_reason(self):
+        session = Session()
+        session.load(CLOSURE_COMPLEMENT)
+        plan = session.plan("q() :- u(a).")
+        assert plan.rewrite == "none"
+        assert "rewrite : none (negated literals" in plan.explain()
+        assert session.query("q() :- u(a).").to_set() == {()}
