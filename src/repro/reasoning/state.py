@@ -165,6 +165,11 @@ class SuccessorGenerator:
     ):
         if specialization not in ("guided", "exhaustive"):
             raise ValueError(f"unknown specialization mode {specialization!r}")
+        if program.has_negation():
+            raise ValueError(
+                "the proof-tree search covers positive programs only; "
+                "negated literals run on the datalog engine"
+            )
         if not program.is_single_head():
             raise ValueError(
                 "SuccessorGenerator needs a single-head program; call "

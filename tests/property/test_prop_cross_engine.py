@@ -15,12 +15,12 @@ from repro.chase import chase
 from repro.core.atoms import Atom
 from repro.core.instance import Database
 from repro.core.terms import Constant
-from repro.core.program import Program
 from repro.datalog.seminaive import datalog_answers, seminaive
-from repro.datalog.strata import compute_strata
 from repro.dynfo import IncrementalReasoner
 from repro.lang.parser import parse_program, parse_query
 from repro.reasoning import decide_pwl_ward
+
+from ..helpers import by_layer
 
 NODES = 6
 
@@ -67,11 +67,9 @@ def test_chase_matches_seminaive(pairs):
 @settings(max_examples=40, deadline=None)
 def test_stratified_matches_global(pairs):
     database = build_database(pairs)
-    materialized = database
-    for layer in compute_strata(PROGRAM).layers:
-        materialized = Database(seminaive(materialized, Program(layer)).instance)
+    materialized = by_layer(database, PROGRAM)[-1]
     streaming = seminaive(database, PROGRAM)
-    assert QUERY.evaluate(materialized) == streaming.evaluate(QUERY)
+    assert materialized.evaluate(QUERY) == streaming.evaluate(QUERY)
 
 
 @given(edge_lists)

@@ -35,7 +35,7 @@ def _session(store, program, database) -> Session:
 
 
 @given(stratified_programs(), databases())
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 def test_compiled_strata_equal_the_naive_oracle(program, database):
     oracle = naive_fixpoint(database, program)
     for store in BACKENDS:

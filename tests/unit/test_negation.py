@@ -16,6 +16,8 @@ from repro.datalog.seminaive import datalog_answers, seminaive
 from repro.datalog.strata import compute_strata
 from repro.lang.parser import parse_program, parse_query
 from repro.lint import LintError
+from repro.reasoning.answers import is_certain_answer, stream_proof_tree_answers
+from repro.reasoning.pwl_ward import decide_pwl_ward
 from repro.rewriting.magic import MagicNotApplicable, magic_rewrite
 from repro.storage import BACKENDS
 
@@ -263,6 +265,19 @@ class TestOneDoor:
         program, database = parse_program(CLOSURE_COMPLEMENT)
         with pytest.raises(ValueError, match="datalog engine"):
             chase(database, program)
+
+    def test_proof_tree_engines_refuse_negation(self):
+        program, database = parse_program(CLOSURE_COMPLEMENT)
+        query = parse_query("q(X) :- u(X).")
+        with pytest.raises(ValueError, match="datalog engine"):
+            decide_pwl_ward(query, (a,), database, program)
+        with pytest.raises(ValueError, match="datalog engine"):
+            is_certain_answer(query, (a,), database, program)
+        for method in ("pwl", "ward"):
+            with pytest.raises(ValueError, match="datalog engine"):
+                list(stream_proof_tree_answers(
+                    query, database, program, method=method
+                ))
 
 
 class TestMagicRefusesNegation:

@@ -2,24 +2,14 @@
 
 import pytest
 
-from repro.core.instance import Database
-from repro.core.program import Program
 from repro.core.terms import Constant
 from repro.datalog.seminaive import datalog_answers, seminaive
 from repro.datalog.strata import compute_strata
 from repro.lang.parser import parse_program, parse_query
 
+from ..helpers import by_layer
+
 a, b, c, d = Constant("a"), Constant("b"), Constant("c"), Constant("d")
-
-
-def by_layer(database, program):
-    """``seminaive`` once per stratum, in order, each run seeded with the
-    previous one's fixpoint: the per-stratum results."""
-    results = []
-    for layer in compute_strata(program).layers:
-        results.append(seminaive(database, Program(layer)))
-        database = Database(results[-1].instance)
-    return results
 
 
 class TestSemiNaive:
