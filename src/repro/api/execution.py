@@ -19,6 +19,7 @@ from functools import partial
 from ..chase.runner import ChaseRun, stream_chase_answers
 from ..core.instance import Database
 from ..datalog.seminaive import stream_datalog_answers
+from ..kernels import query_answers
 from ..reasoning.answers import (
     UnsupportedProgramError,
     stream_proof_tree_answers,
@@ -72,7 +73,11 @@ def execute_plan(
             return None
         stats.from_cache = True
         stats.saturated = True
-        return sorted(run_query.evaluate(fixpoint), key=str)
+        answers = (
+            query_answers(run_query, fixpoint) if fixpoint.kernel_capable
+            else run_query.evaluate(fixpoint)
+        )
+        return sorted(answers, key=str)
 
     on_fixpoint = (
         partial(cache.set_fixpoint, plan) if cache is not None else None

@@ -34,7 +34,9 @@ def stream_new_answers(query: "ConjunctiveQuery", events, delta_of):
     (:meth:`ConjunctiveQuery.evaluate_delta`), and each answer is
     yielded exactly once, in sorted order within its event.  This is
     the one answer-surfacing protocol shared by the chase and semi-naive
-    streams.
+    streams; on a kernel-capable store the semi-naive stream keeps it
+    in id space instead (:func:`repro.kernels.stream_query_answers`),
+    so no round's staged rows are decoded to feed it.
     """
     seen: set[tuple[Constant, ...]] = set()
     predicates = query.predicates()

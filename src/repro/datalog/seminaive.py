@@ -19,6 +19,7 @@ This engine is the substrate for:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable, List, Optional, Sequence
 
 from ..core.atoms import Atom
@@ -27,7 +28,12 @@ from ..core.match import AtomSet, rule_heads
 from ..core.program import Program
 from ..core.query import ConjunctiveQuery, stream_new_answers
 from ..core.terms import Constant
-from ..kernels import KernelEvaluator
+from ..kernels import (
+    KernelEvaluator,
+    RowRange,
+    decode_ranges,
+    stream_query_answers,
+)
 from ..lint import LintError, run_lint
 from ..storage import FactStore, StoreChoice, kernel_capable, make_store
 from .strata import compute_strata
@@ -79,12 +85,13 @@ class SemiNaiveRound:
     """One pull-based event of the semi-naive fixpoint.
 
     Round 0 carries the seeded database; each later round carries the
-    facts staged (and already merged) in that round.  ``instance`` is
-    the live store *after* the merge, shared across events.
+    facts staged (and already merged) in that round — as atoms from
+    the interpreter, as the row ranges they occupy in the store from
+    the kernels.  ``instance`` is the live store *after* the merge,
+    shared across events.
     """
 
     index: int
-    staged: tuple[Atom, ...]
     considered: int
     instance: FactStore
     #: Batch operations this round executed (kernel mode only) and the
@@ -92,6 +99,29 @@ class SemiNaiveRound:
     #: :class:`~repro.api.stream.StreamStats`.
     batches: int = 0
     exec_mode: str = "interpret"
+    #: The staged atoms (the interpreter, and every round 0).
+    atoms: tuple[Atom, ...] = ()
+    #: The staged rows (kernel rounds): per store part the round
+    #: appended to, ``(predicate, arity, part, lo, hi)``.
+    ranges: tuple[RowRange, ...] = ()
+
+    @cached_property
+    def staged(self) -> tuple[Atom, ...]:
+        """The facts the event added, as atoms.  A kernel round's are
+        decoded from its ``ranges`` on first access, and are valid
+        until the store is next mutated by anything but an append —
+        later rounds only append, so an event read after the run still
+        decodes its own round."""
+        if self.ranges:
+            return decode_ranges(self.instance, self.ranges)
+        return self.atoms
+
+    @property
+    def derived(self) -> int:
+        """How many facts the event added (no decoding)."""
+        return len(self.atoms) + sum(
+            hi - lo for _, _, _, lo, hi in self.ranges
+        )
 
 
 def seminaive_rounds(
@@ -139,7 +169,7 @@ def seminaive_rounds(
     kernels = kernel_capable(instance)
     exec_mode = "kernel" if kernels else "interpret"
     yield SemiNaiveRound(
-        index=0, staged=tuple(database), considered=0, instance=instance,
+        index=0, atoms=tuple(database), considered=0, instance=instance,
         exec_mode=exec_mode,
     )
     done = 0
@@ -164,22 +194,19 @@ def _kernel_rounds(
     instance: FactStore, program: Iterable, max_rounds: Optional[int]
 ) -> Iterable[SemiNaiveRound]:
     """The kernels' round loop over *instance*'s stored rows, as events
-    with the post-merge instance view, same as the interpreter's."""
-    for index, staged, considered, batches in KernelEvaluator(
+    with the post-merge instance view, same as the interpreter's; each
+    carries its staged facts as row ranges."""
+    for index, ranges, considered, batches in KernelEvaluator(
         instance, program
     ).rounds(max_rounds):
-        event = SemiNaiveRound(
+        yield SemiNaiveRound(
             index=index,
-            staged=staged,
             considered=considered,
             instance=instance,
             batches=batches,
             exec_mode="kernel",
+            ranges=ranges,
         )
-        # Hold no round's atoms while the next round runs.
-        del staged
-        yield event
-        del event
 
 
 def delta_rounds(
@@ -215,9 +242,9 @@ def delta_rounds(
         delta = AtomSet(staged)
         yield SemiNaiveRound(
             index=rounds,
-            staged=tuple(staged),
             considered=round_considered,
             instance=instance,
+            atoms=tuple(staged),
         )
 
 
@@ -247,11 +274,11 @@ def seminaive(
         if event.index == 0:
             continue
         rounds = event.index
-        derived += len(event.staged)
+        derived += event.derived
         considered += event.considered
         batches += event.batches
         per_round_considered.append(event.considered)
-        per_round_derived.append(len(event.staged))
+        per_round_derived.append(event.derived)
         del event  # the round's atoms go before the next round runs
     assert instance is not None
     return SemiNaiveResult(
@@ -280,7 +307,10 @@ def stream_datalog_answers(
     Answers are produced incrementally: after each semi-naive round that
     staged an atom of a query predicate, the delta-restricted evaluation
     (:meth:`~repro.core.query.ConjunctiveQuery.evaluate_delta`) emits the
-    answers whose earliest witness that round completed.  The union over
+    answers whose earliest witness that round completed — on a
+    kernel-capable store, read off the round's id rows by the query's
+    own pin plans (:func:`~repro.kernels.stream_query_answers`), so no
+    staged fact is decoded; each new answer is, once.  The union over
     all rounds equals the eager :func:`datalog_answers` set.
     ``on_fixpoint``, if given, receives the final :class:`FactStore`
     (callers use it to cache the materialization).  ``stats``, if given,
@@ -295,7 +325,7 @@ def stream_datalog_answers(
         for event in events:
             last_instance[0] = event.instance
             if event.index > 0:
-                derived += len(event.staged)
+                derived += event.derived
                 batches += event.batches
             if stats is not None:
                 stats.rounds = event.index
@@ -304,11 +334,13 @@ def stream_datalog_answers(
                 stats.kernel_batches = batches
             yield event
 
-    yield from stream_new_answers(
-        query,
-        tap(seminaive_rounds(database, program, store=store)),
-        lambda event: event.staged,
-    )
+    events = tap(seminaive_rounds(database, program, store=store))
+    if kernel_capable(store):
+        yield from stream_query_answers(query, events)
+    else:
+        yield from stream_new_answers(
+            query, events, lambda event: event.staged
+        )
     if on_fixpoint is not None and last_instance[0] is not None:
         on_fixpoint(last_instance[0])
 

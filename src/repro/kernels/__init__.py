@@ -7,7 +7,10 @@ rule once into batch join plans over interned id rows
 (:mod:`~repro.kernels.compiler`) and executes them set-at-a-time
 (:mod:`~repro.kernels.runtime`), reproducing the interpreter's round
 structure, staged facts, and match counts exactly — a negated literal
-included, as a membership test on the projected id row.
+included, as a membership test on the projected id row.  A conjunctive
+query over such a store is read the same way (:mod:`~repro.kernels.query`):
+lowered to a rule whose head is the answer tuple, its id rows decoded
+only once each, as answers.
 
 Nobody selects this path: :func:`repro.datalog.seminaive.seminaive_rounds`
 runs kernels (one evaluator per stratum) exactly when the store declares
@@ -26,7 +29,8 @@ from .compiler import (
     compile_kernels,
     compile_rule,
 )
-from .runtime import KernelEvaluator
+from .query import query_answers, stream_query_answers
+from .runtime import KernelEvaluator, RowRange, decode_ranges
 
 __all__ = [
     "JoinStep",
@@ -36,5 +40,9 @@ __all__ = [
     "compile_kernels",
     "compile_rule",
     "KernelEvaluator",
+    "RowRange",
+    "decode_ranges",
     "kernel_capable",
+    "query_answers",
+    "stream_query_answers",
 ]

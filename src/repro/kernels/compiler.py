@@ -55,8 +55,8 @@ CONST = "c"
 
 @dataclass(frozen=True)
 class JoinStep:
-    """One hash-probe (or scan) of a body atom against the store's
-    relation parts.
+    """One hash probe, membership test or scan of a body atom against
+    the store's relation parts.
 
     ``key`` pairs each keyed 0-based position with its value source —
     ``(SLOT, slot)`` for an already-bound variable, ``(CONST, term)``
@@ -72,6 +72,13 @@ class JoinStep:
     key: Tuple[Tuple[int, Tuple[str, object]], ...]
     repeats: Tuple[Tuple[int, int], ...]
     binds: Tuple[Tuple[int, int], ...]
+
+    @property
+    def member(self) -> bool:
+        """True iff the key covers every position: the step binds
+        nothing and runs as a membership test on the part's dedup map
+        (``row_pos``), building no hash index."""
+        return len(self.key) == self.arity
 
 
 @dataclass(frozen=True)
@@ -130,8 +137,7 @@ class KernelProgram:
             )
             for pin in kernel.pins:
                 ops = " -> ".join(
-                    f"{'probe' if step.key else 'scan'}"
-                    f"[{step.predicate}/{step.arity}"
+                    f"{_op_name(step)}[{step.predicate}/{step.arity}"
                     f"{'|old' if step.old_only else ''}]"
                     for step in pin.steps
                 ) or "project"
@@ -140,6 +146,12 @@ class KernelProgram:
                     f"{pin.arity}): {ops}"
                 )
         return "\n".join(lines)
+
+
+def _op_name(step: JoinStep) -> str:
+    if step.member:
+        return "member"
+    return "probe" if step.key else "scan"
 
 
 def _atom_layout(

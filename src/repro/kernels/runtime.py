@@ -10,7 +10,9 @@ path), and the evaluator
 
 * probes each part through the part's own lazily built hash indexes
   (built on first probe, kept coherent by the relation's appends, and
-  dropped with a shard when it is evicted);
+  dropped with a shard when it is evicted) — except that a step whose
+  key covers every position is a lookup in the part's dedup map
+  (``row_pos``), which every part keeps anyway, and builds no index;
 * keeps the semi-naive delta as one append watermark per part: rows
   are numbered in append order, so the rows staged by the previous
   round are exactly ``[lo, hi)`` and "old" means ``number < lo``
@@ -24,19 +26,28 @@ path), and the evaluator
 Each semi-naive round runs every rule's pin plans as batch operations:
 filter/project the delta rows of the pinned atom into a binding
 frontier, then extend the frontier through each join step with one
-hash probe per step, then drop the bindings a negated literal blocks
-with one membership test per binding (``kernel_batches`` counts these
-batch ops — per step or literal, however many parts it walks).  The
-old/full row discipline per step reproduces the interpreter's
-first-pin exact-once match counting — see :mod:`repro.kernels.compiler`
-— so ``considered``, staged facts, and round structure agree with the
-interpreter exactly.
+hash probe (or membership test) per step, then drop the bindings a
+negated literal blocks with one membership test per binding
+(``kernel_batches`` counts these batch ops — per step or literal,
+however many parts it walks).  The old/full row discipline per step
+reproduces the interpreter's first-pin exact-once match counting — see
+:mod:`repro.kernels.compiler` — so ``considered``, staged facts, and
+round structure agree with the interpreter exactly.
+
+A round reports what it staged as row ranges, not atoms: per part it
+appended to, the ``[lo, hi)`` its appends occupy (:data:`RowRange`).
+:func:`decode_ranges` turns them into atoms for a consumer that wants
+them; :mod:`repro.kernels.query` reads a query's answers off them in
+id space.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence,
+    Set, Tuple,
+)
 
 from ..core.atoms import Atom
 from ..core.program import Program
@@ -44,22 +55,64 @@ from ..core.terms import Term
 from ..storage.relation import Row
 from .compiler import (
     CONST,
-    SLOT,
     KernelProgram,
     PinPlan,
     RuleKernel,
     compile_kernels,
 )
 
-__all__ = ["KernelEvaluator"]
+__all__ = ["KernelEvaluator", "RowRange", "decode_ranges"]
 
 RelKey = Tuple[str, int]
+
+#: ``(predicate, arity, part id, lo, hi)``: the rows ``[lo, hi)`` of
+#: one part of one relation — where one round's appends to it sit.
+RowRange = Tuple[str, int, int, int, int]
 
 #: relation → part id → a row number in that part: where the rows a
 #: round appended start.
 Watermarks = Dict[RelKey, Dict[int, int]]
 
 _NO_PARTS: Mapping[int, int] = {}
+
+#: Per position of a row: ``(True, id)`` for a resolved constant,
+#: ``(False, slot)`` for a binding slot.
+Sources = Sequence[Tuple[bool, int]]
+
+
+def _row_of(sources: Sources) -> Callable[[List[int]], Row]:
+    """binding → the id tuple laid out by *sources*; all-slot layouts
+    project through one C-level call."""
+    if all(not is_const for is_const, _ in sources):
+        slots = [payload for _, payload in sources]
+        if not slots:
+            return lambda binding: ()
+        if len(slots) == 1:
+            return lambda binding, _s=slots[0]: (binding[_s],)
+        return itemgetter(*slots)
+
+    def row_of(binding, _sources=tuple(sources)):
+        return tuple(
+            payload if is_const else binding[payload]
+            for is_const, payload in _sources
+        )
+
+    return row_of
+
+
+def decode_ranges(store, ranges: Iterable[RowRange]) -> Tuple[Atom, ...]:
+    """The atoms of the rows *ranges* name, decoded through the store's
+    term table, part by part.  Valid while those rows are where the
+    round put them: appends keep them in place, a ``discard`` may swap
+    a row away."""
+    decode = store.table.decode
+    atoms: List[Atom] = []
+    for predicate, arity, part_id, lo, hi in ranges:
+        for _, part in store.parts(predicate, arity, (part_id,)):
+            atoms.extend(
+                Atom(predicate, decode(row)) for row in part.rows[lo:hi]
+            )
+    return tuple(atoms)
 
 
 class KernelEvaluator:
@@ -85,7 +138,8 @@ class KernelEvaluator:
         self.kernels = (
             kernels if kernels is not None else compile_kernels(program)
         )
-        #: Cumulative batch operations (pin filters + hash probes).
+        #: Cumulative batch operations (pin filters, probes, membership
+        #: tests).
         self.batches = 0
         #: Where the previous round's appends start, per part — the
         #: ``lo`` of this round's delta; None in round 1, when every
@@ -99,23 +153,26 @@ class KernelEvaluator:
         #: an unresolved constant is retried — a head fire may intern it
         #: between rounds).
         self._const_ids: Dict[Term, int] = {}
-        #: kernel → (head slot layout, resolved head constant ids);
-        #: constants resolve on the rule's first fire — resolving
-        #: earlier would intern constants of rules that never fire,
-        #: which the interpreter never does.
-        self._head_layouts: Dict[RuleKernel, tuple] = {}
+        #: kernel → its head-row projection; head constants resolve on
+        #: the rule's first fire — resolving earlier would intern
+        #: constants of rules that never fire, which the interpreter
+        #: never does.
+        self._head_rows: Dict[RuleKernel, Callable] = {}
 
     # -- the round loop ----------------------------------------------------
 
     def rounds(
         self, max_rounds: Optional[int] = None
-    ) -> Iterator[Tuple[int, Tuple[Atom, ...], int, int]]:
+    ) -> Iterator[Tuple[int, Tuple[RowRange, ...], int, int]]:
         """Run semi-naive rounds to fixpoint from the stored rows,
-        yielding ``(index, staged_atoms, considered, batches)`` per
-        round.  Staged atoms are in the store before the yield (the
-        event's instance view is post-merge, as in the interpreter).
-        The join indexes built on the store's parts along the way are
-        released when the generator exits.
+        yielding ``(index, ranges, considered, batches)`` per round.
+
+        *ranges* name, per part the round appended to, the ``[lo, hi)``
+        its new rows occupy — the round's staged facts, in the store
+        before the yield (the event's instance view is post-merge, as
+        in the interpreter), and still there while later rounds append
+        above them.  The join indexes built on the store's parts along
+        the way are released when the generator exits.
         """
         self._delta = None
         pending = len(self.store) > 0
@@ -125,72 +182,77 @@ class KernelEvaluator:
                 index += 1
                 before = self.batches
                 self._grown = {}
-                atoms, considered = self._run_round()
+                ranges, considered = self._run_round()
                 self._delta = self._grown
-                pending = bool(atoms)
-                # Yield without keeping a reference: the consumer alone
-                # decides how long a round's atoms live.
-                event = (index, atoms, considered, self.batches - before)
-                del atoms
-                yield event
-                del event
+                pending = bool(ranges)
+                yield index, ranges, considered, self.batches - before
         finally:
             self.store.release_indexes()
 
-    def _run_round(self) -> Tuple[Tuple[Atom, ...], int]:
-        """One round over every rule: the atoms staged, and the body
-        matches considered."""
-        staged: List[Tuple[str, List[Row]]] = []
+    def _run_round(self) -> Tuple[Tuple[RowRange, ...], int]:
+        """One round over every rule: the row ranges staged, and the
+        body matches considered."""
         considered = 0
+        ends: Dict[Tuple[RelKey, int], int] = {}
         for kernel in self.kernels.kernels:
-            head_slots, head_consts, head_getter = self._head_layout(kernel)
-            for pin in kernel.pins:
-                frontier = self._pin_frontier(kernel, pin)
-                for step in pin.steps:
-                    if not frontier:
-                        break
-                    frontier = self._probe(step, frontier)
-                if frontier and kernel.negated:
-                    frontier = self._unblocked(kernel, frontier)
-                if not frontier:
-                    continue
+            head_key = (kernel.head_predicate, kernel.head_arity)
+            for frontier in self._matches(kernel, kernel.pins):
                 considered += len(frontier)
-                if head_consts is None:
-                    head_consts = [
-                        None if kind == SLOT else self.table.intern(payload)
-                        for kind, payload in kernel.head
-                    ]
-                    self._head_layouts[kernel] = (
-                        head_slots, head_consts, head_getter
-                    )
-                if head_getter is not None:
-                    heads = map(head_getter, frontier)
-                else:
-                    span = range(kernel.head_arity)
-                    heads = (
-                        tuple(
-                            head_consts[i] if head_slots[i] < 0
-                            else binding[head_slots[i]]
-                            for i in span
-                        )
-                        for binding in frontier
-                    )
-                head_key = (kernel.head_predicate, kernel.head_arity)
                 for part_id, start, new in self.store.extend_rows(
-                    *head_key, heads
+                    *head_key, self._heads(kernel, frontier)
                 ):
                     # The first append of the round marks where the
                     # part's start-of-round rows end.
                     self._grown.setdefault(head_key, {}).setdefault(
                         part_id, start
                     )
-                    staged.append((kernel.head_predicate, new))
-        atoms = tuple(
-            self._decode(predicate, row)
-            for predicate, rows in staged
-            for row in rows
+                    ends[head_key, part_id] = start + len(new)
+        ranges = tuple(
+            (*key, part_id, lo, ends[key, part_id])
+            for key, starts in self._grown.items()
+            for part_id, lo in starts.items()
         )
-        return atoms, considered
+        return ranges, considered
+
+    def answer_rows(
+        self, ranges: Optional[Iterable[RowRange]] = None
+    ) -> Set[Row]:
+        """The head rows of every body match that uses a row of
+        *ranges* (every match when None), collected instead of
+        appended — how :mod:`repro.kernels.query` reads a CQ lowered to
+        a rule.  Reads the store as it stands, so *ranges* must be the
+        last rows appended to their parts."""
+        self._grown = {}
+        self._delta = None
+        if ranges is not None:
+            self._delta = {}
+            for predicate, arity, part_id, lo, _ in ranges:
+                self._delta.setdefault((predicate, arity), {})[part_id] = lo
+        rows: Set[Row] = set()
+        for kernel in self.kernels.kernels:
+            # With every row delta, pin 0 sees every match: the
+            # old-only steps of each later pin see none.
+            pins = kernel.pins if ranges is not None else kernel.pins[:1]
+            for frontier in self._matches(kernel, pins):
+                rows.update(self._heads(kernel, frontier))
+        return rows
+
+    def _matches(
+        self, kernel: RuleKernel, pins: Iterable[PinPlan]
+    ) -> Iterator[List[List[int]]]:
+        """Per pin of *pins*, the non-empty frontier of its body
+        matches.  Lazy: a caller that appends a pin's heads does so
+        before the next pin runs."""
+        for pin in pins:
+            frontier = self._pin_frontier(kernel, pin)
+            for step in pin.steps:
+                if not frontier:
+                    break
+                frontier = self._probe(step, frontier)
+            if frontier and kernel.negated:
+                frontier = self._unblocked(kernel, frontier)
+            if frontier:
+                yield frontier
 
     def _pin_frontier(
         self, kernel: RuleKernel, pin: PinPlan
@@ -247,36 +309,23 @@ class KernelEvaluator:
         old_only = step.old_only
         if old_only and self._delta is None:
             return []  # round 1: every stored row is delta, none is old
+        sources = self._sources(source for _, source in step.key)
+        if sources is None:
+            return []  # a key constant no stored row carries
+        member = step.member
         key_of = None
-        if step.key:
-            positions = tuple(p for p, _ in step.key)
-            sources = []
-            for _, (kind, payload) in step.key:
-                if kind == CONST:
-                    cid = self._const_id(payload)
-                    if cid is None:
-                        return []
-                    sources.append((True, cid))
-                else:
-                    sources.append((False, payload))
-            # Specialize the per-binding key construction: single-column
-            # indexes take the bare id, all-slot composites go through
-            # one itemgetter call; the generic path handles mixed
-            # slot/constant keys.
-            if len(sources) == 1:
-                is_const, payload = sources[0]
-                key_of = (
-                    (lambda binding, _k=payload: _k) if is_const
-                    else (lambda binding, _s=payload: binding[_s])
-                )
-            elif all(not is_const for is_const, _ in sources):
-                key_of = itemgetter(*(payload for _, payload in sources))
-            else:
-                def key_of(binding, _sources=tuple(sources)):
-                    return tuple(
-                        payload if is_const else binding[payload]
-                        for is_const, payload in _sources
-                    )
+        if member or len(sources) > 1:
+            # A member step's whole row (looked up in the part's dedup
+            # map) or a composite index key: an id tuple.
+            key_of = _row_of(sources)
+        elif sources:
+            # Single-column indexes take the bare id.
+            is_const, payload = sources[0]
+            key_of = (
+                (lambda binding, _k=payload: _k) if is_const
+                else (lambda binding, _s=payload: binding[_s])
+            )
+        positions = tuple(p for p, _ in step.key)
         key = (step.predicate, step.arity)
         grown = self._grown.get(key, _NO_PARTS)
         starts = self._delta.get(key, _NO_PARTS) if old_only else _NO_PARTS
@@ -290,7 +339,15 @@ class KernelEvaluator:
             limit = grown.get(part_id, len(rows))
             if old_only:
                 limit = starts.get(part_id, limit)
-            if key_of is not None:
+            if member:
+                # A missing row reads as number ``limit``: not visible.
+                # The step binds nothing, so the binding itself goes on.
+                number = part.row_pos.get
+                out.extend(
+                    binding for binding in frontier
+                    if number(key_of(binding), limit) < limit
+                )
+            elif key_of is not None:
                 index = part.index_for(positions)
                 bounded = limit < len(rows)
                 for binding in frontier:
@@ -334,21 +391,15 @@ class KernelEvaluator:
         its relation (one batch op per literal).  A constant never
         interned is carried by no stored row, so its literal passes."""
         for predicate, arity, template in kernel.negated:
-            cells = [
-                (kind == SLOT, payload if kind == SLOT
-                 else self._const_id(payload))
-                for kind, payload in template
-            ]
-            if any(cid is None for _, cid in cells):
+            sources = self._sources(template)
+            if sources is None:
                 continue
             self.batches += 1
+            row_of = _row_of(sources)
             for _, part in self.store.parts(predicate, arity):
                 frontier = [
                     binding for binding in frontier
-                    if tuple(
-                        binding[value] if is_slot else value
-                        for is_slot, value in cells
-                    ) not in part
+                    if row_of(binding) not in part
                 ]
         return frontier
 
@@ -362,26 +413,26 @@ class KernelEvaluator:
                 self._const_ids[term] = cid
         return cid
 
-    def _head_layout(self, kernel: RuleKernel):
-        cached = self._head_layouts.get(kernel)
-        if cached is not None:
-            return cached
-        slots = [
-            payload if kind == SLOT else -1
-            for kind, payload in kernel.head
-        ]
-        if all(kind == SLOT for kind, _ in kernel.head):
-            # Pure-slot heads project through one C-level call.
-            if len(slots) == 0:
-                getter = lambda binding: ()  # noqa: E731
-            elif len(slots) == 1:
-                getter = lambda binding, _s=slots[0]: (binding[_s],)  # noqa: E731
-            else:
-                getter = itemgetter(*slots)
-            consts: Optional[List[Optional[int]]] = []
-            self._head_layouts[kernel] = (slots, consts, getter)
-            return slots, consts, getter
-        return slots, None, None  # constants resolve on first fire
+    def _sources(self, cells) -> Optional[List[Tuple[bool, int]]]:
+        """*cells* (``(SLOT, slot)`` / ``(CONST, term)``) as
+        :data:`Sources`; None if a constant has no id yet."""
+        sources = []
+        for kind, payload in cells:
+            if kind == CONST:
+                payload = self._const_id(payload)
+                if payload is None:
+                    return None
+            sources.append((kind == CONST, payload))
+        return sources
 
-    def _decode(self, predicate: str, row: Row) -> Atom:
-        return Atom(predicate, tuple(map(self.table.term, row)))
+    def _heads(self, kernel: RuleKernel, frontier: List[List[int]]):
+        """The head rows of *frontier* (interning head constants on the
+        rule's first fire)."""
+        row_of = self._head_rows.get(kernel)
+        if row_of is None:
+            row_of = self._head_rows[kernel] = _row_of([
+                (True, self.table.intern(payload)) if kind == CONST
+                else (False, payload)
+                for kind, payload in kernel.head
+            ])
+        return map(row_of, frontier)

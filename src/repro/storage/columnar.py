@@ -145,7 +145,7 @@ class ColumnarStore(FactStore):
         return tuple(row)
 
     def _decode(self, predicate: str, row: Row) -> Atom:
-        return Atom(predicate, tuple(self._table.term(tid) for tid in row))
+        return Atom(predicate, self._table.decode(row))
 
     # -- mutation ----------------------------------------------------------
 

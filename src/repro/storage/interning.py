@@ -91,6 +91,10 @@ class TermTable:
         """The term with id *tid* (the object first interned)."""
         return self._terms[tid]
 
+    def decode(self, row: Iterable[int]) -> tuple:
+        """The terms of an id *row*, in order (one call per row)."""
+        return tuple(map(self._terms.__getitem__, row))
+
     def __len__(self) -> int:
         return len(self._terms)
 

@@ -11,8 +11,10 @@ copy per consumer.
   notion of "rows that existed before" — the watermark semi-naive
   deltas are expressed in.  Rebuilding a relation from its ``rows``
   (a shard reloaded from its spill page) reproduces the numbering.
-* ``row_pos`` maps a row to its number: the dedup set and the handle
-  that makes swap-remove O(arity + built indexes).
+* ``row_pos`` maps a row to its number: the dedup set, the handle
+  that makes swap-remove O(arity + built indexes), and the index of
+  every probe that binds all positions (a membership test builds no
+  hash index).
 * ``indexes`` are built lazily per probed position *tuple* and kept
   coherent by every mutation.  Single-column indexes key on the bare
   id (no tuple allocation per probe); composite ones on id tuples.
@@ -123,18 +125,26 @@ class Relation:
         """The hash index over 0-based *positions*, built on first use."""
         index = self.indexes.get(positions)
         if index is None:
-            index = self.indexes[positions] = {}
+            # Published only once complete: a reader racing the build
+            # on a frozen store sees no index or a whole one.
+            index = {}
             _index_rows(index, positions, self.rows, 0)
+            self.indexes[positions] = index
         return index
 
     def matching(self, bound: Mapping[int, int]) -> List[Row]:
         """Rows whose id at each 0-based position of *bound* (non-empty)
         equals the given id — a snapshot, safe against later mutation.
 
-        Probes the single-column index with the smallest bucket among
-        those already built, building one on the first bound position
-        when none exists yet.
+        A *bound* that covers every position is one ``row_pos`` lookup
+        and builds no index.  Otherwise the single-column index with
+        the smallest bucket among those already built is probed, one
+        being built on the first bound position when none exists yet.
         """
+        rows = self.rows
+        if rows and len(bound) == len(rows[0]):
+            row = tuple(bound[p] for p in range(len(bound)))
+            return [row] if row in self.row_pos else []
         built = [p for p in bound if (p,) in self.indexes]
         position = (
             min(built, key=lambda p: len(self.indexes[(p,)].get(bound[p], ())))

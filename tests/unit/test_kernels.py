@@ -12,6 +12,9 @@ relation primitive the kernels join in place is covered by
 ``test_relation.py``.
 """
 
+import sys
+import threading
+
 import pytest
 
 from repro.api import Session
@@ -23,9 +26,10 @@ from repro.kernels import (
     compile_kernels,
     compile_rule,
     kernel_capable,
+    query_answers,
 )
 from repro.kernels.compiler import CONST, SLOT
-from repro.lang.parser import parse_program
+from repro.lang.parser import parse_program, parse_query
 from repro.server.service import ReasoningService
 from repro.storage import (
     ColumnarStore,
@@ -43,6 +47,17 @@ TC_SOURCE = """
     t(X,Y) :- e(X,Y).
     t(X,Z) :- e(X,Y), t(Y,Z).
 """
+
+
+#: The churn family's program: a recursive closure, a fully bound
+#: self-join over it and a projection, all in one stratum.
+MUTUAL_RULES = """
+    t(X,Y) :- e(X,Y).
+    t(X,Z) :- e(X,Y), t(Y,Z).
+    mutual(X,Y) :- t(X,Y), t(Y,X).
+    reach(X) :- t(X,Y).
+"""
+MUTUAL_SOURCE = "e(a,b). e(b,a). e(b,c). e(c,d). e(d,b).\n" + MUTUAL_RULES
 
 
 def _rule(text):
@@ -120,6 +135,18 @@ class TestCompiler:
         assert "pin 0" in text and "pin 1" in text
         assert "probe[e/2|old]" in text  # the old-only recursive pin
         assert "probe[t/2]" in text
+
+    def test_describe_names_fully_bound_steps_member(self):
+        program, _ = parse_program(MUTUAL_SOURCE)
+        text = compile_kernels(program).describe()
+        # mutual(X,Y) :- t(X,Y), t(Y,X): after either pin both variables
+        # are bound, so the other atom is a dedup-map lookup — full
+        # rows under pin 0, old rows only under pin 1.
+        assert "member[t/2]" in text
+        assert "member[t/2|old]" in text
+        assert "probe[t/2]" in text  # the recursive rule still probes
+        step = compile_rule(_rule("m(X,Y) :- t(X,Y), t(Y,X).")).pins[0].steps[0]
+        assert step.member and step.binds == () and step.repeats == ()
 
 
 class TestBulkInterning:
@@ -250,6 +277,143 @@ class TestRuntimeParity:
             assert kev.considered == iev.considered
         assert all(e.exec_mode == "kernel" for e in kernel_events)
         assert all(e.batches > 0 for e in kernel_events[1:])
+
+
+def _event_parity(source):
+    """Per round, the kernels on columnar and sharded ≡ the interpreter:
+    staged sets and ``considered``; batches equal across the two
+    kernel stores."""
+    program, database = parse_program(source)
+    reference = list(seminaive_rounds(database, program, store="instance"))
+    batches = set()
+    for store in ("columnar", "sharded"):
+        events = list(seminaive_rounds(database, program, store=store))
+        assert len(events) == len(reference), store
+        for kev, iev in zip(events, reference):
+            assert kev.index == iev.index
+            assert set(kev.staged) == set(iev.staged), (store, kev.index)
+            assert kev.derived == iev.derived == len(kev.staged)
+            assert kev.considered == iev.considered, (store, kev.index)
+        batches.add(tuple(event.batches for event in events))
+    assert len(batches) == 1 and sum(next(iter(batches))) > 0
+    return program
+
+
+class TestFullyBoundSteps:
+    """A step whose key covers every position is a ``row_pos`` lookup
+    and answers like the hash probe it replaces."""
+
+    @pytest.mark.parametrize("source, needle", [
+        # arity 1
+        ("r(a). r(b). s(b). s(c).\n both(X) :- r(X), s(X).",
+         "member[s/1]"),
+        # a rule constant in the key
+        ("e(a,b). e(b,c). e(c,b).\n into_b(X) :- e(X,Y), e(Y,b).",
+         "member[e/2]"),
+        # a constant no fact carries: never interned, the step is empty
+        ("e(a,b). r(a).\n q(X) :- r(X), e(X,nowhere).",
+         "member[e/2]"),
+        # a repeated variable in the fully bound atom
+        ("e(a,b). e(b,b). e(c,a).\n loop_next(X) :- e(X,Y), e(Y,Y).",
+         "member[e/2]"),
+        # the old-only fully bound step: mutual's second pin, over a
+        # relation that grows every round
+        (MUTUAL_SOURCE, "member[t/2|old]"),
+    ], ids=["arity-1", "rule-constant", "constant-never-interned",
+            "repeated-variable", "old-only"])
+    def test_parity_with_the_interpreter(self, source, needle):
+        program = _event_parity(source)
+        assert needle in compile_kernels(program).describe()
+
+    def test_constant_never_interned_matches_nothing(self):
+        program, database = parse_program(
+            "e(a,b). r(a).\n q(X) :- r(X), e(X,nowhere)."
+        )
+        result = seminaive(database, program, store="columnar")
+        assert result.instance.count("q") == 0
+        assert result.instance.table.id_of(Constant("nowhere")) is None
+
+    def test_no_relation_indexes_all_its_positions(self):
+        program, database = parse_program(MUTUAL_SOURCE)
+        seen = 0
+        for event in seminaive_rounds(database, program, store="columnar"):
+            store = event.instance
+            for predicate, arity in (("e", 2), ("t", 2), ("mutual", 2),
+                                     ("reach", 1)):
+                for _, part in store.parts(predicate, arity):
+                    seen += len(part.indexes)
+                    assert all(
+                        len(positions) < arity for positions in part.indexes
+                    ), (event.index, predicate, sorted(part.indexes))
+        assert seen > 0  # the closure's own probes did build indexes
+        assert store.count("mutual") > 0
+
+
+class TestQueryRead:
+    """A CQ on a kernel-capable store reads id rows."""
+
+    QUERIES = (
+        "q(X,Z) :- e(X,Y), t(Y,Z).",
+        "q(X) :- e(X,Y), t(Z,Y).",
+        "q(Y) :- e(X,Y), t(Y,X).",
+        "q(X) :- mutual(X,X).",
+        "q() :- t(X,Y), t(Y,X).",
+    )
+
+    def test_cached_read_equals_the_interpreter(self):
+        for store in ("columnar", "sharded"):
+            session = Session(store=store)
+            session.load(MUTUAL_SOURCE)
+            session.query("q(X,Y) :- t(X,Y).").to_set()
+            reference = Session(store="instance")
+            reference.load(MUTUAL_SOURCE)
+            for text in self.QUERIES:
+                stream = session.query(text, rewrite="none")
+                answers = list(stream)
+                assert stream.stats.from_cache, (store, text)
+                assert answers == sorted(answers, key=str)
+                assert set(answers) == reference.query(text).to_set()
+
+    def test_concurrent_reads_of_one_frozen_fixpoint(self):
+        # A cycle with chords: a closure of a few thousand rows, so a
+        # cold index build spans many thread switches.
+        edges = [(i, (i + 1) % 48) for i in range(48)]
+        edges += [(i, (i * 7 + 3) % 48) for i in range(0, 48, 5)]
+        program, database = parse_program(
+            " ".join(f"e(n{x},n{y})." for x, y in edges) + MUTUAL_RULES
+        )
+        fixpoint = seminaive(database, program, store="columnar").instance
+        fixpoint.freeze()
+        queries = [parse_query(text) for text in self.QUERIES]
+        expected = [query.evaluate(fixpoint) for query in queries]
+        readers = 8
+        # Between steps, with every reader parked, the indexes go: each
+        # step's readers race the same cold builds.
+        barrier = threading.Barrier(readers, action=fixpoint.release_indexes)
+        errors = []
+
+        def reader():
+            try:
+                for step in range(40):
+                    barrier.wait(timeout=60)
+                    at = step % len(queries)
+                    assert query_answers(queries[at], fixpoint) == expected[at]
+            except BaseException as error:  # noqa: BLE001 — reported below
+                errors.append(error)
+                barrier.abort()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=reader) for _ in range(readers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
 
 
 class TestDerivedDispatch:

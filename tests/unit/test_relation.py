@@ -81,6 +81,25 @@ class TestRelation:
         relation.discard((1, 2))
         assert snapshot == [(1, 2), (4, 2)]
 
+    def test_fully_bound_matching_is_a_row_pos_lookup(self):
+        rows = [(1, 2), (1, 3), (4, 2), (2, 2)]
+        relation = Relation(rows)
+        for bound in ({0: 1, 1: 3}, {1: 2, 0: 4}, {0: 2, 1: 2},
+                      {0: 3, 1: 1}, {0: 9, 1: 9}):
+            expected = [
+                row for row in rows
+                if all(row[p] == tid for p, tid in bound.items())
+            ]
+            assert relation.matching(bound) == expected
+        assert relation.indexes == {}
+        unary = Relation([(7,), (8,)])
+        assert unary.matching({0: 8}) == [(8,)]
+        assert unary.matching({0: 9}) == []
+        assert unary.indexes == {}
+        # Partially bound probes still go through a position index.
+        assert relation.matching({0: 1}) == [(1, 2), (1, 3)]
+        assert set(relation.indexes) == {(0,)}
+
     def test_rebuild_from_rows_preserves_numbering(self):
         relation = Relation([(3, 1), (1, 1), (2, 1)])
         rebuilt = Relation(relation.rows)
