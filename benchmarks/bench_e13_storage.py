@@ -1,8 +1,10 @@
 """E13 — storage backends: wall time and resident bytes.
 
-The storage subsystem (``repro.storage``) claims that interned columnar
-storage shrinks the resident footprint of a materialized instance
-versus the object-set ``Instance``, without changing any answer.
+The storage subsystem (``repro.storage``) claims that its one id-array
+store — interned term-id rows, one shard per relation under
+``"columnar"`` and eight under ``"sharded"`` — shrinks the resident
+footprint of a materialized instance versus the object-set
+``Instance``, without changing any answer.
 Measured here, on the E2 data-complexity workloads (transitive closure
 over growing chains, Θ(n²) materialized atoms):
 
@@ -91,9 +93,9 @@ def test_e13_storage_backends(benchmark, report):
         ],
         notes=(
             "resident = memory_report().total_bytes of the final store; "
-            "columnar interns terms into id-tuples with lazy indexes, "
-            "sharded hash-partitions them into budgeted, spillable "
-            "shards.",
+            "columnar and sharded are the one id-array store (interned "
+            "id rows, lazy indexes) with one and eight shards per "
+            "relation.",
         ),
     )
 

@@ -4,9 +4,9 @@ A :class:`KernelEvaluator` holds no relation of its own: it joins the
 :class:`~repro.storage.relation.Relation` objects of a kernel-capable
 store (:attr:`~repro.core.store.FactStore.kernel_capable`) in place.
 The store hands a relation out as a sequence of resident *parts*, one
-at a time (``store.parts`` — the single relation of a columnar store,
-each non-empty shard of a sharded one, paged in through its LRU/budget
-path), and the evaluator
+at a time (``store.parts`` — each non-empty shard of the id-array
+store, one per relation on ``"columnar"``, paged in through its
+LRU/budget path), and the evaluator
 
 * probes each part through the part's own lazily built hash indexes
   (built on first probe, kept coherent by the relation's appends, and

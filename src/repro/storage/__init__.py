@@ -8,17 +8,20 @@ are written against the :class:`FactStore` interface and accept a
 
 * ``"instance"`` — :class:`repro.core.instance.Instance`, the original
   object-set representation with eager per-(position, term) indexes;
-* ``"columnar"`` — :class:`ColumnarStore`, interned term-id tuples with
-  lazy per-(predicate, position) indexes and an LRU probe cache;
-* ``"sharded"`` — :class:`ShardedStore`, relations hash-partitioned
-  into shards kept resident under a byte budget, cold shards spilled
-  to disk (out-of-core; see :mod:`repro.storage.sharded`).
+* ``"columnar"`` and ``"sharded"`` — the one id-array store,
+  :class:`ShardedStore`: interned term-id rows held in
+  :class:`Relation` objects with lazily built hash indexes,
+  hash-partitioned into shards.  ``"columnar"`` is one resident shard
+  per relation, with no byte budget and no spill file; ``"sharded"`` is
+  eight shards per relation, and a :func:`sharded_store_factory` store
+  may keep them resident under a byte budget, cold shards spilled to
+  disk (out-of-core; see :mod:`repro.storage.sharded`).
 
 All backends produce identical answers (the property suite asserts
 this); they differ in space and probe cost, which
 :meth:`FactStore.memory_report` makes measurable, and in how the
-datalog engine runs over them: :func:`kernel_capable` stores
-(columnar, sharded) get compiled batch kernels, the rest the per-tuple
+datalog engine runs over them: :func:`kernel_capable` stores (the
+id-array ones) get compiled batch kernels, the rest the per-tuple
 interpreter.
 
 :class:`DeltaOverlay` is also a :class:`FactStore` but not a backend:
@@ -34,7 +37,6 @@ from ..core.atoms import Atom
 from ..core.instance import Instance
 from ..core.memory import deep_sizeof, traced_peak
 from ..core.store import FactStore, FrozenStoreError, MemoryReport
-from .columnar import ColumnarStore
 from .delta import DeltaOverlay
 from .interning import TermTable
 from .relation import Relation
@@ -50,7 +52,6 @@ __all__ = [
     "FrozenStoreError",
     "MemoryReport",
     "Relation",
-    "ColumnarStore",
     "DeltaOverlay",
     "ShardedStore",
     "SpillPager",
@@ -65,25 +66,28 @@ __all__ = [
     "kernel_capable",
 ]
 
+
 #: Backend names accepted by ``make_store`` and every ``store=``
-#: argument, and the :class:`FactStore` class behind each.
-_BACKEND_CLASSES = {
+#: argument, and what builds an empty store of each.  ``"columnar"`` is
+#: one resident shard per relation, so nothing is routed, budgeted or
+#: spilled.
+_BACKEND_BUILDERS = {
     "instance": Instance,
-    "columnar": ColumnarStore,
+    "columnar": sharded_store_factory(num_shards=1),
     "sharded": ShardedStore,
 }
-BACKENDS = tuple(_BACKEND_CLASSES)
+BACKENDS = tuple(_BACKEND_BUILDERS)
 
 StoreChoice = Union[str, FactStore, Callable[[], FactStore]]
 
 
-def _backend_class(name: str) -> type:
-    """The :class:`FactStore` class behind a :data:`BACKENDS` name."""
-    if name not in _BACKEND_CLASSES:
+def _backend(name: str) -> Callable[[], FactStore]:
+    """The builder behind a :data:`BACKENDS` name."""
+    if name not in _BACKEND_BUILDERS:
         raise ValueError(
             f"unknown storage backend {name!r}; expected one of {BACKENDS}"
         )
-    return _BACKEND_CLASSES[name]
+    return _BACKEND_BUILDERS[name]
 
 
 def make_store(store: StoreChoice = "instance", atoms: Iterable[Atom] = ()) -> FactStore:
@@ -97,22 +101,22 @@ def make_store(store: StoreChoice = "instance", atoms: Iterable[Atom] = ()) -> F
     if isinstance(store, FactStore):
         store.add_all(atoms)
         return store
-    if callable(store):
-        built = store()
-        built.add_all(atoms)
-        return built
-    return _backend_class(store)(atoms)
+    if isinstance(store, str):
+        store = _backend(store)
+    built = store()
+    built.add_all(atoms)
+    return built
 
 
 def kernel_capable(store: StoreChoice) -> bool:
     """Whether compiled kernels can join *store*'s relations in place.
 
     Reads the one declaration, :attr:`FactStore.kernel_capable`, off
-    whatever the choice is: a live store, the class behind a backend
+    whatever the choice is: a live store, the builder behind a backend
     name, or a factory that carries the attribute of the class it
     builds (:func:`sharded_store_factory` does; an unmarked callable
     is not assumed capable before it has built anything).
     """
     if isinstance(store, str):
-        store = _backend_class(store)
+        store = _backend(store)
     return getattr(store, "kernel_capable", False)

@@ -10,8 +10,8 @@ Ids are dense and stable: the *n*-th distinct term interned receives id
 ``n``, and decoding returns the exact object first interned (so, e.g.,
 a labeled null keeps the ``depth`` bookkeeping it was created with).
 
-One table may be *shared* by several stores (a columnar base and its
-overlay delta, or every shard of a sharded store): ids are global to
+One table may be *shared* by several stores (an id-array base and its
+overlay delta, and every shard of each): ids are global to
 the table, not to any holder, so rows written by one holder decode
 identically through another.  Sharing is what keeps the interning cost
 a one-time charge — ``memory_report()`` with a shared visited-set

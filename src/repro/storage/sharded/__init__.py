@@ -3,9 +3,10 @@
 The package splits the concern in three:
 
 * :mod:`~repro.storage.sharded.store` — :class:`ShardedStore`, the
-  :class:`~repro.core.store.FactStore` backend: relations hash-
-  partitioned into shards, resident under a byte budget with LRU
-  eviction;
+  id-array :class:`~repro.core.store.FactStore` backend behind both
+  ``"columnar"`` (one unbudgeted shard per relation) and
+  ``"sharded"``: relations hash-partitioned into shards, resident
+  under a byte budget with LRU eviction;
 * :mod:`~repro.storage.sharded.spill` — :class:`SpillPager`, the
   SQLite-backed page store evicted shards persist to;
 * :mod:`~repro.storage.sharded.state` — :class:`StateDirectory`,

@@ -18,6 +18,11 @@ All shards share **one** interning table, so a term costs its object
 exactly once however many shards (or overlay layers above the store)
 mention it, and evicted pages stay decodable — ids are stable.
 
+This is the one id-array store.  ``store="columnar"`` builds it with
+one shard per relation, no budget and no spill file: nothing is
+routed, ordered for eviction or paged, so a batch append is one
+``Relation.extend`` and every probe one shard's hash index.
+
 The store composes with everything built against ``FactStore``: a
 :class:`~repro.storage.delta.DeltaOverlay` can layer a writable delta
 over a frozen sharded base (the delta shares the base's interning
@@ -114,10 +119,14 @@ class _ShardedRelation:
                  num_shards: int):
         self.predicate = predicate
         self.arity = arity
-        # 0-based partition position; -1 parks zero-arity relations
-        # (and any arity shorter than the configured key) in shard 0.
+        # 0-based partition position; -1 (nothing to route) parks a
+        # one-shard or zero-arity relation in shard 0, and an arity
+        # shorter than the configured key partitions on position 0.
         key = key_position - 1
-        self.key = key if 0 <= key < arity else (0 if arity else -1)
+        if num_shards == 1 or not arity:
+            self.key = -1
+        else:
+            self.key = key if key < arity else 0
         self.shards: List[_Shard] = [_Shard() for _ in range(num_shards)]
         self.version = 0
 
@@ -184,8 +193,8 @@ class ShardedStore(FactStore):
         self._resident_estimate = 0
         #: One lock for all structural state: adds, discards, loads and
         #: evictions all move rows between RAM and the pager, and read
-        #: paths (probes, containment) may trigger loads — so reads are
-        #: not pure here any more than ColumnarStore's are.
+        #: paths (probes, containment) may trigger loads and build lazy
+        #: indexes — so reads are not pure here.
         self._lock = threading.RLock()
         self.evictions = 0
         self.reloads = 0
@@ -289,7 +298,11 @@ class ShardedStore(FactStore):
     def _resident(self, relation: _ShardedRelation, index: int,
                   shard: _Shard) -> Relation:
         """The shard's relation, paging it in and touching LRU (lock
-        held)."""
+        held).  An unbudgeted shard is never evicted, so it is always
+        resident and the LRU, which orders shards for eviction, holds
+        nothing."""
+        if self._budget is None:
+            return shard.relation
         self._load(relation, index, shard)
         self._touch(relation, index, shard)
         self._enforce_budget((relation.predicate, relation.arity, index))
@@ -323,6 +336,12 @@ class ShardedStore(FactStore):
             )
         return relation
 
+    def _shards(self) -> Iterator[_Shard]:
+        """Every shard of every relation (lock held)."""
+        for by_arity in self._relations.values():
+            for relation in by_arity.values():
+                yield from relation.shards
+
     def _grew(self, relation: _ShardedRelation, index: int, shard: _Shard,
               added: int) -> None:
         """Account *added* new rows in a resident shard (lock held)."""
@@ -332,7 +351,8 @@ class ShardedStore(FactStore):
         shard.estimate += cost
         self._resident_estimate += cost
         self._size += added
-        self._enforce_budget((relation.predicate, relation.arity, index))
+        if self._budget is not None:
+            self._enforce_budget((relation.predicate, relation.arity, index))
 
     def parts(
         self, predicate: str, arity: int, ids: Optional[Iterable[int]] = None
@@ -361,30 +381,26 @@ class ShardedStore(FactStore):
     ) -> List[Tuple[int, int, List[Row]]]:
         """Append interned id rows to one relation, deduplicating.
 
-        Same contract as :meth:`ColumnarStore.extend_rows`, except that
-        a part may be reported more than once.  Rows are grouped by
-        target shard so each shard is paged in once per pass, and the
-        byte budget is enforced after each shard's group, the same
-        discipline as per-atom ``add``.  The grouping buffer is charged
-        to the budget as well: a pass takes at most a budget's worth of
-        rows from *rows* (all of them when unbudgeted), so a lazily
-        produced batch is never materialized whole.
+        Returns ``(part id, first new row number, new rows)`` for each
+        part that grew — the new rows sit at consecutive numbers from
+        there, which is all a caller needs to treat them as a delta; a
+        part may be reported more than once.  Rows must be
+        *arity*-long tuples of ids from :attr:`table` (the kernels
+        build them from rows they read here).
+
+        Rows are grouped by target shard so each shard is paged in once
+        per pass, and the byte budget is enforced after each shard's
+        group, the same discipline as per-atom ``add``.  The grouping
+        buffer is charged to the budget as well: a pass takes at most a
+        budget's worth of rows from *rows* (all of them when
+        unbudgeted), so a lazily produced batch is never materialized
+        whole.
         """
         self._check_mutable()
-        rows = iter(rows)
-        per_pass = (
-            None if self._budget is None
-            else max(1, self._budget // _row_cost(arity))
-        )
         grew: List[Tuple[int, int, List[Row]]] = []
         with self._lock:
             relation = self._relation(predicate, arity)
-            while True:
-                grouped: Dict[int, List[Row]] = {}
-                for row in itertools.islice(rows, per_pass):
-                    grouped.setdefault(relation.shard_of(row), []).append(row)
-                if not grouped:
-                    break
+            for grouped in self._passes(relation, rows):
                 for index, batch in grouped.items():
                     shard = relation.shards[index]
                     new = self._resident(relation, index, shard).extend(batch)
@@ -395,12 +411,37 @@ class ShardedStore(FactStore):
                 relation.version += 1
         return grew
 
+    def _passes(
+        self, relation: _ShardedRelation, rows: Iterable[Row]
+    ) -> Iterator[Dict[int, Iterable[Row]]]:
+        """*rows* cut into passes of shard index → batch (lock held).
+
+        One unbudgeted shard has nothing to route and nothing to bound:
+        its one pass hands *rows* through uncopied.
+        """
+        if self._budget is None and self._num_shards == 1:
+            yield {0: rows}
+            return
+        rows = iter(rows)
+        per_pass = (
+            None if self._budget is None
+            else max(1, self._budget // _row_cost(relation.arity))
+        )
+        while True:
+            grouped: Dict[int, List[Row]] = {}
+            for row in itertools.islice(rows, per_pass):
+                grouped.setdefault(relation.shard_of(row), []).append(row)
+            if not grouped:
+                return
+            yield grouped
+
     def release_indexes(self) -> None:
         """Drop the hash indexes of every resident shard (an evicted
         shard's went with it); each is rebuilt on its next probe."""
         with self._lock:
-            for shard in self._lru.values():
-                shard.relation.indexes.clear()
+            for shard in self._shards():
+                if shard.resident:
+                    shard.relation.indexes.clear()
 
     # -- mutation ----------------------------------------------------------
 
@@ -460,8 +501,9 @@ class ShardedStore(FactStore):
             if not shard.count:
                 return False
             if shard.resident:
-                self._touch(relation, index, shard)
-                return row in shard.relation
+                if self._budget is not None:
+                    self._touch(relation, index, shard)
+                return row in shard.relation.row_pos
             # Membership on an evicted shard peeks at the page without
             # paying a full reload — one containment check must not
             # disturb the resident working set.
@@ -525,7 +567,7 @@ class ShardedStore(FactStore):
         self, relation: _ShardedRelation, bound: Mapping[int, Term]
     ) -> Optional[Dict[int, int]]:
         """0-based position → term-id, or None if any term is unknown
-        (then nothing can match) — mirrors the columnar probe."""
+        (then nothing can match)."""
         encoded: Dict[int, int] = {}
         for position, term in bound.items():
             tid = self._table.id_of(term)
@@ -541,11 +583,13 @@ class ShardedStore(FactStore):
 
         A probe bound on the partition key touches exactly one shard —
         paged in and LRU-touched (probes define the hot set) and
-        answered through that shard's own hash index; any other probe
-        scans every shard through page peeks.  Matches are
-        materialized before the first yield, so a consumer suspended
-        across ``discard`` calls still sees the probe-time snapshot
-        (the interleaving that corrupted the columnar probe in PR 5).
+        answered through that shard's own hash index.  Any other bound
+        probe asks every resident shard's hash index and scans only
+        the evicted pages, peeked without reloading them; an unbound
+        probe peeks every shard.  Matches are materialized before the
+        first yield, so a consumer suspended across ``discard`` calls
+        still sees the probe-time snapshot, not rows a swap-remove
+        moved under it.
         """
         if relation.key in encoded:
             tid = encoded[relation.key]
@@ -557,6 +601,9 @@ class ShardedStore(FactStore):
         matched: List[Row] = []
         for index, shard in enumerate(relation.shards):
             if not shard.count:
+                continue
+            if encoded and shard.resident:
+                matched.extend(shard.relation.matching(encoded))
                 continue
             for row in self._peek_rows(relation, index, shard):
                 if all(row[p] == t for p, t in encoded.items()):
@@ -578,18 +625,17 @@ class ShardedStore(FactStore):
                 else [] if arity is not None
                 else list(by_arity.values())
             )
-            matched: List[Tuple[str, Row]] = []
+            matched: List[List[Row]] = []
             for relation in relations:
                 if any(position > relation.arity for position in bound):
                     continue
                 encoded = self._encode_bound(relation, bound)
                 if encoded is None:
                     continue
-                matched.extend(
-                    (relation.predicate, row)
-                    for row in self._matched_rows(relation, encoded)
-                )
-        return (self._decode(pred, row) for pred, row in matched)
+                matched.append(self._matched_rows(relation, encoded))
+        return (
+            self._decode(predicate, row) for rows in matched for row in rows
+        )
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -610,17 +656,11 @@ class ShardedStore(FactStore):
     def stats(self) -> dict:
         """Residency and paging counters (observability for tests)."""
         with self._lock:
-            resident = len(self._lru)
-            spilled = sum(
-                1
-                for by_arity in self._relations.values()
-                for relation in by_arity.values()
-                for shard in relation.shards
-                if not shard.resident and shard.count
-            )
+            held = [shard for shard in self._shards() if shard.count]
+            resident = sum(1 for shard in held if shard.resident)
             return {
                 "resident_shards": resident,
-                "spilled_shards": spilled,
+                "spilled_shards": len(held) - resident,
                 "resident_estimate": self._resident_estimate,
                 "memory_budget": self._budget,
                 "evictions": self.evictions,

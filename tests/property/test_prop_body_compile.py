@@ -29,7 +29,7 @@ from repro.core.substitution import Substitution
 from repro.core.terms import Constant, Null, Variable
 from repro.core.tgd import TGD
 from repro.incremental.views import UnionView
-from repro.storage import ColumnarStore, DeltaOverlay, ShardedStore
+from repro.storage import DeltaOverlay, ShardedStore, make_store
 
 from . import reference_matcher as reference
 from .strategies import databases, programs
@@ -134,7 +134,7 @@ def every_store(atoms):
     half = len(atoms) // 2
     return (
         Instance(atoms),
-        ColumnarStore(atoms),
+        make_store("columnar", atoms),
         ShardedStore(atoms, num_shards=3),
         UnionView(Instance(atoms[:half]), Instance(atoms[half - 1:])),
         version_chain(atoms),

@@ -19,7 +19,7 @@ from repro.core.instance import Instance
 from repro.core.query import ConjunctiveQuery
 from repro.core.substitution import Substitution
 from repro.core.terms import Constant, Null, Variable
-from repro.storage import ColumnarStore, DeltaOverlay, ShardedStore
+from repro.storage import DeltaOverlay, ShardedStore, make_store
 
 # -- the parent's implementation, kept as the reference ----------------------
 
@@ -163,12 +163,12 @@ def stores(atoms, dead):
     atoms = list(dict.fromkeys(atoms))
     dead = [atom for atom in dict.fromkeys(dead) if atom not in atoms]
     half = len(atoms) // 2
-    overlay = DeltaOverlay(ColumnarStore(atoms[:half] + dead))
+    overlay = DeltaOverlay(make_store("columnar", atoms[:half] + dead))
     overlay.discard_all(dead)
     overlay.add_all(atoms[half:])
     return {
         "instance": Instance(atoms),
-        "columnar": ColumnarStore(atoms),
+        "columnar": make_store("columnar", atoms),
         "sharded": ShardedStore(atoms, num_shards=3),
         "sharded-spilling": ShardedStore(
             atoms, memory_budget=256, num_shards=3

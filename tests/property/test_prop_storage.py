@@ -26,7 +26,6 @@ from repro.lang.parser import parse_query
 from repro.server.snapshot import SnapshotManager
 from repro.storage import (
     BACKENDS,
-    ColumnarStore,
     DeltaOverlay,
     FactStore,
     FrozenStoreError,
@@ -151,15 +150,20 @@ def test_seminaive_equivalent_across_backends(data):
     atoms(),
 )
 def test_matching_agrees_with_instance(stored, pattern):
-    """ColumnarStore.matching ≡ Instance.matching on random patterns."""
+    """The id-array store's matching ≡ Instance.matching on random
+    patterns, under both its backend names and below an overlay."""
     ground = [atom for atom in stored if atom.is_ground()]
     instance = Instance(ground)
-    columnar = ColumnarStore(ground)
-    overlay = DeltaOverlay(ColumnarStore(ground[: len(ground) // 2]))
+    overlay = DeltaOverlay(make_store("columnar", ground[: len(ground) // 2]))
     overlay.add_all(ground[len(ground) // 2:])
+    stores = {
+        "columnar": make_store("columnar", ground),
+        "sharded": make_store("sharded", ground),
+        "overlay": overlay,
+    }
     expected = sorted(map(str, instance.matching(pattern)))
-    assert sorted(map(str, columnar.matching(pattern))) == expected
-    assert sorted(map(str, overlay.matching(pattern))) == expected
+    for name, store in stores.items():
+        assert sorted(map(str, store.matching(pattern))) == expected, name
     # The bound-position probe agrees too (no repeated-variable pattern).
     bound = {
         i: term
@@ -170,11 +174,12 @@ def test_matching_agrees_with_instance(stored, pattern):
         map(str, instance.matching_bound(pattern.predicate, bound,
                                          arity=pattern.arity))
     )
-    got_bound = sorted(
-        map(str, columnar.matching_bound(pattern.predicate, bound,
-                                         arity=pattern.arity))
-    )
-    assert got_bound == expected_bound
+    for name in ("columnar", "sharded"):
+        got_bound = sorted(
+            map(str, stores[name].matching_bound(pattern.predicate, bound,
+                                                 arity=pattern.arity))
+        )
+        assert got_bound == expected_bound, name
 
 
 _ids = st.integers(0, 3)

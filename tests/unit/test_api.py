@@ -365,10 +365,10 @@ class TestSession:
         assert session.answers("q(X,Y) :- t(X,Y).") == TC_ANSWERS
 
     def test_rejects_shared_factstore_instance(self):
-        from repro.storage import ColumnarStore
+        from repro.storage import make_store
 
         with pytest.raises(ValueError, match="backend name or a factory"):
-            Session(store=ColumnarStore())
+            Session(store=make_store("columnar"))
 
     def test_policy_suppressed_chase_does_not_poison_cache(self):
         """A run altered by a live collaborator (termination policy)

@@ -32,10 +32,10 @@ from repro.kernels.compiler import CONST, SLOT
 from repro.lang.parser import parse_program, parse_query
 from repro.server.service import ReasoningService
 from repro.storage import (
-    ColumnarStore,
     DeltaOverlay,
     ShardedStore,
     TermTable,
+    make_store,
     sharded_store_factory,
 )
 
@@ -429,14 +429,14 @@ class TestDerivedDispatch:
     def test_kernel_capable_probe(self):
         # One declaration — the backend class attribute — read through
         # every form a ``store=`` argument takes.
-        assert ColumnarStore.kernel_capable and ShardedStore.kernel_capable
+        assert ShardedStore.kernel_capable
         assert not Instance.kernel_capable
         assert not DeltaOverlay.kernel_capable
-        for capable in ("columnar", "sharded", ColumnarStore(),
+        for capable in ("columnar", "sharded", make_store("columnar"),
                         ShardedStore(), sharded_store_factory(1 << 16)):
             assert kernel_capable(capable)
         for incapable in ("instance", Instance(),
-                          DeltaOverlay(ColumnarStore())):
+                          DeltaOverlay(make_store("columnar"))):
             assert not kernel_capable(incapable)
         with pytest.raises(ValueError, match="unknown storage backend"):
             kernel_capable("parquet")

@@ -5,10 +5,15 @@ import pytest
 
 from repro.core.atoms import Atom
 from repro.core.terms import Constant, Variable
-from repro.storage import ColumnarStore, Relation, ShardedStore
+from repro.storage import Relation, ShardedStore, make_store
 
 X, Y = Variable("X"), Variable("Y")
 a, b = Constant("a"), Constant("b")
+
+
+def columnar():
+    """The id-array store with one shard per relation."""
+    return make_store("columnar")
 
 
 def _coherent(relation):
@@ -109,7 +114,7 @@ class TestRelation:
 
 class TestStoresHoldThePrimitive:
     def test_columnar_relations_are_relations(self):
-        store = ColumnarStore([Atom("e", (a, b))])
+        store = make_store("columnar", [Atom("e", (a, b))])
         [(part_id, part)] = list(store.parts("e", 2))
         assert part_id == 0 and type(part) is Relation
         assert list(store.parts("e", 3)) == []
@@ -123,7 +128,7 @@ class TestStoresHoldThePrimitive:
         others = [i for i in range(4) if i != part_id]
         assert list(store.parts("e", 2, ids=others)) == []
 
-    @pytest.mark.parametrize("factory", [ColumnarStore, ShardedStore])
+    @pytest.mark.parametrize("factory", [columnar, ShardedStore])
     def test_extend_rows_reports_new_rows_and_where_they_start(self, factory):
         store = factory()
         ids = store.table.intern_many(
@@ -141,7 +146,7 @@ class TestStoresHoldThePrimitive:
         for part_id, start, new in grew + more:
             assert parts[part_id].rows[start:start + len(new)] == new
 
-    @pytest.mark.parametrize("factory", [ColumnarStore, ShardedStore])
+    @pytest.mark.parametrize("factory", [columnar, ShardedStore])
     def test_extended_rows_visible_to_matching(self, factory):
         store = factory()
         store.extend_rows("e", 2, [tuple(store.table.intern_many((a, b)))])

@@ -7,6 +7,7 @@ daemon + client over a real socket.
 """
 
 import json
+import sys
 import threading
 import time
 from pathlib import Path
@@ -33,9 +34,9 @@ from repro.server.protocol import (
 from repro.api.planner import ENGINE_OPTIONS, ENGINES, WIRE_OPTIONS
 from repro.storage import (
     BACKENDS,
-    ColumnarStore,
     DeltaOverlay,
     FrozenStoreError,
+    make_store,
 )
 
 PROGRAM = """
@@ -59,8 +60,6 @@ def edge(x: str, y: str) -> Atom:
 class TestFrozenStores:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_freeze_refuses_mutation(self, backend):
-        from repro.storage import make_store
-
         store = make_store(backend, [edge("a", "b")])
         assert not store.frozen
         store.freeze()
@@ -795,39 +794,45 @@ class TestClientResilience:
 
 
 class TestColumnarProbeConcurrency:
-    """Regression: the lazy index build and LRU probe cache used to be
-    unsynchronized — two threads probing the same cold (predicate,
-    position) raced on index construction and cache eviction."""
+    """Regression: the lazy index build used to be unsynchronized — two
+    threads probing the same cold (predicate, position) raced on index
+    construction.  Position 2 is off the partition key, so every probe
+    asks the one shard's index, which the first of them builds."""
 
     def test_concurrent_cold_probes(self):
         atoms = [edge(str(i), str(i + 1)) for i in range(300)]
-        store = ColumnarStore(atoms, probe_cache_size=16)
+        store = make_store("columnar", atoms)
         results, errors = [], []
         barrier = threading.Barrier(8)
 
         def worker():
             try:
                 barrier.wait(timeout=10)
-                for i in range(50):
+                # The last rows first: a reader that saw an index still
+                # being built would miss them.
+                for i in range(299, 249, -1):
                     rows = list(
-                        store.matching_bound(
-                            "edge",
-                            {1: Constant(str(i)), 2: Constant(str(i + 1))},
-                        )
+                        store.matching_bound("edge", {2: Constant(str(i + 1))})
                     )
                     results.append(len(rows))
             except Exception as error:
                 errors.append(error)
 
         threads = [threading.Thread(target=worker) for _ in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads mid-build
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
         assert not errors
-        assert results and all(count == 1 for count in results)
-        # Counter invariant: every probe recorded exactly one hit or miss.
-        assert store.cache_hits + store.cache_misses == len(results)
+        assert len(results) == 8 * 50 and all(count == 1 for count in results)
+        [(_, part)] = store.parts("edge", 2)
+        assert len(part.indexes[(1,)]) == len(atoms)
 
 
 class TestServiceMemoryStats:

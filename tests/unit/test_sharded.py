@@ -14,7 +14,6 @@ from repro.lang.parser import parse_program
 from repro.lang.parser import parse_query
 from repro.storage import (
     BACKENDS,
-    ColumnarStore,
     DeltaOverlay,
     FrozenStoreError,
     ShardedStore,
@@ -153,6 +152,31 @@ class TestShardedStore:
             assert sorted(map(str, store.matching(pattern))) == sorted(
                 map(str, instance.matching(pattern))
             ), pattern
+
+    @pytest.mark.parametrize("num_shards", [1, 8])
+    def test_non_key_probe_uses_the_shard_index(self, num_shards,
+                                                monkeypatch):
+        """A probe bound only off the partition key asks each resident
+        shard's own hash index (building it on first use) and scans no
+        shard's rows; an unbound probe still reads every row."""
+        atoms = edge_atoms(40)
+        store = ShardedStore(atoms, num_shards=num_shards)
+        scanned = []
+        peek = store._peek_rows
+
+        def counting_peek(*args):
+            scanned.append(args[1])
+            return peek(*args)
+
+        monkeypatch.setattr(store, "_peek_rows", counting_peek)
+        assert set(store.matching_bound("edge", {2: Constant("n7")})) == {
+            atoms[6]
+        }
+        assert scanned == []
+        parts = list(store.parts("edge", 2))
+        assert parts and all((1,) in part.indexes for _, part in parts)
+        assert set(store.matching_bound("edge", {})) == set(atoms)
+        assert sorted(scanned) == sorted(index for index, _ in parts)
 
     def test_probe_snapshot_survives_discard(self):
         atoms = edge_atoms(30)
@@ -330,13 +354,13 @@ class TestSharedInterningAccounting:
     interning table to exactly one holder (the PR-7 audit)."""
 
     def test_columnar_fresh_shares_table(self):
-        base = ColumnarStore(edge_atoms(50))
+        base = make_store("columnar", edge_atoms(50))
         delta = base.fresh()
         assert delta._table is base._table
 
     def test_shared_table_counted_once(self):
         atoms = edge_atoms(200)
-        base = ColumnarStore(atoms)
+        base = make_store("columnar", atoms)
         delta = base.fresh()
         delta.add_all(atoms[:50])  # same terms, re-interned
         seen: set = set()
@@ -350,7 +374,7 @@ class TestSharedInterningAccounting:
 
     def test_overlay_total_not_inflated(self):
         atoms = edge_atoms(200)
-        base = ColumnarStore(atoms)
+        base = make_store("columnar", atoms)
         solo = base.memory_report().total_bytes
         overlay = DeltaOverlay(base)
         overlay.add_all(edge_atoms(210)[200:])

@@ -10,7 +10,6 @@ from repro.datalog.seminaive import seminaive
 from repro.lang.parser import parse_program, parse_query
 from repro.storage import (
     BACKENDS,
-    ColumnarStore,
     DeltaOverlay,
     FactStore,
     FrozenStoreError,
@@ -42,9 +41,24 @@ class TestTermTable:
         assert table.term(table.id_of(Null(7))).depth == 3
 
 
-class TestColumnarStore:
-    def test_add_contains_len_iter(self):
-        store = ColumnarStore()
+#: The backend names of the id-array store: one shard per relation, and
+#: the default eight.
+ID_ARRAY_BACKENDS = ("columnar", "sharded")
+
+
+@pytest.mark.parametrize("backend", ID_ARRAY_BACKENDS)
+class TestIdArrayStore:
+    """Matching semantics of the id-array store, built through
+    ``make_store`` under each of its backend names."""
+
+    @staticmethod
+    def indexes_built(store, predicate, arity):
+        return sum(
+            len(part.indexes) for _, part in store.parts(predicate, arity)
+        )
+
+    def test_add_contains_len_iter(self, backend):
+        store = make_store(backend)
         assert store.add(Atom("r", (a, b)))
         assert not store.add(Atom("r", (a, b)))
         assert Atom("r", (a, b)) in store
@@ -52,102 +66,89 @@ class TestColumnarStore:
         assert len(store) == 1
         assert set(store) == {Atom("r", (a, b))}
 
-    def test_rejects_non_ground(self):
+    def test_rejects_non_ground(self, backend):
         with pytest.raises(ValueError, match="ground"):
-            ColumnarStore().add(Atom("r", (X,)))
+            make_store(backend).add(Atom("r", (X,)))
 
-    def test_accepts_nulls(self):
-        store = ColumnarStore()
+    def test_accepts_nulls(self, backend):
+        store = make_store(backend)
         store.add(Atom("r", (a, Null(0))))
         assert Atom("r", (a, Null(0))) in store
         assert store.nulls() == {Null(0)}
 
-    def test_matching_mirrors_instance(self):
+    def test_matching_mirrors_instance(self, backend):
         atoms = [Atom("r", (a, b)), Atom("r", (a, c)), Atom("r", (b, c))]
-        store = ColumnarStore(atoms)
+        store = make_store(backend, atoms)
         assert len(list(store.matching(Atom("r", (a, X))))) == 2
         assert len(list(store.matching(Atom("r", (X, Y))))) == 3
         assert len(list(store.matching(Atom("r", (X, X))))) == 0
         assert list(store.matching(Atom("missing", (X,)))) == []
 
-    def test_matching_repeated_variable(self):
-        store = ColumnarStore([Atom("r", (a, a)), Atom("r", (a, b))])
+    def test_matching_repeated_variable(self, backend):
+        store = make_store(backend, [Atom("r", (a, a)), Atom("r", (a, b))])
         assert list(store.matching(Atom("r", (X, X)))) == [Atom("r", (a, a))]
 
-    def test_matching_unknown_constant_is_empty(self):
-        store = ColumnarStore([Atom("r", (a, b))])
+    def test_matching_unknown_constant_is_empty(self, backend):
+        store = make_store(backend, [Atom("r", (a, b))])
         assert list(store.matching(Atom("r", (d, X)))) == []
 
-    def test_matching_bound_positions_are_one_based(self):
-        store = ColumnarStore([Atom("r", (a, b)), Atom("r", (b, a))])
+    def test_matching_bound_positions_are_one_based(self, backend):
+        store = make_store(backend, [Atom("r", (a, b)), Atom("r", (b, a))])
         assert set(store.matching_bound("r", {1: a})) == {Atom("r", (a, b))}
         assert set(store.matching_bound("r", {2: a})) == {Atom("r", (b, a))}
         assert len(set(store.matching_bound("r", {}))) == 2
 
-    def test_indexes_built_lazily(self):
-        store = ColumnarStore([Atom("r", (a, b)), Atom("r", (a, c))])
-        assert store.stats["indexes_built"] == 0
+    def test_indexes_built_lazily(self, backend):
+        store = make_store(backend, [Atom("r", (a, b)), Atom("r", (a, c))])
+        assert self.indexes_built(store, "r", 2) == 0
         list(store.matching(Atom("r", (a, X))))
-        assert store.stats["indexes_built"] == 1
+        assert self.indexes_built(store, "r", 2) == 1
         list(store.matching(Atom("r", (X, c))))
-        assert store.stats["indexes_built"] == 2
+        assert self.indexes_built(store, "r", 2) == 2
 
-    def test_probe_cache_hits_and_invalidation(self):
-        store = ColumnarStore([Atom("r", (a, b)), Atom("r", (a, c))])
-        first = list(store.matching(Atom("r", (a, X))))
-        assert store.stats["cache_hits"] == 0
-        second = list(store.matching(Atom("r", (a, X))))
-        assert store.stats["cache_hits"] == 1
-        assert first == second
-        # A write changes the relation version: stale entries miss.
-        store.add(Atom("r", (a, d)))
-        third = set(store.matching(Atom("r", (a, X))))
-        assert Atom("r", (a, d)) in third and len(third) == 3
-
-    def test_index_maintained_incrementally_after_build(self):
-        store = ColumnarStore([Atom("r", (a, b))])
+    def test_index_maintained_incrementally_after_build(self, backend):
+        store = make_store(backend, [Atom("r", (a, b))])
         list(store.matching(Atom("r", (a, X))))  # builds index on pos 1
         store.add(Atom("r", (a, c)))
         assert set(store.matching(Atom("r", (a, X)))) == {
             Atom("r", (a, b)), Atom("r", (a, c))
         }
 
-    def test_count_and_predicates(self):
-        store = ColumnarStore([Atom("r", (a, b)), Atom("r", (b, c)),
-                               Atom("s", (a,))])
+    def test_count_and_predicates(self, backend):
+        store = make_store(backend, [Atom("r", (a, b)), Atom("r", (b, c)),
+                            Atom("s", (a,))])
         assert store.count() == 3
         assert store.count("r") == 2
         assert store.count("missing") == 0
         assert store.predicates() == {"r", "s"}
 
-    def test_mixed_arity_predicate(self):
-        store = ColumnarStore([Atom("r", (a,)), Atom("r", (a, b))])
+    def test_mixed_arity_predicate(self, backend):
+        store = make_store(backend, [Atom("r", (a,)), Atom("r", (a, b))])
         assert len(store) == 2
         assert set(store.matching(Atom("r", (X,)))) == {Atom("r", (a,))}
 
-    def test_memory_report_components(self):
-        store = ColumnarStore([Atom("r", (a, b)), Atom("r", (b, c))])
+    def test_memory_report_components(self, backend):
+        store = make_store(backend, [Atom("r", (a, b)), Atom("r", (b, c))])
         report = store.memory_report()
-        assert report.backend == "columnar"
+        assert report.backend == "sharded"
         assert report.atom_count == 2
         assert report.term_count == 3
-        assert set(report.components) == {
-            "columns", "dedup", "indexes", "terms", "probe_cache"
-        }
+        assert set(report.components) == {"shards", "shard_map", "terms"}
+        assert report.spilled == {"pages": 0}
         assert report.total_bytes > 0
         assert report.as_dict()["total_bytes"] == report.total_bytes
 
-    def test_columnar_is_smaller_than_instance_in_bulk(self):
+    def test_columnar_is_smaller_than_instance_in_bulk(self, backend):
         atoms = [
             Atom("e", (Constant(f"n{i}"), Constant(f"n{i + 1}")))
             for i in range(500)
         ]
-        columnar = ColumnarStore(atoms).memory_report().total_bytes
+        columnar = make_store(backend, atoms).memory_report().total_bytes
         instance = Instance(atoms).memory_report().total_bytes
         assert columnar < instance
 
-    def test_copy_is_independent(self):
-        store = ColumnarStore([Atom("r", (a,))])
+    def test_copy_is_independent(self, backend):
+        store = make_store(backend, [Atom("r", (a,))])
         clone = store.copy()
         clone.add(Atom("r", (b,)))
         assert len(store) == 1 and len(clone) == 2
@@ -155,7 +156,7 @@ class TestColumnarStore:
 
 class TestDeltaOverlay:
     def test_layering(self):
-        overlay = DeltaOverlay(ColumnarStore([Atom("e", (a, b))]))
+        overlay = DeltaOverlay(make_store("columnar", [Atom("e", (a, b))]))
         assert len(overlay.base) == 1 and len(overlay.delta) == 0
         assert not overlay.add(Atom("e", (a, b)))  # already in base
         assert overlay.add(Atom("t", (a, b)))
@@ -164,7 +165,7 @@ class TestDeltaOverlay:
         assert Atom("t", (a, b)) in overlay
 
     def test_construction_seals_the_base(self):
-        base = ColumnarStore([Atom("r", (a, b))])
+        base = make_store("columnar", [Atom("r", (a, b))])
         overlay = DeltaOverlay(base)
         assert base.frozen and not overlay.frozen
         with pytest.raises(FrozenStoreError):
@@ -174,7 +175,7 @@ class TestDeltaOverlay:
         assert overlay.add(Atom("r", (b, c)))  # the overlay stays writable
 
     def test_reads_span_both_layers(self):
-        overlay = DeltaOverlay(ColumnarStore([Atom("r", (a, b))]))
+        overlay = DeltaOverlay(make_store("columnar", [Atom("r", (a, b))]))
         overlay.add(Atom("r", (a, c)))
         assert set(overlay.matching(Atom("r", (a, X)))) == {
             Atom("r", (a, b)), Atom("r", (a, c))
@@ -192,7 +193,7 @@ class TestDeltaOverlay:
         assert isinstance(overlay.delta, Instance)
 
     def test_memory_report_merges_layers(self):
-        overlay = DeltaOverlay(ColumnarStore([Atom("r", (a, b))]))
+        overlay = DeltaOverlay(make_store("columnar", [Atom("r", (a, b))]))
         overlay.add(Atom("s", (c,)))
         report = overlay.memory_report()
         assert report.backend == "delta"
@@ -204,16 +205,18 @@ class TestDeltaOverlay:
 class TestMakeStore:
     def test_backend_names(self):
         assert isinstance(make_store("instance"), Instance)
-        assert isinstance(make_store("columnar"), ColumnarStore)
-        assert isinstance(make_store("sharded"), ShardedStore)
+        columnar = make_store("columnar")
+        assert isinstance(columnar, ShardedStore)
+        assert columnar.num_shards == 1 and columnar.memory_budget is None
+        assert make_store("sharded").num_shards > 1
 
     def test_unknown_backend_raises(self):
         with pytest.raises(ValueError, match="unknown storage backend"):
             make_store("bogus")
 
     def test_factory_and_instance_choices(self):
-        made = make_store(ColumnarStore, [Atom("r", (a,))])
-        assert isinstance(made, ColumnarStore) and len(made) == 1
+        made = make_store(ShardedStore, [Atom("r", (a,))])
+        assert isinstance(made, ShardedStore) and len(made) == 1
         existing = Instance()
         assert make_store(existing, [Atom("r", (a,))]) is existing
         assert len(existing) == 1
@@ -345,7 +348,7 @@ class TestDiscard:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_probe_iteration_interleaved_with_discard(self, backend):
         """Regression: a suspended ``matching_bound`` generator must
-        survive ``discard`` (columnar swap-remove) without yielding a
+        survive ``discard`` (id-array swap-remove) without yielding a
         wrong atom, a duplicate, or raising IndexError.  Backends may
         differ on whether a concurrently discarded atom still appears
         (snapshot vs lazy tombstone filtering), but every yielded atom
@@ -354,8 +357,8 @@ class TestDiscard:
         matching = [Atom("r", (a, Constant(f"y{i}"))) for i in range(6)]
         atoms = matching + [Atom("r", (b, c))]
         store = make_store(backend, atoms)
-        # No warm-up probe: an identical earlier probe would park the
-        # result in the columnar cache and mask the lazy-row-read bug.
+        # No warm-up probe: the first probe of a run is the one that
+        # builds the lazy index the bug read rows through.
         probe = store.matching_bound("r", {1: a})
         got = [next(probe)]
         # Shrink the row list by three mid-iteration (stale high row
@@ -373,78 +376,47 @@ class TestDiscard:
     def test_columnar_probe_no_wrong_atom_after_swap_remove(self):
         """Regression: swap-remove used to move the *last* row under a
         snapshotted row number, making the suspended probe yield an
-        atom that does not match the probe position."""
-        wrong = Atom("r", (b, c))
-        store = ColumnarStore([Atom("r", (a, b)), Atom("r", (a, c)), wrong])
-        probe = store.matching_bound("r", {1: a})
-        first = next(probe)
-        # Remove the still-pending matching row: (b, c) swaps into its
-        # slot, where the old lazy reader picked it up.
-        pending = ({Atom("r", (a, b)), Atom("r", (a, c))} - {first}).pop()
-        store.discard(pending)
-        rest = list(probe)
-        assert wrong not in rest
-        assert set([first] + rest) == {Atom("r", (a, b)), Atom("r", (a, c))}
-
-    def test_partial_probe_drain_populates_cache(self):
-        """Counter semantics, pinned: every probe is exactly one hit or
-        one miss, and even an undrained probe fills the cache — the
-        existence-check access pattern (probe one witness, abandon,
-        repeat) must not re-scan and re-count a miss forever."""
-        store = ColumnarStore(
-            [Atom("r", (a, Constant(f"y{i}"))) for i in range(8)]
+        atom that does not match the probe position.  Probed on the
+        partition key and off it, on both id-array backends."""
+        wrong = Atom("r", (b, d))
+        cases = (
+            ({1: a}, {Atom("r", (a, b)), Atom("r", (a, c))}),
+            ({2: c}, {Atom("r", (a, c)), Atom("r", (b, c))}),
         )
-        probe = store.matching_bound("r", {1: a})
-        next(probe)
-        probe.close()  # abandoned after one witness
-        assert store.stats["cache_misses"] == 1
-        assert store.stats["cache_hits"] == 0
-        assert store.stats["cache_entries"] == 1
-        for _ in range(3):  # repeated existence checks: all cache hits
-            again = store.matching_bound("r", {1: a})
-            next(again)
-            again.close()
-        assert store.stats["cache_misses"] == 1
-        assert store.stats["cache_hits"] == 3
-        # A full drain of the cached probe returns the complete result.
-        assert len(list(store.matching_bound("r", {1: a}))) == 8
-        assert store.stats["cache_misses"] == 1
-
-    def test_probe_cache_disabled_never_caches(self):
-        store = ColumnarStore(
-            [Atom("r", (a, b)), Atom("r", (a, c))], probe_cache_size=0
-        )
-        assert len(list(store.matching_bound("r", {1: a}))) == 2
-        assert len(list(store.matching_bound("r", {1: a}))) == 2
-        assert store.stats["cache_entries"] == 0
-        assert store.stats["cache_misses"] == 2
-        assert store.stats["cache_hits"] == 0
-
-    def test_columnar_probe_cache_invalidated_by_discard(self):
-        store = ColumnarStore(self.ATOMS)
-        first = set(store.matching(Atom("r", (a, X))))
-        assert set(store.matching(Atom("r", (a, X)))) == first
-        assert store.cache_hits >= 1
-        store.discard(Atom("r", (a, c)))
-        assert set(store.matching(Atom("r", (a, X)))) == {Atom("r", (a, b))}
+        for backend in ID_ARRAY_BACKENDS:
+            for bound, matches in cases:
+                store = make_store(backend, sorted(matches, key=str) + [wrong])
+                probe = store.matching_bound("r", bound)
+                first = next(probe)
+                # Remove the still-pending matching row: the last row
+                # swaps into its slot, where the old lazy reader
+                # picked it up.
+                store.discard((matches - {first}).pop())
+                rest = list(probe)
+                assert wrong not in rest, (backend, bound)
+                assert set([first] + rest) == matches, (backend, bound)
 
     def test_columnar_swap_remove_keeps_last_row_reachable(self):
-        store = ColumnarStore()
         atoms = [Atom("r", (Constant(f"x{i}"), Constant(f"y{i}")))
                  for i in range(10)]
-        store.add_all(atoms)
-        # build both position indexes, then delete from the middle
-        assert set(store.matching(Atom("r", (Constant("x3"), Y))))
-        assert set(store.matching(Atom("r", (X, Constant("y7")))))
-        store.discard(atoms[3])
-        store.discard(atoms[0])
         survivors = set(atoms) - {atoms[3], atoms[0]}
-        assert set(store) == survivors
-        for atom in survivors:
-            assert set(store.matching(atom)) == {atom}
+        for backend in ID_ARRAY_BACKENDS:
+            store = make_store(backend)
+            store.add_all(atoms)
+            # build both position indexes, then delete from the middle
+            assert set(store.matching(Atom("r", (Constant("x3"), Y))))
+            assert set(store.matching(Atom("r", (X, Constant("y7")))))
+            store.discard(atoms[3])
+            store.discard(atoms[0])
+            assert set(store) == survivors, backend
+            for atom in survivors:
+                assert set(store.matching(atom)) == {atom}, backend
+                assert set(store.matching(Atom("r", (X, atom.args[1])))) == {
+                    atom
+                }, backend
 
     def test_delta_overlay_tombstones_base_atoms(self):
-        base = ColumnarStore([Atom("r", (a, b)), Atom("r", (b, c))])
+        base = make_store("columnar", [Atom("r", (a, b)), Atom("r", (b, c))])
         overlay = DeltaOverlay(base)
         overlay.add(Atom("r", (c, d)))
         assert overlay.discard(Atom("r", (a, b)))      # base → tombstone
@@ -456,7 +428,7 @@ class TestDiscard:
         assert set(overlay.by_predicate("r")) == {Atom("r", (b, c))}
 
     def test_delta_overlay_readd_resurrects_base_atom(self):
-        overlay = DeltaOverlay(ColumnarStore([Atom("r", (a, b))]))
+        overlay = DeltaOverlay(make_store("columnar", [Atom("r", (a, b))]))
         overlay.discard(Atom("r", (a, b)))
         assert overlay.add(Atom("r", (a, b)))
         assert Atom("r", (a, b)) in overlay
@@ -464,6 +436,6 @@ class TestDiscard:
         assert len(overlay.delta) == 0  # the base copy shows through
 
     def test_delta_overlay_memory_report_counts_tombstones(self):
-        overlay = DeltaOverlay(ColumnarStore([Atom("r", (a, b))]))
+        overlay = DeltaOverlay(make_store("columnar", [Atom("r", (a, b))]))
         overlay.discard(Atom("r", (a, b)))
         assert "tombstones" in overlay.memory_report().components
