@@ -13,22 +13,19 @@ Measured here:
   from their measured costs, the LPT makespan gives the multi-core
   scaling curve (speedup/efficiency per worker count) — the shape the
   paper's "preliminary results" refer to;
-* an actual thread-pool execution — with the probe disabled so every
-  tuple takes the per-decision path — returns exactly the semi-naive
-  ground truth at every worker count;
+* the sequential per-tuple driver — with the probe disabled so every
+  tuple takes the independent per-decision path — returns exactly the
+  semi-naive ground truth;
 * work/span analysis: the sequential floor is one tuple's decision,
   a vanishing fraction of total work — high inherent parallelism.
 """
 
 from __future__ import annotations
 
+from repro.api import StreamStats
 from repro.datalog.seminaive import datalog_answers
-from repro.parallel import (
-    parallel_certain_answers,
-    round_work_span,
-    speedup_curve,
-)
-from repro.reasoning import decide_pwl_ward
+from repro.parallel import round_work_span, speedup_curve
+from repro.reasoning import decide_pwl_ward, stream_proof_tree_answers
 from repro.reasoning.abstraction import star_abstraction
 
 from workloads import node, reachability_query, tc_linear_random
@@ -45,36 +42,31 @@ def _setup():
 
 
 def test_e11_answers_equal_ground_truth(benchmark, report):
-    """Thread-pool runs (probe disabled → all per-tuple) stay exact."""
+    """The per-tuple driver (probe disabled → all per-tuple) stays exact."""
     program, database, query = _setup()
     truth = datalog_answers(query, database, program)
 
-    outcomes = {}
-    for workers in (1, 2, 4):
-        outcomes[workers] = parallel_certain_answers(
-            query, database, program, workers=workers, probe_atoms=0
-        )
+    def run():
+        stats = StreamStats()
+        answers = set(stream_proof_tree_answers(
+            query, database, program, method="pwl", probe_atoms=0,
+            stats=stats,
+        ))
+        return answers, stats
 
-    profile = benchmark.pedantic(
-        parallel_certain_answers,
-        (query, database, program),
-        {"workers": 4, "probe_atoms": 0, "report": True},
-        rounds=2, iterations=1,
-    )
+    answers, stats = benchmark.pedantic(run, rounds=2, iterations=1)
     report(
-        "E11: parallel certain answers vs semi-naive ground truth",
-        ("workers", "answers", "equal to ground truth"),
-        [
-            (workers, len(answers), answers == truth)
-            for workers, answers in sorted(outcomes.items())
-        ],
+        "E11: per-tuple certain answers vs semi-naive ground truth",
+        ("decided tuples", "answers", "equal to ground truth"),
+        [(stats.decided_tuples, len(answers), answers == truth)],
         notes=(
-            f"probe disabled: all {profile.decided_tuples} candidate "
-            "tuples took the independent per-tuple decision path.",
+            f"probe disabled: all {stats.decided_tuples} candidate "
+            "tuples took the independent per-tuple decision path "
+            "(E11b schedules their costs over P workers).",
         ),
     )
-    assert all(answers == truth for answers in outcomes.values())
-    assert profile.decided_tuples > 100
+    assert answers == truth
+    assert stats.decided_tuples > 100
 
 
 def test_e11_speedup_curve(benchmark, report):

@@ -4,9 +4,10 @@
 Two of the paper's research directions on one workload:
 
 1. *NC² parallelizability* — the per-tuple certainty decisions of an
-   all-pairs query workload are independent; a thread pool computes the
-   same answer set, and the measured cost profile shows near-linear
-   multi-core scaling headroom.
+   all-pairs query workload are independent; the per-tuple driver
+   (probe off, so every candidate is decided) computes the same answer
+   set, and the measured per-decision costs show near-linear multi-core
+   scaling headroom.
 2. *Reachability indexes* — the linear proof search explores a finite
    configuration graph; materializing it once turns every certainty
    check into a 2-hop label intersection (zero graph traversal).
@@ -19,8 +20,11 @@ import random
 from repro import parse_program, parse_query
 from repro.api import certain_answers
 from repro.core.terms import Constant
-from repro.parallel import parallel_certain_answers, speedup_curve
+from repro.parallel import speedup_curve
 from repro.reachability import TwoHopIndex, configuration_graph
+from repro.reasoning import decide_pwl_ward, stream_proof_tree_answers
+from repro.reasoning.abstraction import star_abstraction
+from repro.reasoning.answers import candidate_tuples
 
 
 def build_scenario(vertices: int = 14, edges: int = 26, seed: int = 7):
@@ -43,16 +47,23 @@ def main() -> None:
 
     print("== 1. parallel per-tuple decisions ==")
     sequential = certain_answers(query, database, program, method="pwl")
-    profile = parallel_certain_answers(
-        query, database, program, workers=4, probe_atoms=0, report=True
-    )
+    per_tuple = set(stream_proof_tree_answers(
+        query, database, program, method="pwl", probe_atoms=0
+    ))
     print(f"sequential answers: {len(sequential)}")
-    print(f"parallel answers:   {len(profile.answers)} "
-          f"(equal: {profile.answers == sequential})")
-    print(f"independent decisions: {profile.decided_tuples}, "
-          f"work {profile.total_work} visits, span {profile.span}")
+    print(f"per-tuple answers:  {len(per_tuple)} "
+          f"(equal: {per_tuple == sequential})")
 
-    costs = list(profile.per_tuple_cost.values())
+    oracle = star_abstraction(database, program.single_head())
+    costs = [
+        decide_pwl_ward(
+            query, candidate, database, program, oracle=oracle
+        ).stats.visited
+        for candidate in sorted(candidate_tuples(query, oracle), key=str)
+    ]
+    print(f"independent decisions: {len(costs)}, "
+          f"work {sum(costs)} visits, span {max(costs)}")
+
     print("\nscaling curve (LPT makespan over measured costs):")
     for point in speedup_curve(costs, (1, 2, 4, 8)):
         print(f"  {point.workers:2d} workers: speedup {point.speedup:5.2f}x "

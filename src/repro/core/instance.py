@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Set
 
-from .atoms import Atom, schema_of
+from .atoms import Atom
 from .memory import deep_sizeof
 from .store import FactStore, MemoryReport
-from .terms import Constant, Null, Term
+from .terms import Term
 
 __all__ = ["Instance", "Database"]
 
@@ -59,10 +59,6 @@ class Instance(FactStore):
             self._by_position.setdefault((atom.predicate, i, term), set()).add(atom)
         return True
 
-    def add_all(self, atoms: Iterable[Atom]) -> int:
-        """Insert many atoms; return how many were new."""
-        return sum(1 for atom in atoms if self.add(atom))
-
     def discard(self, atom: Atom) -> bool:
         """Remove *atom*; return True iff it was present.
 
@@ -98,10 +94,6 @@ class Instance(FactStore):
 
     def __len__(self) -> int:
         return len(self._atoms)
-
-    def atoms(self) -> frozenset[Atom]:
-        """A frozen snapshot of the current atom set."""
-        return frozenset(self._atoms)
 
     def with_predicate(self, predicate: str) -> Set[Atom]:
         """All atoms whose predicate is *predicate* (live view copy)."""
@@ -160,25 +152,6 @@ class Instance(FactStore):
     # ``matching`` (pattern form, repeated variables respected) is
     # inherited from FactStore and derives from matching_bound, so the
     # match semantics live in exactly one place (core.store).
-
-    def active_domain(self) -> set[Term]:
-        """``dom(I)``: every constant and null occurring in the instance."""
-        domain: set[Term] = set()
-        for atom in self._atoms:
-            domain.update(atom.args)
-        return domain
-
-    def constants(self) -> set[Constant]:
-        """All constants occurring in the instance."""
-        return {t for t in self.active_domain() if isinstance(t, Constant)}
-
-    def nulls(self) -> set[Null]:
-        """All labeled nulls occurring in the instance."""
-        return {t for t in self.active_domain() if isinstance(t, Null)}
-
-    def schema(self) -> dict[str, int]:
-        """Predicate → arity map inferred from the stored atoms."""
-        return schema_of(self._atoms)
 
     def copy(self) -> "Instance":
         """An independent, unfrozen copy of the same type: the three

@@ -200,10 +200,6 @@ class FactStore(ABC):
     @abstractmethod
     def __len__(self) -> int: ...
 
-    def contains(self, atom: Atom) -> bool:
-        """Method form of ``atom in store``."""
-        return atom in self
-
     def count(self, predicate: Optional[str] = None) -> int:
         """Number of stored atoms, optionally restricted to a predicate."""
         if predicate is None:

@@ -8,25 +8,19 @@ in both multi-core settings and in the map-reduce model.  In fact, we
 are currently in the process of implementing a multi-core
 implementation ..."
 
-Two views of that claim are made executable here:
-
-* :mod:`workplan <repro.parallel.workplan>` — work/span accounting:
-  the per-tuple certainty decisions of a query workload are mutually
-  independent, so their parallel makespan under *P* workers is a
-  scheduling problem over measured per-tuple costs.  ``speedup_curve``
-  reports the multi-core scaling shape the paper's preliminary results
-  hint at.
-* :mod:`executor <repro.parallel.executor>` — an actual multi-worker
-  ``certain_answers``: the candidate tuples are decided concurrently by
-  a thread pool, with the star-abstraction oracle computed once and
-  shared read-only.  Answers are identical to
-  :func:`repro.api.certain_answers` by construction.
+The claim is made measurable as work/span accounting
+(:mod:`workplan <repro.parallel.workplan>`): the per-tuple certainty
+decisions of a query workload are mutually independent, so their
+parallel makespan under *P* workers is a scheduling problem over
+per-tuple costs.  Benchmark E11's speedup curve is the LPT makespan
+(``speedup_curve``) over the costs the sequential search measures —
+``decide_pwl_ward(...).stats.visited`` for each candidate that
+:func:`repro.reasoning.answers.stream_proof_tree_answers` decides.
 
 Nothing in ``src/`` imports this package: it is a leaf that benchmark
 E11 and the examples drive.
 """
 
-from .executor import ParallelReport, parallel_certain_answers
 from .workplan import (
     SpeedupPoint,
     greedy_makespan,
@@ -35,8 +29,6 @@ from .workplan import (
 )
 
 __all__ = [
-    "parallel_certain_answers",
-    "ParallelReport",
     "greedy_makespan",
     "speedup_curve",
     "SpeedupPoint",

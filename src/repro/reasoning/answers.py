@@ -35,7 +35,6 @@ from .ward import prepare_ward
 
 __all__ = [
     "is_certain_answer",
-    "prepare_proof_tree_answers",
     "stream_proof_tree_answers",
     "probe_instance",
     "candidate_tuples",
@@ -96,43 +95,6 @@ def proof_tree_method(program: Program) -> str:
     return "pwl" if is_piecewise_linear(program) else "ward"
 
 
-def prepare_proof_tree_answers(
-    query, database, program, *, method, probe_depth=3, probe_atoms=20000,
-    abstraction=None, probe=None, **engine_kwargs,
-):
-    """Everything that precedes the per-tuple decisions, paid once.
-
-    Returns ``(probe_answers, pending, decide)``: the answers the chase
-    probe settles, a lazy iterator over the remaining candidates in
-    decision order, and the prepared decider for them.  The star
-    abstraction and the probe depend only on D and Σ, so callers with a
-    cache pass them as *abstraction* and *probe*.  Raises — before any
-    answer exists — when Σ is outside *method*'s class.
-    """
-    if method not in _PREPARE:
-        raise ValueError(f"unknown method {method!r}")
-    if abstraction is None:
-        oracle = engine_kwargs.get("oracle")
-        abstraction = (
-            oracle
-            if isinstance(oracle, Instance)
-            else star_abstraction(database, program.single_head())
-        )
-    if "oracle" not in engine_kwargs and engine_kwargs.get("use_oracle", True):
-        engine_kwargs["oracle"] = abstraction
-    decide = _PREPARE[method](query, database, program, **engine_kwargs)
-    if probe is None:
-        probe = probe_instance(database, program, probe_depth, probe_atoms)
-    probe_answers = query.evaluate(probe)
-
-    def pending():
-        yield from sorted(
-            candidate_tuples(query, abstraction) - probe_answers, key=str
-        )
-
-    return probe_answers, pending(), decide
-
-
 def stream_proof_tree_answers(
     query: ConjunctiveQuery,
     database: Database,
@@ -154,18 +116,31 @@ def stream_proof_tree_answers(
     remaining candidates go through a per-tuple decision run, each
     accepted tuple yielded as soon as its run returns.  *stats*, if
     given, receives ``probe_answers`` and ``decided_tuples`` attributes
-    as they accrue; everything else is
-    :func:`prepare_proof_tree_answers`'.
+    as they accrue.  The star abstraction and the probe depend only on
+    D and Σ, so callers with a cache pass them as *abstraction* and
+    *probe*.  Raises — before any answer exists — when Σ is outside
+    *method*'s class.
     """
-    probe_answers, pending, decide = prepare_proof_tree_answers(
-        query, database, program, method=method, probe_depth=probe_depth,
-        probe_atoms=probe_atoms, abstraction=abstraction, probe=probe,
-        **engine_kwargs,
-    )
+    if method not in _PREPARE:
+        raise ValueError(f"unknown method {method!r}")
+    if abstraction is None:
+        oracle = engine_kwargs.get("oracle")
+        abstraction = (
+            oracle
+            if isinstance(oracle, Instance)
+            else star_abstraction(database, program.single_head())
+        )
+    if "oracle" not in engine_kwargs and engine_kwargs.get("use_oracle", True):
+        engine_kwargs["oracle"] = abstraction
+    decide = _PREPARE[method](query, database, program, **engine_kwargs)
+    if probe is None:
+        probe = probe_instance(database, program, probe_depth, probe_atoms)
+    probe_answers = query.evaluate(probe)
     if stats is not None:
         stats.probe_answers = len(probe_answers)
     yield from sorted(probe_answers, key=str)
-    for candidate in pending:
+    pending = candidate_tuples(query, abstraction) - probe_answers
+    for candidate in sorted(pending, key=str):
         if stats is not None:
             stats.decided_tuples += 1
         if decide(candidate).accepted:

@@ -108,7 +108,7 @@ def prepare_pwl_ward(
     bound and the successor generator are paid here, once.  The decider
     returned instantiates q with c̄ and searches, metering into a fresh
     :class:`SearchStats`: it carries nothing from one candidate to the
-    next and may be called from several threads.
+    next.
 
     ``strategy`` selects the frontier order
     (:class:`repro.reasoning.state.Frontier`): narrowest-first by

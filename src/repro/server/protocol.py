@@ -19,7 +19,11 @@ responses, not disconnects: ``{"ok": false, "error": <message>,
 "kind": <exception class>}`` — the connection survives a bad query.
 The one exception is a request line longer than
 :data:`MAX_REQUEST_BYTES`: it gets such a reply and the connection is
-closed (mid-line there is nothing to resynchronise on).
+closed (mid-line there is nothing to resynchronise on).  End of stream
+ends the last frame too: the bytes a client sent before closing its
+side are decoded as one line, so a cut-off frame gets a
+``ProtocolError`` reply and changes nothing, a complete frame without
+its newline is answered, and then the connection closes.
 """
 
 from __future__ import annotations
@@ -195,6 +199,11 @@ def handle_request(
         # op == "update"
         changes = request.get("changes")
         if isinstance(changes, list):
+            for line in changes:
+                if not isinstance(line, str):
+                    raise ProtocolError(
+                        f"'changes' lines must be strings, got {line!r}"
+                    )
             changes = "\n".join(changes)
         if not isinstance(changes, str) or not changes.strip():
             raise ProtocolError(

@@ -54,7 +54,7 @@ def _index_rows(index: dict, positions: Tuple[int, ...],
 class Relation:
     """Rows of term-ids with a dedup/position map and lazy indexes."""
 
-    __slots__ = ("rows", "row_pos", "indexes", "version")
+    __slots__ = ("rows", "row_pos", "indexes")
 
     def __init__(self, rows: Iterable[Row] = ()):
         self.rows: List[Row] = list(rows)
@@ -64,8 +64,6 @@ class Relation:
         #: position tuple → key → row numbers (ascending until a
         #: discard swaps a row down).
         self.indexes: Dict[Tuple[int, ...], Dict[object, List[int]]] = {}
-        #: Bumped by every effective mutation (probe-cache invalidation).
-        self.version = 0
 
     def __contains__(self, row: object) -> bool:
         return row in self.row_pos
@@ -79,7 +77,6 @@ class Relation:
         self.row_pos[row] = number
         for positions, index in self.indexes.items():
             index.setdefault(_key(row, positions), []).append(number)
-        self.version += 1
         return True
 
     def extend(self, rows: Iterable[Row]) -> List[Row]:
@@ -96,7 +93,6 @@ class Relation:
         if new:
             for positions, index in self.indexes.items():
                 _index_rows(index, positions, new, start)
-            self.version += 1
         return new
 
     def discard(self, row: Row) -> bool:
@@ -118,7 +114,6 @@ class Relation:
             if number != last:
                 moved_bucket = index[_key(moved, positions)]
                 moved_bucket[moved_bucket.index(last)] = number
-        self.version += 1
         return True
 
     def index_for(self, positions: Tuple[int, ...]) -> Dict[object, List[int]]:

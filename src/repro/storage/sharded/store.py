@@ -113,7 +113,7 @@ class _Shard:
 class _ShardedRelation:
     """One predicate at one arity: a fixed array of shards."""
 
-    __slots__ = ("predicate", "arity", "key", "shards", "version")
+    __slots__ = ("predicate", "arity", "key", "shards")
 
     def __init__(self, predicate: str, arity: int, key_position: int,
                  num_shards: int):
@@ -128,7 +128,6 @@ class _ShardedRelation:
         else:
             self.key = key if key < arity else 0
         self.shards: List[_Shard] = [_Shard() for _ in range(num_shards)]
-        self.version = 0
 
     def shard_of(self, row: Row) -> int:
         if self.key < 0:
@@ -407,8 +406,6 @@ class ShardedStore(FactStore):
                     if new:
                         grew.append((index, shard.count, new))
                         self._grew(relation, index, shard, len(new))
-            if grew:
-                relation.version += 1
         return grew
 
     def _passes(
@@ -457,7 +454,6 @@ class ShardedStore(FactStore):
             if not self._resident(relation, index, shard).append(row):
                 return False
             self._grew(relation, index, shard, 1)
-            relation.version += 1
             return True
 
     def discard(self, atom: Atom) -> bool:
@@ -480,7 +476,6 @@ class ShardedStore(FactStore):
             cost = _row_cost(relation.arity)
             shard.estimate -= cost
             self._resident_estimate -= cost
-            relation.version += 1
             self._size -= 1
             return True
 

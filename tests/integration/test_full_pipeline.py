@@ -29,8 +29,7 @@ from repro.owl2ql import (
     answer_bgp,
     encode,
 )
-from repro.parallel import parallel_certain_answers
-from repro.reasoning import decide_pwl_ward
+from repro.reasoning import decide_pwl_ward, stream_proof_tree_answers
 
 from ..property.reference_prooftree import verify_trace
 
@@ -81,9 +80,10 @@ class TestReachabilityStory:
             "chase": certain_answers(
                 self.query, self.database, self.program, method="chase"
             ),
-            "parallel": parallel_certain_answers(
-                self.query, self.database, self.program, workers=3
-            ),
+            "per-tuple": set(stream_proof_tree_answers(
+                self.query, self.database, self.program, method="pwl",
+                probe_atoms=0,
+            )),
         }
         for name, answers in results.items():
             assert answers == self.expected, name

@@ -9,6 +9,8 @@ from repro.lang.parser import parse_program, parse_query
 from repro.reasoning.answers import (
     UnsupportedProgramError,
     is_certain_answer,
+    proof_tree_method,
+    stream_proof_tree_answers,
 )
 
 a, b, c = Constant("a"), Constant("b"), Constant("c")
@@ -113,6 +115,56 @@ class TestIsCertainAnswer:
         query = parse_query("q(X) :- tile(X).")
         with pytest.raises(UnsupportedProgramError):
             is_certain_answer(query, (Constant("t1"),), database, program)
+
+
+class TestPerTupleDriver:
+    """``stream_proof_tree_answers``, the one per-tuple driver, called
+    directly rather than through a plan."""
+
+    def test_public_hooks_are_exported(self):
+        # The probe/candidate split is a public, stable contract.
+        from repro.reasoning.abstraction import star_abstraction
+        from repro.reasoning.answers import candidate_tuples, probe_instance
+
+        program, database = parse_program("""
+            e(a,b). e(b,c). e(c,d).
+            t(X,Y) :- e(X,Y).
+            t(X,Z) :- e(X,Y), t(Y,Z).
+        """)
+        query = parse_query("q(X,Y) :- t(X,Y).")
+        probe = probe_instance(database, program)
+        assert query.evaluate(probe)  # the probe settles the positives
+
+        abstraction = star_abstraction(database, program.single_head())
+        pool = candidate_tuples(query, abstraction)
+        assert certain_answers(query, database, program) <= pool
+
+    def test_ward_method_on_non_pwl(self):
+        program, database = parse_program("""
+            e(a,b). e(b,c).
+            t(X,Y) :- e(X,Y).
+            t(X,Z) :- t(X,Y), t(Y,Z).
+        """)
+        query = parse_query("q(X,Y) :- t(X,Y).")
+        method = proof_tree_method(program)
+        assert method == "ward"
+        answers = set(stream_proof_tree_answers(
+            query, database, program, method=method, probe_atoms=0
+        ))
+        assert answers == {(a, b), (b, c), (a, c)}
+
+    def test_rejects_unwarded(self):
+        from repro.tiling.reduction import tiling_program
+
+        program = tiling_program()
+        _, database = parse_program("tile(t1).")
+        query = parse_query("q(X) :- tile(X).")
+        with pytest.raises(UnsupportedProgramError, match="warded"):
+            proof_tree_method(program)
+        with pytest.raises(ValueError, match="warded"):
+            list(stream_proof_tree_answers(
+                query, database, program, method="pwl"
+            ))
 
 
 class TestProbeInteraction:

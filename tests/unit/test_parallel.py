@@ -1,18 +1,8 @@
-"""Unit tests for the parallel execution layer (Section 7, future work (1))."""
+"""Unit tests for the work/span model (Section 7, future work (1))."""
 
 import pytest
 
-from repro.api import certain_answers
-from repro.core.terms import Constant
-from repro.lang.parser import parse_program, parse_query
-from repro.parallel import (
-    greedy_makespan,
-    parallel_certain_answers,
-    round_work_span,
-    speedup_curve,
-)
-
-a, b, c, d = Constant("a"), Constant("b"), Constant("c"), Constant("d")
+from repro.parallel import greedy_makespan, round_work_span, speedup_curve
 
 
 class TestGreedyMakespan:
@@ -64,92 +54,3 @@ class TestRoundWorkSpan:
     def test_empty_rounds_skipped(self):
         work, span = round_work_span([[], [4]])
         assert (work, span) == (4, 4)
-
-
-def tc_setup():
-    program, database = parse_program("""
-        e(a,b). e(b,c). e(c,d).
-        t(X,Y) :- e(X,Y).
-        t(X,Z) :- e(X,Y), t(Y,Z).
-    """)
-    query = parse_query("q(X,Y) :- t(X,Y).")
-    return program, database, query
-
-
-class TestParallelCertainAnswers:
-    def test_public_hooks_are_exported(self):
-        # The executor must not reach into answers-module internals: the
-        # probe/candidate split is a public, stable contract.
-        from repro.reasoning.answers import candidate_tuples, probe_instance
-
-        program, database, query = tc_setup()
-        probe = probe_instance(database, program)
-        assert query.evaluate(probe)  # the probe settles the positives
-
-        from repro.reasoning.abstraction import star_abstraction
-
-        abstraction = star_abstraction(database, program.single_head())
-        pool = candidate_tuples(query, abstraction)
-        assert certain_answers(query, database, program) <= pool
-
-    def test_equals_certain_answers_across_backends(self):
-        # parallel_certain_answers ≡ certain_answers, whatever storage
-        # backend the sequential facade materializes with.
-        from repro.storage import BACKENDS
-
-        program, database, query = tc_setup()
-        parallel = parallel_certain_answers(
-            query, database, program, workers=3
-        )
-        for store in BACKENDS:
-            for method in ("auto", "pwl", "ward"):
-                assert parallel == certain_answers(
-                    query, database, program, method=method, store=store
-                ), (store, method)
-
-    def test_equals_sequential_facade(self):
-        program, database, query = tc_setup()
-        sequential = certain_answers(query, database, program, method="pwl")
-        for workers in (1, 2, 4):
-            parallel = parallel_certain_answers(
-                query, database, program, workers=workers
-            )
-            assert parallel == sequential
-
-    def test_report_profile(self):
-        program, database, query = tc_setup()
-        report = parallel_certain_answers(
-            query, database, program, workers=2, report=True
-        )
-        assert report.method == "pwl"
-        assert report.workers == 2
-        assert report.answers == certain_answers(
-            query, database, program, method="pwl"
-        )
-        assert report.total_work >= report.span >= 0
-
-    def test_ward_method_on_non_pwl(self):
-        program, database = parse_program("""
-            e(a,b). e(b,c).
-            t(X,Y) :- e(X,Y).
-            t(X,Z) :- t(X,Y), t(Y,Z).
-        """)
-        query = parse_query("q(X,Y) :- t(X,Y).")
-        parallel = parallel_certain_answers(
-            query, database, program, workers=3
-        )
-        assert parallel == {(a, b), (b, c), (a, c)}
-
-    def test_rejects_unwarded(self):
-        from repro.tiling.reduction import tiling_program
-
-        program = tiling_program()
-        _, database = parse_program("tile(t1).")
-        query = parse_query("q(X) :- tile(X).")
-        with pytest.raises(ValueError, match="warded"):
-            parallel_certain_answers(query, database, program)
-
-    def test_rejects_bad_worker_count(self):
-        program, database, query = tc_setup()
-        with pytest.raises(ValueError, match="positive"):
-            parallel_certain_answers(query, database, program, workers=0)

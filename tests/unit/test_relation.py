@@ -33,12 +33,11 @@ def _coherent(relation):
 
 
 class TestRelation:
-    def test_append_dedups_and_bumps_version(self):
+    def test_append_dedups(self):
         relation = Relation()
         assert relation.append((1, 2))
         assert not relation.append((1, 2))
         assert relation.rows == [(1, 2)]
-        assert relation.version == 1
         assert (1, 2) in relation and (2, 1) not in relation
 
     def test_extend_returns_exactly_the_new_rows_in_append_order(self):
@@ -48,9 +47,7 @@ class TestRelation:
         assert relation.rows == [(1, 2), (3, 4), (5, 6), (7, 8)]
         # New rows sit at consecutive numbers from the old length.
         assert [relation.row_pos[row] for row in new] == [2, 3]
-        assert relation.version == 1  # one bump per effective batch
         assert relation.extend([(1, 2)]) == []
-        assert relation.version == 1
 
     def test_single_column_index_keys_on_the_bare_id(self):
         relation = Relation([(1, 2), (1, 3), (4, 2)])

@@ -414,6 +414,17 @@ class TestProtocol:
         )
         assert as_text["ok"] and as_text["version"] == 2
 
+    def test_update_lines_must_be_strings(self):
+        # The list used to reach str.join and come back as a TypeError.
+        service = ReasoningService(PROGRAM)
+        response = handle_request(
+            service, {"op": "update", "changes": [1, "+e(a,b)."], "id": 3}
+        )
+        assert response["ok"] is False and response["id"] == 3
+        assert response["kind"] == "ProtocolError"
+        assert response["error"] == "'changes' lines must be strings, got 1"
+        assert service.current_version == 0
+
     def test_shutdown_returns_none(self):
         service = ReasoningService(PROGRAM)
         assert handle_request(service, {"op": "shutdown"}) is None
@@ -700,6 +711,31 @@ class TestDaemonAndClient:
         with ReasoningClient(*server.address) as client:
             assert client.ping() == 0
         assert server.drain(timeout=5)
+
+    @pytest.mark.parametrize(
+        "frame, ok, version",
+        [(b'{"op": "upd', False, 0),
+         (b'{"op": "update", "changes": "+edge(d, e)."}', True, 1)],
+        ids=["truncated", "no-trailing-newline"],
+    )
+    def test_a_frame_ended_by_eof(self, server, frame, ok, version):
+        """EOF ends the last frame: a cut-off one is one ProtocolError
+        reply, a complete one without its newline is answered; either
+        way the connection then closes."""
+        import socket
+
+        with socket.create_connection(server.address, timeout=30) as raw:
+            raw.sendall(frame)
+            raw.shutdown(socket.SHUT_WR)
+            with raw.makefile("rb") as replies:
+                reply = json.loads(replies.readline())
+                assert replies.readline() == b""  # one reply, then EOF
+        assert reply["ok"] is ok
+        if not ok:
+            assert reply["kind"] == "ProtocolError"
+        assert server.drain(timeout=5)
+        assert server.active_connections == 0
+        assert server.service.current_version == version
 
     def test_concurrent_clients_one_socket_each(self, server):
         host, port = server.address

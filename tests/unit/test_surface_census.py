@@ -20,6 +20,7 @@ import pytest
 import repro
 import repro.api
 import repro.chase
+import repro.parallel
 import repro.reasoning
 from repro.api import ENGINES, Planner, Session
 from repro.api.planner import WIRE_OPTIONS
@@ -150,7 +151,8 @@ def test_one_certain_answers_facade():
         (repro.reasoning.ward, ("and_or_search",)),
         (repro.reasoning.answers,
          ("certain_answers", "AnswerReport", "_probe_instance",
-          "_candidate_tuples")),
+          "_candidate_tuples", "prepare_proof_tree_answers")),
+        (repro.parallel, ("parallel_certain_answers", "ParallelReport")),
         (repro.chase, ("chase_answers",)),
         (repro.chase.runner, ("chase_answers",)),
         (Program,
@@ -158,6 +160,20 @@ def test_one_certain_answers_facade():
     ):
         for name in names:
             assert not hasattr(module, name), (module, name)
+
+
+def test_no_module_imports_a_thread_pool():
+    # Under the GIL a thread pool of per-tuple decisions used more CPU
+    # than the sequential driver and no less wall time; a second thread
+    # is priced before it is added, and process pools belong to
+    # scale-out.
+    source_root = Path(repro.__file__).parent
+    offenders = [
+        str(path.relative_to(source_root))
+        for path in sorted(source_root.rglob("*.py"))
+        if "concurrent.futures" in path.read_text(encoding="utf-8")
+    ]
+    assert offenders == []
 
 
 def test_root_names_resolve_lazily_in_a_fresh_process():
