@@ -184,11 +184,12 @@ class FixpointCache:
         return held[1]
 
     def abstraction_for(self, compiled: CompiledProgram):
-        """The star abstraction of (EDB, Σ), computed at most once.
+        """The star abstraction of (EDB, Σ), computed at most once and
+        held as the columnar store its fixpoint ran on.
 
-        q evaluated over it is the candidate answer set and it serves as
-        the pruning oracle of the proof-tree engines; it depends only on
-        the facts and the program — never on the query.
+        q read off its id rows is the candidate answer set and it serves
+        as the pruning oracle of the proof-tree engines; it depends only
+        on the facts and the program — never on the query.
         """
         from ..reasoning.abstraction import star_abstraction
 

@@ -35,12 +35,27 @@ __all__ = ["certain_answers", "execute_plan"]
 STRICT_CHASE_MAX_ATOMS = 200000
 STRICT_CHASE_MAX_STEPS = 400000
 
-_NOT_SATURATED = (
+_OUTSIDE_WARD = (
     "the chase did not terminate within the limits and the "
     "program is outside WARD; certain answers cannot be "
     "computed exactly (cf. Theorem 5.1: CQAns(PWL) alone is "
     "undecidable)"
 )
+
+
+def _not_saturated(warded: bool, limits: dict, run: ChaseRun) -> str:
+    """Why a strict chase run gives no certain answers: outside WARD
+    nothing else can; inside it, the limit this run hit."""
+    if not warded:
+        return _OUTSIDE_WARD
+    steps = limits.get("max_steps")
+    hit = "max_steps" if steps is not None and run.fired >= steps else "max_atoms"
+    return (
+        f"the chase stopped at its limit {hit}={limits[hit]} with "
+        "triggers still to fire; certain answers cannot be read off a "
+        "truncated chase (raise the limit, or let method='auto' pick "
+        "the proof-tree search, which decides WARD)"
+    )
 
 
 def execute_plan(
@@ -155,7 +170,9 @@ def execute_plan(
             stats.saturated = run.saturated
             stats.events = run.fired
             if strict and not run.saturated:
-                raise UnsupportedProgramError(_NOT_SATURATED)
+                raise UnsupportedProgramError(_not_saturated(
+                    plan.program.analysis.warded, chase_kwargs, run
+                ))
 
     elif plan.method in ("pwl", "ward"):
 

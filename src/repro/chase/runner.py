@@ -16,9 +16,15 @@ Two variants are provided:
 
 Termination is controlled by resource limits (steps, atoms, null depth)
 and pluggable :mod:`policies <repro.chase.termination>`; the result
-reports whether the chase *saturated* (no applicable trigger remained)
-or stopped early.  A truncated chase is still sound for certain-answer
-purposes: every atom it contains belongs to some chase result.
+reports whether the chase *saturated* (no trigger it could fire
+remained) or stopped early.  A truncated chase is still sound for
+certain-answer purposes: every atom it contains belongs to some chase
+result.
+
+The restricted chase queues only triggers that can fire: instances only
+grow, so a trigger whose head already holds when it is found would be
+dropped when popped, and is never queued.  The check runs again when a
+queued trigger is popped, as the head may have come to hold since.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from ..core.query import ConjunctiveQuery, stream_new_answers
 from ..core.terms import Constant, NullFactory
 from ..storage import FactStore, StoreChoice, make_store
 from .termination import AlwaysFire, TerminationPolicy
-from .trigger import Trigger, all_triggers, fire, triggers_for_new_atom
+from .trigger import RuleIndex, Trigger, all_triggers, fire, triggers_for_new_atom
 
 __all__ = [
     "ChaseEvent",
@@ -55,7 +61,7 @@ class ChaseResult:
     """
 
     instance: FactStore
-    saturated: bool                 # True iff no applicable trigger remained
+    saturated: bool                 # True iff no trigger it could fire remained
     fired: int                      # number of triggers that fired
     suppressed: int                 # triggers withheld by the policy
     null_factory: Optional[NullFactory] = None
@@ -129,8 +135,11 @@ def chase_events(
     for incremental answers.  The trigger queue is FIFO over newly
     derived atoms (semi-naive discovery), which yields a fair sequence:
     every applicable trigger is eventually considered.  ``max_steps``
-    bounds fired triggers and ``max_atoms`` bounds the instance size;
-    hitting either limit records ``saturated=False`` on *run*.
+    bounds fired triggers and ``max_atoms`` bounds the instance size.
+    A run that hits either limit records ``saturated=False`` on *run*
+    unless no trigger it could fire is left: under ``"restricted"``,
+    every trigger still queued has a head that already holds (under
+    ``"oblivious"`` any queued trigger counts).
 
     ``store`` selects the materialization backend (see
     :data:`repro.storage.BACKENDS`); every backend yields the same chase
@@ -151,17 +160,22 @@ def chase_events(
     instance = make_store(store, database)
     run.instance = instance
 
-    tgds = list(program)
+    rules = RuleIndex(program)
+    restricted = variant == "restricted"
     seen_triggers: Set[tuple] = set()
     queue: Deque[Trigger] = deque()
 
     def enqueue(trigger: Trigger) -> None:
         key = trigger.key()
-        if key not in seen_triggers:
-            seen_triggers.add(key)
-            queue.append(trigger)
+        if key in seen_triggers:
+            return
+        seen_triggers.add(key)
+        # Instances only grow: a head that holds now holds when popped.
+        if restricted and _head_already_satisfied(trigger, instance):
+            return
+        queue.append(trigger)
 
-    for trigger in all_triggers(tgds, instance):
+    for trigger in all_triggers(rules, instance):
         enqueue(trigger)
 
     yield ChaseEvent(index=0, new_atoms=tuple(instance), instance=instance)
@@ -169,13 +183,11 @@ def chase_events(
 
     while queue:
         if max_steps is not None and run.fired >= max_steps:
-            run.saturated = False
             break
         if max_atoms is not None and len(instance) >= max_atoms:
-            run.saturated = False
             break
         trigger = queue.popleft()
-        if variant == "restricted" and _head_already_satisfied(trigger, instance):
+        if restricted and _head_already_satisfied(trigger, instance):
             continue
         produced = fire(trigger, factory)
         if not policy.should_fire(trigger, produced, instance):
@@ -186,7 +198,7 @@ def chase_events(
         for atom in new_atoms:
             instance.add(atom)
         for atom in new_atoms:
-            for new_trigger in triggers_for_new_atom(tgds, atom, instance):
+            for new_trigger in triggers_for_new_atom(rules, atom, instance):
                 enqueue(new_trigger)
         if new_atoms:
             event_index += 1
@@ -197,7 +209,11 @@ def chase_events(
             )
 
     if queue:
-        run.saturated = False
+        # A limit stopped the run: it saturated only if nothing queued
+        # could still fire.
+        run.saturated = restricted and all(
+            _head_already_satisfied(trigger, instance) for trigger in queue
+        )
 
 
 def chase(

@@ -19,16 +19,24 @@ Pruning configurations with an unmatchable atom collapses the negative
 search space from "all syntactically reachable CQs" to "CQs the
 NLogSpace machine could actually discharge", which is what makes
 negative decisions fast (see E2/E4 benchmarks).
+
+The abstraction is held as the columnar fixpoint itself — interned id
+rows, a third of the bytes an :class:`~repro.core.instance.Instance`
+with its per-(position, term) indexes takes — and the oracle reads it in
+id space: ⋆ is one id, and a pattern constant the term table has never
+seen matches nothing.
 """
 
 from __future__ import annotations
 
+from typing import Dict, List, Tuple
 
 from ..core.atoms import Atom
-from ..core.instance import Database, Instance
+from ..core.instance import Database
 from ..core.program import Program
+from ..core.store import FactStore
 from ..core.substitution import Substitution
-from ..core.terms import Constant, Term
+from ..core.terms import Constant, Term, Variable
 from ..core.tgd import TGD
 from ..datalog.seminaive import seminaive
 
@@ -48,8 +56,9 @@ def _abstract_rule(tgd: TGD) -> TGD:
     return TGD(tgd.body, (subst.apply_atom(tgd.head[0]),), label=tgd.label)
 
 
-def star_abstraction(database: Database, program: Program) -> Instance:
-    """The least fixpoint of the ⋆-abstracted program over *database*.
+def star_abstraction(database: Database, program: Program) -> FactStore:
+    """The least fixpoint of the ⋆-abstracted program over *database*,
+    as the ``"columnar"`` store its kernels computed it in.
 
     *program* must be single-head; the result is an over-approximation
     of every chase of the database: ``abstract ⊇ h(chase)`` where h
@@ -58,18 +67,35 @@ def star_abstraction(database: Database, program: Program) -> Instance:
     if not program.is_single_head():
         raise ValueError("star_abstraction needs a single-head program")
     abstracted = Program([_abstract_rule(t) for t in program])
-    # A plain Datalog fixpoint: run it on kernels, then decode into the
-    # Instance the searches probe once per generated configuration.
-    return Instance(seminaive(database, abstracted, store="columnar").instance)
+    return seminaive(database, abstracted, store="columnar").instance
 
 
-def atom_satisfiable(atom: Atom, abstract: Instance) -> bool:
+def atom_satisfiable(atom: Atom, abstract: FactStore) -> bool:
     """Could *atom* (constants + variables) have a chase match?
 
-    Checks for an abstract atom agreeing with the pattern: constants
-    must match exactly (⋆ does not match a constant — a labeled null is
-    never equal to a constant), variables match anything, with repeated
-    variables kept consistent.  ``Instance.matching`` implements exactly
-    this since ⋆ is an ordinary constant of the abstract instance.
+    Checks, over the id rows of the columnar *abstract*, for an abstract
+    atom agreeing with the pattern: constants must match exactly (⋆ is
+    one id, which no other constant's id equals — a labeled null is
+    never equal to a constant), variables match anything, ⋆ included,
+    with repeated variables kept consistent.  A constant the term table
+    has never seen occurs in no row, so the atom is dead at once.
     """
-    return next(iter(abstract.matching(atom)), None) is not None
+    table = abstract.table
+    bound: Dict[int, int] = {}
+    first: Dict[Variable, int] = {}
+    agree: List[Tuple[int, int]] = []
+    for position, term in enumerate(atom.args):
+        if isinstance(term, Variable):
+            earlier = first.setdefault(term, position)
+            if earlier != position:
+                agree.append((position, earlier))
+            continue
+        tid = table.id_of(term)
+        if tid is None:
+            return False
+        bound[position] = tid
+    for _, relation in abstract.parts(atom.predicate, len(atom.args)):
+        for row in relation.matching(bound) if bound else relation.rows:
+            if all(row[at] == row[earlier] for at, earlier in agree):
+                return True
+    return False

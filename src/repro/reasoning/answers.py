@@ -28,7 +28,9 @@ from ..chase.termination import DepthPolicy
 from ..core.instance import Database, Instance
 from ..core.program import Program
 from ..core.query import ConjunctiveQuery
+from ..core.store import FactStore
 from ..core.terms import Constant
+from ..kernels.query import query_answers
 from .abstraction import STAR, star_abstraction
 from .pwl_ward import prepare_pwl_ward
 from .ward import prepare_ward
@@ -66,10 +68,11 @@ def probe_instance(
 
 
 def candidate_tuples(
-    query: ConjunctiveQuery, abstraction: Instance
+    query: ConjunctiveQuery, abstraction: FactStore
 ) -> Set[Tuple[Constant, ...]]:
     """All output tuples the star abstraction makes conceivable: the
-    ⋆-free rows of ``q(abstraction)``.
+    ⋆-free rows of ``q(abstraction)``, read off its id rows
+    (:func:`~repro.kernels.query.query_answers`).
 
     This set is *complete*: a certain answer c̄ has a homomorphism h
     from q into the chase with h(output) = c̄, and composing h with the
@@ -78,7 +81,7 @@ def candidate_tuples(
     the ⋆ constant is excluded — it stands for nulls, which are never
     certain answers.
     """
-    return {row for row in query.evaluate(abstraction) if STAR not in row}
+    return {row for row in query_answers(query, abstraction) if STAR not in row}
 
 
 _PREPARE = {"pwl": prepare_pwl_ward, "ward": prepare_ward}
@@ -103,7 +106,7 @@ def stream_proof_tree_answers(
     method: str,
     probe_depth: int = 3,
     probe_atoms: int = 20000,
-    abstraction: Optional[Instance] = None,
+    abstraction: Optional[FactStore] = None,
     probe: Optional[Instance] = None,
     stats=None,
     **engine_kwargs,
@@ -124,12 +127,9 @@ def stream_proof_tree_answers(
     if method not in _PREPARE:
         raise ValueError(f"unknown method {method!r}")
     if abstraction is None:
-        oracle = engine_kwargs.get("oracle")
-        abstraction = (
-            oracle
-            if isinstance(oracle, Instance)
-            else star_abstraction(database, program.single_head())
-        )
+        abstraction = engine_kwargs.get("oracle")
+    if abstraction is None:
+        abstraction = star_abstraction(database, program.single_head())
     if "oracle" not in engine_kwargs and engine_kwargs.get("use_oracle", True):
         engine_kwargs["oracle"] = abstraction
     decide = _PREPARE[method](query, database, program, **engine_kwargs)

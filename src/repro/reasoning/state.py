@@ -40,6 +40,7 @@ from typing import Deque, Iterator, List, Optional, Sequence, Set, Tuple
 from ..core.atoms import Atom, atoms_variables, match_atom
 from ..core.instance import Database
 from ..core.program import Program
+from ..core.store import FactStore
 from ..core.substitution import Substitution
 from ..core.terms import Variable
 from ..prooftree.canonical import canonical_form
@@ -150,7 +151,12 @@ class Frontier:
 
 
 class SuccessorGenerator:
-    """Produces ``r``/``s`` successors of a state (with eager ``d``)."""
+    """Produces ``r``/``s`` successors of a state (with eager ``d``).
+
+    *oracle* is the star abstraction of (D, Σ) — the columnar store
+    :func:`~repro.reasoning.abstraction.star_abstraction` returns —
+    computed here when not given and *use_oracle* holds.
+    """
 
     def __init__(
         self,
@@ -160,7 +166,7 @@ class SuccessorGenerator:
         *,
         specialization: str = "guided",
         stats: Optional[SearchStats] = None,
-        oracle: Optional[object] = None,
+        oracle: Optional[FactStore] = None,
         use_oracle: bool = True,
     ):
         if specialization not in ("guided", "exhaustive"):

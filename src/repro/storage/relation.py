@@ -134,7 +134,8 @@ class Relation:
         A *bound* that covers every position is one ``row_pos`` lookup
         and builds no index.  Otherwise the single-column index with
         the smallest bucket among those already built is probed, one
-        being built on the first bound position when none exists yet.
+        being built on the first bound position when none exists yet;
+        with one bound position every row of the bucket matches.
         """
         rows = self.rows
         if rows and len(bound) == len(rows[0]):
@@ -147,6 +148,8 @@ class Relation:
             else min(bound)
         )
         bucket = self.index_for((position,)).get(bound[position], ())
+        if len(bound) == 1:
+            return list(map(self.rows.__getitem__, bucket))
         return [
             row
             for row in map(self.rows.__getitem__, bucket)

@@ -64,6 +64,13 @@ def derivable(maintainer, fact, layer):
     return False
 
 
+def _trigger(tgd_index, tgd, hom):
+    """The trigger of *hom*, an existential-free rule's ground head
+    instantiated through it."""
+    ground = () if tgd.existential_variables() else hom.apply_atoms(tgd.head)
+    return Trigger(tgd_index, tgd, hom.apply_atoms(tgd.body), ground)
+
+
 def triggers_for_new_atom(tgds, new_atom, instance):
     """Drop-in for :func:`repro.chase.trigger.triggers_for_new_atom`."""
     for tgd_index, tgd in enumerate(tgds):
@@ -73,16 +80,16 @@ def triggers_for_new_atom(tgds, new_atom, instance):
                 continue
             rest = [a for i, a in enumerate(tgd.body) if i != position]
             for hom in homomorphisms(rest, instance, seed):
-                image = hom.apply_atoms(tgd.body)
-                if image.index(new_atom) == position:
-                    yield Trigger(tgd_index, tgd, image)
+                trigger = _trigger(tgd_index, tgd, hom)
+                if trigger.image.index(new_atom) == position:
+                    yield trigger
 
 
 def all_triggers(tgds, instance):
     """Drop-in for :func:`repro.chase.trigger.all_triggers`."""
     for tgd_index, tgd in enumerate(tgds):
         for hom in homomorphisms(tgd.body, instance):
-            yield Trigger(tgd_index, tgd, hom.apply_atoms(tgd.body))
+            yield _trigger(tgd_index, tgd, hom)
 
 
 def head_already_satisfied(trigger, instance):

@@ -202,6 +202,47 @@ class TestAnswerStream:
         with pytest.raises(UnsupportedProgramError):
             stream.to_set()
 
+    def test_strict_chase_outside_ward_says_so(self):
+        program, database = parse_program("""
+            p(a).
+            r(X,K) :- p(X).
+            s(Y,X) :- r(X,Y).
+            t(Y,W) :- s(Y,X), r(X,W).
+            p(W) :- t(Y,W), t(W,Y).
+        """)
+        session = Session()
+        session.compile(program)
+        session.add_facts(database)
+        stream = session.query("q() :- t(X,W).", method="chase", max_atoms=3)
+        with pytest.raises(UnsupportedProgramError, match="outside WARD"):
+            stream.to_set()
+
+    def test_strict_chase_inside_ward_names_the_limit(self):
+        # A warded program forced onto the chase: the message names the
+        # limit the run hit, not a class the program is in.
+        session = Session()
+        session.load(EXISTENTIAL_SOURCE)
+        for limit, value in (("max_atoms", 5), ("max_steps", 4)):
+            stream = session.query(
+                "q(X) :- r(X,Y).", method="chase", **{limit: value}
+            )
+            with pytest.raises(UnsupportedProgramError) as raised:
+                stream.to_set()
+            message = str(raised.value)
+            assert f"{limit}={value}" in message
+            assert "outside WARD" not in message
+
+    def test_chase_at_a_limit_with_nothing_left_to_fire_answers(self):
+        # The only trigger's head already holds: stopping at max_atoms
+        # leaves nothing the chase could fire, so the run saturated.
+        session = Session()
+        session.load("a(c). r(c,d). r(X,Z) :- a(X).")
+        stream = session.query(
+            "q(X,Y) :- r(X,Y).", method="chase", max_atoms=2
+        )
+        assert stream.to_set() == {(c, Constant("d"))}
+        assert stream.stats.saturated
+
 
 class TestSession:
     def test_query_equals_legacy_certain_answers(self):

@@ -122,6 +122,18 @@ class TestLimits:
         assert not result.saturated
         assert len(result.instance) <= 22  # one firing may add a few atoms
 
+    def test_a_limit_with_nothing_left_to_fire_is_saturated(self):
+        # r(c,d) already satisfies the one trigger's head, so the
+        # restricted chase has nothing to fire when max_atoms stops it.
+        program, database = parse_program("a(c). r(c,d). r(X,Z) :- a(X).")
+        result = chase(database, program, max_atoms=2)
+        assert result.saturated and result.fired == 0
+        unlimited = chase(database, program)
+        assert result.instance.atoms() == unlimited.instance.atoms()
+        # The oblivious chase fires every trigger: one is still queued.
+        oblivious = chase(database, program, variant="oblivious", max_atoms=2)
+        assert not oblivious.saturated
+
     def test_depth_policy_terminates(self):
         program, database = parse_program("""
             p(a).
