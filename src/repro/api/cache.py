@@ -201,15 +201,20 @@ class FixpointCache:
     def probe_for(self, compiled: CompiledProgram, probe_depth, probe_atoms):
         """The bounded chase probe of (EDB, Σ), likewise query-free.
 
-        ``probe_depth`` / ``probe_atoms`` are client-settable and a probe
-        may hold ``probe_atoms`` atoms, so a program keeps one: a new
-        setting's probe replaces the previous one.
+        It is seeded from :meth:`abstraction_for`'s exact rows and
+        chases only the rest of Σ (see
+        :func:`~repro.reasoning.answers.probe_instance`), so a version
+        holds one abstraction and one probe.  ``probe_depth`` /
+        ``probe_atoms`` are client-settable and a probe may hold
+        ``probe_atoms`` atoms, so a program keeps one: a new setting's
+        probe replaces the previous one.
         """
         from ..reasoning.answers import probe_instance
 
         return self._once(
             self._probes, compiled, (probe_depth, probe_atoms),
             probe_instance, compiled.program, probe_depth, probe_atoms,
+            self.abstraction_for(compiled),
         )
 
     def stats(self) -> dict:

@@ -25,12 +25,26 @@ rows, a third of the bytes an :class:`~repro.core.instance.Instance`
 with its per-(position, term) indexes takes — and the oracle reads it in
 id space: ⋆ is one id, and a pattern constant the term table has never
 seen matches nothing.
+
+**Exact predicates.**  Call a derived predicate *exact* when no rule of
+its dependency cone (the rules heading it or, transitively, a predicate
+its rules read) has an existential variable; :func:`exact_predicates`
+finds them.  On such a predicate the ⋆-abstraction is exact: the
+⋆-program restricted to the cone *is* Σ restricted to the cone, so the
+abstraction's relation equals the least model of the cone over D — and
+so does every chase's set of atoms of that predicate, since only cone
+rules derive them, from cone atoms, none of which ever holds a null (or
+⋆).  Seeding a chase with those rows and dropping the rules that head
+only exact predicates therefore adds nothing that is not certain and
+loses nothing the chase would have derived; the bounded probe of
+:func:`~repro.reasoning.answers.probe_instance` is built that way.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
+from ..analysis.predicate_graph import PredicateGraph
 from ..core.atoms import Atom
 from ..core.instance import Database
 from ..core.program import Program
@@ -40,7 +54,7 @@ from ..core.terms import Constant, Term, Variable
 from ..core.tgd import TGD
 from ..datalog.seminaive import seminaive
 
-__all__ = ["STAR", "star_abstraction", "atom_satisfiable"]
+__all__ = ["STAR", "star_abstraction", "exact_predicates", "atom_satisfiable"]
 
 STAR = Constant("__star__")
 
@@ -70,6 +84,36 @@ def star_abstraction(database: Database, program: Program) -> FactStore:
     return seminaive(database, abstracted, store="columnar").instance
 
 
+def exact_predicates(program: Program) -> FrozenSet[str]:
+    """The derived predicates of *program*'s single-head normal form
+    whose dependency cone holds no rule with an existential variable —
+    those on which :func:`star_abstraction` holds exactly the certain
+    atoms (see the module docstring).
+
+    Components of the predicate graph are settled sources first: one is
+    exact iff every rule heading it is existential-free and every
+    predicate its rules read from outside it is exact or extensional.
+    The result may name the auxiliary predicates normalization adds.
+    """
+    program = program.single_head()
+    rules: Dict[str, List[TGD]] = {}
+    for tgd in program:
+        rules.setdefault(tgd.head[0].predicate, []).append(tgd)
+    exact: Set[str] = set()
+    for component in PredicateGraph(program).condensation_order():
+        if all(
+            tgd.is_full()
+            and all(
+                read in component or read in exact or read not in rules
+                for read in tgd.body_predicates() | tgd.negated_predicates()
+            )
+            for predicate in component
+            for tgd in rules.get(predicate, ())
+        ):
+            exact.update(component.intersection(rules))
+    return frozenset(exact)
+
+
 def atom_satisfiable(atom: Atom, abstract: FactStore) -> bool:
     """Could *atom* (constants + variables) have a chase match?
 
@@ -94,8 +138,7 @@ def atom_satisfiable(atom: Atom, abstract: FactStore) -> bool:
         if tid is None:
             return False
         bound[position] = tid
-    for _, relation in abstract.parts(atom.predicate, len(atom.args)):
-        for row in relation.matching(bound) if bound else relation.rows:
-            if all(row[at] == row[earlier] for at, earlier in agree):
-                return True
-    return False
+    return any(
+        relation.has_match(bound, agree)
+        for _, relation in abstract.parts(atom.predicate, len(atom.args))
+    )

@@ -25,13 +25,14 @@ from ..analysis.piecewise import is_piecewise_linear
 from ..analysis.wardedness import is_warded
 from ..chase.runner import chase
 from ..chase.termination import DepthPolicy
+from ..core.atoms import Atom
 from ..core.instance import Database, Instance
 from ..core.program import Program
 from ..core.query import ConjunctiveQuery
 from ..core.store import FactStore
 from ..core.terms import Constant
 from ..kernels.query import query_answers
-from .abstraction import STAR, star_abstraction
+from .abstraction import STAR, exact_predicates, star_abstraction
 from .pwl_ward import prepare_pwl_ward
 from .ward import prepare_ward
 
@@ -54,17 +55,55 @@ def probe_instance(
     program: Program,
     probe_depth: int = 3,
     probe_atoms: int = 20000,
+    abstraction: Optional[FactStore] = None,
 ) -> Instance:
     """A bounded chase used to seed candidates (sound under-approximation):
-    the "probe settles the cheap positives" half of the per-tuple split."""
+    the "probe settles the cheap positives" half of the per-tuple split.
+
+    The restricted chase runs under ``DepthPolicy(probe_depth)`` and
+    stops at ``probe_atoms`` atoms.  It chases only what the star
+    *abstraction* (computed here when not given) cannot settle: its
+    input is D plus the abstraction's rows over Σ's exact predicates
+    (:func:`~repro.reasoning.abstraction.exact_predicates`, where the
+    abstraction holds exactly the certain atoms), cut so that the two
+    together hold at most ``probe_atoms`` atoms, and the rules whose
+    heads are all exact are dropped.  ``probe_atoms=0`` still settles
+    nothing beyond D; a program with no exact predicate runs the plain
+    chase of D.
+    """
+    exact = exact_predicates(program) & program.head_predicates()
+    seeded = Instance(database)
+    if exact and len(seeded) < probe_atoms:
+        if abstraction is None:
+            abstraction = star_abstraction(database, program.single_head())
+        _add_seed(seeded, abstraction, exact, program.schema(), probe_atoms)
     result = chase(
         database,
-        program,
+        Program(tgd for tgd in program if not tgd.head_predicates() <= exact),
         variant="restricted",
         policy=DepthPolicy(probe_depth),
         max_atoms=probe_atoms,
+        store=seeded,
     )
     return result.instance
+
+
+def _add_seed(
+    seeded: Instance,
+    abstraction: FactStore,
+    exact,
+    schema,
+    probe_atoms: int,
+) -> None:
+    """Decode *abstraction*'s rows over the *exact* predicates into
+    *seeded* until it holds *probe_atoms* atoms."""
+    decode = abstraction.table.decode
+    for predicate in sorted(exact):
+        for _, relation in abstraction.parts(predicate, schema[predicate]):
+            for row in relation.rows:
+                if len(seeded) >= probe_atoms:
+                    return
+                seeded.add(Atom(predicate, decode(row)))
 
 
 def candidate_tuples(
@@ -134,7 +173,9 @@ def stream_proof_tree_answers(
         engine_kwargs["oracle"] = abstraction
     decide = _PREPARE[method](query, database, program, **engine_kwargs)
     if probe is None:
-        probe = probe_instance(database, program, probe_depth, probe_atoms)
+        probe = probe_instance(
+            database, program, probe_depth, probe_atoms, abstraction
+        )
     probe_answers = query.evaluate(probe)
     if stats is not None:
         stats.probe_answers = len(probe_answers)

@@ -127,31 +127,67 @@ class Relation:
             self.indexes[positions] = index
         return index
 
-    def matching(self, bound: Mapping[int, int]) -> List[Row]:
-        """Rows whose id at each 0-based position of *bound* (non-empty)
-        equals the given id — a snapshot, safe against later mutation.
-
-        A *bound* that covers every position is one ``row_pos`` lookup
-        and builds no index.  Otherwise the single-column index with
-        the smallest bucket among those already built is probed, one
-        being built on the first bound position when none exists yet;
-        with one bound position every row of the bucket matches.
-        """
-        rows = self.rows
-        if rows and len(bound) == len(rows[0]):
-            row = tuple(bound[p] for p in range(len(bound)))
-            return [row] if row in self.row_pos else []
+    def _bucket(self, bound: Mapping[int, int]) -> List[int]:
+        """The row numbers of one single-column bucket every match of
+        *bound* (non-empty) lies in: the smallest among the indexes
+        already built on its positions, one being built on the first
+        bound position when none exists yet."""
+        if len(bound) == 1:
+            ((position, tid),) = bound.items()
+            return self.index_for((position,)).get(tid, ())
         built = [p for p in bound if (p,) in self.indexes]
         position = (
             min(built, key=lambda p: len(self.indexes[(p,)].get(bound[p], ())))
             if built
             else min(bound)
         )
-        bucket = self.index_for((position,)).get(bound[position], ())
+        return self.index_for((position,)).get(bound[position], ())
+
+    def matching(self, bound: Mapping[int, int]) -> List[Row]:
+        """Rows whose id at each 0-based position of *bound* (non-empty)
+        equals the given id — a snapshot, safe against later mutation.
+
+        A *bound* that covers every position is one ``row_pos`` lookup
+        and builds no index.  Otherwise one single-column bucket is
+        probed (:meth:`_bucket`); with one bound position every row of
+        the bucket matches.
+        """
+        rows = self.rows
+        if rows and len(bound) == len(rows[0]):
+            row = tuple(bound[p] for p in range(len(bound)))
+            return [row] if row in self.row_pos else []
+        bucket = self._bucket(bound)
         if len(bound) == 1:
-            return list(map(self.rows.__getitem__, bucket))
+            return list(map(rows.__getitem__, bucket))
         return [
             row
-            for row in map(self.rows.__getitem__, bucket)
+            for row in map(rows.__getitem__, bucket)
             if all(row[p] == tid for p, tid in bound.items())
         ]
+
+    def has_match(
+        self, bound: Mapping[int, int], agree: Iterable[Tuple[int, int]] = ()
+    ) -> bool:
+        """Whether some row holds *bound*'s id at each of its positions
+        (*bound* may be empty) and equal ids at both positions of each
+        pair of *agree* (positions *bound* leaves free) — the same probe
+        as :meth:`matching`, stopped at the first such row, with nothing
+        copied."""
+        rows = self.rows
+        if not rows:
+            return False
+        if len(bound) == len(rows[0]):
+            return tuple(bound[p] for p in range(len(bound))) in self.row_pos
+        if not bound:
+            candidates = rows
+        else:
+            bucket = self._bucket(bound)
+            if len(bound) == 1 and not agree:
+                return bool(bucket)
+            candidates = map(rows.__getitem__, bucket)
+        for row in candidates:
+            if all(row[p] == tid for p, tid in bound.items()) and all(
+                row[at] == row[earlier] for at, earlier in agree
+            ):
+                return True
+        return False

@@ -2,7 +2,7 @@
 reference.
 
 ``atom_satisfiable`` asks the columnar star abstraction one
-``Relation.matching`` over ids; ``reference_oracle.satisfiable`` scans
+``Relation.has_match`` over ids; ``reference_oracle.satisfiable`` scans
 the decoded atoms with ``Instance.matching`` semantics.  Patterns come
 from the schema and from stored atoms with positions turned into
 variables, so repeated variables, ⋆ positions, constants the term table

@@ -194,6 +194,89 @@ class TestProbeInteraction:
         assert certain_answers(query, database, program, method="pwl") == {()}
 
 
+def exact(text):
+    from repro.reasoning.abstraction import exact_predicates
+
+    return exact_predicates(parse_program(text)[0])
+
+
+class TestExactPredicates:
+    """``exact_predicates``: the derived predicates no existential rule
+    reaches, on which the star abstraction holds the certain atoms."""
+
+    def test_an_edb_only_predicate_is_read_not_returned(self):
+        assert exact("t(X,Y) :- e(X,Y). t(X,Z) :- e(X,Y), t(Y,Z).") == {"t"}
+
+    def test_recursion_through_an_existential_is_not_exact(self):
+        assert exact("""
+            r(X,W) :- p(X).
+            p(Y) :- r(X,Y).
+            t(X,Y) :- e(X,Y).
+        """) == {"t"}
+
+    def test_a_full_rule_reading_an_invented_predicate_is_not_exact(self):
+        assert exact("""
+            s(X,W) :- e(X,Y).
+            h(X,Y) :- e(X,Y).
+            t(X,Z) :- s(X,Y), h(Y,Z).
+        """) == {"h"}
+
+    def test_multi_head_rules_are_judged_on_the_normal_form(self):
+        # The full multi-head rule is split through Aux_0, which is
+        # exact with both heads; the existential one's Aux_1 is not, so
+        # neither of its heads is — not even u, which holds no null.
+        assert exact("t(X,Y), u(X) :- e(X,Y).") == {"t", "u", "Aux_0"}
+        assert exact("""
+            t(X,Y), u(X) :- e(X,Y).
+            r(X,W), s(X) :- e(X,Y).
+        """) == {"t", "u", "Aux_0"}
+
+
+class TestSeededProbe:
+    """The probe starts from D plus the abstraction's exact rows and
+    chases only the rest of Σ, within the same atom budget."""
+
+    SOURCE = """
+        e(a,b). e(b,c). p(a).
+        t(X,Y) :- e(X,Y).
+        t(X,Z) :- e(X,Y), t(Y,Z).
+        r(X,W) :- p(X).
+        p(Y) :- r(X,Y).
+    """
+
+    def test_zero_budget_sends_every_candidate_to_a_decision(self):
+        program, database = parse_program(self.SOURCE)
+        query = parse_query("q(X,Y) :- t(X,Y).")
+        answers, stats = run(
+            query, database, program, method="pwl", probe_atoms=0
+        )
+        assert answers == {(a, b), (b, c), (a, c)}
+        assert stats.probe_answers == 0
+        assert stats.decided_tuples == 3
+
+    def test_the_seed_settles_an_exact_query(self):
+        program, database = parse_program(self.SOURCE)
+        query = parse_query("q(X,Y) :- t(X,Y).")
+        answers, stats = run(query, database, program, method="pwl")
+        assert answers == {(a, b), (b, c), (a, c)}
+        assert (stats.probe_answers, stats.decided_tuples) == (3, 0)
+
+    def test_the_seed_never_takes_the_probe_past_the_budget(self):
+        from repro.reasoning.answers import probe_instance
+
+        program, database = parse_program(self.SOURCE)
+        assert program.is_single_head()  # no firing adds two atoms
+        sizes = []
+        for budget in range(12):
+            probe = probe_instance(database, program, 3, budget)
+            assert set(database) <= set(probe)
+            assert len(probe) <= max(len(database), budget), budget
+            sizes.append(len(probe))
+        # D, then the seed's three t rows, then the chase of r/p.
+        assert sizes[:6] == [3, 3, 3, 3, 4, 5]
+        assert sizes[-1] > 6
+
+
 class TestCandidateCompleteness:
     """The candidates are q over the star abstraction, so the answer
     set must be complete for *any* probe budget (regression: candidates

@@ -102,6 +102,31 @@ class TestRelation:
         assert relation.matching({0: 1}) == [(1, 2), (1, 3)]
         assert set(relation.indexes) == {(0,)}
 
+    def test_has_match_agrees_with_matching(self):
+        rows = [(1, 2, 2), (1, 3, 4), (4, 2, 2), (2, 2, 5)]
+        relation = Relation(rows)
+        for bound in ({}, {0: 1}, {1: 2}, {0: 9}, {0: 1, 1: 3},
+                      {0: 3, 1: 1}, {0: 2, 1: 2, 2: 5}, {0: 2, 1: 2, 2: 2}):
+            free = [p for p in range(3) if p not in bound]
+            for agree in ((), tuple(zip(free[1:], free))):
+                expected = any(
+                    all(row[p] == tid for p, tid in bound.items())
+                    and all(row[at] == row[e] for at, e in agree)
+                    for row in rows
+                )
+                assert relation.has_match(bound, agree) == expected, (
+                    bound, agree
+                )
+        assert not Relation().has_match({}) and not Relation().has_match({0: 1})
+
+    def test_has_match_reads_one_bucket_and_copies_nothing(self):
+        relation = Relation([(1, 2), (1, 3), (4, 2)])
+        assert relation.has_match({0: 1})
+        assert set(relation.indexes) == {(0,)}
+        # A built index is reused: the bucket of 4 holds no (4, 4).
+        assert not relation.has_match({0: 4}, ((1, 0),))
+        assert set(relation.indexes) == {(0,)}
+
     def test_rebuild_from_rows_preserves_numbering(self):
         relation = Relation([(3, 1), (1, 1), (2, 1)])
         rebuilt = Relation(relation.rows)
