@@ -201,10 +201,11 @@ class FixpointCache:
     def probe_for(self, compiled: CompiledProgram, probe_depth, probe_atoms):
         """The bounded chase probe of (EDB, Σ), likewise query-free.
 
-        It is seeded from :meth:`abstraction_for`'s exact rows and
-        chases only the rest of Σ (see
-        :func:`~repro.reasoning.answers.probe_instance`), so a version
-        holds one abstraction and one probe.  ``probe_depth`` /
+        It chases only the part of Σ that :meth:`abstraction_for`
+        cannot settle and reads the exact rows where that abstraction
+        holds them (see :func:`~repro.reasoning.answers.probe_instance`),
+        so a version holds one abstraction, one probe and one copy of
+        those rows.  ``probe_depth`` /
         ``probe_atoms`` are client-settable and a probe may hold
         ``probe_atoms`` atoms, so a program keeps one: a new setting's
         probe replaces the previous one.

@@ -26,10 +26,11 @@ class StreamStats:
     """Execution statistics, filled in as the stream is driven.
 
     ``method`` is the engine that ran; ``probe_answers`` counts the
-    answers the bounded chase probe settled alone — the rows it was
-    seeded with from the star abstraction's exact predicates included —
-    and ``decided_tuples`` the rows of q over the star abstraction the probe
-    could not settle, each sent to a decision engine (proof-tree engines
+    answers settled without a decision — read off the star
+    abstraction's rows when q reads only exact and extensional
+    predicates, else q over the bounded chase probe — and
+    ``decided_tuples`` the rows of q over the star abstraction left
+    unsettled, each sent to a decision engine (proof-tree engines
     only); ``saturated`` reports fixpoint
     completion for the materializing engines; ``from_cache`` marks a
     cache hit (a reused materialization — the plan's own, or the held

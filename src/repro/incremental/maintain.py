@@ -26,7 +26,7 @@ Batch discipline (one ``apply``):
 
 1. **Phase A — deletions**, strata in topological order.  Joins that
    must see the *old* state run over a
-   :class:`~repro.incremental.views.UnionView` of the live store and
+   :class:`~repro.core.views.UnionView` of the live store and
    the net-removed set, so nothing is copied.
 2. **Phase B — insertions**, strata in topological order, semi-naive
    within each stratum.
@@ -54,8 +54,8 @@ from ..core.instance import Instance
 from ..core.match import AtomSet, rule_heads, unblocked_walk
 from ..core.store import FactStore
 from ..core.tgd import TGD
+from ..core.views import UnionView
 from ..datalog.seminaive import delta_rounds
-from .views import UnionView
 
 __all__ = [
     "FixpointMaintainer",

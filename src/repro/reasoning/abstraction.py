@@ -34,10 +34,13 @@ finds them.  On such a predicate the ⋆-abstraction is exact: the
 abstraction's relation equals the least model of the cone over D — and
 so does every chase's set of atoms of that predicate, since only cone
 rules derive them, from cone atoms, none of which ever holds a null (or
-⋆).  Seeding a chase with those rows and dropping the rules that head
-only exact predicates therefore adds nothing that is not certain and
-loses nothing the chase would have derived; the bounded probe of
-:func:`~repro.reasoning.answers.probe_instance` is built that way.
+⋆).  A chase that reads those rows where the abstraction holds them
+and drops the rules that head only exact predicates therefore adds
+nothing that is not certain and loses nothing the chase would have
+derived; the bounded probe of
+:func:`~repro.reasoning.answers.probe_instance` is built that way, and
+a query over exact and extensional predicates only is the candidate
+set itself.
 """
 
 from __future__ import annotations

@@ -14,12 +14,13 @@ split the work:
   null-collapse into the abstraction with its constants intact, so q
   evaluated over the abstraction is *complete*;
 * a bounded **chase probe** (a sound under-approximation) settles the
-  cheap positives, so only the remainder needs a decision run.
+  cheap positives, so only the remainder needs a decision run; it
+  reads the abstraction's exact rows in place rather than copying them.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Set, Tuple
+from typing import Dict, Optional, Sequence, Set, Tuple, Union
 
 from ..analysis.piecewise import is_piecewise_linear
 from ..analysis.wardedness import is_warded
@@ -31,6 +32,7 @@ from ..core.program import Program
 from ..core.query import ConjunctiveQuery
 from ..core.store import FactStore
 from ..core.terms import Constant
+from ..core.views import UnionView
 from ..kernels.query import query_answers
 from .abstraction import STAR, exact_predicates, star_abstraction
 from .pwl_ward import prepare_pwl_ward
@@ -56,54 +58,90 @@ def probe_instance(
     probe_depth: int = 3,
     probe_atoms: int = 20000,
     abstraction: Optional[FactStore] = None,
-) -> Instance:
+) -> Union[Instance, UnionView]:
     """A bounded chase used to seed candidates (sound under-approximation):
     the "probe settles the cheap positives" half of the per-tuple split.
 
-    The restricted chase runs under ``DepthPolicy(probe_depth)`` and
-    stops at ``probe_atoms`` atoms.  It chases only what the star
-    *abstraction* (computed here when not given) cannot settle: its
-    input is D plus the abstraction's rows over Σ's exact predicates
-    (:func:`~repro.reasoning.abstraction.exact_predicates`, where the
-    abstraction holds exactly the certain atoms), cut so that the two
-    together hold at most ``probe_atoms`` atoms, and the rules whose
-    heads are all exact are dropped.  ``probe_atoms=0`` still settles
-    nothing beyond D; a program with no exact predicate runs the plain
-    chase of D.
+    The restricted chase runs under ``DepthPolicy(probe_depth)``, and D,
+    the exact rows and the chase together hold at most ``probe_atoms``
+    atoms.  It chases only what the star *abstraction* (computed here
+    when not given) cannot settle: the rules whose heads are not all
+    exact (:func:`~repro.reasoning.abstraction.exact_predicates`, where
+    the abstraction holds exactly the certain atoms).  The exact rows
+    are not copied: the probe is a read-only
+    :class:`~repro.core.views.UnionView` of the chased
+    :class:`~repro.core.instance.Instance` and the abstraction read on
+    the exact predicates it routes there, so no ⋆-bearing predicate is
+    ever exposed.  Only the exact predicates a chased rule reads — in
+    its body, its negated literals or the head the restricted chase
+    checks — and one the budget cuts short are decoded into the
+    ``Instance``, as many rows as the budget leaves room for.
+    ``probe_atoms=0`` still settles nothing beyond D.  When nothing is
+    routed the result is the chased ``Instance`` itself.
     """
     exact = exact_predicates(program) & program.head_predicates()
+    chased = Program(tgd for tgd in program if not tgd.head_predicates() <= exact)
     seeded = Instance(database)
+    routed: Dict[str, int] = {}
     if exact and len(seeded) < probe_atoms:
         if abstraction is None:
             abstraction = star_abstraction(database, program.single_head())
-        _add_seed(seeded, abstraction, exact, program.schema(), probe_atoms)
+        read = exact & set().union(*(
+            tgd.predicates() | tgd.negated_predicates() for tgd in chased
+        ))
+        routed = _seed(
+            seeded, database, abstraction, exact, read, program.schema(),
+            probe_atoms,
+        )
     result = chase(
         database,
-        Program(tgd for tgd in program if not tgd.head_predicates() <= exact),
+        chased,
         variant="restricted",
         policy=DepthPolicy(probe_depth),
-        max_atoms=probe_atoms,
+        max_atoms=probe_atoms - sum(routed.values()),
         store=seeded,
     )
-    return result.instance
+    if not routed:
+        return result.instance
+    return UnionView(result.instance, abstraction, frozenset(routed))
 
 
-def _add_seed(
+def _seed(
     seeded: Instance,
+    database: Database,
     abstraction: FactStore,
     exact,
+    read,
     schema,
     probe_atoms: int,
-) -> None:
-    """Decode *abstraction*'s rows over the *exact* predicates into
-    *seeded* until it holds *probe_atoms* atoms."""
+) -> Dict[str, int]:
+    """Share what *probe_atoms* leaves beyond D among the *exact*
+    predicates, in name order.  One no chased rule reads and whose rows
+    beyond D all fit is *routed* — left in *abstraction*, its count of
+    rows beyond D charged; any other has its rows decoded into *seeded*
+    while room is left.  Returns each routed predicate's charge."""
+    routed: Dict[str, int] = {}
+    room = probe_atoms - len(seeded)
     decode = abstraction.table.decode
     for predicate in sorted(exact):
-        for _, relation in abstraction.parts(predicate, schema[predicate]):
+        arity = schema[predicate]
+        parts = [relation for _, relation in abstraction.parts(predicate, arity)]
+        if predicate not in read:
+            beyond = sum(len(relation.rows) for relation in parts) - sum(
+                1 for atom in database.by_predicate(predicate)
+                if atom.arity == arity
+            )
+            if beyond <= room:
+                routed[predicate] = beyond
+                room -= beyond
+                continue
+        for relation in parts:
             for row in relation.rows:
-                if len(seeded) >= probe_atoms:
-                    return
-                seeded.add(Atom(predicate, decode(row)))
+                if room <= 0:
+                    return routed
+                if seeded.add(Atom(predicate, decode(row))):
+                    room -= 1
+    return routed
 
 
 def candidate_tuples(
@@ -137,6 +175,22 @@ def proof_tree_method(program: Program) -> str:
     return "pwl" if is_piecewise_linear(program) else "ward"
 
 
+def _reads_in_place(
+    query: ConjunctiveQuery, program: Program, probe
+) -> bool:
+    """Does q read only predicates on which *probe* holds exactly the
+    abstraction's rows — the exact ones it routes to the abstraction,
+    and extensional ones (D, which the abstraction holds as it is)?
+    Then q over the probe is the candidate set itself."""
+    if not isinstance(probe, UnionView):
+        return False
+    heads = program.head_predicates()
+    return all(
+        atom.predicate in probe.predicates or atom.predicate not in heads
+        for atom in query.atoms
+    )
+
+
 def stream_proof_tree_answers(
     query: ConjunctiveQuery,
     database: Database,
@@ -156,7 +210,11 @@ def stream_proof_tree_answers(
     doubles as the shared pruning oracle; the bounded chase probe
     settles the cheap positives, which stream out first, and only the
     remaining candidates go through a per-tuple decision run, each
-    accepted tuple yielded as soon as its run returns.  *stats*, if
+    accepted tuple yielded as soon as its run returns.  When q reads
+    only predicates on which the probe holds exactly the abstraction's
+    rows (extensional ones, and the exact ones it routes to the
+    abstraction), every candidate is settled by that one read and q is
+    not evaluated over the probe.  *stats*, if
     given, receives ``probe_answers`` and ``decided_tuples`` attributes
     as they accrue.  The star abstraction and the probe depend only on
     D and Σ, so callers with a cache pass them as *abstraction* and
@@ -176,11 +234,17 @@ def stream_proof_tree_answers(
         probe = probe_instance(
             database, program, probe_depth, probe_atoms, abstraction
         )
-    probe_answers = query.evaluate(probe)
+    in_place = _reads_in_place(query, program, probe)
+    settled = (
+        candidate_tuples(query, abstraction) if in_place
+        else query.evaluate(probe)
+    )
     if stats is not None:
-        stats.probe_answers = len(probe_answers)
-    yield from sorted(probe_answers, key=str)
-    pending = candidate_tuples(query, abstraction) - probe_answers
+        stats.probe_answers = len(settled)
+    yield from sorted(settled, key=str)
+    if in_place:
+        return
+    pending = candidate_tuples(query, abstraction) - settled
     for candidate in sorted(pending, key=str):
         if stats is not None:
             stats.decided_tuples += 1

@@ -191,6 +191,8 @@ class SuccessorGenerator:
             database.constants(), key=lambda c: (type(c.value).__name__, str(c.value))
         )
         self._head_predicates = program.head_predicates()
+        # σ_o of every rule: Σ-only, so renamed once and shared by views.
+        self._renamed = tuple(tgd.rename("r") for tgd in program)
         if oracle is not None:
             self._oracle = oracle
         elif use_oracle:
@@ -243,8 +245,7 @@ class SuccessorGenerator:
 
     def resolutions(self, state: State) -> Iterator[State]:
         """All σ-resolvents within the width bound (operation ``r``)."""
-        for tgd in self.program:
-            renamed = tgd.rename("r")
+        for renamed in self._renamed:
             for unifier in chunk_unifiers(state.atoms, set(), renamed):
                 s1 = set(unifier.s1)
                 kept = [a for a in state.atoms if a not in s1]

@@ -103,12 +103,12 @@ def databases():
 
 
 @st.composite
-def queries(draw):
-    """A CQ over the intensional predicates, mostly variables; outputs
-    are drawn from its own variables."""
+def queries(draw, predicates=tuple(HEAD_PREDICATES)):
+    """A CQ over *predicates* (the intensional ones by default), mostly
+    variables; outputs are drawn from its own variables."""
     variable = st.sampled_from(BODY_VARIABLES)
     body = draw(st.lists(
-        schema_atoms(HEAD_PREDICATES, st.one_of(variable, variable, constants())),
+        schema_atoms(list(predicates), st.one_of(variable, variable, constants())),
         min_size=1, max_size=2,
     ))
     pool = sorted({v for a in body for v in a.variables()}, key=str)

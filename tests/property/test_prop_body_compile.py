@@ -28,7 +28,7 @@ from repro.core.match import AtomSet, rule_heads, walk
 from repro.core.substitution import Substitution
 from repro.core.terms import Constant, Null, Variable
 from repro.core.tgd import TGD
-from repro.incremental.views import UnionView
+from repro.core.views import UnionView
 from repro.storage import DeltaOverlay, ShardedStore, make_store
 
 from . import reference_matcher as reference

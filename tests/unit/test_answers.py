@@ -276,6 +276,59 @@ class TestSeededProbe:
         assert sizes[:6] == [3, 3, 3, 3, 4, 5]
         assert sizes[-1] > 6
 
+    def test_an_exact_query_is_read_off_the_abstraction(self):
+        from repro.reasoning.abstraction import STAR
+        from repro.reasoning.answers import probe_instance
+
+        program, database = parse_program(self.SOURCE)
+        probe = probe_instance(database, program)
+        # No chased rule reads t: its rows stay in the abstraction, and
+        # the probe still answers for them.
+        assert probe.store.count("t") == 0
+        assert {(x.value, y.value) for x, y in (
+            atom.args for atom in probe if atom.predicate == "t"
+        )} == {("a", "b"), ("b", "c"), ("a", "c")}
+        assert probe.predicates == {"t"}
+        assert not any(STAR in atom.args for atom in probe)
+        query = parse_query("q(X,Y) :- t(X,Y).")
+        answers, stats = run(query, database, program, method="pwl")
+        assert answers == {(a, b), (b, c), (a, c)}
+        assert (stats.probe_answers, stats.decided_tuples) == (3, 0)
+
+    #: ``SOURCE`` plus an existential rule — a chased one — reading t.
+    READER = SOURCE + "u(Y,W) :- t(X,Y)."
+
+    def test_a_mixed_query_settles_as_before(self):
+        # (answers, probe_answers, decided_tuples) as measured before
+        # the exact rows were read in place, at both budgets.
+        program, database = parse_program(self.READER)
+        query = parse_query("q(X) :- p(X), t(X,Y).")
+        for budget, settled in ((20000, (1, 0)), (0, (0, 1))):
+            answers, stats = run(
+                query, database, program, method="pwl", probe_atoms=budget
+            )
+            assert answers == {(a,)}
+            assert (stats.probe_answers, stats.decided_tuples) == settled
+
+    def test_a_chased_rule_reading_an_exact_predicate_still_sees_it(self):
+        from repro.chase import chase
+        from repro.chase.termination import DepthPolicy
+        from repro.reasoning.answers import probe_instance
+
+        program, database = parse_program(self.READER)
+        probe = probe_instance(database, program)
+        assert probe.count("t") == 3  # seeded: u's rule reads it
+        query = parse_query("q(X) :- u(X,W).")
+        plain = chase(
+            database, program, variant="restricted",
+            policy=DepthPolicy(3), max_atoms=20000,
+        )
+        assert query.evaluate(probe) == query.evaluate(plain.instance)
+        assert query.evaluate(probe) == {(b,), (c,)}
+        answers, stats = run(query, database, program, method="pwl")
+        assert answers == {(b,), (c,)}
+        assert (stats.probe_answers, stats.decided_tuples) == (2, 0)
+
 
 class TestCandidateCompleteness:
     """The candidates are q over the star abstraction, so the answer
