@@ -30,27 +30,31 @@ The everyday workflow of the library, now built on the
   (:mod:`repro.server`): many clients over newline-delimited JSON,
   every query snapshot-isolated against live ``update`` batches;
   SIGTERM/SIGINT drain gracefully;
-* ``client query|update|stats|ping|shutdown`` — talk to a running
+* ``client query|update|lint|stats|ping|shutdown`` — talk to a running
   server with :class:`repro.server.ReasoningClient`.
 
 Exit codes: 0 success, 1 lint findings (errors, or warnings under
-``--strict``), 2 engine/usage errors (printed as ``repro: error:
-...``, no traceback), 3 truncation or a failed update batch, 130 on
-interrupt.
+``--strict``), 2 usage and engine errors (one line on stderr, no
+traceback: a bad flag value, an unreadable input file, out-of-core
+flags without ``--store sharded``, a rejected query), 3 truncation or
+a failed update batch, 130 on interrupt.
 
-Every subcommand accepts ``--store`` naming a fact-storage backend
-(see :data:`repro.storage.BACKENDS`); an unknown name fails fast with
-the valid choices.  Program files use the same Vadalog-style surface
-syntax the parser accepts everywhere else: facts ``e(a, b).`` and rules
+Every command but ``lint`` and ``client`` accepts ``--store`` naming a
+fact-storage backend (see :data:`repro.storage.BACKENDS`); an unknown
+name fails fast with the valid choices.  An input path of ``-`` reads
+stdin.  Program files use the same Vadalog-style surface syntax the
+parser accepts everywhere else: facts ``e(a, b).`` and rules
 ``t(X, Z) :- e(X, Y), t(Y, Z).`` with head-only variables existential.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import math
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .analysis import (
     is_intensionally_linear,
@@ -61,7 +65,7 @@ from .analysis import (
 from .api import ENGINES, REWRITES, Session
 from .chase import chase
 from .lang.parser import parse_program, parse_query
-from .lint import registered_codes
+from .lint import lint_source, registered_codes
 from .storage import BACKENDS
 
 __all__ = ["main", "build_parser"]
@@ -77,28 +81,31 @@ def _store_backend(value: str) -> str:
     return value
 
 
-def _positive_int(value: str) -> int:
-    """argparse type for counts that must be >= 1."""
-    try:
-        parsed = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {value!r}")
-    if parsed < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {parsed}")
-    return parsed
+def _number(parse, noun: str, within, bounds: str):
+    """An argparse type: *parse* the value, then require *within*."""
+
+    def convert(value: str):
+        try:
+            parsed = parse(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not {noun}: {value!r}")
+        if not within(parsed):
+            raise argparse.ArgumentTypeError(
+                f"must be {bounds}, got {parsed}"
+            )
+        return parsed
+
+    return convert
 
 
-def _port(value: str) -> int:
-    """argparse type for ``--port``: a TCP port number, 0..65535."""
-    try:
-        parsed = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {value!r}")
-    if not 0 <= parsed <= 65535:
-        raise argparse.ArgumentTypeError(
-            f"must be in 0..65535, got {parsed}"
-        )
-    return parsed
+#: Counts, ``--port`` and ``--drain-timeout`` (nan would make drain()
+#: return at once, inf could hang shutdown forever).
+_positive_int = _number(int, "an integer", lambda n: n >= 1, ">= 1")
+_port = _number(int, "an integer", lambda n: 0 <= n <= 65535, "in 0..65535")
+_seconds = _number(
+    float, "a number", lambda s: math.isfinite(s) and s >= 0,
+    "finite and >= 0",
+)
 
 
 def _byte_size(value: str) -> int:
@@ -120,22 +127,338 @@ def _byte_size(value: str) -> int:
     return parsed
 
 
+def _fail(message: str):
+    """A usage error found after parsing: one line on stderr, exit 2
+    (the code argparse gives its own usage errors)."""
+    print(f"repro: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _read(path, stdin) -> str:
+    """The text of an input file; ``-`` reads *stdin*."""
+    if str(path) == "-":
+        return stdin.read()
+    try:
+        return Path(path).read_text()
+    except OSError as error:
+        _fail(f"cannot read {path}: {error}")
+
+
 def _resolve_store(args):
     """The ``store=`` choice the engines get: the backend name, or a
     configured sharded factory when out-of-core flags are present."""
-    budget = getattr(args, "memory_budget", None)
-    spill_dir = getattr(args, "spill_dir", None)
+    budget, spill_dir = args.memory_budget, args.spill_dir
     if args.store != "sharded":
         if budget is not None or spill_dir is not None:
-            raise SystemExit(
-                "repro: --memory-budget/--spill-dir require --store sharded"
-            )
+            _fail("--memory-budget/--spill-dir require --store sharded")
         return args.store
     if budget is None and spill_dir is None:
         return args.store
     from .storage import sharded_store_factory
 
     return sharded_store_factory(budget, spill_dir)
+
+
+def _split_codes(value: Optional[str]) -> Optional[list]:
+    """argparse type for ``--select``/``--ignore``: comma-separated
+    code prefixes."""
+    if not value:
+        return None
+    return [code.strip() for code in value.split(",") if code.strip()]
+
+
+def _option(*flags, **spec):
+    """One ``add_argument`` call, as data."""
+    return flags, spec
+
+
+_FILE = (_option("file", type=Path, help="program + facts file"),)
+
+_STORE = (
+    _option(
+        "--store",
+        default="instance",
+        type=_store_backend,
+        metavar="BACKEND",
+        help="fact-storage backend for materializing engines "
+             f"({', '.join(BACKENDS)}; default: instance)",
+    ),
+    _option(
+        "--memory-budget",
+        type=_byte_size,
+        default=None,
+        metavar="BYTES",
+        help="resident-byte budget for --store sharded (suffixes k/m/g; "
+             "cold shards spill to disk beyond it)",
+    ),
+    _option(
+        "--spill-dir",
+        type=Path,
+        default=None,
+        metavar="DIR",
+        help="directory for --store sharded spill files (default: a "
+             "private temporary directory)",
+    ),
+)
+
+
+def _plan(rewrite_default: str = "auto"):
+    """The engine and the demand rewriting, for every command that
+    plans queries; ``update`` needs its own ``--rewrite`` default."""
+    return (
+        _option(
+            "--method",
+            default="auto",
+            choices=("auto",) + ENGINES,
+            help="engine selection (default: dispatch on the program "
+                 "class)",
+        ),
+        _option(
+            "--rewrite",
+            default=rewrite_default,
+            choices=REWRITES,
+            help="demand (magic-set) rewriting of bound queries on full "
+                 "programs; auto applies it exactly when it pays "
+                 "(default: %(default)s)",
+        ),
+    )
+
+
+_QUERY = (
+    _option("--query", required=True, help='e.g. "q(X,Y) :- t(X,Y)."'),
+)
+
+_EXPLAIN = (
+    _option(
+        "--explain", action="store_true",
+        help="print each query's plan before its answers",
+    ),
+)
+
+_ADDRESS = (
+    _option(
+        "--host", default="127.0.0.1",
+        help="server address (default: loopback)",
+    ),
+    _option(
+        "--port", type=_port, default=7777,
+        help="server TCP port (default 7777; serve --port 0 binds an "
+             "ephemeral port)",
+    ),
+)
+
+_FIRST = (
+    _option(
+        "--first", type=_positive_int, default=None, metavar="N",
+        help="stop each answer stream after N tuples (demonstrates the "
+             "pull-based stream: the engine is not run to completion)",
+    ),
+)
+
+_CHANGES = (
+    _option(
+        "--changes", default="-", metavar="PATH",
+        help="delta file: one '+atom.' (insert) or '-atom.' (retract) "
+             "per line, '#' comments, a line of just '--' separating "
+             "batches; '-' reads stdin (default)",
+    ),
+)
+
+_LINT_FILTERS = (
+    _option(
+        "--strict", action="store_true",
+        help="fail (exit 1) on warnings too, not only errors",
+    ),
+    _option(
+        "--select", type=_split_codes, metavar="CODES",
+        help="comma-separated code prefixes to keep (e.g. E,W2); "
+             "default: all",
+    ),
+    _option(
+        "--ignore", type=_split_codes, metavar="CODES",
+        help="comma-separated code prefixes to drop (e.g. I,W104)",
+    ),
+)
+
+
+class _Command(NamedTuple):
+    name: str  # "answer", or "client query" for a client operation
+    help: str
+    handler: Optional[Callable]  # (args, out) -> exit code; None: has ops
+    options: tuple
+    parser_keywords: dict = {}  # more add_parser arguments
+
+
+def _commands() -> list:
+    """The command table, in help order.  Built with each parser, so a
+    row holds the handler its module binds at that time."""
+    code_lines = ["diagnostic codes (E error, W warning, I info):"]
+    code_lines.append(
+        "  E001 syntax-error              error    the program does "
+        "not parse (position of the failure)"
+    )
+    code_lines.extend(
+        f"  {code} {name:26s} {severity:8s} {summary}"
+        for code, name, severity, summary in registered_codes()
+    )
+    return [
+        _Command(
+            "classify", "print class memberships and analysis of a program",
+            _cmd_classify, _FILE + _STORE + (
+                _option("--query", help="optional CQ for the node-width "
+                                        "bounds"),
+            ),
+        ),
+        _Command(
+            "lint", "run the static diagnostics engine over program files",
+            _cmd_lint, (
+                _option(
+                    "files", nargs="+", type=Path, metavar="FILE",
+                    help="program file(s) in the Vadalog-style surface "
+                         "syntax",
+                ),
+                _option(
+                    "--query", metavar="CQ",
+                    help="a target query; enables the query-scoped "
+                         "reachability pass (W205)",
+                ),
+                _option(
+                    "--format", choices=("text", "json"), default="text",
+                    help="output format (default: text, one line per "
+                         "finding)",
+                ),
+                *_LINT_FILTERS,
+                _option(
+                    "--out", type=Path, metavar="PATH",
+                    help="also write the JSON report to PATH (CI artifact)",
+                ),
+            ),
+            dict(
+                description=(
+                    "Run every repro.lint pass over each FILE and report "
+                    "the findings with stable codes and source positions."
+                    "  Exits 1 when any file has error-severity findings "
+                    "(or warnings under --strict), 0 when everything "
+                    "passes, 2 when a FILE cannot be read."
+                ),
+                epilog="\n".join(code_lines),
+                formatter_class=argparse.RawDescriptionHelpFormatter,
+            ),
+        ),
+        _Command(
+            "answer", "compute certain answers of a query",
+            _cmd_answer, _FILE + _STORE + _plan() + _QUERY + _EXPLAIN,
+        ),
+        _Command(
+            "query", "load a program once, then answer many queries "
+                     "against it",
+            _cmd_query, _FILE + _STORE + _plan() + _FIRST + _EXPLAIN + (
+                _option(
+                    "--query", action="append", default=[], metavar="CQ",
+                    help="a query to answer (repeatable; without any, "
+                         "read queries interactively from stdin)",
+                ),
+            ),
+        ),
+        _Command(
+            "chase", "run the restricted chase and print the instance",
+            _cmd_chase, _FILE + _STORE + (
+                _option(
+                    "--max-atoms", type=_positive_int, default=10000,
+                    help="instance-size budget (default 10000)",
+                ),
+                _option(
+                    "--memory-report", action="store_true",
+                    help="print the store's per-component byte accounting",
+                ),
+            ),
+        ),
+        _Command(
+            "stats", "Section 1.2 recursion statistics over the corpus",
+            _cmd_stats, _STORE + (
+                _option("--scale", type=_positive_int, default=2),
+                _option("--seed", type=int, default=2019),
+            ),
+        ),
+        _Command(
+            "update", "apply EDB fact deltas (+atom / -atom lines) through "
+                      "the incremental-maintenance layer and print what "
+                      "it did",
+            _cmd_update, _FILE + _STORE + _plan("none") + _CHANGES + (
+                _option(
+                    "--query", action="append", default=[], metavar="CQ",
+                    help="query to answer before and after the deltas "
+                         "(repeatable); warms the fixpoint cache so "
+                         "maintenance has something to upgrade (hence "
+                         "--rewrite defaults to none here: the first "
+                         "bound query of a cold session would build a "
+                         "demand-specific magic fixpoint, which is "
+                         "dropped instead)",
+                ),
+            ),
+        ),
+        _Command(
+            "rewrite", "rewrite (Σ, q) into an equivalent (PWL) Datalog "
+                       "program (Theorem 6.3 / Lemma 6.4)",
+            _cmd_rewrite, _FILE + _STORE + _QUERY + (
+                _option(
+                    "--width", type=_positive_int, default=None,
+                    help="node-width bound (default: the theorem's "
+                         "polynomial)",
+                ),
+                _option(
+                    "--max-states", type=_positive_int, default=20000,
+                    help="canonical-CQ budget before truncating (default "
+                         "20000)",
+                ),
+            ),
+        ),
+        _Command(
+            "serve", "run the concurrent reasoning server on a program "
+                     "(newline-delimited JSON over TCP; see repro.server)",
+            _cmd_serve, _FILE + _STORE + _ADDRESS + (
+                _option(
+                    "--port-file", type=Path, default=None, metavar="PATH",
+                    help="write the bound port here once listening (for "
+                         "--port 0 callers that need to discover the "
+                         "address)",
+                ),
+                _option(
+                    "--drain-timeout", type=_seconds, default=5.0,
+                    metavar="SECONDS",
+                    help="grace period for open connections on shutdown "
+                         "(default 5)",
+                ),
+                _option(
+                    "--state-dir", type=Path, default=None, metavar="DIR",
+                    help="persist EDB + promoted fixpoints here; a "
+                         "restart over the same program warm-starts from "
+                         "the checkpoint instead of resaturating",
+                ),
+            ),
+        ),
+        _Command("client", "talk to a running reasoning server",
+                 None, _ADDRESS),
+        _Command(
+            "client query", "answer one or more queries against the server",
+            _client_query, _plan() + _FIRST + (
+                _option(
+                    "query", nargs="+",
+                    help='CQ text, e.g. "q(X,Y) :- t(X,Y)."',
+                ),
+            ),
+        ),
+        _Command("client update", "apply EDB change batches on the server",
+                 _client_update, _CHANGES),
+        _Command("client lint", "lint a program text through the server",
+                 _client_lint, _FILE + _LINT_FILTERS),
+        _Command("client stats", "print the server's /stats payload as JSON",
+                 _client_stats, ()),
+        _Command("client ping", "liveness check; prints the version",
+                 _client_ping, ()),
+        _Command("client shutdown", "ask the server to stop",
+                 _client_shutdown, ()),
+    ]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -147,322 +470,119 @@ def build_parser() -> argparse.ArgumentParser:
             "(PODS 2019)."
         ),
     )
-    commands = parser.add_subparsers(dest="command", required=True)
-
-    # Shared by every subcommand: the fact-storage backend.
-    store_options = argparse.ArgumentParser(add_help=False)
-    store_options.add_argument(
-        "--store",
-        default="instance",
-        type=_store_backend,
-        metavar="BACKEND",
-        help="fact-storage backend for materializing engines "
-             f"({', '.join(BACKENDS)}; default: instance)",
-    )
-    store_options.add_argument(
-        "--memory-budget",
-        type=_byte_size,
-        default=None,
-        metavar="BYTES",
-        help="resident-byte budget for --store sharded (suffixes k/m/g; "
-             "cold shards spill to disk beyond it)",
-    )
-    store_options.add_argument(
-        "--spill-dir",
-        type=Path,
-        default=None,
-        metavar="DIR",
-        help="directory for --store sharded spill files (default: a "
-             "private temporary directory)",
-    )
-
-    def plan_options(rewrite_default: str = "auto"):
-        """Shared by every subcommand that plans queries: the engine
-        and the demand rewriting.  A parent per use, not one shared
-        object — argparse parents share their actions, and ``update``
-        needs its own ``--rewrite`` default."""
-        options = argparse.ArgumentParser(add_help=False)
-        options.add_argument(
-            "--method",
-            default="auto",
-            choices=("auto",) + ENGINES,
-            help="engine selection (default: dispatch on the program "
-                 "class)",
+    subcommands = {"": parser.add_subparsers(dest="command", required=True)}
+    for row in _commands():
+        parent, _, name = row.name.rpartition(" ")
+        command = subcommands[parent].add_parser(
+            name, help=row.help, **row.parser_keywords
         )
-        options.add_argument(
-            "--rewrite",
-            default=rewrite_default,
-            choices=REWRITES,
-            help="demand (magic-set) rewriting of bound queries on full "
-                 "programs; auto applies it exactly when it pays "
-                 "(default: %(default)s)",
-        )
-        return options
-
-    classify = commands.add_parser(
-        "classify",
-        parents=[store_options],
-        help="print class memberships and analysis of a program",
-    )
-    classify.add_argument("file", type=Path, help="program file")
-    classify.add_argument(
-        "--query", help="optional CQ for the node-width bounds"
-    )
-
-    code_lines = ["diagnostic codes (E error, W warning, I info):"]
-    code_lines.append(
-        "  E001 syntax-error              error    the program does "
-        "not parse (position of the failure)"
-    )
-    code_lines.extend(
-        f"  {code} {name:26s} {severity:8s} {summary}"
-        for code, name, severity, summary in registered_codes()
-    )
-    lint_cmd = commands.add_parser(
-        "lint",
-        help="run the static diagnostics engine over program files",
-        description=(
-            "Run every repro.lint pass over each FILE and report the "
-            "findings with stable codes and source positions.  Exits "
-            "1 when any file has error-severity findings (or warnings "
-            "under --strict), 0 when everything passes."
-        ),
-        epilog="\n".join(code_lines),
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    lint_cmd.add_argument(
-        "files", nargs="+", type=Path, metavar="FILE",
-        help="program file(s) in the Vadalog-style surface syntax",
-    )
-    lint_cmd.add_argument(
-        "--query", metavar="CQ",
-        help="a target query; enables the query-scoped reachability "
-             "pass (W205)",
-    )
-    lint_cmd.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="output format (default: text, one line per finding)",
-    )
-    lint_cmd.add_argument(
-        "--strict", action="store_true",
-        help="fail (exit 1) on warnings too, not only errors",
-    )
-    lint_cmd.add_argument(
-        "--select", metavar="CODES",
-        help="comma-separated code prefixes to keep (e.g. E,W2); "
-             "default: all",
-    )
-    lint_cmd.add_argument(
-        "--ignore", metavar="CODES",
-        help="comma-separated code prefixes to drop (e.g. I,W104)",
-    )
-    lint_cmd.add_argument(
-        "--out", type=Path, metavar="PATH",
-        help="also write the JSON report to PATH (CI artifact)",
-    )
-
-    answer = commands.add_parser(
-        "answer",
-        parents=[store_options, plan_options()],
-        help="compute certain answers of a query",
-    )
-    answer.add_argument("file", type=Path, help="program + facts file")
-    answer.add_argument(
-        "--query", required=True, help='e.g. "q(X,Y) :- t(X,Y)."'
-    )
-    answer.add_argument(
-        "--explain", action="store_true",
-        help="print the query plan before the answers",
-    )
-
-    query = commands.add_parser(
-        "query",
-        parents=[store_options, plan_options()],
-        help="load a program once, then answer many queries against it",
-    )
-    query.add_argument("file", type=Path, help="program + facts file")
-    query.add_argument(
-        "--query", action="append", default=[], metavar="CQ",
-        help="a query to answer (repeatable; without any, read queries "
-             "interactively from stdin)",
-    )
-    query.add_argument(
-        "--explain", action="store_true",
-        help="print each query's plan before its answers",
-    )
-    query.add_argument(
-        "--first", type=_positive_int, default=None, metavar="N",
-        help="stop each answer stream after N tuples (demonstrates the "
-             "pull-based stream: the engine is not run to completion)",
-    )
-
-    chase_cmd = commands.add_parser(
-        "chase",
-        parents=[store_options],
-        help="run the restricted chase and print the instance",
-    )
-    chase_cmd.add_argument("file", type=Path, help="program + facts file")
-    chase_cmd.add_argument(
-        "--max-atoms", type=_positive_int, default=10000,
-        help="instance-size budget (default 10000)",
-    )
-    chase_cmd.add_argument(
-        "--memory-report", action="store_true",
-        help="print the store's per-component byte accounting",
-    )
-
-    stats = commands.add_parser(
-        "stats",
-        parents=[store_options],
-        help="Section 1.2 recursion statistics over the corpus",
-    )
-    stats.add_argument("--scale", type=_positive_int, default=2)
-    stats.add_argument("--seed", type=int, default=2019)
-
-    update = commands.add_parser(
-        "update",
-        parents=[store_options, plan_options(rewrite_default="none")],
-        help="apply EDB fact deltas (+atom / -atom lines) through the "
-             "incremental-maintenance layer and print what it did",
-    )
-    update.add_argument("file", type=Path, help="program + facts file")
-    update.add_argument(
-        "--changes", default="-", metavar="PATH",
-        help="delta file: one '+atom.' (insert) or '-atom.' (retract) "
-             "per line, '#' comments, a line of just '--' separating "
-             "batches; '-' reads stdin (default)",
-    )
-    update.add_argument(
-        "--query", action="append", default=[], metavar="CQ",
-        help="query to answer before and after the deltas (repeatable); "
-             "warms the fixpoint cache so maintenance has something to "
-             "upgrade (hence --rewrite defaults to none here: the first "
-             "bound query of a cold session would build a demand-specific "
-             "magic fixpoint, which is dropped instead)",
-    )
-
-    rewrite = commands.add_parser(
-        "rewrite",
-        parents=[store_options],
-        help="rewrite (Σ, q) into an equivalent (PWL) Datalog program "
-             "(Theorem 6.3 / Lemma 6.4)",
-    )
-    rewrite.add_argument("file", type=Path, help="program file")
-    rewrite.add_argument(
-        "--query", required=True, help='e.g. "q(X,Y) :- t(X,Y)."'
-    )
-    rewrite.add_argument(
-        "--width", type=_positive_int, default=None,
-        help="node-width bound (default: the theorem's polynomial)",
-    )
-    rewrite.add_argument(
-        "--max-states", type=_positive_int, default=20000,
-        help="canonical-CQ budget before truncating (default 20000)",
-    )
-
-    serve = commands.add_parser(
-        "serve",
-        parents=[store_options],
-        help="run the concurrent reasoning server on a program "
-             "(newline-delimited JSON over TCP; see repro.server)",
-    )
-    serve.add_argument("file", type=Path, help="program + facts file")
-    serve.add_argument(
-        "--host", default="127.0.0.1", help="bind address (default: loopback)"
-    )
-    serve.add_argument(
-        "--port", type=_port, default=7777,
-        help="TCP port; 0 binds an ephemeral port (default 7777)",
-    )
-    serve.add_argument(
-        "--port-file", type=Path, default=None, metavar="PATH",
-        help="write the bound port here once listening (for --port 0 "
-             "callers that need to discover the address)",
-    )
-    serve.add_argument(
-        "--drain-timeout", type=float, default=5.0, metavar="SECONDS",
-        help="grace period for open connections on shutdown (default 5)",
-    )
-    serve.add_argument(
-        "--state-dir", type=Path, default=None, metavar="DIR",
-        help="persist EDB + promoted fixpoints here; a restart over the "
-             "same program warm-starts from the checkpoint instead of "
-             "resaturating",
-    )
-
-    client = commands.add_parser(
-        "client",
-        help="talk to a running reasoning server",
-    )
-    client.add_argument("--host", default="127.0.0.1")
-    client.add_argument("--port", type=_port, default=7777)
-    client_ops = client.add_subparsers(dest="client_command", required=True)
-
-    client_query = client_ops.add_parser(
-        "query",
-        parents=[plan_options()],
-        help="answer one or more queries against the server",
-    )
-    client_query.add_argument(
-        "query", nargs="+", help='CQ text, e.g. "q(X,Y) :- t(X,Y)."'
-    )
-    client_query.add_argument(
-        "--first", type=_positive_int, default=None, metavar="N",
-        help="stop each answer stream after N tuples",
-    )
-
-    client_update = client_ops.add_parser(
-        "update", help="apply an EDB change batch on the server"
-    )
-    client_update.add_argument(
-        "--changes", default="-", metavar="PATH",
-        help="delta file of '+atom.' / '-atom.' lines; '-' reads stdin "
-             "(default)",
-    )
-
-    client_lint = client_ops.add_parser(
-        "lint", help="lint a program text through the server's lint op"
-    )
-    client_lint.add_argument(
-        "file", type=Path, help="program file to send for linting"
-    )
-    client_lint.add_argument(
-        "--strict", action="store_true",
-        help="fail (exit 1) on warnings too, not only errors",
-    )
-    client_lint.add_argument(
-        "--select", metavar="CODES",
-        help="comma-separated code prefixes to keep",
-    )
-    client_lint.add_argument(
-        "--ignore", metavar="CODES",
-        help="comma-separated code prefixes to drop",
-    )
-
-    client_ops.add_parser(
-        "stats", help="print the server's /stats payload as JSON"
-    )
-    client_ops.add_parser("ping", help="liveness check; prints the version")
-    client_ops.add_parser("shutdown", help="ask the server to stop")
-
+        for flags, spec in row.options:
+            command.add_argument(*flags, **spec)
+        if row.handler is None:  # "client": its rows are its operations
+            subcommands[row.name] = command.add_subparsers(
+                dest=f"{row.name}_command", required=True
+            )
+        else:
+            command.set_defaults(handler=row.handler)
     return parser
 
 
 def _load_session(args) -> Session:
-    session = Session(store=_resolve_store(args))
-    try:
-        session.load(Path(args.file))
-    except OSError as error:
-        raise SystemExit(f"repro: cannot read {args.file}: {error}")
+    session = Session(store=args.resolved_store)
+    session.load(_read(args.file, args.stdin), name=args.file.stem)
     return session
 
 
-def _load(path: Path):
-    try:
-        text = path.read_text()
-    except OSError as error:
-        raise SystemExit(f"repro: cannot read {path}: {error}")
-    return parse_program(text, name=path.stem)
+def _each_query(queries, out):
+    """Yield each query text after printing its ``?-`` header, with a
+    blank line between queries."""
+    for index, query_text in enumerate(queries):
+        if index:
+            print("", file=out)
+        print(f"?- {query_text.strip()}", file=out)
+        yield query_text
+
+
+def _print_rows(rows, out) -> int:
+    """Print answer tuples one per line as ``(a, b)``; return how many."""
+    count = 0
+    for count, row in enumerate(rows, 1):
+        print("(" + ", ".join(str(c) for c in row) + ")", file=out)
+    return count
+
+
+def _answer_one(session, query_text, args, out, ordered=False) -> None:
+    """Print one query's answers: its plan under ``--explain``, then the
+    rows — the first N under ``--first``, else all of them, sorted when
+    *ordered* and in stream order otherwise — and a footer."""
+    stream = session.query(
+        query_text,
+        method=args.method,
+        rewrite=args.rewrite,
+    )
+    if getattr(args, "explain", False):
+        print(stream.explain(), file=out)
+    limit = getattr(args, "first", None)
+    if limit is not None:
+        count = _print_rows(stream.first(limit), out)
+        print(
+            f"-- first {count} answer(s), stream "
+            f"{'exhausted' if stream.exhausted else 'not exhausted'}",
+            file=out,
+        )
+        return
+    count = _print_rows(stream.to_sorted() if ordered else stream, out)
+    print(f"-- {count} certain answer(s)", file=out)
+
+
+def _apply_batches(text, apply, out) -> int:
+    """Apply the change batches of *text* — ``--`` lines separate them —
+    in order, each through ``apply(changes, batch_text)``, which prints
+    its report.  The first batch that does not parse stops the run
+    (exit 3): applying batch N+1 after batch N failed would produce a
+    state no corrected input reaches."""
+    from .incremental import ChangeSet
+
+    batches: list[list[str]] = [[]]
+    for line in text.splitlines():
+        if line.strip() == "--":
+            batches.append([])
+        else:
+            batches[-1].append(line)
+    for index, lines in enumerate(batches):
+        batch = "\n".join(lines)
+        try:
+            changes = ChangeSet.parse(batch)
+        except ValueError as error:
+            print(
+                f"error in batch {index + 1}: {error}; stopping before "
+                f"it (applied {index} batch(es))",
+                file=out,
+            )
+            return 3
+        if not changes and len(batches) > 1:
+            continue
+        if len(batches) > 1:
+            print(f"batch {index + 1}:", file=out)
+        apply(changes, batch)
+    return 0
+
+
+def _print_findings(path, payload, out) -> None:
+    """The text rendering of one program's lint payload (local or from
+    the server): a line per finding, then the summary."""
+    for finding in payload["diagnostics"]:
+        location = (
+            f"{finding['line']}:{finding['column']}"
+            if "line" in finding
+            else "-"
+        )
+        print(
+            f"{path}:{location} {finding['code']} "
+            f"{finding['name']}: {finding['message']}",
+            file=out,
+        )
+    print(f"{path}: {payload['summary']}", file=out)
 
 
 def _cmd_classify(args, out) -> int:
@@ -498,112 +618,47 @@ def _cmd_classify(args, out) -> int:
     return 0
 
 
-def _split_codes(value: Optional[str]) -> Optional[list]:
-    """``--select``/``--ignore`` values: comma-separated code prefixes."""
-    if not value:
-        return None
-    return [code.strip() for code in value.split(",") if code.strip()]
-
-
 def _cmd_lint(args, out) -> int:
-    import json
-
-    from .lint import lint_source
-
-    select = _split_codes(args.select)
-    ignore = _split_codes(args.ignore)
-    reports = []
+    files = []
     failed = False
     for path in args.files:
-        try:
-            text = path.read_text()
-        except OSError as error:
-            raise SystemExit(f"repro: cannot read {path}: {error}")
         report = lint_source(
-            text,
+            _read(path, args.stdin),
             name=path.stem,
             query=args.query,
-            select=select,
-            ignore=ignore,
+            select=args.select,
+            ignore=args.ignore,
         )
-        reports.append((path, report))
+        files.append({"path": str(path), **report.as_payload()})
         failed = failed or report.fails(args.strict)
-    payload = {
-        "strict": args.strict,
-        "failed": failed,
-        "files": [
-            {"path": str(path), **report.as_payload()}
-            for path, report in reports
-        ],
-    }
+    payload = {"strict": args.strict, "failed": failed, "files": files}
     if args.out is not None:
         args.out.write_text(json.dumps(payload, indent=2) + "\n")
     if args.format == "json":
         print(json.dumps(payload, indent=2), file=out)
     else:
-        for path, report in reports:
-            for line in report.render(str(path)):
-                print(line, file=out)
-            print(f"{path}: {report.summary()}", file=out)
+        for entry in files:
+            _print_findings(entry["path"], entry, out)
     return 1 if failed else 0
 
 
-def _answer_one(session, query_text, args, out) -> None:
-    stream = session.query(
-        query_text,
-        method=args.method,
-        rewrite=args.rewrite,
-    )
-    if getattr(args, "explain", False):
-        print(stream.explain(), file=out)
-    limit = getattr(args, "first", None)
-    if limit is not None:
-        rows = stream.first(limit)
-        for row in rows:
-            print("(" + ", ".join(str(c) for c in row) + ")", file=out)
-        print(
-            f"-- first {len(rows)} answer(s), stream "
-            f"{'exhausted' if stream.exhausted else 'not exhausted'}",
-            file=out,
-        )
-        return
-    count = 0
-    for row in stream:
-        count += 1
-        print("(" + ", ".join(str(c) for c in row) + ")", file=out)
-    print(f"-- {count} certain answer(s)", file=out)
-
-
 def _cmd_answer(args, out) -> int:
-    session = _load_session(args)
-    stream = session.query(
-        args.query, method=args.method, rewrite=args.rewrite
-    )
-    if args.explain:
-        print(stream.explain(), file=out)
     # Canonical rendering (unlike `query`, which prints in stream
     # order): the full set, sorted — the historical `answer` contract.
-    rows = stream.to_sorted()
-    for row in rows:
-        print("(" + ", ".join(str(c) for c in row) + ")", file=out)
-    print(f"-- {len(rows)} certain answer(s)", file=out)
+    _answer_one(_load_session(args), args.query, args, out, ordered=True)
     return 0
 
 
-def _cmd_query(args, out, stdin) -> int:
+def _cmd_query(args, out) -> int:
     """Compile once, answer many — the session as a subcommand."""
     session = _load_session(args)
     compiled = session.programs[0]
     if args.query:
-        for index, query_text in enumerate(args.query):
-            if index:
-                print("", file=out)
-            print(f"?- {query_text.strip()}", file=out)
+        for query_text in _each_query(args.query, out):
             _answer_one(session, query_text, args, out)
         return 0
     # Interactive: one query per line until EOF / "quit".
-    stdin = stdin if stdin is not None else sys.stdin
-    interactive = getattr(stdin, "isatty", lambda: False)()
+    interactive = getattr(args.stdin, "isatty", lambda: False)()
     print(
         f"loaded {compiled.name}: {compiled.rules} rule(s), "
         f"{len(session.edb)} fact(s), class "
@@ -615,7 +670,7 @@ def _cmd_query(args, out, stdin) -> int:
         if interactive:
             print("?- ", file=out, end="", flush=True)
         try:
-            line = stdin.readline()
+            line = args.stdin.readline()
         except KeyboardInterrupt:
             # ^C at the prompt ends the session like EOF — cleanly,
             # with exit 0, not a traceback (nor the batch-mode 130).
@@ -641,10 +696,12 @@ def _cmd_query(args, out, stdin) -> int:
 
 
 def _cmd_chase(args, out) -> int:
-    program, database = _load(args.file)
+    program, database = parse_program(
+        _read(args.file, args.stdin), name=args.file.stem
+    )
     result = chase(
         database, program, variant="restricted", max_atoms=args.max_atoms,
-        store=_resolve_store(args),
+        store=args.resolved_store,
     )
     for atom in sorted(result.instance, key=str):
         print(atom, file=out)
@@ -685,10 +742,8 @@ def _cmd_rewrite(args, out) -> int:
     return 0 if rewriting.complete else 3
 
 
-def _cmd_update(args, out, stdin) -> int:
+def _cmd_update(args, out) -> int:
     """EDB deltas through ``Session.apply``: maintain, don't recompute."""
-    from .incremental import ChangeSet
-
     session = _load_session(args)
     for query_text in args.query:
         # Materialize once: the cached fixpoint is what maintenance
@@ -699,45 +754,13 @@ def _cmd_update(args, out, stdin) -> int:
         session.query(
             query_text, method=args.method, rewrite=args.rewrite
         ).to_set()
-    if args.changes == "-":
-        stdin = stdin if stdin is not None else sys.stdin
-        text = stdin.read()
-    else:
-        try:
-            text = Path(args.changes).read_text()
-        except OSError as error:
-            raise SystemExit(f"repro: cannot read {args.changes}: {error}")
+    def apply(changes, batch) -> None:
+        print(session.apply(changes).describe(), file=out)
 
-    batches: list[list[str]] = [[]]
-    for line in text.splitlines():
-        if line.strip() == "--":
-            batches.append([])
-        else:
-            batches[-1].append(line)
-    failed = False
-    for index, lines in enumerate(batches):
-        try:
-            changes = ChangeSet.parse("\n".join(lines))
-        except ValueError as error:
-            # Batches are sequential: applying batch N+1 after batch N
-            # failed would produce a state no corrected input reaches.
-            print(
-                f"error in batch {index + 1}: {error}; stopping before "
-                f"it (applied {index} batch(es))",
-                file=out,
-            )
-            failed = True
-            break
-        if not changes and len(batches) > 1:
-            continue
-        report = session.apply(changes)
-        if len(batches) > 1:
-            print(f"batch {index + 1}:", file=out)
-        print(report.describe(), file=out)
-    for query_text in args.query:
-        print(f"?- {query_text.strip()}", file=out)
+    code = _apply_batches(_read(args.changes, args.stdin), apply, out)
+    for query_text in _each_query(args.query, out):
         _answer_one(session, query_text, args, out)
-    return 3 if failed else 0
+    return code
 
 
 def _cmd_serve(args, out) -> int:
@@ -746,14 +769,12 @@ def _cmd_serve(args, out) -> int:
 
     from .server import ReasoningServer, ReasoningService
 
-    try:
-        service = ReasoningService(
-            Path(args.file),
-            store=_resolve_store(args),
-            state_dir=args.state_dir,
-        )
-    except OSError as error:
-        raise SystemExit(f"repro: cannot read {args.file}: {error}")
+    service = ReasoningService(
+        _read(args.file, args.stdin),
+        name=args.file.stem,
+        store=args.resolved_store,
+        state_dir=args.state_dir,
+    )
     server = ReasoningServer(
         service,
         host=args.host,
@@ -802,100 +823,6 @@ def _cmd_serve(args, out) -> int:
     return 0
 
 
-def _cmd_client(args, out, stdin) -> int:
-    """One client operation against a running server."""
-    import json
-
-    from .server import ReasoningClient
-
-    try:
-        client = ReasoningClient(args.host, args.port)
-    except OSError as error:
-        print(
-            f"repro: error: cannot connect to {args.host}:{args.port}: "
-            f"{error}",
-            file=sys.stderr,
-        )
-        return 2
-    with client:
-        command = args.client_command
-        if command == "ping":
-            print(f"ok (version {client.ping()})", file=out)
-        elif command == "query":
-            for index, query_text in enumerate(args.query):
-                if index:
-                    print("", file=out)
-                print(f"?- {query_text.strip()}", file=out)
-                result = client.query(
-                    query_text,
-                    method=args.method,
-                    rewrite=args.rewrite,
-                    first=args.first,
-                )
-                for row in result.answers:
-                    print("(" + ", ".join(row) + ")", file=out)
-                print(
-                    f"-- {len(result)} answer(s) @ version "
-                    f"{result.version}, {result.wall_ms:.2f}ms engine"
-                    + (" (truncated)" if result.truncated else ""),
-                    file=out,
-                )
-        elif command == "update":
-            if args.changes == "-":
-                stdin = stdin if stdin is not None else sys.stdin
-                text = stdin.read()
-            else:
-                try:
-                    text = Path(args.changes).read_text()
-                except OSError as error:
-                    raise SystemExit(
-                        f"repro: cannot read {args.changes}: {error}"
-                    )
-            payload = client.update(text)
-            print(
-                f"version {payload['version']}: +{payload['added']} "
-                f"-{payload['dropped']} fact(s), "
-                f"{payload['migrated']} cache(s) migrated, "
-                f"{len(payload['fallbacks'])} fallback(s)",
-                file=out,
-            )
-            for label, reason in payload["fallbacks"]:
-                print(f"  fallback: {label}: {reason}", file=out)
-        elif command == "lint":
-            try:
-                text = args.file.read_text()
-            except OSError as error:
-                raise SystemExit(
-                    f"repro: cannot read {args.file}: {error}"
-                )
-            payload = client.lint(
-                text,
-                select=_split_codes(args.select),
-                ignore=_split_codes(args.ignore),
-            )
-            for finding in payload["diagnostics"]:
-                location = (
-                    f"{finding['line']}:{finding['column']}"
-                    if "line" in finding
-                    else "-"
-                )
-                print(
-                    f"{args.file}:{location} {finding['code']} "
-                    f"{finding['name']}: {finding['message']}",
-                    file=out,
-                )
-            print(f"{args.file}: {payload['summary']}", file=out)
-            if payload["errors"] or (args.strict and payload["warnings"]):
-                return 1
-        elif command == "stats":
-            print(json.dumps(client.stats(), indent=2, default=str), file=out)
-        else:  # shutdown
-            stopping = client.shutdown()
-            print("server stopping" if stopping else "server did not stop",
-                  file=out)
-    return 0
-
-
 def _cmd_stats(args, out) -> int:
     from .benchsuite import classify_corpus, default_corpus
 
@@ -913,23 +840,90 @@ def _cmd_stats(args, out) -> int:
     return 0
 
 
-def _dispatch(args, out, stdin) -> int:
-    if args.command == "query":
-        return _cmd_query(args, out, stdin)
-    if args.command == "update":
-        return _cmd_update(args, out, stdin)
-    if args.command == "client":
-        return _cmd_client(args, out, stdin)
-    handlers = {
-        "classify": _cmd_classify,
-        "lint": _cmd_lint,
-        "answer": _cmd_answer,
-        "chase": _cmd_chase,
-        "stats": _cmd_stats,
-        "rewrite": _cmd_rewrite,
-        "serve": _cmd_serve,
-    }
-    return handlers[args.command](args, out)
+def _over_the_wire(operation):
+    """The handler of a ``client`` row: connect to ``--host``/``--port``,
+    run ``operation(client, args, out)``, close."""
+
+    def handler(args, out) -> int:
+        from .server import ReasoningClient
+
+        try:
+            client = ReasoningClient(args.host, args.port)
+        except OSError as error:
+            raise ConnectionError(
+                f"cannot connect to {args.host}:{args.port}: {error}"
+            ) from error
+        with client:
+            return operation(client, args, out)
+
+    return handler
+
+
+@_over_the_wire
+def _client_query(client, args, out) -> int:
+    for query_text in _each_query(args.query, out):
+        result = client.query(
+            query_text,
+            method=args.method,
+            rewrite=args.rewrite,
+            first=args.first,
+        )
+        _print_rows(result.answers, out)
+        print(
+            f"-- {len(result)} answer(s) @ version "
+            f"{result.version}, {result.wall_ms:.2f}ms engine"
+            + (" (truncated)" if result.truncated else ""),
+            file=out,
+        )
+    return 0
+
+
+@_over_the_wire
+def _client_update(client, args, out) -> int:
+    def send(changes, batch) -> None:
+        payload = client.update(batch)
+        print(
+            f"version {payload['version']}: +{payload['added']} "
+            f"-{payload['dropped']} fact(s), "
+            f"{payload['migrated']} cache(s) migrated, "
+            f"{len(payload['fallbacks'])} fallback(s)",
+            file=out,
+        )
+        for label, reason in payload["fallbacks"]:
+            print(f"  fallback: {label}: {reason}", file=out)
+
+    return _apply_batches(_read(args.changes, args.stdin), send, out)
+
+
+@_over_the_wire
+def _client_lint(client, args, out) -> int:
+    payload = client.lint(
+        _read(args.file, args.stdin),
+        select=args.select,
+        ignore=args.ignore,
+    )
+    _print_findings(args.file, payload, out)
+    failed = payload["errors"] or (args.strict and payload["warnings"])
+    return 1 if failed else 0
+
+
+@_over_the_wire
+def _client_stats(client, args, out) -> int:
+    print(json.dumps(client.stats(), indent=2, default=str), file=out)
+    return 0
+
+
+@_over_the_wire
+def _client_ping(client, args, out) -> int:
+    print(f"ok (version {client.ping()})", file=out)
+    return 0
+
+
+@_over_the_wire
+def _client_shutdown(client, args, out) -> int:
+    stopping = client.shutdown()
+    print("server stopping" if stopping else "server did not stop", file=out)
+    return 0
 
 
 def main(
@@ -937,8 +931,11 @@ def main(
 ) -> int:
     out = out if out is not None else sys.stdout
     args = build_parser().parse_args(argv)
+    args.stdin = stdin if stdin is not None else sys.stdin
     try:
-        return _dispatch(args, out, stdin)
+        if "store" in args:
+            args.resolved_store = _resolve_store(args)
+        return args.handler(args, out)
     except KeyboardInterrupt:
         # ^C mid-command: the conventional 128 + SIGINT, no traceback.
         print("repro: interrupted", file=sys.stderr)
@@ -949,8 +946,8 @@ def main(
         return 141
     except Exception as error:
         # Engine/parse/server errors are diagnostics, not crashes: one
-        # line on stderr, exit 2.  (SystemExit — argparse errors and
-        # the "cannot read" paths — propagates untouched.)
+        # line on stderr, exit 2.  (SystemExit — argparse's usage errors
+        # and _fail's — propagates untouched.)
         print(f"repro: error: {error}", file=sys.stderr)
         return 2
 

@@ -28,6 +28,15 @@ def run(argv):
     return code, out.getvalue()
 
 
+def assert_usage_error(argv, message, capsys):
+    """A usage error: exit 2 with one ``repro: error:`` line on stderr."""
+    with pytest.raises(SystemExit) as exit_info:
+        run(argv)
+    assert exit_info.value.code == 2
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("repro: error: ") and message in stderr
+
+
 class TestClassify:
     def test_reports_memberships(self, program_file):
         code, output = run(["classify", str(program_file)])
@@ -44,9 +53,11 @@ class TestClassify:
         assert "f_WARD∩PWL(q, Σ) = 8" in output
         assert "f_WARD(q, Σ)     = 4" in output
 
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(SystemExit, match="cannot read"):
-            run(["classify", str(tmp_path / "nope.vada")])
+    def test_missing_file(self, tmp_path, capsys):
+        path = tmp_path / "nope.vada"
+        assert_usage_error(
+            ["classify", str(path)], f"cannot read {path}", capsys
+        )
 
 
 class TestAnswer:
@@ -286,6 +297,101 @@ class TestPlanOptions:
         assert "unrecognized arguments: --exec" in capsys.readouterr().err
 
 
+METHODS = "in auto|datalog|pwl|ward|chase"
+REWRITES = "in auto|magic|none"
+STORE = ["--memory-budget=None", "--spill-dir=None", "--store='instance'"]
+
+#: Every command path's options as ``name=default [in choices]
+#: [required]``, recorded from the parser before it was table-driven.
+CLI_SURFACE = {
+    "": ["command=None in classify|lint|answer|query|chase|stats|update|"
+         "rewrite|serve|client required"],
+    "answer": ["--explain=False", f"--method='auto' {METHODS}",
+               "--query=None required", f"--rewrite='auto' {REWRITES}",
+               "file=None required", *STORE],
+    "chase": ["--max-atoms=10000", "--memory-report=False",
+              "file=None required", *STORE],
+    "classify": ["--query=None", "file=None required", *STORE],
+    "client": ["--host='127.0.0.1'", "--port=7777",
+               "client_command=None in query|update|lint|stats|ping|"
+               "shutdown required"],
+    "client lint": ["--ignore=None", "--select=None", "--strict=False",
+                    "file=None required"],
+    "client ping": [],
+    "client query": ["--first=None", f"--method='auto' {METHODS}",
+                     f"--rewrite='auto' {REWRITES}", "query=None required"],
+    "client shutdown": [],
+    "client stats": [],
+    "client update": ["--changes='-'"],
+    "lint": ["--format='text' in text|json", "--ignore=None", "--out=None",
+             "--query=None", "--select=None", "--strict=False",
+             "files=None required"],
+    "query": ["--explain=False", "--first=None", f"--method='auto' {METHODS}",
+              "--query=[]", f"--rewrite='auto' {REWRITES}",
+              "file=None required", *STORE],
+    "rewrite": ["--max-states=20000", "--query=None required", "--width=None",
+                "file=None required", *STORE],
+    "serve": ["--drain-timeout=5.0", "--host='127.0.0.1'", "--port-file=None",
+              "--port=7777", "--state-dir=None", "file=None required",
+              *STORE],
+    "stats": ["--scale=2", "--seed=2019", *STORE],
+    "update": ["--changes='-'", f"--method='auto' {METHODS}", "--query=[]",
+               f"--rewrite='none' {REWRITES}", "file=None required", *STORE],
+}
+
+
+def surface(parser, path=""):
+    """``{command path: sorted option entries}`` of *parser*."""
+    rows = {path: []}
+    for action in parser._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        entry = f"{' '.join(action.option_strings) or action.dest}="
+        entry += repr(action.default)
+        if action.choices:
+            entry += " in " + "|".join(action.choices)
+        if action.required:
+            entry += " required"
+        rows[path].append(entry)
+        if isinstance(action, argparse._SubParsersAction):
+            for command, subparser in action.choices.items():
+                rows.update(surface(subparser, f"{path} {command}".strip()))
+    rows[path].sort()
+    return rows
+
+
+class TestSurface:
+    """The command table builds the same parser the per-command code
+    did, without loading the modules only handlers need."""
+
+    def test_every_command_keeps_its_options(self):
+        from repro.cli import build_parser
+
+        expected = {path: sorted(entries)
+                    for path, entries in CLI_SURFACE.items()}
+        assert surface(build_parser()) == expected
+
+    def test_building_the_parser_loads_no_handler_module(self):
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        lazy = ("repro.server", "repro.benchsuite", "repro.expressiveness",
+                "repro.workloads")
+        script = (
+            "import sys, repro.cli; repro.cli.build_parser(); "
+            f"print([m for m in sys.modules if m.startswith({lazy!r})])"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            env={"PYTHONPATH": str(Path(repro.__file__).parents[1])},
+            capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert result.stdout.strip() == "[]"
+
+
 class TestParserErrors:
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
@@ -317,6 +423,11 @@ class TestParserErrors:
              "--max-states", "-1"],
             ["chase", "FILE", "--max-atoms", "-5"],
             ["stats", "--scale", "-1"],
+            # nan made the drain return at once ("drain timed out"), inf
+            # could hang shutdown forever.
+            ["serve", "FILE", "--drain-timeout", "nan"],
+            ["serve", "FILE", "--drain-timeout", "inf"],
+            ["serve", "FILE", "--drain-timeout", "-1"],
         ],
     )
     def test_out_of_range_numbers_are_usage_errors(self, program_file, argv,
@@ -452,9 +563,11 @@ class TestUpdate:
         # batch 1 applied, batch 3 did not revert it
         assert "(c, d)" in output
 
-    def test_missing_changes_file(self, program_file):
-        with pytest.raises(SystemExit, match="cannot read"):
-            run(["update", str(program_file), "--changes", "missing.delta"])
+    def test_missing_changes_file(self, program_file, capsys):
+        assert_usage_error(
+            ["update", str(program_file), "--changes", "missing.delta"],
+            "cannot read missing.delta", capsys,
+        )
 
 
 class TestExitCodes:
@@ -547,6 +660,40 @@ class TestServeAndClient:
         assert code == 0
         assert "(d)" in output
 
+    def test_client_update_applies_batches_in_order(self, running_server,
+                                                     tmp_path):
+        # The batch file `repro update` accepts, over the wire.
+        host, port = running_server
+        delta = tmp_path / "two.delta"
+        delta.write_text("+e(c,d).\n--\n# second\n+e(d,f).\n")
+        code, output = run(
+            ["client", "--host", host, "--port", str(port),
+             "update", "--changes", str(delta)]
+        )
+        assert code == 0
+        assert output.splitlines() == [
+            "batch 1:",
+            "version 1: +1 -0 fact(s), 0 cache(s) migrated, 0 fallback(s)",
+            "batch 2:",
+            "version 2: +1 -0 fact(s), 0 cache(s) migrated, 0 fallback(s)",
+        ]
+
+    def test_client_update_stops_at_a_failing_batch(self, running_server):
+        host, port = running_server
+        out = io.StringIO()
+        code = main(
+            ["client", "--host", host, "--port", str(port), "update"],
+            out=out,
+            stdin=io.StringIO("+e(c,d).\n--\n+bad(X.\n--\n-e(c,d).\n"),
+        )
+        assert code == 3
+        assert "error in batch 2" in out.getvalue()
+        assert "batch 3:" not in out.getvalue()
+        code, output = run(
+            ["client", "--host", host, "--port", str(port), "ping"]
+        )
+        assert "ok (version 1)" in output  # batch 1 applied, 3 did not
+
     def test_client_stats_and_ping(self, running_server):
         host, port = running_server
         code, output = run(
@@ -632,22 +779,30 @@ class TestShardedStoreFlags:
         assert code == 0
         assert "saturated" in output
 
-    def test_budget_requires_sharded(self, program_file):
-        with pytest.raises(SystemExit, match="require --store sharded"):
-            run(
-                ["answer", str(program_file),
-                 "--query", "q(X,Y) :- t(X,Y).",
-                 "--store", "columnar",
-                 "--memory-budget", "64k"]
-            )
+    def test_budget_requires_sharded(self, program_file, capsys):
+        assert_usage_error(
+            ["answer", str(program_file),
+             "--query", "q(X,Y) :- t(X,Y).",
+             "--store", "columnar",
+             "--memory-budget", "64k"],
+            "require --store sharded", capsys,
+        )
 
-    def test_spill_dir_requires_sharded(self, program_file, tmp_path):
-        with pytest.raises(SystemExit, match="require --store sharded"):
-            run(
-                ["answer", str(program_file),
-                 "--query", "q(X,Y) :- t(X,Y).",
-                 "--spill-dir", str(tmp_path)]
-            )
+    def test_spill_dir_requires_sharded(self, program_file, tmp_path,
+                                        capsys):
+        assert_usage_error(
+            ["answer", str(program_file),
+             "--query", "q(X,Y) :- t(X,Y).",
+             "--spill-dir", str(tmp_path)],
+            "require --store sharded", capsys,
+        )
+
+    def test_stats_checks_the_store_flags_too(self, capsys):
+        # `stats` takes the store options but used to skip their check.
+        assert_usage_error(
+            ["stats", "--scale", "1", "--memory-budget", "8m"],
+            "require --store sharded", capsys,
+        )
 
     def test_byte_size_suffixes(self):
         from repro.cli import _byte_size
@@ -795,9 +950,9 @@ class TestLint:
         assert code == 1
         assert "E001" in output and "syntax-error" in output
 
-    def test_missing_file_exits_via_systemexit(self, tmp_path):
-        with pytest.raises(SystemExit, match="cannot read"):
-            run(["lint", str(tmp_path / "nope.vada")])
+    def test_missing_file_exits_via_systemexit(self, tmp_path, capsys):
+        path = tmp_path / "nope.vada"
+        assert_usage_error(["lint", str(path)], f"cannot read {path}", capsys)
 
     def test_help_lists_registered_codes(self, capsys):
         from repro.lint import registered_codes
