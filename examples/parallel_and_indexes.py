@@ -16,6 +16,7 @@ Run:  python examples/parallel_and_indexes.py
 """
 
 import random
+from itertools import chain
 
 from repro import parse_program, parse_query
 from repro.api import certain_answers
@@ -47,9 +48,9 @@ def main() -> None:
 
     print("== 1. parallel per-tuple decisions ==")
     sequential = certain_answers(query, database, program, method="pwl")
-    per_tuple = set(stream_proof_tree_answers(
+    per_tuple = set(chain.from_iterable(stream_proof_tree_answers(
         query, database, program, method="pwl", probe_atoms=0
-    ))
+    )))
     print(f"sequential answers: {len(sequential)}")
     print(f"per-tuple answers:  {len(per_tuple)} "
           f"(equal: {per_tuple == sequential})")

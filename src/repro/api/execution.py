@@ -5,11 +5,11 @@ Every engine is driven through its streaming core
 (:func:`~repro.datalog.seminaive.stream_datalog_answers`,
 :func:`~repro.chase.runner.stream_chase_answers`,
 :func:`~repro.reasoning.answers.stream_proof_tree_answers`), so answers
-surface as they are derived.  When a
-:class:`~repro.api.cache.FixpointCache` is attached, saturated
-materializations and star abstractions are reused across queries
-instead of recomputed.  :func:`certain_answers` is plan + execute +
-drain for callers that have one question and no session.
+surface as they are derived, a block per round or event (a cached
+read is one block).  When a :class:`~repro.api.cache.FixpointCache` is
+attached, saturated materializations and star abstractions are reused
+across queries instead of recomputed.  :func:`certain_answers` is plan
++ execute + drain for callers that have one question and no session.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from functools import partial
 from ..chase.runner import ChaseRun, stream_chase_answers
 from ..core.instance import Database
 from ..datalog.seminaive import stream_datalog_answers
-from ..kernels import query_answers
+from ..kernels import ordered_answers
 from ..reasoning.answers import (
     UnsupportedProgramError,
     stream_proof_tree_answers,
@@ -80,7 +80,7 @@ def execute_plan(
     kwargs = dict(plan.engine_kwargs)
 
     def cached_answers(run_query, unrewritten=False):
-        """``run_query`` over the cached fixpoint; None on a miss."""
+        """``run_query`` over the cached fixpoint, one block; None on a miss."""
         fixpoint = (
             cache.get_fixpoint(plan, unrewritten) if cache is not None else None
         )
@@ -88,11 +88,9 @@ def execute_plan(
             return None
         stats.from_cache = True
         stats.saturated = True
-        answers = (
-            query_answers(run_query, fixpoint) if fixpoint.kernel_capable
-            else run_query.evaluate(fixpoint)
-        )
-        return sorted(answers, key=str)
+        if fixpoint.kernel_capable:
+            return [ordered_answers(run_query, fixpoint)]
+        return [sorted(run_query.evaluate(fixpoint), key=str)]
 
     on_fixpoint = (
         partial(cache.set_fixpoint, plan) if cache is not None else None
@@ -123,8 +121,7 @@ def execute_plan(
                 answers = cached_answers(run_query)
             if answers is not None:
                 stats.exec_mode = ""  # no engine ran at all
-                yield from answers
-                return
+                return answers
             facts = database
             if rewriting is not None:
                 # A real list, not itertools.chain: seminaive_rounds
@@ -133,7 +130,7 @@ def execute_plan(
                 # view must be re-iterable.  The copy is atom refs only.
                 facts = list(database)
                 facts.extend(rewriting.seed)
-            yield from stream_datalog_answers(
+            return stream_datalog_answers(
                 run_query,
                 facts,
                 run_program,
@@ -142,7 +139,6 @@ def execute_plan(
                 stats=stats,
                 **kwargs,  # wire options are gone; an unknown one raises
             )
-            stats.saturated = True
 
     elif plan.method == "chase":
 
@@ -185,7 +181,7 @@ def execute_plan(
                 tree_kwargs["probe"] = cache.probe_for(
                     plan.program, probe_depth, probe_atoms
                 )
-            yield from stream_proof_tree_answers(
+            return stream_proof_tree_answers(
                 query,
                 database,
                 program,

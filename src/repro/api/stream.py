@@ -1,11 +1,12 @@
 """Pull-based answer streams.
 
 An :class:`AnswerStream` is the result type of the session layer: a
-lazy, replayable iterator of certain-answer tuples.  The underlying
-engine generator is driven only as far as the consumer pulls, so the
-first answers surface before the full certain-answer set is
-materialized; consumed tuples are cached, so repeated iteration,
-:meth:`AnswerStream.to_set`, and partial reads all agree.
+lazy, replayable iterator of certain-answer tuples.  The engine
+generator yields blocks (lists of answers) and is driven a block at a
+time, only as far as the consumer pulls, so the first answers surface
+before the full certain-answer set is materialized; consumed answers
+are cached, so repeated iteration, :meth:`AnswerStream.to_set`, and
+partial reads all agree.
 """
 
 from __future__ import annotations
@@ -77,24 +78,24 @@ class StreamStats:
 class AnswerStream:
     """A lazy stream of certain-answer tuples.
 
-    Iteration pulls tuples from the engine generator on demand; the
-    stream never runs the engine further than requested.  Soundness
-    holds at every prefix (every yielded tuple is a certain answer);
-    completeness — the materialized set equalling ``cert(q, D, Σ)`` —
-    holds on normal exhaustion.  An engine that cannot certify
-    completeness (e.g. a strict chase that failed to saturate) raises
-    at the *end* of the stream, after its sound prefix.
+    Iteration pulls *factory*'s blocks on demand (skipping empty ones)
+    and never runs the engine past the block that holds the answer
+    requested.  Soundness holds at every prefix (every yielded tuple is
+    a certain answer); completeness — the materialized set equalling
+    ``cert(q, D, Σ)`` — holds on normal exhaustion.  An engine that
+    cannot certify completeness (e.g. a strict chase that failed to
+    saturate) raises at the *end* of the stream, after every block.
     """
 
     def __init__(
         self,
         plan,
-        factory: Callable[[], Iterable[AnswerTuple]],
+        factory: Callable[[], Iterable[List[AnswerTuple]]],
         stats: Optional[StreamStats] = None,
     ):
         self._plan = plan
         self._factory = factory
-        self._iterator: Optional[Iterator[AnswerTuple]] = None
+        self._iterator: Optional[Iterator[List[AnswerTuple]]] = None
         self._cache: List[AnswerTuple] = []
         self._exhausted = False
         self._error: Optional[BaseException] = None
@@ -130,20 +131,16 @@ class AnswerStream:
         return self._plan.explain()
 
     def __repr__(self) -> str:
-        state = (
-            "complete"
-            if self._exhausted
-            else ("started" if self.started else "pending")
-        )
-        return (
-            f"AnswerStream({self.method}, {len(self._cache)} pulled, {state})"
-        )
+        state = "started" if self.started else "pending"
+        if self._exhausted:
+            state = "complete"
+        return f"AnswerStream({self.method}, {len(self._cache)} pulled, {state})"
 
     # -- pulling -----------------------------------------------------------
 
     def _pull(self, drain: bool = False) -> bool:
-        """Advance the engine by one tuple — with *drain*, by all it has
-        left, in one timed stretch; False when drained.
+        """Advance the engine by one non-empty block — with *drain*, by
+        all it has left, in one timed stretch; False when drained.
 
         The time spent accrues to ``stats.wall_ms``, so a drained
         stream's total equals the engine time the caller actually paid
@@ -155,17 +152,15 @@ class AnswerStream:
             return False
         started = time.perf_counter()
         try:
-            if self._iterator is None:
-                self._iterator = iter(self._factory())
             try:
-                if not drain:
-                    self._cache.append(next(self._iterator))
-                    return True
-                # extend() keeps what it consumed before an error: the
-                # sound prefix stays replayable.
-                self._cache.extend(self._iterator)
-            except StopIteration:
-                pass
+                if self._iterator is None:
+                    self._iterator = iter(self._factory())
+                for block in self._iterator:
+                    # Whole blocks land in the cache: after an error,
+                    # the sound prefix stays replayable.
+                    self._cache.extend(block)
+                    if block and not drain:
+                        return True
             except BaseException as error:
                 self._error = error
                 self._run_release_hooks()

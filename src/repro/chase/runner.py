@@ -241,7 +241,8 @@ def stream_chase_answers(
     on_fixpoint=None,
     **chase_kwargs,
 ):
-    """Yield ``q(chase(D, Σ))`` tuples as the chase derives them.
+    """Yield ``q(chase(D, Σ))`` as the chase derives it: one block (a
+    list in ``str`` order) per event that surfaced an answer.
 
     Sound at every prefix (a truncated chase only under-approximates);
     complete exactly when the chase saturates — inspect *run* after

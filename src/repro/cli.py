@@ -292,14 +292,12 @@ class _Command(NamedTuple):
 def _commands() -> list:
     """The command table, in help order.  Built with each parser, so a
     row holds the handler its module binds at that time."""
+    syntax = ("E001", "syntax-error", "error",
+              "the program does not parse (position of the failure)")
     code_lines = ["diagnostic codes (E error, W warning, I info):"]
-    code_lines.append(
-        "  E001 syntax-error              error    the program does "
-        "not parse (position of the failure)"
-    )
     code_lines.extend(
         f"  {code} {name:26s} {severity:8s} {summary}"
-        for code, name, severity, summary in registered_codes()
+        for code, name, severity, summary in (syntax, *registered_codes())
     )
     return [
         _Command(
@@ -342,7 +340,7 @@ def _commands() -> list:
                     "passes, 2 when a FILE cannot be read."
                 ),
                 epilog="\n".join(code_lines),
-                formatter_class=argparse.RawDescriptionHelpFormatter,
+                formatter_class=_TableEpilogFormatter,
             ),
         ),
         _Command(
@@ -459,6 +457,17 @@ def _commands() -> list:
         _Command("client shutdown", "ask the server to stop",
                  _client_shutdown, ()),
     ]
+
+
+class _TableEpilogFormatter(argparse.RawDescriptionHelpFormatter):
+    """Wraps one-paragraph text (a description) to the terminal; text
+    with line breaks (the lint code table in the epilog) is printed as
+    written, so its columns stay aligned."""
+
+    def _fill_text(self, text, width, indent):
+        if "\n" in text:
+            return super()._fill_text(text, width, indent)
+        return argparse.HelpFormatter._fill_text(self, text, width, indent)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -32,10 +32,10 @@ def stream_new_answers(query: "ConjunctiveQuery", events, delta_of):
     seed event is evaluated in full; every later event is
     delta-evaluated on its query-relevant atoms only
     (:meth:`ConjunctiveQuery.evaluate_delta`), and each answer is
-    yielded exactly once, in sorted order within its event.  This is
-    the one answer-surfacing protocol shared by the chase and semi-naive
-    streams; on a kernel-capable store the semi-naive stream keeps it
-    in id space instead (:func:`repro.kernels.stream_query_answers`),
+    yielded once, in the event's block: a list in ``str`` order.  This
+    is the one answer-surfacing protocol shared by the chase and
+    semi-naive streams; on a kernel-capable store the semi-naive stream
+    keeps it in id space (:func:`repro.kernels.stream_query_answers`),
     so no round's staged rows are decoded to feed it.
     """
     seen: set[tuple[Constant, ...]] = set()
@@ -50,9 +50,10 @@ def stream_new_answers(query: "ConjunctiveQuery", events, delta_of):
             if not relevant:
                 continue
             fresh = query.evaluate_delta(event.instance, relevant)
-        for answer in sorted(fresh - seen, key=str):
-            seen.add(answer)
-            yield answer
+        fresh -= seen
+        if fresh:
+            seen |= fresh
+            yield sorted(fresh, key=str)
 
 
 def _search(compiled, depth, store, row, answers, candidates=None) -> None:

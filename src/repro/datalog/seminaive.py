@@ -261,34 +261,27 @@ def seminaive(
     round structure and how ``store`` selects the evaluation body.
     """
     instance: Optional[FactStore] = None
-    rounds = 0
-    derived = 0
-    considered = 0
-    batches = 0
-    resolved_exec = "interpret"
-    per_round_considered: List[int] = []
-    per_round_derived: List[int] = []
+    exec_mode = "interpret"
+    rounds = batches = 0
+    considered: List[int] = []
+    derived: List[int] = []
     for event in seminaive_rounds(database, program, max_rounds, store=store):
-        instance = event.instance
-        resolved_exec = event.exec_mode
-        if event.index == 0:
-            continue
-        rounds = event.index
-        derived += event.derived
-        considered += event.considered
-        batches += event.batches
-        per_round_considered.append(event.considered)
-        per_round_derived.append(event.derived)
+        instance, exec_mode = event.instance, event.exec_mode
+        if event.index:
+            rounds = event.index
+            batches += event.batches
+            considered.append(event.considered)
+            derived.append(event.derived)
         del event  # the round's atoms go before the next round runs
     assert instance is not None
     return SemiNaiveResult(
         instance=instance,
         rounds=rounds,
-        derived=derived,
-        considered=considered,
-        per_round_considered=tuple(per_round_considered),
-        per_round_derived=tuple(per_round_derived),
-        exec_mode=resolved_exec,
+        derived=sum(derived),
+        considered=sum(considered),
+        per_round_considered=tuple(considered),
+        per_round_derived=tuple(derived),
+        exec_mode=exec_mode,
         batches=batches,
     )
 
@@ -301,48 +294,47 @@ def stream_datalog_answers(
     store: StoreChoice = "instance",
     on_fixpoint=None,
     stats=None,
-) -> Iterable[tuple[Constant, ...]]:
-    """Yield ``cert(q, D, Σ)`` tuples as the fixpoint rounds land.
+) -> Iterable[List[tuple[Constant, ...]]]:
+    """Yield ``cert(q, D, Σ)`` in blocks as the fixpoint rounds land.
 
     Answers are produced incrementally: after each semi-naive round that
     staged an atom of a query predicate, the delta-restricted evaluation
     (:meth:`~repro.core.query.ConjunctiveQuery.evaluate_delta`) emits the
-    answers whose earliest witness that round completed — on a
-    kernel-capable store, read off the round's id rows by the query's
-    own pin plans (:func:`~repro.kernels.stream_query_answers`), so no
-    staged fact is decoded; each new answer is, once.  The union over
-    all rounds equals the eager :func:`datalog_answers` set.
+    answers whose earliest witness that round completed, as one list in
+    ``str`` order — on a kernel-capable store, read off the round's id
+    rows by the query's own pin plans
+    (:func:`~repro.kernels.stream_query_answers`), so no staged fact is
+    decoded; each new answer is, once.  The union of the blocks equals
+    the eager :func:`datalog_answers` set.
     ``on_fixpoint``, if given, receives the final :class:`FactStore`
     (callers use it to cache the materialization).  ``stats``, if given,
     receives running ``rounds``, ``derived``, ``exec_mode`` and
-    ``kernel_batches`` attributes.
+    ``kernel_batches`` attributes, and ``saturated`` at the fixpoint.
     """
-    last_instance: List[Optional[FactStore]] = [None]
+    fixpoint: Optional[FactStore] = None
 
     def tap(events):
-        derived = 0
-        batches = 0
+        nonlocal fixpoint
+        derived = batches = 0
         for event in events:
-            last_instance[0] = event.instance
+            fixpoint = event.instance
             if event.index > 0:
                 derived += event.derived
                 batches += event.batches
             if stats is not None:
-                stats.rounds = event.index
-                stats.derived = derived
-                stats.exec_mode = event.exec_mode
-                stats.kernel_batches = batches
+                stats.rounds, stats.derived = event.index, derived
+                stats.exec_mode, stats.kernel_batches = event.exec_mode, batches
             yield event
 
     events = tap(seminaive_rounds(database, program, store=store))
     if kernel_capable(store):
         yield from stream_query_answers(query, events)
     else:
-        yield from stream_new_answers(
-            query, events, lambda event: event.staged
-        )
-    if on_fixpoint is not None and last_instance[0] is not None:
-        on_fixpoint(last_instance[0])
+        yield from stream_new_answers(query, events, lambda e: e.staged)
+    if stats is not None:
+        stats.saturated = True
+    if on_fixpoint is not None and fixpoint is not None:
+        on_fixpoint(fixpoint)
 
 
 def datalog_answers(
@@ -356,4 +348,6 @@ def datalog_answers(
 
     Thin eager wrapper over :func:`stream_datalog_answers`.
     """
-    return set(stream_datalog_answers(query, database, program, store=store))
+    return set().union(
+        *stream_datalog_answers(query, database, program, store=store)
+    )

@@ -29,7 +29,7 @@ from .compiler import (
     compile_kernels,
     compile_rule,
 )
-from .query import query_answers, stream_query_answers
+from .query import ordered_answers, query_answers, stream_query_answers
 from .runtime import KernelEvaluator, RowRange, decode_ranges
 
 __all__ = [
@@ -43,6 +43,7 @@ __all__ = [
     "RowRange",
     "decode_ranges",
     "kernel_capable",
+    "ordered_answers",
     "query_answers",
     "stream_query_answers",
 ]

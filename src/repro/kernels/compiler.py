@@ -26,12 +26,19 @@ Join order inside one pin plan is the tuple compiler's
 most bound positions first), so the two compilers always join in one
 order; the old/full discipline is attached per *body position*, so
 reordering never changes the counted set.
+
+A pin with no join step and no negated literal to test needs no binding
+at all: its plan carries ``project``, the head laid out over the pinned
+row's positions, and the runtime maps each stored row that passes the
+pin's constant and repeat checks straight to its head row — the row
+itself when the head lists the body's variables in order (``t(X,Y) :-
+e(X,Y)``: the head relation shares ``e``'s row tuples).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from ..core.match import selective_order
 from ..core.program import Program
@@ -51,6 +58,8 @@ __all__ = [
 #: its interned id at run time).
 SLOT = "s"
 CONST = "c"
+#: A projection source: a 0-based position of the pinned row.
+ROW = "r"
 
 
 @dataclass(frozen=True)
@@ -87,7 +96,10 @@ class PinPlan:
 
     The pinned atom is filtered/projected straight off the delta rows
     (``consts``/``repeats`` checks, ``binds`` projections), then
-    ``steps`` extend the binding frontier one batch at a time.
+    ``steps`` extend the binding frontier one batch at a time.  A pin
+    with no step in a rule with no negated literal has ``project`` —
+    per head position ``(ROW, position)`` or ``(CONST, term)`` — and
+    its filtered rows map straight to head rows, bound to no slot.
     """
 
     pin_index: int
@@ -97,6 +109,14 @@ class PinPlan:
     repeats: Tuple[Tuple[int, int], ...]
     binds: Tuple[Tuple[int, int], ...]
     steps: Tuple[JoinStep, ...]
+    project: Optional[Tuple[Tuple[str, object], ...]] = None
+
+    @property
+    def keeps_rows(self) -> bool:
+        """True iff ``project`` is the pinned row itself, in order."""
+        return self.project == tuple(
+            (ROW, position) for position in range(self.arity)
+        )
 
 
 @dataclass(frozen=True)
@@ -216,6 +236,13 @@ def _compile_pin(rule: TGD, pin_index: int, slots: dict) -> PinPlan:
             )
         )
         bound.update(slot for _, slot in a_binds)
+    project = None
+    if not steps and not rule.negated:
+        project = tuple(
+            (ROW, pinned.args.index(term)) if isinstance(term, Variable)
+            else (CONST, term)
+            for term in rule.head[0].args
+        )
     return PinPlan(
         pin_index=pin_index,
         predicate=pinned.predicate,
@@ -224,6 +251,7 @@ def _compile_pin(rule: TGD, pin_index: int, slots: dict) -> PinPlan:
         repeats=repeats,
         binds=binds,
         steps=tuple(steps),
+        project=project,
     )
 
 

@@ -6,9 +6,10 @@ like any rule, its pin plans run over the store's own id rows through
 :meth:`~repro.kernels.runtime.KernelEvaluator.answer_rows` — over one
 round's row ranges for the streamed delta read, with every row as
 delta for the full read — and the head rows go to an id-space set
-instead of into the store.  Only a new answer row is decoded, once,
-through the store's term table, into a ``Constant`` tuple; a row
-carrying a labelled null is no answer, as in
+instead of into the store (a single-atom query's are the stored rows,
+projected).  Only a new answer row is decoded, once, through the
+store's term table, into a ``Constant`` tuple, after its block is
+sorted; a row carrying a labelled null is no answer, as in
 :meth:`~repro.core.query.ConjunctiveQuery.evaluate`, which stays the
 reference.  The reader's batch operations are its own: they never
 reach a round's ``kernel_batches``.
@@ -16,7 +17,7 @@ reach a round's ``kernel_batches``.
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Iterable, Iterator, List, Set
 
 from ..core.atoms import Atom
@@ -27,7 +28,7 @@ from ..core.tgd import TGD
 from ..storage.relation import Row
 from .runtime import KernelEvaluator
 
-__all__ = ["query_answers", "stream_query_answers"]
+__all__ = ["ordered_answers", "query_answers", "stream_query_answers"]
 
 
 def _reader(query: ConjunctiveQuery, store) -> KernelEvaluator:
@@ -40,13 +41,21 @@ def _reader(query: ConjunctiveQuery, store) -> KernelEvaluator:
 
 def _decoded(table, rows: Iterable[Row]) -> List[tuple]:
     """The constant tuples of *rows* (rows with a null dropped)."""
-    decode = table.decode
-    answers = []
-    for row in rows:
-        answer = decode(row)
-        if all(map(isinstance, answer, repeat(Constant))):
-            answers.append(answer)
-    return answers
+    return [
+        answer for answer in map(table.decode, rows)
+        if all(map(isinstance, answer, repeat(Constant)))
+    ]
+
+
+def _block(table, rows: Set[Row]) -> List[tuple]:
+    """:func:`_decoded` in ``str`` order, sorted as id rows: keyed on ``str``
+    of the decoded tuple less its ``(``, from one ``repr`` per distinct id."""
+    ids = set(chain.from_iterable(rows))
+    spell = dict(zip(ids, map(repr, map(table.term, ids)))).__getitem__
+    close = ",)" if len(next(iter(rows), ())) == 1 else ")"
+    return _decoded(table, sorted(
+        rows, key=lambda row: ", ".join(map(spell, row)) + close
+    ))
 
 
 def query_answers(query: ConjunctiveQuery, store) -> Set[tuple]:
@@ -55,7 +64,12 @@ def query_answers(query: ConjunctiveQuery, store) -> Set[tuple]:
     return set(_decoded(store.table, _reader(query, store).answer_rows()))
 
 
-def stream_query_answers(query: ConjunctiveQuery, events) -> Iterator[tuple]:
+def ordered_answers(query: ConjunctiveQuery, store) -> List[tuple]:
+    """:func:`query_answers` as one block, in ``str`` order."""
+    return _block(store.table, _reader(query, store).answer_rows())
+
+
+def stream_query_answers(query: ConjunctiveQuery, events) -> Iterator[list]:
     """:func:`~repro.core.query.stream_new_answers`' protocol over the
     round events of kernel evaluation, in id space.
 
@@ -63,18 +77,15 @@ def stream_query_answers(query: ConjunctiveQuery, events) -> Iterator[tuple]:
     every later event is delta-read over its ``ranges``, which must
     still be the last rows appended when the event is read — an event
     is read before the next one is pulled.  Each answer is yielded
-    exactly once, in ``str`` order within its event.
+    once, in its event's block: a list in ``str`` order.
     """
     reader = None
     seen: Set[Row] = set()
     for event in events:
         if event.index == 0:
             reader = _reader(query, event.instance)
-            rows = reader.answer_rows()
-        else:
-            rows = reader.answer_rows(event.ranges)
-        fresh = rows - seen
-        if not fresh:
-            continue
+        fresh = reader.answer_rows(event.ranges if event.index else None) - seen
         seen |= fresh
-        yield from sorted(_decoded(reader.table, fresh), key=str)
+        block = _block(reader.table, fresh)
+        if block:
+            yield block

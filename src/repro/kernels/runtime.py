@@ -29,10 +29,13 @@ frontier, then extend the frontier through each join step with one
 hash probe (or membership test) per step, then drop the bindings a
 negated literal blocks with one membership test per binding
 (``kernel_batches`` counts these batch ops — per step or literal,
-however many parts it walks).  The old/full row discipline per step
-reproduces the interpreter's first-pin exact-once match counting — see
-:mod:`repro.kernels.compiler` — so ``considered``, staged facts, and
-round structure agree with the interpreter exactly.
+however many parts it walks).  A pin with nothing to join or test
+(``PinPlan.project``) skips the bindings: its filtered rows project
+straight to head rows, or are the head rows.  The old/full row
+discipline per step reproduces the interpreter's first-pin exact-once
+match counting — see :mod:`repro.kernels.compiler` — so
+``considered``, staged facts, and round structure agree with the
+interpreter exactly.
 
 A round reports what it staged as row ranges, not atoms: per part it
 appended to, the ``[lo, hi)`` its appends occupy (:data:`RowRange`).
@@ -80,9 +83,9 @@ _NO_PARTS: Mapping[int, int] = {}
 Sources = Sequence[Tuple[bool, int]]
 
 
-def _row_of(sources: Sources) -> Callable[[List[int]], Row]:
-    """binding → the id tuple laid out by *sources*; all-slot layouts
-    project through one C-level call."""
+def _row_of(sources: Sources) -> Callable[[Sequence[int]], Row]:
+    """binding (or row) → the id tuple laid out by *sources*; all-slot
+    layouts project through one C-level call."""
     if all(not is_const for is_const, _ in sources):
         slots = [payload for _, payload in sources]
         if not slots:
@@ -153,11 +156,9 @@ class KernelEvaluator:
         #: an unresolved constant is retried — a head fire may intern it
         #: between rounds).
         self._const_ids: Dict[Term, int] = {}
-        #: kernel → its head-row projection; head constants resolve on
-        #: the rule's first fire — resolving earlier would intern
-        #: constants of rules that never fire, which the interpreter
-        #: never does.
-        self._head_rows: Dict[RuleKernel, Callable] = {}
+        #: kernel or projecting pin → its head-row projection
+        #: (:meth:`_head_row`).
+        self._head_rows: Dict[object, Callable] = {}
 
     # -- the round loop ----------------------------------------------------
 
@@ -196,10 +197,10 @@ class KernelEvaluator:
         ends: Dict[Tuple[RelKey, int], int] = {}
         for kernel in self.kernels.kernels:
             head_key = (kernel.head_predicate, kernel.head_arity)
-            for frontier in self._matches(kernel, kernel.pins):
-                considered += len(frontier)
+            for matched, heads in self._matches(kernel, kernel.pins):
+                considered += matched
                 for part_id, start, new in self.store.extend_rows(
-                    *head_key, self._heads(kernel, frontier)
+                    *head_key, heads
                 ):
                     # The first append of the round marks where the
                     # part's start-of-round rows end.
@@ -233,17 +234,26 @@ class KernelEvaluator:
             # With every row delta, pin 0 sees every match: the
             # old-only steps of each later pin see none.
             pins = kernel.pins if ranges is not None else kernel.pins[:1]
-            for frontier in self._matches(kernel, pins):
-                rows.update(self._heads(kernel, frontier))
+            for _, heads in self._matches(kernel, pins):
+                rows.update(heads)
         return rows
 
     def _matches(
         self, kernel: RuleKernel, pins: Iterable[PinPlan]
-    ) -> Iterator[List[List[int]]]:
-        """Per pin of *pins*, the non-empty frontier of its body
-        matches.  Lazy: a caller that appends a pin's heads does so
-        before the next pin runs."""
+    ) -> Iterator[Tuple[int, Iterable[Row]]]:
+        """Per pin of *pins* with a body match: how many matches, and
+        their head rows.  Lazy: a caller that appends a pin's heads
+        does so before the next pin runs.  A projecting pin's rows go
+        straight to head rows; any other pin's go through bindings."""
         for pin in pins:
+            if pin.project is not None:
+                rows = self._pin_rows(pin)
+                if rows:
+                    yield len(rows), (
+                        rows if pin.keeps_rows
+                        else map(self._head_row(pin, pin.project), rows)
+                    )
+                continue
             frontier = self._pin_frontier(kernel, pin)
             for step in pin.steps:
                 if not frontier:
@@ -252,13 +262,14 @@ class KernelEvaluator:
             if frontier and kernel.negated:
                 frontier = self._unblocked(kernel, frontier)
             if frontier:
-                yield frontier
+                yield len(frontier), map(
+                    self._head_row(kernel, kernel.head), frontier
+                )
 
-    def _pin_frontier(
-        self, kernel: RuleKernel, pin: PinPlan
-    ) -> Optional[List[List[int]]]:
-        """Filter/project the pinned atom's delta rows into bindings
-        (None, and no batch counted, when the relation has no delta)."""
+    def _pin_rows(self, pin: PinPlan) -> Optional[List[Row]]:
+        """The pinned atom's delta rows that carry its constants and
+        repeats (None, and no batch counted, when the relation has no
+        delta)."""
         key = (pin.predicate, pin.arity)
         # Only parts the previous round appended to carry delta rows;
         # in round 1 every part does, from row 0.
@@ -274,30 +285,47 @@ class KernelEvaluator:
         # A constant never interned is carried by no stored row: the
         # pin matches nothing this round.
         unmatchable = any(cid is None for _, cid in consts)
-        num_slots = kernel.num_slots
-        frontier: Optional[List[List[int]]] = None
+        repeats = pin.repeats
+        selected: Optional[List[Row]] = None
         for part_id, part in self.store.parts(*key, starts):
             rows = part.rows
             lo = 0 if starts is None else starts[part_id]
             hi = grown.get(part_id, len(rows))
             if lo == hi:
                 continue  # an empty part this round's appends created
-            if frontier is None:
+            if selected is None:
                 self.batches += 1
-                frontier = []
+                selected = []
             if unmatchable:
                 break
-            for row in rows[lo:hi]:
-                if consts and not all(row[p] == cid for p, cid in consts):
-                    continue
-                if pin.repeats and not all(
-                    row[p] == row[q] for p, q in pin.repeats
-                ):
-                    continue
-                binding = [0] * num_slots
-                for position, slot in pin.binds:
-                    binding[slot] = row[position]
-                frontier.append(binding)
+            batch = rows[lo:hi]
+            if consts or repeats:
+                batch = [
+                    row for row in batch
+                    if all(row[p] == cid for p, cid in consts)
+                    and all(row[p] == row[q] for p, q in repeats)
+                ]
+            if selected:
+                selected.extend(batch)
+            else:
+                selected = batch
+        return selected
+
+    def _pin_frontier(
+        self, kernel: RuleKernel, pin: PinPlan
+    ) -> Optional[List[List[int]]]:
+        """The pinned atom's delta rows as bindings (None when the
+        relation has no delta)."""
+        rows = self._pin_rows(pin)
+        if rows is None:
+            return None
+        num_slots = kernel.num_slots
+        frontier: List[List[int]] = []
+        for row in rows:
+            binding = [0] * num_slots
+            for position, slot in pin.binds:
+                binding[slot] = row[position]
+            frontier.append(binding)
         return frontier
 
     def _probe(
@@ -425,14 +453,17 @@ class KernelEvaluator:
             sources.append((kind == CONST, payload))
         return sources
 
-    def _heads(self, kernel: RuleKernel, frontier: List[List[int]]):
-        """The head rows of *frontier* (interning head constants on the
-        rule's first fire)."""
-        row_of = self._head_rows.get(kernel)
+    def _head_row(self, owner, template) -> Callable:
+        """The projection of *owner*'s (a kernel's or a pin's) head
+        *template* onto a binding or a row, built on its first fire:
+        head constants are interned then — earlier would intern
+        constants of rules that never fire, which the interpreter never
+        does."""
+        row_of = self._head_rows.get(owner)
         if row_of is None:
-            row_of = self._head_rows[kernel] = _row_of([
+            row_of = self._head_rows[owner] = _row_of([
                 (True, self.table.intern(payload)) if kind == CONST
                 else (False, payload)
-                for kind, payload in kernel.head
+                for kind, payload in template
             ])
-        return map(row_of, frontier)
+        return row_of

@@ -204,13 +204,15 @@ def stream_proof_tree_answers(
     stats=None,
     **engine_kwargs,
 ):
-    """Yield ``cert(q, D, Σ)`` tuples via the proof-tree engines, lazily.
+    """Yield ``cert(q, D, Σ)`` in blocks via the proof-tree engines,
+    lazily.
 
     The star abstraction bounds the candidate tuples completely and
     doubles as the shared pruning oracle; the bounded chase probe
-    settles the cheap positives, which stream out first, and only the
-    remaining candidates go through a per-tuple decision run, each
-    accepted tuple yielded as soon as its run returns.  When q reads
+    settles the cheap positives, which stream out first as one block in
+    ``str`` order, and only the remaining candidates go through a
+    per-tuple decision run, each accepted tuple yielded as a block of
+    one as soon as its run returns.  When q reads
     only predicates on which the probe holds exactly the abstraction's
     rows (extensional ones, and the exact ones it routes to the
     abstraction), every candidate is settled by that one read and q is
@@ -241,7 +243,8 @@ def stream_proof_tree_answers(
     )
     if stats is not None:
         stats.probe_answers = len(settled)
-    yield from sorted(settled, key=str)
+    if settled:
+        yield sorted(settled, key=str)
     if in_place:
         return
     pending = candidate_tuples(query, abstraction) - settled
@@ -249,7 +252,7 @@ def stream_proof_tree_answers(
         if stats is not None:
             stats.decided_tuples += 1
         if decide(candidate).accepted:
-            yield candidate
+            yield [candidate]
 
 
 def is_certain_answer(

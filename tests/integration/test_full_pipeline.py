@@ -7,6 +7,8 @@ rewriting, and the incremental maintainer — all of which must tell one
 consistent story.
 """
 
+from itertools import chain
+
 from repro.analysis import (
     is_piecewise_linear,
     is_warded,
@@ -80,10 +82,10 @@ class TestReachabilityStory:
             "chase": certain_answers(
                 self.query, self.database, self.program, method="chase"
             ),
-            "per-tuple": set(stream_proof_tree_answers(
+            "per-tuple": set(chain.from_iterable(stream_proof_tree_answers(
                 self.query, self.database, self.program, method="pwl",
                 probe_atoms=0,
-            )),
+            ))),
         }
         for name, answers in results.items():
             assert answers == self.expected, name

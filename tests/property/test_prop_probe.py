@@ -20,6 +20,8 @@ programs, databases and budgets:
   but what is held.
 """
 
+from itertools import chain
+
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -104,10 +106,10 @@ def test_streamed_answers_equal_the_chase(
     assume(is_warded(program))
     result = chase(database, program, max_atoms=TRUTH_ATOMS)
     assume(result.saturated)
-    streamed = list(stream_proof_tree_answers(
+    streamed = list(chain.from_iterable(stream_proof_tree_answers(
         query, database, program, method=proof_tree_method(program),
         probe_depth=depth, probe_atoms=budget,
-    ))
+    )))
     assert len(streamed) == len(set(streamed))
     assert set(streamed) == result.evaluate(query)
 
@@ -157,10 +159,10 @@ def test_settlement_equals_the_copied_seed(program, database, data):
     result = chase(database, program, max_atoms=TRUTH_ATOMS)
     assume(result.saturated)
     stats = StreamStats()
-    streamed = set(stream_proof_tree_answers(
+    streamed = set(chain.from_iterable(stream_proof_tree_answers(
         query, database, program, method=proof_tree_method(program),
         stats=stats,
-    ))
+    )))
     settled, decided = copied_seed_settlement(query, database, program)
     assert (streamed, stats.probe_answers, stats.decided_tuples) == (
         result.evaluate(query), len(settled), decided

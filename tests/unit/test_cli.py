@@ -964,6 +964,25 @@ class TestLint:
         for code, _, _, _ in registered_codes():
             assert code in help_text
 
+    def test_help_wraps_the_description_and_keeps_the_table(
+        self, capsys, monkeypatch
+    ):
+        from repro.lint import registered_codes
+
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit):
+            main(["lint", "--help"])
+        help_text = capsys.readouterr().out
+        head, _, table = help_text.partition("diagnostic codes")
+        assert head.startswith("usage: repro lint")
+        assert "Run every repro.lint pass" in head
+        assert max(map(len, head.splitlines())) <= 80
+        syntax, *rows = table.splitlines()[1:]
+        assert syntax.startswith(f"  E001 {'syntax-error':26s} {'error':8s} ")
+        assert len(rows) == len(registered_codes())
+        for row, (code, name, severity, _) in zip(rows, registered_codes()):
+            assert row.startswith(f"  {code} {name:26s} {severity:8s} ")
+
 
 class TestClientLint:
     @pytest.fixture

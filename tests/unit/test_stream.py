@@ -1,5 +1,6 @@
 """Unit tests for :class:`repro.api.stream.AnswerStream` driven by hand-
-made engines: bulk drains and per-item pulls keep one contract."""
+made engines that yield answer blocks: bulk drains and per-block pulls
+keep one contract.  One-row blocks pin per-pull laziness."""
 
 import dataclasses
 
@@ -14,22 +15,26 @@ def rows(n):
 
 
 class Engine:
-    """A generator factory that counts what it handed out and may fail
-    after *fail_after* rows."""
+    """A generator factory of *block*-row blocks that counts the rows
+    it handed out and may fail after *fail_after* rows (a multiple of
+    *block*)."""
 
-    def __init__(self, n, fail_after=None):
+    def __init__(self, n, fail_after=None, block=1):
         self.n = n
         self.fail_after = fail_after
+        self.block = block
         self.pulled = 0
         self.closed = False
 
     def __call__(self):
         try:
-            for index, row in enumerate(rows(self.n)):
-                if index == self.fail_after:
+            answers = rows(self.n)
+            for start in range(0, self.n, self.block):
+                if start == self.fail_after:
                     raise RuntimeError("engine broke")
-                self.pulled += 1
-                yield row
+                block = answers[start:start + self.block]
+                self.pulled += len(block)
+                yield block
         finally:
             self.closed = True
 
@@ -85,6 +90,52 @@ def test_first_pulls_exactly_what_it_returns():
     assert engine.pulled == 3  # laziness is the contract of __iter__
     assert stream.to_set() == frozenset(rows(5))  # the rest, in bulk
     assert engine.pulled == 5 and released == [True]
+
+
+def test_first_stops_after_the_block_that_holds_answer_k():
+    engine = Engine(9, block=3)
+    stream, released = stream_over(engine)
+    assert stream.first(4) == rows(4)
+    assert engine.pulled == 6 and not released  # blocks 1 and 2, not 3
+    assert stream.first(5) == rows(5)  # already cached: nothing pulled
+    assert engine.pulled == 6
+    iterator = iter(stream)
+    assert [next(iterator) for _ in range(6)] == rows(6)
+    assert engine.pulled == 6
+    assert next(iterator) == rows(7)[6]
+    assert engine.pulled == 9
+
+
+def test_an_error_after_two_blocks_keeps_both_as_the_prefix():
+    engine = Engine(9, fail_after=4, block=2)
+    stream, released = stream_over(engine)
+    assert stream.first(3) == rows(3)
+    with pytest.raises(RuntimeError, match="engine broke"):
+        stream.first(5)
+    assert stream.first(4) == rows(4)
+    replayed = []
+    with pytest.raises(RuntimeError):
+        for row in stream:
+            replayed.append(row)
+    assert replayed == rows(4)
+    assert engine.pulled == 4 and released == [True]
+
+
+def test_an_empty_block_is_skipped():
+    def engine():
+        yield []
+        yield rows(2)[:1]
+        yield []
+        yield []
+        yield rows(2)[1:]
+        yield []
+
+    stream, released = stream_over(engine)
+    assert stream.first(1) == rows(1)
+    assert not stream.exhausted
+    assert list(stream) == rows(2)
+    assert stream.exhausted and released == [True]
+    assert stream.count() == 2
 
 
 def test_first_refuses_a_negative_count():
