@@ -111,9 +111,9 @@ class MemoryReport:
 class FactStore(ABC):
     """Abstract interface of a set of ground atoms with indexed retrieval.
 
-    Backends differ in representation (object sets, interned columns,
-    base-plus-delta overlays, ...) but expose the same operations, so
-    the chase and semi-naive evaluation run unchanged on any of them.
+    Backends differ in representation (object sets, interned id rows)
+    but expose the same operations, so the chase and semi-naive
+    evaluation run unchanged on any of them.
     """
 
     #: Human-readable backend identifier, reported by ``memory_report``.
@@ -145,8 +145,7 @@ class FactStore(ABC):
 
         Freezing is one-way and idempotent.  The snapshot manager of
         the serving layer freezes each EDB version before handing it to
-        concurrent readers, and a ``DeltaOverlay`` freezes the base it
-        is built over.
+        concurrent readers.
         """
         self._frozen = True
         return self
@@ -301,6 +300,7 @@ class FactStore(ABC):
     def memory_report(self, seen: Optional[set[int]] = None) -> MemoryReport:
         """Byte-level accounting of the store's resident structures.
 
-        *seen* lets composite stores (e.g. an overlay) measure several
-        member stores without charging shared objects twice.
+        *seen* lets a caller measure several stores (e.g. the live
+        versions of a served EDB, which share one interning table)
+        without charging shared objects twice.
         """

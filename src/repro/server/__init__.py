@@ -4,8 +4,9 @@ reads and live updates.
 The layering, bottom-up:
 
 * :mod:`~repro.server.snapshot` — MVCC over the EDB: immutable
-  refcounted versions (``DeltaOverlay`` chains over frozen bases),
-  installed atomically, collected when their last reader drains;
+  refcounted versions (each a frozen copy of its predecessor with the
+  batch applied), installed atomically, collected when their last
+  reader drains;
 * :mod:`~repro.server.service` — :class:`ReasoningService`, the
   embeddable core: one thread-safe session for planning/compilation,
   per-version fixpoint caches migrated incrementally across updates;

@@ -76,7 +76,6 @@ class UpdateResult:
     version: int
     added: int
     dropped: int
-    maintained: int
     migrated: int
     fallbacks: Tuple[Tuple[str, str], ...]
     wall_ms: float
@@ -87,7 +86,6 @@ class UpdateResult:
             "version": self.version,
             "added": self.added,
             "dropped": self.dropped,
-            "maintained": self.maintained,
             "migrated": self.migrated,
             "fallbacks": [list(pair) for pair in self.fallbacks],
             "wall_ms": self.wall_ms,
@@ -354,13 +352,12 @@ class ReasoningService:
                     version=self._snapshots.head_version,
                     added=0,
                     dropped=0,
-                    maintained=0,
                     migrated=0,
                     fallbacks=(),
                     wall_ms=wall_ms,
                     effective=False,
                 )
-            version, maintained, fallbacks = self._snapshots.install(
+            version, migrated, fallbacks = self._snapshots.install(
                 inserted, retracted
             )
             # Keep the warm-start checkpoint current: a crash after
@@ -369,14 +366,13 @@ class ReasoningService:
         wall_ms = (time.perf_counter() - started) * 1000.0
         with self._stats_lock:
             self.updates_total += 1
-            self.migrated_total += len(maintained)
+            self.migrated_total += len(migrated)
             self.migration_fallbacks_total += len(fallbacks)
         return UpdateResult(
             version=version.number,
             added=len(inserted),
             dropped=len(retracted),
-            maintained=len(maintained),
-            migrated=len(maintained),
+            migrated=len(migrated),
             fallbacks=tuple(fallbacks),
             wall_ms=wall_ms,
             effective=True,
@@ -389,25 +385,25 @@ class ReasoningService:
         refcounts, cache rates, and resident/spilled bytes.
 
         Per-version figures are measured with ONE shared visited-set,
-        head first: shared structure — an overlay chain's common base,
-        the shared interning table — is charged to the head exactly
-        once, so summing the per-version rows never double counts
-        (the same invariant ``memory_report(seen)`` gives composite
-        stores, applied at the version-chain level).
+        head first: structure the versions share — the interning
+        table — is charged to the head exactly once, so summing the
+        per-version rows never double counts.  The head is the first
+        version of that one snapshot: an ``apply`` racing this call
+        cannot leave the head's figures unmeasured.
         """
-        head = self._snapshots.head
+        live = self._snapshots.versions_snapshot()
+        head = live[0]
         seen: set = set()
-        versions: Dict[str, dict] = {}
-        head_report = None
-        for version in self._snapshots.versions_snapshot():
-            report = version.store.memory_report(seen)
-            if version is head:
-                head_report = report
-            versions[str(version.number)] = {
+        reports = [version.store.memory_report(seen) for version in live]
+        head_report = reports[0]
+        versions: Dict[str, dict] = {
+            str(version.number): {
                 "atoms": report.atom_count,
                 "resident_bytes": report.resident_bytes,
                 "spilled_bytes": report.spilled_bytes,
             }
+            for version, report in zip(live, reports)
+        }
         with self._stats_lock:
             counters = {
                 "queries_total": self.queries_total,

@@ -1,25 +1,21 @@
 """MVCC snapshots of the EDB: immutable versions, refcounted leases.
 
 The serving layer must let ``apply(ChangeSet)`` install a new EDB
-version *while in-flight queries keep reading the old one*.  A
-:class:`~repro.storage.delta.DeltaOverlay` — a writable delta and
-tombstones over a base it seals — is exactly one such step, so the
-versions form a persistent chain:
+version *while in-flight queries keep reading the old one*.  Every
+version is one flat store of the served backend:
 
 * **version 0** is a frozen copy of the EDB at serve start;
-* **version n+1** is a ``DeltaOverlay`` over version n's store, holding
-  the batch's insertions in its delta and its retractions as
-  tombstones — built in O(|change|), never touching version n — and
-  then frozen itself (:meth:`~repro.core.store.FactStore.freeze`);
-* every ``flatten_depth`` versions the chain is collapsed into a fresh
-  flat store, bounding per-read layer traversal without ever mutating
-  a shared structure (the old chain stays valid for its readers).
+* **version n+1** is a copy of version n's store with the batch's
+  retractions discarded and its insertions added, then frozen
+  (:meth:`~repro.core.store.FactStore.freeze`) — version n is never
+  touched.
+
+The copy costs O(|EDB|), which an update already pays: each cached
+maintainable fixpoint is copied forward too, and holds the EDB.
 
 Readers take a :class:`SnapshotLease` (refcount +1 under the manager's
 lock); a version is garbage-collected when it is no longer the head and
-its last lease is released — dropping the manager's reference lets
-Python reclaim the overlay (the chain below survives as long as some
-newer version's base chain, or an older lease, still needs it).
+its last lease is released.
 """
 
 from __future__ import annotations
@@ -30,7 +26,7 @@ from typing import Dict, Iterable, Tuple
 from ..api.cache import FixpointCache
 from ..api.planner import _store_label
 from ..core.atoms import Atom
-from ..storage import DeltaOverlay, FactStore, make_store
+from ..storage import FactStore, make_store
 
 __all__ = ["SnapshotLease", "SnapshotManager", "SnapshotVersion"]
 
@@ -44,22 +40,18 @@ class SnapshotVersion:
     predecessor, never with an empty one to be swapped later.
     """
 
-    __slots__ = ("number", "store", "depth", "refs", "caches")
+    __slots__ = ("number", "store", "refs", "caches")
 
-    def __init__(
-        self, number: int, store: FactStore, depth: int,
-        caches: FixpointCache,
-    ):
+    def __init__(self, number: int, store: FactStore, caches: FixpointCache):
         self.number = number
         self.store = store
-        self.depth = depth
         self.refs = 0
         self.caches = caches
 
     def __repr__(self) -> str:
         return (
             f"SnapshotVersion(v{self.number}, {len(self.store)} atoms, "
-            f"depth {self.depth}, {self.refs} reader(s))"
+            f"{self.refs} reader(s))"
         )
 
 
@@ -121,24 +113,19 @@ class SnapshotManager:
         atoms: Iterable[Atom] = (),
         *,
         store: str = "instance",
-        flatten_depth: int = 8,
     ):
-        if flatten_depth < 1:
-            raise ValueError("flatten_depth must be >= 1")
         self._store_name = store
-        self._flatten_depth = flatten_depth
         self._lock = threading.Lock()
         #: Serializes :meth:`install`, which builds the successor
         #: outside ``_lock`` so that readers keep being admitted.
         self._install_lock = threading.Lock()
         base = make_store(store, atoms)
         base.freeze()
-        head = SnapshotVersion(0, base, 0, FixpointCache(base))
+        head = SnapshotVersion(0, base, FixpointCache(base))
         self._head = head
         #: Live versions: the head plus every version some lease holds.
         self._versions: Dict[int, SnapshotVersion] = {0: head}
         self.collected = 0
-        self.flattened = 0
 
     # -- read side ---------------------------------------------------------
 
@@ -173,10 +160,8 @@ class SnapshotManager:
     ) -> Tuple[SnapshotVersion, list, list]:
         """Install the next version: head ∖ *retracted* ∪ *inserted*.
 
-        O(|change|) on the overlay path; every ``flatten_depth``-th
-        install materializes a flat copy instead, so reads never
-        traverse more than ``flatten_depth`` layers.  The previous head
-        is untouched either way — in-flight readers are unaffected.
+        The new store is a copy of the head's, so the previous head is
+        untouched — in-flight readers are unaffected.
 
         The head's cache is carried across the batch
         (:meth:`FixpointCache.advance`, on copies) *before* the version
@@ -188,30 +173,14 @@ class SnapshotManager:
         """
         with self._install_lock:
             previous = self._head
-            if previous.depth + 1 >= self._flatten_depth:
-                store = make_store(self._store_name)
-                retracted_set = set(retracted)
-                store.add_all(
-                    atom
-                    for atom in previous.store
-                    if atom not in retracted_set
-                )
-                store.add_all(inserted)
-                depth = 0
-                self.flattened += 1
-            else:
-                overlay = DeltaOverlay(previous.store)
-                overlay.discard_all(retracted)
-                overlay.add_all(inserted)
-                store = overlay
-                depth = previous.depth + 1
+            store = previous.store.copy()
+            store.discard_all(retracted)
+            store.add_all(inserted)
             store.freeze()
             caches, maintained, fallbacks = previous.caches.advance(
                 inserted, retracted, store
             )
-            version = SnapshotVersion(
-                previous.number + 1, store, depth, caches
-            )
+            version = SnapshotVersion(previous.number + 1, store, caches)
             with self._lock:
                 self._versions[version.number] = version
                 self._head = version
@@ -248,8 +217,8 @@ class SnapshotManager:
 
     def versions_snapshot(self) -> Tuple[SnapshotVersion, ...]:
         """The live versions, head first then ascending — the
-        measurement order that attributes shared structure (overlay
-        base chains, interning tables) to the head."""
+        measurement order that attributes shared structure (the
+        interning table) to the head."""
         with self._lock:
             head = self._head
             rest = sorted(
@@ -262,7 +231,6 @@ class SnapshotManager:
         with self._lock:
             return {
                 "head_version": self._head.number,
-                "head_depth": self._head.depth,
                 "head_atoms": len(self._head.store),
                 "live_versions": len(self._versions),
                 "refcounts": {
@@ -270,8 +238,6 @@ class SnapshotManager:
                     for number, version in sorted(self._versions.items())
                 },
                 "collected": self.collected,
-                "flattened": self.flattened,
-                "flatten_depth": self._flatten_depth,
                 "store": _store_label(self._store_name),
             }
 

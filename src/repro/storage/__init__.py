@@ -23,10 +23,6 @@ this); they differ in space and probe cost, which
 datalog engine runs over them: :func:`kernel_capable` stores (the
 id-array ones) get compiled batch kernels, the rest the per-tuple
 interpreter.
-
-:class:`DeltaOverlay` is also a :class:`FactStore` but not a backend:
-it is the serving layer's O(|change|) version layer over a sealed base
-(see :mod:`repro.server.snapshot`).
 """
 
 from __future__ import annotations
@@ -37,7 +33,6 @@ from ..core.atoms import Atom
 from ..core.instance import Instance
 from ..core.memory import deep_sizeof, traced_peak
 from ..core.store import FactStore, FrozenStoreError, MemoryReport
-from .delta import DeltaOverlay
 from .interning import TermTable
 from .relation import Relation
 from .sharded import (
@@ -52,7 +47,6 @@ __all__ = [
     "FrozenStoreError",
     "MemoryReport",
     "Relation",
-    "DeltaOverlay",
     "ShardedStore",
     "SpillPager",
     "StateDirectory",

@@ -10,14 +10,14 @@ Ids are dense and stable: the *n*-th distinct term interned receives id
 ``n``, and decoding returns the exact object first interned (so, e.g.,
 a labeled null keeps the ``depth`` bookkeeping it was created with).
 
-One table may be *shared* by several stores (an id-array base and its
-overlay delta, and every shard of each): ids are global to
+One table may be *shared* by several stores (an id-array store and its
+copies, and every shard of each): ids are global to
 the table, not to any holder, so rows written by one holder decode
 identically through another.  Sharing is what keeps the interning cost
 a one-time charge — ``memory_report()`` with a shared visited-set
 counts a shared table exactly once.  The intern path is made
-thread-safe for that reason: a frozen base's table may still grow
-through the mutable delta layered above it.
+thread-safe for that reason: a frozen version's table may still grow
+through the writable copy that becomes the next version.
 """
 
 from __future__ import annotations

@@ -15,21 +15,20 @@ interned term-id rows.  Shards are the unit of
   touch reloads the page transparently.
 
 All shards share **one** interning table, so a term costs its object
-exactly once however many shards (or overlay layers above the store)
-mention it, and evicted pages stay decodable — ids are stable.
+exactly once however many shards (or copies of the store) mention
+it, and evicted pages stay decodable — ids are stable.
 
 This is the one id-array store.  ``store="columnar"`` builds it with
 one shard per relation, no budget and no spill file: nothing is
 routed, ordered for eviction or paged, so a batch append is one
 ``Relation.extend`` and every probe one shard's hash index.
 
-The store composes with everything built against ``FactStore``: a
-:class:`~repro.storage.delta.DeltaOverlay` can layer a writable delta
-over a frozen sharded base (the delta shares the base's interning
-table via :meth:`fresh`), ``freeze()`` seals the atom set while read
-paths may still page shards in and out (internal state, never
-observable content), and ``memory_report()`` splits the accounting
-into resident components and spilled page bytes.
+The store composes with everything built against ``FactStore``:
+:meth:`fresh` and ``copy()`` share the interning table, ``freeze()``
+seals the atom set while read paths may still page shards in and out
+(internal state, never observable content), and ``memory_report()``
+splits the accounting into resident components and spilled page
+bytes.
 """
 
 from __future__ import annotations

@@ -9,9 +9,9 @@ and the chase's trigger discovery all pull their delta joins out of its
 programs, stores (with nulls) and deltas both must yield the same
 *multiset* of (rule, pinned position, body image, head), each match
 exactly once — on every store a join can be handed (``Instance``,
-columnar, sharded, the deletion phase's ``UnionView`` and a
-``DeltaOverlay`` version chain with tombstones), because a step that
-binds nothing asks the store's ``__contains__`` instead of probing.
+columnar, sharded and the deletion phase's ``UnionView``), because a
+step that binds nothing asks the store's ``__contains__`` instead of
+probing.
 """
 
 from collections import Counter
@@ -29,7 +29,7 @@ from repro.core.substitution import Substitution
 from repro.core.terms import Constant, Null, Variable
 from repro.core.tgd import TGD
 from repro.core.views import UnionView
-from repro.storage import DeltaOverlay, ShardedStore, make_store
+from repro.storage import ShardedStore, make_store
 
 from . import reference_matcher as reference
 from .strategies import databases, programs
@@ -114,21 +114,6 @@ def rules(draw):
 stores = st.lists(_atoms([a, b, c, Null(0), Null(1)]), min_size=1, max_size=14)
 
 
-def version_chain(atoms):
-    """*atoms* as the server's version chain holds them: half in a sealed
-    base, half in an overlay's delta, and ghosts of every atom (first
-    argument ``gone``) in the base under tombstones at two depths."""
-    gone = Constant("gone")
-    ghosts = [Atom(atom.predicate, (gone,) + atom.args[1:]) for atom in atoms]
-    older = DeltaOverlay(Instance(atoms[::2] + ghosts))
-    older.add_all(atoms[1::2])
-    older.discard_all(ghosts[::2])
-    newer = DeltaOverlay(older)
-    newer.discard_all(ghosts[1::2])
-    assert set(newer) == set(atoms)
-    return newer
-
-
 def every_store(atoms):
     """*atoms* in each store the tuple compiler can be handed."""
     half = len(atoms) // 2
@@ -137,7 +122,6 @@ def every_store(atoms):
         make_store("columnar", atoms),
         ShardedStore(atoms, num_shards=3),
         UnionView(Instance(atoms[:half]), Instance(atoms[half - 1:])),
-        version_chain(atoms),
     )
 
 

@@ -19,7 +19,7 @@ from repro.core.instance import Instance
 from repro.core.query import ConjunctiveQuery
 from repro.core.substitution import Substitution
 from repro.core.terms import Constant, Null, Variable
-from repro.storage import DeltaOverlay, ShardedStore, make_store
+from repro.storage import ShardedStore, make_store
 
 # -- the parent's implementation, kept as the reference ----------------------
 
@@ -159,13 +159,14 @@ def cases(draw):
 
 def stores(atoms, dead):
     """Every kind of store holding exactly *atoms* (*dead* are extra
-    atoms the overlay's base holds and the overlay has retracted)."""
+    atoms a served version's predecessor held and the version has
+    retracted: their terms stay interned, their rows are gone)."""
     atoms = list(dict.fromkeys(atoms))
     dead = [atom for atom in dict.fromkeys(dead) if atom not in atoms]
     half = len(atoms) // 2
-    overlay = DeltaOverlay(make_store("columnar", atoms[:half] + dead))
-    overlay.discard_all(dead)
-    overlay.add_all(atoms[half:])
+    version = make_store("columnar", atoms[:half] + dead).freeze().copy()
+    version.discard_all(dead)
+    version.add_all(atoms[half:])
     return {
         "instance": Instance(atoms),
         "columnar": make_store("columnar", atoms),
@@ -173,7 +174,7 @@ def stores(atoms, dead):
         "sharded-spilling": ShardedStore(
             atoms, memory_budget=256, num_shards=3
         ),
-        "overlay": overlay,
+        "version": version.freeze(),
     }
 
 

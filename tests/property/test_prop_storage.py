@@ -26,7 +26,6 @@ from repro.lang.parser import parse_query
 from repro.server.snapshot import SnapshotManager
 from repro.storage import (
     BACKENDS,
-    DeltaOverlay,
     FactStore,
     FrozenStoreError,
     Relation,
@@ -151,15 +150,12 @@ def test_seminaive_equivalent_across_backends(data):
 )
 def test_matching_agrees_with_instance(stored, pattern):
     """The id-array store's matching ≡ Instance.matching on random
-    patterns, under both its backend names and below an overlay."""
+    patterns, under both its backend names."""
     ground = [atom for atom in stored if atom.is_ground()]
     instance = Instance(ground)
-    overlay = DeltaOverlay(make_store("columnar", ground[: len(ground) // 2]))
-    overlay.add_all(ground[len(ground) // 2:])
     stores = {
         "columnar": make_store("columnar", ground),
         "sharded": make_store("sharded", ground),
-        "overlay": overlay,
     }
     expected = sorted(map(str, instance.matching(pattern)))
     for name, store in stores.items():
@@ -225,11 +221,11 @@ def test_relation_agrees_with_set_model(operations):
         assert len(relation.rows) == len(model)
 
 
-# -- DeltaOverlay: a version layer over a sealed base ----------------------
+# -- served versions: each a frozen copy of its predecessor ----------------
 
 _K = [Constant(name) for name in "abc"]
-#: A universe small enough that re-adds, retractions of base atoms and
-#: resurrections all happen in a 40-step sequence.
+#: A universe small enough that re-adds, retractions and resurrections
+#: all happen in a 40-step sequence.
 _POOL = [Atom("r", (x, y)) for x in _K for y in _K] + [
     Atom("s", (x,)) for x in _K
 ]
@@ -259,63 +255,27 @@ def _observe(store: FactStore) -> dict:
     }
 
 
-@settings(max_examples=120, deadline=None)
-@given(_base_backends, _base_atoms, _edits)
-def test_overlay_agrees_with_set_model(backend, base_atoms, edits):
-    """Random add/discard/re-add sequences over a sealed base: every
-    read of the overlay agrees with a plain ``set``, with no recount —
-    ``len`` is arithmetic over the three layers."""
-    base = make_store(backend, base_atoms)
-    overlay = DeltaOverlay(base)
-    assert base.frozen and not overlay.frozen
-    with pytest.raises(FrozenStoreError):
-        base.add(_POOL[0])
-    with pytest.raises(FrozenStoreError):
-        base.discard(_POOL[0])
-    model = set(base_atoms)
-    for action, atom in edits:
-        if action == "add":
-            assert overlay.add(atom) == (atom not in model)
-            model.add(atom)
-        else:
-            assert overlay.discard(atom) == (atom in model)
-            model.discard(atom)
-        assert _observe(overlay) == _observe(Instance(model))
-    assert set(base) == set(base_atoms)  # the base never moved
-
-    clone = overlay.copy()
-    assert clone.base is base and not clone.frozen
-    assert _observe(clone) == _observe(Instance(model))
-    clone.add_all(_POOL)
-    clone.discard(_POOL[-1])
-    assert _observe(overlay) == _observe(Instance(model))  # independent
-
-
 @settings(max_examples=60, deadline=None)
-@given(
-    _base_backends,
-    _base_atoms,
-    st.lists(_edits, min_size=1, max_size=9),
-    st.integers(1, 4),
-)
-def test_overlay_chain_agrees_with_flattened_store(
-    backend, base_atoms, batches, flatten_depth
-):
-    """The MVCC chain: every version — an overlay ``depth`` layers
-    above the last flat store, or the flat store a flatten produced —
-    reads exactly as the model says, and stays sealed."""
-    manager = SnapshotManager(
-        base_atoms, store=backend, flatten_depth=flatten_depth
-    )
+@given(_base_backends, _base_atoms, st.lists(_edits, min_size=1, max_size=9))
+def test_version_chain_agrees_with_set_model(backend, base_atoms, batches):
+    """The MVCC chain: every installed version reads exactly as the
+    set model says and is sealed, and a lease taken at version k still
+    reads version k after every later install."""
+    manager = SnapshotManager(base_atoms, store=backend)
     model = set(base_atoms)
+    held = [(manager.current(), model)]
     for batch in batches:
         after = set(model)
         for action, atom in batch:
             (after.add if action == "add" else after.discard)(atom)
         manager.install(tuple(after - model), tuple(model - after))
         model = after
-        with manager.current() as lease:
-            assert lease.snapshot.depth < flatten_depth
+        held.append((manager.current(), model))
+        with pytest.raises(FrozenStoreError):
+            held[-1][0].store.add(_POOL[0])
+        for lease, expected in held:
             assert lease.store.frozen
-            assert _observe(lease.store) == _observe(Instance(model))
-    assert manager.flattened == len(batches) // flatten_depth
+            assert _observe(lease.store) == _observe(Instance(expected))
+    for lease, _ in held:
+        lease.release()
+    assert manager.live_versions == (manager.head_version,)

@@ -383,7 +383,7 @@ class TestIgnoredOptionsDoNotSplitTheFixpoint:
             service.query(FULL, rewrite="none", max_atoms=budget)
         assert service.stats()["head_caches"]["fixpoints"] == 1
         update = service.apply("+e(c,d).")
-        assert update.maintained == 1 and not update.fallbacks
+        assert update.migrated == 1 and not update.fallbacks
         assert service.stats()["head_caches"]["fixpoints"] == 1
         result = service.query(FULL, rewrite="none", max_atoms=6)
         assert result.stats["from_cache"] and len(result.answers) == 6

@@ -32,7 +32,6 @@ from repro.kernels.compiler import CONST, SLOT
 from repro.lang.parser import parse_program, parse_query
 from repro.server.service import ReasoningService
 from repro.storage import (
-    DeltaOverlay,
     ShardedStore,
     TermTable,
     make_store,
@@ -431,12 +430,10 @@ class TestDerivedDispatch:
         # every form a ``store=`` argument takes.
         assert ShardedStore.kernel_capable
         assert not Instance.kernel_capable
-        assert not DeltaOverlay.kernel_capable
         for capable in ("columnar", "sharded", make_store("columnar"),
                         ShardedStore(), sharded_store_factory(1 << 16)):
             assert kernel_capable(capable)
-        for incapable in ("instance", Instance(),
-                          DeltaOverlay(make_store("columnar"))):
+        for incapable in ("instance", Instance()):
             assert not kernel_capable(incapable)
         with pytest.raises(ValueError, match="unknown storage backend"):
             kernel_capable("parquet")

@@ -1,9 +1,9 @@
 """Unit tests for the concurrent reasoning server (repro.server).
 
-Covers the MVCC snapshot layer (versions, leases, GC, flattening,
-frozen-store enforcement), the embeddable service (snapshot-isolated
-queries, cache migration across updates), the NDJSON protocol, and the
-daemon + client over a real socket.
+Covers the MVCC snapshot layer (versions, leases, GC, frozen-store
+enforcement), the embeddable service (snapshot-isolated queries, cache
+migration across updates), the NDJSON protocol, and the daemon +
+client over a real socket.
 """
 
 import json
@@ -32,12 +32,7 @@ from repro.server.protocol import (
     handle_request,
 )
 from repro.api.planner import ENGINE_OPTIONS, ENGINES, WIRE_OPTIONS
-from repro.storage import (
-    BACKENDS,
-    DeltaOverlay,
-    FrozenStoreError,
-    make_store,
-)
+from repro.storage import BACKENDS, FrozenStoreError, make_store
 
 PROGRAM = """
 edge(a, b). edge(b, c). edge(c, d).
@@ -121,46 +116,25 @@ class TestSnapshotManager:
         assert manager.live_versions == (3,)
         assert manager.collected == 3
 
-    def test_flattening_bounds_depth(self):
-        manager = SnapshotManager(
-            [edge("a", "b")], store="columnar", flatten_depth=3
-        )
-        atoms = []
-        for index in range(10):
-            extra = edge("n", str(index))
-            atoms.append(extra)
-            manager.install((extra,), ())
-        stats = manager.stats()
-        assert stats["head_depth"] < 3
-        assert stats["flattened"] >= 3
-        head = manager.current()
-        assert len(head.store) == 11
-        for extra in atoms:
-            assert extra in head.store
-        head.release()
-
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_chain_of_d_installs_has_d_plus_one_leaf_stores(self, backend):
-        """An overlay's delta is a flat store of the bottom backend —
-        were it another overlay, depth d would mean 2^d leaves."""
-
-        def leaves(store):
-            if isinstance(store, DeltaOverlay):
-                return leaves(store.base) + leaves(store.delta)
-            return [store]
-
+        """Each version is one flat store of the served backend, never
+        a layer over its predecessor: d installs with every version
+        leased leave d + 1 distinct, frozen stores of that backend."""
         depth = 7
-        manager = SnapshotManager(
-            [edge("a", "b")], store=backend, flatten_depth=depth + 1
-        )
-        bottom = type(manager.current().store)
+        manager = SnapshotManager([edge("a", "b")], store=backend)
+        leases = [manager.current()]
+        bottom = type(leases[0].store)
         for index in range(depth):
-            head = manager.install((edge("n", str(index)),), ())[0].store
-            assert isinstance(head, DeltaOverlay)
-            assert type(head.fresh()) is bottom
-            assert len(leaves(head)) == index + 2
-            assert all(type(leaf) is bottom for leaf in leaves(head))
-        assert manager.stats()["flattened"] == 0 and len(head) == depth + 1
+            manager.install((edge("n", str(index)),), ())
+            leases.append(manager.current())
+        stores = [lease.store for lease in leases]
+        assert len({id(store) for store in stores}) == depth + 1
+        assert all(type(store) is bottom for store in stores)
+        assert all(store.frozen for store in stores)
+        assert [len(store) for store in stores] == list(range(1, depth + 2))
+        for lease in leases:
+            lease.release()
 
     def test_every_version_frozen(self):
         manager = SnapshotManager([edge("a", "b")])
@@ -169,10 +143,6 @@ class TestSnapshotManager:
         with pytest.raises(FrozenStoreError):
             lease.store.add(edge("x", "y"))
         lease.release()
-
-    def test_flatten_depth_validated(self):
-        with pytest.raises(ValueError):
-            SnapshotManager(flatten_depth=0)
 
 
 class TestReasoningService:
@@ -242,7 +212,7 @@ class TestReasoningService:
         service = ReasoningService(PROGRAM)
         warm = service.query(FULL_QUERY)  # populates v0's cache
         update = service.apply("+edge(d, e).")
-        assert update.maintained == update.migrated == 1
+        assert update.migrated == 1
         assert not update.fallbacks
         after = service.query(FULL_QUERY)
         # Served from the migrated materialization: no engine rerun.
@@ -876,6 +846,7 @@ class TestServiceMemoryStats:
 
     def test_per_version_figures(self):
         service = ReasoningService(PROGRAM, store="columnar")
+        served = service.stats()["memory"]["backend"]
         service.query(FULL_QUERY)
         service.apply("+edge(d, e).")
         service.query(FULL_QUERY)
@@ -890,15 +861,38 @@ class TestServiceMemoryStats:
         assert head["spilled_bytes"] == 0
         assert memory["resident_bytes_total"] >= head["resident_bytes"]
         assert memory["spilled_bytes_total"] == 0
-        # The head is a DeltaOverlay after the update (delta over the
-        # frozen columnar base).
-        assert memory["backend"] == "delta"
+        # The head after the update is a frozen copy on the served
+        # backend, not a layer of another kind.
+        assert memory["backend"] == served == (
+            make_store("columnar").memory_report().backend
+        )
         json.dumps(stats)
 
+    def test_install_racing_the_measurement(self, monkeypatch):
+        """An ``apply`` that lands while ``stats()`` takes its snapshot
+        of the live versions: the head reported is that snapshot's,
+        measured and with its own caches, not a collected old head."""
+        service = ReasoningService(PROGRAM, store="columnar")
+        service.query(FULL_QUERY)
+        snapshots = service.snapshots
+        unpatched = snapshots.versions_snapshot
+
+        def racing():
+            monkeypatch.setattr(snapshots, "versions_snapshot", unpatched)
+            service.apply("+edge(d, e).")  # v0 unleased: collected
+            return unpatched()
+
+        monkeypatch.setattr(snapshots, "versions_snapshot", racing)
+        stats = service.stats()
+        memory = stats["memory"]
+        assert list(memory["versions"]) == ["1"]
+        assert memory["edb_atoms"] == 4
+        assert stats["head_caches"] == snapshots.head.caches.stats()
+
     def test_shared_structure_charged_once(self):
-        """Old versions share the head's interning table and (via the
-        overlay chain) most of its rows: the total must come out far
-        below `live versions × head cost`."""
+        """Old versions share the head's interning table, charged to
+        the head once: the total must come out below `live versions ×
+        head cost`."""
         service = ReasoningService(PROGRAM, store="columnar")
         lease = service.snapshots.current()  # pin version 0
         try:

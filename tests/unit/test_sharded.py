@@ -14,7 +14,6 @@ from repro.lang.parser import parse_program
 from repro.lang.parser import parse_query
 from repro.storage import (
     BACKENDS,
-    DeltaOverlay,
     FrozenStoreError,
     ShardedStore,
     SpillPager,
@@ -231,19 +230,6 @@ class TestShardedStore:
         assert "spilled" in payload and "pages" in payload["spilled"]
         assert "spilled" in str(report)
 
-    def test_delta_overlay_composes_over_sharded(self):
-        base = ShardedStore(edge_atoms(50), memory_budget=2048)
-        base.freeze()
-        overlay = DeltaOverlay(base)
-        extra = Atom("edge", (a, b))
-        overlay.add(extra)
-        overlay.discard(edge_atoms(1)[0])
-        assert extra in overlay
-        assert edge_atoms(1)[0] not in overlay
-        assert len(overlay) == 50
-        report = overlay.memory_report()
-        assert report.spilled_bytes > 0  # base pages surface through
-
     def test_spill_dir_used(self, tmp_path):
         store = ShardedStore(
             edge_atoms(200), memory_budget=2048, spill_dir=tmp_path
@@ -371,17 +357,6 @@ class TestSharedInterningAccounting:
         assert delta_report.components["terms"] < (
             base_report.components["terms"] / 10
         )
-
-    def test_overlay_total_not_inflated(self):
-        atoms = edge_atoms(200)
-        base = make_store("columnar", atoms)
-        solo = base.memory_report().total_bytes
-        overlay = DeltaOverlay(base)
-        overlay.add_all(edge_atoms(210)[200:])
-        combined = overlay.memory_report().total_bytes
-        # Well under double: base facts + table are shared, the delta
-        # adds only its few rows.
-        assert combined < 1.5 * solo
 
     def test_sharded_family_counted_once(self):
         atoms = edge_atoms(200)

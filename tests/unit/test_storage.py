@@ -10,9 +10,7 @@ from repro.datalog.seminaive import seminaive
 from repro.lang.parser import parse_program, parse_query
 from repro.storage import (
     BACKENDS,
-    DeltaOverlay,
     FactStore,
-    FrozenStoreError,
     ShardedStore,
     TermTable,
     deep_sizeof,
@@ -152,54 +150,6 @@ class TestIdArrayStore:
         clone = store.copy()
         clone.add(Atom("r", (b,)))
         assert len(store) == 1 and len(clone) == 2
-
-
-class TestDeltaOverlay:
-    def test_layering(self):
-        overlay = DeltaOverlay(make_store("columnar", [Atom("e", (a, b))]))
-        assert len(overlay.base) == 1 and len(overlay.delta) == 0
-        assert not overlay.add(Atom("e", (a, b)))  # already in base
-        assert overlay.add(Atom("t", (a, b)))
-        assert len(overlay.base) == 1
-        assert len(overlay.delta) == 1 and len(overlay) == 2
-        assert Atom("t", (a, b)) in overlay
-
-    def test_construction_seals_the_base(self):
-        base = make_store("columnar", [Atom("r", (a, b))])
-        overlay = DeltaOverlay(base)
-        assert base.frozen and not overlay.frozen
-        with pytest.raises(FrozenStoreError):
-            base.add(Atom("r", (b, c)))
-        with pytest.raises(FrozenStoreError):
-            base.discard(Atom("r", (a, b)))
-        assert overlay.add(Atom("r", (b, c)))  # the overlay stays writable
-
-    def test_reads_span_both_layers(self):
-        overlay = DeltaOverlay(make_store("columnar", [Atom("r", (a, b))]))
-        overlay.add(Atom("r", (a, c)))
-        assert set(overlay.matching(Atom("r", (a, X)))) == {
-            Atom("r", (a, b)), Atom("r", (a, c))
-        }
-        assert set(overlay.by_predicate("r")) == {
-            Atom("r", (a, b)), Atom("r", (a, c))
-        }
-        assert overlay.count("r") == 2
-        assert overlay.predicates() == {"r"}
-
-    def test_composes_with_instance_base(self):
-        overlay = DeltaOverlay(Instance([Atom("r", (a, b))]))
-        overlay.add(Atom("r", (b, c)))
-        assert len(overlay) == 2
-        assert isinstance(overlay.delta, Instance)
-
-    def test_memory_report_merges_layers(self):
-        overlay = DeltaOverlay(make_store("columnar", [Atom("r", (a, b))]))
-        overlay.add(Atom("s", (c,)))
-        report = overlay.memory_report()
-        assert report.backend == "delta"
-        assert report.atom_count == 2
-        assert any(name.startswith("base.") for name in report.components)
-        assert any(name.startswith("delta.") for name in report.components)
 
 
 class TestMakeStore:
@@ -414,28 +364,3 @@ class TestDiscard:
                 assert set(store.matching(Atom("r", (X, atom.args[1])))) == {
                     atom
                 }, backend
-
-    def test_delta_overlay_tombstones_base_atoms(self):
-        base = make_store("columnar", [Atom("r", (a, b)), Atom("r", (b, c))])
-        overlay = DeltaOverlay(base)
-        overlay.add(Atom("r", (c, d)))
-        assert overlay.discard(Atom("r", (a, b)))      # base → tombstone
-        assert overlay.discard(Atom("r", (c, d)))      # delta → gone
-        assert not overlay.discard(Atom("r", (a, b)))  # already dead
-        assert Atom("r", (a, b)) not in overlay
-        assert len(overlay) == 1
-        assert len(base) == 2  # the base is never touched
-        assert set(overlay.by_predicate("r")) == {Atom("r", (b, c))}
-
-    def test_delta_overlay_readd_resurrects_base_atom(self):
-        overlay = DeltaOverlay(make_store("columnar", [Atom("r", (a, b))]))
-        overlay.discard(Atom("r", (a, b)))
-        assert overlay.add(Atom("r", (a, b)))
-        assert Atom("r", (a, b)) in overlay
-        assert len(overlay) == 1
-        assert len(overlay.delta) == 0  # the base copy shows through
-
-    def test_delta_overlay_memory_report_counts_tombstones(self):
-        overlay = DeltaOverlay(make_store("columnar", [Atom("r", (a, b))]))
-        overlay.discard(Atom("r", (a, b)))
-        assert "tombstones" in overlay.memory_report().components

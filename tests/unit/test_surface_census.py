@@ -228,6 +228,25 @@ def test_the_workload_and_benchsuite_exports():
     ]
 
 
+def test_one_kind_of_edb_version():
+    # A served version is a frozen copy of its predecessor: no overlay
+    # store, no layer depth to bound, no flatten schedule to tune.
+    import importlib
+
+    import repro.storage
+    from repro.server import SnapshotManager
+
+    assert not hasattr(repro.storage, "DeltaOverlay")
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.storage.delta")
+    assert _parameters(SnapshotManager.__init__) == ("self", "atoms", "store")
+    with pytest.raises(TypeError):
+        SnapshotManager(flatten_depth=8)
+    assert not {"head_depth", "flattened", "flatten_depth"} & set(
+        SnapshotManager().stats()
+    )
+
+
 def test_serve_has_no_flatten_depth_flag():
     from repro.cli import build_parser
 
