@@ -97,6 +97,8 @@ class AnswerStream:
         self._factory = factory
         self._iterator: Optional[Iterator[List[AnswerTuple]]] = None
         self._cache: List[AnswerTuple] = []
+        #: Non-empty blocks pulled so far.
+        self._blocks = 0
         self._exhausted = False
         self._error: Optional[BaseException] = None
         self._release_hooks: List[Callable[[], None]] = []
@@ -159,8 +161,10 @@ class AnswerStream:
                     # Whole blocks land in the cache: after an error,
                     # the sound prefix stays replayable.
                     self._cache.extend(block)
-                    if block and not drain:
-                        return True
+                    if block:
+                        self._blocks += 1
+                        if not drain:
+                            return True
             except BaseException as error:
                 self._error = error
                 self._run_release_hooks()
@@ -234,7 +238,13 @@ class AnswerStream:
         return frozenset(self._cache)
 
     def to_sorted(self) -> List[AnswerTuple]:
-        """Drain the stream; answers sorted by string form."""
+        """Drain the stream; answers sorted by string form.  Every
+        engine's block is distinct and in ``str`` order, so a stream of
+        at most one block (a cached read, a single round) is a copy of
+        its cache, sorted only once."""
+        self._pull(drain=True)
+        if self._blocks <= 1:
+            return list(self._cache)
         return sorted(self.to_set(), key=str)
 
     def count(self) -> int:

@@ -32,7 +32,10 @@ at all: its plan carries ``project``, the head laid out over the pinned
 row's positions, and the runtime maps each stored row that passes the
 pin's constant and repeat checks straight to its head row — the row
 itself when the head lists the body's variables in order (``t(X,Y) :-
-e(X,Y)``: the head relation shares ``e``'s row tuples).
+e(X,Y)``: the head relation shares ``e``'s row tuples).  A pin with one
+keyed step and no negated literal needs none either: the runtime lays
+its head out over the pinned and matched rows from these same plans
+(:meth:`~repro.kernels.runtime.KernelEvaluator._join`).
 """
 
 from __future__ import annotations

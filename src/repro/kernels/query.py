@@ -6,10 +6,14 @@ like any rule, its pin plans run over the store's own id rows through
 :meth:`~repro.kernels.runtime.KernelEvaluator.answer_rows` — over one
 round's row ranges for the streamed delta read, with every row as
 delta for the full read — and the head rows go to an id-space set
-instead of into the store (a single-atom query's are the stored rows,
-projected).  Only a new answer row is decoded, once, through the
-store's term table, into a ``Constant`` tuple, after its block is
-sorted; a row carrying a labelled null is no answer, as in
+instead of into the store.  A query that is one atom read in order
+(``q(X,Y) :- t(X,Y)``) keeps no set at all: its answers are the stored
+rows themselves, distinct by the store's dedup, in a list, and a round's
+ranges hold only rows new to their parts, so its stream needs no
+memory of the rows it yielded.  Only a new answer row is decoded, once,
+through the store's term table, into a ``Constant`` tuple, after its
+block is sorted (on ranks of the ids' spellings, not on a string per
+row); a row carrying a labelled null is no answer, as in
 :meth:`~repro.core.query.ConjunctiveQuery.evaluate`, which stays the
 reference.  The reader's batch operations are its own: they never
 reach a round's ``kernel_batches``.
@@ -18,7 +22,7 @@ reach a round's ``kernel_batches``.
 from __future__ import annotations
 
 from itertools import chain, repeat
-from typing import Iterable, Iterator, List, Set
+from typing import Collection, Iterable, Iterator, List, Optional, Set
 
 from ..core.atoms import Atom
 from ..core.program import Program
@@ -47,15 +51,36 @@ def _decoded(table, rows: Iterable[Row]) -> List[tuple]:
     ]
 
 
-def _block(table, rows: Set[Row]) -> List[tuple]:
-    """:func:`_decoded` in ``str`` order, sorted as id rows: keyed on ``str``
-    of the decoded tuple less its ``(``, from one ``repr`` per distinct id."""
-    ids = set(chain.from_iterable(rows))
-    spell = dict(zip(ids, map(repr, map(table.term, ids)))).__getitem__
-    close = ",)" if len(next(iter(rows), ())) == 1 else ")"
-    return _decoded(table, sorted(
-        rows, key=lambda row: ", ".join(map(spell, row)) + close
-    ))
+def _block(table, rows: Collection[Row]) -> List[tuple]:
+    """:func:`_decoded` in ``str`` order, sorted as id rows (a list is
+    sorted in place).  The distinct ids are spelled once (``repr``) and
+    ranked by spelling: when no spelling is a prefix of another, the
+    first position two rows differ at decides their ``str`` order, so a
+    row is keyed on its ranks — one int for up to two positions.
+    Otherwise on ``str`` of the decoded tuple less its ``(``."""
+    if not isinstance(rows, list):
+        rows = list(rows)
+    if len(rows) > 1:
+        ids = set(chain.from_iterable(rows))
+        spelled = sorted(zip(map(repr, map(table.term, ids)), ids))
+        if any(
+            longer.startswith(shorter)
+            for (shorter, _), (longer, _) in zip(spelled, spelled[1:])
+        ):
+            spell = {tid: spelling for spelling, tid in spelled}.__getitem__
+            close = ",)" if len(rows[0]) == 1 else ")"
+            rows.sort(key=lambda row: ", ".join(map(spell, row)) + close)
+        else:
+            rank = {tid: at for at, (_, tid) in enumerate(spelled)}
+            arity = len(rows[0])
+            if arity == 1:
+                rows.sort(key=lambda row: rank[row[0]])
+            elif arity == 2:
+                width = len(rank)
+                rows.sort(key=lambda row: rank[row[0]] * width + rank[row[1]])
+            else:
+                rows.sort(key=lambda row: tuple(map(rank.__getitem__, row)))
+    return _decoded(table, rows)
 
 
 def query_answers(query: ConjunctiveQuery, store) -> Set[tuple]:
@@ -80,12 +105,17 @@ def stream_query_answers(query: ConjunctiveQuery, events) -> Iterator[list]:
     once, in its event's block: a list in ``str`` order.
     """
     reader = None
-    seen: Set[Row] = set()
+    seen: Optional[Set[Row]] = None
     for event in events:
         if event.index == 0:
             reader = _reader(query, event.instance)
-        fresh = reader.answer_rows(event.ranges if event.index else None) - seen
-        seen |= fresh
+            # Stored rows are distinct, and a round's ranges hold only
+            # rows new to their parts: such a reader needs no memory.
+            seen = None if reader.reads_rows else set()
+        fresh = reader.answer_rows(event.ranges if event.index else None)
+        if seen is not None:
+            fresh -= seen
+            seen |= fresh
         block = _block(reader.table, fresh)
         if block:
             yield block

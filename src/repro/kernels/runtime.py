@@ -12,7 +12,10 @@ LRU/budget path), and the evaluator
   (built on first probe, kept coherent by the relation's appends, and
   dropped with a shard when it is evicted) — except that a step whose
   key covers every position is a lookup in the part's dedup map
-  (``row_pos``), which every part keeps anyway, and builds no index;
+  (``row_pos``), which every part keeps anyway, and builds no index,
+  and that a part with no row visible to the step is skipped before
+  any index is built (an index built there would be kept up by every
+  later append for a probe that found nothing);
 * keeps the semi-naive delta as one append watermark per part: rows
   are numbered in append order, so the rows staged by the previous
   round are exactly ``[lo, hi)`` and "old" means ``number < lo``
@@ -23,19 +26,29 @@ LRU/budget path), and the evaluator
   ``hi`` and stay invisible to that round's joins, so the round still
   evaluates against its start-of-round snapshot.
 
-Each semi-naive round runs every rule's pin plans as batch operations:
-filter/project the delta rows of the pinned atom into a binding
-frontier, then extend the frontier through each join step with one
-hash probe (or membership test) per step, then drop the bindings a
-negated literal blocks with one membership test per binding
-(``kernel_batches`` counts these batch ops — per step or literal,
-however many parts it walks).  A pin with nothing to join or test
-(``PinPlan.project``) skips the bindings: its filtered rows project
-straight to head rows, or are the head rows.  The old/full row
-discipline per step reproduces the interpreter's first-pin exact-once
-match counting — see :mod:`repro.kernels.compiler` — so
-``considered``, staged facts, and round structure agree with the
-interpreter exactly.
+Each semi-naive round runs every rule's pin plans as batch operations
+(``kernel_batches`` counts them — one per pin filter, step or negated
+literal, however many parts it walks).  Most pins run on rows:
+
+* a pin with nothing to join or test (``PinPlan.project``) maps its
+  filtered delta rows straight to head rows, or they are the head rows;
+* a pin with exactly one keyed step — a hash probe or a membership
+  test — and no negated literal (:meth:`KernelEvaluator._join`: both
+  pins of ``t(X,Z) :- e(X,Y), t(Y,Z)`` and of ``mutual(X,Y) :-
+  t(X,Y), t(Y,X)``) builds each head row from (pinned row, matched
+  row) through a projection compiled once per pin, in C-level calls;
+  when the head *is* the pinned or the matched row, it is that stored
+  tuple, so the head relation shares the body relation's tuples.
+
+Any other pin — two or more steps, a scan step (empty key), a negated
+literal — filters its delta rows into a frontier of binding lists,
+extends the frontier through each step with one hash probe (or
+membership test or scan) per step, drops the bindings a negated literal
+blocks with one membership test per binding, and projects the rest to
+head rows.  The old/full row discipline per step reproduces the
+interpreter's first-pin exact-once match counting — see
+:mod:`repro.kernels.compiler` — so ``considered``, staged facts, and
+round structure agree with the interpreter exactly.
 
 A round reports what it staged as row ranges, not atoms: per part it
 appended to, the ``[lo, hi)`` its appends occupy (:data:`RowRange`).
@@ -46,10 +59,11 @@ id space.
 
 from __future__ import annotations
 
+from itertools import repeat
 from operator import itemgetter
 from typing import (
-    Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence,
-    Set, Tuple,
+    Callable, Collection, Dict, Iterable, Iterator, List, Mapping, Optional,
+    Sequence, Set, Tuple,
 )
 
 from ..core.atoms import Atom
@@ -58,6 +72,7 @@ from ..core.terms import Term
 from ..storage.relation import Row
 from .compiler import (
     CONST,
+    SLOT,
     KernelProgram,
     PinPlan,
     RuleKernel,
@@ -79,7 +94,7 @@ Watermarks = Dict[RelKey, Dict[int, int]]
 _NO_PARTS: Mapping[int, int] = {}
 
 #: Per position of a row: ``(True, id)`` for a resolved constant,
-#: ``(False, slot)`` for a binding slot.
+#: ``(False, index)`` for a binding slot or a position of a stored row.
 Sources = Sequence[Tuple[bool, int]]
 
 
@@ -103,6 +118,56 @@ def _row_of(sources: Sources) -> Callable[[Sequence[int]], Row]:
     return row_of
 
 
+def _key_of(sources: Sources, whole: bool) -> Callable[[Sequence[int]], object]:
+    """binding (or row) → the probe key *sources* lay out: an id tuple
+    for a *whole* row (looked up in a part's dedup map) or a composite
+    index key; the bare id for a single-column index."""
+    if whole or len(sources) > 1:
+        return _row_of(sources)
+    ((is_const, payload),) = sources
+    return (lambda binding, _k=payload: _k) if is_const else itemgetter(payload)
+
+
+def _pick(positions: Sequence[int]) -> Callable[[Row], Row]:
+    """row → the id tuple of *positions*, in one C-level call (a slice
+    for one position, so the result is still a tuple)."""
+    if len(positions) == 1:
+        return itemgetter(slice(positions[0], positions[0] + 1))
+    if not positions:
+        return itemgetter(slice(0, 0))
+    return itemgetter(*positions)
+
+
+#: row → the row itself (``row[:]``), in one C-level call.
+_WHOLE = itemgetter(slice(None))
+
+#: A row join's head is the pinned row / the matched row, as stored.
+_PINNED = object()
+_MATCHED = object()
+
+
+def _cells(arity: int, fixed, binds, repeats) -> Tuple[Tuple[str, object], ...]:
+    """A body atom laid out like a head template: per position the cell
+    (``(SLOT, slot)`` or ``(CONST, term)``) its value is, given its
+    *fixed* ``(position, cell)`` pairs, *binds* and *repeats*."""
+    cells: List[Tuple[str, object]] = [(CONST, None)] * arity
+    for position, cell in fixed:
+        cells[position] = cell
+    for position, slot in binds:
+        cells[position] = (SLOT, slot)
+    for position, earlier in repeats:
+        cells[position] = cells[earlier]
+    return tuple(cells)
+
+
+def _on_rows(kernel: RuleKernel, pin: PinPlan) -> bool:
+    """True iff *pin* runs on rows (:meth:`KernelEvaluator._join`): one
+    keyed probe or membership step, and no negated literal to test."""
+    return (
+        len(pin.steps) == 1 and bool(pin.steps[0].key) and not kernel.negated
+    )
+
+
 def decode_ranges(store, ranges: Iterable[RowRange]) -> Tuple[Atom, ...]:
     """The atoms of the rows *ranges* name, decoded through the store's
     term table, part by part.  Valid while those rows are where the
@@ -121,9 +186,9 @@ def decode_ranges(store, ranges: Iterable[RowRange]) -> Tuple[Atom, ...]:
 class KernelEvaluator:
     """Semi-naive evaluation of one program as compiled batch kernels.
 
-    The evaluator keeps binding frontiers and per-part watermarks, no
-    rows: relations are read from, and head rows appended to, the
-    *store*, which is therefore exactly what the interpreter would have
+    The evaluator keeps per-part watermarks and each pin's transient
+    frontier, no relation: relations are read from, and head rows
+    appended to, the *store*, which is therefore exactly what the interpreter would have
     written at every round boundary (round events, fixpoint caches and
     IVM observe it there).  The store must not be mutated externally
     while an evaluation is live.
@@ -157,8 +222,9 @@ class KernelEvaluator:
         #: between rounds).
         self._const_ids: Dict[Term, int] = {}
         #: kernel or projecting pin → its head-row projection
-        #: (:meth:`_head_row`).
-        self._head_rows: Dict[object, Callable] = {}
+        #: (:meth:`_head_row`); ``(kernel, pin index)`` → a row-join
+        #: pin's plan (:meth:`_join_plan`).
+        self._head_rows: Dict[object, object] = {}
 
     # -- the round loop ----------------------------------------------------
 
@@ -215,20 +281,36 @@ class KernelEvaluator:
         )
         return ranges, considered
 
+    @property
+    def reads_rows(self) -> bool:
+        """True iff the program is one rule whose one pin keeps rows (a
+        single atom with no constant or repeat, read in order): its
+        :meth:`answer_rows` are stored rows, distinct by the store's
+        dedup, in a list."""
+        kernels = self.kernels.kernels
+        return (
+            len(kernels) == 1 and len(kernels[0].pins) == 1
+            and kernels[0].pins[0].keeps_rows
+        )
+
     def answer_rows(
         self, ranges: Optional[Iterable[RowRange]] = None
-    ) -> Set[Row]:
-        """The head rows of every body match that uses a row of
+    ) -> Collection[Row]:
+        """The distinct head rows of every body match that uses a row of
         *ranges* (every match when None), collected instead of
         appended — how :mod:`repro.kernels.query` reads a CQ lowered to
-        a rule.  Reads the store as it stands, so *ranges* must be the
-        last rows appended to their parts."""
+        a rule.  A set, or — when :attr:`reads_rows` — the stored rows
+        themselves in a fresh list (the caller's to sort).  Reads the
+        store as it stands, so *ranges* must be the last rows appended
+        to their parts."""
         self._grown = {}
         self._delta = None
         if ranges is not None:
             self._delta = {}
             for predicate, arity, part_id, lo, _ in ranges:
                 self._delta.setdefault((predicate, arity), {})[part_id] = lo
+        if self.reads_rows:
+            return self._pin_rows(self.kernels.kernels[0].pins[0]) or []
         rows: Set[Row] = set()
         for kernel in self.kernels.kernels:
             # With every row delta, pin 0 sees every match: the
@@ -244,7 +326,8 @@ class KernelEvaluator:
         """Per pin of *pins* with a body match: how many matches, and
         their head rows.  Lazy: a caller that appends a pin's heads
         does so before the next pin runs.  A projecting pin's rows go
-        straight to head rows; any other pin's go through bindings."""
+        straight to head rows, a pin with one keyed step joins rows
+        (:meth:`_join`); any other pin's go through bindings."""
         for pin in pins:
             if pin.project is not None:
                 rows = self._pin_rows(pin)
@@ -253,6 +336,12 @@ class KernelEvaluator:
                         rows if pin.keeps_rows
                         else map(self._head_row(pin, pin.project), rows)
                     )
+                continue
+            if _on_rows(kernel, pin):
+                rows = self._pin_rows(pin)
+                heads = self._join(kernel, pin, rows) if rows else None
+                if heads:
+                    yield len(heads), heads
                 continue
             frontier = self._pin_frontier(kernel, pin)
             for step in pin.steps:
@@ -311,6 +400,81 @@ class KernelEvaluator:
                 selected = batch
         return selected
 
+    def _join(
+        self, kernel: RuleKernel, pin: PinPlan, pinned: List[Row]
+    ) -> List[Row]:
+        """The head rows of the matches of the *pinned* rows through
+        *pin*'s one keyed step (one batch op), one per match, built
+        straight from (pinned row, matched row) — no binding.  A head
+        that is one of the two rows is that stored tuple itself."""
+        self.batches += 1
+        (step,) = pin.steps
+        old_only = step.old_only
+        if old_only and self._delta is None:
+            return []  # round 1: every stored row is delta, none is old
+        key_cells, pick, terms = self._join_plan(kernel, pin)
+        sources = self._sources(key_cells)
+        if sources is None:
+            return []  # a key constant no stored row carries
+        key_of = _key_of(sources, step.member)
+        consts = tuple(map(self._const_id, terms))
+        # Head constants are interned on the rule's first fire (as in
+        # :meth:`_head_row`): until then the head rows wait as bare
+        # ``pinned + matched`` rows, laid out once the join has matched.
+        unfired = None in consts
+        if unfired:
+            pick, laid_out, consts = _WHOLE, pick, ()
+        positions = tuple(p for p, _ in step.key)
+        key = (step.predicate, step.arity)
+        grown = self._grown.get(key, _NO_PARTS)
+        starts = self._delta.get(key, _NO_PARTS) if old_only else _NO_PARTS
+        repeats = step.repeats
+        out: List[Row] = []
+        for part_id, part in self.store.parts(*key):
+            rows = part.rows
+            limit = grown.get(part_id, len(rows))
+            if old_only:
+                limit = starts.get(part_id, limit)
+            if not limit:
+                continue  # no visible row: no index to build or probe
+            if step.member:
+                # The matched row's number, or ``limit`` (not visible)
+                # when the part lacks it; the step has no repeats.
+                numbers = map(
+                    part.row_pos.get, map(key_of, pinned), repeat(limit)
+                )
+                for row, number in zip(pinned, numbers):
+                    if number < limit:
+                        match = rows[number]
+                        out.append(
+                            row if pick is _PINNED
+                            else match if pick is _MATCHED
+                            else pick(row + match + consts)
+                        )
+                continue
+            buckets = map(part.index_for(positions).get, map(key_of, pinned))
+            bounded = limit < len(rows)
+            for row, bucket in zip(pinned, buckets):
+                if not bucket:
+                    continue
+                for number in bucket:
+                    if bounded and number >= limit:
+                        continue
+                    match = rows[number]
+                    if repeats and not all(
+                        match[p] == match[q] for p, q in repeats
+                    ):
+                        continue
+                    out.append(
+                        row if pick is _PINNED
+                        else match if pick is _MATCHED
+                        else pick(row + match + consts)
+                    )
+        if unfired and out:
+            consts = tuple(map(self.table.intern, terms))
+            out = [laid_out(row + consts) for row in out]
+        return out
+
     def _pin_frontier(
         self, kernel: RuleKernel, pin: PinPlan
     ) -> Optional[List[List[int]]]:
@@ -341,18 +505,7 @@ class KernelEvaluator:
         if sources is None:
             return []  # a key constant no stored row carries
         member = step.member
-        key_of = None
-        if member or len(sources) > 1:
-            # A member step's whole row (looked up in the part's dedup
-            # map) or a composite index key: an id tuple.
-            key_of = _row_of(sources)
-        elif sources:
-            # Single-column indexes take the bare id.
-            is_const, payload = sources[0]
-            key_of = (
-                (lambda binding, _k=payload: _k) if is_const
-                else (lambda binding, _s=payload: binding[_s])
-            )
+        key_of = _key_of(sources, member) if sources or member else None
         positions = tuple(p for p, _ in step.key)
         key = (step.predicate, step.arity)
         grown = self._grown.get(key, _NO_PARTS)
@@ -367,6 +520,8 @@ class KernelEvaluator:
             limit = grown.get(part_id, len(rows))
             if old_only:
                 limit = starts.get(part_id, limit)
+            if not limit:
+                continue  # no visible row: no index to build or probe
             if member:
                 # A missing row reads as number ``limit``: not visible.
                 # The step binds nothing, so the binding itself goes on.
@@ -452,6 +607,52 @@ class KernelEvaluator:
                     return None
             sources.append((kind == CONST, payload))
         return sources
+
+    def _join_plan(
+        self, kernel: RuleKernel, pin: PinPlan
+    ) -> Tuple[Tuple[Tuple[str, object], ...], object, Tuple[Term, ...]]:
+        """*pin*'s one step as a row join, compiled on first use: its
+        key cells over the pinned row (``(SLOT, position)`` or
+        ``(CONST, term)``); the head's projection of ``pinned row +
+        matched row + head constants`` — :data:`_PINNED` or
+        :data:`_MATCHED` when the head is that row as stored; and the
+        head's constant terms."""
+        owner = (kernel, pin.pin_index)
+        plan = self._head_rows.get(owner)
+        if plan is None:
+            (step,) = pin.steps
+            at = {slot: position for position, slot in pin.binds}
+            key_cells = tuple(
+                (kind, at[payload] if kind == SLOT else payload)
+                for _, (kind, payload) in step.key
+            )
+            if kernel.head == _cells(
+                pin.arity,
+                [(p, (CONST, term)) for p, term in pin.consts],
+                pin.binds, pin.repeats,
+            ):
+                pick, terms = _PINNED, []
+            elif kernel.head == _cells(
+                step.arity, step.key, step.binds, step.repeats
+            ):
+                pick, terms = _MATCHED, []
+            else:
+                at.update(
+                    (slot, pin.arity + position)
+                    for position, slot in step.binds
+                )
+                width = pin.arity + step.arity
+                terms = []
+                positions = []
+                for kind, payload in kernel.head:
+                    if kind == CONST:
+                        positions.append(width + len(terms))
+                        terms.append(payload)
+                    else:
+                        positions.append(at[payload])
+                pick = _pick(positions)
+            plan = self._head_rows[owner] = (key_cells, pick, tuple(terms))
+        return plan
 
     def _head_row(self, owner, template) -> Callable:
         """The projection of *owner*'s (a kernel's or a pin's) head

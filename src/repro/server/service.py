@@ -389,7 +389,8 @@ class ReasoningService:
         table — is charged to the head exactly once, so summing the
         per-version rows never double counts.  The head is the first
         version of that one snapshot: an ``apply`` racing this call
-        cannot leave the head's figures unmeasured.
+        cannot leave the head's figures unmeasured, and ``snapshots``
+        reports the same versions ``memory`` measured.
         """
         live = self._snapshots.versions_snapshot()
         head = live[0]
@@ -422,7 +423,7 @@ class ReasoningService:
                 str(self._state.path) if self._state is not None else None
             ),
             **counters,
-            "snapshots": self._snapshots.stats(),
+            "snapshots": self._snapshots.stats(live),
             "head_caches": head.caches.stats(),
             "prepared": self._session.prepared_stats(),
             "memory": {

@@ -21,7 +21,7 @@ its last lease is released.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from ..api.cache import FixpointCache
 from ..api.planner import _store_label
@@ -220,22 +220,32 @@ class SnapshotManager:
         measurement order that attributes shared structure (the
         interning table) to the head."""
         with self._lock:
-            head = self._head
-            rest = sorted(
-                (v for v in self._versions.values() if v is not head),
-                key=lambda v: v.number,
-            )
-            return (head, *rest)
+            return self._live_locked()
 
-    def stats(self) -> dict:
+    def _live_locked(self) -> Tuple[SnapshotVersion, ...]:
+        head = self._head
+        rest = sorted(
+            (v for v in self._versions.values() if v is not head),
+            key=lambda v: v.number,
+        )
+        return (head, *rest)
+
+    def stats(
+        self, live: Optional[Tuple[SnapshotVersion, ...]] = None
+    ) -> dict:
+        """Head, live versions and their refcounts — of *live* (a
+        :meth:`versions_snapshot` a caller measured, so its report and
+        these figures name the same versions) or of one read now."""
         with self._lock:
+            if live is None:
+                live = self._live_locked()
             return {
-                "head_version": self._head.number,
-                "head_atoms": len(self._head.store),
-                "live_versions": len(self._versions),
+                "head_version": live[0].number,
+                "head_atoms": len(live[0].store),
+                "live_versions": len(live),
                 "refcounts": {
-                    str(number): version.refs
-                    for number, version in sorted(self._versions.items())
+                    str(version.number): version.refs
+                    for version in sorted(live, key=lambda v: v.number)
                 },
                 "collected": self.collected,
                 "store": _store_label(self._store_name),

@@ -36,6 +36,7 @@ from repro.datalog.seminaive import (
     stream_datalog_answers,
 )
 from repro.kernels import KernelEvaluator, ordered_answers, query_answers
+from repro.kernels.query import _block
 from repro.lang.parser import parse_program, parse_query
 from repro.storage import make_store
 
@@ -128,6 +129,49 @@ def test_answer_stream_is_the_interpreters(program, pairs, units, query):
         assert streamed == reference, store
 
 
+def _fits(atom, fact):
+    """Whether *fact* carries *atom*'s predicate, constants and repeats."""
+    if (fact.predicate, fact.arity) != (atom.predicate, atom.arity):
+        return False
+    bound = {}
+    for term, value in zip(atom.args, fact.args):
+        if term in VARS:
+            if bound.setdefault(term, value) != value:
+                return False
+        elif term != value:
+            return False
+    return True
+
+
+def _assert_rounds_count_what_the_interpreter_counts(program, database):
+    """Per round, the kernels' ``considered`` and staged facts are the
+    interpreter's; and, for rules of at most two atoms, per pin one
+    batch when its relation had delta rows, plus one for the join step
+    when a delta row carries the pinned atom's constants and repeats."""
+    reference = list(seminaive_rounds(database, program, store="instance"))
+    expected_batches = []
+    for before in reference[:-1]:
+        delta = {(atom.predicate, atom.arity) for atom in before.staged}
+        batches = 0
+        for rule in program:
+            for atom in rule.body:
+                if (atom.predicate, atom.arity) in delta:
+                    batches += 1
+                    batches += len(rule.body) == 2 and any(
+                        _fits(atom, fact) for fact in before.staged
+                    )
+        expected_batches.append(batches)
+    for store in KERNEL_STORES:
+        events = list(seminaive_rounds(database, program, store=store))
+        assert len(events) == len(reference), store
+        for event, interpreted, batches in zip(
+            events[1:], reference[1:], expected_batches
+        ):
+            assert event.considered == interpreted.considered
+            assert set(event.staged) == set(interpreted.staged)
+            assert event.batches == batches, (store, event.index)
+
+
 @given(
     extra=st.lists(
         rules().filter(lambda rule: len(rule.body) == 1), max_size=4
@@ -142,25 +186,113 @@ def test_projecting_rounds_count_what_the_interpreter_counts(
     """Single-atom rules run as row projections: per round, the same
     ``considered`` and staged facts as the interpreter, and one batch
     per rule whose body relation had delta rows."""
-    program = Program((BASE_RULE, *extra))
-    database = build_database(pairs, units)
-    reference = list(seminaive_rounds(database, program, store="instance"))
-    expected_batches = []
-    for before in reference[:-1]:
-        grew = {(atom.predicate, atom.arity) for atom in before.staged}
-        expected_batches.append(sum(
-            (rule.body[0].predicate, rule.body[0].arity) in grew
-            for rule in program
-        ))
-    for store in KERNEL_STORES:
-        events = list(seminaive_rounds(database, program, store=store))
-        assert len(events) == len(reference), store
-        for event, interpreted, batches in zip(
-            events[1:], reference[1:], expected_batches
-        ):
-            assert event.considered == interpreted.considered
-            assert set(event.staged) == set(interpreted.staged)
-            assert event.batches == batches, (store, event.index)
+    _assert_rounds_count_what_the_interpreter_counts(
+        Program((BASE_RULE, *extra)), build_database(pairs, units)
+    )
+
+
+@given(
+    extra=st.lists(
+        rules().filter(lambda rule: len(rule.body) == 2), min_size=1,
+        max_size=4,
+    ),
+    pairs=edge_facts,
+    units=unary_facts,
+)
+@settings(max_examples=60, deadline=None)
+def test_joining_rounds_count_what_the_interpreter_counts(
+    extra, pairs, units
+):
+    """Two-atom rules — keyed probes, membership steps, scans, old-only
+    steps, body and head constants — run their one step per pin: the
+    keyed ones on rows, with no binding.  Per round, the interpreter's
+    ``considered`` and staged facts, and one batch per pin with delta
+    rows plus one per step those rows reach."""
+    _assert_rounds_count_what_the_interpreter_counts(
+        Program((BASE_RULE, *extra)), build_database(pairs, units)
+    )
+
+
+class _Spelled:
+    """A constant's value with a chosen ``repr``: spellings that are
+    prefixes of one another, which no parsed constant has."""
+
+    def __init__(self, spelling):
+        self.spelling = spelling
+
+    def __repr__(self):
+        return self.spelling
+
+    def __eq__(self, other):
+        return isinstance(other, _Spelled) and other.spelling == self.spelling
+
+    def __hash__(self):
+        return hash(self.spelling)
+
+
+class _Table:
+    """The two reads :func:`_block` makes of a term table."""
+
+    def __init__(self, terms):
+        self.terms = terms
+
+    def term(self, tid):
+        return self.terms[tid]
+
+    def decode(self, row):
+        return tuple(map(self.terms.__getitem__, row))
+
+
+TERM_VALUES = (
+    "a", "ab", "a b", "A b", "b'", 'b"', "n1", "n10", "n2", 7, 70, -7,
+    _Spelled("x"), _Spelled("x)"), _Spelled("x), Constant(y"), _Spelled("y"),
+    _Spelled("z"),
+)
+
+
+@st.composite
+def id_blocks(draw):
+    """A term table (constants, a labelled null) and distinct id rows
+    of one arity over it."""
+    values = draw(st.lists(
+        st.sampled_from(TERM_VALUES), min_size=1, max_size=8, unique=True,
+    ))
+    terms = [Constant(value) for value in values]
+    if draw(st.booleans()):
+        terms.append(Null(3))
+    arity = draw(st.integers(0, 3))
+    row = st.tuples(*[st.integers(0, len(terms) - 1)] * arity)
+    return terms, draw(st.lists(row, max_size=30, unique=True))
+
+
+@given(id_blocks())
+@settings(max_examples=200, deadline=None)
+def test_block_order_is_the_str_order_of_the_decoded_answers(drawn):
+    """Rank keys when no spelling is a prefix of another, the string key
+    otherwise: either way the order ``sorted(..., key=str)`` gives."""
+    terms, rows = drawn
+    table = _Table(terms)
+    expected = sorted(
+        (answer for answer in map(table.decode, rows)
+         if all(isinstance(term, Constant) for term in answer)),
+        key=str,
+    )
+    assert _block(table, set(rows)) == expected
+    assert _block(table, list(rows)) == expected
+
+
+def test_block_falls_back_on_prefix_spellings():
+    # ``Constant(x)`` is a prefix of ``Constant(x), Constant(y)``: ranked
+    # by spelling, (x, z) would come first; as strings, the row of the
+    # longer spelling does.
+    x, x_y, z = (
+        Constant(_Spelled(spelling))
+        for spelling in ("x", "x), Constant(y", "z")
+    )
+    table = _Table([x, x_y, z])
+    expected = [(x_y, z), (x, z)]
+    assert sorted(expected, key=str) == expected
+    assert _block(table, [(0, 2), (1, 2)]) == expected
 
 
 def test_boolean_and_constant_queries_by_hand():

@@ -348,6 +348,65 @@ class TestFullyBoundSteps:
         assert store.count("mutual") > 0
 
 
+class TestRowJoins:
+    """A pin with one keyed step and no negated literal joins rows: its
+    head rows are built from (pinned row, matched row), with no
+    binding, and count what the interpreter counts."""
+
+    @pytest.mark.parametrize("source", [
+        TC_SOURCE,
+        MUTUAL_SOURCE,
+        # a head constant, interned on the rule's first fire
+        "e(a,b). e(b,c).\n tagged(X,marked) :- e(X,Y), e(Y,Z).",
+        # the head is the pinned row, once per match
+        "e(a,b). e(b,c). e(b,d).\n p(X,Y) :- e(X,Y), e(Y,Z).",
+        # the head is read off the matched row only
+        "r(a). r(b). e(a,c). e(b,d).\n q(Z) :- r(X), e(X,Z).",
+        # a membership step under a permuting head
+        "e(a,b). e(b,a). e(b,c).\n back(Y,X) :- e(X,Y), e(Y,X).",
+        # a repeat inside the matched atom
+        "r(a). f(a,b,b). f(a,c,d).\n s(X,Y) :- r(X), f(X,Y,Y).",
+        # a key constant in the probe
+        "e(a,b). e(b,c). g(b,k,c).\n h(X,Z) :- e(X,Y), g(Y,k,Z).",
+    ], ids=["tc", "mutual", "head-constant", "pinned-row", "matched-row",
+            "member", "matched-repeat", "key-constant"])
+    def test_parity_with_the_interpreter(self, source):
+        _event_parity(source)
+
+    def test_unfired_join_interns_no_head_constant(self):
+        program, database = parse_program(
+            "e(a,b). f(c,d).\n ghost(X,phantom) :- e(X,Y), f(Y,Z)."
+        )
+        result = seminaive(database, program, store="columnar")
+        assert result.instance.count("ghost") == 0
+        assert result.instance.table.id_of(Constant("phantom")) is None
+
+    def test_a_head_that_is_a_body_row_shares_its_tuple(self):
+        program, database = parse_program(MUTUAL_SOURCE)
+        store = seminaive(database, program, store="columnar").instance
+        ((_, closure),) = store.parts("t", 2)
+        ((_, mutual),) = store.parts("mutual", 2)
+        assert mutual.rows
+        assert all(
+            row is closure.rows[closure.row_pos[row]] for row in mutual.rows
+        )
+
+    def test_no_index_on_a_part_with_no_visible_row(self):
+        """Round 1 of the closure probes ``t`` from ``e``'s pin while
+        every ``t`` row is this round's own: nothing is visible, so no
+        index on ``t`` is built (and kept up by every later append)."""
+        program, database = parse_program(TC_SOURCE)
+        store = make_store("columnar", database)
+        rounds = KernelEvaluator(store, program).rounds()
+        try:
+            for index, _, _, _ in rounds:
+                for _, part in store.parts("t", 2):
+                    assert (0,) not in part.indexes, index
+        finally:
+            rounds.close()
+        assert store.count("t") == 6
+
+
 class TestQueryRead:
     """A CQ on a kernel-capable store reads id rows."""
 

@@ -889,6 +889,26 @@ class TestServiceMemoryStats:
         assert memory["edb_atoms"] == 4
         assert stats["head_caches"] == snapshots.head.caches.stats()
 
+    def test_install_after_the_measurement(self, monkeypatch):
+        """An ``apply`` that lands just after ``stats()`` read the live
+        versions: ``snapshots`` reports the versions ``memory``
+        measured, its head among them."""
+        service = ReasoningService(PROGRAM, store="columnar")
+        snapshots = service.snapshots
+        unpatched = snapshots.versions_snapshot
+
+        def then_install():
+            live = unpatched()
+            monkeypatch.setattr(snapshots, "versions_snapshot", unpatched)
+            service.apply("+edge(d, e).")
+            return live
+
+        monkeypatch.setattr(snapshots, "versions_snapshot", then_install)
+        stats = service.stats()
+        versions = stats["memory"]["versions"]
+        assert str(stats["snapshots"]["head_version"]) in versions
+        assert set(stats["snapshots"]["refcounts"]) == set(versions)
+
     def test_shared_structure_charged_once(self):
         """Old versions share the head's interning table, charged to
         the head once: the total must come out below `live versions ×

@@ -80,6 +80,18 @@ def test_bulk_drain_equals_pulling_one_by_one():
     assert list(bulk) == rows(6)  # replayable, engine order kept
 
 
+@pytest.mark.parametrize("blocks", [[], [rows(12)], [rows(12)[:5], rows(12)[5:]]])
+def test_to_sorted_is_the_str_order_of_the_set(blocks):
+    """Engine blocks are in ``str`` order: a one-block stream is
+    returned as cached (a copy), several blocks are merged by a sort."""
+    blocks = [sorted(block, key=str) for block in blocks]
+    stream, _ = stream_over(lambda: iter(blocks))
+    ordered = stream.to_sorted()
+    assert ordered == sorted(stream.to_set(), key=str)
+    ordered.append(None)
+    assert list(stream) == [row for block in blocks for row in block]
+
+
 def test_first_pulls_exactly_what_it_returns():
     engine = Engine(5)
     stream, released = stream_over(engine)
