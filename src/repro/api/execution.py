@@ -80,7 +80,9 @@ def execute_plan(
     kwargs = dict(plan.engine_kwargs)
 
     def cached_answers(run_query, unrewritten=False):
-        """``run_query`` over the cached fixpoint, one block; None on a miss."""
+        """``run_query`` over the cached fixpoint, one block — of id
+        rows on a kernel-capable fixpoint, decoded when read; None on a
+        miss."""
         fixpoint = (
             cache.get_fixpoint(plan, unrewritten) if cache is not None else None
         )

@@ -2,20 +2,25 @@
 
 An :class:`AnswerStream` is the result type of the session layer: a
 lazy, replayable iterator of certain-answer tuples.  The engine
-generator yields blocks (lists of answers) and is driven a block at a
-time, only as far as the consumer pulls, so the first answers surface
-before the full certain-answer set is materialized; consumed answers
-are cached, so repeated iteration, :meth:`AnswerStream.to_set`, and
-partial reads all agree.
+generator yields blocks (lists of answers, or the kernels'
+:class:`~repro.kernels.query.AnswerBlock` of id rows) and is driven a
+block at a time, only as far as the consumer pulls, so the first
+answers surface before the full certain-answer set is materialized;
+consumed answers are cached, so repeated iteration,
+:meth:`AnswerStream.to_set`, and partial reads all agree.  An id block
+is cached as its id rows and decoded when read: each pass yields equal,
+not identical, tuples.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, List, Optional, Tuple
+from itertools import islice
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.terms import Constant
+from ..kernels.query import AnswerBlock
 
 __all__ = ["AnswerStream", "StreamStats"]
 
@@ -85,18 +90,27 @@ class AnswerStream:
     ``cert(q, D, Σ)`` — holds on normal exhaustion.  An engine that
     cannot certify completeness (e.g. a strict chase that failed to
     saturate) raises at the *end* of the stream, after every block.
+
+    The cache holds answers as the blocks brought them: decoded tuples,
+    or — while every block is an :class:`AnswerBlock` of one term
+    table — its id rows (for a one-atom reader, the store's own
+    tuples), decoded when read.  A mixed stream decodes its id rows
+    once, when the first other block arrives.
     """
 
     def __init__(
         self,
         plan,
-        factory: Callable[[], Iterable[List[AnswerTuple]]],
+        factory: Callable[[], Iterable[Sequence[AnswerTuple]]],
         stats: Optional[StreamStats] = None,
     ):
         self._plan = plan
         self._factory = factory
-        self._iterator: Optional[Iterator[List[AnswerTuple]]] = None
-        self._cache: List[AnswerTuple] = []
+        self._iterator: Optional[Iterator[Sequence[AnswerTuple]]] = None
+        self._cache: list = []
+        #: The term table of the cached id rows; None when the cache
+        #: holds decoded tuples.
+        self._table = None
         #: Non-empty blocks pulled so far.
         self._blocks = 0
         self._exhausted = False
@@ -160,7 +174,7 @@ class AnswerStream:
                 for block in self._iterator:
                     # Whole blocks land in the cache: after an error,
                     # the sound prefix stays replayable.
-                    self._cache.extend(block)
+                    self._keep(block)
                     if block:
                         self._blocks += 1
                         if not drain:
@@ -174,6 +188,33 @@ class AnswerStream:
             return False
         finally:
             self.stats.wall_ms += (time.perf_counter() - started) * 1000.0
+
+    def _keep(self, block) -> None:
+        """Append *block* to the cache: as id rows while the cache is
+        one table's, else decoded."""
+        # ``type``, not ``isinstance``: the ABC check costs a plain
+        # list's block more than its extend.
+        if type(block) is AnswerBlock and (
+            block.table is self._table
+            or (self._table is None and not self._cache)
+        ):
+            self._table = block.table
+            self._cache.extend(block.rows)
+            return
+        if self._table is not None:
+            # A new list, not in place: a pass reading the old one
+            # with the old table stays consistent.
+            self._cache = list(self._answers())
+            self._table = None
+        self._cache.extend(block)
+
+    def _answers(self, rows: Optional[Iterable] = None) -> Iterator[AnswerTuple]:
+        """The answers of cached *rows* (the whole cache by default),
+        decoded as they are read."""
+        rows = self._cache if rows is None else rows
+        if self._table is None:
+            return iter(rows)
+        return map(self._table.decode, rows)
 
     # -- resource management -----------------------------------------------
 
@@ -218,10 +259,15 @@ class AnswerStream:
     def __iter__(self) -> Iterator[AnswerTuple]:
         index = 0
         while True:
-            while index < len(self._cache):
-                yield self._cache[index]
-                index += 1
-            if not self._pull():
+            cache, table = self._cache, self._table
+            end = len(cache)
+            if index < end:
+                # What was cached when this stretch began, decoded by
+                # the table it was cached under.
+                rows = map(cache.__getitem__, range(index, end))
+                yield from rows if table is None else map(table.decode, rows)
+                index = end
+            elif not self._pull():
                 return
 
     def first(self, n: int = 1) -> List[AnswerTuple]:
@@ -230,23 +276,26 @@ class AnswerStream:
             raise ValueError(f"first(n) needs n >= 0, got {n}")
         while len(self._cache) < n and self._pull():
             pass
-        return self._cache[:n]
+        return list(self._answers(islice(self._cache, n)))
 
     def to_set(self) -> frozenset:
         """Drain the stream and return the full certain-answer set."""
         self._pull(drain=True)
-        return frozenset(self._cache)
+        return frozenset(self._answers())
 
     def to_sorted(self) -> List[AnswerTuple]:
         """Drain the stream; answers sorted by string form.  Every
         engine's block is distinct and in ``str`` order, so a stream of
-        at most one block (a cached read, a single round) is a copy of
-        its cache, sorted only once."""
+        at most one block (a cached read, a single round) is its cache
+        decoded, sorted only once."""
         self._pull(drain=True)
         if self._blocks <= 1:
-            return list(self._cache)
+            return list(self._answers())
         return sorted(self.to_set(), key=str)
 
     def count(self) -> int:
-        """``|cert(q, D, Σ)|`` (drains the stream)."""
-        return len(self.to_set())
+        """``|cert(q, D, Σ)|`` (drains the stream).  Counted on the
+        cache as it stands: one table gives distinct answers distinct
+        id rows, so nothing is decoded."""
+        self._pull(drain=True)
+        return len(set(self._cache))

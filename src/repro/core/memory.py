@@ -16,7 +16,6 @@ space-efficiency measurements need.
 from __future__ import annotations
 
 import sys
-import tracemalloc
 from typing import Any, Callable, Optional, Set, Tuple
 
 __all__ = ["deep_sizeof", "traced_peak"]
@@ -66,7 +65,10 @@ def deep_sizeof(obj: Any, seen: Optional[Set[int]] = None) -> int:
 
 
 def traced_peak(action: Callable[[], Any]) -> Tuple[Any, int]:
-    """Run *action*, returning ``(result, peak allocated bytes)``."""
+    """Run *action*, returning ``(result, peak allocated bytes)``.
+    ``tracemalloc`` (which loads ``pickle``) is imported on first use."""
+    import tracemalloc
+
     tracemalloc.start()
     try:
         result = action()

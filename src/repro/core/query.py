@@ -36,7 +36,8 @@ def stream_new_answers(query: "ConjunctiveQuery", events, delta_of):
     is the one answer-surfacing protocol shared by the chase and
     semi-naive streams; on a kernel-capable store the semi-naive stream
     keeps it in id space (:func:`repro.kernels.stream_query_answers`),
-    so no round's staged rows are decoded to feed it.
+    so no round's staged rows are decoded to feed it, and its blocks
+    are id rows whose answers are decoded when read.
     """
     seen: set[tuple[Constant, ...]] = set()
     predicates = query.predicates()

@@ -294,7 +294,7 @@ def stream_datalog_answers(
     store: StoreChoice = "instance",
     on_fixpoint=None,
     stats=None,
-) -> Iterable[List[tuple[Constant, ...]]]:
+) -> Iterable[Sequence[tuple[Constant, ...]]]:
     """Yield ``cert(q, D, Σ)`` in blocks as the fixpoint rounds land.
 
     Answers are produced incrementally: after each semi-naive round that
@@ -304,8 +304,9 @@ def stream_datalog_answers(
     ``str`` order — on a kernel-capable store, read off the round's id
     rows by the query's own pin plans
     (:func:`~repro.kernels.stream_query_answers`), so no staged fact is
-    decoded; each new answer is, once.  The union of the blocks equals
-    the eager :func:`datalog_answers` set.
+    decoded, and a block is an :class:`~repro.kernels.AnswerBlock` of id
+    rows whose answers are decoded when read.  The union of the blocks
+    equals the eager :func:`datalog_answers` set.
     ``on_fixpoint``, if given, receives the final :class:`FactStore`
     (callers use it to cache the materialization).  ``stats``, if given,
     receives running ``rounds``, ``derived``, ``exec_mode`` and

@@ -9,8 +9,8 @@ rule once into batch join plans over interned id rows
 structure, staged facts, and match counts exactly — a negated literal
 included, as a membership test on the projected id row.  A conjunctive
 query over such a store is read the same way (:mod:`~repro.kernels.query`):
-lowered to a rule whose head is the answer tuple, its id rows decoded
-only once each, as answers.
+lowered to a rule whose head is the answer tuple, its id rows kept as
+answer blocks and decoded when read.
 
 Nobody selects this path: :func:`repro.datalog.seminaive.seminaive_rounds`
 runs kernels (one evaluator per stratum) exactly when the store declares
@@ -29,10 +29,16 @@ from .compiler import (
     compile_kernels,
     compile_rule,
 )
-from .query import ordered_answers, query_answers, stream_query_answers
+from .query import (
+    AnswerBlock,
+    ordered_answers,
+    query_answers,
+    stream_query_answers,
+)
 from .runtime import KernelEvaluator, RowRange, decode_ranges
 
 __all__ = [
+    "AnswerBlock",
     "JoinStep",
     "KernelProgram",
     "PinPlan",

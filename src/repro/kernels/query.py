@@ -10,19 +10,25 @@ instead of into the store.  A query that is one atom read in order
 (``q(X,Y) :- t(X,Y)``) keeps no set at all: its answers are the stored
 rows themselves, distinct by the store's dedup, in a list, and a round's
 ranges hold only rows new to their parts, so its stream needs no
-memory of the rows it yielded.  Only a new answer row is decoded, once,
-through the store's term table, into a ``Constant`` tuple, after its
-block is sorted (on ranks of the ids' spellings, not on a string per
-row); a row carrying a labelled null is no answer, as in
+memory of the rows it yielded.  A block leaves as id rows: an
+:class:`AnswerBlock` of the sorted rows (on ranks of the ids'
+spellings, not on a string per row) and the store's term table, so a
+stream that caches it keeps ids, and each answer is decoded into a
+``Constant`` tuple when it is read — for a one-atom reader the cached
+rows are the stored tuples themselves.  A row carrying a labelled null
+is no answer, as in
 :meth:`~repro.core.query.ConjunctiveQuery.evaluate`, which stays the
-reference.  The reader's batch operations are its own: they never
+reference; it is dropped in id space, one check per distinct id of the
+block.  The reader's batch operations are its own: they never
 reach a round's ``kernel_batches``.
 """
 
 from __future__ import annotations
 
-from itertools import chain, repeat
-from typing import Collection, Iterable, Iterator, List, Optional, Set
+from collections.abc import Sequence
+from itertools import chain
+from operator import eq
+from typing import Collection, Iterator, List, Optional, Set
 
 from ..core.atoms import Atom
 from ..core.program import Program
@@ -32,7 +38,9 @@ from ..core.tgd import TGD
 from ..storage.relation import Row
 from .runtime import KernelEvaluator
 
-__all__ = ["ordered_answers", "query_answers", "stream_query_answers"]
+__all__ = [
+    "AnswerBlock", "ordered_answers", "query_answers", "stream_query_answers",
+]
 
 
 def _reader(query: ConjunctiveQuery, store) -> KernelEvaluator:
@@ -43,25 +51,62 @@ def _reader(query: ConjunctiveQuery, store) -> KernelEvaluator:
     return KernelEvaluator(store, Program((rule,)))
 
 
-def _decoded(table, rows: Iterable[Row]) -> List[tuple]:
-    """The constant tuples of *rows* (rows with a null dropped)."""
-    return [
-        answer for answer in map(table.decode, rows)
-        if all(map(isinstance, answer, repeat(Constant)))
-    ]
+class AnswerBlock(Sequence):
+    """One block of answers kept as id rows: the rows and the term
+    table that decodes them.  It reads as the list of decoded tuples
+    it stands for — ``len``, iteration, indexing and ``==`` against a
+    list or a block — decoding each row when it is read; nothing
+    decoded is kept.  For a one-atom reader the rows are the store's
+    own tuples."""
+
+    __slots__ = ("rows", "table")
+
+    def __init__(self, rows: List[Row], table) -> None:
+        self.rows = rows
+        self.table = table
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __iter__(self) -> Iterator[tuple]:
+        return map(self.table.decode, self.rows)
+
+    def __getitem__(self, at):
+        if isinstance(at, slice):
+            return list(map(self.table.decode, self.rows[at]))
+        return self.table.decode(self.rows[at])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (list, AnswerBlock)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __repr__(self) -> str:
+        return f"AnswerBlock({list(self)!r})"
 
 
-def _block(table, rows: Collection[Row]) -> List[tuple]:
-    """:func:`_decoded` in ``str`` order, sorted as id rows (a list is
-    sorted in place).  The distinct ids are spelled once (``repr``) and
-    ranked by spelling: when no spelling is a prefix of another, the
-    first position two rows differ at decides their ``str`` order, so a
-    row is keyed on its ranks — one int for up to two positions.
-    Otherwise on ``str`` of the decoded tuple less its ``(``."""
+def _without_nulls(table, rows: Collection[Row], ids: Set[int]):
+    """*rows* less those carrying a labelled null, *ids* being their
+    distinct ids: one check per id, a row filter only if one is null."""
+    nulls = {tid for tid in ids if not isinstance(table.term(tid), Constant)}
+    if not nulls:
+        return rows
+    return [row for row in rows if nulls.isdisjoint(row)]
+
+
+def _block(table, rows: Collection[Row]) -> AnswerBlock:
+    """The constant rows of *rows* in the ``str`` order of their
+    decoded tuples, sorted as id rows (a list is sorted in place).  The
+    distinct ids are spelled once (``repr``) and ranked by spelling:
+    when no spelling is a prefix of another, the first position two
+    rows differ at decides their ``str`` order, so a row is keyed on
+    its ranks — one int for up to two positions.  Otherwise on ``str``
+    of the decoded tuple less its ``(``."""
     if not isinstance(rows, list):
         rows = list(rows)
+    ids = set(chain.from_iterable(rows))
+    rows = _without_nulls(table, rows, ids)
     if len(rows) > 1:
-        ids = set(chain.from_iterable(rows))
         spelled = sorted(zip(map(repr, map(table.term, ids)), ids))
         if any(
             longer.startswith(shorter)
@@ -80,21 +125,26 @@ def _block(table, rows: Collection[Row]) -> List[tuple]:
                 rows.sort(key=lambda row: rank[row[0]] * width + rank[row[1]])
             else:
                 rows.sort(key=lambda row: tuple(map(rank.__getitem__, row)))
-    return _decoded(table, rows)
+    return AnswerBlock(rows, table)
 
 
 def query_answers(query: ConjunctiveQuery, store) -> Set[tuple]:
     """``q(store)`` read off the id rows of a kernel-capable *store*:
     the set :meth:`ConjunctiveQuery.evaluate` computes."""
-    return set(_decoded(store.table, _reader(query, store).answer_rows()))
+    table = store.table
+    rows = _reader(query, store).answer_rows()
+    ids = set(chain.from_iterable(rows))
+    return set(map(table.decode, _without_nulls(table, rows, ids)))
 
 
-def ordered_answers(query: ConjunctiveQuery, store) -> List[tuple]:
+def ordered_answers(query: ConjunctiveQuery, store) -> AnswerBlock:
     """:func:`query_answers` as one block, in ``str`` order."""
     return _block(store.table, _reader(query, store).answer_rows())
 
 
-def stream_query_answers(query: ConjunctiveQuery, events) -> Iterator[list]:
+def stream_query_answers(
+    query: ConjunctiveQuery, events
+) -> Iterator[AnswerBlock]:
     """:func:`~repro.core.query.stream_new_answers`' protocol over the
     round events of kernel evaluation, in id space.
 
@@ -102,7 +152,8 @@ def stream_query_answers(query: ConjunctiveQuery, events) -> Iterator[list]:
     every later event is delta-read over its ``ranges``, which must
     still be the last rows appended when the event is read — an event
     is read before the next one is pulled.  Each answer is yielded
-    once, in its event's block: a list in ``str`` order.
+    once, in its event's block: an :class:`AnswerBlock` in ``str``
+    order.
     """
     reader = None
     seen: Optional[Set[Row]] = None

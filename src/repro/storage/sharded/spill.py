@@ -10,12 +10,13 @@ reload the page and scan interned ids in memory.
 
 The pager is lazy: no file or connection exists until the first write,
 so constructing a sharded store (which every engine run does) costs no
-I/O when the working set fits the budget.
+I/O when the working set fits the budget — and no SQLite until the
+first write: ``sqlite3`` is imported by the first connection, so a
+process that never spills never maps the library.
 """
 
 from __future__ import annotations
 
-import sqlite3
 import threading
 from array import array
 from pathlib import Path
@@ -66,7 +67,7 @@ class SpillPager:
     def __init__(self, path: Optional[Path] = None):
         self._path = Path(path) if path is not None else None
         self._tmpdir = None  # owns the backing dir when auto-created
-        self._conn: Optional[sqlite3.Connection] = None
+        self._conn = None  # a sqlite3.Connection once connected
         self._lock = threading.Lock()
         #: page key → payload bytes, mirrored so accounting is O(1).
         self._page_bytes: Dict[Tuple[str, int, int], int] = {}
@@ -80,8 +81,10 @@ class SpillPager:
         """The backing file, or None while still unmaterialized."""
         return self._path
 
-    def _connect(self) -> sqlite3.Connection:
+    def _connect(self):
         if self._conn is None:
+            import sqlite3
+
             if self._path is None:
                 import tempfile
 

@@ -25,10 +25,7 @@ instead of serving answers from the wrong rules.
 
 from __future__ import annotations
 
-import hashlib
 import os
-import pickle
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Tuple, Union
@@ -52,6 +49,8 @@ def program_fingerprint(compiled) -> str:
     rule reprs for programs built in memory.  Either way the name is
     included, so two deployments of one rule set checkpoint separately.
     """
+    import hashlib
+
     digest = hashlib.sha256()
     digest.update(compiled.name.encode())
     digest.update(b"\x00")
@@ -97,7 +96,9 @@ class StateDirectory:
 
     Checkpoints replace each other atomically (write-then-rename), so a
     crash mid-checkpoint leaves the previous one intact — the warm
-    start is best-effort but never torn.
+    start is best-effort but never torn.  ``pickle`` and ``tempfile``
+    are imported by the first :meth:`save` or :meth:`load`, so a server
+    without a state directory never loads them.
     """
 
     STATE_FILE = "state.pkl"
@@ -115,6 +116,9 @@ class StateDirectory:
 
     def save(self, state: SavedState) -> Path:
         """Persist *state* atomically; returns the checkpoint file."""
+        import pickle
+        import tempfile
+
         self._path.mkdir(parents=True, exist_ok=True)
         payload = {"format": STATE_FORMAT, "state": state}
         fd, tmp_name = tempfile.mkstemp(
@@ -140,6 +144,8 @@ class StateDirectory:
         the wrong rules would be silent corruption, an empty cache is
         merely slow.
         """
+        import pickle
+
         try:
             with open(self.state_file, "rb") as handle:
                 payload = pickle.load(handle)

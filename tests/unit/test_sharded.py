@@ -1,11 +1,16 @@
 """Unit tests for the out-of-core sharded storage subsystem."""
 
+import os
 import pickle
 import random
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core.atoms import Atom
 from repro.core.instance import Instance
 from repro.core.terms import Constant, Variable
@@ -581,3 +586,56 @@ class TestStateDirectory:
         assert program_fingerprint(first) == program_fingerprint(
             compile_program(program)
         )
+
+
+#: A columnar closure drained after importing every entry point.
+_CLOSE_IN_MEMORY = """
+import repro.api, repro.cli, repro.server.service
+session = repro.api.Session(store="columnar")
+session.load("t(X,Y) :- e(X,Y). t(X,Z) :- e(X,Y), t(Y,Z). "
+             + " ".join(f"e(n{i}, n{i + 1})." for i in range(10)))
+assert session.query("q(X,Y) :- t(X,Y).").count() == 55
+"""
+
+#: A budgeted store past its budget: it spills.
+_SPILL = """
+from repro.core.atoms import Atom
+from repro.core.terms import Constant
+from repro.storage import ShardedStore
+store = ShardedStore(
+    [Atom("edge", (Constant(i), Constant(i + 1))) for i in range(200)],
+    memory_budget=2048,
+)
+assert store.stats["spilled_shards"] > 0
+"""
+
+
+class TestLazyImports:
+    """SQLite and pickle load at the first spill or checkpoint, not
+    with the package: a process that never spills maps no
+    ``libsqlite3``."""
+
+    LAZY = ("sqlite3", "pickle")
+
+    @staticmethod
+    def _modules(code=""):
+        """The modules a fresh interpreter holds after running *code*."""
+        done = subprocess.run(
+            [sys.executable, "-c",
+             code + "\nimport sys\nprint(' '.join(sorted(sys.modules)))"],
+            capture_output=True, text=True, check=True, timeout=120,
+            env={**os.environ,
+                 "PYTHONPATH": str(Path(repro.__file__).parents[1])},
+        )
+        return set(done.stdout.split())
+
+    def test_a_closure_in_memory_loads_neither(self):
+        # Compared with a bare interpreter: ``site`` differs per box.
+        bare = self._modules()
+        loaded = self._modules(_CLOSE_IN_MEMORY)
+        assert "repro.server.service" in loaded
+        for name in self.LAZY:
+            assert name not in loaded or name in bare, name
+
+    def test_a_spilling_store_loads_sqlite(self):
+        assert "sqlite3" in self._modules(_SPILL)
