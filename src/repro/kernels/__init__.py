@@ -1,13 +1,15 @@
 """Columnar batch kernels: rules compiled to set-at-a-time plans.
 
-The semi-naive interpreter joins atom-by-atom through Python
-substitution dicts; on an interned columnar store that wastes exactly
-the representation the store exists for.  This package compiles each
-rule once into batch join plans over interned id rows
+The semi-naive interpreter joins tuple at a time through
+:mod:`repro.core.match`'s slot-addressed tuple compiler, one binding
+per stored tuple over decoded terms; on an interned columnar store that
+wastes exactly the representation the store exists for.  This package
+compiles each rule once into batch join plans over interned id rows
 (:mod:`~repro.kernels.compiler`) and executes them set-at-a-time
-(:mod:`~repro.kernels.runtime`), reproducing the interpreter's round
+(:mod:`~repro.kernels.runtime`), a match being the pinned row with each
+step's matched row appended, reproducing the interpreter's round
 structure, staged facts, and match counts exactly — a negated literal
-included, as a membership test on the projected id row.  A conjunctive
+included, as a membership test on the laid-out id row.  A conjunctive
 query over such a store is read the same way (:mod:`~repro.kernels.query`):
 lowered to a rule whose head is the answer tuple, its id rows kept as
 answer blocks and decoded when read.

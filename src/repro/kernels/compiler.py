@@ -1,12 +1,27 @@
-"""Lowering stratified Datalog rules to batch join plans.
+"""Lowering stratified Datalog rules to batch join plans over rows.
 
-One rule is compiled into one :class:`RuleKernel`: a fixed slot layout
-for its variables, a head template, a template per negated literal,
-and — per body position — a :class:`PinPlan` that drives the
-semi-naive round with that position pinned to the delta.  The lowering happens **once per evaluation**;
-the runtime (:mod:`repro.kernels.runtime`) then executes each plan as
-a handful of batch operations over interned id rows instead of
-per-tuple :class:`~repro.core.substitution.Substitution` churn.
+One rule is compiled into one :class:`RuleKernel`: per body position, a
+:class:`PinPlan` that drives the semi-naive round with that position
+pinned to the delta.  The lowering happens **once per evaluation**; the
+runtime (:mod:`repro.kernels.runtime`) then executes each plan as a
+handful of batch operations over interned id rows instead of per-tuple
+:class:`~repro.core.substitution.Substitution` churn.
+
+A match is a row
+----------------
+
+A pin's match is the pinned atom's stored row with each join step's
+matched row appended to it, in step order — no binding list.  Every
+template of a plan is laid out once, over positions of that *match
+row*: a variable is read at its first occurrence there, a constant is
+carried as its term (resolved to an interned id at run time).  So a
+step's key, a negated literal and the head are all a tuple of cells,
+``(ROW, position)`` or ``(CONST, term)``, and a step's ``repeats`` are
+within-atom equalities checked on the matched row itself.  A head that
+*is* the pinned row (with at most one step) or the last matched row, as
+stored, is marked so (:attr:`PinPlan.shares`): the runtime hands that
+stored tuple on, and the head relation shares the body relation's
+tuples.
 
 Exact-once delta semantics
 --------------------------
@@ -26,22 +41,12 @@ Join order inside one pin plan is the tuple compiler's
 most bound positions first), so the two compilers always join in one
 order; the old/full discipline is attached per *body position*, so
 reordering never changes the counted set.
-
-A pin with no join step and no negated literal to test needs no binding
-at all: its plan carries ``project``, the head laid out over the pinned
-row's positions, and the runtime maps each stored row that passes the
-pin's constant and repeat checks straight to its head row — the row
-itself when the head lists the body's variables in order (``t(X,Y) :-
-e(X,Y)``: the head relation shares ``e``'s row tuples).  A pin with one
-keyed step and no negated literal needs none either: the runtime lays
-its head out over the pinned and matched rows from these same plans
-(:meth:`~repro.kernels.runtime.KernelEvaluator._join`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..core.match import selective_order
 from ..core.program import Program
@@ -57,12 +62,16 @@ __all__ = [
     "compile_kernels",
 ]
 
-#: A key source: a binding slot index, or a constant term (resolved to
-#: its interned id at run time).
-SLOT = "s"
-CONST = "c"
-#: A projection source: a 0-based position of the pinned row.
+#: A cell's source: a 0-based position of the match row, or a constant
+#: term (resolved to its interned id at run time).
 ROW = "r"
+CONST = "c"
+Cell = Tuple[str, object]
+
+#: :attr:`PinPlan.shares`: the head is the pinned row / the last
+#: matched row, as stored.
+PINNED = "pinned row"
+MATCHED = "matched row"
 
 
 @dataclass(frozen=True)
@@ -70,25 +79,24 @@ class JoinStep:
     """One hash probe, membership test or scan of a body atom against
     the store's relation parts.
 
-    ``key`` pairs each keyed 0-based position with its value source —
-    ``(SLOT, slot)`` for an already-bound variable, ``(CONST, term)``
-    for a rule constant.  ``repeats`` are within-atom equalities whose
-    first occurrence is free at this step; ``binds`` assign free
-    positions to slots.  ``old_only`` excludes current-delta rows —
-    the first-pin discipline described in the module docstring.
+    ``key`` pairs each keyed 0-based position of the atom with its cell
+    over the match row so far — a constant, or a variable an earlier
+    atom read.  ``repeats`` are within-atom equalities
+    ``(position, earlier position)`` whose first occurrence is read
+    here.  ``old_only`` excludes current-delta rows — the first-pin
+    discipline described in the module docstring.
     """
 
     predicate: str
     arity: int
     old_only: bool
-    key: Tuple[Tuple[int, Tuple[str, object]], ...]
+    key: Tuple[Tuple[int, Cell], ...]
     repeats: Tuple[Tuple[int, int], ...]
-    binds: Tuple[Tuple[int, int], ...]
 
     @property
     def member(self) -> bool:
-        """True iff the key covers every position: the step binds
-        nothing and runs as a membership test on the part's dedup map
+        """True iff the key covers every position: the matched row is
+        the key itself, looked up in the part's dedup map
         (``row_pos``), building no hash index."""
         return len(self.key) == self.arity
 
@@ -97,12 +105,10 @@ class JoinStep:
 class PinPlan:
     """The batch plan for one rule with one body position pinned.
 
-    The pinned atom is filtered/projected straight off the delta rows
-    (``consts``/``repeats`` checks, ``binds`` projections), then
-    ``steps`` extend the binding frontier one batch at a time.  A pin
-    with no step in a rule with no negated literal has ``project`` —
-    per head position ``(ROW, position)`` or ``(CONST, term)`` — and
-    its filtered rows map straight to head rows, bound to no slot.
+    The pinned atom's delta rows are filtered on ``consts`` and
+    ``repeats``, then ``steps`` extend each match row one batch at a
+    time, ``negated`` drops the matches a negated literal blocks, and
+    ``head`` lays each match row out as a head row.
     """
 
     pin_index: int
@@ -110,33 +116,33 @@ class PinPlan:
     arity: int
     consts: Tuple[Tuple[int, Term], ...]
     repeats: Tuple[Tuple[int, int], ...]
-    binds: Tuple[Tuple[int, int], ...]
     steps: Tuple[JoinStep, ...]
-    project: Optional[Tuple[Tuple[str, object], ...]] = None
+    #: Per head position, its cell over the match row.
+    head: Tuple[Cell, ...]
+    #: Per negated literal: ``(predicate, arity, cells)`` — a
+    #: membership test on the id row the cells lay out (stratified
+    #: negation: the relation is complete).
+    negated: Tuple[Tuple[str, int, Tuple[Cell, ...]], ...] = ()
+    #: :data:`PINNED` / :data:`MATCHED` when the head is that stored
+    #: row itself, else None.
+    shares: Optional[str] = None
 
     @property
     def keeps_rows(self) -> bool:
-        """True iff ``project`` is the pinned row itself, in order."""
-        return self.project == tuple(
-            (ROW, position) for position in range(self.arity)
-        )
+        """True iff the pin's head rows are its filtered pinned rows
+        themselves: nothing to join or test, and the head is the
+        pinned row."""
+        return not self.steps and not self.negated and self.shares == PINNED
 
 
 @dataclass(frozen=True)
 class RuleKernel:
-    """One rule lowered: slot layout, head template, per-pin plans."""
+    """One rule lowered: its head relation and per-pin plans."""
 
     rule: TGD
-    num_slots: int
     head_predicate: str
     head_arity: int
-    #: Per head position: ``(SLOT, slot)`` or ``(CONST, term)``.
-    head: Tuple[Tuple[str, object], ...]
     pins: Tuple[PinPlan, ...]
-    #: Per negated literal: ``(predicate, arity, template)``, the
-    #: template laid out like ``head`` — a membership test on the
-    #: projected id row (stratified negation: the relation is complete).
-    negated: Tuple[Tuple[str, int, Tuple[Tuple[str, object], ...]], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -154,19 +160,20 @@ class KernelProgram:
         """A compact, stable rendering (observability for tests)."""
         lines = [f"kernel program: {self.rules} rule(s)"]
         for kernel in self.kernels:
-            lines.append(
-                f"  {kernel.rule}: {kernel.num_slots} slot(s), "
-                f"{len(kernel.pins)} pin(s)"
-            )
+            lines.append(f"  {kernel.rule}: {len(kernel.pins)} pin(s)")
             for pin in kernel.pins:
                 ops = " -> ".join(
                     f"{_op_name(step)}[{step.predicate}/{step.arity}"
                     f"{'|old' if step.old_only else ''}]"
                     for step in pin.steps
                 ) or "project"
+                head = pin.shares or "(" + ", ".join(
+                    f"#{payload}" if kind == ROW else str(payload)
+                    for kind, payload in pin.head
+                ) + ")"
                 lines.append(
                     f"    pin {pin.pin_index} ({pin.predicate}/"
-                    f"{pin.arity}): {ops}"
+                    f"{pin.arity}): {ops}; head = {head}"
                 )
         return "\n".join(lines)
 
@@ -177,95 +184,17 @@ def _op_name(step: JoinStep) -> str:
     return "probe" if step.key else "scan"
 
 
-def _atom_layout(
-    atom, slots: dict, bound: set
-) -> Tuple[
-    Tuple[Tuple[int, Term], ...],
-    Tuple[Tuple[int, int], ...],
-    Tuple[Tuple[int, int], ...],
-    Tuple[Tuple[int, Tuple[str, object]], ...],
-]:
-    """Split one atom's positions into consts / repeats / binds / key.
-
-    *bound* is the set of slots bound before this atom runs; *slots*
-    maps variables to slot indices (extended here on first occurrence).
-    Key entries cover every position whose value is known up front —
-    constants and already-bound variables; ``repeats`` cover second
-    occurrences of variables first bound within this very atom.
-    """
-    consts: List[Tuple[int, Term]] = []
-    repeats: List[Tuple[int, int]] = []
-    binds: List[Tuple[int, int]] = []
-    key: List[Tuple[int, Tuple[str, object]]] = []
-    first_here: dict = {}
-    for position, term in enumerate(atom.args):
-        if not isinstance(term, Variable):
-            consts.append((position, term))
-            key.append((position, (CONST, term)))
-            continue
-        slot = slots.get(term)
-        if slot is not None and slot in bound:
-            key.append((position, (SLOT, slot)))
-            continue
-        earlier = first_here.get(term)
-        if earlier is not None:
-            repeats.append((position, earlier))
-            continue
-        if slot is None:
-            slot = slots[term] = len(slots)
-        first_here[term] = position
-        binds.append((position, slot))
-    return tuple(consts), tuple(repeats), tuple(binds), tuple(key)
-
-
-def _compile_pin(rule: TGD, pin_index: int, slots: dict) -> PinPlan:
-    body = rule.body
-    pinned = body[pin_index]
-    bound: set = set()
-    consts, repeats, binds, _ = _atom_layout(pinned, slots, bound)
-    bound.update(slot for _, slot in binds)
-    steps: List[JoinStep] = []
-    for at in selective_order(body, pin_index)[1:]:
-        atom = body[at]
-        _, a_repeats, a_binds, a_key = _atom_layout(atom, slots, bound)
-        steps.append(
-            JoinStep(
-                predicate=atom.predicate,
-                arity=atom.arity,
-                old_only=at < pin_index,
-                key=a_key,  # constants are folded into the key
-                repeats=a_repeats,
-                binds=a_binds,
-            )
-        )
-        bound.update(slot for _, slot in a_binds)
-    project = None
-    if not steps and not rule.negated:
-        project = tuple(
-            (ROW, pinned.args.index(term)) if isinstance(term, Variable)
-            else (CONST, term)
-            for term in rule.head[0].args
-        )
-    return PinPlan(
-        pin_index=pin_index,
-        predicate=pinned.predicate,
-        arity=pinned.arity,
-        consts=consts,
-        repeats=repeats,
-        binds=binds,
-        steps=tuple(steps),
-        project=project,
-    )
-
-
-def _template(atom, slots: dict, rule: TGD) -> Tuple[Tuple[str, object], ...]:
-    """Per position of *atom*: ``(SLOT, slot)`` or ``(CONST, term)``."""
-    cells: List[Tuple[str, object]] = []
+def _atom_cells(
+    atom, read: Dict[Variable, int], rule: TGD
+) -> Tuple[Cell, ...]:
+    """Per position of *atom*: its cell, given where each variable is
+    *read* in the match row."""
+    cells: List[Cell] = []
     for term in atom.args:
         if not isinstance(term, Variable):
             cells.append((CONST, term))
-        elif term in slots:
-            cells.append((SLOT, slots[term]))
+        elif term in read:
+            cells.append((ROW, read[term]))
         else:  # pragma: no cover — is_full() and lint's E101 exclude it
             raise ValueError(
                 f"variable {term} of {atom} in {rule} is not bound by "
@@ -274,29 +203,80 @@ def _template(atom, slots: dict, rule: TGD) -> Tuple[Tuple[str, object], ...]:
     return tuple(cells)
 
 
+def _compile_pin(rule: TGD, pin_index: int) -> PinPlan:
+    body = rule.body
+    pinned = body[pin_index]
+    # variable → its first position in the match row
+    read: Dict[Variable, int] = {}
+    consts: List[Tuple[int, Term]] = []
+    repeats: List[Tuple[int, int]] = []
+    for position, term in enumerate(pinned.args):
+        if not isinstance(term, Variable):
+            consts.append((position, term))
+        elif term in read:
+            repeats.append((position, read[term]))
+        else:
+            read[term] = position
+    steps: List[JoinStep] = []
+    width = pinned.arity
+    order = selective_order(body, pin_index)
+    for at in order[1:]:
+        atom = body[at]
+        key: List[Tuple[int, Cell]] = []
+        a_repeats: List[Tuple[int, int]] = []
+        for position, term in enumerate(atom.args):
+            if not isinstance(term, Variable):
+                key.append((position, (CONST, term)))
+            elif term not in read:
+                read[term] = width + position
+            elif read[term] < width:
+                key.append((position, (ROW, read[term])))
+            else:
+                a_repeats.append((position, read[term] - width))
+        steps.append(JoinStep(
+            predicate=atom.predicate,
+            arity=atom.arity,
+            old_only=at < pin_index,
+            key=tuple(key),
+            repeats=tuple(a_repeats),
+        ))
+        width += atom.arity
+    head = _atom_cells(rule.head[0], read, rule)
+    shares = None
+    if len(steps) <= 1 and head == _atom_cells(pinned, read, rule):
+        shares = PINNED
+    elif steps and head == _atom_cells(body[order[-1]], read, rule):
+        shares = MATCHED
+    return PinPlan(
+        pin_index=pin_index,
+        predicate=pinned.predicate,
+        arity=pinned.arity,
+        consts=tuple(consts),
+        repeats=tuple(repeats),
+        steps=tuple(steps),
+        head=head,
+        negated=tuple(
+            (atom.predicate, atom.arity, _atom_cells(atom, read, rule))
+            for atom in rule.negated
+        ),
+        shares=shares,
+    )
+
+
 def compile_rule(rule: TGD) -> RuleKernel:
     """Lower one full single-head rule to its batch plans."""
     if not rule.is_full() or not rule.is_single_head():
         raise ValueError(
             f"kernel compilation needs full single-head rules, got {rule}"
         )
-    pins: List[PinPlan] = []
-    slots: dict = {}
-    for pin_index in range(len(rule.body)):
-        # Each pin re-derives its own slot layout extension order, but
-        # slots are shared across pins so the head template is stable.
-        pins.append(_compile_pin(rule, pin_index, slots))
     head_atom = rule.head[0]
     return RuleKernel(
         rule=rule,
-        num_slots=len(slots),
         head_predicate=head_atom.predicate,
         head_arity=head_atom.arity,
-        head=_template(head_atom, slots, rule),
-        pins=tuple(pins),
-        negated=tuple(
-            (atom.predicate, atom.arity, _template(atom, slots, rule))
-            for atom in rule.negated
+        pins=tuple(
+            _compile_pin(rule, pin_index)
+            for pin_index in range(len(rule.body))
         ),
     )
 

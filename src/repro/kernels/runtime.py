@@ -28,27 +28,20 @@ LRU/budget path), and the evaluator
 
 Each semi-naive round runs every rule's pin plans as batch operations
 (``kernel_batches`` counts them — one per pin filter, step or negated
-literal, however many parts it walks).  Most pins run on rows:
-
-* a pin with nothing to join or test (``PinPlan.project``) maps its
-  filtered delta rows straight to head rows, or they are the head rows;
-* a pin with exactly one keyed step — a hash probe or a membership
-  test — and no negated literal (:meth:`KernelEvaluator._join`: both
-  pins of ``t(X,Z) :- e(X,Y), t(Y,Z)`` and of ``mutual(X,Y) :-
-  t(X,Y), t(Y,X)``) builds each head row from (pinned row, matched
-  row) through a projection compiled once per pin, in C-level calls;
-  when the head *is* the pinned or the matched row, it is that stored
-  tuple, so the head relation shares the body relation's tuples.
-
-Any other pin — two or more steps, a scan step (empty key), a negated
-literal — filters its delta rows into a frontier of binding lists,
-extends the frontier through each step with one hash probe (or
-membership test or scan) per step, drops the bindings a negated literal
-blocks with one membership test per binding, and projects the rest to
-head rows.  The old/full row discipline per step reproduces the
-interpreter's first-pin exact-once match counting — see
-:mod:`repro.kernels.compiler` — so ``considered``, staged facts, and
-round structure agree with the interpreter exactly.
+literal, however many parts it walks).  Every pin runs one way, on
+rows (:meth:`KernelEvaluator._matches`): its filtered delta rows go
+through one batch per join step — a membership test, a hash probe or a
+scan (:meth:`KernelEvaluator._step`) — each match leaving as the row so
+far with the matched row appended; a negated literal drops the matches
+whose laid-out row its relation holds; the head is laid out over the
+match row.  The last step builds head rows straight from (row, matched
+row, head constants), and a head that *is* the pinned or the matched
+row is that stored tuple, so the head relation shares the body
+relation's tuples (``mutual(X,Y) :- t(X,Y), t(Y,X)`` shares ``t``'s).
+The old/full row discipline per step reproduces the interpreter's
+first-pin exact-once match counting — see :mod:`repro.kernels.compiler`
+— so ``considered``, staged facts, and round structure agree with the
+interpreter exactly.
 
 A round reports what it staged as row ranges, not atoms: per part it
 appended to, the ``[lo, hi)`` its appends occupy (:data:`RowRange`).
@@ -60,7 +53,7 @@ id space.
 from __future__ import annotations
 
 from itertools import repeat
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import (
     Callable, Collection, Dict, Iterable, Iterator, List, Mapping, Optional,
     Sequence, Set, Tuple,
@@ -72,10 +65,11 @@ from ..core.terms import Term
 from ..storage.relation import Row
 from .compiler import (
     CONST,
-    SLOT,
+    MATCHED,
+    PINNED,
+    JoinStep,
     KernelProgram,
     PinPlan,
-    RuleKernel,
     compile_kernels,
 )
 
@@ -94,38 +88,8 @@ Watermarks = Dict[RelKey, Dict[int, int]]
 _NO_PARTS: Mapping[int, int] = {}
 
 #: Per position of a row: ``(True, id)`` for a resolved constant,
-#: ``(False, index)`` for a binding slot or a position of a stored row.
+#: ``(False, position)`` for a position of a match row.
 Sources = Sequence[Tuple[bool, int]]
-
-
-def _row_of(sources: Sources) -> Callable[[Sequence[int]], Row]:
-    """binding (or row) → the id tuple laid out by *sources*; all-slot
-    layouts project through one C-level call."""
-    if all(not is_const for is_const, _ in sources):
-        slots = [payload for _, payload in sources]
-        if not slots:
-            return lambda binding: ()
-        if len(slots) == 1:
-            return lambda binding, _s=slots[0]: (binding[_s],)
-        return itemgetter(*slots)
-
-    def row_of(binding, _sources=tuple(sources)):
-        return tuple(
-            payload if is_const else binding[payload]
-            for is_const, payload in _sources
-        )
-
-    return row_of
-
-
-def _key_of(sources: Sources, whole: bool) -> Callable[[Sequence[int]], object]:
-    """binding (or row) → the probe key *sources* lay out: an id tuple
-    for a *whole* row (looked up in a part's dedup map) or a composite
-    index key; the bare id for a single-column index."""
-    if whole or len(sources) > 1:
-        return _row_of(sources)
-    ((is_const, payload),) = sources
-    return (lambda binding, _k=payload: _k) if is_const else itemgetter(payload)
 
 
 def _pick(positions: Sequence[int]) -> Callable[[Row], Row]:
@@ -138,34 +102,44 @@ def _pick(positions: Sequence[int]) -> Callable[[Row], Row]:
     return itemgetter(*positions)
 
 
-#: row → the row itself (``row[:]``), in one C-level call.
-_WHOLE = itemgetter(slice(None))
+def _row_of(sources: Sources) -> Callable[[Row], Row]:
+    """match row → the id tuple laid out by *sources*; a layout with no
+    constant projects through one C-level call."""
+    if not any(is_const for is_const, _ in sources):
+        return _pick([position for _, position in sources])
 
-#: A row join's head is the pinned row / the matched row, as stored.
-_PINNED = object()
-_MATCHED = object()
+    def row_of(row, _sources=tuple(sources)):
+        return tuple(
+            payload if is_const else row[payload]
+            for is_const, payload in _sources
+        )
 
-
-def _cells(arity: int, fixed, binds, repeats) -> Tuple[Tuple[str, object], ...]:
-    """A body atom laid out like a head template: per position the cell
-    (``(SLOT, slot)`` or ``(CONST, term)``) its value is, given its
-    *fixed* ``(position, cell)`` pairs, *binds* and *repeats*."""
-    cells: List[Tuple[str, object]] = [(CONST, None)] * arity
-    for position, cell in fixed:
-        cells[position] = cell
-    for position, slot in binds:
-        cells[position] = (SLOT, slot)
-    for position, earlier in repeats:
-        cells[position] = cells[earlier]
-    return tuple(cells)
+    return row_of
 
 
-def _on_rows(kernel: RuleKernel, pin: PinPlan) -> bool:
-    """True iff *pin* runs on rows (:meth:`KernelEvaluator._join`): one
-    keyed probe or membership step, and no negated literal to test."""
-    return (
-        len(pin.steps) == 1 and bool(pin.steps[0].key) and not kernel.negated
-    )
+def _key_of(sources: Sources, whole: bool) -> Callable[[Row], object]:
+    """match row → the probe key *sources* lay out: an id tuple for a
+    *whole* row (looked up in a part's dedup map) or a composite index
+    key; the bare id for a single-column index."""
+    if whole or len(sources) > 1:
+        return _row_of(sources)
+    ((is_const, payload),) = sources
+    return (lambda row, _k=payload: _k) if is_const else itemgetter(payload)
+
+
+def _layout(pin: PinPlan) -> Tuple[Callable[[Row], Row], Tuple[Term, ...]]:
+    """*pin*'s head laid out over ``match row + head constants``: the
+    projection, and the head's constant terms in order."""
+    width = pin.arity + sum(step.arity for step in pin.steps)
+    terms: List[Term] = []
+    positions = []
+    for kind, payload in pin.head:
+        if kind == CONST:
+            positions.append(width + len(terms))
+            terms.append(payload)
+        else:
+            positions.append(payload)
+    return _pick(positions), tuple(terms)
 
 
 def decode_ranges(store, ranges: Iterable[RowRange]) -> Tuple[Atom, ...]:
@@ -187,11 +161,11 @@ class KernelEvaluator:
     """Semi-naive evaluation of one program as compiled batch kernels.
 
     The evaluator keeps per-part watermarks and each pin's transient
-    frontier, no relation: relations are read from, and head rows
-    appended to, the *store*, which is therefore exactly what the interpreter would have
-    written at every round boundary (round events, fixpoint caches and
-    IVM observe it there).  The store must not be mutated externally
-    while an evaluation is live.
+    match rows, no relation: relations are read from, and head rows
+    appended to, the *store*, which is therefore exactly what the
+    interpreter would have written at every round boundary (round
+    events, fixpoint caches and IVM observe it there).  The store must
+    not be mutated externally while an evaluation is live.
     """
 
     def __init__(self, store, program: Program,
@@ -206,8 +180,8 @@ class KernelEvaluator:
         self.kernels = (
             kernels if kernels is not None else compile_kernels(program)
         )
-        #: Cumulative batch operations (pin filters, probes, membership
-        #: tests).
+        #: Cumulative batch operations (pin filters, join steps, negated
+        #: literals).
         self.batches = 0
         #: Where the previous round's appends start, per part — the
         #: ``lo`` of this round's delta; None in round 1, when every
@@ -221,10 +195,6 @@ class KernelEvaluator:
         #: an unresolved constant is retried — a head fire may intern it
         #: between rounds).
         self._const_ids: Dict[Term, int] = {}
-        #: kernel or projecting pin → its head-row projection
-        #: (:meth:`_head_row`); ``(kernel, pin index)`` → a row-join
-        #: pin's plan (:meth:`_join_plan`).
-        self._head_rows: Dict[object, object] = {}
 
     # -- the round loop ----------------------------------------------------
 
@@ -263,7 +233,7 @@ class KernelEvaluator:
         ends: Dict[Tuple[RelKey, int], int] = {}
         for kernel in self.kernels.kernels:
             head_key = (kernel.head_predicate, kernel.head_arity)
-            for matched, heads in self._matches(kernel, kernel.pins):
+            for matched, heads in self._matches(kernel.pins):
                 considered += matched
                 for part_id, start, new in self.store.extend_rows(
                     *head_key, heads
@@ -284,7 +254,7 @@ class KernelEvaluator:
     @property
     def reads_rows(self) -> bool:
         """True iff the program is one rule whose one pin keeps rows (a
-        single atom with no constant or repeat, read in order): its
+        single atom whose head is its stored row): its
         :meth:`answer_rows` are stored rows, distinct by the store's
         dedup, in a list."""
         kernels = self.kernels.kernels
@@ -316,44 +286,54 @@ class KernelEvaluator:
             # With every row delta, pin 0 sees every match: the
             # old-only steps of each later pin see none.
             pins = kernel.pins if ranges is not None else kernel.pins[:1]
-            for _, heads in self._matches(kernel, pins):
+            for _, heads in self._matches(pins):
                 rows.update(heads)
         return rows
 
     def _matches(
-        self, kernel: RuleKernel, pins: Iterable[PinPlan]
+        self, pins: Iterable[PinPlan]
     ) -> Iterator[Tuple[int, Iterable[Row]]]:
         """Per pin of *pins* with a body match: how many matches, and
         their head rows.  Lazy: a caller that appends a pin's heads
-        does so before the next pin runs.  A projecting pin's rows go
-        straight to head rows, a pin with one keyed step joins rows
-        (:meth:`_join`); any other pin's go through bindings."""
+        does so before the next pin runs.  The pinned rows go through
+        one :meth:`_step` per join step, the negated literals' filter
+        and the head layout; a pin with no step is the same loop with
+        none."""
         for pin in pins:
-            if pin.project is not None:
-                rows = self._pin_rows(pin)
-                if rows:
-                    yield len(rows), (
-                        rows if pin.keeps_rows
-                        else map(self._head_row(pin, pin.project), rows)
-                    )
+            rows = self._pin_rows(pin)
+            if not rows:
                 continue
-            if _on_rows(kernel, pin):
-                rows = self._pin_rows(pin)
-                heads = self._join(kernel, pin, rows) if rows else None
-                if heads:
-                    yield len(heads), heads
-                continue
-            frontier = self._pin_frontier(kernel, pin)
-            for step in pin.steps:
-                if not frontier:
-                    break
-                frontier = self._probe(step, frontier)
-            if frontier and kernel.negated:
-                frontier = self._unblocked(kernel, frontier)
-            if frontier:
-                yield len(frontier), map(
-                    self._head_row(kernel, kernel.head), frontier
+            steps = pin.steps
+            layout, terms = _layout(pin)
+            consts = tuple(map(self._const_id, terms))
+            # The last step lays its head rows out as it matches —
+            # unless a negated literal tests the whole match row first,
+            # or a head constant is not interned yet: that happens on
+            # the rule's first fire (earlier would intern constants of
+            # rules that never fire, which the interpreter never does),
+            # so until then the rows are laid out once they are final.
+            late = bool(pin.negated) or None in consts
+            for at, step in enumerate(steps, 1):
+                out = None if late or at < len(steps) else (
+                    pin.shares or layout
                 )
+                rows = self._step(step, rows, out, consts)
+                if not rows:
+                    break
+            if rows and pin.negated:
+                rows = self._unblocked(pin, rows)
+            if not rows:
+                continue
+            if (not late) if steps else pin.shares == PINNED:
+                # The last step laid them out, or the pinned rows are
+                # the head rows as stored.
+                yield len(rows), rows
+                continue
+            if None in consts:
+                consts = tuple(map(self.table.intern, terms))
+            yield len(rows), map(
+                layout, map(add, rows, repeat(consts)) if consts else rows
+            )
 
     def _pin_rows(self, pin: PinPlan) -> Optional[List[Row]]:
         """The pinned atom's delta rows that carry its constants and
@@ -400,108 +380,19 @@ class KernelEvaluator:
                 selected = batch
         return selected
 
-    def _join(
-        self, kernel: RuleKernel, pin: PinPlan, pinned: List[Row]
+    def _step(
+        self, step: JoinStep, rows: List[Row], out, consts: Tuple[int, ...]
     ) -> List[Row]:
-        """The head rows of the matches of the *pinned* rows through
-        *pin*'s one keyed step (one batch op), one per match, built
-        straight from (pinned row, matched row) — no binding.  A head
-        that is one of the two rows is that stored tuple itself."""
-        self.batches += 1
-        (step,) = pin.steps
-        old_only = step.old_only
-        if old_only and self._delta is None:
-            return []  # round 1: every stored row is delta, none is old
-        key_cells, pick, terms = self._join_plan(kernel, pin)
-        sources = self._sources(key_cells)
-        if sources is None:
-            return []  # a key constant no stored row carries
-        key_of = _key_of(sources, step.member)
-        consts = tuple(map(self._const_id, terms))
-        # Head constants are interned on the rule's first fire (as in
-        # :meth:`_head_row`): until then the head rows wait as bare
-        # ``pinned + matched`` rows, laid out once the join has matched.
-        unfired = None in consts
-        if unfired:
-            pick, laid_out, consts = _WHOLE, pick, ()
-        positions = tuple(p for p, _ in step.key)
-        key = (step.predicate, step.arity)
-        grown = self._grown.get(key, _NO_PARTS)
-        starts = self._delta.get(key, _NO_PARTS) if old_only else _NO_PARTS
-        repeats = step.repeats
-        out: List[Row] = []
-        for part_id, part in self.store.parts(*key):
-            rows = part.rows
-            limit = grown.get(part_id, len(rows))
-            if old_only:
-                limit = starts.get(part_id, limit)
-            if not limit:
-                continue  # no visible row: no index to build or probe
-            if step.member:
-                # The matched row's number, or ``limit`` (not visible)
-                # when the part lacks it; the step has no repeats.
-                numbers = map(
-                    part.row_pos.get, map(key_of, pinned), repeat(limit)
-                )
-                for row, number in zip(pinned, numbers):
-                    if number < limit:
-                        match = rows[number]
-                        out.append(
-                            row if pick is _PINNED
-                            else match if pick is _MATCHED
-                            else pick(row + match + consts)
-                        )
-                continue
-            buckets = map(part.index_for(positions).get, map(key_of, pinned))
-            bounded = limit < len(rows)
-            for row, bucket in zip(pinned, buckets):
-                if not bucket:
-                    continue
-                for number in bucket:
-                    if bounded and number >= limit:
-                        continue
-                    match = rows[number]
-                    if repeats and not all(
-                        match[p] == match[q] for p, q in repeats
-                    ):
-                        continue
-                    out.append(
-                        row if pick is _PINNED
-                        else match if pick is _MATCHED
-                        else pick(row + match + consts)
-                    )
-        if unfired and out:
-            consts = tuple(map(self.table.intern, terms))
-            out = [laid_out(row + consts) for row in out]
-        return out
-
-    def _pin_frontier(
-        self, kernel: RuleKernel, pin: PinPlan
-    ) -> Optional[List[List[int]]]:
-        """The pinned atom's delta rows as bindings (None when the
-        relation has no delta)."""
-        rows = self._pin_rows(pin)
-        if rows is None:
-            return None
-        num_slots = kernel.num_slots
-        frontier: List[List[int]] = []
-        for row in rows:
-            binding = [0] * num_slots
-            for position, slot in pin.binds:
-                binding[slot] = row[position]
-            frontier.append(binding)
-        return frontier
-
-    def _probe(
-        self, step, frontier: List[List[int]]
-    ) -> List[List[int]]:
-        """Extend the frontier through one body atom (one batch op),
-        part by part."""
+        """The matches of *rows* through one body atom (one batch op),
+        part by part, as *out* lays each out from (row, matched row):
+        :data:`PINNED` / :data:`MATCHED` for that row as stored, None
+        for ``row + matched row``, or a projection of ``row + matched
+        row + consts``.  Each kind of step loops on its own."""
         self.batches += 1
         old_only = step.old_only
         if old_only and self._delta is None:
             return []  # round 1: every stored row is delta, none is old
-        sources = self._sources(source for _, source in step.key)
+        sources = self._sources(cell for _, cell in step.key)
         if sources is None:
             return []  # a key constant no stored row carries
         member = step.member
@@ -511,80 +402,86 @@ class KernelEvaluator:
         grown = self._grown.get(key, _NO_PARTS)
         starts = self._delta.get(key, _NO_PARTS) if old_only else _NO_PARTS
         repeats = step.repeats
-        binds = step.binds
-        out: List[List[int]] = []
+        matches: List[Row] = []
         for part_id, part in self.store.parts(*key):
-            rows = part.rows
+            stored = part.rows
             # Visible rows end where this round's appends start; old
             # rows end where the previous round's did.
-            limit = grown.get(part_id, len(rows))
+            limit = grown.get(part_id, len(stored))
             if old_only:
                 limit = starts.get(part_id, limit)
             if not limit:
                 continue  # no visible row: no index to build or probe
             if member:
-                # A missing row reads as number ``limit``: not visible.
-                # The step binds nothing, so the binding itself goes on.
-                number = part.row_pos.get
-                out.extend(
-                    binding for binding in frontier
-                    if number(key_of(binding), limit) < limit
+                # The matched row's number, or ``limit`` (not visible)
+                # when the part lacks it; the step has no repeats.  An
+                # empty key (a nullary atom) looks up ``()``.
+                numbers = map(
+                    part.row_pos.get, map(key_of, rows), repeat(limit)
                 )
+                for row, number in zip(rows, numbers):
+                    if number < limit:
+                        match = stored[number]
+                        matches.append(
+                            row if out is PINNED
+                            else match if out is MATCHED
+                            else row + match if out is None
+                            else out(row + match + consts)
+                        )
             elif key_of is not None:
-                index = part.index_for(positions)
-                bounded = limit < len(rows)
-                for binding in frontier:
-                    bucket = index.get(key_of(binding))
+                buckets = map(
+                    part.index_for(positions).get, map(key_of, rows)
+                )
+                bounded = limit < len(stored)
+                for row, bucket in zip(rows, buckets):
                     if not bucket:
                         continue
                     for number in bucket:
                         if bounded and number >= limit:
                             continue
-                        row = rows[number]
+                        match = stored[number]
                         if repeats and not all(
-                            row[p] == row[q] for p, q in repeats
+                            match[p] == match[q] for p, q in repeats
                         ):
                             continue
-                        extended = binding.copy()
-                        for position, slot in binds:
-                            extended[slot] = row[position]
-                        out.append(extended)
+                        matches.append(
+                            row if out is PINNED
+                            else match if out is MATCHED
+                            else row + match if out is None
+                            else out(row + match + consts)
+                        )
             else:
                 # No determined position: a scan step (cartesian
                 # extension).
                 matching = [
-                    row
-                    for row in rows[:limit]
+                    match for match in stored[:limit]
                     if not repeats
-                    or all(row[p] == row[q] for p, q in repeats)
+                    or all(match[p] == match[q] for p, q in repeats)
                 ]
-                for binding in frontier:
-                    for row in matching:
-                        extended = binding.copy()
-                        for position, slot in binds:
-                            extended[slot] = row[position]
-                        out.append(extended)
-        return out
+                for row in rows:
+                    for match in matching:
+                        matches.append(
+                            row if out is PINNED
+                            else match if out is MATCHED
+                            else row + match if out is None
+                            else out(row + match + consts)
+                        )
+        return matches
 
-    def _unblocked(
-        self, kernel: RuleKernel, frontier: List[List[int]]
-    ) -> List[List[int]]:
-        """The bindings no negated literal of *kernel* blocks: the
-        literal's id row, projected like a head row, is in no part of
+    def _unblocked(self, pin: PinPlan, rows: List[Row]) -> List[Row]:
+        """The match *rows* no negated literal of *pin* blocks: the
+        literal's id row, laid out over the match row, is in no part of
         its relation (one batch op per literal).  A constant never
         interned is carried by no stored row, so its literal passes."""
-        for predicate, arity, template in kernel.negated:
-            sources = self._sources(template)
+        for predicate, arity, cells in pin.negated:
+            sources = self._sources(cells)
             if sources is None:
                 continue
             self.batches += 1
             row_of = _row_of(sources)
             for _, part in self.store.parts(predicate, arity):
-                frontier = [
-                    binding for binding in frontier
-                    if row_of(binding) not in part
-                ]
-        return frontier
+                rows = [row for row in rows if row_of(row) not in part]
+        return rows
 
     # -- helpers -----------------------------------------------------------
 
@@ -597,7 +494,7 @@ class KernelEvaluator:
         return cid
 
     def _sources(self, cells) -> Optional[List[Tuple[bool, int]]]:
-        """*cells* (``(SLOT, slot)`` / ``(CONST, term)``) as
+        """*cells* (``(ROW, position)`` / ``(CONST, term)``) as
         :data:`Sources`; None if a constant has no id yet."""
         sources = []
         for kind, payload in cells:
@@ -607,64 +504,3 @@ class KernelEvaluator:
                     return None
             sources.append((kind == CONST, payload))
         return sources
-
-    def _join_plan(
-        self, kernel: RuleKernel, pin: PinPlan
-    ) -> Tuple[Tuple[Tuple[str, object], ...], object, Tuple[Term, ...]]:
-        """*pin*'s one step as a row join, compiled on first use: its
-        key cells over the pinned row (``(SLOT, position)`` or
-        ``(CONST, term)``); the head's projection of ``pinned row +
-        matched row + head constants`` — :data:`_PINNED` or
-        :data:`_MATCHED` when the head is that row as stored; and the
-        head's constant terms."""
-        owner = (kernel, pin.pin_index)
-        plan = self._head_rows.get(owner)
-        if plan is None:
-            (step,) = pin.steps
-            at = {slot: position for position, slot in pin.binds}
-            key_cells = tuple(
-                (kind, at[payload] if kind == SLOT else payload)
-                for _, (kind, payload) in step.key
-            )
-            if kernel.head == _cells(
-                pin.arity,
-                [(p, (CONST, term)) for p, term in pin.consts],
-                pin.binds, pin.repeats,
-            ):
-                pick, terms = _PINNED, []
-            elif kernel.head == _cells(
-                step.arity, step.key, step.binds, step.repeats
-            ):
-                pick, terms = _MATCHED, []
-            else:
-                at.update(
-                    (slot, pin.arity + position)
-                    for position, slot in step.binds
-                )
-                width = pin.arity + step.arity
-                terms = []
-                positions = []
-                for kind, payload in kernel.head:
-                    if kind == CONST:
-                        positions.append(width + len(terms))
-                        terms.append(payload)
-                    else:
-                        positions.append(at[payload])
-                pick = _pick(positions)
-            plan = self._head_rows[owner] = (key_cells, pick, tuple(terms))
-        return plan
-
-    def _head_row(self, owner, template) -> Callable:
-        """The projection of *owner*'s (a kernel's or a pin's) head
-        *template* onto a binding or a row, built on its first fire:
-        head constants are interned then — earlier would intern
-        constants of rules that never fire, which the interpreter never
-        does."""
-        row_of = self._head_rows.get(owner)
-        if row_of is None:
-            row_of = self._head_rows[owner] = _row_of([
-                (True, self.table.intern(payload)) if kind == CONST
-                else (False, payload)
-                for kind, payload in template
-            ])
-        return row_of

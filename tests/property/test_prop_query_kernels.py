@@ -15,7 +15,10 @@ kernel-capable stores (columnar, sharded), read both ways:
   interpreter's, block for block, answer for answer and in the same
   order — each block in ``str`` order;
 * a pin with nothing to join (a single-atom rule or query) projects the
-  stored rows themselves, and still counts what the interpreter counts.
+  stored rows themselves, and still counts what the interpreter counts;
+  so do join pins of every shape — one keyed step, two steps, a scan, a
+  negated literal, key and head constants, a nullary member step —
+  batch for batch.
 """
 
 from itertools import chain
@@ -26,15 +29,17 @@ from hypothesis import strategies as st
 
 from repro.api import Session
 from repro.core.atoms import Atom
+from repro.core.match import selective_order
 from repro.core.program import Program
 from repro.core.query import ConjunctiveQuery
-from repro.core.terms import Constant, Null
+from repro.core.terms import Constant, Null, Variable
 from repro.core.tgd import TGD
 from repro.datalog.seminaive import (
     seminaive,
     seminaive_rounds,
     stream_datalog_answers,
 )
+from repro.datalog.strata import compute_strata
 from repro.kernels import KernelEvaluator, ordered_answers, query_answers
 from repro.kernels.query import _block
 from repro.lang.parser import parse_program, parse_query
@@ -129,38 +134,75 @@ def test_answer_stream_is_the_interpreters(program, pairs, units, query):
         assert streamed == reference, store
 
 
-def _fits(atom, fact):
-    """Whether *fact* carries *atom*'s predicate, constants and repeats."""
+def _extend(atom, fact, binding):
+    """*binding* extended to map *atom* onto *fact*, or None when
+    *fact* does not carry *atom*'s predicate, constants and repeats."""
     if (fact.predicate, fact.arity) != (atom.predicate, atom.arity):
-        return False
-    bound = {}
+        return None
+    extended = dict(binding)
     for term, value in zip(atom.args, fact.args):
-        if term in VARS:
-            if bound.setdefault(term, value) != value:
-                return False
+        if isinstance(term, Variable):
+            if extended.setdefault(term, value) != value:
+                return None
         elif term != value:
-            return False
-    return True
+            return None
+    return extended
+
+
+def _pin_batches(rule, delta, old, full):
+    """The batches one round of *rule* counts: per pin whose relation
+    has *delta* facts, one; then one per join step — in the compiler's
+    order, against *old* facts before the pin and *full* ones after it
+    — that the pin's matches so far reach; then one per negated literal
+    (none of which carries a constant) when matches remain."""
+    batches = 0
+    for pin, atom in enumerate(rule.body):
+        if not any((f.predicate, f.arity) == (atom.predicate, atom.arity)
+                   for f in delta):
+            continue
+        batches += 1
+        matches = [
+            binding for fact in delta
+            if (binding := _extend(atom, fact, {})) is not None
+        ]
+        for at in selective_order(rule.body, pin)[1:]:
+            if not matches:
+                break
+            batches += 1
+            facts = old if at < pin else full
+            matches = [
+                extended for binding in matches for fact in facts
+                if (extended := _extend(rule.body[at], fact, binding))
+                is not None
+            ]
+        if matches:
+            batches += len(rule.negated)
+    return batches
 
 
 def _assert_rounds_count_what_the_interpreter_counts(program, database):
-    """Per round, the kernels' ``considered`` and staged facts are the
-    interpreter's; and, for rules of at most two atoms, per pin one
-    batch when its relation had delta rows, plus one for the join step
-    when a delta row carries the pinned atom's constants and repeats."""
+    """Per round, the kernels' ``considered``, staged facts and batches
+    are the interpreter's (batches as :func:`_pin_batches` counts them),
+    stratum by stratum: a stratum's first round takes every stored fact
+    as delta."""
     reference = list(seminaive_rounds(database, program, store="instance"))
+    layers = (
+        compute_strata(program).layers if program.has_negation()
+        else (program,)
+    )
+    staged = iter(reference[1:])
+    full = set(reference[0].staged)
     expected_batches = []
-    for before in reference[:-1]:
-        delta = {(atom.predicate, atom.arity) for atom in before.staged}
-        batches = 0
-        for rule in program:
-            for atom in rule.body:
-                if (atom.predicate, atom.arity) in delta:
-                    batches += 1
-                    batches += len(rule.body) == 2 and any(
-                        _fits(atom, fact) for fact in before.staged
-                    )
-        expected_batches.append(batches)
+    for layer in layers:
+        delta, old = set(full), set()
+        while delta:
+            expected_batches.append(sum(
+                _pin_batches(rule, delta, old, full) for rule in layer
+            ))
+            delta = set(next(staged).staged)
+            old = set(full)
+            full |= delta
+    assert len(expected_batches) == len(reference) - 1
     for store in KERNEL_STORES:
         events = list(seminaive_rounds(database, program, store=store))
         assert len(events) == len(reference), store
@@ -210,6 +252,39 @@ def test_joining_rounds_count_what_the_interpreter_counts(
     rows plus one per step those rows reach."""
     _assert_rounds_count_what_the_interpreter_counts(
         Program((BASE_RULE, *extra)), build_database(pairs, units)
+    )
+
+
+#: Pin shapes beyond one keyed step, each added to :data:`BASE_RULE`.
+MULTI_STEP_RULES = {
+    # two steps per pin, an old-only one among them
+    "three-atom": "p(X,W) :- e(X,Y), p(Y,Z), e(Z,W).",
+    # no key: a cartesian scan step
+    "scan": "p(X,Y) :- r(X), r(Y).",
+    # a membership test on the whole match row after the join
+    "negated-join": "p(X,Z) :- e(X,Y), p(Y,Z), not r(Y).",
+    # a membership step, a constant-keyed probe and a head constant
+    "constants": "p(X,n0) :- r(X), e(X,n1), p(n1,Y).",
+    # a nullary atom: pinned (then e is a scan) and as a member step
+    "nullary-member": "s() :- r(X).\n p(X,Y) :- s(), e(Y,X).",
+}
+
+
+@pytest.mark.parametrize(
+    "text", MULTI_STEP_RULES.values(), ids=list(MULTI_STEP_RULES)
+)
+@given(pairs=edge_facts, units=unary_facts)
+@settings(max_examples=25, deadline=None)
+def test_multi_step_rounds_count_what_the_interpreter_counts(
+    text, pairs, units
+):
+    """Pins with two steps, a scan step, a negated literal, key and head
+    constants across two steps, or a nullary member step run on rows
+    like the rest.  Per round, the interpreter's ``considered`` and
+    staged facts, and the batches its matches predict."""
+    rules_, _ = parse_program(text)
+    _assert_rounds_count_what_the_interpreter_counts(
+        Program((BASE_RULE, *rules_)), build_database(pairs, units)
     )
 
 

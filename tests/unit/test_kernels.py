@@ -28,7 +28,7 @@ from repro.kernels import (
     kernel_capable,
     query_answers,
 )
-from repro.kernels.compiler import CONST, SLOT
+from repro.kernels.compiler import CONST, MATCHED, PINNED, ROW
 from repro.lang.parser import parse_program, parse_query
 from repro.server.service import ReasoningService
 from repro.storage import (
@@ -67,15 +67,21 @@ def _rule(text):
 class TestCompiler:
     def test_tc_rule_layout(self):
         kernel = compile_rule(_rule("t(X,Z) :- e(X,Y), t(Y,Z)."))
-        assert kernel.num_slots == 3
         assert kernel.head_predicate == "t"
         assert kernel.head_arity == 2
-        assert all(kind == SLOT for kind, _ in kernel.head)
         # One pin plan per body position, each with one join step for
         # the other atom.
         assert len(kernel.pins) == 2
         for pin in kernel.pins:
             assert len(pin.steps) == 1
+        # The match row is the pinned row, then the matched row; the
+        # step keys on the shared variable Y where the pinned row has
+        # it, and the head reads each variable at its first position.
+        pin0, pin1 = kernel.pins
+        assert pin0.steps[0].key == ((0, (ROW, 1)),)  # t(Y,Z) on e's Y
+        assert pin0.head == ((ROW, 0), (ROW, 3))  # e's X, t's Z
+        assert pin1.steps[0].key == ((1, (ROW, 0)),)  # e(X,Y) on t's Y
+        assert pin1.head == ((ROW, 2), (ROW, 1))  # e's X, t's Z
 
     def test_first_pin_old_full_discipline(self):
         kernel = compile_rule(_rule("t(X,Z) :- e(X,Y), t(Y,Z)."))
@@ -92,18 +98,21 @@ class TestCompiler:
 
     def test_bound_join_key_covers_shared_variables(self):
         kernel = compile_rule(_rule("p(X) :- e(X,Y), e(Y,X)."))
-        step = kernel.pins[0].steps[0]
-        # After pinning e(X,Y) both X and Y are bound, so the second
-        # atom probes on both positions and binds nothing new.
-        assert len(step.key) == 2
-        assert step.binds == ()
-        assert all(kind == SLOT for _, (kind, _) in step.key)
+        pin = kernel.pins[0]
+        step = pin.steps[0]
+        # After pinning e(X,Y) both X and Y are read, so the second
+        # atom keys on both positions, off the pinned row, and the
+        # head reads nothing of the matched row.
+        assert step.key == ((0, (ROW, 1)), (1, (ROW, 0)))
+        assert step.member
+        assert pin.head == ((ROW, 0),)
 
     def test_within_atom_repeat(self):
         kernel = compile_rule(_rule("r(X) :- e(X,X)."))
         pin = kernel.pins[0]
         assert pin.repeats == ((1, 0),)
-        assert len(pin.binds) == 1
+        # X is read at its first occurrence only.
+        assert pin.head == ((ROW, 0),)
 
     def test_constants_land_in_consts_and_keys(self):
         kernel = compile_rule(_rule("r(Y) :- e(a,Y), t(Y,b)."))
@@ -111,13 +120,15 @@ class TestCompiler:
         assert pin0.consts == ((0, a),)
         step = pin0.steps[0]
         kinds = {kind for _, (kind, _) in step.key}
-        # t(Y, b): Y is bound (slot), b is a constant key source.
-        assert kinds == {SLOT, CONST}
+        # t(Y, b): Y is read off the pinned row, b is a constant key
+        # source.
+        assert kinds == {ROW, CONST}
+        assert step.key == ((0, (ROW, 1)), (1, (CONST, b)))
 
     def test_head_constants(self):
-        kernel = compile_rule(_rule("r(X,c) :- e(X,Y)."))
-        assert kernel.head[0][0] == SLOT
-        assert kernel.head[1] == (CONST, c)
+        (pin,) = compile_rule(_rule("r(X,c) :- e(X,Y).")).pins
+        assert pin.head == ((ROW, 0), (CONST, c))
+        assert pin.shares is None
 
     def test_rejects_existential_rule(self):
         with pytest.raises(ValueError, match="full single-head"):
@@ -144,8 +155,36 @@ class TestCompiler:
         assert "member[t/2]" in text
         assert "member[t/2|old]" in text
         assert "probe[t/2]" in text  # the recursive rule still probes
-        step = compile_rule(_rule("m(X,Y) :- t(X,Y), t(Y,X).")).pins[0].steps[0]
-        assert step.member and step.binds == () and step.repeats == ()
+        pin0, pin1 = compile_rule(_rule("m(X,Y) :- t(X,Y), t(Y,X).")).pins
+        for pin in (pin0, pin1):
+            (step,) = pin.steps
+            assert step.member and step.repeats == ()
+            # Every key cell reads the pinned row: the matched row adds
+            # nothing the head needs.
+            assert step.key == ((0, (ROW, 1)), (1, (ROW, 0)))
+        # ... and the head is one of the two stored rows.
+        assert (pin0.shares, pin1.shares) == (PINNED, MATCHED)
+
+    def test_describe_names_what_each_head_is(self):
+        program, _ = parse_program(MUTUAL_SOURCE)
+        lines = compile_kernels(program).describe().splitlines()
+        assert "slot" not in "\n".join(lines)
+        assert lines[1:] == [
+            "  e(X,Y) → t(X,Y): 1 pin(s)",
+            "    pin 0 (e/2): project; head = pinned row",
+            "  e(X,Y), t(Y,Z) → t(X,Z): 2 pin(s)",
+            "    pin 0 (e/2): probe[t/2]; head = (#0, #3)",
+            "    pin 1 (t/2): probe[e/2|old]; head = (#2, #1)",
+            "  t(X,Y), t(Y,X) → mutual(X,Y): 2 pin(s)",
+            "    pin 0 (t/2): member[t/2]; head = pinned row",
+            "    pin 1 (t/2): member[t/2|old]; head = matched row",
+            "  t(X,Y) → reach(X): 1 pin(s)",
+            "    pin 0 (t/2): project; head = (#0)",
+        ]
+        text = compile_kernels(parse_program(
+            "tagged(X,marked) :- e(X,Y), f(Y,Z)."
+        )[0]).describe()
+        assert "probe[f/2]; head = (#0, marked)" in text
 
 
 class TestBulkInterning:
@@ -349,9 +388,8 @@ class TestFullyBoundSteps:
 
 
 class TestRowJoins:
-    """A pin with one keyed step and no negated literal joins rows: its
-    head rows are built from (pinned row, matched row), with no
-    binding, and count what the interpreter counts."""
+    """Every pin joins rows: its head rows are built from (row, matched
+    row), with no binding, and count what the interpreter counts."""
 
     @pytest.mark.parametrize("source", [
         TC_SOURCE,
@@ -390,6 +428,21 @@ class TestRowJoins:
         assert all(
             row is closure.rows[closure.row_pos[row]] for row in mutual.rows
         )
+
+    def test_a_two_step_head_that_is_the_last_atom_shares_its_tuple(self):
+        program, database = parse_program(
+            "a(b). a(c). e(b,c). e(c,d). f(c,x). f(d,y). f(d,z).\n"
+            "last(Y,Z) :- a(X), e(X,Y), f(Y,Z)."
+        )
+        # Pin 0 joins e, then f: its head is f's matched row.
+        pin = compile_rule(list(program)[0]).pins[0]
+        assert [step.predicate for step in pin.steps] == ["e", "f"]
+        assert pin.shares == MATCHED
+        store = seminaive(database, program, store="columnar").instance
+        ((_, f),) = store.parts("f", 2)
+        ((_, last),) = store.parts("last", 2)
+        assert len(last.rows) == 3
+        assert all(row is f.rows[f.row_pos[row]] for row in last.rows)
 
     def test_no_index_on_a_part_with_no_visible_row(self):
         """Round 1 of the closure probes ``t`` from ``e``'s pin while

@@ -268,3 +268,16 @@ def test_the_chase_records_no_derivation_graph():
         assert "graph" not in cls.__dataclass_fields__, cls
     for name in ("substitution", "extended"):
         assert not hasattr(Trigger, name), name
+
+
+def test_one_kernel_join_path():
+    # Every pin runs on rows: a match is the pinned row with each
+    # step's matched row appended, so there is no binding list, no
+    # slot layout and no second way to run a pin.
+    from repro.kernels import KernelEvaluator, PinPlan, RuleKernel
+
+    for name in ("_pin_frontier", "_probe", "_join"):
+        assert not hasattr(KernelEvaluator, name), name
+    for name in ("binds", "project"):
+        assert name not in PinPlan.__dataclass_fields__, name
+    assert "num_slots" not in RuleKernel.__dataclass_fields__
