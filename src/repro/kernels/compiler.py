@@ -97,7 +97,8 @@ class JoinStep:
     def member(self) -> bool:
         """True iff the key covers every position: the matched row is
         the key itself, looked up in the part's dedup map
-        (``row_pos``), building no hash index."""
+        (``members``), which hands back the stored tuple and builds no
+        hash index."""
         return len(self.key) == self.arity
 
 

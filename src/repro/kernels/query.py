@@ -99,9 +99,10 @@ def _block(table, rows: Collection[Row]) -> AnswerBlock:
     decoded tuples, sorted as id rows (a list is sorted in place).  The
     distinct ids are spelled once (``repr``) and ranked by spelling:
     when no spelling is a prefix of another, the first position two
-    rows differ at decides their ``str`` order, so a row is keyed on
-    its ranks — one int for up to two positions.  Otherwise on ``str``
-    of the decoded tuple less its ``(``."""
+    rows differ at decides their ``str`` order, so the rows are sorted
+    on their ranks, one stable sort per position from the last, with
+    no key object made per row.  Otherwise on ``str`` of the decoded
+    tuple less its ``(``."""
     if not isinstance(rows, list):
         rows = list(rows)
     ids = set(chain.from_iterable(rows))
@@ -117,14 +118,10 @@ def _block(table, rows: Collection[Row]) -> AnswerBlock:
             rows.sort(key=lambda row: ", ".join(map(spell, row)) + close)
         else:
             rank = {tid: at for at, (_, tid) in enumerate(spelled)}
-            arity = len(rows[0])
-            if arity == 1:
-                rows.sort(key=lambda row: rank[row[0]])
-            elif arity == 2:
-                width = len(rank)
-                rows.sort(key=lambda row: rank[row[0]] * width + rank[row[1]])
-            else:
-                rows.sort(key=lambda row: tuple(map(rank.__getitem__, row)))
+            # Stable sorts from the last position to the first, each
+            # keyed on the rank dict's own ints: no object per row.
+            for position in reversed(range(len(rows[0]))):
+                rows.sort(key=lambda row, p=position: rank[row[p]])
     return AnswerBlock(rows, table)
 
 

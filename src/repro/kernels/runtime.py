@@ -12,10 +12,13 @@ LRU/budget path), and the evaluator
   (built on first probe, kept coherent by the relation's appends, and
   dropped with a shard when it is evicted) — except that a step whose
   key covers every position is a lookup in the part's dedup map
-  (``row_pos``), which every part keeps anyway, and builds no index,
-  and that a part with no row visible to the step is skipped before
-  any index is built (an index built there would be kept up by every
-  later append for a probe that found nothing);
+  (``members``), which every part keeps anyway, and builds no index:
+  the map holds no row number, so a found row is visible unless it is
+  among the part's rows at or above the step's watermark (a set of
+  them is made per part only when there are any); and that a part with
+  no row visible to the step is skipped before any index is built (an
+  index built there would be kept up by every later append for a probe
+  that found nothing);
 * keeps the semi-naive delta as one append watermark per part: rows
   are numbered in append order, so the rows staged by the previous
   round are exactly ``[lo, hi)`` and "old" means ``number < lo``
@@ -387,7 +390,13 @@ class KernelEvaluator:
         part by part, as *out* lays each out from (row, matched row):
         :data:`PINNED` / :data:`MATCHED` for that row as stored, None
         for ``row + matched row``, or a projection of ``row + matched
-        row + consts``.  Each kind of step loops on its own."""
+        row + consts``.  Each kind of step loops on its own: a member
+        step looks the key up in the part's dedup map, which returns the
+        stored row; a keyed step walks the row numbers of an index
+        bucket; a scan step takes every visible row.  Only rows below
+        the part's watermark are visible — numbered below it in a
+        bucket or a scan, and, for a member step, not among the rows
+        stored at or above it."""
         self.batches += 1
         old_only = step.old_only
         if old_only and self._delta is None:
@@ -413,15 +422,15 @@ class KernelEvaluator:
             if not limit:
                 continue  # no visible row: no index to build or probe
             if member:
-                # The matched row's number, or ``limit`` (not visible)
-                # when the part lacks it; the step has no repeats.  An
-                # empty key (a nullary atom) looks up ``()``.
-                numbers = map(
-                    part.row_pos.get, map(key_of, rows), repeat(limit)
-                )
-                for row, number in zip(rows, numbers):
-                    if number < limit:
-                        match = stored[number]
+                # The stored row, or None when the part lacks it; the
+                # step has no repeats.  An empty key (a nullary atom)
+                # looks up ``()``.  A row at or above ``limit`` is not
+                # visible: those rows, when there are any, are the
+                # relation's gain of the last two rounds at most.
+                hidden = set(stored[limit:]) if limit < len(stored) else ()
+                found = map(part.members.get, map(key_of, rows))
+                for row, match in zip(rows, found):
+                    if match is not None and match not in hidden:
                         matches.append(
                             row if out is PINNED
                             else match if out is MATCHED

@@ -11,10 +11,12 @@ copy per consumer.
   notion of "rows that existed before" — the watermark semi-naive
   deltas are expressed in.  Rebuilding a relation from its ``rows``
   (a shard reloaded from its spill page) reproduces the numbering.
-* ``row_pos`` maps a row to its number: the dedup set, the handle
-  that makes swap-remove O(arity + built indexes), and the index of
-  every probe that binds all positions (a membership test builds no
-  hash index).
+* ``members`` maps each stored row to itself: the dedup set, and the
+  index of every probe that binds all positions (a membership test
+  builds no hash index) — a lookup hands back the stored tuple, so a
+  relation built from another's rows shares them.  It keeps no row
+  number: nothing beyond its tuple is stored per row.  ``discard``
+  finds a row's number in the smallest bucket of an index.
 * ``indexes`` are built lazily per probed position *tuple* and kept
   coherent by every mutation.  Single-column indexes key on the bare
   id (no tuple allocation per probe); composite ones on id tuples.
@@ -22,7 +24,7 @@ copy per consumer.
 
 from __future__ import annotations
 
-from operator import itemgetter
+from operator import indexOf, itemgetter
 from typing import Dict, Iterable, List, Mapping, Tuple
 
 __all__ = ["Relation", "Row"]
@@ -52,29 +54,27 @@ def _index_rows(index: dict, positions: Tuple[int, ...],
 
 
 class Relation:
-    """Rows of term-ids with a dedup/position map and lazy indexes."""
+    """Rows of term-ids with a dedup map and lazy indexes."""
 
-    __slots__ = ("rows", "row_pos", "indexes")
+    __slots__ = ("rows", "members", "indexes")
 
     def __init__(self, rows: Iterable[Row] = ()):
         self.rows: List[Row] = list(rows)
-        self.row_pos: Dict[Row, int] = {
-            row: number for number, row in enumerate(self.rows)
-        }
+        self.members: Dict[Row, Row] = dict(zip(self.rows, self.rows))
         #: position tuple → key → row numbers (ascending until a
         #: discard swaps a row down).
         self.indexes: Dict[Tuple[int, ...], Dict[object, List[int]]] = {}
 
     def __contains__(self, row: object) -> bool:
-        return row in self.row_pos
+        return row in self.members
 
     def append(self, row: Row) -> bool:
         """Add *row*; True iff it was new."""
-        if row in self.row_pos:
+        if row in self.members:
             return False
         number = len(self.rows)
         self.rows.append(row)
-        self.row_pos[row] = number
+        self.members[row] = row
         for positions, index in self.indexes.items():
             index.setdefault(_key(row, positions), []).append(number)
         return True
@@ -82,12 +82,12 @@ class Relation:
     def extend(self, rows: Iterable[Row]) -> List[Row]:
         """Add *rows*, returning exactly the new ones in append order
         (duplicates of stored rows, or within *rows*, are skipped)."""
-        row_pos = self.row_pos
+        members = self.members
         stored = self.rows
         start = len(stored)
         for row in rows:
-            if row not in row_pos:
-                row_pos[row] = len(stored)
+            if row not in members:
+                members[row] = row
                 stored.append(row)
         new = stored[start:]
         if new:
@@ -96,17 +96,28 @@ class Relation:
         return new
 
     def discard(self, row: Row) -> bool:
-        """Swap-remove *row*, keeping rows dense and indexes coherent."""
-        number = self.row_pos.pop(row, None)
-        if number is None:
+        """Swap-remove *row*, keeping rows dense and indexes coherent.
+        Its number is found in the smallest of its buckets in the built
+        indexes (one is built on the first position when none is)."""
+        member = self.members.pop(row, None)
+        if member is None:
             return False
-        last = len(self.rows) - 1
-        moved = self.rows.pop()
+        stored = self.rows
+        if row and not self.indexes:
+            self.index_for((0,))
+        keyed = [
+            (positions, index, _key(row, positions))
+            for positions, index in self.indexes.items()
+        ]
+        number = 0  # the one row a nullary relation can hold
+        if keyed:
+            bucket = min((index[key] for _, index, key in keyed), key=len)
+            number = bucket[indexOf(map(stored.__getitem__, bucket), member)]
+        last = len(stored) - 1
+        moved = stored.pop()
         if number != last:
-            self.rows[number] = moved
-            self.row_pos[moved] = number
-        for positions, index in self.indexes.items():
-            key = _key(row, positions)
+            stored[number] = moved
+        for positions, index, key in keyed:
             bucket = index[key]
             bucket.remove(number)
             if not bucket:
@@ -147,7 +158,7 @@ class Relation:
         """Rows whose id at each 0-based position of *bound* (non-empty)
         equals the given id — a snapshot, safe against later mutation.
 
-        A *bound* that covers every position is one ``row_pos`` lookup
+        A *bound* that covers every position is one ``members`` lookup
         and builds no index.  Otherwise one single-column bucket is
         probed (:meth:`_bucket`); with one bound position every row of
         the bucket matches.
@@ -155,7 +166,7 @@ class Relation:
         rows = self.rows
         if rows and len(bound) == len(rows[0]):
             row = tuple(bound[p] for p in range(len(bound)))
-            return [row] if row in self.row_pos else []
+            return [row] if row in self.members else []
         bucket = self._bucket(bound)
         if len(bound) == 1:
             return list(map(rows.__getitem__, bucket))
@@ -177,7 +188,7 @@ class Relation:
         if not rows:
             return False
         if len(bound) == len(rows[0]):
-            return tuple(bound[p] for p in range(len(bound))) in self.row_pos
+            return tuple(bound[p] for p in range(len(bound))) in self.members
         if not bound:
             candidates = rows
         else:

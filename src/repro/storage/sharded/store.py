@@ -75,8 +75,9 @@ _spill_seq = itertools.count()
 def _row_cost(arity: int) -> int:
     """Estimated resident bytes one row adds to a shard.
 
-    Deliberately generous (tuple header + per-slot pointers + hash-set
-    slot + a share of the boxed ids): the budget enforcement acts on
+    Deliberately generous (tuple header + per-slot pointers + the
+    dedup map's entry, whose key and value are that tuple + a share of
+    the index buckets' boxed row numbers): the budget enforcement acts on
     this estimate, so overestimating errs toward evicting early —
     the safe side of a memory bound.
     """
@@ -497,7 +498,7 @@ class ShardedStore(FactStore):
             if shard.resident:
                 if self._budget is not None:
                     self._touch(relation, index, shard)
-                return row in shard.relation.row_pos
+                return row in shard.relation.members
             # Membership on an evicted shard peeks at the page without
             # paying a full reload — one containment check must not
             # disturb the resident working set.

@@ -17,8 +17,9 @@ kernel-capable stores (columnar, sharded), read both ways:
 * a pin with nothing to join (a single-atom rule or query) projects the
   stored rows themselves, and still counts what the interpreter counts;
   so do join pins of every shape — one keyed step, two steps, a scan, a
-  negated literal, key and head constants, a nullary member step —
-  batch for batch.
+  negated literal, key and head constants, a nullary member step,
+  member steps over rows past their watermark — batch for batch, on a
+  budgeted store that evicts mid-round as well.
 """
 
 from itertools import chain
@@ -43,7 +44,7 @@ from repro.datalog.strata import compute_strata
 from repro.kernels import KernelEvaluator, ordered_answers, query_answers
 from repro.kernels.query import _block
 from repro.lang.parser import parse_program, parse_query
-from repro.storage import make_store
+from repro.storage import make_store, sharded_store_factory
 
 from .test_prop_kernels import (
     BASE_RULE,
@@ -180,11 +181,13 @@ def _pin_batches(rule, delta, old, full):
     return batches
 
 
-def _assert_rounds_count_what_the_interpreter_counts(program, database):
+def _assert_rounds_count_what_the_interpreter_counts(
+    program, database, stores=KERNEL_STORES
+):
     """Per round, the kernels' ``considered``, staged facts and batches
-    are the interpreter's (batches as :func:`_pin_batches` counts them),
-    stratum by stratum: a stratum's first round takes every stored fact
-    as delta."""
+    on each of *stores* are the interpreter's (batches as
+    :func:`_pin_batches` counts them), stratum by stratum: a stratum's
+    first round takes every stored fact as delta."""
     reference = list(seminaive_rounds(database, program, store="instance"))
     layers = (
         compute_strata(program).layers if program.has_negation()
@@ -203,7 +206,7 @@ def _assert_rounds_count_what_the_interpreter_counts(program, database):
             old = set(full)
             full |= delta
     assert len(expected_batches) == len(reference) - 1
-    for store in KERNEL_STORES:
+    for store in stores:
         events = list(seminaive_rounds(database, program, store=store))
         assert len(events) == len(reference), store
         for event, interpreted, batches in zip(
@@ -267,7 +270,17 @@ MULTI_STEP_RULES = {
     "constants": "p(X,n0) :- r(X), e(X,n1), p(n1,Y).",
     # a nullary atom: pinned (then e is a scan) and as a member step
     "nullary-member": "s() :- r(X).\n p(X,Y) :- s(), e(Y,X).",
+    # member steps on a relation holding rows they must not see: this
+    # round's appends (the closure rule runs first), and for the
+    # old-only step of the second pin the delta as well
+    "member-above-limit": (
+        "p(X,Z) :- e(X,Y), p(Y,Z).\n r(X) :- p(X,Y), p(Y,X)."
+    ),
 }
+
+#: A byte budget that evicts shards mid-round: a part paged back in
+#: rebuilds its dedup map from its rows.
+EVICTING = sharded_store_factory(512, num_shards=4)
 
 
 @pytest.mark.parametrize(
@@ -279,12 +292,15 @@ def test_multi_step_rounds_count_what_the_interpreter_counts(
     text, pairs, units
 ):
     """Pins with two steps, a scan step, a negated literal, key and head
-    constants across two steps, or a nullary member step run on rows
-    like the rest.  Per round, the interpreter's ``considered`` and
-    staged facts, and the batches its matches predict."""
+    constants across two steps, a nullary member step, or member steps
+    over a relation with rows past their watermark run on rows like the
+    rest.  Per round, the interpreter's ``considered`` and staged facts,
+    and the batches its matches predict — also on a budgeted store that
+    evicts and reloads parts mid-round."""
     rules_, _ = parse_program(text)
     _assert_rounds_count_what_the_interpreter_counts(
-        Program((BASE_RULE, *rules_)), build_database(pairs, units)
+        Program((BASE_RULE, *rules_)), build_database(pairs, units),
+        (*KERNEL_STORES, EVICTING),
     )
 
 

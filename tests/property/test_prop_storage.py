@@ -22,7 +22,7 @@ from repro.core.instance import Database, Instance
 from repro.core.terms import Constant, Null, Variable
 from repro.core.tgd import TGD
 from repro.datalog.seminaive import seminaive
-from repro.lang.parser import parse_query
+from repro.lang.parser import parse_program, parse_query
 from repro.server.snapshot import SnapshotManager
 from repro.storage import (
     BACKENDS,
@@ -32,7 +32,10 @@ from repro.storage import (
     make_store,
 )
 
+from ..unit.test_relation import _coherent
 from .strategies import atoms
+
+TC_RULES = "t(X,Y) :- e(X,Y). t(X,Z) :- e(X,Y), t(Y,Z). "
 
 X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
 
@@ -217,8 +220,40 @@ def test_relation_agrees_with_set_model(operations):
             assert set(relation.matching({0: row[0], 2: row[2]})) == {
                 r for r in model if (r[0], r[2]) == (row[0], row[2])
             }
-        assert set(relation.rows) == model == set(relation.row_pos)
+        assert set(relation.rows) == model == set(relation.members)
         assert len(relation.rows) == len(model)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    edges=st.sets(st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                  min_size=1, max_size=14),
+    picks=st.lists(st.tuples(st.booleans(), st.integers(0, 10 ** 6)),
+                   max_size=40),
+)
+def test_discards_from_a_kernel_built_relation_stay_coherent(edges, picks):
+    """A closure saturated by the kernels holds its rows with no index
+    (the evaluation releases its join indexes): random discards — a
+    stored row or one the relation never held — find each row's number
+    through an index built on demand, keep every structure coherent,
+    and agree with a plain ``set`` after every step."""
+    program = TC_RULES + " ".join(f"e(n{x}, n{y})." for x, y in edges)
+    closure, database = parse_program(program)
+    store = seminaive(database, closure, store="columnar").instance
+    ((_, relation),) = store.parts("t", 2)
+    assert relation.indexes == {}
+    model = set(relation.rows)
+    absent = (max(max(row) for row in model) + 1,) * 2
+    for stored, at in picks:
+        if stored and relation.rows:
+            # An equal tuple, not the stored one.
+            row = tuple(list(relation.rows[at % len(relation.rows)]))
+        else:
+            row = absent
+        assert relation.discard(row) == (row in model)
+        model.discard(row)
+        _coherent(relation)
+        assert set(relation.rows) == model
 
 
 # -- served versions: each a frozen copy of its predecessor ----------------

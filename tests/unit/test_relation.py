@@ -17,10 +17,11 @@ def columnar():
 
 
 def _coherent(relation):
-    """Every structure agrees with ``rows`` (the source of truth)."""
-    assert relation.row_pos == {
-        row: number for number, row in enumerate(relation.rows)
-    }
+    """Every structure agrees with ``rows`` (the source of truth): the
+    dedup map holds exactly the stored rows, each mapped to the stored
+    tuple itself, and every index the stored row numbers."""
+    assert len(relation.members) == len(relation.rows)
+    assert all(relation.members[row] is row for row in relation.rows)
     for positions, index in relation.indexes.items():
         rebuilt = {}
         for number, row in enumerate(relation.rows):
@@ -46,7 +47,8 @@ class TestRelation:
         assert new == [(5, 6), (7, 8)]
         assert relation.rows == [(1, 2), (3, 4), (5, 6), (7, 8)]
         # New rows sit at consecutive numbers from the old length.
-        assert [relation.row_pos[row] for row in new] == [2, 3]
+        assert relation.rows[2:4] == new
+        assert all(relation.members[row] is row for row in new)
         assert relation.extend([(1, 2)]) == []
 
     def test_single_column_index_keys_on_the_bare_id(self):
@@ -73,6 +75,12 @@ class TestRelation:
         assert not relation.discard((5, 5))
         assert relation.rows == [] and relation.indexes[(0,)] == {}
 
+    def test_a_nullary_relation_discards_its_one_row(self):
+        relation = Relation([()])
+        assert () in relation and relation.discard(())
+        assert relation.rows == [] and relation.members == {}
+        assert relation.indexes == {} and not relation.discard(())
+
     def test_matching_filters_every_bound_position(self):
         relation = Relation([(1, 2), (1, 3), (4, 2)])
         assert relation.matching({0: 1}) == [(1, 2), (1, 3)]
@@ -83,7 +91,7 @@ class TestRelation:
         relation.discard((1, 2))
         assert snapshot == [(1, 2), (4, 2)]
 
-    def test_fully_bound_matching_is_a_row_pos_lookup(self):
+    def test_fully_bound_matching_is_a_members_lookup(self):
         rows = [(1, 2), (1, 3), (4, 2), (2, 2)]
         relation = Relation(rows)
         for bound in ({0: 1, 1: 3}, {1: 2, 0: 4}, {0: 2, 1: 2},
@@ -131,7 +139,8 @@ class TestRelation:
         relation = Relation([(3, 1), (1, 1), (2, 1)])
         rebuilt = Relation(relation.rows)
         assert rebuilt.rows == relation.rows
-        assert rebuilt.row_pos == relation.row_pos
+        assert rebuilt.members == relation.members
+        _coherent(rebuilt)
 
 
 class TestStoresHoldThePrimitive:

@@ -327,6 +327,36 @@ class TestBudgetUnderKernels:
         assert tight.instance.stats["evictions"] > 0
         assert tight_peak <= 0.6 * free_peak, (tight_peak, free_peak)
 
+    def test_member_steps_count_what_the_interpreter_counts_across_reloads(
+        self, tmp_path
+    ):
+        """``mutual``'s member steps over a closure that grows in the
+        same round — this round's appends past the watermark, the delta
+        too for the old-only step — count what the interpreter counts
+        while the budget evicts shards and reloads rebuild their dedup
+        maps mid-round."""
+        program, database = self._closure()
+        program = program.extend(parse_program(
+            "mutual(X, Y) :- path(X, Y), path(Y, X)."
+        )[0])
+        reference = list(seminaive_rounds(database, program, store="instance"))
+        factory = sharded_store_factory(
+            self.BUDGET, tmp_path, num_shards=self.SHARDS
+        )
+        kernel_batches = []
+        for store in ("columnar", factory):
+            events = list(seminaive_rounds(database, program, store=store))
+            assert len(events) == len(reference)
+            for event, interpreted in zip(events, reference):
+                assert event.considered == interpreted.considered
+                assert set(event.staged) == set(interpreted.staged)
+            kernel_batches.append([event.batches for event in events])
+        assert kernel_batches[0] == kernel_batches[1]
+        stats = events[-1].instance.stats
+        assert events[-1].exec_mode == "kernel"
+        assert stats["evictions"] > 0 and stats["reloads"] > 0
+        assert events[-1].instance.count("mutual") > 0
+
     def test_mid_fixpoint_report_is_the_store_alone(self, tmp_path):
         program, database = self._closure()
         factory = sharded_store_factory(
